@@ -105,7 +105,7 @@ func (c *commitCluster) measure(workers int, d time.Duration) (float64, error) {
 // expCommitThroughput is E23: committed transactions per second with the
 // per-node WAL's group commit versus the per-record baseline force, over
 // the simulated stable log (fixed per-force latency) and the real
-// FileStore (per-force fsync).
+// file-backed log (per-force fsync).
 func expCommitThroughput(rep *report) error {
 	const (
 		forceDelay = time.Millisecond
@@ -166,7 +166,7 @@ func expCommitThroughput(rep *report) error {
 		return err
 	}
 	defer fc.close()
-	rep.rowf("  FileStore backing (real fsync):")
+	rep.rowf("  file-backed log (real fsync):")
 	for _, w := range []int{1, 16} {
 		key := fmt.Sprintf("workers=%d", w)
 		fc.setGroupCommit(false)

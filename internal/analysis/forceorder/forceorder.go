@@ -8,9 +8,9 @@
 //
 // Rule a (store): completing a WAL batch — close of a done-named
 // channel — must be dominated by a force-family call (force, Force,
-// Sync, appendEntries, fsync, syncDir). Waking the appenders before the
-// fsync would let a participant vote YES on an intention that a crash
-// can still lose.
+// Sync, appendSync, fsync, syncDir). Waking the appenders before the
+// fsync would let a participant vote YES on an intention, or ack an
+// object install, that a crash can still lose.
 //
 // Rule b (dist): assigning a 2PC vote — a store into the OK field of a
 // vote-named struct — must be dominated by a stable-log operation
@@ -48,12 +48,12 @@ var Analyzer = &analysis.Analyzer{
 
 // forceFamily (rule a) are the callee names that make bytes durable.
 var forceFamily = map[string]bool{
-	"force":         true,
-	"Force":         true,
-	"Sync":          true,
-	"appendEntries": true,
-	"fsync":         true,
-	"syncDir":       true,
+	"force":      true,
+	"Force":      true,
+	"Sync":       true,
+	"appendSync": true,
+	"fsync":      true,
+	"syncDir":    true,
 }
 
 // stableFamily (rule b) are the stable-log operations a vote may be

@@ -74,3 +74,70 @@ func suppressedInstall(name, target string) error {
 	//mcalint:ignore forceorder fixture: target dir is fsynced by the caller
 	return os.Rename(name, target)
 }
+
+// --- the log-structured append path: object batches and intentions
+// share one log, waiters are woken only after its force, and a forget
+// is appended without waking or waiting for anyone ---
+
+type logFile struct{ path, dir string }
+
+// appendSync is the log's durability point (one write, one fsync); its
+// name is in the force family.
+func (lf *logFile) appendSync(frames []byte) error { return nil }
+
+type logWAL struct {
+	log *logFile
+	cur *batch
+}
+
+func (w *logWAL) install(b *batch) {}
+
+// Force, then install into the cache, then wake the appenders.
+func (w *logWAL) flushGood(b *batch, frames []byte) {
+	b.err = w.log.appendSync(frames)
+	if b.err == nil {
+		w.install(b)
+	}
+	close(b.done)
+}
+
+// Installing before the force is the cache's problem; waking before it
+// is a durability bug.
+func (w *logWAL) flushWakesBeforeForce(b *batch, frames []byte) {
+	w.install(b)
+	close(b.done) // want "reachable without a dominating force"
+	b.err = w.log.appendSync(frames)
+}
+
+// A batch of lazy forgets has no waiters, but skipping its force on
+// that ground still completes the batch unforced.
+func (w *logWAL) flushSkipsLazyOnly(b *batch, frames []byte, lazyOnly bool) {
+	if !lazyOnly {
+		b.err = w.log.appendSync(frames)
+	}
+	close(b.done) // want "reachable without a dominating force"
+}
+
+// A lazy forget joins the open batch and returns: nothing to wake, so
+// nothing to dominate.
+func (w *logWAL) forgetLazy() {
+	if w.cur == nil {
+		w.cur = &batch{done: make(chan struct{})}
+	}
+}
+
+// Compaction replaces the log by rename: still paired with syncDir.
+func (lf *logFile) compactGood(tmp string) error {
+	if err := os.Rename(tmp, lf.path); err != nil {
+		return err
+	}
+	return syncDir(lf.dir)
+}
+
+func (lf *logFile) compactBad(tmp string) error {
+	if err := os.Rename(tmp, lf.path); err != nil { // want "no directory fsync"
+		return err
+	}
+	_, err := os.OpenFile(lf.path, os.O_WRONLY|os.O_APPEND, 0o644)
+	return err
+}

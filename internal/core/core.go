@@ -159,7 +159,8 @@ var (
 	NewStableStore = store.NewStable
 	// NewVolatileStore builds an in-memory volatile store.
 	NewVolatileStore = store.NewVolatile
-	// OpenFileStore opens a disk-backed stable store.
+	// OpenFileStore opens a disk-backed stable store: one append-only,
+	// checksummed log per directory, replayed on open.
 	OpenFileStore = store.OpenFileStore
 )
 

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"mca/internal/dist"
+	"mca/internal/ids"
 	"mca/internal/netsim"
 	"mca/internal/node"
 	"mca/internal/rpc"
@@ -15,7 +16,7 @@ import (
 )
 
 // backedCluster is newCluster with a choice of stable-store backing:
-// in-memory simulation or a real FileStore directory per node.
+// in-memory simulation or a real log directory per node.
 func backedCluster(t *testing.T, fileBacked bool) *cluster {
 	t.Helper()
 	nw := netsim.New(netsim.Config{})
@@ -26,7 +27,8 @@ func backedCluster(t *testing.T, fileBacked bool) *cluster {
 	for i := 0; i < 3; i++ {
 		opts := []node.Option{node.WithRPCOptions(rpcOpts)}
 		if fileBacked {
-			opts = append(opts, node.WithStableDir(t.TempDir()))
+			c.dirs[i] = t.TempDir()
+			opts = append(opts, node.WithStableDir(c.dirs[i]))
 		}
 		nd, err := node.New(nw, opts...)
 		if err != nil {
@@ -193,5 +195,115 @@ func TestCommitCrashMatrix(t *testing.T) {
 				})
 			}
 		}
+	}
+}
+
+// TestCommitCrashMatrixUnforcedForget extends the matrix past the end of
+// the protocol: the commit completed everywhere and every forget was
+// appended, but a forget is not forced — it rides the node's next forced
+// record — so a crash now resurrects intentions of finished
+// transactions. The cells crash the participant ("crash after install,
+// forget not yet forced"), the coordinator ("coordinator crash with
+// unforced forget") and both at once. Recovery re-drives what it finds;
+// the re-drive must be idempotent, and the balances exact — also after
+// further transfers over the same accounts.
+func TestCommitCrashMatrixUnforcedForget(t *testing.T) {
+	victims := map[string][]int{"participant": {1}, "coordinator": {0}, "both": {0, 1}}
+	for _, backing := range []string{"memory", "file"} {
+		for victim, crash := range victims {
+			t.Run(backing+"/"+victim, func(t *testing.T) {
+				c := backedCluster(t, backing == "file")
+				ctx := context.Background()
+				transfer := func() ids.ActionID {
+					t.Helper()
+					var id ids.ActionID
+					err := c.coord.Run(ctx, func(txn *dist.Txn) error {
+						id = txn.ID()
+						if err := txn.Invoke(ctx, c.nodes[0].ID(), "bank", "add", addArg{Delta: -5}, nil); err != nil {
+							return err
+						}
+						if err := txn.Invoke(ctx, c.nodes[1].ID(), "bank", "add", addArg{Delta: 2}, nil); err != nil {
+							return err
+						}
+						return txn.Invoke(ctx, c.nodes[2].ID(), "bank", "add", addArg{Delta: 3}, nil)
+					})
+					if err != nil {
+						t.Fatalf("transfer: %v", err)
+					}
+					return id
+				}
+				// Two transfers over the same accounts: the second one's
+				// forced records carry the first one's forgets to disk,
+				// so only the second can come back — were the first
+				// re-driven, its stale write set would undo the second.
+				first, second := transfer(), transfer()
+				for _, i := range crash {
+					c.nodes[i].Crash()
+				}
+				if backing == "file" {
+					// What the disk holds is what recovery will see: the
+					// second transfer's record, not the first's.
+					for _, i := range crash {
+						onDisk, err := store.NewStableAt(c.dirs[i])
+						if err != nil {
+							t.Fatal(err)
+						}
+						if _, ok, _ := onDisk.Intentions().Lookup(first); ok {
+							t.Fatalf("node %d: forget of the first transfer did not ride a later force", i)
+						}
+						if _, ok, _ := onDisk.Intentions().Lookup(second); !ok {
+							t.Fatalf("node %d: the unforced forget is on disk; the cell tests nothing", i)
+						}
+					}
+				}
+				settleCluster(t, c, ctx)
+				if got, want := stableBalances(t, c), [3]int{90, 104, 106}; got != want {
+					t.Fatalf("stable balances after re-drive = %v, want %v", got, want)
+				}
+				transfer()
+				settleCluster(t, c, ctx)
+				if got, want := stableBalances(t, c), [3]int{85, 106, 109}; got != want {
+					t.Fatalf("stable balances after a further transfer = %v, want %v", got, want)
+				}
+			})
+		}
+	}
+}
+
+// TestDurableTransferForcesFiveTimes pins the force budget of a
+// two-participant transfer on the file backing: each participant forces
+// its prepare record and its phase-2 install, the coordinator forces the
+// decision — five forces, each one append and one fsync. The three
+// forgets force nothing: they ride the next transfer's records.
+func TestDurableTransferForcesFiveTimes(t *testing.T) {
+	c := backedCluster(t, true)
+	ctx := context.Background()
+	forces := func() (flushes, records uint64) {
+		for _, nd := range c.nodes {
+			f, r := nd.Stable().WAL().Stats()
+			flushes, records = flushes+f, records+r
+		}
+		return flushes, records
+	}
+	const transfers = 20
+	f0, r0 := forces()
+	for i := 0; i < transfers; i++ {
+		err := c.coord.Run(ctx, func(txn *dist.Txn) error {
+			if err := txn.Invoke(ctx, c.nodes[1].ID(), "bank", "add", addArg{Delta: -1}, nil); err != nil {
+				return err
+			}
+			return txn.Invoke(ctx, c.nodes[2].ID(), "bank", "add", addArg{Delta: 1}, nil)
+		})
+		if err != nil {
+			t.Fatalf("transfer %d: %v", i, err)
+		}
+	}
+	f1, r1 := forces()
+	if got := f1 - f0; got != 5*transfers {
+		t.Fatalf("%d transfers forced the logs %d times, want %d (2 prepares + 1 decision + 2 installs each)", transfers, got, 5*transfers)
+	}
+	// Every forget but the last transfer's three has been carried.
+	if got, want := r1-r0, uint64(8*transfers-3); got != want {
+		t.Fatalf("%d transfers logged %d records, want %d", transfers, got, want)
 	}
 }

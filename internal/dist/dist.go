@@ -532,6 +532,14 @@ func (m *Manager) handleCommit(_ context.Context, _ ids.NodeID, body []byte) ([]
 // commitParticipant applies the commit decision locally: through the
 // live action when it survived, or by replaying the logged write set
 // after a crash. Idempotent.
+//
+// The ack this returns into promises the install, which is forced by
+// the time Commit/ApplyBatch return. The forget behind it is appended
+// to the log but not forced: it becomes durable with the node's next
+// forced record. Should a crash come first, the prepared record is back
+// and recovery resolves it again — by replaying a write set that no
+// later install overwrote, since any later install would sit behind the
+// forget in the log and have carried it to disk.
 func (m *Manager) commitParticipant(txn ids.ActionID) error {
 	// Fetch the node through the guarded accessor: Register (node
 	// restart) swaps m.node while late handler goroutines of the old
@@ -862,6 +870,9 @@ func (t *Txn) Commit(ctx context.Context) error {
 				return peer.Call(ctx, p, methodCommit, txnReq{Txn: t.ID()}, nil)
 			})
 		if _, _, failed := firstFailure(acked); !failed {
+			// Appended, not forced: nobody waits on a forget. A crash
+			// before the next force brings the decision record back,
+			// and the re-driven commits find every participant done.
 			if err := log.Forget(t.ID()); err != nil {
 				txnCommits.Inc()
 				commitNs.ObserveDurationWithExemplar(clk.Since(start), t.tc.TraceID)

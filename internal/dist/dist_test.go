@@ -108,6 +108,7 @@ type cluster struct {
 	parts [2]*dist.Manager
 	banks [3]*bank // banks[0] at coordinator
 	nodes [3]*node.Node
+	dirs  [3]string // stable-store directories, when file-backed
 }
 
 func newCluster(t *testing.T, cfg netsim.Config) *cluster {

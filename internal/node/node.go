@@ -107,9 +107,11 @@ type stableDirOption string
 
 func (o stableDirOption) apply(opts *nodeOptions) { opts.stableDir = string(o) }
 
-// WithStableDir backs the node's stable store with a FileStore rooted
-// at dir: object installs, the batch journal and the intention log
-// (WAL) are really on disk, and Restart recovers from there.
+// WithStableDir backs the node's stable store with the log in dir
+// (store.NewStableAt): object installs and the commit protocol's
+// intention records are checksummed records of one append-only file,
+// each commit step one append and one fsync, and Restart recovers by
+// replaying that file.
 func WithStableDir(dir string) Option { return stableDirOption(dir) }
 
 type tracerOption struct{ rec *trace.Recorder }
@@ -331,9 +333,9 @@ func (n *Node) Crash() {
 }
 
 // Restart repairs the node: stable storage recovers (completing any
-// journalled batch), volatile storage and the action runtime start
-// empty, services re-register their handlers and run their recovery
-// hooks.
+// journalled batch; a file-backed store replays its log), volatile
+// storage and the action runtime start empty, services re-register
+// their handlers and run their recovery hooks.
 func (n *Node) Restart() {
 	n.mu.Lock()
 	if !n.crashed {

@@ -1,319 +1,47 @@
 package store
 
-import (
-	"encoding/json"
-	"errors"
-	"fmt"
-	"os"
-	"path/filepath"
-	"sort"
-	"strconv"
-	"strings"
-	"sync"
-	"sync/atomic"
+import "mca/internal/ids"
 
-	"mca/internal/ids"
-)
-
-// syncDir forces the directory entry changes of a preceding rename or
-// remove to disk. Without it a "forced" journal or object install is
-// only durable as file *content*: the directory entry pointing at it
-// can still vanish on power loss, undoing the rename.
-func syncDir(dir string) error {
-	d, err := os.Open(dir)
-	if err != nil {
-		return fmt.Errorf("sync dir: %w", err)
-	}
-	err = d.Sync()
-	if cerr := d.Close(); err == nil {
-		err = cerr
-	}
-	if err != nil {
-		return fmt.Errorf("sync dir: %w", err)
-	}
-	dirSyncs.Add(1)
-	return nil
-}
-
-// dirSyncs counts successful directory fsyncs, so tests can assert the
-// durability path actually pins its renames.
-var dirSyncs atomic.Uint64
-
-// errCrashPoint reports that applyBatchAt stopped at an injected crash
-// point; the stable-store wrapper converts it into a crash.
-var errCrashPoint = errors.New("store: injected crash point")
-
-// FileStore is a stable object store backed by a directory on disk. Each
-// object state lives in its own file, written atomically via a temporary
-// file and rename. Batches are made atomic with a journal file: the batch
-// is serialized and forced to the journal first, then applied, then the
-// journal is removed; Open replays a surviving journal, so a crash at any
-// point yields either none or all of the batch.
+// FileStore is a stable object store backed by a directory on disk: the
+// plain-store face of a log-structured Stable, without the crash
+// simulation surface. Every write, delete and batch is one checksummed
+// record appended to the directory's wal.log and forced before the call
+// returns; a batch is atomic because its record is whole or absent.
+// Reads are served from memory, which Open rebuilds by replaying the
+// log.
 //
 // FileStore backs the "diskfull workstation" configuration of paper §2
 // with real durability; the in-memory Stable store is the fast simulated
 // equivalent used by most tests and benchmarks.
 type FileStore struct {
-	dir string
-
-	mu sync.Mutex
+	s *Stable
 }
 
-const (
-	objectPrefix    = "obj-"
-	objectSuffix    = ".state"
-	journalFilename = "journal.pending"
-)
-
-// OpenFileStore opens (creating if needed) a file store rooted at dir and
-// replays any pending journal. It returns the store and whether a batch
-// was repaired.
+// OpenFileStore opens (creating if needed) a file store rooted at dir
+// and replays its log. It returns the store and whether a torn log tail
+// — an append that a crash interrupted, never acknowledged — was cut
+// off.
 func OpenFileStore(dir string) (*FileStore, bool, error) {
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return nil, false, fmt.Errorf("open file store: %w", err)
-	}
-	fs := &FileStore{dir: dir}
-	repaired, err := fs.replayJournal()
+	s, truncated, err := openStableAt(dir)
 	if err != nil {
 		return nil, false, err
 	}
-	return fs, repaired, nil
+	return &FileStore{s: s}, truncated, nil
 }
 
 var _ Store = (*FileStore)(nil)
 
-func (f *FileStore) objectPath(id ids.ObjectID) string {
-	return filepath.Join(f.dir, objectPrefix+strconv.FormatUint(uint64(id), 10)+objectSuffix)
-}
-
 // Read implements Store.
-func (f *FileStore) Read(id ids.ObjectID) (State, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	data, err := os.ReadFile(f.objectPath(id))
-	if os.IsNotExist(err) {
-		return nil, ErrNotFound
-	}
-	if err != nil {
-		return nil, fmt.Errorf("read object %v: %w", id, err)
-	}
-	return data, nil
-}
+func (f *FileStore) Read(id ids.ObjectID) (State, error) { return f.s.Read(id) }
 
 // Write implements Store: an atomic single-object write.
-func (f *FileStore) Write(id ids.ObjectID, s State) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.writeLocked(id, s)
-}
-
-func (f *FileStore) writeLocked(id ids.ObjectID, s State) error {
-	tmp, err := os.CreateTemp(f.dir, "tmp-*")
-	if err != nil {
-		return fmt.Errorf("write object %v: %w", id, err)
-	}
-	name := tmp.Name()
-	if _, err := tmp.Write(s); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return fmt.Errorf("write object %v: %w", id, err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return fmt.Errorf("sync object %v: %w", id, err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return fmt.Errorf("close object %v: %w", id, err)
-	}
-	if err := os.Rename(name, f.objectPath(id)); err != nil {
-		os.Remove(name)
-		return fmt.Errorf("install object %v: %w", id, err)
-	}
-	return syncDir(f.dir)
-}
+func (f *FileStore) Write(id ids.ObjectID, s State) error { return f.s.Write(id, s) }
 
 // Delete implements Store.
-func (f *FileStore) Delete(id ids.ObjectID) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.deleteLocked(id)
-}
-
-func (f *FileStore) deleteLocked(id ids.ObjectID) error {
-	err := os.Remove(f.objectPath(id))
-	if os.IsNotExist(err) {
-		return nil
-	}
-	if err != nil {
-		return fmt.Errorf("delete object %v: %w", id, err)
-	}
-	return syncDir(f.dir)
-}
+func (f *FileStore) Delete(id ids.ObjectID) error { return f.s.Delete(id) }
 
 // List implements Store.
-func (f *FileStore) List() ([]ids.ObjectID, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	entries, err := os.ReadDir(f.dir)
-	if err != nil {
-		return nil, fmt.Errorf("list objects: %w", err)
-	}
-	var out []ids.ObjectID
-	for _, e := range entries {
-		name := e.Name()
-		if !strings.HasPrefix(name, objectPrefix) || !strings.HasSuffix(name, objectSuffix) {
-			continue
-		}
-		numeric := strings.TrimSuffix(strings.TrimPrefix(name, objectPrefix), objectSuffix)
-		n, err := strconv.ParseUint(numeric, 10, 64)
-		if err != nil {
-			continue
-		}
-		out = append(out, ids.ObjectID(n))
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out, nil
-}
+func (f *FileStore) List() ([]ids.ObjectID, error) { return f.s.List() }
 
-// journalRecord is the on-disk form of a pending batch.
-type journalRecord struct {
-	Writes  map[string][]byte `json:"writes"`
-	Deletes []uint64          `json:"deletes"`
-}
-
-// ApplyBatch installs the batch atomically with respect to crashes: the
-// journal is forced before any object file changes, and Open replays it.
-func (f *FileStore) ApplyBatch(b Batch) error {
-	return f.applyBatchAt(b, 0)
-}
-
-// applyBatchAt is ApplyBatch with an injected crash point for recovery
-// tests: with stop set it leaves the on-disk state exactly as a crash
-// at that moment would (journal forced but unapplied, or half the
-// writes installed) and returns errCrashPoint.
-func (f *FileStore) applyBatchAt(b Batch, stop CrashPoint) error {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	if b.Empty() {
-		return nil
-	}
-
-	rec := journalRecord{Writes: make(map[string][]byte, len(b.Writes))}
-	for id, s := range b.Writes {
-		rec.Writes[strconv.FormatUint(uint64(id), 10)] = s
-	}
-	for _, id := range b.Deletes {
-		rec.Deletes = append(rec.Deletes, uint64(id))
-	}
-	data, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("encode journal: %w", err)
-	}
-	if err := f.forceJournal(data); err != nil {
-		return err
-	}
-	if stop == CrashAfterJournal {
-		return errCrashPoint
-	}
-	if stop == CrashMidApply {
-		half := len(b.Writes) / 2
-		n := 0
-		for _, id := range sortedKeys(b.Writes) {
-			if n >= half {
-				break
-			}
-			if err := f.writeLocked(id, b.Writes[id]); err != nil {
-				return err
-			}
-			n++
-		}
-		return errCrashPoint
-	}
-	if err := f.applyJournalRecord(rec); err != nil {
-		return err
-	}
-	if err := os.Remove(filepath.Join(f.dir, journalFilename)); err != nil {
-		return fmt.Errorf("clear journal: %w", err)
-	}
-	return syncDir(f.dir)
-}
-
-func (f *FileStore) forceJournal(data []byte) error {
-	tmp, err := os.CreateTemp(f.dir, "jtmp-*")
-	if err != nil {
-		return fmt.Errorf("force journal: %w", err)
-	}
-	name := tmp.Name()
-	if _, err := tmp.Write(data); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return fmt.Errorf("force journal: %w", err)
-	}
-	if err := tmp.Sync(); err != nil {
-		tmp.Close()
-		os.Remove(name)
-		return fmt.Errorf("force journal: %w", err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return fmt.Errorf("force journal: %w", err)
-	}
-	if err := os.Rename(name, filepath.Join(f.dir, journalFilename)); err != nil {
-		os.Remove(name)
-		return fmt.Errorf("install journal: %w", err)
-	}
-	return syncDir(f.dir)
-}
-
-func (f *FileStore) applyJournalRecord(rec journalRecord) error {
-	for key, s := range rec.Writes {
-		n, err := strconv.ParseUint(key, 10, 64)
-		if err != nil {
-			return fmt.Errorf("corrupt journal key %q: %w", key, err)
-		}
-		if err := f.writeLocked(ids.ObjectID(n), s); err != nil {
-			return err
-		}
-	}
-	for _, id := range rec.Deletes {
-		if err := f.deleteLocked(ids.ObjectID(id)); err != nil {
-			return err
-		}
-	}
-	return nil
-}
-
-// replayJournal completes a batch interrupted by a crash. It returns
-// whether a journal was found and applied.
-func (f *FileStore) replayJournal() (bool, error) {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	path := filepath.Join(f.dir, journalFilename)
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return false, nil
-	}
-	if err != nil {
-		return false, fmt.Errorf("read journal: %w", err)
-	}
-	var rec journalRecord
-	if err := json.Unmarshal(data, &rec); err != nil {
-		// A torn journal write means the batch never became
-		// durable: discard it (the rename-based force makes this
-		// unreachable in our model, but be safe with external
-		// tampering).
-		if rmErr := os.Remove(path); rmErr != nil {
-			return false, fmt.Errorf("discard torn journal: %w", rmErr)
-		}
-		return false, syncDir(f.dir)
-	}
-	if err := f.applyJournalRecord(rec); err != nil {
-		return false, err
-	}
-	if err := os.Remove(path); err != nil {
-		return false, fmt.Errorf("clear journal: %w", err)
-	}
-	return true, syncDir(f.dir)
-}
+// ApplyBatch installs the batch atomically with respect to crashes.
+func (f *FileStore) ApplyBatch(b Batch) error { return f.s.ApplyBatch(b) }

@@ -84,58 +84,51 @@ func TestFileStoreBatchAtomic(t *testing.T) {
 			t.Fatalf("Read(%v) = %q, %v", id, got, err)
 		}
 	}
-	// The journal must be gone after a clean batch.
-	if _, err := os.Stat(filepath.Join(dir, journalFilename)); !os.IsNotExist(err) {
-		t.Fatalf("journal left behind: %v", err)
+	// The log is the store's only file: no journal, no per-object files.
+	entries, err := os.ReadDir(dir)
+	if err != nil || len(entries) != 1 || entries[0].Name() != walFilename {
+		t.Fatalf("directory after a batch = %v, %v; want just %s", entries, err, walFilename)
 	}
 }
 
-func TestFileStoreReplaysJournalOnOpen(t *testing.T) {
-	// Simulate a crash between journal force and application: write
-	// the journal by hand, then open the store.
+// TestFileStoreBatchIsOneRecord cuts the log inside a batch's record, as
+// a crash mid-append would: the reopened store shows none of the batch,
+// and reports the cut.
+func TestFileStoreBatchIsOneRecord(t *testing.T) {
 	dir := t.TempDir()
 	fs := openTestStore(t, dir)
-	id := ids.NewObjectID()
-
-	// Build the journal exactly as ApplyBatch would, then "crash"
-	// before applying by writing the file directly.
-	journal := []byte(`{"writes":{"` + id.String()[1:] + `":"` + encodeB64("recovered") + `"},"deletes":[]}`)
-	if err := os.WriteFile(filepath.Join(dir, journalFilename), journal, 0o644); err != nil {
+	a, b := ids.NewObjectID(), ids.NewObjectID()
+	if err := fs.Write(a, State("old")); err != nil {
 		t.Fatal(err)
 	}
-	_ = fs // old handle abandoned
+	path := filepath.Join(dir, walFilename)
+	before, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := fs.ApplyBatch(Batch{Writes: map[ids.ObjectID]State{a: State("new"), b: State("B")}}); err != nil {
+		t.Fatal(err)
+	}
+	after, err := os.Stat(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := os.Truncate(path, (before.Size()+after.Size())/2); err != nil {
+		t.Fatal(err)
+	}
 
-	fs2, repaired, err := OpenFileStore(dir)
+	fs2, truncated, err := OpenFileStore(dir)
 	if err != nil {
 		t.Fatalf("OpenFileStore: %v", err)
 	}
-	if !repaired {
-		t.Fatal("open must report the journal replay")
+	if !truncated {
+		t.Fatal("open must report the torn tail it cut")
 	}
-	got, err := fs2.Read(id)
-	if err != nil || string(got) != "recovered" {
-		t.Fatalf("Read after replay = %q, %v", got, err)
+	if got, err := fs2.Read(a); err != nil || string(got) != "old" {
+		t.Fatalf("Read(a) = %q, %v; want the state before the torn batch", got, err)
 	}
-}
-
-func TestFileStoreDiscardsTornJournal(t *testing.T) {
-	dir := t.TempDir()
-	if err := os.WriteFile(filepath.Join(dir, journalFilename), []byte("{torn"), 0o644); err != nil {
-		t.Fatal(err)
-	}
-	fs, repaired, err := OpenFileStore(dir)
-	if err != nil {
-		t.Fatalf("OpenFileStore over torn journal: %v", err)
-	}
-	if repaired {
-		t.Fatal("a torn journal must be discarded, not replayed")
-	}
-	list, err := fs.List()
-	if err != nil || len(list) != 0 {
-		t.Fatalf("List = %v, %v", list, err)
-	}
-	if _, err := os.Stat(filepath.Join(dir, journalFilename)); !os.IsNotExist(err) {
-		t.Fatal("torn journal must be removed")
+	if _, err := fs2.Read(b); !errors.Is(err, ErrNotFound) {
+		t.Fatalf("Read(b) = %v; half a batch must install nothing", err)
 	}
 }
 
@@ -155,51 +148,18 @@ func TestFileStoreBinaryStates(t *testing.T) {
 	}
 }
 
-func TestFileStoreListIgnoresForeignFiles(t *testing.T) {
+func TestFileStoreIgnoresForeignFiles(t *testing.T) {
 	dir := t.TempDir()
-	fs := openTestStore(t, dir)
 	if err := os.WriteFile(filepath.Join(dir, "README"), []byte("hi"), 0o644); err != nil {
 		t.Fatal(err)
 	}
-	if err := os.WriteFile(filepath.Join(dir, "obj-xyz.state"), []byte("junk"), 0o644); err != nil {
-		t.Fatal(err)
-	}
+	fs := openTestStore(t, dir)
 	id := ids.NewObjectID()
 	if err := fs.Write(id, State("real")); err != nil {
 		t.Fatal(err)
 	}
-	list, err := fs.List()
+	list, err := openTestStore(t, dir).List()
 	if err != nil || len(list) != 1 || list[0] != id {
 		t.Fatalf("List = %v, %v; want just %v", list, err, id)
 	}
-}
-
-// encodeB64 mirrors encoding/json's []byte encoding so the hand-built
-// journal in TestFileStoreReplaysJournalOnOpen matches the real format.
-func encodeB64(s string) string {
-	const alphabet = "ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz0123456789+/"
-	data := []byte(s)
-	var out []byte
-	for len(data) >= 3 {
-		out = append(out,
-			alphabet[data[0]>>2],
-			alphabet[(data[0]&0x3)<<4|data[1]>>4],
-			alphabet[(data[1]&0xF)<<2|data[2]>>6],
-			alphabet[data[2]&0x3F])
-		data = data[3:]
-	}
-	switch len(data) {
-	case 2:
-		out = append(out,
-			alphabet[data[0]>>2],
-			alphabet[(data[0]&0x3)<<4|data[1]>>4],
-			alphabet[(data[1]&0xF)<<2],
-			'=')
-	case 1:
-		out = append(out,
-			alphabet[data[0]>>2],
-			alphabet[(data[0]&0x3)<<4],
-			'=', '=')
-	}
-	return string(out)
 }

@@ -4,15 +4,17 @@
 //
 // Stores hold opaque serialized object states keyed by object identifier.
 // Stable stores additionally support atomic batches — the all-or-nothing
-// installation of a top-level (or outermost-coloured) action's write set,
-// implemented with a journal so that a crash between journal force and
-// batch application is repaired on recovery — and an intention log used
-// by the distributed commit protocol.
+// installation of a top-level (or outermost-coloured) action's write set
+// — and an intention log used by the distributed commit protocol. A
+// file-backed stable store keeps both in one append-only log (log.go)
+// that recovery replays; the in-memory one simulates a journal.
 package store
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"maps"
 	"sort"
 	"sync"
 
@@ -162,25 +164,25 @@ const (
 // through a journal; Recover repairs a half-applied batch after a crash.
 // It is safe for concurrent use.
 //
-// A Stable opened with NewStableAt writes through to a FileStore in a
-// directory: object installs, the batch journal and the intention log
-// are then really on disk, and Recover reloads them from there — the
-// "diskfull workstation" configuration with the same crash simulation
-// surface the in-memory store offers.
+// A Stable opened with NewStableAt is log-structured: every durable
+// mutation — object batches, single writes and deletes, intention
+// records — is one record appended to the directory's wal.log through
+// the group-commit WAL, forced, and only then installed in data, which
+// is a cache of the log's replay. Recover re-reads the log, so recovery
+// sees exactly what was durable at the crash — the "diskfull
+// workstation" configuration with the same crash simulation surface the
+// in-memory store offers.
 type Stable struct {
 	mu      sync.Mutex
 	crashed bool
 	data    map[ids.ObjectID]State
 	// journal holds the batch that is currently being applied. It is
-	// "on disk": it survives Crash and is replayed by Recover. Unused
-	// when backing is set (the FileStore keeps a real journal file).
+	// "on disk": it survives Crash and is replayed by Recover. Unused by
+	// a file-backed store, whose batches are log records.
 	journal *Batch
 	// pendingCrash injects a crash at the chosen point of the next
 	// ApplyBatch.
 	pendingCrash CrashPoint
-	// backing, when set, is the on-disk store every durable mutation
-	// writes through to; data is then a read cache rebuilt on Recover.
-	backing *FileStore
 
 	wal        *WAL
 	intentions *IntentionLog
@@ -194,45 +196,27 @@ func NewStable() *Stable {
 	return s
 }
 
-// NewStableAt returns a stable store backed by a FileStore rooted at
-// dir, replaying any pending journal and reloading the intention log
-// from the on-disk WAL.
+// NewStableAt returns a stable store backed by the log in dir (created
+// if absent): the log is replayed into the object cache and the
+// intention index, and a torn tail — an append a crash interrupted — is
+// cut off. A directory in the per-object-file layout of earlier
+// versions is refused.
 func NewStableAt(dir string) (*Stable, error) {
-	backing, _, err := OpenFileStore(dir)
-	if err != nil {
-		return nil, err
-	}
-	wf, index, err := openWALFile(dir)
-	if err != nil {
-		return nil, err
-	}
-	s := &Stable{backing: backing}
-	if err := s.reloadFromBacking(); err != nil {
-		wf.f.Close()
-		return nil, err
-	}
-	s.wal = newWAL(s, wf, index)
-	s.intentions = &IntentionLog{wal: s.wal}
-	return s, nil
+	s, _, err := openStableAt(dir)
+	return s, err
 }
 
-// reloadFromBacking rebuilds the in-memory object cache from the
-// backing store. Caller must ensure no concurrent mutation.
-func (s *Stable) reloadFromBacking() error {
-	objs, err := s.backing.List()
+// openStableAt is NewStableAt, also reporting whether a torn tail was
+// cut.
+func openStableAt(dir string) (*Stable, bool, error) {
+	lf, img, truncated, err := openLogFile(dir)
 	if err != nil {
-		return err
+		return nil, false, err
 	}
-	data := make(map[ids.ObjectID]State, len(objs))
-	for _, id := range objs {
-		st, err := s.backing.Read(id)
-		if err != nil {
-			return err
-		}
-		data[id] = st
-	}
-	s.data = data
-	return nil
+	s := &Stable{data: img.data}
+	s.wal = newWAL(s, lf, img.index)
+	s.intentions = &IntentionLog{wal: s.wal}
+	return s, truncated, nil
 }
 
 var _ Store = (*Stable)(nil)
@@ -253,15 +237,13 @@ func (s *Stable) Read(id ids.ObjectID) (State, error) {
 
 // Write implements Store. A single write is atomic.
 func (s *Stable) Write(id ids.ObjectID, st State) error {
+	if s.wal.file != nil {
+		return s.logBatch(Batch{Writes: map[ids.ObjectID]State{id: st}}, 0)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.crashed {
 		return ErrCrashed
-	}
-	if s.backing != nil {
-		if err := s.backing.Write(id, st); err != nil {
-			return err
-		}
 	}
 	s.data[id] = cloneState(st)
 	return nil
@@ -269,15 +251,13 @@ func (s *Stable) Write(id ids.ObjectID, st State) error {
 
 // Delete implements Store.
 func (s *Stable) Delete(id ids.ObjectID) error {
+	if s.wal.file != nil {
+		return s.logBatch(Batch{Deletes: []ids.ObjectID{id}}, 0)
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.crashed {
 		return ErrCrashed
-	}
-	if s.backing != nil {
-		if err := s.backing.Delete(id); err != nil {
-			return err
-		}
 	}
 	delete(s.data, id)
 	return nil
@@ -299,11 +279,12 @@ func (s *Stable) List() ([]ids.ObjectID, error) {
 // crashed.
 func (s *Stable) ApplyBatch(b Batch) error {
 	s.mu.Lock()
-	defer s.mu.Unlock()
 	if s.crashed {
+		s.mu.Unlock()
 		return ErrCrashed
 	}
 	if b.Empty() {
+		s.mu.Unlock()
 		return nil
 	}
 
@@ -312,24 +293,15 @@ func (s *Stable) ApplyBatch(b Batch) error {
 
 	if point == CrashBeforeJournal {
 		s.crashLocked()
+		s.mu.Unlock()
 		return ErrCrashed
 	}
 
-	if s.backing != nil {
-		// Write through: the FileStore's journal file plays the role
-		// the in-memory journal plays below, including the staged crash
-		// points.
-		err := s.backing.applyBatchAt(b, point)
-		if errors.Is(err, errCrashPoint) {
-			s.crashLocked()
-			return ErrCrashed
-		}
-		if err != nil {
-			return err
-		}
-		s.applyLocked(b)
-		return nil
+	if s.wal.file != nil {
+		s.mu.Unlock()
+		return s.logBatch(b, point)
 	}
+	defer s.mu.Unlock()
 
 	// Force the journal record. From this point the batch is durable:
 	// a crash is repaired by Recover.
@@ -349,6 +321,49 @@ func (s *Stable) ApplyBatch(b Batch) error {
 	s.applyLocked(b)
 	s.journal = nil
 	return nil
+}
+
+// logBatch is the file-backed install: the batch is one log record —
+// atomic because a record is whole or absent — joined to the WAL's
+// group commit, and enters the cache once forced. mu is not held across
+// the force. A crash point (CrashAfterJournal, CrashMidApply) stops
+// after the force, leaving the cache as a crash there would; Recover's
+// replay makes the batch whole.
+func (s *Stable) logBatch(b Batch, point CrashPoint) error {
+	if err := s.wal.append(logRecord{kind: kindBatch, batch: b, noInstall: point != 0}); err != nil {
+		return err
+	}
+	if point == 0 {
+		return nil
+	}
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if point == CrashMidApply {
+		s.applyHalfLocked(b)
+	}
+	s.crashLocked()
+	return ErrCrashed
+}
+
+// install enters the forced object batches among the records into the
+// cache, in log order. Appenders are still blocked in ApplyBatch, so
+// their states are copied here, once.
+func (s *Stable) install(records []logRecord) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	for i := range records {
+		if r := &records[i]; r.kind == kindBatch && !r.noInstall {
+			s.applyLocked(r.batch)
+		}
+	}
+}
+
+// snapshot returns the cache's current contents. States are immutable
+// once installed, so the copy is shallow.
+func (s *Stable) snapshot() map[ids.ObjectID]State {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return maps.Clone(s.data)
 }
 
 func (s *Stable) applyLocked(b Batch) {
@@ -383,12 +398,11 @@ func (s *Stable) Crash() {
 
 func (s *Stable) crashLocked() {
 	s.crashed = true
-	if s.wal != nil {
-		// Invalidate in-flight WAL batches: a force completing after
-		// the crash must fail its waiters, not install records on a
-		// store that was down.
-		s.wal.gen.Add(1)
-	}
+	// Invalidate in-flight WAL batches: a force completing after the
+	// crash must fail its waiters, not install records on a store that
+	// was down. Forgets nobody forced are lost with the node.
+	s.wal.gen.Add(1)
+	s.wal.dropLazy()
 }
 
 // CrashDuringNextBatch arms a crash injection for the next ApplyBatch.
@@ -407,33 +421,44 @@ func (s *Stable) Crashed() bool {
 
 // Recover restarts a crashed store, completing any journalled batch
 // (redo), and returns whether a batch was repaired. A file-backed store
-// replays the on-disk journal and reloads the object cache and the
-// intention log from disk, so recovery sees exactly what was durable at
-// the crash.
+// replays its log into the object cache and the intention index, so
+// recovery sees exactly what was durable at the crash; it reports
+// whether the replay changed any object state the cache showed.
 func (s *Stable) Recover() bool {
+	if s.wal.file != nil {
+		return s.recoverFromLog()
+	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.crashed = false
-	if s.backing != nil {
-		repaired, err := s.backing.replayJournal()
-		if err == nil {
-			err = s.reloadFromBacking()
-		}
-		if err != nil {
-			// Disk trouble on recovery: stay crashed rather than serve
-			// a partial view.
-			s.crashed = true
-			return false
-		}
-		s.wal.reloadFromFile()
-		return repaired
-	}
 	if s.journal == nil {
 		return false
 	}
 	s.applyLocked(*s.journal)
 	s.journal = nil
 	return true
+}
+
+func (s *Stable) recoverFromLog() bool {
+	w := s.wal
+	// No force may run while the log is read and its end re-established.
+	w.flushMu.Lock()
+	defer w.flushMu.Unlock()
+	img, _, err := w.file.replay()
+	if err != nil {
+		// Disk trouble on recovery: stay crashed rather than serve a
+		// partial view.
+		return false
+	}
+	w.mu.Lock()
+	w.index = img.index
+	w.mu.Unlock()
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	repaired := !maps.EqualFunc(s.data, img.data, func(a, b State) bool { return bytes.Equal(a, b) })
+	s.data = img.data
+	s.crashed = false
+	return repaired
 }
 
 // Intentions returns the store's intention log. The log shares the

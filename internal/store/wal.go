@@ -1,20 +1,17 @@
-// Per-node write-ahead log with group commit. The commit protocol's
-// intention and decision records from every concurrent transaction on a
-// node are appended to one logically-ordered log (the shape of the
-// transaction-control literature's commit/recovery log), and a single
-// force makes every record waiting in the current batch durable at
-// once: one fsync for the file backing, one simulated force for the
-// in-memory Stable. Callers block only until the batch containing their
-// record is forced, so durability cost is amortised across all
-// transactions in flight on the node instead of being paid per record.
+// Per-node write-ahead log with group commit. Every durable fact of a
+// node — the commit protocol's intention and decision records, their
+// forgets, and the object batches that install write sets — is appended
+// to one logically-ordered log (the shape of the transaction-control
+// literature's commit/recovery log), and a single force makes every
+// record waiting in the current batch durable at once: one write and
+// one fsync for the file backing, one simulated force for the in-memory
+// Stable. Callers block only until the batch containing their record is
+// forced, so durability cost is amortised across all transactions in
+// flight on the node instead of being paid per record.
 package store
 
 import (
-	"bytes"
-	"encoding/json"
-	"fmt"
-	"os"
-	"path/filepath"
+	"maps"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -38,27 +35,17 @@ var (
 		"Records per WAL flush (group-commit batch size).")
 )
 
-// walOp discriminates log entry kinds.
-type walOp string
-
-const (
-	walOpRecord walOp = "record" // durably store (or overwrite) an intention
-	walOpForget walOp = "forget" // remove a fully acknowledged intention
-)
-
-// walEntry is one log record, encoded as a JSON line in the file
-// backing.
-type walEntry struct {
-	Op     walOp        `json:"op"`
-	Action ids.ActionID `json:"action"`
-	In     *Intention   `json:"in,omitempty"`
-}
-
-// walBatch is one group-commit unit: every entry appended while the
+// walBatch is one group-commit unit: every record appended while the
 // batch was open becomes durable with a single force. Waiters block on
 // done; err is the batch's collective outcome.
 type walBatch struct {
-	entries []walEntry
+	entries []logRecord
+	// frames is the entries' on-disk encoding, in order (file backing
+	// only): the force is one write of it.
+	frames []byte
+	// wanted marks a batch somebody needs forced. A batch holding only
+	// lazy forgets is not: it waits for the next record to carry it.
+	wanted bool
 	// gen is the owner's crash generation at the batch's creation: a
 	// crash between append and force invalidates the batch, so records
 	// never install "durably" on a store that was down when they were
@@ -67,6 +54,20 @@ type walBatch struct {
 
 	done chan struct{}
 	err  error
+}
+
+// hasIntention reports whether the batch holds an intention record for
+// the action.
+func (b *walBatch) hasIntention(a ids.ActionID) bool {
+	if b == nil {
+		return false
+	}
+	for i := range b.entries {
+		if b.entries[i].kind == kindIntention && b.entries[i].action == a {
+			return true
+		}
+	}
+	return false
 }
 
 // FlushInfo describes one completed WAL flush, for observers (the node
@@ -116,18 +117,23 @@ type WAL struct {
 	obsMu sync.Mutex
 	obs   func(FlushInfo)
 
-	mu       sync.Mutex
-	index    map[ids.ActionID]Intention
-	cur      *walBatch
+	mu    sync.Mutex
+	index map[ids.ActionID]Intention
+	cur   *walBatch
+	// inflight is the batch the flusher has taken but not yet installed:
+	// its intention records are not in index yet.
+	inflight *walBatch
 	flushing bool
+	// spare is a drained frame buffer kept for the next batch.
+	spare []byte
 
 	// flushMu serialises forces (one log head), including per-record
-	// baseline forces.
+	// baseline forces, and with them compaction and recovery's replay.
 	flushMu sync.Mutex
-	file    *walFile // nil for the in-memory backing
+	file    *logFile // nil for the in-memory backing
 }
 
-func newWAL(owner *Stable, file *walFile, index map[ids.ActionID]Intention) *WAL {
+func newWAL(owner *Stable, file *logFile, index map[ids.ActionID]Intention) *WAL {
 	if index == nil {
 		index = make(map[ids.ActionID]Intention)
 	}
@@ -182,13 +188,44 @@ func (w *WAL) Stats() (flushes, records uint64) {
 // returning once the batch containing it is forced.
 func (w *WAL) Record(in Intention) error {
 	in.Writes = *cloneBatch(in.Writes)
-	return w.append(walEntry{Op: walOpRecord, Action: in.Action, In: &in})
+	return w.append(logRecord{kind: kindIntention, action: in.Action, in: &in})
 }
 
-// Forget durably removes the record once the outcome is fully applied
-// and acknowledged.
+// Forget removes the record once the outcome is fully applied and
+// acknowledged. The record leaves the index at once, and the forget
+// takes its place in log order at once, but nobody waits for its force:
+// it becomes durable with the next record forced after it. A crash
+// before then resurrects the intention, and recovery resolves it again
+// — re-applying a write set that nothing later in the log overwrote,
+// because anything later in the log would have carried the forget.
 func (w *WAL) Forget(a ids.ActionID) error {
-	return w.append(walEntry{Op: walOpForget, Action: a})
+	if w.owner.Crashed() {
+		return ErrCrashed
+	}
+	e := logRecord{kind: kindForget, action: a}
+	if w.perRecord.Load() {
+		return w.append(e)
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	_, had := w.index[a]
+	delete(w.index, a)
+	// A Record of the same action still on its way to the index (an
+	// abort overtaking its prepare) would outlive this forget there
+	// until the forget's own flush: do not leave that to chance.
+	racing := w.cur.hasIntention(a) || w.inflight.hasIntention(a)
+	if !had && !racing {
+		return nil // nothing durable or in flight to forget
+	}
+	b, err := w.joinLocked(&e)
+	if err != nil {
+		return err
+	}
+	if racing {
+		b.wanted = true
+		w.kickLocked()
+	}
+	return nil
 }
 
 // Lookup returns the intention recorded for the action.
@@ -218,9 +255,47 @@ func (w *WAL) Pending() ([]Intention, error) {
 	return out, nil
 }
 
-// append adds the entry to the open batch and waits for that batch's
-// force. In per-record mode the entry is its own batch.
-func (w *WAL) append(e walEntry) error {
+// newBatch returns an empty batch of the current crash generation.
+func (w *WAL) newBatch() *walBatch {
+	return &walBatch{gen: w.gen.Load(), done: make(chan struct{})}
+}
+
+// add appends the record to the batch, encoding it for the file backing.
+func (w *WAL) add(b *walBatch, e *logRecord) error {
+	if w.file != nil {
+		frames, err := appendLogRecord(b.frames, e)
+		if err != nil {
+			return err
+		}
+		b.frames = frames
+	}
+	b.entries = append(b.entries, *e)
+	return nil
+}
+
+// joinLocked adds the record to the open batch, opening one if needed.
+// Called with mu held.
+func (w *WAL) joinLocked(e *logRecord) (*walBatch, error) {
+	if w.cur == nil {
+		w.cur = w.newBatch()
+		w.cur.frames, w.spare = w.spare, nil
+	}
+	return w.cur, w.add(w.cur, e)
+}
+
+// kickLocked makes sure a flusher is draining batches. Called with mu
+// held.
+func (w *WAL) kickLocked() {
+	if !w.flushing {
+		w.flushing = true
+		//mcalint:ignore goleak flushLoop exits when no wanted batch remains; every appender joins its batch via <-b.done
+		go w.flushLoop()
+	}
+}
+
+// append adds the record to the open batch and waits for that batch's
+// force. In per-record mode the record is its own batch.
+func (w *WAL) append(e logRecord) error {
 	if w.owner.Crashed() {
 		return ErrCrashed
 	}
@@ -230,32 +305,34 @@ func (w *WAL) append(e walEntry) error {
 	// that transaction is traced.
 	clk := w.clock()
 	start := clk.Now()
+	var b *walBatch
 	if w.perRecord.Load() {
-		b := &walBatch{entries: []walEntry{e}, gen: w.gen.Load(), done: make(chan struct{})}
+		b = w.newBatch()
+		if err := w.add(b, &e); err != nil {
+			return err
+		}
 		w.flushMu.Lock()
 		w.flush(b)
 		w.flushMu.Unlock()
-		phase.RecordAction(e.Action, phase.Force, clk.Since(start))
-		return b.err
+	} else {
+		w.mu.Lock()
+		var err error
+		if b, err = w.joinLocked(&e); err != nil {
+			w.mu.Unlock()
+			return err
+		}
+		b.wanted = true
+		w.kickLocked()
+		w.mu.Unlock()
+		<-b.done
 	}
-	w.mu.Lock()
-	if w.cur == nil {
-		w.cur = &walBatch{gen: w.gen.Load(), done: make(chan struct{})}
+	if e.kind != kindBatch {
+		phase.RecordAction(e.action, phase.Force, clk.Since(start))
 	}
-	b := w.cur
-	b.entries = append(b.entries, e)
-	if !w.flushing {
-		w.flushing = true
-		//mcalint:ignore goleak flushLoop exits when no batch remains; every appender joins its batch via <-b.done
-		go w.flushLoop()
-	}
-	w.mu.Unlock()
-	<-b.done
-	phase.RecordAction(e.Action, phase.Force, clk.Since(start))
 	return b.err
 }
 
-// flushLoop drains open batches until none remain. While one batch is
+// flushLoop drains wanted batches until none remain. While one batch is
 // being forced, new appends pile into the next, so concurrent
 // transactions share forces without any coordination of their own.
 func (w *WAL) flushLoop() {
@@ -266,12 +343,12 @@ func (w *WAL) flushLoop() {
 		}
 		w.mu.Lock()
 		b := w.cur
-		w.cur = nil
-		if b == nil {
+		if b == nil || !b.wanted {
 			w.flushing = false
 			w.mu.Unlock()
 			return
 		}
+		w.cur, w.inflight = nil, b
 		w.mu.Unlock()
 		w.flushMu.Lock()
 		w.flush(b)
@@ -279,23 +356,42 @@ func (w *WAL) flushLoop() {
 	}
 }
 
-// flush forces the batch and, on success, installs its entries in the
-// index. Called with flushMu held.
+// maxSpareFrames bounds the frame buffer kept between batches, so one
+// huge batch does not pin its buffer for the life of the log.
+const maxSpareFrames = 64 << 10
+
+// flush forces the batch and, on success, installs its records: the
+// intentions in the index, the object batches in the owner's cache, in
+// log order. Called with flushMu held.
 func (w *WAL) flush(b *walBatch) {
 	clk := w.clock()
 	start := clk.Now()
 	err := w.force(b)
+	objects := false
+	w.mu.Lock()
 	if err == nil {
-		w.mu.Lock()
-		for _, e := range b.entries {
-			switch e.Op {
-			case walOpRecord:
-				w.index[e.Action] = *e.In
-			case walOpForget:
-				delete(w.index, e.Action)
+		for i := range b.entries {
+			switch e := &b.entries[i]; e.kind {
+			case kindIntention:
+				w.index[e.action] = *e.in
+			case kindForget:
+				delete(w.index, e.action)
+			case kindBatch:
+				objects = true
 			}
 		}
-		w.mu.Unlock()
+	}
+	if w.inflight == b {
+		w.inflight = nil
+	}
+	if w.spare == nil && cap(b.frames) <= maxSpareFrames {
+		w.spare = b.frames[:0]
+	}
+	w.mu.Unlock()
+	if err == nil {
+		if objects {
+			w.owner.install(b.entries)
+		}
 		w.maybeCompact()
 	}
 	d := clk.Since(start)
@@ -327,8 +423,8 @@ func (w *WAL) flush(b *walBatch) {
 func (w *WAL) force(b *walBatch) error {
 	if w.crashNextForce.CompareAndSwap(true, false) {
 		// Injected kill mid-window: the node dies with the batch
-		// unforced (file entries may hit disk, but no waiter learns of
-		// success — presumed abort resolves them after recovery).
+		// unforced — no waiter learns of success, and presumed abort
+		// resolves them after recovery.
 		w.owner.Crash()
 		return ErrCrashed
 	}
@@ -336,7 +432,7 @@ func (w *WAL) force(b *walBatch) error {
 		return ErrCrashed
 	}
 	if w.file != nil {
-		if err := w.file.appendEntries(b.entries); err != nil {
+		if err := w.file.appendSync(b.frames); err != nil {
 			return err
 		}
 	} else if d := time.Duration(w.forceDelay.Load()); d > 0 {
@@ -348,37 +444,33 @@ func (w *WAL) force(b *walBatch) error {
 	return nil
 }
 
-// maybeCompact rewrites the file backing down to its live records when
-// the log has grown past its compaction threshold. Called with flushMu
-// held (no force can run concurrently).
+// dropLazy discards an open batch nobody waits for — forgets whose force
+// a crash has just overtaken. Called by the owner as it crashes.
+func (w *WAL) dropLazy() {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.cur != nil && !w.cur.wanted {
+		w.cur = nil
+	}
+}
+
+// maybeCompact rewrites the file backing down to a checkpoint of the
+// live states and intentions when the log has grown past its compaction
+// threshold. Called with flushMu held: no force runs concurrently, so
+// the cache and the index are exactly what the log holds (less the
+// forgets already applied to the index, which compaction then makes
+// durable early).
 func (w *WAL) maybeCompact() {
 	if w.file == nil || w.file.size <= w.file.compactAt {
 		return
 	}
+	img := &logImage{data: w.owner.snapshot()}
 	w.mu.Lock()
-	live := make([]walEntry, 0, len(w.index))
-	for a := range w.index {
-		in := w.index[a]
-		live = append(live, walEntry{Op: walOpRecord, Action: a, In: &in})
-	}
+	img.index = maps.Clone(w.index)
 	w.mu.Unlock()
 	// Best effort: a failed compaction leaves the old (valid) log.
 	//mcalint:ignore errdrop a failed compaction keeps the old log, which remains correct, only longer
-	_ = w.file.compact(live)
-}
-
-// reloadFromFile rebuilds the index from the on-disk log after a crash,
-// so recovery reads what is actually durable rather than what the
-// pre-crash memory believed.
-func (w *WAL) reloadFromFile() {
-	if w.file == nil {
-		return
-	}
-	//mcalint:ignore errdrop an unreadable post-crash log yields an empty index, the presumed-abort default
-	index, _ := readWALFile(w.file.path)
-	w.mu.Lock()
-	w.index = index
-	w.mu.Unlock()
+	_ = w.file.compact(img)
 }
 
 func sortIntentions(out []Intention) {
@@ -387,153 +479,4 @@ func sortIntentions(out []Intention) {
 			out[j], out[j-1] = out[j-1], out[j]
 		}
 	}
-}
-
-// --- file backing ---
-
-const (
-	walFilename = "wal.log"
-	// walCompactMin is the smallest log size worth compacting.
-	walCompactMin = 256 << 10
-)
-
-// walFile is the WAL's on-disk form: one JSON line per entry, appended
-// and fsync'd per flush, compacted by rewrite-and-rename when it grows.
-type walFile struct {
-	dir  string
-	path string
-	f    *os.File
-	size int64
-	// compactAt is the size threshold that triggers a compaction.
-	compactAt int64
-}
-
-// openWALFile opens (creating if needed) the log in dir and returns the
-// live records it holds. A torn trailing line — a crash mid-append —
-// marks the durable end of the log and is discarded.
-func openWALFile(dir string) (*walFile, map[ids.ActionID]Intention, error) {
-	path := filepath.Join(dir, walFilename)
-	index, err := readWALFile(path)
-	if err != nil {
-		return nil, nil, err
-	}
-	f, err := os.OpenFile(path, os.O_WRONLY|os.O_APPEND|os.O_CREATE, 0o644)
-	if err != nil {
-		return nil, nil, fmt.Errorf("open wal: %w", err)
-	}
-	st, err := f.Stat()
-	if err != nil {
-		f.Close()
-		return nil, nil, fmt.Errorf("open wal: %w", err)
-	}
-	wf := &walFile{dir: dir, path: path, f: f, size: st.Size(), compactAt: walCompactMin}
-	return wf, index, nil
-}
-
-// readWALFile replays the log into its live-record index. Undecodable
-// trailing bytes (torn final append) are ignored.
-func readWALFile(path string) (map[ids.ActionID]Intention, error) {
-	index := make(map[ids.ActionID]Intention)
-	data, err := os.ReadFile(path)
-	if os.IsNotExist(err) {
-		return index, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("read wal: %w", err)
-	}
-	for _, line := range bytes.Split(data, []byte{'\n'}) {
-		if len(bytes.TrimSpace(line)) == 0 {
-			continue
-		}
-		var e walEntry
-		if err := json.Unmarshal(line, &e); err != nil {
-			// Torn tail: the durable log ends here.
-			break
-		}
-		switch e.Op {
-		case walOpRecord:
-			if e.In != nil {
-				index[e.Action] = *e.In
-			}
-		case walOpForget:
-			delete(index, e.Action)
-		}
-	}
-	return index, nil
-}
-
-// appendEntries forces the entries with a single write+fsync.
-func (wf *walFile) appendEntries(entries []walEntry) error {
-	var buf bytes.Buffer
-	for i := range entries {
-		line, err := json.Marshal(entries[i])
-		if err != nil {
-			return fmt.Errorf("encode wal entry: %w", err)
-		}
-		buf.Write(line)
-		buf.WriteByte('\n')
-	}
-	n, err := wf.f.Write(buf.Bytes())
-	wf.size += int64(n)
-	if err != nil {
-		return fmt.Errorf("append wal: %w", err)
-	}
-	if err := wf.f.Sync(); err != nil {
-		return fmt.Errorf("force wal: %w", err)
-	}
-	return nil
-}
-
-// compact atomically replaces the log with just the live records.
-func (wf *walFile) compact(live []walEntry) error {
-	tmp, err := os.CreateTemp(wf.dir, "waltmp-*")
-	if err != nil {
-		return fmt.Errorf("compact wal: %w", err)
-	}
-	name := tmp.Name()
-	fail := func(err error) error {
-		tmp.Close()
-		os.Remove(name)
-		return fmt.Errorf("compact wal: %w", err)
-	}
-	var size int64
-	for i := range live {
-		line, err := json.Marshal(live[i])
-		if err != nil {
-			return fail(err)
-		}
-		n, err := tmp.Write(append(line, '\n'))
-		size += int64(n)
-		if err != nil {
-			return fail(err)
-		}
-	}
-	if err := tmp.Sync(); err != nil {
-		return fail(err)
-	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(name)
-		return fmt.Errorf("compact wal: %w", err)
-	}
-	if err := os.Rename(name, wf.path); err != nil {
-		os.Remove(name)
-		return fmt.Errorf("compact wal: %w", err)
-	}
-	if err := syncDir(wf.dir); err != nil {
-		return err
-	}
-	old := wf.f
-	f, err := os.OpenFile(wf.path, os.O_WRONLY|os.O_APPEND, 0o644)
-	if err != nil {
-		return fmt.Errorf("reopen wal: %w", err)
-	}
-	old.Close()
-	wf.f = f
-	wf.size = size
-	if min := int64(walCompactMin); size*4 > min {
-		wf.compactAt = size * 4
-	} else {
-		wf.compactAt = min
-	}
-	return nil
 }

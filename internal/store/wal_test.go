@@ -90,13 +90,14 @@ func TestWALFilePersistsAcrossReopen(t *testing.T) {
 	}
 	keep := ids.NewActionID()
 	drop := ids.NewActionID()
-	if err := s.Intentions().Record(testIntention(keep, "keep")); err != nil {
-		t.Fatal(err)
-	}
 	if err := s.Intentions().Record(testIntention(drop, "drop")); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.Intentions().Forget(drop); err != nil {
+		t.Fatal(err)
+	}
+	// The forget is lazy; the next forced record carries it to disk.
+	if err := s.Intentions().Record(testIntention(keep, "keep")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -200,6 +201,7 @@ func TestWALFileCompaction(t *testing.T) {
 	if err := s.Intentions().Record(testIntention(keeper, "keeper")); err != nil {
 		t.Fatal(err)
 	}
+	compactions, replayed, bytesBefore := logCompactions.Value(), logReplayRecords.Value(), logBytes.Value()
 
 	// Churn record+forget pairs with the threshold lowered so the log
 	// compacts repeatedly instead of growing without bound.
@@ -216,6 +218,10 @@ func TestWALFileCompaction(t *testing.T) {
 		if err := s.Intentions().Forget(a); err != nil {
 			t.Fatal(err)
 		}
+	}
+	// The last forget is still lazy: any forced record carries it.
+	if err := s.Write(ids.NewObjectID(), State("tail")); err != nil {
+		t.Fatal(err)
 	}
 	// Without compaction the churn leaves ~17KB of dead entries behind;
 	// with it the log holds little more than the one live record.
@@ -235,6 +241,18 @@ func TestWALFileCompaction(t *testing.T) {
 	if len(pending) != 1 || pending[0].Action != keeper {
 		t.Fatalf("Pending after compaction+reopen = %+v, want just %v", pending, keeper)
 	}
+
+	// Telemetry: compactions counted, the reopen's replay counted, and
+	// the bytes gauge tracking the two open logs rather than the churn.
+	if logCompactions.Value() == compactions {
+		t.Fatal("mca_store_compactions_total did not move")
+	}
+	if logReplayRecords.Value() == replayed {
+		t.Fatal("mca_store_replay_records_total did not move on reopen")
+	}
+	if grew := logBytes.Value() - bytesBefore; grew <= 0 || grew > 2*(4<<10) {
+		t.Fatalf("mca_store_log_bytes grew by %d over the test, want about two compacted logs", grew)
+	}
 }
 
 func TestWALDiscardsTornTail(t *testing.T) {
@@ -247,12 +265,12 @@ func TestWALDiscardsTornTail(t *testing.T) {
 	if err := s.Intentions().Record(testIntention(a, "w")); err != nil {
 		t.Fatal(err)
 	}
-	// Simulate a crash mid-append: garbage after the last full line.
+	// Simulate a crash mid-append: garbage after the last whole record.
 	f, err := os.OpenFile(filepath.Join(dir, walFilename), os.O_WRONLY|os.O_APPEND, 0o644)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteString(`{"op":"record","action":99,"in":`); err != nil {
+	if _, err := f.Write([]byte{40, 0, 0, 0, 1, 2, 3, 4, byte(kindIntention), 99}); err != nil {
 		t.Fatal(err)
 	}
 	f.Close()
@@ -270,39 +288,60 @@ func TestWALDiscardsTornTail(t *testing.T) {
 	}
 }
 
-func TestSyncDirOnDurablePaths(t *testing.T) {
+// TestCommitStepSyscallShape pins what a participant's durable commit
+// steps cost on the file backing: one append and one fsync each for the
+// prepare record and for the phase-2 install, nothing for the forget,
+// and no file created, renamed or directory synced along the way. Only
+// compaction, which replaces the log, renames — and it must pin the
+// rename with a directory fsync.
+func TestCommitStepSyscallShape(t *testing.T) {
 	dir := t.TempDir()
-	fs, _, err := OpenFileStore(dir)
+	s, err := NewStableAt(dir)
 	if err != nil {
 		t.Fatal(err)
 	}
+	txn, obj := ids.NewActionID(), ids.NewObjectID()
+	writes := Batch{Writes: map[ids.ObjectID]State{obj: State("v")}}
 
-	// Every rename/remove that durability depends on must be followed by
-	// a directory fsync, or the new directory entry can be lost to a
-	// power failure even though the file data was synced.
-	before := dirSyncs.Load()
-	if err := fs.Write(ids.NewObjectID(), State("v")); err != nil {
+	step := func(name string, wantFsyncs uint64, fn func() error) {
+		t.Helper()
+		files, dirs := fileSyncs.Load(), dirSyncs.Load()
+		if err := fn(); err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got := fileSyncs.Load() - files; got != wantFsyncs {
+			t.Fatalf("%s: %d fsyncs, want %d", name, got, wantFsyncs)
+		}
+		if got := dirSyncs.Load() - dirs; got != 0 {
+			t.Fatalf("%s: %d directory fsyncs, want none outside compaction", name, got)
+		}
+		entries, err := os.ReadDir(dir)
+		if err != nil || len(entries) != 1 || entries[0].Name() != walFilename {
+			t.Fatalf("%s: directory = %v, %v; want just %s", name, entries, err, walFilename)
+		}
+	}
+	step("prepare", 1, func() error {
+		return s.Intentions().Record(Intention{Action: txn, Status: IntentionPrepared, Writes: writes})
+	})
+	step("phase-2 install", 1, func() error { return s.ApplyBatch(writes) })
+	step("forget", 0, func() error { return s.Intentions().Forget(txn) })
+	flushes, records := s.WAL().Stats()
+	if flushes != 2 || records != 2 {
+		t.Fatalf("Stats = %d flushes, %d records; want the two forced steps", flushes, records)
+	}
+
+	// The next force carries the forget, and with the threshold lowered
+	// compacts: a rename, so a directory fsync.
+	s.wal.file.compactAt = 0
+	dirs := dirSyncs.Load()
+	if err := s.Write(obj, State("w")); err != nil {
 		t.Fatal(err)
 	}
-	if dirSyncs.Load() <= before {
-		t.Fatal("Write installed via rename without a directory fsync")
+	if dirSyncs.Load() == dirs {
+		t.Fatal("compaction renamed the checkpoint into place without a directory fsync")
 	}
-
-	obj := ids.NewObjectID()
-	before = dirSyncs.Load()
-	if err := fs.ApplyBatch(Batch{Writes: map[ids.ObjectID]State{obj: State("b")}}); err != nil {
-		t.Fatal(err)
-	}
-	if dirSyncs.Load() <= before {
-		t.Fatal("ApplyBatch completed without a directory fsync")
-	}
-
-	before = dirSyncs.Load()
-	if err := fs.Delete(obj); err != nil {
-		t.Fatal(err)
-	}
-	if dirSyncs.Load() <= before {
-		t.Fatal("Delete removed the entry without a directory fsync")
+	if _, records := s.WAL().Stats(); records != 4 {
+		t.Fatalf("records = %d, want 4: the forget rides the next force", records)
 	}
 }
 
@@ -415,30 +454,128 @@ func TestWALWindowHoldsBatchOpen(t *testing.T) {
 	}
 }
 
-func TestWALForgetIsDurable(t *testing.T) {
-	dir := t.TempDir()
-	s, err := NewStableAt(dir)
+// TestWALForgetIsLazy: a forget leaves the index at once, but reaches
+// the disk only with the next forced record. A crash before then
+// resurrects the intention (file backing); a crash after does not.
+func TestWALForgetIsLazy(t *testing.T) {
+	s, err := NewStableAt(t.TempDir())
 	if err != nil {
 		t.Fatal(err)
 	}
-	a := ids.NewActionID()
-	if err := s.Intentions().Record(testIntention(a, "w")); err != nil {
+	log := s.Intentions()
+	lost, carried := ids.NewActionID(), ids.NewActionID()
+	for _, a := range []ids.ActionID{lost, carried} {
+		if err := log.Record(testIntention(a, "w")); err != nil {
+			t.Fatal(err)
+		}
+	}
+	flushes, _ := s.WAL().Stats()
+
+	if err := log.Forget(carried); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Intentions().Forget(a); err != nil {
+	if _, ok, _ := log.Lookup(carried); ok {
+		t.Fatal("forgotten record still in the index")
+	}
+	if now, _ := s.WAL().Stats(); now != flushes {
+		t.Fatalf("Forget forced the log (%d -> %d flushes)", flushes, now)
+	}
+	if err := s.Write(ids.NewObjectID(), State("later")); err != nil { // carries the forget
 		t.Fatal(err)
 	}
+	if err := log.Forget(lost); err != nil {
+		t.Fatal(err)
+	}
+	// Forgetting what was never recorded logs nothing at all.
+	if err := log.Forget(ids.NewActionID()); err != nil {
+		t.Fatal(err)
+	}
+
 	s.Crash()
 	s.Recover()
-	if _, ok, _ := s.Intentions().Lookup(a); ok {
-		t.Fatal("forgotten record resurrected by recovery")
+	if _, ok, _ := log.Lookup(carried); ok {
+		t.Fatal("forget followed by a forced record was not durable")
+	}
+	if _, ok, _ := log.Lookup(lost); !ok {
+		t.Fatal("an unforced forget must be lost with the crash: the record is still on disk")
+	}
+	// Lost forgets leave nothing behind that a later record could trip on.
+	if err := log.Record(testIntention(ids.NewActionID(), "after")); err != nil {
+		t.Fatalf("Record after recovery: %v", err)
 	}
 }
 
-func TestWALStatsStringer(t *testing.T) {
-	// Keep the walOp wire constants stable: the on-disk log depends on
-	// them.
-	if got := fmt.Sprintf("%s/%s", walOpRecord, walOpForget); got != "record/forget" {
-		t.Fatalf("walOp constants = %q", got)
+// TestWALForgetRacingRecord: an abort's forget that overtakes the
+// prepare record of the same action must still win once both are
+// through — the record may not linger in the index waiting for some
+// later force.
+func TestWALForgetRacingRecord(t *testing.T) {
+	s := NewStable()
+	s.WAL().SetForceDelay(10 * time.Millisecond)
+	log := s.Intentions()
+	a := ids.NewActionID()
+	recorded := make(chan error, 1)
+	go func() { recorded <- log.Record(testIntention(a, "w")) }()
+	for { // wait until the record is in the open batch or in flight
+		s.wal.mu.Lock()
+		queued := s.wal.cur.hasIntention(a) || s.wal.inflight.hasIntention(a)
+		s.wal.mu.Unlock()
+		if queued {
+			break
+		}
+		time.Sleep(100 * time.Microsecond)
 	}
+	if err := log.Forget(a); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-recorded; err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for {
+		if _, ok, _ := log.Lookup(a); !ok {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("record outlived the forget that raced it")
+		}
+		time.Sleep(time.Millisecond)
+	}
+}
+
+// TestApplyBatchSharesForces: concurrent object installs on the file
+// backing join the same group commit the intention records use.
+func TestApplyBatchSharesForces(t *testing.T) {
+	s, err := NewStableAt(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	const writers, rounds = 8, 50
+	var wg sync.WaitGroup
+	for w := 0; w < writers; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			id := ids.NewObjectID()
+			for i := 0; i < rounds; i++ {
+				if err := s.ApplyBatch(Batch{Writes: map[ids.ObjectID]State{id: State(fmt.Sprint(i))}}); err != nil {
+					t.Error(err)
+					return
+				}
+				if got, err := s.Read(id); err != nil || string(got) != fmt.Sprint(i) {
+					t.Errorf("Read after ApplyBatch = %q, %v; want %d", got, err, i)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	flushes, records := s.WAL().Stats()
+	if records != writers*rounds {
+		t.Fatalf("records = %d, want %d", records, writers*rounds)
+	}
+	if flushes >= records {
+		t.Fatalf("flushes = %d for %d records: concurrent installs never shared a force", flushes, records)
+	}
+	t.Logf("records_per_force = %.2f", float64(records)/float64(flushes))
 }

@@ -26,6 +26,10 @@ go test -race -cpu=1,4,8 ./internal/metrics/... -count=1
 echo "== tests (race, runtime invariants) =="
 go test -race -tags invariants ./... -count=1
 
+echo "== stable log + 2PC (race, -cpu sweep) =="
+go test -race -cpu=1,4 ./internal/store/... -count=1
+go test -race -cpu=1,4 -run 'TestCommitCrashMatrix|TestDurableTransferForcesFiveTimes' ./internal/dist/ -count=1
+
 echo "== commit throughput (smoke, race) =="
 go test -race -short -run 'TestCommitThroughputSmoke' ./internal/dist/ -count=1
 
@@ -61,5 +65,9 @@ test -s "$tracedir/chrome.json" && test -s "$tracedir/trace.dot"
 
 echo "== benchmarks (smoke) =="
 go test -run xxx -bench . -benchtime 10x .
+
+echo "== repository benchmark (bench/: tests, vet, 1 s smoke of every workload) =="
+(cd bench && go test ./... -count=1 && go vet ./...)
+bash bench/run.sh -smoke
 
 echo "ALL CHECKS PASSED"
