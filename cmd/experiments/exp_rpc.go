@@ -2,9 +2,7 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"fmt"
-	"os"
 	"time"
 
 	"mca/internal/dist"
@@ -14,10 +12,6 @@ import (
 	"mca/internal/tcpnet"
 	"mca/internal/workload"
 )
-
-// rpcJSONPath, when set by the -rpcjson flag, receives the E24
-// measurement as BENCH_rpc.json.
-var rpcJSONPath string
 
 // echoPayload is the representative small request body: roughly what a
 // 2PC prepare/invoke carries.
@@ -29,22 +23,14 @@ type echoPayload struct {
 
 // rpcPair is one echo server and one caller over real TCP sockets.
 type rpcPair struct {
-	nw     *tcpnet.Network
 	caller *rpc.Peer
 	server *rpc.Peer
 	target *tcpnet.Endpoint
 }
 
-// newRPCPair builds the pair. fast selects the new data plane (binary
-// codec + coalescing writer); !fast is the pre-PR baseline (JSON
-// envelopes, one write syscall per datagram).
-func newRPCPair(fast bool) (*rpcPair, error) {
+// newRPCPair builds the pair.
+func newRPCPair() (*rpcPair, error) {
 	nw := tcpnet.NewNetwork()
-	codec := rpc.CodecBinary
-	if !fast {
-		nw.SetDirectWrite(true)
-		codec = rpc.CodecJSON
-	}
 	epS, err := nw.Listen("127.0.0.1:0")
 	if err != nil {
 		return nil, err
@@ -54,8 +40,8 @@ func newRPCPair(fast bool) (*rpcPair, error) {
 		epS.Close()
 		return nil, err
 	}
-	opts := rpc.Options{RetryInterval: 50 * time.Millisecond, CallTimeout: 10 * time.Second, Codec: codec}
-	p := &rpcPair{nw: nw, target: epS}
+	opts := rpc.Options{RetryInterval: 50 * time.Millisecond, CallTimeout: 10 * time.Second}
+	p := &rpcPair{target: epS}
 	p.server = rpc.NewPeerOn(epS, opts)
 	p.caller = rpc.NewPeerOn(epC, opts)
 	p.server.Handle("echo", func(_ context.Context, _ ids.NodeID, body []byte) ([]byte, error) {
@@ -64,23 +50,23 @@ func newRPCPair(fast bool) (*rpcPair, error) {
 	return p, nil
 }
 
-// expRPCThroughput is E24: RPC call throughput over real sockets with
-// the binary envelope codec and coalescing writer versus the JSON
-// envelope / write-per-datagram baseline, plus the allocation and
-// syscall accounting behind the win, and the E23 commit workload
-// rerun over TCP end to end.
+// expRPCThroughput is E24: RPC call throughput over real sockets on the
+// binary envelope codec and the coalescing writer, the allocation and
+// syscall accounting behind it, and the E23 commit workload rerun over
+// TCP end to end. The JSON-envelope, write-per-datagram baseline it was
+// first measured against no longer exists; EXPERIMENTS.md keeps those
+// numbers.
 func expRPCThroughput(rep *report) error {
 	const cell = 500 * time.Millisecond
-	workerCounts := []int{1, 8, 32}
 
 	// --- envelope codec steady-state allocations ---
 	allocs := rpc.EnvelopeRoundTripAllocs(5000)
-	rep.rowf("  envelope encode+verify+decode: %.3f allocs/op (binary codec, pooled frames)", allocs)
+	rep.rowf("  envelope encode+verify+decode: %.3f allocs/op (pooled frames)", allocs)
 	rep.check("envelope round trip ~0 allocs/op", allocs < 1)
 
 	// --- call throughput over tcpnet ---
-	measure := func(fast bool, workers int) (float64, error) {
-		pair, err := newRPCPair(fast)
+	measure := func(workers int) (float64, error) {
+		pair, err := newRPCPair()
 		if err != nil {
 			return 0, err
 		}
@@ -92,10 +78,8 @@ func expRPCThroughput(rep *report) error {
 		pair.caller.Start()
 		ctx := context.Background()
 		req := echoPayload{Txn: 42, Op: "transfer", Amount: 10}
-		// Warm the connection and (for the fast path) the binary
-		// capability exchange.
 		var resp echoPayload
-		if err := pair.caller.Call(ctx, pair.target.ID(), "echo", req, &resp); err != nil {
+		if err := pair.caller.Call(ctx, pair.target.ID(), "echo", req, &resp); err != nil { // connect
 			return 0, err
 		}
 		res := workload.RunFor(workers, cell, func(_, _ int) error {
@@ -108,28 +92,19 @@ func expRPCThroughput(rep *report) error {
 		return res.Throughput(), nil
 	}
 
-	type cellResult map[string]float64
-	before, after := cellResult{}, cellResult{}
 	rep.rowf("  echo calls over loopback TCP, one caller node, cell=%v:", cell)
 	statsBefore := tcpnet.ReadWriterStats()
-	for _, w := range workerCounts {
-		key := fmt.Sprintf("workers=%d", w)
-		base, err := measure(false, w)
+	for _, w := range []int{1, 8, 32} {
+		rate, err := measure(w)
 		if err != nil {
-			return fmt.Errorf("baseline %s: %w", key, err)
+			return fmt.Errorf("workers=%d: %w", w, err)
 		}
-		fast, err := measure(true, w)
-		if err != nil {
-			return fmt.Errorf("fast %s: %w", key, err)
-		}
-		before[key], after[key] = base, fast
-		rep.rowf("  %-12s json+direct %8.0f calls/s   binary+coalesce %8.0f calls/s   %5.2fx",
-			key, base, fast, fast/base)
+		rep.rowf("  workers=%-4d %8.0f calls/s", w, rate)
 	}
 	statsAfter := tcpnet.ReadWriterStats()
 
-	// Syscall accounting across the fast runs: every batch is one writev
-	// carrying batchFrames datagrams; the baseline pays one write each.
+	// Syscall accounting: every batch is one writev carrying batchFrames
+	// datagrams.
 	batches := statsAfter.Batches - statsBefore.Batches
 	frames := statsAfter.BatchFrames - statsBefore.BatchFrames
 	if batches > 0 {
@@ -137,57 +112,15 @@ func expRPCThroughput(rep *report) error {
 		rep.rowf("  coalescing writer: %d frames in %d writev batches (%.1f frames/syscall, %.0f%% writes saved)",
 			frames, batches, float64(frames)/float64(batches), saved)
 	}
-
-	speedup32 := after["workers=32"] / before["workers=32"]
-	rep.check(fmt.Sprintf("binary+coalescing >= 2x JSON baseline at 32 workers (%.2fx)", speedup32),
-		speedup32 >= 2)
+	rep.check("concurrent callers share writev batches", frames > batches)
 
 	// --- E23's commit workload over real sockets ---
 	commitPerSec, err := measureCommitOverTCP(8, cell)
-	rep.checkErr("2PC commit workload runs over tcpnet (binary codec end to end)", err)
+	rep.checkErr("2PC commit workload runs over tcpnet (binary bodies end to end)", err)
 	if err == nil {
 		rep.rowf("  E23 commit workload over TCP: %8.0f txn/s (8 workers, 3 participants)", commitPerSec)
 	}
-
-	if rpcJSONPath != "" {
-		out := map[string]any{
-			"experiment":             "E24 RPC hot path (binary envelope codec + coalescing transport vs JSON baseline)",
-			"machine":                machineString(),
-			"units":                  "calls/sec over loopback TCP",
-			"cell":                   cell.String(),
-			"note":                   "before = JSON envelope + one write()/datagram (pre-PR wire path), after = binary envelope + pooled buffers + writev coalescing. Bodies stay JSON in both.",
-			"before":                 before,
-			"after":                  after,
-			"envelope_allocs_per_op": round2(allocs),
-			"coalescing": map[string]any{
-				"frames":             frames,
-				"writev_batches":     batches,
-				"frames_per_syscall": round2(float64(frames) / float64(max64(batches, 1))),
-			},
-			"commit_over_tcp_txn_s": round2(commitPerSec),
-			"summary": map[string]any{
-				"speedup_workers1":  round2(after["workers=1"] / before["workers=1"]),
-				"speedup_workers8":  round2(after["workers=8"] / before["workers=8"]),
-				"speedup_workers32": round2(speedup32),
-			},
-		}
-		data, err := json.MarshalIndent(out, "", "  ")
-		if err != nil {
-			return err
-		}
-		if err := os.WriteFile(rpcJSONPath, append(data, '\n'), 0o644); err != nil {
-			return err
-		}
-		rep.rowf("  wrote %s", rpcJSONPath)
-	}
 	return nil
-}
-
-func max64(a, b uint64) uint64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // measureCommitOverTCP reruns the E23 commit workload with every node on

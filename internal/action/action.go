@@ -24,6 +24,7 @@ import (
 	"context"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -315,8 +316,12 @@ func (r *Runtime) ActiveActions() int {
 	return len(r.actions)
 }
 
-// BeginOption configures one action.
-type BeginOption interface{ applyBegin(*beginOptions) }
+// BeginOption configures one action. Options take and return the
+// settings by value: behind a pointer they would escape through the
+// interface call and cost every Begin a heap object.
+type BeginOption interface {
+	applyBegin(beginOptions) beginOptions
+}
 
 type beginOptions struct {
 	colours        colour.Set
@@ -331,9 +336,10 @@ type beginOptions struct {
 
 type coloursOption colour.Set
 
-func (o coloursOption) applyBegin(b *beginOptions) {
+func (o coloursOption) applyBegin(b beginOptions) beginOptions {
 	b.colours = colour.Set(o)
 	b.coloursSet = true
+	return b
 }
 
 // WithColours gives the action exactly the listed colours instead of
@@ -347,8 +353,9 @@ func WithColourSet(s colour.Set) BeginOption { return coloursOption(s) }
 
 type extraColoursOption []colour.Colour
 
-func (o extraColoursOption) applyBegin(b *beginOptions) {
+func (o extraColoursOption) applyBegin(b beginOptions) beginOptions {
 	b.extraColours = append(b.extraColours, o...)
+	return b
 }
 
 // WithExtraColours gives the action its parent's colours plus the listed
@@ -357,7 +364,10 @@ func WithExtraColours(cs ...colour.Colour) BeginOption { return extraColoursOpti
 
 type defaultColourOption colour.Colour
 
-func (o defaultColourOption) applyBegin(b *beginOptions) { b.defaultColour = colour.Colour(o) }
+func (o defaultColourOption) applyBegin(b beginOptions) beginOptions {
+	b.defaultColour = colour.Colour(o)
+	return b
+}
 
 // WithDefaultColour selects the colour used by lock and write calls that
 // do not name one explicitly. It must be a member of the action's set.
@@ -365,7 +375,10 @@ func WithDefaultColour(c colour.Colour) BeginOption { return defaultColourOption
 
 type readColourOption colour.Colour
 
-func (o readColourOption) applyBegin(b *beginOptions) { b.readColour = colour.Colour(o) }
+func (o readColourOption) applyBegin(b beginOptions) beginOptions {
+	b.readColour = colour.Colour(o)
+	return b
+}
 
 // WithReadColour selects the colour used by read locks that do not name a
 // colour, overriding WithDefaultColour for reads. The structures layer
@@ -375,7 +388,10 @@ func WithReadColour(c colour.Colour) BeginOption { return readColourOption(c) }
 
 type writeColourOption colour.Colour
 
-func (o writeColourOption) applyBegin(b *beginOptions) { b.writeColour = colour.Colour(o) }
+func (o writeColourOption) applyBegin(b beginOptions) beginOptions {
+	b.writeColour = colour.Colour(o)
+	return b
+}
 
 // WithWriteColour selects the colour used by write locks (and recorded
 // writes) that do not name a colour, overriding WithDefaultColour for
@@ -384,7 +400,10 @@ func WithWriteColour(c colour.Colour) BeginOption { return writeColourOption(c) 
 
 type companionOption colour.Colour
 
-func (o companionOption) applyBegin(b *beginOptions) { b.companion = colour.Colour(o) }
+func (o companionOption) applyBegin(b beginOptions) beginOptions {
+	b.companion = colour.Colour(o)
+	return b
+}
 
 // WithWriteCompanion makes every write lock acquisition also acquire an
 // exclusive-read lock on the object in colour c. This implements the
@@ -396,8 +415,9 @@ func WithWriteCompanion(c colour.Colour) BeginOption { return companionOption(c)
 
 type privateColoursOption []colour.Colour
 
-func (o privateColoursOption) applyBegin(b *beginOptions) {
+func (o privateColoursOption) applyBegin(b beginOptions) beginOptions {
 	b.privateColours = append(b.privateColours, o...)
+	return b
 }
 
 // WithPrivateColours adds colours to the action that its children do NOT
@@ -426,15 +446,19 @@ type Action struct {
 	kind  structureKind
 	depth int
 
-	// ctx is cancelled when the action aborts, unblocking lock waits.
-	ctx    context.Context
-	cancel context.CancelFunc
-
-	mu       sync.Mutex
-	status   Status
+	mu     sync.Mutex
+	status Status
+	// done is closed when the action stops being active, unblocking its
+	// lock waits. It is made by the first wait that parks (see
+	// waitContext): an action whose locks are all granted at once never
+	// has one.
+	done chan struct{}
+	// children is made by the first nested Begin.
 	children map[ids.ActionID]*Action
 	undo     []undoRecord
-	undoByID map[ids.ObjectID]int // index into undo
+	// undoByID holds the objects undo has a record for; it is made by the
+	// first record.
+	undoByID map[ids.ObjectID]struct{}
 	// completionHooks run once, after the action completed (status
 	// set, effects applied or undone, locks transferred/released).
 	// Applications use them for compensation: e.g. withdrawing a
@@ -460,7 +484,7 @@ func (a *Action) Begin(opts ...BeginOption) (*Action, error) {
 func (r *Runtime) begin(parent *Action, opts ...BeginOption) (*Action, error) {
 	var bo beginOptions
 	for _, opt := range opts {
-		opt.applyBegin(&bo)
+		bo = opt.applyBegin(bo)
 	}
 
 	var cs colour.Set
@@ -521,7 +545,6 @@ func (r *Runtime) begin(parent *Action, opts ...BeginOption) (*Action, error) {
 		}
 	}
 
-	ctx, cancel := context.WithCancel(context.Background())
 	a := &Action{
 		rt:        r,
 		id:        ids.NewActionID(),
@@ -533,19 +556,17 @@ func (r *Runtime) begin(parent *Action, opts ...BeginOption) (*Action, error) {
 		companion: bo.companion,
 		kind:      kind,
 		depth:     depth,
-		ctx:       ctx,
-		cancel:    cancel,
 		status:    Active,
-		children:  make(map[ids.ActionID]*Action),
-		undoByID:  make(map[ids.ObjectID]int),
 	}
 
 	if parent != nil {
 		parent.mu.Lock()
 		if parent.status != Active {
 			parent.mu.Unlock()
-			cancel()
 			return nil, fmt.Errorf("action: parent %v is %v: %w", parent.id, parent.status, ErrNotActive)
+		}
+		if parent.children == nil {
+			parent.children = make(map[ids.ActionID]*Action)
 		}
 		parent.children[a.id] = a
 		parent.mu.Unlock()
@@ -624,8 +645,48 @@ func (a *Action) Lock(obj ids.ObjectID, mode lock.Mode, c colour.Colour) error {
 	return nil
 }
 
+// waitContext is the context an action's lock waits run under: it ends,
+// with context.Canceled, when the action stops being active. Deriving a
+// context per action would allocate at every Begin; this one costs
+// nothing until a wait parks and asks for Done.
+type waitContext struct{ a *Action }
+
+var _ context.Context = waitContext{}
+
+func (waitContext) Deadline() (time.Time, bool) { return time.Time{}, false }
+func (waitContext) Value(any) any               { return nil }
+
+func (w waitContext) Err() error {
+	if w.a.Status() != Active {
+		return context.Canceled
+	}
+	return nil
+}
+
+func (w waitContext) Done() <-chan struct{} {
+	a := w.a
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.done == nil {
+		a.done = make(chan struct{})
+		if a.status != Active {
+			close(a.done)
+		}
+	}
+	return a.done
+}
+
+// completeLocked moves an active action to its final status and wakes
+// its lock waits. Caller holds a.mu.
+func (a *Action) completeLocked(st Status) {
+	a.status = st
+	if a.done != nil {
+		close(a.done)
+	}
+}
+
 func (a *Action) acquire(obj ids.ObjectID, mode lock.Mode, c colour.Colour) error {
-	err := a.rt.locks.Acquire(a.ctx, lock.Request{
+	err := a.rt.locks.Acquire(waitContext{a}, lock.Request{
 		Object: obj,
 		Owner:  a.id,
 		Colour: c,
@@ -673,13 +734,22 @@ func (a *Action) RecordWrite(res Recoverable, c colour.Colour, before store.Stat
 	if a.status != Active {
 		return ErrNotActive
 	}
-	id := res.ObjectID()
-	if _, dup := a.undoByID[id]; dup {
-		return nil // first before-image per object wins
-	}
-	a.undoByID[id] = len(a.undo)
-	a.undo = append(a.undo, undoRecord{res: res, colour: c, before: before, created: created})
+	a.addUndoLocked(undoRecord{res: res, colour: c, before: before, created: created})
 	return nil
+}
+
+// addUndoLocked appends rec unless the log already holds a before-image
+// for its object: the first one per object wins. Caller holds a.mu.
+func (a *Action) addUndoLocked(rec undoRecord) {
+	id := rec.res.ObjectID()
+	if _, dup := a.undoByID[id]; dup {
+		return
+	}
+	if a.undoByID == nil {
+		a.undoByID = make(map[ids.ObjectID]struct{})
+	}
+	a.undoByID[id] = struct{}{}
+	a.undo = append(a.undo, rec)
 }
 
 // HasWriteRecord reports whether the action already recorded a
@@ -753,18 +823,30 @@ func (a *Action) Commit() error {
 		}
 	}
 
-	// Partition this action's recovery records by heir.
+	// Partition this action's recovery records by heir, or by stable
+	// store for colours that have none. An action has a heir or two and
+	// writes to a store or two, so both partitions are slices to scan.
 	type flush struct {
 		persister Persister
 		batch     store.Batch
 	}
-	var flushes []flush
-	flushIndex := make(map[Persister]int)
-	transfer := make(map[*Action][]undoRecord)
-
+	type handover struct {
+		heir *Action
+		recs []undoRecord
+	}
+	var (
+		flushes   []flush
+		handovers []handover
+	)
 	for _, rec := range a.undo {
 		if h, ok := a.heir(rec.colour); ok {
-			transfer[h] = append(transfer[h], rec)
+			i := slices.IndexFunc(handovers, func(ho handover) bool { return ho.heir == h })
+			if i < 0 {
+				i = len(handovers)
+				// Sized for the common case: every record goes to one heir.
+				handovers = append(handovers, handover{heir: h, recs: make([]undoRecord, 0, len(a.undo))})
+			}
+			handovers[i].recs = append(handovers[i].recs, rec)
 			continue
 		}
 		// Outermost for this colour: the current state becomes
@@ -779,10 +861,9 @@ func (a *Action) Commit() error {
 			a.Abort()
 			return fmt.Errorf("capture %v for permanence: %w (%w)", rec.res.ObjectID(), err, ErrPermanence)
 		}
-		i, ok := flushIndex[p]
-		if !ok {
+		i := slices.IndexFunc(flushes, func(f flush) bool { return f.persister == p })
+		if i < 0 {
 			i = len(flushes)
-			flushIndex[p] = i
 			flushes = append(flushes, flush{persister: p, batch: store.Batch{Writes: make(map[ids.ObjectID]store.State)}})
 		}
 		flushes[i].batch.Writes[rec.res.ObjectID()] = st
@@ -799,13 +880,13 @@ func (a *Action) Commit() error {
 		}
 	}
 
-	a.status = Committed
+	a.completeLocked(Committed)
 	a.mu.Unlock()
 
 	// Merge recovery records into heirs: the heir keeps its own older
 	// before-image when it has one.
-	for h, recs := range transfer {
-		h.adoptRecords(recs)
+	for _, ho := range handovers {
+		ho.heir.adoptRecords(ho.recs)
 	}
 
 	// Transfer / release locks per colour.
@@ -828,11 +909,7 @@ func (h *Action) adoptRecords(recs []undoRecord) {
 	h.mu.Lock()
 	defer h.mu.Unlock()
 	for _, rec := range recs {
-		if _, exists := h.undoByID[rec.res.ObjectID()]; exists {
-			continue // heir's own before-image is older
-		}
-		h.undoByID[rec.res.ObjectID()] = len(h.undo)
-		h.undo = append(h.undo, rec)
+		h.addUndoLocked(rec) // the heir's own before-image, if any, is older
 	}
 }
 
@@ -848,18 +925,16 @@ func (a *Action) Abort() error {
 		a.mu.Unlock()
 		return nil
 	}
-	a.status = Aborted
+	// Completing wakes any lock wait in flight on this action.
+	a.completeLocked(Aborted)
 	children := make([]*Action, 0, len(a.children))
 	for _, c := range a.children {
 		children = append(children, c)
 	}
 	undo := a.undo
 	a.undo = nil
-	a.undoByID = make(map[ids.ObjectID]int)
+	a.undoByID = nil
 	a.mu.Unlock()
-
-	// Unblock any lock wait in flight on this action.
-	a.cancel()
 
 	// Cascade to non-independent descendants first so their (younger)
 	// before-images are restored before ours.
@@ -910,7 +985,6 @@ func (a *Action) OnCompletion(fn func(Status)) {
 // finish detaches a completed action from the tree and the runtime, and
 // runs completion hooks.
 func (a *Action) finish() {
-	a.cancel()
 	if a.parent != nil {
 		a.parent.mu.Lock()
 		delete(a.parent.children, a.id)

@@ -45,6 +45,7 @@ var criticalPkgs = []string{
 	"internal/store",
 	"internal/tcpnet",
 	"internal/trace",
+	"internal/wire",
 	"internal/workload",
 }
 

@@ -2,7 +2,7 @@
 // runtime packages consume, so a simulation can substitute a virtual,
 // test-controlled source and make schedules seed-replayable (ROADMAP
 // item 5). The deterministic-critical packages (node, lock, dist, rpc,
-// netsim, store, flightrec, workload, action, dmake, trace) never call
+// netsim, store, flightrec, workload, action, dmake, trace, wire) never call
 // time.Now, time.Sleep or math/rand directly — the detclock analyzer
 // (cmd/mcalint) enforces it — they take a Clock and default to Real().
 //

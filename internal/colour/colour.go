@@ -10,7 +10,7 @@ package colour
 
 import (
 	"fmt"
-	"sort"
+	"slices"
 	"strings"
 	"sync/atomic"
 )
@@ -49,70 +49,127 @@ func (c Colour) Valid() bool { return c != None }
 // assumes colours are statically assigned: a Set is fixed at action
 // creation time and never mutated, so it is safe to share across
 // goroutines without locking.
+//
+// The members are kept in ascending order. Sets of up to inlineCap
+// colours live inside the value itself and allocate nothing; larger ones
+// spill to one slice. The paper's structures need one colour (atomic and
+// independent actions) or two ({red, blue} serializing constituents,
+// {pass, own} glued stages), so the spill is the rare case.
 type Set struct {
-	members map[Colour]struct{}
+	// inline holds the members, None-padded, while spill is nil.
+	inline [inlineCap]Colour
+	// spill, when non-nil, holds every member of a set larger than
+	// inlineCap.
+	spill []Colour
 }
+
+const inlineCap = 2
+
+// view returns the members in ascending order. The slice aliases s and
+// must not be modified.
+func (s *Set) view() []Colour {
+	if s.spill != nil {
+		return s.spill
+	}
+	n := 0
+	for n < inlineCap && s.inline[n] != None {
+		n++
+	}
+	return s.inline[:n]
+}
+
+// fromSorted builds a set from ascending, duplicate-free, valid colours.
+// It copies them, so sorted may be scratch space.
+func fromSorted(sorted []Colour, op string) Set {
+	var s Set
+	if len(sorted) <= inlineCap {
+		copy(s.inline[:], sorted)
+	} else {
+		s.spill = append([]Colour(nil), sorted...)
+	}
+	return assertWellFormed(s, op)
+}
+
+// scratchCap sizes the stack buffers sets are assembled in.
+const scratchCap = 8
 
 // NewSet builds a set from the given colours. Invalid (zero) colours are
 // ignored; duplicates collapse.
 func NewSet(colours ...Colour) Set {
-	m := make(map[Colour]struct{}, len(colours))
+	var scratch [scratchCap]Colour
+	sorted := scratch[:0]
 	for _, c := range colours {
-		if c.Valid() {
-			m[c] = struct{}{}
+		if !c.Valid() {
+			continue
+		}
+		i, found := slices.BinarySearch(sorted, c)
+		if !found {
+			sorted = slices.Insert(sorted, i, c)
 		}
 	}
-	return assertWellFormed(Set{members: m}, "NewSet")
+	return fromSorted(sorted, "NewSet")
 }
 
 // Singleton returns the one-colour set {c}.
-func Singleton(c Colour) Set { return NewSet(c) }
+func Singleton(c Colour) Set { return assertWellFormed(Set{inline: [inlineCap]Colour{c}}, "Singleton") }
 
 // Contains reports whether c is a member.
 func (s Set) Contains(c Colour) bool {
-	_, ok := s.members[c]
-	return ok
+	return slices.Contains(s.view(), c)
 }
 
 // Len returns the number of colours in the set.
-func (s Set) Len() int { return len(s.members) }
+func (s Set) Len() int { return len(s.view()) }
 
 // Union returns the set s ∪ t.
 func (s Set) Union(t Set) Set {
-	m := make(map[Colour]struct{}, len(s.members)+len(t.members))
-	for c := range s.members {
-		m[c] = struct{}{}
+	a, b := s.view(), t.view()
+	switch {
+	case len(b) == 0:
+		return s
+	case len(a) == 0:
+		return t
 	}
-	for c := range t.members {
-		m[c] = struct{}{}
+	var scratch [scratchCap]Colour
+	merged := scratch[:0]
+	for len(a) > 0 && len(b) > 0 {
+		switch {
+		case a[0] < b[0]:
+			merged, a = append(merged, a[0]), a[1:]
+		case a[0] > b[0]:
+			merged, b = append(merged, b[0]), b[1:]
+		default:
+			merged, a, b = append(merged, a[0]), a[1:], b[1:]
+		}
 	}
-	return assertWellFormed(Set{members: m}, "Union")
+	merged = append(append(merged, a...), b...)
+	return fromSorted(merged, "Union")
 }
 
 // With returns the set s ∪ {colours...}.
 func (s Set) With(colours ...Colour) Set {
+	if len(colours) == 0 {
+		return s
+	}
 	return s.Union(NewSet(colours...))
 }
 
 // Intersect returns the set s ∩ t.
 func (s Set) Intersect(t Set) Set {
-	m := make(map[Colour]struct{})
-	for c := range s.members {
+	var scratch [scratchCap]Colour
+	common := scratch[:0]
+	for _, c := range s.view() {
 		if t.Contains(c) {
-			m[c] = struct{}{}
+			common = append(common, c)
 		}
 	}
-	return assertWellFormed(Set{members: m}, "Intersect")
+	return fromSorted(common, "Intersect")
 }
 
 // Disjoint reports whether s and t share no colour.
 func (s Set) Disjoint(t Set) bool {
-	small, large := s, t
-	if large.Len() < small.Len() {
-		small, large = large, small
-	}
-	for c := range small.members {
-		if large.Contains(c) {
+	for _, c := range s.view() {
+		if t.Contains(c) {
 			return false
 		}
 	}
@@ -120,46 +177,26 @@ func (s Set) Disjoint(t Set) bool {
 }
 
 // Equal reports whether s and t contain exactly the same colours.
-func (s Set) Equal(t Set) bool {
-	if s.Len() != t.Len() {
-		return false
-	}
-	for c := range s.members {
-		if !t.Contains(c) {
-			return false
-		}
-	}
-	return true
-}
+func (s Set) Equal(t Set) bool { return slices.Equal(s.view(), t.view()) }
 
 // Slice returns the members in ascending order (deterministic for traces
 // and tests).
-func (s Set) Slice() []Colour {
-	out := make([]Colour, 0, len(s.members))
-	for c := range s.members {
-		out = append(out, c)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
-	return out
-}
+func (s Set) Slice() []Colour { return slices.Clone(s.view()) }
 
 // Any returns an arbitrary-but-deterministic member (the smallest), or
 // None for the empty set. Single-coloured actions use it as their default
 // locking colour.
 func (s Set) Any() Colour {
-	best := None
-	for c := range s.members {
-		if best == None || c < best {
-			best = c
-		}
+	if v := s.view(); len(v) > 0 {
+		return v[0]
 	}
-	return best
+	return None
 }
 
 // String renders like "{c1,c7}".
 func (s Set) String() string {
 	parts := make([]string, 0, s.Len())
-	for _, c := range s.Slice() {
+	for _, c := range s.view() {
 		parts = append(parts, c.String())
 	}
 	return "{" + strings.Join(parts, ",") + "}"

@@ -7,14 +7,27 @@ import "fmt"
 // InvariantsEnabled reports whether the build carries the invariants tag.
 const InvariantsEnabled = true
 
-// assertWellFormed asserts that a Set contains no colour.None member.
-// Sets are immutable and built only by the constructors in this package,
-// which all filter None, so a violation means a constructor regressed.
-// It panics on violation.
+// assertWellFormed asserts the representation every Set method relies
+// on: valid members in strictly ascending order, nothing behind the
+// padding of the inline form, and a spill only for a set the inline form
+// cannot hold. Sets are immutable and built only by the constructors in
+// this package, so a violation means a constructor regressed. It panics
+// on violation.
 func assertWellFormed(s Set, op string) Set {
-	for c := range s.members {
-		if !c.Valid() {
-			panic(fmt.Sprintf("colour invariant: %s produced a set containing colour.None: %v", op, s))
+	v := s.view()
+	for i, c := range v {
+		if !c.Valid() || (i > 0 && v[i-1] >= c) {
+			panic(fmt.Sprintf("colour invariant: %s produced members %v, want valid colours strictly ascending", op, v))
+		}
+	}
+	if s.spill != nil && len(s.spill) <= inlineCap {
+		panic(fmt.Sprintf("colour invariant: %s spilled a set of %d colours, which fits inline", op, len(s.spill)))
+	}
+	if s.spill == nil {
+		for _, c := range s.inline[len(v):] {
+			if c.Valid() {
+				panic(fmt.Sprintf("colour invariant: %s left colour %v behind the inline padding of %v", op, c, v))
+			}
 		}
 	}
 	return s

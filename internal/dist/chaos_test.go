@@ -3,7 +3,9 @@ package dist_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -166,18 +168,23 @@ func runChaosTransfers(t *testing.T, fileBacked bool) {
 		for _, nd := range nodes {
 			logs = append(logs, nd.Stable())
 		}
-		for _, st := range logs {
+		var stuck []string
+		for i, st := range logs {
 			pending, err := st.Intentions().Pending()
 			if err != nil {
 				t.Fatal(err)
 			}
 			pendingTotal += len(pending)
+			for _, in := range pending {
+				stuck = append(stuck, fmt.Sprintf("log %d (0 is the coordinator's): action %v status %v coordinator %v participants %v",
+					i, in.Action, in.Status, in.Coordinator, in.Participants))
+			}
 		}
 		if pendingTotal == 0 {
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("intention logs did not drain: %d records pending", pendingTotal)
+			t.Fatalf("intention logs did not drain: %d records pending\n%s", pendingTotal, strings.Join(stuck, "\n"))
 		}
 		time.Sleep(20 * time.Millisecond)
 	}

@@ -26,6 +26,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"slices"
 	"sync"
 	"time"
 
@@ -117,8 +118,8 @@ type Manager struct {
 	// driving transactions.
 	OnRound trace.RoundObserver
 
-	mu        sync.Mutex
-	node      *node.Node
+	mu   sync.Mutex
+	node *node.Node
 	// clk is the time source for recovery retries and round metrics,
 	// inherited from the hosting node in Register so a simulated node
 	// drives the manager's timers too.
@@ -281,45 +282,6 @@ func (m *Manager) Recover(ctx context.Context, n *node.Node) {
 	}()
 }
 
-// --- wire types ---
-
-type invokeReq struct {
-	Txn      ids.ActionID    `json:"txn"`
-	Resource string          `json:"resource"`
-	Op       string          `json:"op"`
-	Arg      json.RawMessage `json:"arg"`
-	// Structure, when non-nil, mirrors the coordinator-side colour
-	// scheme at the participant (distributed serializing actions).
-	Structure *structureInfo `json:"structure,omitempty"`
-}
-
-type invokeResp struct {
-	Result json.RawMessage `json:"result"`
-}
-
-type prepareReq struct {
-	Txn         ids.ActionID `json:"txn"`
-	Coordinator ids.NodeID   `json:"coordinator"`
-}
-
-type voteResp struct {
-	OK bool `json:"ok"`
-	// ReadOnly marks a yes vote from a participant with no writes: it
-	// committed locally at prepare (releasing its locks) and must be
-	// excluded from the decision record and phase 2.
-	ReadOnly bool `json:"ro,omitempty"`
-}
-
-type txnReq struct {
-	Txn ids.ActionID `json:"txn"`
-}
-
-type decisionResp struct {
-	Committed bool `json:"committed"`
-}
-
-type ackResp struct{}
-
 // --- participant role ---
 
 // participantAction resolves (or creates) the node-local action serving
@@ -440,8 +402,8 @@ func (m *Manager) freezeActive(txn ids.ActionID) (ps *participantState, alreadyP
 }
 
 func (m *Manager) handleInvoke(ctx context.Context, _ ids.NodeID, body []byte) ([]byte, error) {
-	var req invokeReq
-	if err := json.Unmarshal(body, &req); err != nil {
+	req, err := decodeInvokeReq(body)
+	if err != nil {
 		return nil, fmt.Errorf("decode invoke: %w", err)
 	}
 	m.mu.Lock()
@@ -461,19 +423,15 @@ func (m *Manager) handleInvoke(ctx context.Context, _ ids.NodeID, body []byte) (
 	if err != nil {
 		return nil, err
 	}
-	resp, err := json.Marshal(invokeResp{Result: out})
-	if err != nil {
-		return nil, err
-	}
-	return resp, nil
+	return appendInvokeReply(make([]byte, 0, len(out)+8), out), nil
 }
 
 func (m *Manager) handlePrepare(_ context.Context, _ ids.NodeID, body []byte) ([]byte, error) {
-	var req prepareReq
-	if err := json.Unmarshal(body, &req); err != nil {
+	req, err := decodePrepareReq(body)
+	if err != nil {
 		return nil, fmt.Errorf("decode prepare: %w", err)
 	}
-	vote := voteResp{OK: false}
+	vote := voteNoBody
 	log := m.Node().Stable().Intentions()
 	ps, alreadyPrepared, ok := m.freezeActive(req.Txn)
 	switch {
@@ -485,7 +443,9 @@ func (m *Manager) handlePrepare(_ context.Context, _ ids.NodeID, body []byte) ([
 		// record means we voted yes as a writer; a read-only yes never
 		// keeps the action live, so it cannot reach here).
 		in, found, err := log.Lookup(req.Txn)
-		vote.OK = err == nil && found && in.Status == store.IntentionPrepared
+		if err == nil && found && in.Status == store.IntentionPrepared {
+			vote = voteYesBody
+		}
 	case ps.a.Status() != action.Active:
 		// The action died locally (e.g. deadlock abort): vote no.
 	case !ps.a.HasWrites():
@@ -495,8 +455,7 @@ func (m *Manager) handlePrepare(_ context.Context, _ ids.NodeID, body []byte) ([
 		// record and phase 2 (presumed-abort read-only optimisation).
 		if a, live := m.bury(req.Txn); live {
 			if err := a.Commit(); err == nil {
-				vote.OK = true
-				vote.ReadOnly = true
+				vote = voteYesReadBody
 				readonlyVotes.Inc()
 			}
 		}
@@ -512,21 +471,23 @@ func (m *Manager) handlePrepare(_ context.Context, _ ids.NodeID, body []byte) ([
 			// The YES vote is derived strictly after the log force
 			// (mcalint's forceorder rule); on the PendingWrites error
 			// path the initializer's NO stands.
-			vote.OK = err == nil
+			if err == nil {
+				vote = voteYesBody
+			}
 		}
 	}
-	return json.Marshal(vote)
+	return vote, nil
 }
 
 func (m *Manager) handleCommit(_ context.Context, _ ids.NodeID, body []byte) ([]byte, error) {
-	var req txnReq
-	if err := json.Unmarshal(body, &req); err != nil {
+	txn, err := decodeTxnReq(body)
+	if err != nil {
 		return nil, fmt.Errorf("decode commit: %w", err)
 	}
-	if err := m.commitParticipant(req.Txn); err != nil {
+	if err := m.commitParticipant(txn); err != nil {
 		return nil, err
 	}
-	return json.Marshal(ackResp{})
+	return ackBody, nil
 }
 
 // commitParticipant applies the commit decision locally: through the
@@ -566,25 +527,25 @@ func (m *Manager) commitParticipant(txn ids.ActionID) error {
 }
 
 func (m *Manager) handleAbort(_ context.Context, _ ids.NodeID, body []byte) ([]byte, error) {
-	var req txnReq
-	if err := json.Unmarshal(body, &req); err != nil {
+	txn, err := decodeTxnReq(body)
+	if err != nil {
 		return nil, fmt.Errorf("decode abort: %w", err)
 	}
-	if a, ok := m.bury(req.Txn); ok {
+	if a, ok := m.bury(txn); ok {
 		_ = a.Abort()
 	}
-	if err := m.Node().Stable().Intentions().Forget(req.Txn); err != nil {
+	if err := m.Node().Stable().Intentions().Forget(txn); err != nil {
 		return nil, err
 	}
-	return json.Marshal(ackResp{})
+	return ackBody, nil
 }
 
 func (m *Manager) handleDecision(_ context.Context, _ ids.NodeID, body []byte) ([]byte, error) {
-	var req txnReq
-	if err := json.Unmarshal(body, &req); err != nil {
+	txn, err := decodeTxnReq(body)
+	if err != nil {
 		return nil, fmt.Errorf("decode decision: %w", err)
 	}
-	in, ok, err := m.Node().Stable().Intentions().Lookup(req.Txn)
+	in, ok, err := m.Node().Stable().Intentions().Lookup(txn)
 	if err != nil {
 		return nil, err
 	}
@@ -593,8 +554,10 @@ func (m *Manager) handleDecision(_ context.Context, _ ids.NodeID, body []byte) (
 	// prepared record, and a committed action is only forgotten after
 	// every participant acknowledged, so "no record" is safe to read
 	// as aborted).
-	committed := ok && in.Status == store.IntentionCommitted
-	return json.Marshal(decisionResp{Committed: committed})
+	if ok && in.Status == store.IntentionCommitted {
+		return committedBody, nil
+	}
+	return abortedBody, nil
 }
 
 // --- coordinator role ---
@@ -609,14 +572,15 @@ type Txn struct {
 	tc trace.Context
 
 	mu sync.Mutex
-	// participants maps every contacted node to whether at least one
-	// invocation at it succeeded. Successful participants take part in
-	// the commit protocol; failed-contact ones (the call errored, but
-	// the operation may still have executed remotely) only ever
-	// receive an abort, so no orphaned participant action survives.
-	participants map[ids.NodeID]bool
-	order        []ids.NodeID
-	done         bool
+	// contacts lists every contacted node, in first-contact order, with
+	// whether at least one invocation at it succeeded. Successful
+	// contacts are participants and take part in the commit protocol;
+	// failed ones (the call errored, but the operation may still have
+	// executed remotely) only ever receive an abort, so no orphaned
+	// participant action survives. A transaction touches a handful of
+	// nodes, so this is a slice to scan, not a map.
+	contacts []contact
+	done     bool
 
 	// structure, when non-nil, makes this transaction a constituent
 	// of a distributed structure: remote participant actions mirror
@@ -624,6 +588,12 @@ type Txn struct {
 	structure *structureInfo
 	// onEnlist notifies the owning structure of every node touched.
 	onEnlist func(ids.NodeID)
+}
+
+// contact is one node a transaction has invoked.
+type contact struct {
+	node ids.NodeID
+	ok   bool
 }
 
 // Begin starts a distributed atomic action coordinated by this node.
@@ -639,7 +609,7 @@ func (m *Manager) Begin() (*Txn, error) {
 	if err != nil {
 		return nil, err
 	}
-	t := &Txn{mgr: m, local: local, participants: make(map[ids.NodeID]bool)}
+	t := &Txn{mgr: m, local: local}
 	if rec := m.traceRecorder(); rec != nil {
 		t.tc = rec.StartTrace(local.ID())
 	}
@@ -659,12 +629,7 @@ func (t *Txn) Action() *action.Action { return t.local }
 func (t *Txn) Participants() []ids.NodeID {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	var out []ids.NodeID
-	for _, n := range t.order {
-		if t.participants[n] {
-			out = append(out, n)
-		}
-	}
+	out, _ := t.split()
 	return out
 }
 
@@ -674,29 +639,32 @@ func (t *Txn) Participants() []ids.NodeID {
 func (t *Txn) enlist(n ids.NodeID, ok bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	prev, known := t.participants[n]
-	if !known {
-		t.order = append(t.order, n)
+	for i := range t.contacts {
+		if t.contacts[i].node == n {
+			t.contacts[i].ok = t.contacts[i].ok || ok
+			return
+		}
 	}
-	t.participants[n] = prev || ok
+	t.contacts = append(t.contacts, contact{node: n, ok: ok})
 }
 
 // split returns the successful participants and the failed-contact
-// nodes.
+// nodes. Caller holds t.mu.
 func (t *Txn) split() (succeeded, failed []ids.NodeID) {
-	for _, n := range t.order {
-		if t.participants[n] {
-			succeeded = append(succeeded, n)
+	for _, c := range t.contacts {
+		if c.ok {
+			succeeded = append(succeeded, c.node)
 		} else {
-			failed = append(failed, n)
+			failed = append(failed, c.node)
 		}
 	}
 	return succeeded, failed
 }
 
 // Invoke runs op on the named resource at the target node as part of
-// this action. arg is JSON-marshalled; the reply is unmarshalled into
-// result when non-nil. Local targets execute directly under the
+// this action. arg is JSON-marshalled and the resource's reply is
+// unmarshalled into result when non-nil; the protocol carries both as
+// opaque bytes. Local targets execute directly under the
 // coordinator action.
 func (t *Txn) Invoke(ctx context.Context, target ids.NodeID, resource, op string, arg, result any) error {
 	t.mu.Lock()
@@ -728,14 +696,15 @@ func (t *Txn) Invoke(ctx context.Context, target ids.NodeID, resource, op string
 		return nil
 	}
 
-	req := invokeReq{Txn: t.ID(), Resource: resource, Op: op, Arg: argBytes, Structure: t.structure}
 	if t.tc.Valid() {
 		// The invocation runs under the transaction's root span; the
 		// RPC layer derives the call's own child span from it.
 		ctx = trace.Inject(ctx, t.tc)
 	}
-	var resp invokeResp
-	if err := t.mgr.Node().Peer().Call(ctx, target, methodInvoke, req, &resp); err != nil {
+	var scratch [bodyScratch]byte
+	body := appendInvokeReq(scratch[:0], &invokeReq{Txn: t.ID(), Resource: resource, Op: op, Arg: argBytes, Structure: t.structure})
+	reply, err := t.mgr.Node().Peer().CallRaw(ctx, target, methodInvoke, body)
+	if err != nil {
 		// The call failed but may still have executed remotely:
 		// remember the contact so completion sends it an abort.
 		t.enlist(target, false)
@@ -745,11 +714,21 @@ func (t *Txn) Invoke(ctx context.Context, target ids.NodeID, resource, op string
 	if t.onEnlist != nil {
 		t.onEnlist(target)
 	}
-	if result != nil && resp.Result != nil {
-		return json.Unmarshal(resp.Result, result)
+	out, err := decodeInvokeReply(reply)
+	if err != nil {
+		return err
+	}
+	if result != nil && len(out) > 0 {
+		return json.Unmarshal(out, result)
 	}
 	return nil
 }
+
+// bodyScratch sizes the stack buffers request bodies are encoded in. The
+// RPC layer copies a body into its frame before CallRaw returns, so a
+// body never needs to outlive the call that sends it; a body that
+// outgrows the buffer moves to the heap by append.
+const bodyScratch = 128
 
 // Commit runs two-phase commit. On success the action's effects are
 // permanent everywhere (participants that were unreachable during the
@@ -786,12 +765,17 @@ func (t *Txn) Commit(ctx context.Context) error {
 	coordID := t.mgr.Node().ID()
 	var (
 		voteMu   sync.Mutex
-		readOnly map[ids.NodeID]bool
+		readOnly []ids.NodeID
 	)
 	prepared := t.mgr.fanout(ctx, trace.RoundPrepare, t.ID(), t.tc, participants, true,
 		func(ctx context.Context, p ids.NodeID) error {
-			var vote voteResp
-			if err := peer.Call(ctx, p, methodPrepare, prepareReq{Txn: t.ID(), Coordinator: coordID}, &vote); err != nil {
+			var scratch [bodyScratch]byte
+			reply, err := peer.CallRaw(ctx, p, methodPrepare, appendPrepareReq(scratch[:0], prepareReq{Txn: t.ID(), Coordinator: coordID}))
+			if err != nil {
+				return err
+			}
+			vote, err := decodeVote(reply)
+			if err != nil {
 				return err
 			}
 			if !vote.OK {
@@ -799,10 +783,7 @@ func (t *Txn) Commit(ctx context.Context) error {
 			}
 			if vote.ReadOnly {
 				voteMu.Lock()
-				if readOnly == nil {
-					readOnly = make(map[ids.NodeID]bool)
-				}
-				readOnly[p] = true
+				readOnly = append(readOnly, p)
 				voteMu.Unlock()
 			}
 			return nil
@@ -867,7 +848,7 @@ func (t *Txn) Commit(ctx context.Context) error {
 	if len(writers) > 0 {
 		acked := t.mgr.fanout(ctx, trace.RoundCommit, t.ID(), t.tc, writers, false,
 			func(ctx context.Context, p ids.NodeID) error {
-				return peer.Call(ctx, p, methodCommit, txnReq{Txn: t.ID()}, nil)
+				return callTxn(ctx, peer, p, methodCommit, t.ID())
 			})
 		if _, _, failed := firstFailure(acked); !failed {
 			// Appended, not forced: nobody waits on a forget. A crash
@@ -885,14 +866,14 @@ func (t *Txn) Commit(ctx context.Context) error {
 	return nil
 }
 
-// withoutNodes returns nodes minus the dropped set, preserving order.
-func withoutNodes(nodes []ids.NodeID, drop map[ids.NodeID]bool) []ids.NodeID {
+// withoutNodes returns nodes minus the dropped ones, preserving order.
+func withoutNodes(nodes, drop []ids.NodeID) []ids.NodeID {
 	if len(drop) == 0 {
 		return nodes
 	}
-	out := make([]ids.NodeID, 0, len(nodes))
+	out := make([]ids.NodeID, 0, len(nodes)-len(drop))
 	for _, n := range nodes {
-		if !drop[n] {
+		if !slices.Contains(drop, n) {
 			out = append(out, n)
 		}
 	}
@@ -922,9 +903,16 @@ func (t *Txn) abortEverywhere(ctx context.Context, participants []ids.NodeID) {
 	peer := t.mgr.Node().Peer()
 	t.mgr.fanout(ctx, trace.RoundAbort, t.ID(), t.tc, participants, false,
 		func(ctx context.Context, p ids.NodeID) error {
-			return peer.Call(ctx, p, methodAbort, txnReq{Txn: t.ID()}, nil)
+			return callTxn(ctx, peer, p, methodAbort, t.ID())
 		})
 	_ = t.local.Abort()
+}
+
+// callTxn sends one commit or abort message and waits for its ack.
+func callTxn(ctx context.Context, peer *rpc.Peer, to ids.NodeID, method string, txn ids.ActionID) error {
+	var scratch [bodyScratch]byte
+	_, err := peer.CallRaw(ctx, to, method, appendTxnReq(scratch[:0], txn))
+	return err
 }
 
 // abortAsyncTimeout bounds each background abort probe. The targets are
@@ -948,7 +936,7 @@ func (t *Txn) abortAsync(nodes []ids.NodeID) {
 			ctx, cancel := context.WithTimeout(context.Background(), abortAsyncTimeout)
 			defer cancel()
 			//mcalint:ignore errdrop best-effort ghost abort; presumed abort resolves the participant either way
-			_ = peer.Call(ctx, p, methodAbort, txnReq{Txn: id}, nil)
+			_ = callTxn(ctx, peer, p, methodAbort, id)
 		}()
 	}
 }
@@ -986,7 +974,7 @@ func (m *Manager) RecoverPending(ctx context.Context) (int, error) {
 			tc := trace.Context{TraceID: in.TraceID, SpanID: in.TraceSpan}
 			acked := m.fanout(ctx, trace.RoundRecover, in.Action, tc, in.Participants, false,
 				func(ctx context.Context, p ids.NodeID) error {
-					return nd.Peer().Call(ctx, p, methodCommit, txnReq{Txn: in.Action}, nil)
+					return callTxn(ctx, nd.Peer(), p, methodCommit, in.Action)
 				})
 			if _, _, failed := firstFailure(acked); !failed {
 				//mcalint:ignore errdrop forgetting is housekeeping; a kept record is re-driven next recovery pass
@@ -996,12 +984,18 @@ func (m *Manager) RecoverPending(ctx context.Context) (int, error) {
 			}
 		case in.Coordinator != nd.ID() && in.Status == store.IntentionPrepared:
 			// Participant role: in doubt — ask the coordinator.
-			var dec decisionResp
-			if err := nd.Peer().Call(ctx, in.Coordinator, methodDecision, txnReq{Txn: in.Action}, &dec); err != nil {
+			var scratch [bodyScratch]byte
+			reply, err := nd.Peer().CallRaw(ctx, in.Coordinator, methodDecision, appendTxnReq(scratch[:0], in.Action))
+			if err != nil {
 				remaining++ // coordinator unreachable: stay in doubt
 				continue
 			}
-			if dec.Committed {
+			committed, err := decodeDecision(reply)
+			if err != nil {
+				remaining++ // not an answer: ask again next pass
+				continue
+			}
+			if committed {
 				if err := nd.Stable().ApplyBatch(in.Writes); err != nil {
 					remaining++
 					continue

@@ -71,16 +71,13 @@ func newFreezeFixture(t *testing.T) *freezeFixture {
 // transport would, bypassing the coordinator's Txn bookkeeping — the
 // shape of a delayed or retransmitted message arriving out of order.
 func (f *freezeFixture) invokeDirect(txn ids.ActionID, delta int) error {
-	body, err := json.Marshal(invokeReq{
+	body := appendInvokeReq(nil, &invokeReq{
 		Txn:      txn,
 		Resource: "reg",
 		Op:       "add",
-		Arg:      json.RawMessage(`{"delta":` + jsonInt(delta) + `}`),
+		Arg:      []byte(`{"delta":` + jsonInt(delta) + `}`),
 	})
-	if err != nil {
-		return err
-	}
-	_, err = f.part.handleInvoke(context.Background(), f.coordNode.ID(), body)
+	_, err := f.part.handleInvoke(context.Background(), f.coordNode.ID(), body)
 	return err
 }
 
@@ -101,18 +98,15 @@ func TestPrepareFreezesParticipant(t *testing.T) {
 		t.Fatalf("invoke: %v", err)
 	}
 
-	prepare, err := json.Marshal(prepareReq{Txn: txn, Coordinator: f.coordNode.ID()})
-	if err != nil {
-		t.Fatal(err)
-	}
+	prepare := appendPrepareReq(nil, prepareReq{Txn: txn, Coordinator: f.coordNode.ID()})
 	vote := func() voteResp {
 		t.Helper()
 		raw, err := f.part.handlePrepare(context.Background(), f.coordNode.ID(), prepare)
 		if err != nil {
 			t.Fatalf("prepare: %v", err)
 		}
-		var v voteResp
-		if err := json.Unmarshal(raw, &v); err != nil {
+		v, err := decodeVote(raw)
+		if err != nil {
 			t.Fatal(err)
 		}
 		return v
@@ -129,11 +123,7 @@ func TestPrepareFreezesParticipant(t *testing.T) {
 		t.Fatal("duplicate prepare must re-derive the yes vote")
 	}
 
-	commit, err := json.Marshal(txnReq{Txn: txn})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := f.part.handleCommit(context.Background(), f.coordNode.ID(), commit); err != nil {
+	if _, err := f.part.handleCommit(context.Background(), f.coordNode.ID(), appendTxnReq(nil, txn)); err != nil {
 		t.Fatalf("commit: %v", err)
 	}
 	m, err := object.Load[int](f.regID, f.partNode.Stable())

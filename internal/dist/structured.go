@@ -21,7 +21,6 @@ package dist
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
 	"sync"
@@ -29,6 +28,7 @@ import (
 	"mca/internal/action"
 	"mca/internal/colour"
 	"mca/internal/ids"
+	"mca/internal/rpc"
 	"mca/internal/trace"
 )
 
@@ -53,19 +53,19 @@ const (
 // colour, and Parent links the joint whose node-local container holds
 // the locks passed on by the previous stage.
 type structureInfo struct {
-	Structure StructureID   `json:"structure"`
-	Container colour.Colour `json:"container"`
-	Write     colour.Colour `json:"write"`
+	Structure StructureID
+	Container colour.Colour
+	Write     colour.Colour
 	// Companion, when true, gives the participant action a write
 	// companion in the container colour (serializing constituents).
-	Companion bool `json:"companion,omitempty"`
+	Companion bool
 	// ReadOwn, when true, makes reads use the write colour rather
 	// than the container colour (glued stages read in their own
 	// colour so unneeded read locks release at stage commit).
-	ReadOwn bool `json:"readOwn,omitempty"`
+	ReadOwn bool
 	// Parent, when non-nil, nests this structure's node-local
 	// container under the parent structure's container.
-	Parent *structureInfo `json:"parent,omitempty"`
+	Parent *structureInfo
 }
 
 // RemoteSerializing coordinates a serializing action over distributed
@@ -137,9 +137,8 @@ func (s *RemoteSerializing) BeginConstituent() (*Txn, error) {
 		return nil, err
 	}
 	return &Txn{
-		mgr:          s.mgr,
-		local:        localAct,
-		participants: make(map[ids.NodeID]bool),
+		mgr:   s.mgr,
+		local: localAct,
 		structure: &structureInfo{
 			Structure: s.id,
 			Container: s.blue,
@@ -208,7 +207,7 @@ func (s *RemoteSerializing) finish(ctx context.Context, method string) error {
 	peer := s.mgr.Node().Peer()
 	results := s.mgr.fanout(ctx, trace.RoundStructure, ids.ActionID(s.id), trace.Context{}, nodes, false,
 		func(ctx context.Context, n ids.NodeID) error {
-			return peer.Call(ctx, n, method, structureReq{Structure: s.id}, nil)
+			return callStructure(ctx, peer, n, method, s.id)
 		})
 	var firstErr error
 	if n, err, failed := firstFailure(results); failed {
@@ -226,11 +225,15 @@ func (s *RemoteSerializing) finish(ctx context.Context, method string) error {
 	return firstErr
 }
 
-// --- participant side ---
-
-type structureReq struct {
-	Structure StructureID `json:"structure"`
+// callStructure sends one structure end or abort message and waits for
+// its ack.
+func callStructure(ctx context.Context, peer *rpc.Peer, to ids.NodeID, method string, id StructureID) error {
+	var scratch [bodyScratch]byte
+	_, err := peer.CallRaw(ctx, to, method, appendStructureReq(scratch[:0], id))
+	return err
 }
+
+// --- participant side ---
 
 // structureContainer returns (creating if needed) this node's container
 // action for the structure, carrying the container colour and nested
@@ -291,14 +294,14 @@ func (m *Manager) handleAbortStructure(_ context.Context, _ ids.NodeID, body []b
 }
 
 func (m *Manager) finishStructure(body []byte, commit bool) ([]byte, error) {
-	var req structureReq
-	if err := json.Unmarshal(body, &req); err != nil {
+	id, err := decodeStructureReq(body)
+	if err != nil {
 		return nil, fmt.Errorf("decode structure end: %w", err)
 	}
 	m.mu.Lock()
-	a, ok := m.containers[req.Structure]
+	a, ok := m.containers[id]
 	if ok {
-		delete(m.containers, req.Structure)
+		delete(m.containers, id)
 	}
 	m.mu.Unlock()
 	if ok {
@@ -314,7 +317,7 @@ func (m *Manager) finishStructure(body []byte, commit bool) ([]byte, error) {
 	}
 	// Unknown structure: idempotent (duplicate end, or lost to a
 	// crash — the locks died with it).
-	return json.Marshal(ackResp{})
+	return ackBody, nil
 }
 
 // --- distributed glued chains ---
@@ -436,9 +439,8 @@ func (c *RemoteChain) beginStage() (*Txn, *remoteJoint, error) {
 	c.stages++
 
 	txn := &Txn{
-		mgr:          c.mgr,
-		local:        stageLocal,
-		participants: make(map[ids.NodeID]bool),
+		mgr:   c.mgr,
+		local: stageLocal,
 		structure: &structureInfo{
 			Structure: joint.info.Structure,
 			Container: pass,
@@ -495,7 +497,7 @@ func (c *RemoteChain) endJoint(ctx context.Context, j *remoteJoint, nodes []ids.
 	peer := c.mgr.Node().Peer()
 	c.mgr.fanout(ctx, trace.RoundStructure, ids.ActionID(j.info.Structure), trace.Context{}, nodes, false,
 		func(ctx context.Context, n ids.NodeID) error {
-			return peer.Call(ctx, n, method, structureReq{Structure: j.info.Structure}, nil)
+			return callStructure(ctx, peer, n, method, j.info.Structure)
 		})
 	if j.local.Status() == action.Active {
 		if commit {

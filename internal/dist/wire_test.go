@@ -1,0 +1,177 @@
+package dist
+
+import (
+	"bytes"
+	"reflect"
+	"testing"
+)
+
+// bodyCases is one valid body of every kind the protocol sends, with the
+// name its fuzz corpus seed is committed under.
+func bodyCases() map[string][]byte {
+	chain := &structureInfo{Structure: 9, Container: 4, Write: 5, ReadOwn: true,
+		Parent: &structureInfo{Structure: 8, Container: 3}}
+	return map[string][]byte{
+		"invoke": appendInvokeReq(nil, &invokeReq{Txn: 300, Resource: "registers", Op: "add", Arg: []byte(`{"k":7,"d":1}`)}),
+		"invoke_structured": appendInvokeReq(nil, &invokeReq{Txn: 301, Resource: "bank", Op: "get",
+			Structure: &structureInfo{Structure: 7, Container: 2, Write: 3, Companion: true}}),
+		"invoke_chain":   appendInvokeReq(nil, &invokeReq{Txn: 302, Resource: "r", Op: "o", Arg: []byte{0}, Structure: chain}),
+		"invoke_reply":   appendInvokeReply(nil, []byte(`42`)),
+		"prepare":        appendPrepareReq(nil, prepareReq{Txn: 300, Coordinator: 1}),
+		"vote_no":        voteNoBody,
+		"vote_yes":       voteYesBody,
+		"vote_read_only": voteYesReadBody,
+		"txn":            appendTxnReq(nil, 300),
+		"decision_yes":   committedBody,
+		"decision_no":    abortedBody,
+		"ack":            ackBody,
+		"structure":      appendStructureReq(nil, 7),
+	}
+}
+
+// decodeAny runs the decoder the body's kind byte names and re-encodes
+// what it accepted. ok is false for a rejected body.
+func decodeAny(body []byte) (decoded any, reencoded []byte, ok bool) {
+	if len(body) < 2 {
+		return nil, nil, false
+	}
+	switch bodyKind(body[1]) {
+	case bodyInvoke:
+		q, err := decodeInvokeReq(body)
+		return q, appendInvokeReq(nil, &q), err == nil
+	case bodyInvokeReply:
+		out, err := decodeInvokeReply(body)
+		return out, appendInvokeReply(nil, out), err == nil
+	case bodyPrepare:
+		q, err := decodePrepareReq(body)
+		return q, appendPrepareReq(nil, q), err == nil
+	case bodyVote:
+		v, err := decodeVote(body)
+		enc := voteNoBody
+		switch {
+		case v.ReadOnly:
+			enc = voteYesReadBody
+		case v.OK:
+			enc = voteYesBody
+		}
+		return v, enc, err == nil
+	case bodyTxn:
+		txn, err := decodeTxnReq(body)
+		return txn, appendTxnReq(nil, txn), err == nil
+	case bodyDecision:
+		committed, err := decodeDecision(body)
+		enc := abortedBody
+		if committed {
+			enc = committedBody
+		}
+		return committed, enc, err == nil
+	case bodyAck:
+		// Nobody reads an ack's body; its encoding is the header alone.
+		return nil, ackBody, bytes.Equal(body, ackBody)
+	case bodyStructure:
+		id, err := decodeStructureReq(body)
+		return id, appendStructureReq(nil, id), err == nil
+	}
+	return nil, nil, false
+}
+
+// TestBodyRoundTrip decodes every kind of body back to what was encoded.
+func TestBodyRoundTrip(t *testing.T) {
+	for name, body := range bodyCases() {
+		_, reencoded, ok := decodeAny(body)
+		if !ok {
+			t.Errorf("%s: own encoding % x rejected", name, body)
+			continue
+		}
+		if !bytes.Equal(reencoded, body) {
+			t.Errorf("%s: re-encoded to % x, was % x", name, reencoded, body)
+		}
+	}
+	q, err := decodeInvokeReq(bodyCases()["invoke_chain"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	want := invokeReq{Txn: 302, Resource: "r", Op: "o", Arg: []byte{0},
+		Structure: &structureInfo{Structure: 9, Container: 4, Write: 5, ReadOwn: true,
+			Parent: &structureInfo{Structure: 8, Container: 3}}}
+	if !reflect.DeepEqual(q, want) {
+		t.Fatalf("decoded %+v (structure %+v), want %+v", q, q.Structure, want)
+	}
+}
+
+// TestBodyGoldenBytes pins the layouts DESIGN.md §15 documents.
+func TestBodyGoldenBytes(t *testing.T) {
+	golden := map[string][]byte{
+		"invoke": append([]byte{0xD1, 0x01, 0xAC, 0x02, 9, 'r', 'e', 'g', 'i', 's', 't', 'e', 'r', 's', 3, 'a', 'd', 'd', 13},
+			append([]byte(`{"k":7,"d":1}`), 0)...),
+		"invoke_structured": {0xD1, 0x01, 0xAD, 0x02, 4, 'b', 'a', 'n', 'k', 3, 'g', 'e', 't', 0, 1, 7, 2, 3, 0x01},
+		"invoke_reply":      {0xD1, 0x02, 2, '4', '2'},
+		"prepare":           {0xD1, 0x03, 0xAC, 0x02, 1},
+		"vote_no":           {0xD1, 0x04, 0},
+		"vote_yes":          {0xD1, 0x04, 1},
+		"vote_read_only":    {0xD1, 0x04, 3},
+		"txn":               {0xD1, 0x05, 0xAC, 0x02},
+		"decision_yes":      {0xD1, 0x06, 1},
+		"decision_no":       {0xD1, 0x06, 0},
+		"ack":               {0xD1, 0x07},
+		"structure":         {0xD1, 0x08, 7},
+	}
+	cases := bodyCases()
+	for name, want := range golden {
+		if got := cases[name]; !bytes.Equal(got, want) {
+			t.Errorf("%s encodes to % x, want % x", name, got, want)
+		}
+	}
+}
+
+// TestBodyDecodeRejectsDamage: every truncation of every body is
+// rejected, and every single flipped bit is either rejected or decodes
+// to something that round-trips — never a panic, never a body accepted
+// with bytes left over.
+func TestBodyDecodeRejectsDamage(t *testing.T) {
+	for name, body := range bodyCases() {
+		for n := 0; n < len(body); n++ {
+			if _, _, ok := decodeAny(body[:n]); ok {
+				t.Errorf("%s: %d-byte truncation of %d bytes accepted", name, n, len(body))
+			}
+		}
+		if _, _, ok := decodeAny(append(bytes.Clone(body), 0)); ok {
+			t.Errorf("%s: accepted with a trailing byte", name)
+		}
+		for bit := 0; bit < len(body)*8; bit++ {
+			damaged := bytes.Clone(body)
+			damaged[bit/8] ^= 1 << (bit % 8)
+			checkStable(t, damaged)
+		}
+	}
+}
+
+// checkStable holds the fuzz invariant: a body either is rejected or
+// survives decode → encode → decode unchanged.
+func checkStable(t *testing.T, body []byte) {
+	t.Helper()
+	first, reencoded, ok := decodeAny(body)
+	if !ok {
+		return
+	}
+	second, _, ok := decodeAny(reencoded)
+	if !ok {
+		t.Fatalf("re-encoding % x of accepted body % x rejected", reencoded, body)
+	}
+	if !reflect.DeepEqual(first, second) {
+		t.Fatalf("decode/encode/decode drift on % x:\n got %+v\nwant %+v", body, second, first)
+	}
+}
+
+// FuzzDistBodyDecode throws arbitrary bytes at the body decoders. The
+// seed corpus is every body kind (committed under testdata/fuzz, with a
+// truncated and an oversized-count input beside them).
+func FuzzDistBodyDecode(f *testing.F) {
+	for _, body := range bodyCases() {
+		f.Add(body)
+	}
+	f.Add([]byte{})
+	f.Add([]byte{bodyMagic})
+	f.Add([]byte{bodyMagic, byte(bodyInvoke), 1, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}) // absurd structure count
+	f.Fuzz(func(t *testing.T, body []byte) { checkStable(t, body) })
+}

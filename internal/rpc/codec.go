@@ -1,60 +1,29 @@
-// Envelope wire codecs. Two formats share the CRC32 frame introduced
-// with the corruption defences:
-//
-//   - CodecJSON is the original wire format (one json.Marshal around the
-//     envelope, PR 5's trace fields riding as omitempty keys). Every
-//     peer ever shipped decodes it, so it remains the lingua franca for
-//     mixed-version clusters.
-//   - CodecBinary is the hot-path format: a fixed header plus
-//     length-delimited strings, encoded into a pooled buffer with zero
-//     steady-state allocations. Application bodies stay JSON — only the
-//     envelope around them stops being JSON.
-//
-// The first byte of the framed body selects the codec on decode: JSON
-// envelopes start with '{' (0x7B), binary envelopes with binMagic — a
-// value that can never begin a JSON document — followed by a version
-// byte, so a future layout change bumps binVersion without another
-// magic. A peer therefore decodes both formats unconditionally and
-// answers in the caller's format (see Peer.serve), which is what lets
-// old-JSON and new-binary peers interoperate in one cluster.
+// The envelope wire codec: a CRC32 frame around a fixed header plus
+// length-delimited fields, written with internal/wire into a pooled
+// buffer, so encoding and decoding allocate nothing in steady state.
+// The body inside the envelope is opaque bytes.
 package rpc
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"hash/crc32"
 	"runtime"
 	"sync"
 
 	"mca/internal/ids"
+	"mca/internal/wire"
 )
 
-// Codec selects the envelope encoding for outgoing messages.
-type Codec uint8
-
-const (
-	// CodecBinary (the default) encodes envelopes in the binary format,
-	// falling back to JSON per destination when a peer never answers
-	// binary envelopes (it may predate them; see jsonFallbackAfter).
-	CodecBinary Codec = iota
-	// CodecJSON forces the original JSON envelope on the send path —
-	// the conservative setting while a mixed cluster still contains
-	// peers that predate the binary codec.
-	CodecJSON
-)
-
-// binMagic is the first body byte of a binary envelope. 0xC1 is not
-// valid UTF-8 and in particular is not '{', so the decoder can tell the
-// two formats apart from one byte.
+// binMagic is the first body byte of an envelope. 0xC1 is not valid
+// UTF-8, so text that strays onto the wire is rejected at the first
+// byte.
 const binMagic byte = 0xC1
 
-// binVersion is the binary layout version, the second body byte. The
-// decoder rejects versions it does not know, which drops the frame and
-// lets the sender's JSON fallback repair a (hypothetical) skew between
-// two binary generations the same way it repairs old/new skew.
+// binVersion is the layout version, the second body byte. The decoder
+// rejects versions it does not know.
 const binVersion byte = 1
 
-// Flag bits of the binary header's flags byte.
+// Flag bits of the header's flags byte.
 const (
 	flagErr   byte = 1 << 0 // envelope carries an error reply
 	flagTrace byte = 1 << 1 // envelope carries a trace context
@@ -64,7 +33,7 @@ const (
 // id, origin.
 const binHeaderLen = 1 + 1 + 1 + 1 + 8 + 8
 
-// appendEnvelopeBinary appends the binary encoding of env to buf.
+// appendEnvelope appends the encoding of env to buf.
 //
 // Layout (after the CRC32 frame prefix):
 //
@@ -78,143 +47,62 @@ const binHeaderLen = 1 + 1 + 1 + 1 + 8 + 8
 //	        if trace flag: trace id [8], span id [8], big endian
 //	        if error flag: uvarint message length, message bytes
 //	        uvarint body length, body bytes
-func appendEnvelopeBinary(buf []byte, env *envelope) []byte {
+func appendEnvelope(buf []byte, env *envelope) []byte {
 	var flags byte
 	if env.IsErr {
 		flags |= flagErr
 	}
-	if env.V >= wireVersionTrace {
+	if env.Traced {
 		flags |= flagTrace
 	}
 	buf = append(buf, binMagic, binVersion, byte(env.Kind), flags)
-	buf = binary.BigEndian.AppendUint64(buf, env.CallID)
-	buf = binary.BigEndian.AppendUint64(buf, uint64(env.Origin))
-	buf = binary.AppendUvarint(buf, uint64(len(env.Method)))
-	buf = append(buf, env.Method...)
+	buf = wire.AppendUint64(buf, env.CallID)
+	buf = wire.AppendUint64(buf, uint64(env.Origin))
+	buf = wire.AppendString(buf, env.Method)
 	if flags&flagTrace != 0 {
-		buf = binary.BigEndian.AppendUint64(buf, env.Trace)
-		buf = binary.BigEndian.AppendUint64(buf, env.Span)
+		buf = wire.AppendUint64(buf, env.Trace)
+		buf = wire.AppendUint64(buf, env.Span)
 	}
 	if flags&flagErr != 0 {
-		buf = binary.AppendUvarint(buf, uint64(len(env.ErrMsg)))
-		buf = append(buf, env.ErrMsg...)
+		buf = wire.AppendString(buf, env.ErrMsg)
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(env.Body)))
-	buf = append(buf, env.Body...)
-	return buf
+	return wire.AppendBytes(buf, env.Body)
 }
 
-// readDelimited splits a uvarint-length-prefixed byte string off data.
-func readDelimited(data []byte) (val, rest []byte, ok bool) {
-	n, w := binary.Uvarint(data)
-	if w <= 0 || n > uint64(len(data)-w) {
-		return nil, nil, false
-	}
-	return data[w : w+int(n)], data[w+int(n):], true
-}
-
-// decodeEnvelopeBinary parses a binary envelope. It is strict — unknown
-// versions, unknown flag bits, short fields and trailing bytes are all
-// rejected — so a corrupted frame that happens to pass the CRC (or a
-// deliberately malformed one) is dropped rather than misread. Method is
-// interned and Body aliases data, so the caller must not reuse data's
-// backing array afterwards; inbound frame buffers are owned by their
-// consumer, which makes the alias safe (and the decode allocation-free).
-func decodeEnvelopeBinary(data []byte, env *envelope) bool {
+// decodeEnvelope parses an envelope into env, which must be zero. It is
+// strict — unknown versions, unknown flag bits, short fields and
+// trailing bytes are all rejected — so a corrupted frame that happens
+// to pass the CRC (or a deliberately malformed one) is dropped rather
+// than misread. Method is interned (wire.Intern) and Body aliases data, so the caller
+// must not reuse data's backing array afterwards; inbound frame buffers
+// are owned by their consumer, which makes the alias safe (and the
+// decode allocation-free).
+func decodeEnvelope(data []byte, env *envelope) bool {
 	if len(data) < binHeaderLen || data[0] != binMagic || data[1] != binVersion {
 		return false
 	}
-	k := kind(data[2])
-	if k != kindRequest && k != kindReply {
+	k, flags := kind(data[2]), data[3]
+	if (k != kindRequest && k != kindReply) || flags&^(flagErr|flagTrace) != 0 {
 		return false
 	}
-	flags := data[3]
-	if flags&^(flagErr|flagTrace) != 0 {
-		return false
-	}
+	r := wire.NewReader(data[4:])
 	env.Kind = k
-	env.CallID = binary.BigEndian.Uint64(data[4:12])
-	env.Origin = ids.NodeID(binary.BigEndian.Uint64(data[12:20]))
-	rest := data[binHeaderLen:]
-	method, rest, ok := readDelimited(rest)
-	if !ok {
-		return false
-	}
-	env.Method = internMethod(method)
+	env.CallID = r.Uint64()
+	env.Origin = ids.NodeID(r.Uint64())
+	env.Method = wire.Intern(r.Bytes())
 	if flags&flagTrace != 0 {
-		if len(rest) < 16 {
-			return false
-		}
-		env.V = wireVersionTrace
-		env.Trace = binary.BigEndian.Uint64(rest[0:8])
-		env.Span = binary.BigEndian.Uint64(rest[8:16])
-		rest = rest[16:]
+		env.Traced = true
+		env.Trace = r.Uint64()
+		env.Span = r.Uint64()
 	}
 	if flags&flagErr != 0 {
-		var msg []byte
-		msg, rest, ok = readDelimited(rest)
-		if !ok {
-			return false
-		}
 		env.IsErr = true
-		env.ErrMsg = string(msg)
+		env.ErrMsg = string(r.Bytes())
 	}
-	body, rest, ok := readDelimited(rest)
-	if !ok || len(rest) != 0 {
-		return false
-	}
-	if len(body) > 0 {
+	if body := r.Bytes(); len(body) > 0 {
 		env.Body = body
 	}
-	return true
-}
-
-// decodeEnvelope parses either wire format into env, reporting which
-// format the sender used (binary reveals a binary-capable peer).
-func decodeEnvelope(data []byte, env *envelope) (binaryFormat, ok bool) {
-	if len(data) == 0 {
-		return false, false
-	}
-	switch data[0] {
-	case binMagic:
-		return true, decodeEnvelopeBinary(data, env)
-	case '{':
-		return false, json.Unmarshal(data, env) == nil
-	default:
-		return false, false
-	}
-}
-
-// --- method interning ---
-
-// methodIntern maps method-name bytes to a canonical string so binary
-// decode allocates no string per request in steady state. The table is
-// bounded: method names arrive off the network, and an adversarial
-// stream of unique names must not grow it without limit.
-var methodIntern = struct {
-	sync.RWMutex
-	m map[string]string
-}{m: make(map[string]string)}
-
-const methodInternLimit = 1024
-
-func internMethod(b []byte) string {
-	if len(b) == 0 {
-		return ""
-	}
-	methodIntern.RLock()
-	s, ok := methodIntern.m[string(b)] // no alloc: compiler-recognised []byte map key
-	methodIntern.RUnlock()
-	if ok {
-		return s
-	}
-	s = string(b)
-	methodIntern.Lock()
-	if len(methodIntern.m) < methodInternLimit {
-		methodIntern.m[s] = s
-	}
-	methodIntern.Unlock()
-	return s
+	return r.Done()
 }
 
 // --- pooled frame buffers ---
@@ -237,28 +125,36 @@ func putFrameBuf(bp *[]byte) {
 	framePool.Put(bp)
 }
 
-// encodeFrame encodes env with the chosen codec into bp's backing array
-// (growing it as needed, and recording the growth in *bp so the pool
-// keeps it) and returns the complete CRC-framed wire bytes. The result
-// aliases *bp: it is valid until bp is reused or returned to the pool.
-func encodeFrame(bp *[]byte, env *envelope, c Codec) ([]byte, error) {
+// encodeFrame encodes env into bp's backing array (growing it as needed,
+// and recording the growth in *bp so the pool keeps it) and returns the
+// complete CRC-framed wire bytes: a CRC32 of the envelope, big endian,
+// then the envelope, so corrupted datagrams (flipped bits on the
+// simulated LAN) are detected and dropped rather than decoded into
+// garbage. The result aliases *bp: it is valid until bp is reused or
+// returned to the pool.
+func encodeFrame(bp *[]byte, env *envelope) []byte {
 	buf := append((*bp)[:0], 0, 0, 0, 0) // CRC placeholder
-	if c == CodecJSON {
-		j, err := json.Marshal(env)
-		if err != nil {
-			return nil, err
-		}
-		buf = append(buf, j...)
-	} else {
-		buf = appendEnvelopeBinary(buf, env)
-	}
+	buf = appendEnvelope(buf, env)
 	binary.BigEndian.PutUint32(buf[:4], crc32.ChecksumIEEE(buf[4:]))
 	*bp = buf
-	return buf, nil
+	return buf
+}
+
+// verifyFrame checks and strips the checksum prefix.
+func verifyFrame(data []byte) ([]byte, bool) {
+	if len(data) < 4 {
+		return nil, false
+	}
+	want := binary.BigEndian.Uint32(data[:4])
+	body := data[4:]
+	if crc32.ChecksumIEEE(body) != want {
+		return nil, false
+	}
+	return body, true
 }
 
 // EnvelopeRoundTripAllocs measures the mean heap allocations of one
-// binary envelope encode+decode cycle (frame, CRC, parse) over runs
+// envelope encode+decode cycle (frame, CRC, parse) over runs
 // iterations. It is the allocs-regression probe shared by the codec
 // tests and experiment E24; the steady-state expectation is zero.
 func EnvelopeRoundTripAllocs(runs int) float64 {
@@ -267,33 +163,24 @@ func EnvelopeRoundTripAllocs(runs int) float64 {
 		CallID: 0x12345678,
 		Origin: 7,
 		Method: "dist.prepare",
-		Body:   json.RawMessage(`{"txn":42,"op":"transfer","amount":10}`),
-		V:      wireVersionTrace,
+		Body:   []byte{0xD1, 3, 42, 7},
+		Traced: true,
 		Trace:  0xDEADBEEFCAFE,
 		Span:   0xFEEDFACE,
 	}
 	bp := getFrameBuf()
 	defer putFrameBuf(bp)
-	// dec lives outside the cycle: &dec reaches json.Unmarshal on the
-	// (unused) JSON branch of decodeEnvelope, so it escapes and a
-	// per-cycle variable would cost exactly one heap envelope per op —
-	// the same reason Peer.loop reuses its decode envelope.
-	var dec envelope
 	cycle := func() {
-		data, err := encodeFrame(bp, &env, CodecBinary)
-		if err != nil {
-			panic(err)
-		}
-		body, ok := verifyFrame(data)
+		body, ok := verifyFrame(encodeFrame(bp, &env))
 		if !ok {
 			panic("rpc: framed envelope failed its own CRC")
 		}
-		dec = envelope{}
-		if bin, ok := decodeEnvelope(body, &dec); !bin || !ok {
-			panic("rpc: binary envelope failed to decode")
+		var dec envelope
+		if !decodeEnvelope(body, &dec) {
+			panic("rpc: envelope failed to decode")
 		}
 		if dec.CallID != env.CallID || dec.Method != env.Method {
-			panic("rpc: binary envelope round trip mismatch")
+			panic("rpc: envelope round trip mismatch")
 		}
 	}
 	// Warm the pool, the intern table and the buffer growth before

@@ -2,7 +2,6 @@ package rpc
 
 import (
 	"bytes"
-	"encoding/json"
 	"testing"
 
 	"mca/internal/ids"
@@ -11,19 +10,19 @@ import (
 // FuzzEnvelopeDecode throws arbitrary bytes at the wire decoder: it
 // must never panic, and anything it accepts must re-encode to bytes it
 // accepts again with identical fields (decode∘encode is idempotent).
-// The seed corpus covers both codecs plus the adversarial edges;
-// testdata/fuzz holds regression inputs.
+// The seed corpus covers every envelope shape plus the adversarial
+// edges; testdata/fuzz holds regression inputs.
 func FuzzEnvelopeDecode(f *testing.F) {
-	// Valid binary envelopes of each shape.
+	// Valid envelopes of each shape.
 	for _, env := range []envelope{
-		{Kind: kindRequest, CallID: 1, Origin: 2, Method: "echo", Body: json.RawMessage(`{"text":"hi"}`)},
+		{Kind: kindRequest, CallID: 1, Origin: 2, Method: "echo", Body: []byte(`{"text":"hi"}`)},
 		{Kind: kindReply, CallID: 9, Origin: 3, IsErr: true, ErrMsg: "boom"},
 		{Kind: kindRequest, CallID: 1 << 60, Origin: 2, Method: "dist.prepare",
-			Body: json.RawMessage(`{"txn":42}`), V: wireVersionTrace, Trace: 0xDEADBEEF, Span: 0xCAFE},
+			Body: []byte(`{"txn":42}`), Traced: true, Trace: 0xDEADBEEF, Span: 0xCAFE},
 	} {
-		f.Add(appendEnvelopeBinary(nil, &env))
+		f.Add(appendEnvelope(nil, &env))
 	}
-	// A JSON envelope, the legacy format.
+	// A JSON envelope, the format this codec replaced: rejected.
 	f.Add([]byte(`{"kind":1,"callId":7,"origin":3,"method":"echo","body":{"text":"x"}}`))
 	// Adversarial edges: truncated header, huge uvarint length, wrong
 	// version, empty input.
@@ -34,19 +33,18 @@ func FuzzEnvelopeDecode(f *testing.F) {
 
 	f.Fuzz(func(t *testing.T, data []byte) {
 		var env envelope
-		bin, ok := decodeEnvelope(data, &env)
-		if !ok || !bin {
-			return // rejected, or JSON: nothing further to hold invariant
+		if !decodeEnvelope(data, &env) {
+			return // rejected: nothing further to hold invariant
 		}
-		reencoded := appendEnvelopeBinary(nil, &env)
+		reencoded := appendEnvelope(nil, &env)
 		var again envelope
-		if ok := decodeEnvelopeBinary(reencoded, &again); !ok {
+		if ok := decodeEnvelope(reencoded, &again); !ok {
 			t.Fatalf("re-encode of accepted envelope rejected: %+v", env)
 		}
 		if env.Kind != again.Kind || env.CallID != again.CallID ||
 			env.Origin != again.Origin || env.Method != again.Method ||
 			env.IsErr != again.IsErr || env.ErrMsg != again.ErrMsg ||
-			env.V != again.V || env.Trace != again.Trace || env.Span != again.Span ||
+			env.Traced != again.Traced || env.Trace != again.Trace || env.Span != again.Span ||
 			!bytes.Equal(env.Body, again.Body) {
 			t.Fatalf("decode/encode/decode drift:\n got %+v\nwant %+v", again, env)
 		}
@@ -74,23 +72,18 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 			env.Body = body
 		}
 		if traceID != 0 || spanID != 0 {
-			env.V = wireVersionTrace
+			env.Traced = true
 			env.Trace, env.Span = traceID, spanID
 		}
 		bp := getFrameBuf()
 		defer putFrameBuf(bp)
-		framed, err := encodeFrame(bp, &env, CodecBinary)
-		if err != nil {
-			t.Fatalf("encode: %v", err)
-		}
-		payload, ok := verifyFrame(framed)
+		payload, ok := verifyFrame(encodeFrame(bp, &env))
 		if !ok {
 			t.Fatal("frame failed own CRC")
 		}
 		var dec envelope
-		bin, ok := decodeEnvelope(payload, &dec)
-		if !bin || !ok {
-			t.Fatalf("decode failed (bin=%v ok=%v) for %+v", bin, ok, env)
+		if !decodeEnvelope(payload, &dec) {
+			t.Fatalf("decode failed for %+v", env)
 		}
 		// IsErr false with a non-empty ErrMsg cannot round-trip (the
 		// message only ships under the error flag); the encoder never
@@ -101,7 +94,7 @@ func FuzzEnvelopeRoundTrip(f *testing.F) {
 		if env.Kind != dec.Kind || env.CallID != dec.CallID ||
 			env.Origin != dec.Origin || env.Method != dec.Method ||
 			env.IsErr != dec.IsErr || env.ErrMsg != dec.ErrMsg ||
-			env.V != dec.V || env.Trace != dec.Trace || env.Span != dec.Span ||
+			env.Traced != dec.Traced || env.Trace != dec.Trace || env.Span != dec.Span ||
 			!bytes.Equal(env.Body, dec.Body) {
 			t.Fatalf("round trip drift:\n got %+v\nwant %+v", dec, env)
 		}

@@ -2,8 +2,6 @@ package rpc
 
 import (
 	"bytes"
-	"encoding/json"
-	"fmt"
 	"reflect"
 	"testing"
 )
@@ -12,13 +10,13 @@ import (
 // replies, with and without trace context, error replies, empty bodies.
 func codecCases() []envelope {
 	return []envelope{
-		{Kind: kindRequest, CallID: 1, Origin: 2, Method: "echo", Body: json.RawMessage(`{"text":"hi"}`)},
-		{Kind: kindReply, CallID: 1, Origin: 3, Body: json.RawMessage(`{"text":"hi"}`)},
+		{Kind: kindRequest, CallID: 1, Origin: 2, Method: "echo", Body: []byte(`{"text":"hi"}`)},
+		{Kind: kindReply, CallID: 1, Origin: 3, Body: []byte(`{"text":"hi"}`)},
 		{Kind: kindReply, CallID: 9, Origin: 3, IsErr: true, ErrMsg: "application broke"},
 		{Kind: kindRequest, CallID: 1 << 60, Origin: 2, Method: "dist.prepare",
-			Body: json.RawMessage(`{"txn":42}`), V: wireVersionTrace, Trace: 0xDEADBEEF, Span: 0xCAFE},
+			Body: []byte(`{"txn":42}`), Traced: true, Trace: 0xDEADBEEF, Span: 0xCAFE},
 		{Kind: kindReply, CallID: 7, Origin: 1, IsErr: true, ErrMsg: "no handler",
-			V: wireVersionTrace, Trace: 1, Span: 2},
+			Traced: true, Trace: 1, Span: 2},
 		{Kind: kindRequest, CallID: 5, Origin: 6, Method: ""},
 	}
 }
@@ -28,43 +26,13 @@ func codecCases() []envelope {
 func TestEnvelopeBinaryRoundTrip(t *testing.T) {
 	for i, env := range codecCases() {
 		bp := getFrameBuf()
-		data, err := encodeFrame(bp, &env, CodecBinary)
-		if err != nil {
-			t.Fatalf("case %d: encode: %v", i, err)
-		}
-		body, ok := verifyFrame(data)
+		body, ok := verifyFrame(encodeFrame(bp, &env))
 		if !ok {
 			t.Fatalf("case %d: frame failed own CRC", i)
 		}
 		var dec envelope
-		bin, ok := decodeEnvelope(body, &dec)
-		if !bin || !ok {
-			t.Fatalf("case %d: decode failed (bin=%v ok=%v)", i, bin, ok)
-		}
-		if !reflect.DeepEqual(dec, env) {
-			t.Fatalf("case %d: round trip mismatch:\n got %+v\nwant %+v", i, dec, env)
-		}
-		putFrameBuf(bp)
-	}
-}
-
-// TestEnvelopeJSONRoundTrip checks the same through the JSON codec, and
-// that decodeEnvelope reports it as non-binary (the capability signal).
-func TestEnvelopeJSONRoundTrip(t *testing.T) {
-	for i, env := range codecCases() {
-		bp := getFrameBuf()
-		data, err := encodeFrame(bp, &env, CodecJSON)
-		if err != nil {
-			t.Fatalf("case %d: encode: %v", i, err)
-		}
-		body, ok := verifyFrame(data)
-		if !ok {
-			t.Fatalf("case %d: frame failed own CRC", i)
-		}
-		var dec envelope
-		bin, ok := decodeEnvelope(body, &dec)
-		if bin || !ok {
-			t.Fatalf("case %d: decode (bin=%v ok=%v), want JSON ok", i, bin, ok)
+		if !decodeEnvelope(body, &dec) {
+			t.Fatalf("case %d: decode failed", i)
 		}
 		if !reflect.DeepEqual(dec, env) {
 			t.Fatalf("case %d: round trip mismatch:\n got %+v\nwant %+v", i, dec, env)
@@ -78,11 +46,11 @@ func TestEnvelopeJSONRoundTrip(t *testing.T) {
 // acceptance — the format is self-delimiting end to end).
 func TestBinaryDecodeTruncated(t *testing.T) {
 	env := envelope{Kind: kindRequest, CallID: 42, Origin: 7, Method: "echo",
-		Body: json.RawMessage(`{"x":1}`), V: wireVersionTrace, Trace: 3, Span: 4}
-	full := appendEnvelopeBinary(nil, &env)
+		Body: []byte(`{"x":1}`), Traced: true, Trace: 3, Span: 4}
+	full := appendEnvelope(nil, &env)
 	for n := 0; n < len(full); n++ {
 		var dec envelope
-		if ok := decodeEnvelopeBinary(full[:n], &dec); ok {
+		if ok := decodeEnvelope(full[:n], &dec); ok {
 			t.Fatalf("decode accepted %d-byte truncation of a %d-byte envelope", n, len(full))
 		}
 	}
@@ -92,10 +60,10 @@ func TestBinaryDecodeTruncated(t *testing.T) {
 // rejected (strictness guards against framing bugs and smuggled data).
 func TestBinaryDecodeTrailingBytes(t *testing.T) {
 	env := envelope{Kind: kindReply, CallID: 1, Origin: 2}
-	data := appendEnvelopeBinary(nil, &env)
+	data := appendEnvelope(nil, &env)
 	data = append(data, 0x00)
 	var dec envelope
-	if decodeEnvelopeBinary(data, &dec) {
+	if decodeEnvelope(data, &dec) {
 		t.Fatal("decode accepted an envelope with trailing bytes")
 	}
 }
@@ -103,7 +71,7 @@ func TestBinaryDecodeTrailingBytes(t *testing.T) {
 // TestBinaryDecodeBadHeader rejects unknown versions, kinds and flags.
 func TestBinaryDecodeBadHeader(t *testing.T) {
 	env := envelope{Kind: kindRequest, CallID: 1, Origin: 2, Method: "m"}
-	good := appendEnvelopeBinary(nil, &env)
+	good := appendEnvelope(nil, &env)
 	mutations := map[string]func([]byte){
 		"version": func(b []byte) { b[1] = binVersion + 1 },
 		"kind":    func(b []byte) { b[2] = 0x7F },
@@ -114,7 +82,7 @@ func TestBinaryDecodeBadHeader(t *testing.T) {
 		data := bytes.Clone(good)
 		mutate(data)
 		var dec envelope
-		if decodeEnvelopeBinary(data, &dec) {
+		if decodeEnvelope(data, &dec) {
 			t.Fatalf("decode accepted envelope with corrupted %s byte", name)
 		}
 	}
@@ -125,13 +93,10 @@ func TestBinaryDecodeBadHeader(t *testing.T) {
 // that slips past the CRC (none should) must not be accepted silently.
 func TestBinaryDecodeBitFlips(t *testing.T) {
 	env := envelope{Kind: kindRequest, CallID: 99, Origin: 5, Method: "dist.commit",
-		Body: json.RawMessage(`{"txn":9}`)}
+		Body: []byte(`{"txn":9}`)}
 	bp := getFrameBuf()
 	defer putFrameBuf(bp)
-	framed, err := encodeFrame(bp, &env, CodecBinary)
-	if err != nil {
-		t.Fatal(err)
-	}
+	framed := encodeFrame(bp, &env)
 	for i := 0; i < len(framed)*8; i++ {
 		data := bytes.Clone(framed)
 		data[i/8] ^= 1 << (i % 8)
@@ -158,76 +123,37 @@ func TestEnvelopeCodecAllocs(t *testing.T) {
 	}
 }
 
-// TestMethodInternBounded: an adversarial stream of unique method names
-// must not grow the intern table without limit.
-func TestMethodInternBounded(t *testing.T) {
-	for i := 0; i < 3*methodInternLimit; i++ {
-		name := []byte(fmt.Sprintf("attack.method.%d", i))
-		if got := internMethod(name); got != string(name) {
-			t.Fatalf("internMethod(%q) = %q", name, got)
-		}
-	}
-	methodIntern.RLock()
-	size := len(methodIntern.m)
-	methodIntern.RUnlock()
-	if size > methodInternLimit {
-		t.Fatalf("intern table grew to %d entries, bound is %d", size, methodInternLimit)
-	}
-}
-
-// BenchmarkEnvelopeEncodeBinary measures the envelope encode hot path.
-func BenchmarkEnvelopeEncodeBinary(b *testing.B) {
-	benchmarkEnvelopeEncode(b, CodecBinary)
-}
-
-// BenchmarkEnvelopeEncodeJSON is the baseline the binary codec replaces.
-func BenchmarkEnvelopeEncodeJSON(b *testing.B) {
-	benchmarkEnvelopeEncode(b, CodecJSON)
-}
-
-func benchmarkEnvelopeEncode(b *testing.B, c Codec) {
-	env := envelope{Kind: kindRequest, CallID: 0x12345678, Origin: 7, Method: "dist.prepare",
-		Body: json.RawMessage(`{"txn":42,"op":"transfer","amount":10}`),
-		V:    wireVersionTrace, Trace: 0xDEADBEEF, Span: 0xCAFE}
+// BenchmarkEnvelopeEncode measures the envelope encode hot path.
+func BenchmarkEnvelopeEncode(b *testing.B) {
+	env := benchEnvelope()
 	bp := getFrameBuf()
 	defer putFrameBuf(bp)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		if _, err := encodeFrame(bp, &env, c); err != nil {
-			b.Fatal(err)
-		}
+		encodeFrame(bp, &env)
 	}
 }
 
-// BenchmarkEnvelopeRoundTripBinary measures encode+verify+decode.
-func BenchmarkEnvelopeRoundTripBinary(b *testing.B) {
-	benchmarkEnvelopeRoundTrip(b, CodecBinary)
-}
-
-func BenchmarkEnvelopeRoundTripJSON(b *testing.B) {
-	benchmarkEnvelopeRoundTrip(b, CodecJSON)
-}
-
-func benchmarkEnvelopeRoundTrip(b *testing.B, c Codec) {
-	env := envelope{Kind: kindRequest, CallID: 0x12345678, Origin: 7, Method: "dist.prepare",
-		Body: json.RawMessage(`{"txn":42,"op":"transfer","amount":10}`),
-		V:    wireVersionTrace, Trace: 0xDEADBEEF, Span: 0xCAFE}
+// BenchmarkEnvelopeRoundTrip measures encode+verify+decode.
+func BenchmarkEnvelopeRoundTrip(b *testing.B) {
+	env := benchEnvelope()
 	bp := getFrameBuf()
 	defer putFrameBuf(bp)
-	var dec envelope // hoisted: &dec escapes via the JSON decode branch
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		data, err := encodeFrame(bp, &env, c)
-		if err != nil {
-			b.Fatal(err)
-		}
-		body, ok := verifyFrame(data)
+		body, ok := verifyFrame(encodeFrame(bp, &env))
 		if !ok {
 			b.Fatal("frame failed own CRC")
 		}
-		dec = envelope{}
-		if _, ok := decodeEnvelope(body, &dec); !ok {
+		var dec envelope
+		if !decodeEnvelope(body, &dec) {
 			b.Fatal("decode failed")
 		}
 	}
+}
+
+func benchEnvelope() envelope {
+	return envelope{Kind: kindRequest, CallID: 0x12345678, Origin: 7, Method: "dist.prepare",
+		Body:   []byte(`{"txn":42,"op":"transfer","amount":10}`),
+		Traced: true, Trace: 0xDEADBEEF, Span: 0xCAFE}
 }

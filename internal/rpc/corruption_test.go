@@ -1,6 +1,7 @@
 package rpc
 
 import (
+	"bytes"
 	"context"
 	"sync/atomic"
 	"testing"
@@ -47,10 +48,10 @@ func TestCallsSurviveCorruption(t *testing.T) {
 }
 
 func TestFrameRoundTrip(t *testing.T) {
-	body := []byte(`{"k":1}`)
-	framed := frame(body)
+	env := envelope{Kind: kindRequest, CallID: 1, Origin: 2, Method: "echo", Body: []byte(`{"k":1}`)}
+	framed := bytes.Clone(encodeFrame(new([]byte), &env))
 	got, ok := verifyFrame(framed)
-	if !ok || string(got) != string(body) {
+	if !ok || !bytes.Equal(got, appendEnvelope(nil, &env)) {
 		t.Fatalf("round trip = %q, %v", got, ok)
 	}
 

@@ -20,8 +20,7 @@ var (
 	requests    *metrics.Counter
 	duplicates  *metrics.Counter
 
-	// Wire-codec and serve-pool telemetry (binary envelope data plane).
-	wireFallbacks *metrics.Counter
+	// Serve-pool telemetry.
 	servesPooled  *metrics.Counter
 	servesSpawned *metrics.Counter
 )
@@ -47,8 +46,6 @@ func init() {
 		"Incoming requests that started a handler execution.")
 	duplicates = r.Counter("mca_rpc_duplicates_total",
 		"Duplicate requests suppressed (cached replay or still-executing drop).")
-	wireFallbacks = r.Counter("mca_rpc_wire_json_fallbacks_total",
-		"Calls downgraded from the binary to the JSON envelope after unanswered retransmissions.")
 	serves := r.CounterVec("mca_rpc_serves_total",
 		"Request dispatches, by execution path.", "path")
 	servesPooled = serves.With("pool")

@@ -7,11 +7,9 @@ package rpc
 
 import (
 	"context"
-	"encoding/binary"
 	"encoding/json"
 	"errors"
 	"fmt"
-	"hash/crc32"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -105,35 +103,28 @@ const (
 	kindReply
 )
 
-// wireVersionTrace flags an envelope carrying distributed-trace
-// context. The version byte keeps the extension wire-compatible in
-// both directions: peers predating it ignore the unknown JSON fields,
-// and envelopes from such peers decode here with V == 0, which new
-// code reads as "no trace context".
-const wireVersionTrace uint8 = 1
-
-// envelope is the logical wire message. Two encodings exist (see
-// codec.go): the original JSON format, produced by these struct tags,
-// and the binary format, which carries exactly the same fields.
+// envelope is the logical wire message; codec.go holds its encoding.
+// Body is opaque to this layer: the caller's bytes out, the handler's
+// bytes back.
 type envelope struct {
-	Kind   kind            `json:"kind"`
-	CallID uint64          `json:"callId"`
-	Origin ids.NodeID      `json:"origin"`
-	Method string          `json:"method,omitempty"`
-	Body   json.RawMessage `json:"body,omitempty"`
-	ErrMsg string          `json:"errMsg,omitempty"`
-	IsErr  bool            `json:"isErr,omitempty"`
-	// V is the wire version/flag byte: wireVersionTrace when the
-	// envelope carries the caller's trace context in Trace/Span.
-	V     uint8  `json:"v,omitempty"`
-	Trace uint64 `json:"trace,omitempty"`
-	Span  uint64 `json:"span,omitempty"`
+	Kind   kind
+	CallID uint64
+	Origin ids.NodeID
+	Method string
+	Body   []byte
+	ErrMsg string
+	IsErr  bool
+	// Traced says the envelope carries the caller's trace context in
+	// Trace/Span.
+	Traced bool
+	Trace  uint64
+	Span   uint64
 }
 
 // traceContext extracts the trace context shipped in the envelope,
 // invalid (zero) when the sender attached none.
 func (e *envelope) traceContext() trace.Context {
-	if e.V < wireVersionTrace {
+	if !e.Traced {
 		return trace.Context{}
 	}
 	return trace.Context{TraceID: e.Trace, SpanID: e.Span}
@@ -148,15 +139,9 @@ type Options struct {
 	// ReplyCache bounds the number of cached replies kept for
 	// duplicate suppression. Default 1024.
 	ReplyCache int
-	// Clock is the time source for retry tickers and span timestamps.
-	// Default clock.Real().
+	// Clock is the time source for retransmission timers, call deadlines
+	// and span timestamps. Default clock.Real().
 	Clock clock.Clock
-	// Codec selects the envelope wire format for outgoing messages.
-	// The default, CodecBinary, starts every call in the binary format
-	// and downgrades per destination when a peer never answers it (see
-	// jsonFallbackAfter); CodecJSON pins the original JSON format for
-	// clusters still rolling out the binary codec.
-	Codec Codec
 	// ServeWorkers bounds the resident handler pool. Incoming requests
 	// are handed to an idle pooled worker when one is ready and spawn a
 	// fresh goroutine otherwise, so a burst (or a pool full of blocked
@@ -182,16 +167,6 @@ func (o *Options) fill() {
 	}
 }
 
-// jsonFallbackAfter is the number of unanswered retransmissions after
-// which a binary-format call downgrades to JSON for a destination that
-// has never sent us a binary envelope: such a peer may predate the
-// binary codec and be silently dropping our requests. A new peer
-// answers either format (and replies in binary to any peer it knows to
-// be binary-capable), so the downgrade costs only encoding efficiency,
-// never correctness, and the first binary envelope received from the
-// destination re-enables the fast format for subsequent calls.
-const jsonFallbackAfter = 3
-
 // Peer is one node's RPC engine: it serves registered methods and issues
 // outgoing calls over a single transport endpoint.
 type Peer struct {
@@ -200,7 +175,11 @@ type Peer struct {
 
 	mu       sync.Mutex
 	handlers map[string]Handler
-	pending  map[uint64]chan envelope
+	// pending maps each call in flight to the slot its caller waits on.
+	// The receive loop delivers replies while holding mu and a caller
+	// leaves the map under mu before it recycles its slot, so a slot is
+	// never written to on behalf of a call that has let go of it.
+	pending map[uint64]*callSlot
 	// seen caches replies for duplicate requests, and inflight tracks
 	// requests whose handler is still executing so a retransmission
 	// cannot start a second execution (at-most-once). seenRing is the
@@ -212,14 +191,14 @@ type Peer struct {
 	seenHead int // index of the oldest entry in seenRing
 	seenLen  int
 	inflight map[uint64]struct{}
-	// binPeers records nodes that have sent us a binary envelope —
-	// proof they decode the binary format — so replies and future calls
-	// to them skip the JSON fallback.
-	binPeers map[ids.NodeID]struct{}
 	running  bool
 	stop     chan struct{}
 	done     chan struct{}
 	serveq   chan serveJob
+
+	// slots recycles callSlots, so a call allocates neither a reply
+	// channel nor a timer in steady state.
+	slots sync.Pool
 
 	// tracer, when set, receives one client span per outgoing traced
 	// call and one server span per logical (deduplicated) handler
@@ -235,13 +214,20 @@ type Peer struct {
 // would be ghost-acked without any participant executing it).
 var callSeq atomic.Uint64
 
-// isBinaryPeer reports whether the destination has ever sent this peer
-// a binary envelope, proving it runs the binary-capable codec.
-func (p *Peer) isBinaryPeer(id ids.NodeID) bool {
-	p.mu.Lock()
-	_, ok := p.binPeers[id]
-	p.mu.Unlock()
-	return ok
+// callSlot is what one outgoing call parks on: the channel its reply
+// arrives on and the timer that paces its retransmissions and bounds it.
+type callSlot struct {
+	reply chan envelope // capacity 1: the first reply is kept, duplicates are dropped
+	timer clock.Timer   // made by the slot's first call, re-armed by every later one
+}
+
+// arm sets the slot's timer to fire after d.
+func (s *callSlot) arm(clk clock.Clock, d time.Duration) {
+	if s.timer == nil {
+		s.timer = clk.NewTimer(d)
+		return
+	}
+	s.timer.Reset(d)
 }
 
 // SetTracer installs the recorder that receives this peer's RPC spans:
@@ -264,10 +250,10 @@ func NewPeerOn(t Transport, opts Options) *Peer {
 		ep:       t,
 		opts:     opts,
 		handlers: make(map[string]Handler),
-		pending:  make(map[uint64]chan envelope),
+		pending:  make(map[uint64]*callSlot),
 		seen:     make(map[uint64]envelope),
 		inflight: make(map[uint64]struct{}),
-		binPeers: make(map[ids.NodeID]struct{}),
+		slots:    sync.Pool{New: func() any { return &callSlot{reply: make(chan envelope, 1)} }},
 	}
 }
 
@@ -302,8 +288,9 @@ func (p *Peer) Start() {
 	go p.loop(p.stop, p.done, p.serveq)
 }
 
-// Stop terminates the receive loop and fails pending calls. The reply
-// cache is cleared: it models volatile state lost in a crash.
+// Stop terminates the receive loop and fails pending calls, which watch
+// the stop channel themselves. The reply cache is cleared: it models
+// volatile state lost in a crash.
 func (p *Peer) Stop() {
 	p.mu.Lock()
 	if !p.running {
@@ -319,23 +306,16 @@ func (p *Peer) Stop() {
 
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	for id, ch := range p.pending {
-		close(ch)
-		delete(p.pending, id)
-	}
 	p.seen = make(map[uint64]envelope)
 	p.seenRing = nil
 	p.seenHead, p.seenLen = 0, 0
 	p.inflight = make(map[uint64]struct{})
-	p.binPeers = make(map[ids.NodeID]struct{})
 }
 
-// serveJob is one decoded request awaiting handler dispatch. binary
-// records the request's wire format so the reply answers in kind.
+// serveJob is one decoded request awaiting handler dispatch.
 type serveJob struct {
-	from   ids.NodeID
-	req    envelope
-	binary bool
+	from ids.NodeID
+	req  envelope
 	// arrived is the dispatch timestamp, stamped only for traced
 	// requests: serve-start minus arrived is the queue phase (pool
 	// wait, or goroutine scheduling delay on the spawn path).
@@ -366,12 +346,6 @@ func (p *Peer) loop(stop, done chan struct{}, serveq chan serveJob) {
 		<-stop
 		cancel()
 	}()
-	// env is hoisted out of the receive loop: its address reaches
-	// json.Unmarshal on the legacy-codec branch, so it escapes, and a
-	// per-iteration variable would heap-allocate one envelope per
-	// datagram. Dispatch below copies it by value (into a serveJob or a
-	// pending channel), so reuse is safe.
-	var env envelope
 	for {
 		msg, err := p.ep.Recv(ctx)
 		if err != nil {
@@ -382,19 +356,13 @@ func (p *Peer) loop(stop, done chan struct{}, serveq chan serveJob) {
 		if !ok {
 			continue // corrupt datagram (checksum mismatch): drop
 		}
-		env = envelope{}
-		bin, ok := decodeEnvelope(body, &env)
-		if !ok {
+		var env envelope
+		if !decodeEnvelope(body, &env) {
 			continue // undecodable datagram: drop
-		}
-		if bin {
-			p.mu.Lock()
-			p.binPeers[msg.From] = struct{}{}
-			p.mu.Unlock()
 		}
 		switch env.Kind {
 		case kindRequest:
-			job := serveJob{from: msg.From, req: env, binary: bin}
+			job := serveJob{from: msg.From, req: env}
 			if env.Trace != 0 {
 				job.arrived = p.opts.Clock.Now()
 			}
@@ -409,14 +377,13 @@ func (p *Peer) loop(stop, done chan struct{}, serveq chan serveJob) {
 			}
 		case kindReply:
 			p.mu.Lock()
-			ch, ok := p.pending[env.CallID]
-			p.mu.Unlock()
-			if ok {
+			if slot, ok := p.pending[env.CallID]; ok {
 				select {
-				case ch <- env:
+				case slot.reply <- env:
 				default: // duplicate reply: drop
 				}
 			}
+			p.mu.Unlock()
 		}
 	}
 }
@@ -444,18 +411,11 @@ func (p *Peer) serve(ctx context.Context, job serveJob) {
 	// calls; drop retransmissions of calls still executing (the
 	// original execution will reply when it finishes).
 	p.mu.Lock()
-	_, binPeer := p.binPeers[from]
-	replyCodec := CodecJSON
-	if p.opts.Codec != CodecJSON && (job.binary || binPeer) {
-		// Answer in the caller's format; a peer that has ever sent us
-		// binary gets binary even on a (fallback) JSON request.
-		replyCodec = CodecBinary
-	}
 	if cached, ok := p.seen[req.CallID]; ok {
 		p.mu.Unlock()
 		duplicates.Inc()
 		flightrec.Record(flightrec.Event{Kind: flightrec.KindRPCDuplicate, Node: uint64(p.ep.ID()), Trace: req.Trace, Span: req.Span, A: req.CallID})
-		p.reply(from, cached, replyCodec)
+		p.reply(from, cached)
 		return
 	}
 	if _, executing := p.inflight[req.CallID]; executing {
@@ -499,18 +459,10 @@ func (p *Peer) serve(ctx context.Context, job serveJob) {
 		resp.ErrMsg = ErrNoHandler.Error() + ": " + req.Method
 	} else {
 		body, err := h(hctx, from, req.Body)
-		switch {
-		case err != nil:
+		if err != nil {
 			resp.IsErr = true
 			resp.ErrMsg = err.Error()
-		case len(body) > 0 && !json.Valid(body):
-			// A handler returning malformed JSON would make the
-			// reply envelope unmarshalable and the caller would only
-			// ever see timeouts; surface the bug as an error reply
-			// instead.
-			resp.IsErr = true
-			resp.ErrMsg = fmt.Sprintf("rpc: handler %s returned invalid JSON", req.Method)
-		default:
+		} else {
 			resp.Body = body
 		}
 	}
@@ -542,16 +494,13 @@ func (p *Peer) serve(ctx context.Context, job serveJob) {
 		p.cacheReply(req.CallID, resp)
 	}
 	p.mu.Unlock()
-	p.reply(from, resp, replyCodec)
+	p.reply(from, resp)
 }
 
-func (p *Peer) reply(to ids.NodeID, env envelope, c Codec) {
+func (p *Peer) reply(to ids.NodeID, env envelope) {
 	bp := getFrameBuf()
 	defer putFrameBuf(bp)
-	data, err := encodeFrame(bp, &env, c)
-	if err != nil {
-		return
-	}
+	data := encodeFrame(bp, &env)
 	bytesSent.Add(uint64(len(data)))
 	// Transports must not retain data past Send (netsim copies, tcpnet
 	// stages into its own writer frame), so the buffer re-pools here.
@@ -559,53 +508,65 @@ func (p *Peer) reply(to ids.NodeID, env envelope, c Codec) {
 	_ = p.ep.Send(to, data)
 }
 
-// frame prefixes the body with a CRC32 so corrupted datagrams (flipped
-// bits on the simulated LAN) are detected and dropped rather than
-// decoded into garbage.
-func frame(body []byte) []byte {
-	out := make([]byte, 4+len(body))
-	binary.BigEndian.PutUint32(out[:4], crc32.ChecksumIEEE(body))
-	copy(out[4:], body)
-	return out
+// Call invokes method at the target node with JSON bodies: req is
+// marshalled into the request, and the reply is unmarshalled into resp
+// (which may be nil). It is CallRaw plus the two conversions.
+func (p *Peer) Call(ctx context.Context, to ids.NodeID, method string, req, resp any) error {
+	body, err := json.Marshal(req)
+	if err != nil {
+		callsSendErr.Inc()
+		return fmt.Errorf("rpc: marshal request: %w", err)
+	}
+	out, err := p.tracedCall(ctx, to, method, body)
+	if err != nil {
+		return err
+	}
+	if resp != nil && out != nil {
+		if err := json.Unmarshal(out, resp); err != nil {
+			callsDecodeErr.Inc()
+			return fmt.Errorf("rpc: unmarshal reply: %w", err)
+		}
+	}
+	callsOK.Inc()
+	return nil
 }
 
-// verifyFrame checks and strips the checksum prefix.
-func verifyFrame(data []byte) ([]byte, bool) {
-	if len(data) < 4 {
-		return nil, false
-	}
-	want := binary.BigEndian.Uint32(data[:4])
-	body := data[4:]
-	if crc32.ChecksumIEEE(body) != want {
-		return nil, false
-	}
-	return body, true
-}
-
-// Call invokes method at the target node, marshalling req and
-// unmarshalling the reply into resp (which may be nil). It retransmits
-// until a reply arrives, ctx ends, or the configured call timeout
-// expires.
+// CallRaw invokes method at the target node with body as the request
+// body and returns the reply body, both opaque to this layer. It
+// retransmits until a reply arrives, ctx ends (the result is ctx's
+// error), the peer stops (ErrStopped) or the configured call timeout
+// expires (ErrTimeout). body is not retained. The reply aliases the
+// inbound datagram and is the caller's to keep; it is nil for an empty
+// reply.
 //
 // When ctx carries a trace context (trace.Inject), it is shipped in
 // the envelope so the remote handler joins the caller's trace; with a
 // tracer installed (SetTracer) the call additionally runs under its
 // own child span, recorded as "rpc.client" when the call completes.
-func (p *Peer) Call(ctx context.Context, to ids.NodeID, method string, req, resp any) error {
+func (p *Peer) CallRaw(ctx context.Context, to ids.NodeID, method string, body []byte) ([]byte, error) {
+	out, err := p.tracedCall(ctx, to, method, body)
+	if err == nil {
+		callsOK.Inc()
+	}
+	return out, err
+}
+
+// tracedCall is call plus the caller's side of distributed tracing.
+func (p *Peer) tracedCall(ctx context.Context, to ids.NodeID, method string, body []byte) ([]byte, error) {
 	tc, traced := trace.FromContext(ctx)
 	if !traced {
-		return p.call(ctx, to, method, trace.Context{}, req, resp)
+		return p.call(ctx, to, method, trace.Context{}, body)
 	}
 	rec := p.tracer.Load()
 	if rec == nil {
 		// Propagate the caller's span verbatim: deriving a child here
 		// would put a span identifier on the wire that no recorder
 		// ever exports, orphaning the server side of the trace.
-		return p.call(ctx, to, method, tc, req, resp)
+		return p.call(ctx, to, method, tc, body)
 	}
 	callSpan := tc.Child()
 	start := p.opts.Clock.Now()
-	err := p.call(ctx, to, method, callSpan, req, resp)
+	out, err := p.call(ctx, to, method, callSpan, body)
 	end := p.opts.Clock.Now()
 	// Client-side rpc phase: queueing + network + remote serve, as the
 	// caller experienced it. The attribution view subtracts the remote
@@ -625,28 +586,30 @@ func (p *Peer) Call(ctx context.Context, to ids.NodeID, method string, req, resp
 		Begin:        start,
 		End:          end,
 	})
-	return err
+	return out, err
 }
 
-// call runs the retransmission protocol for one request. wire, when
-// valid, is the span context stamped into the envelope (the same one
-// on every retransmission, so duplicate suppression keeps the logical
-// call to a single server span).
-func (p *Peer) call(ctx context.Context, to ids.NodeID, method string, wire trace.Context, req, resp any) error {
+// call runs the retransmission protocol for one request on the caller's
+// own context and one pooled timer, re-armed each time to whichever is
+// nearer, the next retransmission or the call's deadline. sent, when
+// valid, is the span context stamped into the envelope (the same one on
+// every retransmission, so duplicate suppression keeps the logical call
+// to a single server span).
+func (p *Peer) call(ctx context.Context, to ids.NodeID, method string, sent trace.Context, body []byte) ([]byte, error) {
+	slot := p.slots.Get().(*callSlot)
+	callID := callSeq.Add(1)<<16 | uint64(p.ep.ID())&0xFFFF
 	p.mu.Lock()
 	if !p.running {
 		p.mu.Unlock()
+		p.slots.Put(slot)
 		callsStopped.Inc()
-		return ErrStopped
+		return nil, ErrStopped
 	}
+	stop := p.stop
+	p.pending[callID] = slot
 	p.mu.Unlock()
+	defer p.release(callID, slot)
 
-	body, err := json.Marshal(req)
-	if err != nil {
-		callsSendErr.Inc()
-		return fmt.Errorf("rpc: marshal request: %w", err)
-	}
-	callID := callSeq.Add(1)<<16 | uint64(p.ep.ID())&0xFFFF
 	env := envelope{
 		Kind:   kindRequest,
 		CallID: callID,
@@ -654,90 +617,78 @@ func (p *Peer) call(ctx context.Context, to ids.NodeID, method string, wire trac
 		Method: method,
 		Body:   body,
 	}
-	if wire.Valid() {
-		env.V = wireVersionTrace
-		env.Trace, env.Span = wire.TraceID, wire.SpanID
+	if sent.Valid() {
+		env.Traced = true
+		env.Trace, env.Span = sent.TraceID, sent.SpanID
 	}
-	codec := p.opts.Codec
 	bp := getFrameBuf()
 	defer putFrameBuf(bp)
-	data, err := encodeFrame(bp, &env, codec)
-	if err != nil {
-		callsSendErr.Inc()
-		return fmt.Errorf("rpc: marshal envelope: %w", err)
-	}
+	data := encodeFrame(bp, &env)
 
-	ch := make(chan envelope, 1)
-	p.mu.Lock()
-	p.pending[callID] = ch
-	p.mu.Unlock()
-	defer func() {
-		p.mu.Lock()
-		delete(p.pending, callID)
-		p.mu.Unlock()
-	}()
-
-	ctx, cancel := context.WithTimeout(ctx, p.opts.CallTimeout)
-	defer cancel()
-
-	ticker := p.opts.Clock.NewTicker(p.opts.RetryInterval)
-	defer ticker.Stop()
+	clk := p.opts.Clock
+	deadline := clk.Now().Add(p.opts.CallTimeout)
+	slot.arm(clk, min(p.opts.RetryInterval, p.opts.CallTimeout))
 
 	bytesSent.Add(uint64(len(data)))
 	if err := p.ep.Send(to, data); err != nil && !transientSendErr(err) {
 		callsSendErr.Inc()
-		return fmt.Errorf("rpc: send: %w", err)
+		return nil, fmt.Errorf("rpc: send: %w", err)
 	}
-	attempts := 0
 	for {
 		select {
-		case reply, ok := <-ch:
-			if !ok {
-				callsStopped.Inc()
-				return ErrStopped
+		case reply := <-slot.reply:
+			if reply.CallID != callID {
+				continue // cannot happen while delivery holds p.mu (see Peer.pending)
 			}
 			if reply.IsErr {
 				callsRemoteErr.Inc()
-				return &RemoteError{Method: method, Msg: reply.ErrMsg}
+				return nil, &RemoteError{Method: method, Msg: reply.ErrMsg}
 			}
-			if resp != nil && reply.Body != nil {
-				if err := json.Unmarshal(reply.Body, resp); err != nil {
-					callsDecodeErr.Inc()
-					return fmt.Errorf("rpc: unmarshal reply: %w", err)
-				}
-			}
-			callsOK.Inc()
-			return nil
-		case <-ticker.C():
-			attempts++
-			if codec == CodecBinary && attempts >= jsonFallbackAfter && !p.isBinaryPeer(to) {
-				// The destination has never spoken binary to us — it may
-				// be an old JSON-only peer silently dropping our binary
-				// envelopes. Downgrade this call's remaining
-				// retransmissions to the JSON format (a new peer answers
-				// either way, so this is at worst slower, never wrong).
-				codec = CodecJSON
-				if refreshed, err := encodeFrame(bp, &env, CodecJSON); err == nil {
-					data = refreshed
-					wireFallbacks.Inc()
-				}
+			return reply.Body, nil
+		case <-slot.timer.C():
+			left := deadline.Sub(clk.Now())
+			if left <= 0 {
+				callsTimeout.Inc()
+				return nil, ErrTimeout
 			}
 			retransmits.Inc()
-			flightrec.Record(flightrec.Event{Kind: flightrec.KindRPCRetransmit, Node: uint64(p.ep.ID()), Trace: wire.TraceID, Span: wire.SpanID, A: callID})
+			flightrec.Record(flightrec.Event{Kind: flightrec.KindRPCRetransmit, Node: uint64(p.ep.ID()), Trace: sent.TraceID, Span: sent.SpanID, A: callID})
 			bytesSent.Add(uint64(len(data)))
 			if err := p.ep.Send(to, data); err != nil && !transientSendErr(err) {
 				callsSendErr.Inc()
-				return fmt.Errorf("rpc: send: %w", err)
+				return nil, fmt.Errorf("rpc: send: %w", err)
 			}
+			slot.timer.Reset(min(p.opts.RetryInterval, left))
 		case <-ctx.Done():
-			if errors.Is(ctx.Err(), context.DeadlineExceeded) {
-				callsTimeout.Inc()
-				return ErrTimeout
-			}
+			// The caller gave up, by cancellation or by its own
+			// deadline: that is not the call timing out.
 			callsCancelled.Inc()
-			return ctx.Err()
+			return nil, ctx.Err()
+		case <-stop:
+			callsStopped.Inc()
+			return nil, ErrStopped
 		}
 	}
+}
+
+// release ends a call's claim on its slot and recycles it. Once the call
+// has left pending nothing delivers to the slot any more, so what a
+// duplicate reply or a last timer fire left buffered is drained here and
+// cannot reach the slot's next call.
+func (p *Peer) release(callID uint64, slot *callSlot) {
+	p.mu.Lock()
+	delete(p.pending, callID)
+	p.mu.Unlock()
+	slot.timer.Stop()
+	select {
+	case <-slot.reply:
+	default:
+	}
+	select {
+	case <-slot.timer.C():
+	default:
+	}
+	p.slots.Put(slot)
 }
 
 // TransientError marks a transport send error as potentially healing:

@@ -1,9 +1,11 @@
 package rpc
 
 import (
+	"bytes"
 	"context"
-	"errors"
+	"slices"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -11,18 +13,39 @@ import (
 	"mca/internal/netsim"
 )
 
-func TestInvalidHandlerJSONSurfacesAsError(t *testing.T) {
+// TestCallRawCarriesOpaqueBodies: request and reply bodies are bytes to
+// this layer — not JSON, not text — and arrive exactly as sent.
+func TestCallRawCarriesOpaqueBodies(t *testing.T) {
 	a, b, _ := newPair(t, netsim.Config{}, Options{})
+	b.Handle("rev", func(_ context.Context, _ ids.NodeID, body []byte) ([]byte, error) {
+		out := bytes.Clone(body)
+		slices.Reverse(out)
+		return out, nil
+	})
+	body := []byte{binMagic, 0x00, 0xFF, '{', 0x80}
+	out, err := a.CallRaw(context.Background(), b.ID(), "rev", body)
+	if err != nil {
+		t.Fatalf("CallRaw = %v", err)
+	}
+	want := bytes.Clone(body)
+	slices.Reverse(want)
+	if !bytes.Equal(out, want) {
+		t.Fatalf("reply body %x, want %x", out, want)
+	}
+}
+
+// TestCallReportsUndecodableReply: a reply body that is not the JSON the
+// caller of Call asked for is that caller's decode error, at once — not
+// a dropped datagram and a timeout.
+func TestCallReportsUndecodableReply(t *testing.T) {
+	a, b, _ := newPair(t, netsim.Config{}, Options{CallTimeout: 30 * time.Second})
 	b.Handle("bad", func(context.Context, ids.NodeID, []byte) ([]byte, error) {
 		return []byte("[0][0]"), nil // malformed JSON
 	})
-	err := a.Call(context.Background(), b.ID(), "bad", struct{}{}, nil)
-	var remote *RemoteError
-	if !errors.As(err, &remote) {
-		t.Fatalf("Call = %v, want RemoteError", err)
-	}
-	if !strings.Contains(remote.Msg, "invalid JSON") {
-		t.Fatalf("remote msg = %q", remote.Msg)
+	var resp echoResp
+	err := a.Call(context.Background(), b.ID(), "bad", struct{}{}, &resp)
+	if err == nil || !strings.Contains(err.Error(), "unmarshal reply") {
+		t.Fatalf("Call = %v, want an unmarshal error", err)
 	}
 }
 
@@ -109,5 +132,96 @@ func TestReplyCacheEvictionBounded(t *testing.T) {
 	b.mu.Unlock()
 	if cached > 4 {
 		t.Fatalf("reply cache grew to %d entries, bound is 4", cached)
+	}
+}
+
+// TestBinaryOnWire taps the simulated network and asserts that every
+// datagram two peers exchange is a binary envelope.
+func TestBinaryOnWire(t *testing.T) {
+	n := netsim.New(netsim.Config{})
+	t.Cleanup(n.Close)
+	var binaryFrames, otherFrames atomic.Int64
+	n.SetTap(func(m netsim.Message) {
+		if len(m.Payload) > 4 && m.Payload[4] == binMagic {
+			binaryFrames.Add(1)
+		} else {
+			otherFrames.Add(1)
+		}
+	})
+	epA, err := n.NewEndpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	epB, err := n.NewEndpoint()
+	if err != nil {
+		t.Fatal(err)
+	}
+	a := NewPeer(epA, Options{RetryInterval: 200 * time.Millisecond})
+	b := NewPeer(epB, Options{RetryInterval: 200 * time.Millisecond})
+	b.Handle("echo", func(_ context.Context, _ ids.NodeID, body []byte) ([]byte, error) {
+		return body, nil
+	})
+	a.Start()
+	b.Start()
+	t.Cleanup(a.Stop)
+	t.Cleanup(b.Stop)
+
+	for i := 0; i < 5; i++ {
+		var resp echoResp
+		if err := a.Call(context.Background(), b.ID(), "echo", echoReq{Text: "fast"}, &resp); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if binaryFrames.Load() < 10 { // 5 requests + 5 replies minimum
+		t.Fatalf("saw %d binary frames on the wire, want >= 10", binaryFrames.Load())
+	}
+	if otherFrames.Load() != 0 {
+		t.Fatalf("saw %d non-binary frames", otherFrames.Load())
+	}
+}
+
+// nullTransport is a transport black hole for white-box tests that
+// never need real delivery.
+type nullTransport struct{ id ids.NodeID }
+
+func (n nullTransport) ID() ids.NodeID                { return n.id }
+func (n nullTransport) Send(ids.NodeID, []byte) error { return nil }
+func (n nullTransport) Recv(ctx context.Context) (Datagram, error) {
+	<-ctx.Done()
+	return Datagram{}, ctx.Err()
+}
+
+// TestReplyCacheRingReuse is the memory-regression half of the ring
+// buffer fix: under sustained churn the eviction order must stay inside
+// one fixed backing array (the old append-and-reslice order pinned an
+// ever-growing one), the cache must track exactly the most recent
+// entries, and evicted call ids must become cache misses again.
+func TestReplyCacheRingReuse(t *testing.T) {
+	p := NewPeerOn(nullTransport{id: 1}, Options{ReplyCache: 4})
+	p.mu.Lock()
+	for i := uint64(1); i <= 1000; i++ {
+		p.cacheReply(i, envelope{CallID: i})
+	}
+	ringCap := cap(p.seenRing)
+	cached := len(p.seen)
+	_, oldestEvicted := p.seen[996]
+	var missing []uint64
+	for i := uint64(997); i <= 1000; i++ {
+		if _, ok := p.seen[i]; !ok {
+			missing = append(missing, i)
+		}
+	}
+	p.mu.Unlock()
+	if ringCap != 4 {
+		t.Fatalf("ring backing array has cap %d after 1000 insertions, want exactly 4", ringCap)
+	}
+	if cached != 4 {
+		t.Fatalf("cache holds %d entries, want 4", cached)
+	}
+	if oldestEvicted {
+		t.Fatal("call id 996 still cached after 4 newer entries")
+	}
+	if missing != nil {
+		t.Fatalf("recent call ids %v evicted early", missing)
 	}
 }

@@ -10,8 +10,9 @@
 //	[len u32 LE][crc u32 LE][payload: kind byte + body]
 //
 // where crc is CRC-32C over the length bytes and the payload, so a
-// flipped length is caught like any other flipped bit. Integers in the
-// body are uvarints.
+// flipped length is caught like any other flipped bit. Bodies are
+// written with internal/wire: integers are uvarints, object states are
+// length-prefixed byte strings.
 package store
 
 import (
@@ -28,6 +29,7 @@ import (
 
 	"mca/internal/ids"
 	"mca/internal/metrics"
+	"mca/internal/wire"
 )
 
 // Log telemetry, exported under mca_store_*.
@@ -99,15 +101,14 @@ type logRecord struct {
 }
 
 func appendBatchBody(buf []byte, b Batch) []byte {
-	buf = binary.AppendUvarint(buf, uint64(len(b.Writes)))
+	buf = wire.AppendUvarint(buf, uint64(len(b.Writes)))
 	for id, st := range b.Writes {
-		buf = binary.AppendUvarint(buf, uint64(id))
-		buf = binary.AppendUvarint(buf, uint64(len(st)))
-		buf = append(buf, st...)
+		buf = wire.AppendUvarint(buf, uint64(id))
+		buf = wire.AppendBytes(buf, st)
 	}
-	buf = binary.AppendUvarint(buf, uint64(len(b.Deletes)))
+	buf = wire.AppendUvarint(buf, uint64(len(b.Deletes)))
 	for _, id := range b.Deletes {
-		buf = binary.AppendUvarint(buf, uint64(id))
+		buf = wire.AppendUvarint(buf, uint64(id))
 	}
 	return buf
 }
@@ -119,18 +120,18 @@ func appendLogRecord(buf []byte, r *logRecord) ([]byte, error) {
 	switch r.kind {
 	case kindIntention:
 		in := r.in
-		buf = binary.AppendUvarint(buf, uint64(in.Action))
+		buf = wire.AppendUvarint(buf, uint64(in.Action))
 		buf = append(buf, byte(in.Status))
-		buf = binary.AppendUvarint(buf, uint64(in.Coordinator))
-		buf = binary.AppendUvarint(buf, in.TraceID)
-		buf = binary.AppendUvarint(buf, in.TraceSpan)
-		buf = binary.AppendUvarint(buf, uint64(len(in.Participants)))
+		buf = wire.AppendUvarint(buf, uint64(in.Coordinator))
+		buf = wire.AppendUvarint(buf, in.TraceID)
+		buf = wire.AppendUvarint(buf, in.TraceSpan)
+		buf = wire.AppendUvarint(buf, uint64(len(in.Participants)))
 		for _, p := range in.Participants {
-			buf = binary.AppendUvarint(buf, uint64(p))
+			buf = wire.AppendUvarint(buf, uint64(p))
 		}
 		buf = appendBatchBody(buf, in.Writes)
 	case kindForget:
-		buf = binary.AppendUvarint(buf, uint64(r.action))
+		buf = wire.AppendUvarint(buf, uint64(r.action))
 	case kindBatch:
 		buf = appendBatchBody(buf, r.batch)
 	}
@@ -143,60 +144,21 @@ func appendLogRecord(buf []byte, r *logRecord) ([]byte, error) {
 	return buf, nil
 }
 
-// bodyReader decodes a record body; the first malformed field latches
-// bad and every later read returns zero.
-type bodyReader struct {
-	buf []byte
-	bad bool
-}
-
-func (r *bodyReader) uvarint() uint64 {
-	v, n := binary.Uvarint(r.buf)
-	if n <= 0 {
-		r.bad = true
-		return 0
-	}
-	r.buf = r.buf[n:]
-	return v
-}
-
-func (r *bodyReader) byte() byte {
-	if len(r.buf) == 0 {
-		r.bad = true
-		return 0
-	}
-	b := r.buf[0]
-	r.buf = r.buf[1:]
-	return b
-}
-
-// count reads an element count, rejecting one the remaining bytes
-// cannot hold (each element takes at least min bytes), so a hostile
-// count never sizes an allocation.
-func (r *bodyReader) count(min int) int {
-	n := r.uvarint()
-	if n > uint64(len(r.buf)/min) {
-		r.bad = true
-		return 0
-	}
-	return int(n)
-}
-
-func (r *bodyReader) batch() Batch {
+// readBatch decodes what appendBatchBody wrote. States alias the
+// reader's buffer.
+func readBatch(r *wire.Reader) Batch {
 	var b Batch
-	if n := r.count(2); n > 0 {
+	if n := r.Count(2); n > 0 {
 		b.Writes = make(map[ids.ObjectID]State, n)
-		for i := 0; i < n && !r.bad; i++ {
-			id := ids.ObjectID(r.uvarint())
-			size := r.count(1)
-			b.Writes[id] = State(r.buf[:size:size])
-			r.buf = r.buf[size:]
+		for i := 0; i < n; i++ {
+			id := ids.ObjectID(r.Uvarint())
+			b.Writes[id] = State(r.Bytes())
 		}
 	}
-	if n := r.count(1); n > 0 {
+	if n := r.Count(1); n > 0 {
 		b.Deletes = make([]ids.ObjectID, n)
 		for i := range b.Deletes {
-			b.Deletes[i] = ids.ObjectID(r.uvarint())
+			b.Deletes[i] = ids.ObjectID(r.Uvarint())
 		}
 	}
 	return b
@@ -219,33 +181,33 @@ func decodeLogRecord(buf []byte) (logRecord, int, error) {
 		return logRecord{}, 0, errLogTorn
 	}
 	rec := logRecord{kind: logKind(buf[logHeaderLen])}
-	r := bodyReader{buf: buf[logHeaderLen+1 : end]}
+	r := wire.NewReader(buf[logHeaderLen+1 : end])
 	switch rec.kind {
 	case kindIntention:
-		in := &Intention{Action: ids.ActionID(r.uvarint())}
-		in.Status = IntentionStatus(r.byte())
-		in.Coordinator = ids.NodeID(r.uvarint())
-		in.TraceID = r.uvarint()
-		in.TraceSpan = r.uvarint()
-		if np := r.count(1); np > 0 {
+		in := &Intention{Action: ids.ActionID(r.Uvarint())}
+		in.Status = IntentionStatus(r.Byte())
+		in.Coordinator = ids.NodeID(r.Uvarint())
+		in.TraceID = r.Uvarint()
+		in.TraceSpan = r.Uvarint()
+		if np := r.Count(1); np > 0 {
 			in.Participants = make([]ids.NodeID, np)
 			for i := range in.Participants {
-				in.Participants[i] = ids.NodeID(r.uvarint())
+				in.Participants[i] = ids.NodeID(r.Uvarint())
 			}
 		}
-		in.Writes = r.batch()
+		in.Writes = readBatch(&r)
 		if in.Status < IntentionPrepared || in.Status > IntentionAborted {
-			r.bad = true
+			r.Fail()
 		}
 		rec.action, rec.in = in.Action, in
 	case kindForget:
-		rec.action = ids.ActionID(r.uvarint())
+		rec.action = ids.ActionID(r.Uvarint())
 	case kindBatch:
-		rec.batch = r.batch()
+		rec.batch = readBatch(&r)
 	default:
 		return logRecord{}, 0, fmt.Errorf("%w: unknown kind %d", errLogCorrupt, rec.kind)
 	}
-	if r.bad || len(r.buf) != 0 {
+	if !r.Done() {
 		return logRecord{}, 0, fmt.Errorf("%w: malformed kind-%d body", errLogCorrupt, rec.kind)
 	}
 	return rec, end, nil

@@ -16,14 +16,9 @@ type benchReq struct {
 	Amount int    `json:"amount"`
 }
 
-func benchPair(b *testing.B, fast bool) (*rpc.Peer, ids.NodeID) {
+func benchPair(b *testing.B) (*rpc.Peer, ids.NodeID) {
 	b.Helper()
 	nw := tcpnet.NewNetwork()
-	codec := rpc.CodecBinary
-	if !fast {
-		nw.SetDirectWrite(true)
-		codec = rpc.CodecJSON
-	}
 	epS, err := nw.Listen("127.0.0.1:0")
 	if err != nil {
 		b.Fatal(err)
@@ -32,7 +27,7 @@ func benchPair(b *testing.B, fast bool) (*rpc.Peer, ids.NodeID) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	opts := rpc.Options{RetryInterval: 100 * time.Millisecond, CallTimeout: 30 * time.Second, Codec: codec}
+	opts := rpc.Options{RetryInterval: 100 * time.Millisecond, CallTimeout: 30 * time.Second}
 	server := rpc.NewPeerOn(epS, opts)
 	caller := rpc.NewPeerOn(epC, opts)
 	server.Handle("echo", func(_ context.Context, _ ids.NodeID, body []byte) ([]byte, error) {
@@ -47,28 +42,11 @@ func benchPair(b *testing.B, fast bool) (*rpc.Peer, ids.NodeID) {
 	return caller, epS.ID()
 }
 
-// BenchmarkRPCCall measures one echo call over loopback TCP on the new
-// data plane (binary codec, coalescing writer). CI runs it with
-// -benchmem as the allocation smoke for the call path.
+// BenchmarkRPCCall measures one echo call over loopback TCP (binary
+// codec, coalescing writer). CI runs it with -benchmem as the allocation
+// smoke for the call path.
 func BenchmarkRPCCall(b *testing.B) {
-	caller, to := benchPair(b, true)
-	ctx := context.Background()
-	req := benchReq{Txn: 42, Op: "transfer", Amount: 10}
-	b.ReportAllocs()
-	b.RunParallel(func(pb *testing.PB) {
-		for pb.Next() {
-			var resp benchReq
-			if err := caller.Call(ctx, to, "echo", req, &resp); err != nil {
-				b.Fatal(err)
-			}
-		}
-	})
-}
-
-// BenchmarkRPCCallJSONBaseline is the same call on the pre-PR wire path
-// (JSON envelope, one write per datagram) for comparison.
-func BenchmarkRPCCallJSONBaseline(b *testing.B) {
-	caller, to := benchPair(b, false)
+	caller, to := benchPair(b)
 	ctx := context.Background()
 	req := benchReq{Txn: 42, Op: "transfer", Amount: 10}
 	b.ReportAllocs()

@@ -85,7 +85,13 @@ func TestCoalescingLingerBatchesUnderFakeClock(t *testing.T) {
 		}
 		fake.Advance(50 * time.Millisecond)
 	}
+	// The writer counts a batch after the writev returns, which the
+	// receiver above can beat: give the counters a moment to catch up.
 	after := tcpnet.ReadWriterStats()
+	for settle := time.Now().Add(2 * time.Second); after.BatchFrames-before.BatchFrames < frames && time.Now().Before(settle); {
+		time.Sleep(time.Millisecond)
+		after = tcpnet.ReadWriterStats()
+	}
 	if n := after.BatchFrames - before.BatchFrames; n != frames {
 		t.Fatalf("writer flushed %d frames, want %d", n, frames)
 	}

@@ -33,8 +33,15 @@ go test -race -cpu=1,4 -run 'TestCommitCrashMatrix|TestDurableTransferForcesFive
 echo "== commit throughput (smoke, race) =="
 go test -race -short -run 'TestCommitThroughputSmoke' ./internal/dist/ -count=1
 
-echo "== envelope codec allocation regression =="
-go test -run 'TestEnvelopeCodecAllocs' ./internal/rpc/ -count=1 -v | grep -v '^=== RUN'
+# Allocation counts are checked without -race: the detector allocates,
+# and sync.Pool drops a quarter of what is put into it.
+echo "== allocation budgets (envelope, call, colour sets, transaction path) =="
+go test -run 'TestEnvelopeCodecAllocs|TestCallRawAllocs' ./internal/rpc/ -count=1 -v | grep -v '^=== RUN'
+go test -run 'TestSmallSetsDoNotAllocate' ./internal/colour/ -count=1
+go test -run 'TestTxnAllocBudget' ./internal/dist/ -count=1 -v | grep -v '^=== RUN'
+
+echo "== 2PC body decoder (fuzz smoke) =="
+go test -run xxx -fuzz 'FuzzDistBodyDecode' -fuzztime 10s ./internal/dist/
 
 echo "== rpc call path (bench smoke) =="
 go test -run xxx -bench 'BenchmarkRPCCall' -benchtime 10x -benchmem ./internal/tcpnet/
@@ -46,7 +53,7 @@ go run ./cmd/loadgen -validate "$loadgen_json"
 rm -f "$loadgen_json"
 
 echo "== experiments =="
-go run ./cmd/experiments -commitjson BENCH_commit.json -rpcjson BENCH_rpc.json -capacityjson BENCH_capacity.json -attribjson BENCH_attrib.json
+go run ./cmd/experiments -commitjson BENCH_commit.json -capacityjson BENCH_capacity.json -attribjson BENCH_attrib.json
 
 echo "== examples =="
 for ex in quickstart distributedmake meetingscheduler bulletinboard timelines remotemeeting; do
