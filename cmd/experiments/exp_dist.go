@@ -16,10 +16,10 @@ import (
 	"mca/internal/ids"
 	"mca/internal/nameserver"
 	"mca/internal/netsim"
-	"mca/internal/trace"
 	"mca/internal/node"
 	"mca/internal/object"
 	"mca/internal/rpc"
+	"mca/internal/trace"
 	"mca/internal/workload"
 )
 
@@ -176,7 +176,9 @@ func expTwoPhaseCommit(rep *report) error {
 		nw.Close()
 	}
 
-	// Crash matrix: participant in doubt then recovering.
+	// Crash matrix: participant in doubt then recovering. Two
+	// participants, so the transaction runs both phases; res is the one
+	// the faults hit.
 	{
 		nw := netsim.New(netsim.Config{})
 		defer nw.Close()
@@ -185,21 +187,38 @@ func expTwoPhaseCommit(rep *report) error {
 			return err
 		}
 		coord := dist.NewManager(coordNode)
-		pNode, err := node.New(nw, node.WithRPCOptions(opts))
+		newParticipant := func() (*node.Node, *kvResource, error) {
+			nd, err := node.New(nw, node.WithRPCOptions(opts))
+			if err != nil {
+				return nil, nil, err
+			}
+			// The manager first: on a restart it resolves in-doubt
+			// write sets before the resource reloads its state.
+			mgr := dist.NewManager(nd)
+			res := newKVResource()
+			nd.Host(res)
+			mgr.RegisterResource("kv", res)
+			return nd, res, nil
+		}
+		pNode, res, err := newParticipant()
 		if err != nil {
 			return err
 		}
-		pMgr := dist.NewManager(pNode)
-		res := newKVResource()
-		pNode.Host(res)
-		pMgr.RegisterResource("kv", res)
+		qNode, _, err := newParticipant()
+		if err != nil {
+			return err
+		}
+		addAtBoth := func(txn *dist.Txn, delta int) error {
+			if err := txn.Invoke(ctx, qNode.ID(), "kv", "add", kvDelta{Delta: delta}, nil); err != nil {
+				return err
+			}
+			return txn.Invoke(ctx, pNode.ID(), "kv", "add", kvDelta{Delta: delta}, nil)
+		}
 
 		coord.TestHooks.AfterPrepare = func() {
 			nw.Partition(coordNode.ID(), pNode.ID())
 		}
-		err = coord.Run(ctx, func(txn *dist.Txn) error {
-			return txn.Invoke(ctx, pNode.ID(), "kv", "add", kvDelta{Delta: 5}, nil)
-		})
+		err = coord.Run(ctx, func(txn *dist.Txn) error { return addAtBoth(txn, 5) })
 		if err != nil {
 			return fmt.Errorf("commit with partitioned completion: %w", err)
 		}
@@ -221,7 +240,7 @@ func expTwoPhaseCommit(rep *report) error {
 		if err != nil {
 			return err
 		}
-		if err := txn.Invoke(ctx, pNode.ID(), "kv", "add", kvDelta{Delta: 100}, nil); err != nil {
+		if err := addAtBoth(txn, 100); err != nil {
 			return err
 		}
 		_ = txn.Commit(ctx)
@@ -231,6 +250,40 @@ func expTwoPhaseCommit(rep *report) error {
 		coordNode.Restart()
 		pNode.Restart()
 		rep.check("undelivered decision presumed abort on recovery", res.value().Peek() == 5)
+
+		// One participant: it is handed the decision (one-phase commit).
+		// It forces the decision record, its reply is lost, it crashes;
+		// the coordinator's retransmission is answered from the log.
+		// (The restarted coordinator first finishes re-driving what the
+		// cases above left in its log.)
+		for txn, err = coord.Begin(); errors.Is(err, dist.ErrRecovering); txn, err = coord.Begin() {
+			time.Sleep(5 * time.Millisecond)
+		}
+		if err != nil {
+			return err
+		}
+		if err := txn.Invoke(ctx, pNode.ID(), "kv", "add", kvDelta{Delta: 2}, nil); err != nil {
+			return err
+		}
+		nw.PartitionOneWay(pNode.ID(), coordNode.ID())
+		committed := make(chan error, 1)
+		go func() { committed <- txn.Commit(ctx) }()
+		for {
+			pending, err := pNode.Stable().Intentions().Pending()
+			if err != nil {
+				return err
+			}
+			if len(pending) > 0 {
+				break
+			}
+			time.Sleep(time.Millisecond)
+		}
+		pNode.Crash()
+		nw.Heal(pNode.ID(), coordNode.ID())
+		pNode.Restart()
+		err = <-committed
+		rep.check("one-phase: decision forced, reply lost, participant crashed: answered committed from its log",
+			err == nil && res.value().Peek() == 7)
 	}
 	return nil
 }

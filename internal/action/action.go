@@ -810,7 +810,18 @@ func (a *Action) PendingWrites() (store.Batch, error) {
 // colour with a are still active. Active colour-disjoint children
 // (independent actions) are left running. On permanence failure the
 // action is aborted and ErrPermanence returned.
-func (a *Action) Commit() error {
+func (a *Action) Commit() error { return a.commit(nil) }
+
+// CommitWith is Commit with sink standing in for the objects' own stable
+// stores: it receives the whole outermost write set as one batch — empty
+// when the action wrote no persistent object, and applied all the same —
+// and must have made it durable and installed it where the objects
+// reload from when it returns nil. The distributed layer's one-phase
+// commit uses it to make the write set and the commit decision one log
+// record under one force.
+func (a *Action) CommitWith(sink Persister) error { return a.commit(sink) }
+
+func (a *Action) commit(sink Persister) error {
 	a.mu.Lock()
 	if a.status != Active {
 		defer a.mu.Unlock()
@@ -838,6 +849,9 @@ func (a *Action) Commit() error {
 		flushes   []flush
 		handovers []handover
 	)
+	if sink != nil {
+		flushes = []flush{{persister: sink, batch: store.Batch{Writes: make(map[ids.ObjectID]store.State)}}}
+	}
 	for _, rec := range a.undo {
 		if h, ok := a.heir(rec.colour); ok {
 			i := slices.IndexFunc(handovers, func(ho handover) bool { return ho.heir == h })
@@ -860,6 +874,9 @@ func (a *Action) Commit() error {
 			a.mu.Unlock()
 			a.Abort()
 			return fmt.Errorf("capture %v for permanence: %w (%w)", rec.res.ObjectID(), err, ErrPermanence)
+		}
+		if sink != nil {
+			p = sink
 		}
 		i := slices.IndexFunc(flushes, func(f flush) bool { return f.persister == p })
 		if i < 0 {

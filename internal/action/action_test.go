@@ -743,3 +743,60 @@ func TestStatusString(t *testing.T) {
 		}
 	}
 }
+
+// sinkFunc adapts a function to Persister; a pointer, so comparable.
+type sinkFunc struct {
+	apply func(store.Batch) error
+}
+
+func (s *sinkFunc) ApplyBatch(b store.Batch) error { return s.apply(b) }
+
+// TestCommitWithHandsTheWholeWriteSetToTheSink: one batch, whatever
+// stores the objects name, and those stores are not written; a sink that
+// fails aborts the action; an action with nothing to flush still calls
+// the sink, with an empty batch.
+func TestCommitWithHandsTheWholeWriteSetToTheSink(t *testing.T) {
+	rt := action.NewRuntime()
+	st1, st2 := store.NewStable(), store.NewStable()
+	r1, r2 := newReg("a0", st1), newReg("b0", st2)
+
+	var got []store.Batch
+	sink := &sinkFunc{apply: func(b store.Batch) error { got = append(got, b); return nil }}
+	a := mustBegin(t, rt)
+	r1.write(t, a, colour.None, "a1")
+	r2.write(t, a, colour.None, "b1")
+	if err := a.CommitWith(sink); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || string(got[0].Writes[r1.id]) != "a1" || string(got[0].Writes[r2.id]) != "b1" {
+		t.Fatalf("sink received %v, want one batch with both objects", got)
+	}
+	for _, st := range []*store.Stable{st1, st2} {
+		if list, _ := st.List(); len(list) != 0 {
+			t.Fatalf("an object's own store was written behind the sink: %v", list)
+		}
+	}
+	if a.Status() != action.Committed || rt.Locks().LockCount() != 0 {
+		t.Fatalf("status %v with %d locks held, want committed and released", a.Status(), rt.Locks().LockCount())
+	}
+
+	got = nil
+	reader := mustBegin(t, rt)
+	if err := reader.CommitWith(sink); err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != 1 || !got[0].Empty() {
+		t.Fatalf("sink received %v for an action without writes, want one empty batch", got)
+	}
+
+	boom := errors.New("boom")
+	failing := mustBegin(t, rt)
+	r1.write(t, failing, colour.None, "a2")
+	err := failing.CommitWith(&sinkFunc{apply: func(store.Batch) error { return boom }})
+	if !errors.Is(err, action.ErrPermanence) || !errors.Is(err, boom) {
+		t.Fatalf("CommitWith = %v, want ErrPermanence wrapping the sink's error", err)
+	}
+	if failing.Status() != action.Aborted || r1.get() != "a1" {
+		t.Fatalf("status %v value %q after a failed sink, want aborted and restored to a1", failing.Status(), r1.get())
+	}
+}

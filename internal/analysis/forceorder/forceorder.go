@@ -18,7 +18,12 @@
 // internal/action). A YES vote is a durability promise; deriving it
 // before the log round-trip re-introduces the unforced-vote bug class.
 // Assigning the literal false is exempt: a NO vote promises nothing
-// (presumed abort).
+// (presumed abort). The committed outcome — any use of the committedBody
+// reply, which answers a decision query and, in one-phase commit, the
+// commit1 that hands a participant the decision — is held to the same
+// rule: the participant's committed is the only durable trace of the
+// decision, so it must follow the force of its record (Record, or the
+// CommitWith that wraps it) or the Lookup that found it.
 //
 // Rule c (store): a function calling os.Rename must also call syncDir.
 // Renaming installs the file in the directory, but only a directory
@@ -42,7 +47,7 @@ import (
 // Analyzer is the forceorder analysis.
 var Analyzer = &analysis.Analyzer{
 	Name: "forceorder",
-	Doc:  "require WAL completions and 2PC votes to be dominated by the matching force",
+	Doc:  "require WAL completions, 2PC votes and committed outcomes to be dominated by the matching force",
 	Run:  run,
 }
 
@@ -59,11 +64,12 @@ var forceFamily = map[string]bool{
 // stableFamily (rule b) are the stable-log operations a vote may be
 // derived from, when declared in the storage or action layer.
 var stableFamily = map[string]bool{
-	"Record": true,
-	"Force":  true,
-	"Lookup": true,
-	"Commit": true,
-	"Sync":   true,
+	"Record":     true,
+	"Force":      true,
+	"Lookup":     true,
+	"Commit":     true,
+	"CommitWith": true,
+	"Sync":       true,
 }
 
 func run(pass *analysis.Pass) error {
@@ -194,11 +200,12 @@ func runDist(pass *analysis.Pass) {
 					if established {
 						return
 					}
-					as, ok := voteOKAssign(pass, n)
-					if !ok {
-						return
+					if as, ok := voteOKAssign(pass, n); ok {
+						pass.Reportf(as.Pos(), "vote derived with no dominating stable-log operation; a YES here could acknowledge an intention a crash can still lose")
 					}
-					pass.Reportf(as.Pos(), "vote derived with no dominating stable-log operation; a YES here could acknowledge an intention a crash can still lose")
+					if id, ok := n.(*ast.Ident); ok && id.Name == "committedBody" {
+						pass.Reportf(id.Pos(), "committed answered with no dominating stable-log operation; the outcome could be one a crash can still lose")
+					}
 				},
 			}
 			m.Run(fd.Body)

@@ -1,8 +1,12 @@
-// Fixture: 2PC vote derivation (rule b) in a dist-suffixed package,
-// against a stubbed storage layer at example/internal/store.
+// Fixture: 2PC vote derivation and the committed outcome of a one-phase
+// commit (rule b) in a dist-suffixed package, against stubbed storage and
+// action layers at example/internal/store and example/internal/action.
 package dist
 
-import "example/internal/store"
+import (
+	"example/internal/action"
+	"example/internal/store"
+)
 
 type voteResp struct {
 	OK       bool
@@ -46,4 +50,42 @@ func prepareDeny() voteResp {
 	var vote voteResp
 	vote.OK = false
 	return vote
+}
+
+// The committed outcome: what a participant answers to commit1 (and to a
+// decision query) once the decision record is forced, or found.
+var (
+	committedBody = []byte{1}
+	abortedBody   = []byte{0}
+)
+
+type sink struct{ log *store.Log }
+
+func (s sink) ApplyBatch() error { return s.log.Record(store.Intention{}) }
+
+func commit1Good(a *action.Action, log *store.Log) ([]byte, error) {
+	if err := a.CommitWith(sink{log}); err != nil {
+		return nil, err
+	}
+	return committedBody, nil
+}
+
+func commit1Repeat(log *store.Log, txn uint64) []byte {
+	if _, found, err := log.Lookup(txn); err == nil && found {
+		return committedBody
+	}
+	return abortedBody
+}
+
+func commit1Eager(a *action.Action, log *store.Log) []byte {
+	reply := committedBody // want "committed answered with no dominating stable-log operation"
+	_ = a.CommitWith(sink{log})
+	return reply
+}
+
+func commit1Raced(a *action.Action, log *store.Log, live bool) []byte {
+	if live {
+		_ = a.CommitWith(sink{log})
+	}
+	return committedBody // want "committed answered with no dominating stable-log operation"
 }

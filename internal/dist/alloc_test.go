@@ -112,8 +112,12 @@ func (f *allocFixture) transfer(ctx context.Context) error {
 // copies. A ceiling sits a few objects above today's count: re-deriving
 // a context or re-making a timer per call, a map per colour set or a
 // JSON pass over a protocol body each cost more than that slack and
-// fail here before they show in the benchmark. Run with -v for the
-// table.
+// fail here before they show in the benchmark. The single-participant
+// rows run back to back, so every read and write carries its
+// predecessor's release: a goroutine, closure, context or timer per
+// transaction on the release path would show in them, and the releases
+// are checked to have ridden an invoke rather than the flusher. Run with
+// -v for the table.
 func TestTxnAllocBudget(t *testing.T) {
 	if raceEnabled {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -123,10 +127,14 @@ func TestTxnAllocBudget(t *testing.T) {
 	rt := f.nodes[0].Runtime()
 	peer, target := f.nodes[0].Peer(), f.nodes[1].ID()
 
-	// The bodies of one read: invoke and its reply, prepare and its vote.
+	// The bodies of one read — an invoke with the previous read's release
+	// on board, and its reply — and of a prepare round.
 	invoke := invokeReq{Txn: 1 << 20, Resource: "reg", Op: "get", Arg: []byte(`{"d":0}`)}
 	bodies := func() error {
 		var scratch [bodyScratch]byte
+		var owed [releaseScratch]byte
+		invoke := invoke // the closure's copy lives on the heap, and would take the buffer there
+		invoke.Release = releaseList{ids: owed[:0]}.add(invoke.Txn - 1)
 		// Nothing decoded may reach an interface here: the decoded
 		// argument aliases scratch, and escape analysis would move the
 		// buffer to the heap with it.
@@ -134,10 +142,10 @@ func TestTxnAllocBudget(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if q.Op != invoke.Op || q.Resource != invoke.Resource || q.Txn != invoke.Txn {
+		if q.Op != invoke.Op || q.Resource != invoke.Resource || q.Txn != invoke.Txn || q.Release.n != 1 {
 			return errMalformedBody
 		}
-		if _, err := decodeInvokeReply(appendInvokeReply(scratch[:0], []byte("7"))); err != nil {
+		if _, _, err := decodeInvokeReply(appendInvokeReply(scratch[:0], true, []byte("7"))); err != nil {
 			return err
 		}
 		if _, err := decodePrepareReq(appendPrepareReq(scratch[:0], prepareReq{Txn: invoke.Txn, Coordinator: 1})); err != nil {
@@ -145,6 +153,16 @@ func TestTxnAllocBudget(t *testing.T) {
 		}
 		_, err = decodeVote(voteYesReadBody)
 		return err
+	}
+	// The coordinator's side of a lazy release: owed at Commit, taken by
+	// the next invoke at that node.
+	owedAndTaken := func() error {
+		f.coord.owe(target, invoke.Txn)
+		var owed [releaseScratch]byte
+		if l := f.coord.releases.take(target, releaseList{ids: owed[:0]}); l.n != 1 {
+			return fmt.Errorf("took %d releases, want 1", l.n)
+		}
+		return nil
 	}
 
 	rows := []struct {
@@ -163,14 +181,22 @@ func TestTxnAllocBudget(t *testing.T) {
 			_, err := peer.CallRaw(ctx, target, "alloc.echo", []byte{1, 2, 3})
 			return err
 		}},
-		{"dist: the four bodies of a read", 0, bodies},
-		{"txn: read (1 participant)", 30, func() error { return f.read(ctx) }},
-		{"txn: write (1 participant)", 80, func() error { return f.write(ctx) }},
+		{"dist: bodies of a read and a prepare", 0, bodies},
+		{"dist: a release owed and taken", 0, owedAndTaken},
+		{"txn: read + piggybacked release", 19, func() error { return f.read(ctx) }},
+		{"txn: write (1 participant)", 53, func() error { return f.write(ctx) }},
 		{"txn: transfer (2 participants)", 155, func() error { return f.transfer(ctx) }},
 	}
 	// A collection would empty the sync.Pools the path leans on and bill
 	// their refill to whichever row runs next.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	flushed := releasesFlushed.Value()
+	defer func() {
+		// A few may, when the test is descheduled for a flush interval.
+		if n := releasesFlushed.Value() - flushed; n > 50 {
+			t.Errorf("%d releases went out in end messages of their own: the rows did not measure the piggybacked path", n)
+		}
+	}()
 	for _, row := range rows {
 		for i := 0; i < 50; i++ { // warm pools, intern tables, reply caches
 			if err := row.run(); err != nil {

@@ -1,9 +1,12 @@
 package dist_test
 
 import (
+	"bytes"
 	"context"
+	"encoding/binary"
 	"errors"
 	"fmt"
+	"strings"
 	"testing"
 	"time"
 
@@ -305,5 +308,168 @@ func TestDurableTransferForcesFiveTimes(t *testing.T) {
 	// Every forget but the last transfer's three has been carried.
 	if got, want := r1-r0, uint64(8*transfers-3); got != want {
 		t.Fatalf("%d transfers logged %d records, want %d", transfers, got, want)
+	}
+}
+
+// pendingAt returns the intention records in node i's log.
+func pendingAt(t *testing.T, c *cluster, i int) []store.Intention {
+	t.Helper()
+	pending, err := c.nodes[i].Stable().Intentions().Pending()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return pending
+}
+
+// TestCommitCrashMatrixOnePhase is the matrix for transactions with a
+// single participant, which is handed the decision in one commit1 message
+// and forces one record: a participant restart between two invocations,
+// a crash before the commit1 arrives, a crash between the force and the
+// reply, a commit1 duplicated after the record was forgotten, and a
+// participant that stays silent past the caller's context — over both
+// stable backings.
+func TestCommitCrashMatrixOnePhase(t *testing.T) {
+	// begin starts a transaction that has added delta at P1.
+	begin := func(t *testing.T, c *cluster, ctx context.Context, delta int) *dist.Txn {
+		t.Helper()
+		txn, err := c.coord.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := txn.Invoke(ctx, c.nodes[1].ID(), "bank", "add", addArg{Delta: delta}, nil); err != nil {
+			t.Fatal(err)
+		}
+		return txn
+	}
+	wantBalances := func(t *testing.T, c *cluster, ctx context.Context, want [3]int) {
+		t.Helper()
+		settleCluster(t, c, ctx)
+		if got := stableBalances(t, c); got != want {
+			t.Fatalf("stable balances after recovery = %v, want %v", got, want)
+		}
+	}
+	cells := map[string]func(t *testing.T, c *cluster, ctx context.Context){
+		// The participant loses the first invocation's effects in a crash;
+		// a second invocation must not start a fresh action and commit
+		// the later effects alone.
+		"restartBetweenInvokes": func(t *testing.T, c *cluster, ctx context.Context) {
+			txn := begin(t, c, ctx, -30)
+			c.nodes[1].Crash()
+			c.nodes[1].Restart()
+			err := txn.Invoke(ctx, c.nodes[1].ID(), "bank", "add", addArg{Delta: -5}, nil)
+			if err == nil || !strings.Contains(err.Error(), dist.ErrAborted.Error()) {
+				t.Fatalf("continuation after a participant restart = %v, want it refused as aborted", err)
+			}
+			if err := txn.Commit(ctx); !errors.Is(err, dist.ErrAborted) {
+				t.Fatalf("Commit = %v, want ErrAborted", err)
+			}
+			wantBalances(t, c, ctx, [3]int{100, 100, 100})
+		},
+		"crashBeforeCommit1": func(t *testing.T, c *cluster, ctx context.Context) {
+			txn := begin(t, c, ctx, 7)
+			c.nodes[1].Crash()
+			c.nodes[1].Restart()
+			if err := txn.Commit(ctx); !errors.Is(err, dist.ErrAborted) {
+				t.Fatalf("Commit = %v, want ErrAborted (no action, no record: presumed abort)", err)
+			}
+			wantBalances(t, c, ctx, [3]int{100, 100, 100})
+		},
+		// The record is forced and the reply lost; the participant then
+		// crashes. The coordinator's retransmission must be answered
+		// committed, from the log, and the write set installed once.
+		"crashAfterForce": func(t *testing.T, c *cluster, ctx context.Context) {
+			txn := begin(t, c, ctx, 7)
+			c.net.PartitionOneWay(c.nodes[1].ID(), c.nodes[0].ID())
+			done := make(chan error, 1)
+			go func() { done <- txn.Commit(ctx) }()
+			if err := waitUntil(func() bool { return len(pendingAt(t, c, 1)) == 1 }); err != nil {
+				t.Fatalf("the decision record: %v", err)
+			}
+			c.nodes[1].Crash()
+			c.net.Heal(c.nodes[1].ID(), c.nodes[0].ID())
+			c.nodes[1].Restart()
+			if err := <-done; err != nil {
+				t.Fatalf("Commit = %v, want nil (the restarted participant answers from its log)", err)
+			}
+			wantBalances(t, c, ctx, [3]int{100, 107, 100})
+		},
+		"duplicateAfterForget": func(t *testing.T, c *cluster, ctx context.Context) {
+			txn := begin(t, c, ctx, 7)
+			if err := txn.Commit(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if err := waitUntil(func() bool { return len(pendingAt(t, c, 1)) == 0 }); err != nil {
+				t.Fatalf("the release forgetting the decision record: %v", err)
+			}
+			body := binary.AppendUvarint([]byte{0xD1, 0x05}, uint64(txn.ID()))
+			reply, err := c.nodes[0].Peer().CallRaw(ctx, c.nodes[1].ID(), "dist.commit1", body)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := []byte{0xD1, 0x06, 0}; !bytes.Equal(reply, want) {
+				t.Fatalf("late duplicate commit1 answered % x, want % x (aborted: nobody is listening)", reply, want)
+			}
+			if n := len(pendingAt(t, c, 1)); n != 0 {
+				t.Fatalf("late duplicate commit1 left %d records", n)
+			}
+			wantBalances(t, c, ctx, [3]int{100, 107, 100})
+		},
+		"silentParticipant": func(t *testing.T, c *cluster, ctx context.Context) {
+			txn := begin(t, c, ctx, 7)
+			c.net.PartitionOneWay(c.nodes[1].ID(), c.nodes[0].ID())
+			short, cancel := context.WithTimeout(ctx, 100*time.Millisecond)
+			defer cancel()
+			err := txn.Commit(short)
+			if !errors.Is(err, dist.ErrInDoubt) || errors.Is(err, dist.ErrAborted) {
+				t.Fatalf("Commit = %v, want ErrInDoubt and no invented outcome", err)
+			}
+			c.net.Heal(c.nodes[1].ID(), c.nodes[0].ID())
+			// The commit1 did arrive: the participant decided commit.
+			wantBalances(t, c, ctx, [3]int{100, 107, 100})
+		},
+	}
+	for _, backing := range []string{"memory", "file"} {
+		for name, cell := range cells {
+			t.Run(backing+"/"+name, func(t *testing.T) {
+				cell(t, backedCluster(t, backing == "file"), context.Background())
+			})
+		}
+	}
+}
+
+// TestSingleParticipantWriteForcesOnce pins the force budget of a
+// transaction with one participant on the file backing: the participant
+// forces one record, the decision with its write set, and the coordinator
+// forces nothing. The forget rides the next transaction's record.
+func TestSingleParticipantWriteForcesOnce(t *testing.T) {
+	c := backedCluster(t, true)
+	ctx := context.Background()
+	forces := func() (flushes, records uint64) {
+		for _, nd := range c.nodes {
+			f, r := nd.Stable().WAL().Stats()
+			flushes, records = flushes+f, records+r
+		}
+		return flushes, records
+	}
+	const writes = 20
+	f0, r0 := forces()
+	for i := 0; i < writes; i++ {
+		err := c.coord.Run(ctx, func(txn *dist.Txn) error {
+			return txn.Invoke(ctx, c.nodes[1].ID(), "bank", "add", addArg{Delta: 1}, nil)
+		})
+		if err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
+	}
+	f1, r1 := forces()
+	if got := f1 - f0; got != writes {
+		t.Fatalf("%d single-participant writes forced the logs %d times, want %d (one decision record each)", writes, got, writes)
+	}
+	// Every forget but the last write's has been carried.
+	if got, want := r1-r0, uint64(2*writes-1); got != want {
+		t.Fatalf("%d writes logged %d records, want %d", writes, got, want)
+	}
+	if f, _ := c.nodes[0].Stable().WAL().Stats(); f != 0 {
+		t.Fatalf("the coordinator forced its log %d times, want 0", f)
 	}
 }

@@ -12,7 +12,8 @@
 //   - coordinator: Begin starts a distributed action; Invoke routes
 //     operations to resources (local or remote); Commit runs two-phase
 //     commit — prepare everywhere, force the decision with the
-//     participant list, complete everywhere.
+//     participant list, complete everywhere. A transaction that touched
+//     exactly one remote node commits in one step instead (onephase.go).
 //
 // Crash recovery: a restarting participant resolves in-doubt (prepared)
 // actions by asking the coordinator for the decision, applying the
@@ -57,6 +58,12 @@ var (
 	// ErrNoResource is returned when the named resource is not
 	// registered at the target node.
 	ErrNoResource = errors.New("dist: no such resource")
+	// ErrInDoubt is returned by Commit when the transaction's one
+	// participant was handed the decision (one-phase commit) and did not
+	// say what it decided before the caller's context ended: the
+	// transaction has committed or aborted there, and this node cannot
+	// tell which.
+	ErrInDoubt = errors.New("dist: outcome in doubt")
 )
 
 // RPC method names.
@@ -66,6 +73,8 @@ const (
 	methodCommit   = "dist.commit"
 	methodAbort    = "dist.abort"
 	methodDecision = "dist.decision"
+	methodCommit1  = "dist.commit1"
+	methodEnd      = "dist.end"
 )
 
 // Resource serves operations on application objects hosted at a node.
@@ -142,6 +151,10 @@ type Manager struct {
 	// participant action after the coordinator's abort was processed.
 	tombstones     map[ids.ActionID]struct{}
 	tombstoneOrder []ids.ActionID
+
+	// releases are the transactions this node has finished coordinating
+	// whose one participant has not been told yet (release.go).
+	releases releaseQueue
 }
 
 // maxTombstones bounds the aborted-transaction memory; old entries
@@ -175,6 +188,7 @@ func NewManager(n *node.Node) *Manager {
 		passColours:    make(map[ids.ActionID]colour.Colour),
 		tombstones:     make(map[ids.ActionID]struct{}),
 	}
+	m.releases.init()
 	n.Host(m)
 	m.mu.Lock()
 	m.recovering = false
@@ -223,12 +237,19 @@ func (m *Manager) Register(n *node.Node, p *rpc.Peer) {
 	m.passColours = make(map[ids.ActionID]colour.Colour)
 	m.recovering = true
 	m.mu.Unlock()
+	// So did what this node still owed its participants: their locks
+	// are this node's word, and the word was volatile.
+	m.releases.reset()
+	//mcalint:ignore goleak the flusher ends with the node's lifetime context, which Crash and Stop cancel
+	go m.flushReleases(n.Context(), n.Clock())
 
 	p.Handle(methodInvoke, m.handleInvoke)
 	p.Handle(methodPrepare, m.handlePrepare)
 	p.Handle(methodCommit, m.handleCommit)
 	p.Handle(methodAbort, m.handleAbort)
 	p.Handle(methodDecision, m.handleDecision)
+	p.Handle(methodCommit1, m.handleCommit1)
+	p.Handle(methodEnd, m.handleEnd)
 	p.Handle(methodEndStructure, m.handleEndStructure)
 	p.Handle(methodAbortStructure, m.handleAbortStructure)
 }
@@ -284,12 +305,16 @@ func (m *Manager) Recover(ctx context.Context, n *node.Node) {
 
 // --- participant role ---
 
-// participantAction resolves (or creates) the node-local action serving
-// the distributed transaction. caller, when valid, is the invoking
-// span (the RPC server span): a freshly created action joins the
-// caller's distributed trace as its child, so the participant's local
-// work exports under the coordinator's TraceID.
-func (m *Manager) participantAction(txn ids.ActionID, caller trace.Context, info *structureInfo) (*action.Action, error) {
+// participantAction resolves the node-local action serving the
+// distributed transaction, creating it on the coordinator's first
+// contact. A continuation that finds no action is refused and the
+// transaction tombstoned: the action it means to continue died in a
+// crash with the effects of the earlier invocations, and a fresh one
+// would let the transaction commit with only the later ones. caller,
+// when valid, is the invoking span (the RPC server span): a freshly
+// created action joins the caller's distributed trace as its child, so
+// the participant's local work exports under the coordinator's TraceID.
+func (m *Manager) participantAction(txn ids.ActionID, continuation bool, caller trace.Context, info *structureInfo) (*action.Action, error) {
 	// Resolve (or create) the structure container chain first.
 	var container *action.Action
 	if info != nil {
@@ -315,6 +340,10 @@ func (m *Manager) participantAction(txn ids.ActionID, caller trace.Context, info
 			return nil, fmt.Errorf("%w (txn %v)", ErrPrepared, txn)
 		}
 		return ps.a, nil
+	}
+	if continuation {
+		m.tombstoneLocked(txn)
+		return nil, fmt.Errorf("%w (txn %v: participant restarted since its earlier invocations)", ErrAborted, txn)
 	}
 	var (
 		a   *action.Action
@@ -352,38 +381,45 @@ func (m *Manager) participantAction(txn ids.ActionID, caller trace.Context, info
 	return a, nil
 }
 
-// bury tombstones an aborted transaction and returns its participant
+// tombstoneLocked remembers a finished transaction so that a late invoke
+// cannot start a participant action for it. Caller holds m.mu.
+func (m *Manager) tombstoneLocked(txn ids.ActionID) {
+	if _, dup := m.tombstones[txn]; dup {
+		return
+	}
+	m.tombstones[txn] = struct{}{}
+	m.tombstoneOrder = append(m.tombstoneOrder, txn)
+	for len(m.tombstoneOrder) > maxTombstones {
+		delete(m.tombstones, m.tombstoneOrder[0])
+		m.tombstoneOrder = m.tombstoneOrder[1:]
+	}
+}
+
+// bury tombstones a finished transaction and returns its participant
 // action, if it was live.
 func (m *Manager) bury(txn ids.ActionID) (*action.Action, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if _, dup := m.tombstones[txn]; !dup {
-		m.tombstones[txn] = struct{}{}
-		m.tombstoneOrder = append(m.tombstoneOrder, txn)
-		for len(m.tombstoneOrder) > maxTombstones {
-			delete(m.tombstones, m.tombstoneOrder[0])
-			m.tombstoneOrder = m.tombstoneOrder[1:]
-		}
-	}
-	ps, ok := m.active[txn]
-	if ok {
-		delete(m.active, txn)
-		delete(m.passColours, ps.a.ID())
-		return ps.a, true
-	}
-	return nil, false
+	m.tombstoneLocked(txn)
+	return m.dropLocked(txn)
 }
 
 func (m *Manager) takeActive(txn ids.ActionID) (*action.Action, bool) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
+	return m.dropLocked(txn)
+}
+
+// dropLocked removes the transaction's participant state and returns its
+// action, if it was live. Caller holds m.mu.
+func (m *Manager) dropLocked(txn ids.ActionID) (*action.Action, bool) {
 	ps, ok := m.active[txn]
-	if ok {
-		delete(m.active, txn)
-		delete(m.passColours, ps.a.ID())
-		return ps.a, true
+	if !ok {
+		return nil, false
 	}
-	return nil, false
+	delete(m.active, txn)
+	delete(m.passColours, ps.a.ID())
+	return ps.a, true
 }
 
 // freezeActive marks the transaction prepared (rejecting further
@@ -406,6 +442,9 @@ func (m *Manager) handleInvoke(ctx context.Context, _ ids.NodeID, body []byte) (
 	if err != nil {
 		return nil, fmt.Errorf("decode invoke: %w", err)
 	}
+	// What the coordinator has finished with goes first: the operation
+	// below may want the very locks those transactions still hold.
+	m.release(req.Release)
 	m.mu.Lock()
 	res, ok := m.resources[req.Resource]
 	m.mu.Unlock()
@@ -415,7 +454,7 @@ func (m *Manager) handleInvoke(ctx context.Context, _ ids.NodeID, body []byte) (
 	// The RPC layer injected the server span's context into ctx; the
 	// participant action joins the caller's trace under it.
 	caller, _ := trace.FromContext(ctx)
-	a, err := m.participantAction(req.Txn, caller, req.Structure)
+	a, err := m.participantAction(req.Txn, req.Continuation, caller, req.Structure)
 	if err != nil {
 		return nil, err
 	}
@@ -423,7 +462,7 @@ func (m *Manager) handleInvoke(ctx context.Context, _ ids.NodeID, body []byte) (
 	if err != nil {
 		return nil, err
 	}
-	return appendInvokeReply(make([]byte, 0, len(out)+8), out), nil
+	return appendInvokeReply(make([]byte, 0, len(out)+8), !a.HasWrites(), out), nil
 }
 
 func (m *Manager) handlePrepare(_ context.Context, _ ids.NodeID, body []byte) ([]byte, error) {
@@ -573,11 +612,13 @@ type Txn struct {
 
 	mu sync.Mutex
 	// contacts lists every contacted node, in first-contact order, with
-	// whether at least one invocation at it succeeded. Successful
-	// contacts are participants and take part in the commit protocol;
-	// failed ones (the call errored, but the operation may still have
-	// executed remotely) only ever receive an abort, so no orphaned
-	// participant action survives. A transaction touches a handful of
+	// whether at least one invocation at it succeeded and whether the
+	// action there may have written. Successful contacts are participants
+	// and take part in the commit protocol; failed ones (the call errored,
+	// but the operation may still have executed remotely) only ever
+	// receive an abort, so no orphaned participant action survives. An
+	// entry is also what makes the next invoke at its node a continuation
+	// rather than a first contact. A transaction touches a handful of
 	// nodes, so this is a slice to scan, not a map.
 	contacts []contact
 	done     bool
@@ -594,6 +635,10 @@ type Txn struct {
 type contact struct {
 	node ids.NodeID
 	ok   bool
+	// wrote is set unless every invocation at the node came back saying
+	// that the participant action had written nothing so far: by a reply
+	// without that flag, and by a failed call, which may have executed.
+	wrote bool
 }
 
 // Begin starts a distributed atomic action coordinated by this node.
@@ -635,17 +680,17 @@ func (t *Txn) Participants() []ids.NodeID {
 
 // enlist records a contact with node n; ok upgrades it to a full
 // participant and is never downgraded (any successful invocation means
-// the node holds part of the action's effects).
-func (t *Txn) enlist(n ids.NodeID, ok bool) {
+// the node holds part of the action's effects), and neither is wrote.
+func (t *Txn) enlist(n ids.NodeID, ok, wrote bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for i := range t.contacts {
-		if t.contacts[i].node == n {
-			t.contacts[i].ok = t.contacts[i].ok || ok
+		if c := &t.contacts[i]; c.node == n {
+			c.ok, c.wrote = c.ok || ok, c.wrote || wrote
 			return
 		}
 	}
-	t.contacts = append(t.contacts, contact{node: n, ok: ok})
+	t.contacts = append(t.contacts, contact{node: n, ok: ok, wrote: wrote})
 }
 
 // split returns the successful participants and the failed-contact
@@ -672,6 +717,9 @@ func (t *Txn) Invoke(ctx context.Context, target ids.NodeID, resource, op string
 		t.mu.Unlock()
 		return ErrDone
 	}
+	// Any earlier invoke at the target, even a failed one, makes this one
+	// a continuation rather than a first contact.
+	continuation := slices.ContainsFunc(t.contacts, func(c contact) bool { return c.node == target })
 	t.mu.Unlock()
 
 	argBytes, err := json.Marshal(arg)
@@ -701,20 +749,28 @@ func (t *Txn) Invoke(ctx context.Context, target ids.NodeID, resource, op string
 		// RPC layer derives the call's own child span from it.
 		ctx = trace.Inject(ctx, t.tc)
 	}
+	// The message also carries what this node owes the target: the
+	// transactions it has finished with there.
 	var scratch [bodyScratch]byte
-	body := appendInvokeReq(scratch[:0], &invokeReq{Txn: t.ID(), Resource: resource, Op: op, Arg: argBytes, Structure: t.structure})
+	var owedScratch [releaseScratch]byte
+	owed := t.mgr.releases.take(target, releaseList{ids: owedScratch[:0]})
+	body := appendInvokeReq(scratch[:0], &invokeReq{Txn: t.ID(), Continuation: continuation,
+		Resource: resource, Op: op, Arg: argBytes, Structure: t.structure, Release: owed})
 	reply, err := t.mgr.Node().Peer().CallRaw(ctx, target, methodInvoke, body)
 	if err != nil {
 		// The call failed but may still have executed remotely:
-		// remember the contact so completion sends it an abort.
-		t.enlist(target, false)
+		// remember the contact so completion sends it an abort. What
+		// it carried for other transactions is owed again.
+		t.mgr.oweAgain(target, owed)
+		t.enlist(target, false, true)
 		return err
 	}
-	t.enlist(target, true)
+	releasesPiggybacked.Add(uint64(owed.n))
+	out, nothingWritten, err := decodeInvokeReply(reply)
+	t.enlist(target, true, !nothingWritten || err != nil)
 	if t.onEnlist != nil {
 		t.onEnlist(target)
 	}
-	out, err := decodeInvokeReply(reply)
 	if err != nil {
 		return err
 	}
@@ -730,11 +786,17 @@ func (t *Txn) Invoke(ctx context.Context, target ids.NodeID, resource, op string
 // outgrows the buffer moves to the heap by append.
 const bodyScratch = 128
 
-// Commit runs two-phase commit. On success the action's effects are
-// permanent everywhere (participants that were unreachable during the
-// completion phase are re-driven by coordinator recovery). On any
-// prepare failure the action aborts everywhere and ErrAborted is
-// returned.
+// Commit ends the action and returns when the outcome is decided and
+// durable. A transaction whose effects lie at several nodes runs
+// two-phase commit: on success they are permanent everywhere
+// (participants that were unreachable during the completion phase are
+// re-driven by coordinator recovery); on any prepare failure the action
+// aborts everywhere and ErrAborted is returned. One that touched a
+// single remote node and wrote nothing here commits in one step
+// (onephase.go): a writer hands that node the decision and may come back
+// ErrInDoubt when it stays silent past ctx; a reader is committed on the
+// spot, and its read locks at that node are released within the flush
+// interval.
 func (t *Txn) Commit(ctx context.Context) error {
 	t.mu.Lock()
 	if t.done {
@@ -743,6 +805,7 @@ func (t *Txn) Commit(ctx context.Context) error {
 	}
 	t.done = true
 	participants, failedContacts := t.split()
+	sole, singleSite := t.singleSiteLocked()
 	t.mu.Unlock()
 
 	peer := t.mgr.Node().Peer()
@@ -756,6 +819,14 @@ func (t *Txn) Commit(ctx context.Context) error {
 
 	clk := t.mgr.clock()
 	start := clk.Now()
+
+	if singleSite {
+		err := t.commitOnePhase(ctx, sole)
+		if err == nil {
+			t.noteCommitted(clk.Since(start))
+		}
+		return err
+	}
 
 	// Phase 1: prepare every remote participant, fanning out
 	// concurrently. The first NO vote or error cancels the round so
@@ -806,8 +877,8 @@ func (t *Txn) Commit(ctx context.Context) error {
 
 	// Decision point: force the commit record with the writer list.
 	// From here the action is committed. The record also carries the
-	// coordinator's own write set, so coordinator recovery can redo the
-	// local leg if the crash beat the local journal force.
+	// coordinator's own write set, which the store installs with it: a
+	// crash that beats the local commit below loses nothing.
 	if len(writers) > 0 {
 		localWrites, err := t.local.PendingWrites()
 		if err == nil {
@@ -854,16 +925,19 @@ func (t *Txn) Commit(ctx context.Context) error {
 			// Appended, not forced: nobody waits on a forget. A crash
 			// before the next force brings the decision record back,
 			// and the re-driven commits find every participant done.
-			if err := log.Forget(t.ID()); err != nil {
-				txnCommits.Inc()
-				commitNs.ObserveDurationWithExemplar(clk.Since(start), t.tc.TraceID)
-				return nil // commit succeeded; forgetting is housekeeping
-			}
+			//mcalint:ignore errdrop commit succeeded; forgetting is housekeeping, and a kept record is re-driven by recovery
+			_ = log.Forget(t.ID())
 		}
 	}
-	txnCommits.Inc()
-	commitNs.ObserveDurationWithExemplar(clk.Since(start), t.tc.TraceID)
+	t.noteCommitted(clk.Since(start))
 	return nil
+}
+
+// noteCommitted counts one committed transaction and how long its Commit
+// took.
+func (t *Txn) noteCommitted(took time.Duration) {
+	txnCommits.Inc()
+	commitNs.ObserveDurationWithExemplar(took, t.tc.TraceID)
 }
 
 // withoutNodes returns nodes minus the dropped ones, preserving order.
@@ -958,14 +1032,9 @@ func (m *Manager) RecoverPending(ctx context.Context) (int, error) {
 	for _, in := range pending {
 		switch {
 		case in.Coordinator == nd.ID() && in.Status == store.IntentionCommitted:
-			// Redo the coordinator's own leg first: the decision record
-			// carries the local write set, so a crash that beat the
-			// local journal force is repaired here. Idempotent — the
-			// batch rewrites full object states.
-			if err := nd.Stable().ApplyBatch(in.Writes); err != nil {
-				remaining++
-				continue
-			}
+			// The coordinator's own leg needs no redo: the decision
+			// record carried the local write set, and the store installed
+			// it with the record (and replays it with the log).
 			// Coordinator role: re-drive completion, fanning out
 			// concurrently so one dead participant costs one timeout
 			// for the whole round, not one per participant. The
@@ -1003,9 +1072,13 @@ func (m *Manager) RecoverPending(ctx context.Context) (int, error) {
 			}
 			//mcalint:ignore errdrop forgetting is housekeeping; a kept record re-asks the coordinator next pass
 			_ = log.Forget(in.Action)
+		case in.Coordinator != nd.ID() && in.Status == store.IntentionCommitted:
+			// A one-phase decision this node took as the transaction's
+			// one participant. Its write set went in with the record;
+			// the record stays, to answer a coordinator still asking
+			// what was decided, until the coordinator releases it.
 		default:
-			// Stale record in a shape recovery does not own (e.g. a
-			// participant's own committed marker): drop it.
+			// Stale record in a shape recovery does not own: drop it.
 			//mcalint:ignore errdrop dropping a stale record is best effort; it is retried next recovery pass
 			_ = log.Forget(in.Action)
 		}

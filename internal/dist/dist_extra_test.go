@@ -199,6 +199,11 @@ func TestAsymmetricPartitionDuringCompletion(t *testing.T) {
 	if err := txn.Invoke(ctx, c.nodes[1].ID(), "bank", "add", addArg{Delta: -5}, nil); err != nil {
 		t.Fatal(err)
 	}
+	// A second participant keeps the transaction on two-phase commit (a
+	// single one would decide by itself: TestOnePhaseSilentParticipant).
+	if err := txn.Invoke(ctx, c.nodes[2].ID(), "bank", "add", addArg{Delta: 5}, nil); err != nil {
+		t.Fatal(err)
+	}
 	// Cut the reply path only.
 	c.net.PartitionOneWay(c.nodes[1].ID(), c.coord.Node().ID())
 	err = txn.Commit(ctx)

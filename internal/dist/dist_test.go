@@ -330,6 +330,11 @@ func TestParticipantPreparedCoordinatorNeverDecidedPresumedAbort(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	// Two participants: a single one would be handed the decision in one
+	// step, with no prepared state to leave in doubt.
+	if err := txn.Invoke(ctx, c.nodes[1].ID(), "bank", "add", addArg{Delta: -40}, nil); err != nil {
+		t.Fatal(err)
+	}
 	if err := txn.Invoke(ctx, c.nodes[2].ID(), "bank", "add", addArg{Delta: 40}, nil); err != nil {
 		t.Fatal(err)
 	}

@@ -154,6 +154,13 @@ func TestLateInvokeCannotDivergeFromLoggedWrites(t *testing.T) {
 	if err := txn.Invoke(ctx, f.partNode.ID(), "reg", "add", map[string]int{"delta": 5}, nil); err != nil {
 		t.Fatal(err)
 	}
+	// A write at the coordinator too, so that the transaction has a
+	// prepare/commit window at all: with the one remote writer alone it
+	// would commit in one step.
+	local := object.New(0, object.WithStore(f.coordNode.Stable()))
+	if err := local.Write(txn.Action(), func(v *int) error { *v = 1; return nil }); err != nil {
+		t.Fatal(err)
+	}
 
 	var lateErr error
 	f.coord.TestHooks = Hooks{AfterPrepare: func() {

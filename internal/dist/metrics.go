@@ -14,6 +14,7 @@ var (
 	roundKinds = []trace.RoundKind{
 		trace.RoundPrepare, trace.RoundCommit, trace.RoundAbort,
 		trace.RoundRecover, trace.RoundStructure,
+		trace.RoundCommit1, trace.RoundRelease,
 	}
 
 	roundsOK    map[trace.RoundKind]*metrics.Counter
@@ -29,6 +30,16 @@ var (
 	txnAborts     *metrics.Counter
 	commitNs      *metrics.Histogram
 	readonlyVotes *metrics.Counter
+
+	// Single-site transactions: one-step commits by kind, releases by
+	// the way they travelled, releases still owed, and one-phase commits
+	// that ended in doubt.
+	onePhaseReads       *metrics.Counter
+	onePhaseWrites      *metrics.Counter
+	releasesPiggybacked *metrics.Counter
+	releasesFlushed     *metrics.Counter
+	releasesPending     *metrics.Gauge
+	inDoubt             *metrics.Counter
 )
 
 func init() {
@@ -59,4 +70,14 @@ func init() {
 		"Txn.Commit duration at the coordinator, ns.").EnableExemplars()
 	readonlyVotes = r.Counter("mca_dist_readonly_votes_total",
 		"Prepare votes answered yes read-only: no log force, excluded from phase 2.")
+	onePhase := r.CounterVec("mca_dist_onephase_commits_total",
+		"Single-site transactions committed in one step, by kind.", "kind")
+	onePhaseReads, onePhaseWrites = onePhase.With("readonly"), onePhase.With("write")
+	releases := r.CounterVec("mca_dist_releases_total",
+		"Finished single-site transactions their participant was told of, by the path the word took.", "path")
+	releasesPiggybacked, releasesFlushed = releases.With("piggyback"), releases.With("flush")
+	releasesPending = r.Gauge("mca_dist_release_pending",
+		"Finished single-site transactions whose participant has not been told yet.")
+	inDoubt = r.Counter("mca_dist_indoubt_total",
+		"One-phase commits whose participant never said what it decided.")
 }

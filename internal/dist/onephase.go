@@ -1,0 +1,222 @@
+// One-step commit for single-site transactions.
+//
+// Under strict two-phase locking a transaction whose effects all lie at
+// one remote node has passed its lock point when its last invocation
+// there returned: every lock it will ever hold is held, at that one
+// node, by one participant action. Nothing is left for a prepare round
+// to validate — it exists to learn that every site still holds its part,
+// and with one site the only failure that can lose a part (that node
+// restarting between two invocations) is refused at the invocation
+// itself (participantAction). So:
+//
+//   - a reader is committed where it stands. Commit returns at once and
+//     the participant is told lazily that its action may go (release.go);
+//   - a writer hands the decision to the participant in one commit1
+//     message. The participant forces one record — the commit decision
+//     and the write set it decides on, which the store installs under
+//     that same force — and answers committed; with no such record it
+//     answers aborted, now and after any crash (presumed abort). This
+//     node logs nothing. It acknowledges lazily, through the same release
+//     list, and the participant then forgets the record.
+//
+// Transactions with effects at several nodes, this one included, keep
+// two-phase commit — all-read-only ones too: their prepare round is what
+// finds out that some node lost its locks before the last invocation
+// elsewhere returned. So do constituents of distributed structures,
+// whose participant actions commit into a container, not to the store.
+package dist
+
+import (
+	"context"
+	"errors"
+	"fmt"
+	"time"
+
+	"mca/internal/action"
+	"mca/internal/flightrec"
+	"mca/internal/ids"
+	"mca/internal/rpc"
+	"mca/internal/store"
+	"mca/internal/trace"
+)
+
+// singleSiteLocked reports whether the transaction is a plain one whose
+// effects all lie at one remote node, and that node's entry. Caller
+// holds t.mu.
+func (t *Txn) singleSiteLocked() (contact, bool) {
+	if t.structure != nil || t.local.HasWrites() {
+		return contact{}, false
+	}
+	var sole contact
+	n := 0
+	for _, c := range t.contacts {
+		if c.ok {
+			sole = c
+			n++
+		}
+	}
+	return sole, n == 1
+}
+
+// commitOnePhase commits a single-site transaction at its one
+// participant.
+func (t *Txn) commitOnePhase(ctx context.Context, p contact) error {
+	// A reader is past its lock point with nothing to make durable:
+	// committed as it stands. A writer is once its participant says so.
+	committed := onePhaseReads
+	if p.wrote {
+		if err := t.decideAt(ctx, p.node); err != nil {
+			_ = t.local.Abort()
+			return err
+		}
+		committed = onePhaseWrites
+	}
+	// For a reader the release lets the participant action go; for a
+	// writer it is the acknowledgement that lets the participant forget
+	// its decision record.
+	t.mgr.owe(p.node, t.ID())
+	committed.Inc()
+	if err := t.local.Commit(); err != nil {
+		return fmt.Errorf("dist: local apply after decision: %w", err)
+	}
+	return nil
+}
+
+// decideAt hands the decision to the participant at node, in one commit1
+// round, and returns nil when it decided commit.
+func (t *Txn) decideAt(ctx context.Context, node ids.NodeID) error {
+	var committed bool
+	asked := t.mgr.fanout(ctx, trace.RoundCommit1, t.ID(), t.tc, []ids.NodeID{node}, false,
+		func(ctx context.Context, node ids.NodeID) (err error) {
+			committed, err = t.askCommit1(ctx, node)
+			return err
+		})
+	if err := asked[0].Err; err != nil {
+		// Whatever the participant did or will do with the commit1, this
+		// node has finished with the transaction: the release undoes an
+		// action the message never reached and forgets a decision it did.
+		t.mgr.owe(node, t.ID())
+		inDoubt.Inc()
+		flightrec.Record(flightrec.Event{Kind: flightrec.KindInDoubt, Node: uint64(t.mgr.Node().ID()),
+			Trace: t.tc.TraceID, Span: t.tc.SpanID, A: uint64(t.ID()), B: uint64(node)})
+		return fmt.Errorf("%w: participant %v: %v", ErrInDoubt, node, err)
+	}
+	if !committed {
+		txnAborts.Inc()
+		return fmt.Errorf("%w: participant %v decided abort", ErrAborted, node)
+	}
+	return nil
+}
+
+// commit1Pause spaces out repeated commit1 calls that fail fast (the
+// participant answering that it cannot tell yet, say while its store is
+// down). Calls that time out pace themselves.
+const commit1Pause = 5 * time.Millisecond
+
+// askCommit1 hands the participant the decision and returns what it
+// decided. Only the participant knows, so an unanswered call is repeated
+// — the handler answers a repeat from its log — until ctx ends or this
+// node stops.
+func (t *Txn) askCommit1(ctx context.Context, p ids.NodeID) (bool, error) {
+	peer := t.mgr.Node().Peer()
+	var scratch [bodyScratch]byte
+	body := appendTxnReq(scratch[:0], t.ID())
+	for {
+		reply, err := peer.CallRaw(ctx, p, methodCommit1, body)
+		if err == nil {
+			var committed bool
+			if committed, err = decodeDecision(reply); err == nil {
+				return committed, nil
+			}
+		}
+		if ctx.Err() != nil || errors.Is(err, rpc.ErrStopped) {
+			return false, err
+		}
+		if !errors.Is(err, rpc.ErrTimeout) {
+			select {
+			case <-ctx.Done():
+				return false, err
+			case <-t.mgr.clock().After(commit1Pause):
+			}
+		}
+	}
+}
+
+// retire drops the participant state of a transaction decided here and
+// reports whether its coordinator has already released it.
+func (m *Manager) retire(txn ids.ActionID) (released bool) {
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	m.dropLocked(txn)
+	_, released = m.tombstones[txn]
+	return released
+}
+
+// decisionRecord is the stable sink of a one-phase commit: the write set
+// it is handed becomes, with the commit decision, one forced intention
+// record, which the store installs as it forces it.
+type decisionRecord struct {
+	log         *store.IntentionLog
+	txn         ids.ActionID
+	coordinator ids.NodeID
+}
+
+func (d *decisionRecord) ApplyBatch(writes store.Batch) error {
+	return d.log.Record(store.Intention{
+		Action:      d.txn,
+		Status:      store.IntentionCommitted,
+		Writes:      writes,
+		Coordinator: d.coordinator,
+	})
+}
+
+// handleCommit1 decides a single-site transaction at its one participant.
+// The answer is always what the log says: committed follows the forced
+// decision record, first time and every repeat; aborted means there is
+// no record and, the transaction being buried, never will be. An error
+// means this node cannot tell yet, and the coordinator asks again.
+func (m *Manager) handleCommit1(_ context.Context, from ids.NodeID, body []byte) ([]byte, error) {
+	txn, err := decodeTxnReq(body)
+	if err != nil {
+		return nil, fmt.Errorf("decode commit1: %w", err)
+	}
+	log := m.Node().Stable().Intentions()
+	ps, alreadyFrozen, ok := m.freezeActive(txn)
+	if ok && !alreadyFrozen && ps.a.Status() == action.Active {
+		// Frozen, so no late invoke can write past the record; then the
+		// record, the install and the local commit in one step.
+		err := ps.a.CommitWith(&decisionRecord{log: log, txn: txn, coordinator: from})
+		released := m.retire(txn)
+		if err != nil {
+			// The action is undone here — by CommitWith when the force
+			// failed, below when it never got that far — but a force that
+			// failed in a crash may yet be found on disk: only the log
+			// will tell.
+			_ = ps.a.Abort()
+			return nil, fmt.Errorf("commit1 %v: %w", txn, err)
+		}
+		if released {
+			// The coordinator gave up waiting and said so while the
+			// record was being forced: nobody will ask for it.
+			//mcalint:ignore errdrop forgetting is housekeeping; a kept decision record is only log space
+			_ = log.Forget(txn)
+		}
+		return committedBody, nil
+	}
+	in, found, err := log.Lookup(txn)
+	switch {
+	case err != nil:
+		return nil, err
+	case found && in.Status == store.IntentionCommitted:
+		return committedBody, nil
+	case ok && alreadyFrozen:
+		// An earlier commit1 is still forcing.
+		return nil, fmt.Errorf("commit1 %v: decision in progress", txn)
+	}
+	// No action (lost to a crash, or never begun), or one that died
+	// locally (deadlock victim): presumed abort, made final.
+	if a, live := m.bury(txn); live {
+		_ = a.Abort()
+	}
+	return abortedBody, nil
+}

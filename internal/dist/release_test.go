@@ -1,0 +1,383 @@
+package dist
+
+import (
+	"context"
+	"encoding/json"
+	"errors"
+	"fmt"
+	"strings"
+	"testing"
+	"time"
+
+	"mca/internal/action"
+	"mca/internal/clock"
+	"mca/internal/flightrec"
+	"mca/internal/ids"
+	"mca/internal/netsim"
+	"mca/internal/node"
+	"mca/internal/object"
+	"mca/internal/phase"
+	"mca/internal/rpc"
+	"mca/internal/trace"
+)
+
+// releaseFixture is two coordinators and two participants, each
+// participant hosting one integer register, all on one clock — a
+// clock.Fake in the tests that place a release on the virtual timeline.
+type releaseFixture struct {
+	net    *netsim.Network
+	coords [2]*Manager
+	parts  [2]*node.Node
+	recs   [2]*trace.Recorder // the coordinators' recorders
+}
+
+func newReleaseFixture(t *testing.T, clk clock.Clock) *releaseFixture {
+	t.Helper()
+	f := &releaseFixture{net: netsim.New(netsim.Config{Clock: clk})}
+	t.Cleanup(f.net.Close)
+	// Retransmissions sit far beyond any advance the tests make.
+	opts := rpc.Options{RetryInterval: time.Second, CallTimeout: 30 * time.Second}
+	newNode := func(extra ...node.Option) *node.Node {
+		nd, err := node.New(f.net, append([]node.Option{node.WithRPCOptions(opts), node.WithClock(clk)}, extra...)...)
+		if err != nil {
+			t.Fatal(err)
+		}
+		t.Cleanup(nd.Stop)
+		return nd
+	}
+	for i := range f.coords {
+		f.recs[i] = trace.NewRecorder()
+		f.coords[i] = NewManager(newNode(node.WithTracer(f.recs[i])))
+	}
+	for i := range f.parts {
+		nd := newNode()
+		f.parts[i] = nd
+		reg := object.New(0, object.WithStore(nd.Stable()))
+		NewManager(nd).RegisterResource("reg", ResourceFunc(func(a *action.Action, op string, arg []byte) ([]byte, error) {
+			switch op {
+			case "get":
+				var out int
+				if err := reg.Read(a, func(v int) error { out = v; return nil }); err != nil {
+					return nil, err
+				}
+				return json.Marshal(out)
+			case "add":
+				return []byte("{}"), reg.Write(a, func(v *int) error { *v++; return nil })
+			}
+			return nil, fmt.Errorf("unknown op %q", op)
+		}))
+	}
+	return f
+}
+
+// op runs one single-participant transaction from coordinator c.
+func (f *releaseFixture) op(c, part int, op string) error {
+	ctx := context.Background()
+	return f.coords[c].Run(ctx, func(txn *Txn) error {
+		return txn.Invoke(ctx, f.parts[part].ID(), "reg", op, struct{}{}, nil)
+	})
+}
+
+// owed counts the releases coordinator c has not yet sent.
+func (f *releaseFixture) owed(c int) int {
+	q := &f.coords[c].releases
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	n := 0
+	for _, o := range q.owed {
+		n += len(o.txns)
+	}
+	return n
+}
+
+func eventually(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting for %s", what)
+		}
+	}
+}
+
+// TestReleaseFlushesAtDeadline: a reader's locks at its one participant
+// outlive Commit until the release reaches it. With no later invoke to
+// carry the release, another coordinator's writer waits for the flusher —
+// and proceeds exactly when the release has waited releaseFlushAfter on
+// the node's clock, not a nanosecond earlier.
+func TestReleaseFlushesAtDeadline(t *testing.T) {
+	clk := clock.NewFake()
+	f := newReleaseFixture(t, clk)
+	if err := f.op(0, 0, "get"); err != nil {
+		t.Fatal(err)
+	}
+	if got := f.parts[0].Runtime().ActiveActions(); got != 1 {
+		t.Fatalf("participant has %d active actions after the read committed, want the reader's 1", got)
+	}
+	written := make(chan error, 1)
+	go func() { written <- f.op(1, 0, "add") }()
+	blocked := func(why string) {
+		t.Helper()
+		select {
+		case err := <-written:
+			t.Fatalf("the writer got through %s (err %v)", why, err)
+		case <-time.After(30 * time.Millisecond):
+		}
+	}
+	blocked("while the reader's release was still owed")
+	clk.Advance(releaseFlushAfter - time.Nanosecond)
+	blocked("a nanosecond before the flush deadline")
+	clk.Advance(time.Nanosecond)
+	select {
+	case err := <-written:
+		if err != nil {
+			t.Fatalf("write: %v", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the writer is still blocked after the flush deadline")
+	}
+	if got := f.recs[0].RoundSummary()[trace.RoundRelease]; got != 1 {
+		t.Fatalf("the reader's coordinator recorded %d release rounds, want 1", got)
+	}
+}
+
+// TestReleaseRidesOwnCoordinatorsInvoke: the coordinator that read a key
+// writes it in its next transaction, on a clock that never moves. The
+// write's own invoke carries the reader's release, so it never waits.
+func TestReleaseRidesOwnCoordinatorsInvoke(t *testing.T) {
+	f := newReleaseFixture(t, clock.NewFake())
+	before := releasesPiggybacked.Value()
+	done := make(chan error, 1)
+	go func() {
+		if err := f.op(0, 0, "get"); err != nil {
+			done <- err
+			return
+		}
+		done <- f.op(0, 0, "add")
+	}()
+	select {
+	case err := <-done:
+		if err != nil {
+			t.Fatal(err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("a write behind the same coordinator's read is blocked on a clock that does not move")
+	}
+	if got := releasesPiggybacked.Value() - before; got != 1 {
+		t.Fatalf("%d releases rode an invoke, want the reader's 1", got)
+	}
+	if got := f.recs[0].RoundSummary(); got[trace.RoundRelease] != 0 || got[trace.RoundPrepare] != 0 || got[trace.RoundCommit1] != 1 {
+		t.Fatalf("rounds = %v, want one commit1 and nothing else", got)
+	}
+}
+
+// TestReleasesDrain: what a coordinator owes its participants goes to
+// zero, and so do the participant actions, both when later traffic
+// carries the releases and when only the flusher does.
+func TestReleasesDrain(t *testing.T) {
+	clk := clock.NewFake()
+	f := newReleaseFixture(t, clk)
+	piggybacked, flushed := releasesPiggybacked.Value(), releasesFlushed.Value()
+
+	// Ten reads in a row: each carries its predecessor's release, so the
+	// participant never holds more than the latest reader.
+	for i := 0; i < 10; i++ {
+		if err := f.op(0, 0, "get"); err != nil {
+			t.Fatal(err)
+		}
+		if got := f.parts[0].Runtime().ActiveActions(); got != 1 {
+			t.Fatalf("after read %d the participant has %d active actions, want 1", i, got)
+		}
+	}
+	if got := f.owed(0); got != 1 {
+		t.Fatalf("coordinator owes %d releases after ten reads, want the last one", got)
+	}
+	// A read and a write elsewhere: traffic to one node carries nothing
+	// for another.
+	if err := f.op(0, 1, "get"); err != nil {
+		t.Fatal(err)
+	}
+	if err := f.op(0, 1, "add"); err != nil {
+		t.Fatal(err)
+	}
+	if got := f.owed(0); got != 2 {
+		t.Fatalf("coordinator owes %d releases, want 2 (one reader at each node's end of the line)", got)
+	}
+	if got := releasesPiggybacked.Value() - piggybacked; got != 10 {
+		t.Fatalf("%d releases rode an invoke, want 10", got)
+	}
+
+	// No more traffic: the flusher delivers the rest.
+	clk.Advance(releaseFlushAfter)
+	eventually(t, "the flusher to empty the lists", func() bool {
+		return f.owed(0) == 0 && f.parts[0].Runtime().ActiveActions() == 0 && f.parts[1].Runtime().ActiveActions() == 0
+	})
+	eventually(t, "the flushed releases to be counted", func() bool { return releasesFlushed.Value()-flushed == 2 })
+	for i, nd := range f.parts {
+		pending, err := nd.Stable().Intentions().Pending()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if len(pending) != 0 {
+			t.Fatalf("participant %d still holds %d intention records", i, len(pending))
+		}
+	}
+}
+
+// TestReleaseToDownNodeIsDroppedAfterOneAttempt: a participant that is
+// down when the flusher calls gets one end message; after that the
+// coordinator owes it nothing, and a restart of the coordinator forgets
+// whatever it still owed anybody.
+func TestReleaseToDownNodeIsDroppedAfterOneAttempt(t *testing.T) {
+	clk := clock.NewFake()
+	f := newReleaseFixture(t, clk)
+	if err := f.op(0, 0, "get"); err != nil {
+		t.Fatal(err)
+	}
+	f.parts[0].Crash()
+	clk.Advance(releaseFlushAfter)
+	eventually(t, "the end message to be in flight", func() bool { return f.owed(0) == 0 })
+	clk.Advance(30 * time.Second) // the one call times out
+	eventually(t, "the failed release round", func() bool { return f.recs[0].RoundSummary()[trace.RoundRelease] == 1 })
+	if got := f.owed(0); got != 0 {
+		t.Fatalf("coordinator owes the dead node %d releases again, want the list dropped", got)
+	}
+
+	if err := f.op(0, 1, "get"); err != nil {
+		t.Fatal(err)
+	}
+	nd := f.coords[0].Node()
+	nd.Crash()
+	nd.Restart()
+	if got := f.owed(0); got != 0 {
+		t.Fatalf("restarted coordinator owes %d releases, want none", got)
+	}
+}
+
+// TestSingleSiteReadAfterParticipantRestartIsRefused: a transaction that
+// read at a node, saw the node restart, and reads there again would be
+// holding no lock on what it read first. The second read is refused.
+func TestSingleSiteReadAfterParticipantRestartIsRefused(t *testing.T) {
+	f := newReleaseFixture(t, clock.Real())
+	ctx := context.Background()
+	txn, err := f.coords[0].Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	read := func() error { return txn.Invoke(ctx, f.parts[0].ID(), "reg", "get", struct{}{}, nil) }
+	if err := read(); err != nil {
+		t.Fatal(err)
+	}
+	f.parts[0].Crash()
+	f.parts[0].Restart()
+	if err := read(); err == nil || !strings.Contains(err.Error(), ErrAborted.Error()) {
+		t.Fatalf("second read after the participant restarted = %v, want it refused as aborted", err)
+	}
+	_ = txn.Abort(ctx)
+}
+
+// TestMultiSiteReadOnlyStillValidates: a read-only transaction over two
+// nodes keeps its prepare round, because that round is what notices a
+// node that lost the transaction's locks before the lock point. Here P0
+// restarts between the two reads and a writer changes both registers in
+// the gap: the reader saw the old value at P0 and the new one at P1, and
+// must not commit.
+func TestMultiSiteReadOnlyStillValidates(t *testing.T) {
+	f := newReleaseFixture(t, clock.Real())
+	ctx := context.Background()
+	reader, err := f.coords[0].Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	var x, y int
+	if err := reader.Invoke(ctx, f.parts[0].ID(), "reg", "get", struct{}{}, &x); err != nil {
+		t.Fatal(err)
+	}
+	f.parts[0].Crash()
+	f.parts[0].Restart()
+	err = f.coords[1].Run(ctx, func(w *Txn) error {
+		if err := w.Invoke(ctx, f.parts[0].ID(), "reg", "add", struct{}{}, nil); err != nil {
+			return err
+		}
+		return w.Invoke(ctx, f.parts[1].ID(), "reg", "add", struct{}{}, nil)
+	})
+	if err != nil {
+		t.Fatalf("writer: %v", err)
+	}
+	if err := reader.Invoke(ctx, f.parts[1].ID(), "reg", "get", struct{}{}, &y); err != nil {
+		t.Fatal(err)
+	}
+	if x != 0 || y != 1 {
+		t.Fatalf("reader saw x=%d y=%d, want the torn view x=0 y=1 the test is about", x, y)
+	}
+	if err := reader.Commit(ctx); !errors.Is(err, ErrAborted) {
+		t.Fatalf("Commit of the torn read = %v, want ErrAborted from the prepare round", err)
+	}
+	if got := f.recs[0].RoundSummary()[trace.RoundPrepare]; got != 1 {
+		t.Fatalf("reader's coordinator ran %d prepare rounds, want 1", got)
+	}
+}
+
+// TestOnePhaseAccounting: what the one-step paths report — commits by
+// kind, the commit1 round, the in-doubt counter and flight-recorder
+// event — and what they must not: a reader's Commit charges its
+// transaction no network or round time.
+func TestOnePhaseAccounting(t *testing.T) {
+	f := newReleaseFixture(t, clock.Real())
+	ctx := context.Background()
+	reads, writes, doubts := onePhaseReads.Value(), onePhaseWrites.Value(), inDoubt.Value()
+
+	txn, err := f.coords[0].Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := txn.Invoke(ctx, f.parts[0].ID(), "reg", "get", struct{}{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	invoked := phase.Snapshot(txn.tc.TraceID)
+	if invoked[phase.RPC] == 0 {
+		t.Fatal("the traced invoke charged no rpc time: the ledger is not recording")
+	}
+	if err := txn.Commit(ctx); err != nil {
+		t.Fatal(err)
+	}
+	committed := phase.Snapshot(txn.tc.TraceID)
+	if committed[phase.RPC] != invoked[phase.RPC] || committed[phase.Round] != 0 {
+		t.Fatalf("read commit charged net time: ledger %v after the invoke, %v after Commit", invoked, committed)
+	}
+	if err := f.op(0, 0, "add"); err != nil {
+		t.Fatal(err)
+	}
+	if r, w := onePhaseReads.Value()-reads, onePhaseWrites.Value()-writes; r != 1 || w != 1 {
+		t.Fatalf("one-phase commits counted: %d reads %d writes, want 1 and 1", r, w)
+	}
+	if got := f.recs[0].RoundSummary(); got[trace.RoundCommit1] != 1 || got[trace.RoundPrepare] != 0 || got[trace.RoundCommit] != 0 {
+		t.Fatalf("rounds = %v, want one commit1 and no two-phase round", got)
+	}
+
+	// A writer whose participant never answers ends in doubt.
+	txn, err = f.coords[0].Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := txn.Invoke(ctx, f.parts[0].ID(), "reg", "add", struct{}{}, nil); err != nil {
+		t.Fatal(err)
+	}
+	f.net.PartitionOneWay(f.parts[0].ID(), f.coords[0].Node().ID())
+	short, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
+	defer cancel()
+	if err := txn.Commit(short); !errors.Is(err, ErrInDoubt) {
+		t.Fatalf("Commit = %v, want ErrInDoubt", err)
+	}
+	if got := inDoubt.Value() - doubts; got != 1 {
+		t.Fatalf("in-doubt commits counted: %d, want 1", got)
+	}
+	recorded := false
+	for _, ev := range flightrec.Snapshot() {
+		if ev.Kind == flightrec.KindInDoubt && ids.ActionID(ev.A) == txn.ID() {
+			recorded = ev.B == uint64(f.parts[0].ID())
+		}
+	}
+	if !recorded {
+		t.Fatal("no flight-recorder event for the in-doubt commit")
+	}
+}

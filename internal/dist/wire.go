@@ -7,18 +7,23 @@
 // body. What the application passes through the protocol (the argument
 // and the result of an invocation) rides as opaque bytes.
 //
-//	invoke        D1 01  txn  resource  op  arg  n  n×(structure container write flags)
-//	invoke reply  D1 02  result
+//	invoke        D1 01  flags (bit0 first contact)  txn  resource  op  arg
+//	                     n  n×(structure container write flags)  r  r×txn
+//	invoke reply  D1 02  flags (bit0 nothing written so far)  result
 //	prepare       D1 03  txn  coordinator
 //	vote          D1 04  flags (bit0 yes, bit1 read-only)
-//	txn           D1 05  txn                    (commit, abort, decision query)
-//	decision      D1 06  flags (bit0 committed)
+//	txn           D1 05  txn                    (commit, abort, decision query, commit1)
+//	decision      D1 06  flags (bit0 committed) (decision reply, commit1 outcome)
 //	ack           D1 07
 //	structure     D1 08  structure              (end, abort)
+//	end           D1 09  r  r×txn               (standalone release batch)
 //
 // The invoke's structure entries run from the transaction's own
 // structure outwards through its parents; n is 0 for a transaction
-// outside any structure. Entry flags: bit0 companion, bit1 read-own.
+// outside any structure. Entry flags: bit0 companion, bit1 read-own. The
+// r transactions after them are ones the sender has finished with at
+// this node (release.go); an end carries the same list on its own, and
+// neither carries more than maxReleaseBatch of them.
 package dist
 
 import (
@@ -42,6 +47,7 @@ const (
 	bodyDecision
 	bodyAck
 	bodyStructure
+	bodyEnd
 )
 
 // errMalformedBody is returned for a body its decoder rejects.
@@ -66,17 +72,29 @@ func finish(r *wire.Reader) error {
 // --- invoke ---
 
 type invokeReq struct {
-	Txn      ids.ActionID
-	Resource string
-	Op       string
+	Txn ids.ActionID
+	// Continuation is false on the coordinator's first contact with the
+	// node for this transaction — the only invoke that may start a
+	// participant action. A later one that finds none is refused: the
+	// action it continues died, with its earlier effects, in a crash.
+	Continuation bool
+	Resource     string
+	Op           string
 	// Arg is the application's argument, opaque here.
 	Arg []byte
 	// Structure, when non-nil, mirrors the coordinator-side colour
 	// scheme at the participant (distributed serializing actions).
 	Structure *structureInfo
+	// Release lists transactions the coordinator has finished with at
+	// this node, to be released before the operation runs. It aliases the
+	// body after a decode.
+	Release releaseList
 }
 
 const (
+	invokeFirstContact  byte = 1 << 0
+	replyNothingWritten byte = 1 << 0
+
 	structCompanion byte = 1 << 0
 	structReadOwn   byte = 1 << 1
 	// structEntryMin is the least an encoded structure entry takes:
@@ -85,7 +103,11 @@ const (
 )
 
 func appendInvokeReq(buf []byte, q *invokeReq) []byte {
-	buf = append(buf, bodyMagic, byte(bodyInvoke))
+	var flags byte
+	if !q.Continuation {
+		flags = invokeFirstContact
+	}
+	buf = append(buf, bodyMagic, byte(bodyInvoke), flags)
 	buf = wire.AppendUvarint(buf, uint64(q.Txn))
 	buf = wire.AppendString(buf, q.Resource)
 	buf = wire.AppendString(buf, q.Op)
@@ -108,7 +130,7 @@ func appendInvokeReq(buf []byte, q *invokeReq) []byte {
 		}
 		buf = append(buf, flags)
 	}
-	return buf
+	return appendReleaseList(buf, q.Release)
 }
 
 // decodeInvokeReq decodes an invoke. Resource and Op are interned; Arg
@@ -118,7 +140,11 @@ func decodeInvokeReq(body []byte) (invokeReq, error) {
 	if err != nil {
 		return invokeReq{}, err
 	}
-	q := invokeReq{Txn: ids.ActionID(r.Uvarint())}
+	flags := r.Byte()
+	if flags&^invokeFirstContact != 0 {
+		r.Fail()
+	}
+	q := invokeReq{Continuation: flags&invokeFirstContact == 0, Txn: ids.ActionID(r.Uvarint())}
 	q.Resource = wire.Intern(r.Bytes())
 	q.Op = wire.Intern(r.Bytes())
 	q.Arg = r.Bytes()
@@ -137,21 +163,86 @@ func decodeInvokeReq(body []byte) (invokeReq, error) {
 		s.ReadOwn = flags&structReadOwn != 0
 		*link, link = s, &s.Parent
 	}
+	q.Release = readReleaseList(&r)
 	return q, finish(&r)
 }
 
-func appendInvokeReply(buf, result []byte) []byte {
-	return wire.AppendBytes(append(buf, bodyMagic, byte(bodyInvokeReply)), result)
+// appendInvokeReply encodes the operation's result with whether the
+// participant action has written nothing so far.
+func appendInvokeReply(buf []byte, nothingWritten bool, result []byte) []byte {
+	var flags byte
+	if nothingWritten {
+		flags = replyNothingWritten
+	}
+	return wire.AppendBytes(append(buf, bodyMagic, byte(bodyInvokeReply), flags), result)
 }
 
 // decodeInvokeReply returns the application's result, aliasing body.
-func decodeInvokeReply(body []byte) ([]byte, error) {
+func decodeInvokeReply(body []byte) (result []byte, nothingWritten bool, err error) {
 	r, err := bodyReader(body, bodyInvokeReply)
 	if err != nil {
-		return nil, err
+		return nil, false, err
 	}
-	result := r.Bytes()
-	return result, finish(&r)
+	flags := r.Byte()
+	if flags&^replyNothingWritten != 0 {
+		r.Fail()
+	}
+	result = r.Bytes()
+	return result, flags&replyNothingWritten != 0, finish(&r)
+}
+
+// --- release lists ---
+
+// releaseList is a list of transaction identifiers in its encoded form,
+// so that a sender builds it in a stack buffer and a receiver walks it in
+// place. A decoded list aliases the body and was validated whole.
+type releaseList struct {
+	n   int
+	ids []byte // n uvarints
+}
+
+// maxReleaseBatch caps the transactions one message releases.
+const maxReleaseBatch = 64
+
+func (l releaseList) add(txn ids.ActionID) releaseList {
+	return releaseList{n: l.n + 1, ids: wire.AppendUvarint(l.ids, uint64(txn))}
+}
+
+// each calls fn with every transaction in the list.
+func (l releaseList) each(fn func(ids.ActionID)) {
+	r := wire.NewReader(l.ids)
+	for range l.n {
+		fn(ids.ActionID(r.Uvarint()))
+	}
+}
+
+func appendReleaseList(buf []byte, l releaseList) []byte {
+	return append(wire.AppendUvarint(buf, uint64(l.n)), l.ids...)
+}
+
+func readReleaseList(r *wire.Reader) releaseList {
+	n := r.Count(1)
+	if n > maxReleaseBatch {
+		r.Fail()
+		return releaseList{}
+	}
+	if ids := r.Uvarints(n); len(ids) > 0 {
+		return releaseList{n: n, ids: ids}
+	}
+	return releaseList{}
+}
+
+func appendEndReq(buf []byte, l releaseList) []byte {
+	return appendReleaseList(append(buf, bodyMagic, byte(bodyEnd)), l)
+}
+
+func decodeEndReq(body []byte) (releaseList, error) {
+	r, err := bodyReader(body, bodyEnd)
+	if err != nil {
+		return releaseList{}, err
+	}
+	l := readReleaseList(&r)
+	return l, finish(&r)
 }
 
 // --- prepare and vote ---

@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"reflect"
 	"testing"
+
+	"mca/internal/ids"
 )
 
 // bodyCases is one valid body of every kind the protocol sends, with the
@@ -15,17 +17,23 @@ func bodyCases() map[string][]byte {
 		"invoke": appendInvokeReq(nil, &invokeReq{Txn: 300, Resource: "registers", Op: "add", Arg: []byte(`{"k":7,"d":1}`)}),
 		"invoke_structured": appendInvokeReq(nil, &invokeReq{Txn: 301, Resource: "bank", Op: "get",
 			Structure: &structureInfo{Structure: 7, Container: 2, Write: 3, Companion: true}}),
-		"invoke_chain":   appendInvokeReq(nil, &invokeReq{Txn: 302, Resource: "r", Op: "o", Arg: []byte{0}, Structure: chain}),
-		"invoke_reply":   appendInvokeReply(nil, []byte(`42`)),
-		"prepare":        appendPrepareReq(nil, prepareReq{Txn: 300, Coordinator: 1}),
-		"vote_no":        voteNoBody,
-		"vote_yes":       voteYesBody,
-		"vote_read_only": voteYesReadBody,
-		"txn":            appendTxnReq(nil, 300),
-		"decision_yes":   committedBody,
-		"decision_no":    abortedBody,
-		"ack":            ackBody,
-		"structure":      appendStructureReq(nil, 7),
+		"invoke_chain": appendInvokeReq(nil, &invokeReq{Txn: 302, Resource: "r", Op: "o", Arg: []byte{0}, Structure: chain}),
+		// A later invoke at a node the transaction has been to, carrying
+		// two releases the coordinator owes that node.
+		"invoke_continuation": appendInvokeReq(nil, &invokeReq{Txn: 303, Continuation: true, Resource: "registers", Op: "get",
+			Arg: []byte(`{"k":7}`), Release: releaseList{}.add(298).add(5)}),
+		"invoke_reply":           appendInvokeReply(nil, false, []byte(`42`)),
+		"invoke_reply_unwritten": appendInvokeReply(nil, true, []byte(`42`)),
+		"prepare":                appendPrepareReq(nil, prepareReq{Txn: 300, Coordinator: 1}),
+		"vote_no":                voteNoBody,
+		"vote_yes":               voteYesBody,
+		"vote_read_only":         voteYesReadBody,
+		"txn":                    appendTxnReq(nil, 300),
+		"decision_yes":           committedBody,
+		"decision_no":            abortedBody,
+		"ack":                    ackBody,
+		"structure":              appendStructureReq(nil, 7),
+		"end":                    appendEndReq(nil, releaseList{}.add(300).add(7).add(301)),
 	}
 }
 
@@ -40,8 +48,8 @@ func decodeAny(body []byte) (decoded any, reencoded []byte, ok bool) {
 		q, err := decodeInvokeReq(body)
 		return q, appendInvokeReq(nil, &q), err == nil
 	case bodyInvokeReply:
-		out, err := decodeInvokeReply(body)
-		return out, appendInvokeReply(nil, out), err == nil
+		out, unwritten, err := decodeInvokeReply(body)
+		return [2]any{out, unwritten}, appendInvokeReply(nil, unwritten, out), err == nil
 	case bodyPrepare:
 		q, err := decodePrepareReq(body)
 		return q, appendPrepareReq(nil, q), err == nil
@@ -71,6 +79,9 @@ func decodeAny(body []byte) (decoded any, reencoded []byte, ok bool) {
 	case bodyStructure:
 		id, err := decodeStructureReq(body)
 		return id, appendStructureReq(nil, id), err == nil
+	case bodyEnd:
+		l, err := decodeEndReq(body)
+		return l, appendEndReq(nil, l), err == nil
 	}
 	return nil, nil, false
 }
@@ -97,24 +108,52 @@ func TestBodyRoundTrip(t *testing.T) {
 	if !reflect.DeepEqual(q, want) {
 		t.Fatalf("decoded %+v (structure %+v), want %+v", q, q.Structure, want)
 	}
+	q, err = decodeInvokeReq(bodyCases()["invoke_continuation"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var released []ids.ActionID
+	q.Release.each(func(txn ids.ActionID) { released = append(released, txn) })
+	if !q.Continuation || !reflect.DeepEqual(released, []ids.ActionID{298, 5}) {
+		t.Fatalf("decoded continuation=%v releasing %v, want a continuation releasing [a298 a5]", q.Continuation, released)
+	}
+}
+
+// TestReleaseListIsCapped: a message never releases more than
+// maxReleaseBatch transactions, and a body claiming more is rejected.
+func TestReleaseListIsCapped(t *testing.T) {
+	var l releaseList
+	for i := range maxReleaseBatch {
+		l = l.add(ids.ActionID(i + 1))
+	}
+	if _, err := decodeEndReq(appendEndReq(nil, l)); err != nil {
+		t.Fatalf("a full list is rejected: %v", err)
+	}
+	if _, err := decodeEndReq(appendEndReq(nil, l.add(99))); err == nil {
+		t.Fatal("a list past the cap is accepted")
+	}
 }
 
 // TestBodyGoldenBytes pins the layouts DESIGN.md §15 documents.
 func TestBodyGoldenBytes(t *testing.T) {
 	golden := map[string][]byte{
-		"invoke": append([]byte{0xD1, 0x01, 0xAC, 0x02, 9, 'r', 'e', 'g', 'i', 's', 't', 'e', 'r', 's', 3, 'a', 'd', 'd', 13},
-			append([]byte(`{"k":7,"d":1}`), 0)...),
-		"invoke_structured": {0xD1, 0x01, 0xAD, 0x02, 4, 'b', 'a', 'n', 'k', 3, 'g', 'e', 't', 0, 1, 7, 2, 3, 0x01},
-		"invoke_reply":      {0xD1, 0x02, 2, '4', '2'},
-		"prepare":           {0xD1, 0x03, 0xAC, 0x02, 1},
-		"vote_no":           {0xD1, 0x04, 0},
-		"vote_yes":          {0xD1, 0x04, 1},
-		"vote_read_only":    {0xD1, 0x04, 3},
-		"txn":               {0xD1, 0x05, 0xAC, 0x02},
-		"decision_yes":      {0xD1, 0x06, 1},
-		"decision_no":       {0xD1, 0x06, 0},
-		"ack":               {0xD1, 0x07},
-		"structure":         {0xD1, 0x08, 7},
+		"invoke": append([]byte{0xD1, 0x01, 0x01, 0xAC, 0x02, 9, 'r', 'e', 'g', 'i', 's', 't', 'e', 'r', 's', 3, 'a', 'd', 'd', 13},
+			append([]byte(`{"k":7,"d":1}`), 0, 0)...),
+		"invoke_structured": {0xD1, 0x01, 0x01, 0xAD, 0x02, 4, 'b', 'a', 'n', 'k', 3, 'g', 'e', 't', 0, 1, 7, 2, 3, 0x01, 0},
+		"invoke_continuation": append([]byte{0xD1, 0x01, 0x00, 0xAF, 0x02, 9, 'r', 'e', 'g', 'i', 's', 't', 'e', 'r', 's', 3, 'g', 'e', 't', 7},
+			append([]byte(`{"k":7}`), 0, 2, 0xAA, 0x02, 5)...),
+		"invoke_reply":           {0xD1, 0x02, 0, 2, '4', '2'},
+		"invoke_reply_unwritten": {0xD1, 0x02, 1, 2, '4', '2'},
+		"end":                    {0xD1, 0x09, 3, 0xAC, 0x02, 7, 0xAD, 0x02},
+		"prepare":                {0xD1, 0x03, 0xAC, 0x02, 1},
+		"vote_no":                {0xD1, 0x04, 0},
+		"vote_yes":               {0xD1, 0x04, 1},
+		"vote_read_only":         {0xD1, 0x04, 3},
+		"txn":                    {0xD1, 0x05, 0xAC, 0x02},
+		"decision_yes":           {0xD1, 0x06, 1},
+		"decision_no":            {0xD1, 0x06, 0},
+		"ack":                    {0xD1, 0x07},
+		"structure":              {0xD1, 0x08, 7},
 	}
 	cases := bodyCases()
 	for name, want := range golden {
@@ -172,6 +211,7 @@ func FuzzDistBodyDecode(f *testing.F) {
 	}
 	f.Add([]byte{})
 	f.Add([]byte{bodyMagic})
-	f.Add([]byte{bodyMagic, byte(bodyInvoke), 1, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}) // absurd structure count
+	f.Add([]byte{bodyMagic, byte(bodyInvoke), 1, 1, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}) // absurd structure count
+	f.Add([]byte{bodyMagic, byte(bodyEnd), 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 1, 2})             // absurd release count
 	f.Fuzz(func(t *testing.T, body []byte) { checkStable(t, body) })
 }

@@ -80,6 +80,10 @@ const (
 	// KindWALFlush is one write-ahead-log group-commit flush. A is the
 	// number of records forced, B the flush duration in nanoseconds.
 	KindWALFlush
+	// KindInDoubt is a one-phase commit whose participant never said
+	// what it decided: the coordinator returned in doubt. A is the
+	// transaction's action identifier, B the participant node.
+	KindInDoubt
 )
 
 // String renders the kind for dumps.
@@ -103,6 +107,8 @@ func (k Kind) String() string {
 		return "span"
 	case KindWALFlush:
 		return "wal.flush"
+	case KindInDoubt:
+		return "indoubt"
 	default:
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}

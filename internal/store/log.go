@@ -100,6 +100,22 @@ type logRecord struct {
 	noInstall bool
 }
 
+// installs returns the object batch the record puts into the object
+// states, on the live path once forced and on replay at its place in the
+// log: an object batch itself, and the write set of a committed
+// intention. A commit decision and the write set it decides on are thus
+// one record under one force — what a one-phase commit logs — and replay
+// needs no redo pass to finish a decided write set.
+func (r *logRecord) installs() (Batch, bool) {
+	switch {
+	case r.kind == kindBatch && !r.noInstall:
+		return r.batch, true
+	case r.kind == kindIntention && r.in.Status == IntentionCommitted && !r.in.Writes.Empty():
+		return r.in.Writes, true
+	}
+	return Batch{}, false
+}
+
 func appendBatchBody(buf []byte, b Batch) []byte {
 	buf = wire.AppendUvarint(buf, uint64(len(b.Writes)))
 	for id, st := range b.Writes {
@@ -226,11 +242,12 @@ func (img *logImage) apply(r *logRecord) {
 		img.index[r.action] = *r.in
 	case kindForget:
 		delete(img.index, r.action)
-	case kindBatch:
-		for id, st := range r.batch.Writes {
+	}
+	if b, ok := r.installs(); ok {
+		for id, st := range b.Writes {
 			img.data[id] = st
 		}
-		for _, id := range r.batch.Deletes {
+		for _, id := range b.Deletes {
 			delete(img.data, id)
 		}
 	}
@@ -433,7 +450,7 @@ func (lf *logFile) appendSync(frames []byte) error {
 }
 
 // compact atomically replaces the log with a checkpoint of the image:
-// the live object states as batch records, then the live intentions.
+// the live intentions, then the live object states as batch records.
 // A failure before the rename leaves the old log in place, merely
 // longer than it need be.
 func (lf *logFile) compact(img *logImage) error {
@@ -488,7 +505,26 @@ func writeCheckpoint(f *os.File, img *logImage) (int64, error) {
 		_, err = w.Write(frame)
 		return err
 	}
+	// The live intentions go first: replaying a committed one installs
+	// its write set, and the object states after it — every state the
+	// image holds, and a delete for every object such a write set names
+	// that the image no longer holds — then have the last word, as they
+	// had in the log this checkpoint replaces.
 	chunk := logRecord{kind: kindBatch, batch: Batch{Writes: make(map[ids.ObjectID]State)}}
+	for a := range img.index {
+		in := img.index[a]
+		rec := logRecord{kind: kindIntention, action: a, in: &in}
+		if err := emit(&rec); err != nil {
+			return 0, err
+		}
+		if b, ok := rec.installs(); ok {
+			for id := range b.Writes {
+				if _, live := img.data[id]; !live {
+					chunk.batch.Deletes = append(chunk.batch.Deletes, id)
+				}
+			}
+		}
+	}
 	pending := 0
 	for id, st := range img.data {
 		chunk.batch.Writes[id] = st
@@ -497,17 +533,12 @@ func writeCheckpoint(f *os.File, img *logImage) (int64, error) {
 				return 0, err
 			}
 			clear(chunk.batch.Writes)
+			chunk.batch.Deletes = nil
 			pending = 0
 		}
 	}
-	if len(chunk.batch.Writes) > 0 {
+	if !chunk.batch.Empty() {
 		if err := emit(&chunk); err != nil {
-			return 0, err
-		}
-	}
-	for a := range img.index {
-		in := img.index[a]
-		if err := emit(&logRecord{kind: kindIntention, action: a, in: &in}); err != nil {
 			return 0, err
 		}
 	}

@@ -340,3 +340,69 @@ func TestRecoverAfterCompactionCutsTornTail(t *testing.T) {
 		}
 	}
 }
+
+// TestCommittedIntentionInstallsItsWriteSet: a committed intention is the
+// decision and the install in one record — its write set is in the object
+// states when Record returns, is still there after a restart that replays
+// the log, and survives a compaction that writes newer states after it.
+// A prepared intention installs nothing.
+func TestCommittedIntentionInstallsItsWriteSet(t *testing.T) {
+	dir := t.TempDir()
+	open := func() *Stable {
+		t.Helper()
+		s, err := NewStableAt(dir)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return s
+	}
+	for name, s := range map[string]*Stable{"memory": NewStable(), "file": open()} {
+		t.Run(name, func(t *testing.T) {
+			decided, prepared, gone := ids.NewObjectID(), ids.NewObjectID(), ids.NewObjectID()
+			if err := s.Write(gone, State("old")); err != nil {
+				t.Fatal(err)
+			}
+			record := func(a ids.ActionID, st IntentionStatus, b Batch) {
+				t.Helper()
+				if err := s.Intentions().Record(Intention{Action: a, Status: st, Writes: b, Coordinator: 9}); err != nil {
+					t.Fatal(err)
+				}
+			}
+			record(1, IntentionCommitted, Batch{Writes: map[ids.ObjectID]State{decided: State("v1"), gone: State("v1")}})
+			record(2, IntentionPrepared, Batch{Writes: map[ids.ObjectID]State{prepared: State("p")}})
+			check := func(s *Stable, when string, wantDecided string) {
+				t.Helper()
+				if got, err := s.Read(decided); err != nil || string(got) != wantDecided {
+					t.Fatalf("%s: decided object = %q, %v; want %q", when, got, err, wantDecided)
+				}
+				if _, err := s.Read(prepared); !errors.Is(err, ErrNotFound) {
+					t.Fatalf("%s: a prepared intention installed its write set (err %v)", when, err)
+				}
+			}
+			check(s, "after Record", "v1")
+			s.Crash()
+			s.Recover()
+			check(s, "after a restart", "v1")
+			if name != "file" {
+				return
+			}
+			// A later state and a later delete, then a checkpoint with the
+			// committed intention still live: both must outlast its replay.
+			if err := s.ApplyBatch(Batch{Writes: map[ids.ObjectID]State{decided: State("v2")}, Deletes: []ids.ObjectID{gone}}); err != nil {
+				t.Fatal(err)
+			}
+			s.wal.file.compactAt = 0
+			if err := s.Write(ids.NewObjectID(), State("x")); err != nil {
+				t.Fatal(err)
+			}
+			reopened := open()
+			check(reopened, "after compaction and reopen", "v2")
+			if _, err := reopened.Read(gone); !errors.Is(err, ErrNotFound) {
+				t.Fatalf("a deleted object came back with the checkpointed intention (err %v)", err)
+			}
+			if _, ok, _ := reopened.Intentions().Lookup(1); !ok {
+				t.Fatal("the live committed intention did not survive the checkpoint")
+			}
+		})
+	}
+}

@@ -345,15 +345,15 @@ func (s *Stable) logBatch(b Batch, point CrashPoint) error {
 	return ErrCrashed
 }
 
-// install enters the forced object batches among the records into the
-// cache, in log order. Appenders are still blocked in ApplyBatch, so
-// their states are copied here, once.
+// install enters what the forced records install (logRecord.installs)
+// into the cache, in log order. Appenders are still blocked in their
+// append, so their states are copied here, once.
 func (s *Stable) install(records []logRecord) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	for i := range records {
-		if r := &records[i]; r.kind == kindBatch && !r.noInstall {
-			s.applyLocked(r.batch)
+		if b, ok := records[i].installs(); ok {
+			s.applyLocked(b)
 		}
 	}
 }

@@ -361,8 +361,9 @@ func (w *WAL) flushLoop() {
 const maxSpareFrames = 64 << 10
 
 // flush forces the batch and, on success, installs its records: the
-// intentions in the index, the object batches in the owner's cache, in
-// log order. Called with flushMu held.
+// intentions in the index, the object batches — and the write sets of
+// committed intentions — in the owner's cache, in log order. Called with
+// flushMu held.
 func (w *WAL) flush(b *walBatch) {
 	clk := w.clock()
 	start := clk.Now()
@@ -376,7 +377,8 @@ func (w *WAL) flush(b *walBatch) {
 				w.index[e.action] = *e.in
 			case kindForget:
 				delete(w.index, e.action)
-			case kindBatch:
+			}
+			if _, ok := b.entries[i].installs(); ok {
 				objects = true
 			}
 		}

@@ -34,6 +34,13 @@ const (
 	RoundRecover RoundKind = "recover"
 	// RoundStructure is a distributed structure end/cancel broadcast.
 	RoundStructure RoundKind = "structure"
+	// RoundCommit1 is a one-phase commit: the single participant of a
+	// transaction is handed the decision and answers with it.
+	RoundCommit1 RoundKind = "commit1"
+	// RoundRelease is a standalone batch of releases: transactions that
+	// committed in one step and whose participants found no later invoke
+	// to carry the word.
+	RoundRelease RoundKind = "release"
 )
 
 // RoundEvent is the outcome of one coordinator fan-out round.

@@ -67,6 +67,21 @@ func (r *Reader) Uvarint() uint64 {
 	return v
 }
 
+// Uvarints reads n varints and returns their encoding, aliasing the
+// buffer, for a caller that walks the list later, in place. It is nil
+// when any of them is malformed.
+func (r *Reader) Uvarints(n int) []byte {
+	start := r.buf
+	for range n {
+		r.Uvarint()
+	}
+	if r.bad {
+		return nil
+	}
+	n = len(start) - len(r.buf)
+	return start[:n:n]
+}
+
 // Byte reads one byte.
 func (r *Reader) Byte() byte {
 	if len(r.buf) == 0 {

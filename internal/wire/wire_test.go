@@ -144,3 +144,21 @@ func TestInternSharesAndIsBounded(t *testing.T) {
 		t.Fatalf("intern table grew to %d entries, bound is %d", size, internLimit)
 	}
 }
+
+// TestUvarints: a run of varints is handed back as its own encoding,
+// capped like Bytes, and a malformed run fails the reader.
+func TestUvarints(t *testing.T) {
+	buf := AppendUvarint(AppendUvarint(AppendUvarint(nil, 300), 7), 1<<40)
+	r := NewReader(append(bytes.Clone(buf), 0xEE))
+	got := r.Uvarints(3)
+	if !bytes.Equal(got, buf) || cap(got) != len(got) {
+		t.Fatalf("Uvarints(3) = % x (cap %d), want % x capped at its length", got, cap(got), buf)
+	}
+	if r.Byte() != 0xEE || !r.Done() {
+		t.Fatal("the reader did not stop behind the third varint")
+	}
+	r = NewReader(buf[:len(buf)-1])
+	if got := r.Uvarints(3); got != nil || r.Done() {
+		t.Fatalf("a truncated run decoded to % x", got)
+	}
+}

@@ -26,9 +26,9 @@ go test -race -cpu=1,4,8 ./internal/metrics/... -count=1
 echo "== tests (race, runtime invariants) =="
 go test -race -tags invariants ./... -count=1
 
-echo "== stable log + 2PC (race, -cpu sweep) =="
+echo "== stable log + 2PC and one-phase commit: crash matrices, force budgets, fake-clock releases (race, -cpu sweep) =="
 go test -race -cpu=1,4 ./internal/store/... -count=1
-go test -race -cpu=1,4 -run 'TestCommitCrashMatrix|TestDurableTransferForcesFiveTimes' ./internal/dist/ -count=1
+go test -race -cpu=1,4 -run 'TestCommitCrashMatrix|TestDurableTransferForcesFiveTimes|TestSingleParticipantWriteForcesOnce|TestRelease|TestSingleSiteRead|TestMultiSiteReadOnly|TestOnePhase' ./internal/dist/ -count=1
 
 echo "== commit throughput (smoke, race) =="
 go test -race -short -run 'TestCommitThroughputSmoke' ./internal/dist/ -count=1
