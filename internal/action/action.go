@@ -92,14 +92,21 @@ var (
 	_ Persister = (*store.FileStore)(nil)
 )
 
-// Recoverable is a managed object as seen by the runtime: it can capture
-// and restore its state (before-image recovery) and names the stable
-// store responsible for its permanence (nil for volatile-only objects).
+// Recoverable is a managed object as seen by the runtime: it can
+// serialize its state for permanence and names the stable store
+// responsible for it (nil for volatile-only objects).
 type Recoverable interface {
 	ObjectID() ids.ObjectID
 	CaptureState() (store.State, error)
-	RestoreState(store.State) error
 	Persister() Persister
+}
+
+// Image is a before-image: what an object was (or that it was absent)
+// when an action first wrote it. Recovery data is the object's private,
+// in-memory matter — the runtime only keeps the image and asks it to put
+// the object back.
+type Image interface {
+	Restore() error
 }
 
 // undoRecord is one before-image: restoring it undoes every write this
@@ -109,10 +116,7 @@ type Recoverable interface {
 type undoRecord struct {
 	res    Recoverable
 	colour colour.Colour
-	before store.State
-	// created records that the object did not exist before this
-	// action wrote it (before-image is "absent").
-	created bool
+	before Image
 }
 
 // EventKind classifies runtime events for observers.
@@ -455,10 +459,9 @@ type Action struct {
 	done chan struct{}
 	// children is made by the first nested Begin.
 	children map[ids.ActionID]*Action
-	undo     []undoRecord
-	// undoByID holds the objects undo has a record for; it is made by the
-	// first record.
-	undoByID map[ids.ObjectID]struct{}
+	// undo holds one record per object written. An action writes an
+	// object or two, so lookups scan it.
+	undo []undoRecord
 	// completionHooks run once, after the action completed (status
 	// set, effects applied or undone, locks transferred/released).
 	// Applications use them for compensation: e.g. withdrawing a
@@ -721,8 +724,7 @@ func (a *Action) TryLock(obj ids.ObjectID, mode lock.Mode, c colour.Colour) erro
 // RecordWrite registers a before-image for the object prior to this
 // action's first write to it, under the given colour. The object layer
 // calls it after acquiring the write lock and before mutating state.
-// created marks objects that did not exist before this action.
-func (a *Action) RecordWrite(res Recoverable, c colour.Colour, before store.State, created bool) error {
+func (a *Action) RecordWrite(res Recoverable, c colour.Colour, before Image) error {
 	if c == colour.None {
 		c = a.defWrite
 	}
@@ -734,21 +736,27 @@ func (a *Action) RecordWrite(res Recoverable, c colour.Colour, before store.Stat
 	if a.status != Active {
 		return ErrNotActive
 	}
-	a.addUndoLocked(undoRecord{res: res, colour: c, before: before, created: created})
+	a.addUndoLocked(undoRecord{res: res, colour: c, before: before})
 	return nil
+}
+
+// hasUndoLocked reports whether the log holds a before-image for the
+// object. Caller holds a.mu.
+func (a *Action) hasUndoLocked(id ids.ObjectID) bool {
+	for i := range a.undo {
+		if a.undo[i].res.ObjectID() == id {
+			return true
+		}
+	}
+	return false
 }
 
 // addUndoLocked appends rec unless the log already holds a before-image
 // for its object: the first one per object wins. Caller holds a.mu.
 func (a *Action) addUndoLocked(rec undoRecord) {
-	id := rec.res.ObjectID()
-	if _, dup := a.undoByID[id]; dup {
+	if a.hasUndoLocked(rec.res.ObjectID()) {
 		return
 	}
-	if a.undoByID == nil {
-		a.undoByID = make(map[ids.ObjectID]struct{})
-	}
-	a.undoByID[id] = struct{}{}
 	a.undo = append(a.undo, rec)
 }
 
@@ -757,8 +765,7 @@ func (a *Action) addUndoLocked(rec undoRecord) {
 func (a *Action) HasWriteRecord(id ids.ObjectID) bool {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	_, ok := a.undoByID[id]
-	return ok
+	return a.hasUndoLocked(id)
 }
 
 // HasWrites reports whether the action has written any object at all
@@ -834,34 +841,21 @@ func (a *Action) commit(sink Persister) error {
 		}
 	}
 
-	// Partition this action's recovery records by heir, or by stable
-	// store for colours that have none. An action has a heir or two and
-	// writes to a store or two, so both partitions are slices to scan.
+	// Partition the write set of colours that have no heir by stable
+	// store. An action writes to a store or two, so the partition is a
+	// slice to scan.
 	type flush struct {
 		persister Persister
 		batch     store.Batch
 	}
-	type handover struct {
-		heir *Action
-		recs []undoRecord
-	}
-	var (
-		flushes   []flush
-		handovers []handover
-	)
+	var flushBuf [2]flush
+	flushes := flushBuf[:0]
 	if sink != nil {
-		flushes = []flush{{persister: sink, batch: store.Batch{Writes: make(map[ids.ObjectID]store.State)}}}
+		flushes = append(flushes, flush{persister: sink, batch: store.Batch{Writes: make(map[ids.ObjectID]store.State)}})
 	}
 	for _, rec := range a.undo {
-		if h, ok := a.heir(rec.colour); ok {
-			i := slices.IndexFunc(handovers, func(ho handover) bool { return ho.heir == h })
-			if i < 0 {
-				i = len(handovers)
-				// Sized for the common case: every record goes to one heir.
-				handovers = append(handovers, handover{heir: h, recs: make([]undoRecord, 0, len(a.undo))})
-			}
-			handovers[i].recs = append(handovers[i].recs, rec)
-			continue
+		if _, ok := a.heir(rec.colour); ok {
+			continue // handed to the heir below
 		}
 		// Outermost for this colour: the current state becomes
 		// permanent.
@@ -900,10 +894,12 @@ func (a *Action) commit(sink Persister) error {
 	a.completeLocked(Committed)
 	a.mu.Unlock()
 
-	// Merge recovery records into heirs: the heir keeps its own older
-	// before-image when it has one.
-	for _, ho := range handovers {
-		ho.heir.adoptRecords(ho.recs)
+	// Hand recovery records to their colours' heirs. The log is frozen
+	// now that the action is complete.
+	for _, rec := range a.undo {
+		if h, ok := a.heir(rec.colour); ok {
+			h.adoptRecord(rec)
+		}
 	}
 
 	// Transfer / release locks per colour.
@@ -919,15 +915,14 @@ func (a *Action) commit(sink Persister) error {
 	return nil
 }
 
-// adoptRecords merges a committing child's recovery records into the
-// heir's undo log.
-func (h *Action) adoptRecords(recs []undoRecord) {
-	recordTransfers.Add(uint64(len(recs)))
+// adoptRecord merges a committing child's recovery record into the
+// heir's undo log; the heir's own before-image, if any, is older and
+// stays.
+func (h *Action) adoptRecord(rec undoRecord) {
+	recordTransfers.Inc()
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	for _, rec := range recs {
-		h.addUndoLocked(rec) // the heir's own before-image, if any, is older
-	}
+	h.addUndoLocked(rec)
 }
 
 // Abort terminates the action undoing its effects: active descendants
@@ -950,7 +945,6 @@ func (a *Action) Abort() error {
 	}
 	undo := a.undo
 	a.undo = nil
-	a.undoByID = nil
 	a.mu.Unlock()
 
 	// Cascade to non-independent descendants first so their (younger)
@@ -965,15 +959,8 @@ func (a *Action) Abort() error {
 	// Restore before-images in reverse order.
 	var firstErr error
 	for i := len(undo) - 1; i >= 0; i-- {
-		rec := undo[i]
-		var err error
-		if rec.created {
-			err = rec.res.RestoreState(nil)
-		} else {
-			err = rec.res.RestoreState(rec.before)
-		}
-		if err != nil && firstErr == nil {
-			firstErr = fmt.Errorf("restore %v: %w", rec.res.ObjectID(), err)
+		if err := undo[i].before.Restore(); err != nil && firstErr == nil {
+			firstErr = fmt.Errorf("restore %v: %w", undo[i].res.ObjectID(), err)
 		}
 	}
 

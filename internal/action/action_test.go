@@ -19,13 +19,12 @@ type reg struct {
 	id ids.ObjectID
 	p  action.Persister
 
-	mu     sync.Mutex
-	val    string
-	exists bool
+	mu  sync.Mutex
+	val string
 }
 
 func newReg(val string, p action.Persister) *reg {
-	return &reg{id: ids.NewObjectID(), p: p, val: val, exists: true}
+	return &reg{id: ids.NewObjectID(), p: p, val: val}
 }
 
 func (r *reg) ObjectID() ids.ObjectID      { return r.id }
@@ -37,16 +36,19 @@ func (r *reg) CaptureState() (store.State, error) {
 	return store.State(r.val), nil
 }
 
-func (r *reg) RestoreState(s store.State) error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	if s == nil {
-		r.val, r.exists = "", false
-		return nil
-	}
-	r.val, r.exists = string(s), true
+// regImage is a before-image of a reg.
+type regImage struct {
+	r   *reg
+	val string
+}
+
+func (im regImage) Restore() error {
+	im.r.set(im.val)
 	return nil
 }
+
+// image captures the register's current value as a before-image.
+func (r *reg) image() action.Image { return regImage{r: r, val: r.get()} }
 
 func (r *reg) get() string {
 	r.mu.Lock()
@@ -73,11 +75,7 @@ func (r *reg) writeErr(act *action.Action, c colour.Colour, v string) error {
 		return err
 	}
 	if !act.HasWriteRecord(r.id) {
-		before, err := r.CaptureState()
-		if err != nil {
-			return err
-		}
-		if err := act.RecordWrite(r, c, before, false); err != nil {
+		if err := act.RecordWrite(r, c, r.image()); err != nil {
 			return err
 		}
 	}
@@ -442,7 +440,7 @@ func TestColourNotHeldErrors(t *testing.T) {
 	if err := a.TryLock(r.id, lock.Read, foreign); !errors.Is(err, action.ErrColourNotHeld) {
 		t.Fatalf("TryLock = %v, want ErrColourNotHeld", err)
 	}
-	if err := a.RecordWrite(r, foreign, nil, false); !errors.Is(err, action.ErrColourNotHeld) {
+	if err := a.RecordWrite(r, foreign, r.image()); !errors.Is(err, action.ErrColourNotHeld) {
 		t.Fatalf("RecordWrite = %v, want ErrColourNotHeld", err)
 	}
 	_ = a.Abort()
@@ -595,11 +593,7 @@ func TestConcurrentSiblingsConflictSerialized(t *testing.T) {
 					return err
 				}
 				if !a.HasWriteRecord(r.id) {
-					before, err := r.CaptureState()
-					if err != nil {
-						return err
-					}
-					if err := a.RecordWrite(r, a.DefaultColour(), before, false); err != nil {
+					if err := a.RecordWrite(r, a.DefaultColour(), r.image()); err != nil {
 						return err
 					}
 				}

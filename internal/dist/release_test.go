@@ -11,6 +11,7 @@ import (
 
 	"mca/internal/action"
 	"mca/internal/clock"
+	"mca/internal/colour"
 	"mca/internal/flightrec"
 	"mca/internal/ids"
 	"mca/internal/netsim"
@@ -63,6 +64,14 @@ func newReleaseFixture(t *testing.T, clk clock.Clock) *releaseFixture {
 				return json.Marshal(out)
 			case "add":
 				return []byte("{}"), reg.Write(a, func(v *int) error { *v++; return nil })
+			case "drop":
+				return []byte("{}"), reg.DeleteIn(a, colour.None)
+			case "add-if-present":
+				err := reg.Write(a, func(v *int) error { *v++; return nil })
+				if errors.Is(err, object.ErrNotExists) {
+					return []byte("false"), nil
+				}
+				return []byte("true"), err
 			}
 			return nil, fmt.Errorf("unknown op %q", op)
 		}))
@@ -314,6 +323,55 @@ func TestMultiSiteReadOnlyStillValidates(t *testing.T) {
 	}
 	if got := f.recs[0].RoundSummary()[trace.RoundPrepare]; got != 1 {
 		t.Fatalf("reader's coordinator ran %d prepare rounds, want 1", got)
+	}
+}
+
+// TestFailedWriteLeavesParticipantAReader: a write the object layer
+// refuses — the register was deleted — changes nothing, so the participant
+// it was attempted at is still a reader: alone in its transaction it
+// commits without a message or a force, and beside a writer it votes
+// read-only and logs no prepare.
+func TestFailedWriteLeavesParticipantAReader(t *testing.T) {
+	f := newReleaseFixture(t, clock.Real())
+	ctx := context.Background()
+	if err := f.op(0, 0, "drop"); err != nil {
+		t.Fatal(err)
+	}
+	attempt := func(txn *Txn) error {
+		var added bool
+		if err := txn.Invoke(ctx, f.parts[0].ID(), "reg", "add-if-present", struct{}{}, &added); err != nil {
+			return err
+		}
+		if added {
+			return errors.New("the write to the deleted register went through")
+		}
+		return nil
+	}
+	forces := func() uint64 { n, _ := f.parts[0].Stable().WAL().Stats(); return n }
+
+	reads, writes, forced := onePhaseReads.Value(), onePhaseWrites.Value(), forces()
+	if err := f.coords[0].Run(ctx, attempt); err != nil {
+		t.Fatal(err)
+	}
+	if r, w := onePhaseReads.Value()-reads, onePhaseWrites.Value()-writes; r != 1 || w != 0 {
+		t.Fatalf("one-phase commits counted: %d reads %d writes, want the failed writer to commit as 1 reader", r, w)
+	}
+
+	votes := readonlyVotes.Value()
+	err := f.coords[0].Run(ctx, func(txn *Txn) error {
+		if err := attempt(txn); err != nil {
+			return err
+		}
+		return txn.Invoke(ctx, f.parts[1].ID(), "reg", "add", struct{}{}, nil)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := readonlyVotes.Value() - votes; got != 1 {
+		t.Fatalf("%d read-only votes, want 1 from the participant whose write failed", got)
+	}
+	if got := forces() - forced; got != 0 {
+		t.Fatalf("the participant whose writes failed forced its log %d times, want 0", got)
 	}
 }
 

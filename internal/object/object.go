@@ -6,18 +6,25 @@
 // before-images for recovery, and — when the object is given a stable
 // store — the state written by an outermost-coloured commit is flushed
 // durably (activation/passivation in Arjuna terms).
+//
+// Recovery data never leaves the object: a before-image is a copy of the
+// value kept in memory. Only the state a commit (or a prepare) persists
+// is serialized, as one discriminator byte — stateAbsent, or statePresent
+// followed by the value's JSON.
 package object
 
 import (
 	"encoding/json"
 	"errors"
 	"fmt"
+	"reflect"
 	"sync"
 
 	"mca/internal/action"
 	"mca/internal/colour"
 	"mca/internal/ids"
 	"mca/internal/lock"
+	"mca/internal/metrics"
 	"mca/internal/store"
 )
 
@@ -38,23 +45,94 @@ var (
 	_ StableStore = (*store.FileStore)(nil)
 )
 
-// envelope is the serialized form of a managed object's state.
-type envelope struct {
-	Exists bool            `json:"exists"`
-	Value  json.RawMessage `json:"value,omitempty"`
-}
+// The first byte of a serialized state.
+const (
+	stateAbsent  = 0x00 // the object does not exist; nothing follows
+	statePresent = 0x01 // the value's JSON follows
+)
+
+// Before-images taken of existing objects, by how: a workload on the
+// slow (encoded) path shows on /metrics. Handles are resolved here so a
+// write never touches the label map.
+var (
+	snapshots = metrics.Default().CounterVec("mca_object_snapshots_total",
+		"Before-images taken at an action's first write to an object, by kind: value (copy of a reference-free T) or encoded (JSON of a T that holds references).",
+		"kind")
+	valueSnapshots   = snapshots.With("value")
+	encodedSnapshots = snapshots.With("encoded")
+)
 
 // Managed is a lockable, recoverable, optionally persistent object
 // holding a value of type T. T must be JSON-serializable; its zero value
 // must be usable. Managed is safe for concurrent use; isolation between
 // actions is enforced by coloured locking, not by the internal mutex.
+//
+// Aliasing rule: a before-image must not share memory with the value a
+// Write mutates in place. When T holds no references (bools, numbers,
+// strings, arrays and structs of those) a plain assignment is such a
+// copy and that is what a first write costs; when T holds a pointer,
+// slice, map or interface anywhere, an assignment would alias — an
+// in-place m[k] = v would rewrite its own before-image — so the image
+// is the value's JSON, decoded again only if the action aborts. Which
+// of the two applies follows from T alone.
 type Managed[T any] struct {
 	id    ids.ObjectID
 	store StableStore // nil for volatile-only objects
+	// flat records that T is reference-free, so assignment copies it.
+	flat bool
 
 	mu     sync.Mutex
 	value  T
 	exists bool
+}
+
+// referenceFree reports whether assigning a value of type t copies all
+// of it: t holds no pointer, slice, map, interface, channel or function
+// at any depth. Strings count as values — they are immutable.
+func referenceFree(t reflect.Type) bool {
+	switch t.Kind() {
+	case reflect.Bool, reflect.String,
+		reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
+		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
+		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
+		return true
+	case reflect.Array:
+		return referenceFree(t.Elem())
+	case reflect.Struct:
+		for i := range t.NumField() {
+			if !referenceFree(t.Field(i).Type) {
+				return false
+			}
+		}
+		return true
+	default:
+		return false
+	}
+}
+
+// image is a before-image of m: the existence bit and, for an object
+// that existed, its value — as a copy when T is reference-free, as JSON
+// otherwise.
+type image[T any] struct {
+	m       *Managed[T]
+	exists  bool
+	value   T
+	encoded []byte
+}
+
+// Restore implements action.Image.
+func (im *image[T]) Restore() error {
+	v := &im.value
+	if im.encoded != nil {
+		v = new(T) // decoded afresh, so nothing the image keeps is handed out
+		if err := json.Unmarshal(im.encoded, v); err != nil {
+			return fmt.Errorf("decode before-image: %w", err)
+		}
+	}
+	im.m.mu.Lock()
+	defer im.m.mu.Unlock()
+	im.m.value, im.m.exists = *v, im.exists
+	return nil
 }
 
 // Option configures a Managed object.
@@ -98,7 +176,7 @@ func NewIn[T any](a *action.Action, c colour.Colour, initial T, opts ...Option) 
 	if err := a.Lock(m.id, lock.Write, c); err != nil {
 		return nil, err
 	}
-	if err := a.RecordWrite(m, c, nil, true); err != nil {
+	if err := a.RecordWrite(m, c, &image[T]{m: m}); err != nil {
 		return nil, err
 	}
 	m.mu.Lock()
@@ -115,7 +193,7 @@ func Load[T any](id ids.ObjectID, s StableStore) (*Managed[T], error) {
 	if err != nil {
 		return nil, fmt.Errorf("activate %v: %w", id, err)
 	}
-	m := &Managed[T]{id: id, store: s}
+	m := newManaged[T](id, s)
 	if err := m.RestoreState(st); err != nil {
 		return nil, fmt.Errorf("activate %v: %w", id, err)
 	}
@@ -131,7 +209,11 @@ func build[T any](opts []Option) *Managed[T] {
 	if id == 0 {
 		id = ids.NewObjectID()
 	}
-	return &Managed[T]{id: id, store: o.store}
+	return newManaged[T](id, o.store)
+}
+
+func newManaged[T any](id ids.ObjectID, s StableStore) *Managed[T] {
+	return &Managed[T]{id: id, store: s, flat: referenceFree(reflect.TypeFor[T]())}
 }
 
 var _ action.Recoverable = (*Managed[int])(nil)
@@ -156,44 +238,36 @@ func (m *Managed[T]) CaptureState() (store.State, error) {
 }
 
 func (m *Managed[T]) captureLocked() (store.State, error) {
-	env := envelope{Exists: m.exists}
-	if m.exists {
-		raw, err := json.Marshal(m.value)
-		if err != nil {
-			return nil, fmt.Errorf("capture %v: %w", m.id, err)
-		}
-		env.Value = raw
+	if !m.exists {
+		return store.State{stateAbsent}, nil
 	}
-	data, err := json.Marshal(env)
+	raw, err := json.Marshal(&m.value) // by pointer: boxing a T would copy it to the heap first
 	if err != nil {
 		return nil, fmt.Errorf("capture %v: %w", m.id, err)
 	}
-	return data, nil
+	st := make(store.State, 1+len(raw))
+	st[0] = statePresent
+	copy(st[1:], raw)
+	return st, nil
 }
 
-// RestoreState implements action.Recoverable: nil state means the object
-// did not exist.
+// RestoreState replaces the object's value and existence with what a
+// state written by CaptureState holds. Anything else is refused.
 func (m *Managed[T]) RestoreState(st store.State) error {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if st == nil {
-		var zero T
-		m.value = zero
-		m.exists = false
-		return nil
-	}
-	var env envelope
-	if err := json.Unmarshal(st, &env); err != nil {
-		return fmt.Errorf("restore %v: %w", m.id, err)
-	}
 	var v T
-	if env.Exists && env.Value != nil {
-		if err := json.Unmarshal(env.Value, &v); err != nil {
+	switch {
+	case len(st) == 1 && st[0] == stateAbsent:
+	case len(st) > 0 && st[0] == statePresent:
+		if err := json.Unmarshal(st[1:], &v); err != nil {
 			return fmt.Errorf("restore %v: %w", m.id, err)
 		}
+	default:
+		return fmt.Errorf("restore %v: %d bytes that are not an object state", m.id, len(st))
 	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
 	m.value = v
-	m.exists = env.Exists
+	m.exists = st[0] == statePresent
 	return nil
 }
 
@@ -229,14 +303,11 @@ func (m *Managed[T]) WriteIn(a *action.Action, c colour.Colour, fn func(*T) erro
 	if err := a.Lock(m.id, lock.Write, c); err != nil {
 		return err
 	}
-	if err := m.recordBefore(a, c); err != nil {
+	if err := m.recordBefore(a, c, "write"); err != nil {
 		return err
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if !m.exists {
-		return fmt.Errorf("write %v: %w", m.id, ErrNotExists)
-	}
 	return fn(&m.value)
 }
 
@@ -245,38 +316,45 @@ func (m *Managed[T]) DeleteIn(a *action.Action, c colour.Colour) error {
 	if err := a.Lock(m.id, lock.Write, c); err != nil {
 		return err
 	}
-	if err := m.recordBefore(a, c); err != nil {
+	if err := m.recordBefore(a, c, "delete"); err != nil {
 		return err
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if !m.exists {
-		return fmt.Errorf("delete %v: %w", m.id, ErrNotExists)
-	}
 	var zero T
 	m.value = zero
 	m.exists = false
 	return nil
 }
 
-func (m *Managed[T]) recordBefore(a *action.Action, c colour.Colour) error {
-	if a.HasWriteRecord(m.id) {
+// recordBefore opens a's write to an existing object — op names it in
+// the error when the object does not exist, and then nothing is recorded
+// — by handing a the before-image, unless a holds one already.
+func (m *Managed[T]) recordBefore(a *action.Action, c colour.Colour, op string) error {
+	recorded := a.HasWriteRecord(m.id)
+	m.mu.Lock()
+	if !m.exists {
+		m.mu.Unlock()
+		return fmt.Errorf("%s %v: %w", op, m.id, ErrNotExists)
+	}
+	if recorded {
+		m.mu.Unlock()
 		return nil
 	}
-	m.mu.Lock()
-	var (
-		before store.State
-		err    error
-	)
-	created := !m.exists
-	if m.exists {
-		before, err = m.captureLocked()
+	im := &image[T]{m: m, exists: true}
+	var err error
+	if m.flat {
+		im.value = m.value
+		valueSnapshots.Inc()
+	} else {
+		im.encoded, err = json.Marshal(&m.value)
+		encodedSnapshots.Inc()
 	}
 	m.mu.Unlock()
 	if err != nil {
-		return err
+		return fmt.Errorf("snapshot %v: %w", m.id, err)
 	}
-	return a.RecordWrite(m, c, before, created)
+	return a.RecordWrite(m, c, im)
 }
 
 // Retain acquires an exclusive-read lock in colour c: the mechanism the

@@ -216,6 +216,51 @@ func TestDeleteAbsentFails(t *testing.T) {
 	_ = a.Abort()
 }
 
+// A Write or Delete that fails because the object does not exist must
+// leave no recovery record: the action stays a reader (HasWrites decides
+// one-phase commit and the read-only vote), and its commit must not
+// persist an "absent" state for an object it never changed.
+func TestFailedWriteRecordsNothing(t *testing.T) {
+	rt := action.NewRuntime()
+	st := store.NewStable()
+
+	// Deleted by an earlier action, and never existing (creation undone).
+	deleted := object.New(account{Balance: 1}, object.WithStore(st))
+	if err := rt.Run(func(a *action.Action) error { return deleted.DeleteIn(a, colour.None) }); err != nil {
+		t.Fatal(err)
+	}
+	creator := mustBegin(t, rt)
+	never, err := object.NewIn(creator, colour.None, account{}, object.WithStore(st))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := creator.Abort(); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := st.Read(never.ObjectID()); !errors.Is(err, store.ErrNotFound) {
+		t.Fatalf("store read of a never-created object = %v, want ErrNotFound", err)
+	}
+
+	for name, m := range map[string]*object.Managed[account]{"deleted": deleted, "never created": never} {
+		a := mustBegin(t, rt)
+		if err := m.Write(a, func(*account) error { t.Error("fn ran on an absent object"); return nil }); !errors.Is(err, object.ErrNotExists) {
+			t.Fatalf("%s: Write = %v, want ErrNotExists", name, err)
+		}
+		if err := m.DeleteIn(a, colour.None); !errors.Is(err, object.ErrNotExists) {
+			t.Fatalf("%s: DeleteIn = %v, want ErrNotExists", name, err)
+		}
+		if a.HasWrites() || a.HasWriteRecord(m.ObjectID()) {
+			t.Fatalf("%s: a failed write left a recovery record (HasWrites=%v)", name, a.HasWrites())
+		}
+		if err := a.Commit(); err != nil {
+			t.Fatalf("%s: commit: %v", name, err)
+		}
+	}
+	if _, err := st.Read(never.ObjectID()); !errors.Is(err, store.ErrNotFound) {
+		t.Fatalf("a reader's commit persisted a state for the never-created object (Read err = %v)", err)
+	}
+}
+
 func TestIsolationReadersExcludeWriter(t *testing.T) {
 	rt := action.NewRuntime()
 	m := object.New(account{Balance: 5})

@@ -7,7 +7,8 @@
 // installation of a top-level (or outermost-coloured) action's write set
 // — and an intention log used by the distributed commit protocol. A
 // file-backed stable store keeps both in one append-only log (log.go)
-// that recovery replays; the in-memory one simulates a journal.
+// that recovery replays; the in-memory one simulates a journal, which it
+// materialises only when a crash is injected into a batch.
 package store
 
 import (
@@ -176,9 +177,9 @@ type Stable struct {
 	mu      sync.Mutex
 	crashed bool
 	data    map[ids.ObjectID]State
-	// journal holds the batch that is currently being applied. It is
-	// "on disk": it survives Crash and is replayed by Recover. Unused by
-	// a file-backed store, whose batches are log records.
+	// journal holds the batch an injected crash interrupted. It is "on
+	// disk": it survives Crash and is replayed by Recover. Unused by a
+	// file-backed store, whose batches are log records.
 	journal *Batch
 	// pendingCrash injects a crash at the chosen point of the next
 	// ApplyBatch.
@@ -303,23 +304,19 @@ func (s *Stable) ApplyBatch(b Batch) error {
 	}
 	defer s.mu.Unlock()
 
-	// Force the journal record. From this point the batch is durable:
-	// a crash is repaired by Recover.
-	s.journal = cloneBatch(b)
-
-	if point == CrashAfterJournal {
+	// Forcing the journal record and applying it happen inside this one
+	// critical section, so nobody can observe the journal unless a crash
+	// lands between the two: only then is the record materialised, for
+	// Recover to redo.
+	if point != 0 {
+		s.journal = cloneBatch(b)
+		if point == CrashMidApply {
+			s.applyHalfLocked(b)
+		}
 		s.crashLocked()
 		return ErrCrashed
 	}
-
-	if point == CrashMidApply {
-		s.applyHalfLocked(b)
-		s.crashLocked()
-		return ErrCrashed
-	}
-
 	s.applyLocked(b)
-	s.journal = nil
 	return nil
 }
 

@@ -26,22 +26,24 @@ go test -race -cpu=1,4,8 ./internal/metrics/... -count=1
 echo "== tests (race, runtime invariants) =="
 go test -race -tags invariants ./... -count=1
 
-echo "== stable log + 2PC and one-phase commit: crash matrices, force budgets, fake-clock releases (race, -cpu sweep) =="
-go test -race -cpu=1,4 ./internal/store/... -count=1
-go test -race -cpu=1,4 -run 'TestCommitCrashMatrix|TestDurableTransferForcesFiveTimes|TestSingleParticipantWriteForcesOnce|TestRelease|TestSingleSiteRead|TestMultiSiteReadOnly|TestOnePhase' ./internal/dist/ -count=1
+echo "== stable log + 2PC and one-phase commit: crash matrices, force budgets, fake-clock releases; object before-images and state codec (race, -cpu sweep) =="
+go test -race -cpu=1,4 ./internal/store/... ./internal/object/... -count=1
+go test -race -cpu=1,4 -run 'TestCommitCrashMatrix|TestDurableTransferForcesFiveTimes|TestSingleParticipantWriteForcesOnce|TestRelease|TestSingleSiteRead|TestMultiSiteReadOnly|TestOnePhase|TestFailedWrite' ./internal/dist/ -count=1
 
 echo "== commit throughput (smoke, race) =="
 go test -race -short -run 'TestCommitThroughputSmoke' ./internal/dist/ -count=1
 
 # Allocation counts are checked without -race: the detector allocates,
 # and sync.Pool drops a quarter of what is put into it.
-echo "== allocation budgets (envelope, call, colour sets, transaction path) =="
+echo "== allocation budgets (envelope, call, colour sets, write + commit, transaction path) =="
 go test -run 'TestEnvelopeCodecAllocs|TestCallRawAllocs' ./internal/rpc/ -count=1 -v | grep -v '^=== RUN'
 go test -run 'TestSmallSetsDoNotAllocate' ./internal/colour/ -count=1
+go test -run 'TestWriteCommitAllocBudget' ./internal/object/ -count=1 -v | grep -v '^=== RUN'
 go test -run 'TestTxnAllocBudget' ./internal/dist/ -count=1 -v | grep -v '^=== RUN'
 
-echo "== 2PC body decoder (fuzz smoke) =="
+echo "== 2PC body and object state decoders (fuzz smoke) =="
 go test -run xxx -fuzz 'FuzzDistBodyDecode' -fuzztime 10s ./internal/dist/
+go test -run xxx -fuzz 'FuzzStateDecode' -fuzztime 10s ./internal/object/
 
 echo "== rpc call path (bench smoke) =="
 go test -run xxx -bench 'BenchmarkRPCCall' -benchtime 10x -benchmem ./internal/tcpnet/
