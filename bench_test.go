@@ -603,44 +603,110 @@ func BenchmarkTwoPhaseCommit(b *testing.B) {
 }
 
 // BenchmarkCommitThroughput measures committed distributed transactions
-// per second with many transactions in flight, under the WAL's group
-// commit and the per-record baseline force. Workers drive disjoint
-// registers, so the difference is purely how many log forces the commit
-// path pays (see E23 / BENCH_commit.json for the reference sweep).
+// per second with many transactions in flight over a store with a fixed
+// per-force latency. Workers drive disjoint registers, so throughput is
+// bounded by how many log forces the commit path pays and how well the
+// WAL's group commit shares them (EXPERIMENTS.md E23 has the per-record
+// baseline it was once compared against).
 func BenchmarkCommitThroughput(b *testing.B) {
 	const (
 		workers    = 8
 		forceDelay = 200 * time.Microsecond
 	)
-	for _, mode := range []struct {
-		name  string
-		group bool
-	}{{"groupCommit", true}, {"perRecord", false}} {
-		b.Run(mode.name, func(b *testing.B) {
-			nw := netsim.New(netsim.Config{})
+	nw := netsim.New(netsim.Config{})
+	defer nw.Close()
+	opts := rpc.Options{RetryInterval: 5 * time.Millisecond, CallTimeout: 5 * time.Second}
+	coordNode, err := node.New(nw, node.WithRPCOptions(opts))
+	if err != nil {
+		b.Fatal(err)
+	}
+	coord := dist.NewManager(coordNode)
+	coordNode.Stable().WAL().SetForceDelay(forceDelay)
+	var targets []ids.NodeID
+	for i := 0; i < 2; i++ {
+		nd, err := node.New(nw, node.WithRPCOptions(opts))
+		if err != nil {
+			b.Fatal(err)
+		}
+		nd.Stable().WAL().SetForceDelay(forceDelay)
+		mgr := dist.NewManager(nd)
+		for w := 0; w < workers; w++ {
+			res := &benchRes{}
+			nd.Host(res)
+			mgr.RegisterResource(fmt.Sprintf("kv%d", w), res)
+		}
+		targets = append(targets, nd.ID())
+	}
+	ctx := context.Background()
+	arg := struct {
+		Delta int `json:"delta"`
+	}{Delta: 1}
+	b.ResetTimer()
+	var (
+		wg   sync.WaitGroup
+		next int64
+		mu   sync.Mutex
+	)
+	take := func() bool {
+		mu.Lock()
+		defer mu.Unlock()
+		if next >= int64(b.N) {
+			return false
+		}
+		next++
+		return true
+	}
+	for w := 0; w < workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			resource := fmt.Sprintf("kv%d", w)
+			for take() {
+				err := coord.Run(ctx, func(txn *dist.Txn) error {
+					for _, t := range targets {
+						if err := txn.Invoke(ctx, t, resource, "add", arg, nil); err != nil {
+							return err
+						}
+					}
+					return nil
+				})
+				if err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}(w)
+	}
+	wg.Wait()
+}
+
+// BenchmarkCommitFanout isolates Commit on a LAN with a realistic
+// per-message delay, sweeping participant counts. Invokes run with the
+// timer stopped, so the reported latency is the coordinator's commit
+// alone: one concurrent prepare round (≈ one RTT) and the decision force,
+// flat in N — phase 2 rides later messages.
+func BenchmarkCommitFanout(b *testing.B) {
+	const msgDelay = time.Millisecond
+	for _, participants := range []int{2, 4, 8} {
+		b.Run(fmt.Sprintf("participants=%d", participants), func(b *testing.B) {
+			nw := netsim.New(netsim.Config{MinDelay: msgDelay / 2, MaxDelay: msgDelay})
 			defer nw.Close()
-			opts := rpc.Options{RetryInterval: 5 * time.Millisecond, CallTimeout: 5 * time.Second}
+			opts := rpc.Options{RetryInterval: 50 * time.Millisecond, CallTimeout: 10 * time.Second}
 			coordNode, err := node.New(nw, node.WithRPCOptions(opts))
 			if err != nil {
 				b.Fatal(err)
 			}
 			coord := dist.NewManager(coordNode)
-			coordNode.Stable().WAL().SetGroupCommit(mode.group)
-			coordNode.Stable().WAL().SetForceDelay(forceDelay)
 			var targets []ids.NodeID
-			for i := 0; i < 2; i++ {
+			for i := 0; i < participants; i++ {
 				nd, err := node.New(nw, node.WithRPCOptions(opts))
 				if err != nil {
 					b.Fatal(err)
 				}
-				nd.Stable().WAL().SetGroupCommit(mode.group)
-				nd.Stable().WAL().SetForceDelay(forceDelay)
 				mgr := dist.NewManager(nd)
-				for w := 0; w < workers; w++ {
-					res := &benchRes{}
-					nd.Host(res)
-					mgr.RegisterResource(fmt.Sprintf("kv%d", w), res)
-				}
+				res := &benchRes{}
+				nd.Host(res)
+				mgr.RegisterResource("kv", res)
 				targets = append(targets, nd.ID())
 			}
 			ctx := context.Background()
@@ -648,102 +714,23 @@ func BenchmarkCommitThroughput(b *testing.B) {
 				Delta int `json:"delta"`
 			}{Delta: 1}
 			b.ResetTimer()
-			var (
-				wg   sync.WaitGroup
-				next int64
-				mu   sync.Mutex
-			)
-			take := func() bool {
-				mu.Lock()
-				defer mu.Unlock()
-				if next >= int64(b.N) {
-					return false
-				}
-				next++
-				return true
-			}
-			for w := 0; w < workers; w++ {
-				wg.Add(1)
-				go func(w int) {
-					defer wg.Done()
-					resource := fmt.Sprintf("kv%d", w)
-					for take() {
-						err := coord.Run(ctx, func(txn *dist.Txn) error {
-							for _, t := range targets {
-								if err := txn.Invoke(ctx, t, resource, "add", arg, nil); err != nil {
-									return err
-								}
-							}
-							return nil
-						})
-						if err != nil {
-							b.Error(err)
-							return
-						}
-					}
-				}(w)
-			}
-			wg.Wait()
-		})
-	}
-}
-
-// BenchmarkCommitFanout isolates the commit rounds (prepare + phase-2
-// complete) on a LAN with a realistic per-message delay, sweeping
-// participant counts under both fan-out modes. Invokes run with the
-// timer stopped, so the reported latency is the coordinator's commit
-// fan-out alone: with ParallelFanout it must stay flat in N (each round
-// is one concurrent broadcast ≈ one RTT), while the serial mode grows
-// linearly (N×RTT per round).
-func BenchmarkCommitFanout(b *testing.B) {
-	const msgDelay = time.Millisecond
-	for _, mode := range []string{"parallel", "serial"} {
-		for _, participants := range []int{2, 4, 8} {
-			b.Run(fmt.Sprintf("fanout=%s/participants=%d", mode, participants), func(b *testing.B) {
-				nw := netsim.New(netsim.Config{MinDelay: msgDelay / 2, MaxDelay: msgDelay})
-				defer nw.Close()
-				opts := rpc.Options{RetryInterval: 50 * time.Millisecond, CallTimeout: 10 * time.Second}
-				coordNode, err := node.New(nw, node.WithRPCOptions(opts))
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				txn, err := coord.Begin()
 				if err != nil {
 					b.Fatal(err)
 				}
-				coord := dist.NewManager(coordNode)
-				coord.ParallelFanout = mode == "parallel"
-				var targets []ids.NodeID
-				for i := 0; i < participants; i++ {
-					nd, err := node.New(nw, node.WithRPCOptions(opts))
-					if err != nil {
-						b.Fatal(err)
-					}
-					mgr := dist.NewManager(nd)
-					res := &benchRes{}
-					nd.Host(res)
-					mgr.RegisterResource("kv", res)
-					targets = append(targets, nd.ID())
-				}
-				ctx := context.Background()
-				arg := struct {
-					Delta int `json:"delta"`
-				}{Delta: 1}
-				b.ResetTimer()
-				for i := 0; i < b.N; i++ {
-					b.StopTimer()
-					txn, err := coord.Begin()
-					if err != nil {
-						b.Fatal(err)
-					}
-					for _, t := range targets {
-						if err := txn.Invoke(ctx, t, "kv", "add", arg, nil); err != nil {
-							b.Fatal(err)
-						}
-					}
-					b.StartTimer()
-					if err := txn.Commit(ctx); err != nil {
+				for _, t := range targets {
+					if err := txn.Invoke(ctx, t, "kv", "add", arg, nil); err != nil {
 						b.Fatal(err)
 					}
 				}
-			})
-		}
+				b.StartTimer()
+				if err := txn.Commit(ctx); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
 	}
 }
 

@@ -5,6 +5,8 @@ import (
 	"encoding/json"
 	"fmt"
 	"os"
+	"runtime"
+	"strings"
 	"time"
 
 	"mca/internal/loadgen"
@@ -239,4 +241,22 @@ func joinRows(parts []string) string {
 		out += p
 	}
 	return out
+}
+
+func round2(v float64) float64 { return float64(int(v*100+0.5)) / 100 }
+
+// machineString mirrors the BENCH_*.json machine field.
+func machineString() string {
+	model := "unknown CPU"
+	if data, err := os.ReadFile("/proc/cpuinfo"); err == nil {
+		for _, line := range strings.Split(string(data), "\n") {
+			if strings.HasPrefix(line, "model name") {
+				if i := strings.Index(line, ":"); i >= 0 {
+					model = strings.TrimSpace(line[i+1:])
+				}
+				break
+			}
+		}
+	}
+	return fmt.Sprintf("%s, %d hardware CPU, %s/%s", model, runtime.NumCPU(), runtime.GOOS, runtime.GOARCH)
 }

@@ -53,14 +53,12 @@ func (r *report) checkErr(name string, err error) {
 
 func main() {
 	var (
-		runFilter  = flag.String("run", "", "run only experiments whose id or title contains this substring")
-		list       = flag.Bool("list", false, "list experiments and exit")
-		commitJSON = flag.String("commitjson", "", "write the E23 commit-throughput measurement to this JSON file")
-		capJSON    = flag.String("capacityjson", "", "write the E25 capacity-at-SLO measurement to this JSON file")
-		attJSON    = flag.String("attribjson", "", "write the E26 tail-latency attribution measurement to this JSON file")
+		runFilter = flag.String("run", "", "run only experiments whose id or title contains this substring")
+		list      = flag.Bool("list", false, "list experiments and exit")
+		capJSON   = flag.String("capacityjson", "", "write the E25 capacity-at-SLO measurement to this JSON file")
+		attJSON   = flag.String("attribjson", "", "write the E26 tail-latency attribution measurement to this JSON file")
 	)
 	flag.Parse()
-	commitJSONPath = *commitJSON
 	capacityJSONPath = *capJSON
 	attribJSONPath = *attJSON
 
@@ -83,7 +81,6 @@ func main() {
 		{"E16", "Examples i-iii: board, name server, billing", expIndependentApps},
 		{"E17", "Contention sweep: throughput and abort rate", expContention},
 		{"E19", "Distributed serializing actions (the paper's next step)", expRemoteSerializing},
-		{"E23", "Commit throughput: WAL group commit vs per-record force", expCommitThroughput},
 		{"E24", "RPC hot path: binary codec + coalescing writer", expRPCThroughput},
 		{"E25", "Capacity at SLO: open-loop load, coordinated-omission-free latency", expCapacity},
 		{"E26", "Tail-latency attribution: phase accounting localizes injected slowdowns", expAttrib},

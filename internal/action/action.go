@@ -312,6 +312,15 @@ func (r *Runtime) unregister(id ids.ActionID) {
 	delete(r.actions, id)
 }
 
+// Active reports whether the action with this identifier has begun here
+// and not yet completed.
+func (r *Runtime) Active(id ids.ActionID) bool {
+	r.mu.Lock()
+	defer r.mu.Unlock()
+	_, ok := r.actions[id]
+	return ok
+}
+
 // ActiveActions returns the number of actions currently registered, for
 // leak checks in tests.
 func (r *Runtime) ActiveActions() int {

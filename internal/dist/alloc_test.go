@@ -3,6 +3,7 @@ package dist
 import (
 	"context"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"runtime/debug"
 	"testing"
@@ -132,9 +133,10 @@ func TestTxnAllocBudget(t *testing.T) {
 	invoke := invokeReq{Txn: 1 << 20, Resource: "reg", Op: "get", Arg: []byte(`{"d":0}`)}
 	bodies := func() error {
 		var scratch [bodyScratch]byte
-		var owed [releaseScratch]byte
+		var owed, committed [owedScratch]byte
 		invoke := invoke // the closure's copy lives on the heap, and would take the buffer there
-		invoke.Release = releaseList{ids: owed[:0]}.add(invoke.Txn - 1)
+		invoke.Release = txnList{ids: owed[:0]}.add(invoke.Txn - 1)
+		invoke.Commit = txnList{ids: committed[:0]}.add(invoke.Txn - 2)
 		// Nothing decoded may reach an interface here: the decoded
 		// argument aliases scratch, and escape analysis would move the
 		// buffer to the heap with it.
@@ -142,10 +144,10 @@ func TestTxnAllocBudget(t *testing.T) {
 		if err != nil {
 			return err
 		}
-		if q.Op != invoke.Op || q.Resource != invoke.Resource || q.Txn != invoke.Txn || q.Release.n != 1 {
+		if q.Op != invoke.Op || q.Resource != invoke.Resource || q.Txn != invoke.Txn || q.Release.n != 1 || q.Commit.n != 1 {
 			return errMalformedBody
 		}
-		if _, _, err := decodeInvokeReply(appendInvokeReply(scratch[:0], true, []byte("7"))); err != nil {
+		if _, _, _, err := decodeInvokeReply(appendInvokeReply(scratch[:0], true, []byte("7"), invoke.Commit)); err != nil {
 			return err
 		}
 		if _, err := decodePrepareReq(appendPrepareReq(scratch[:0], prepareReq{Txn: invoke.Txn, Coordinator: 1})); err != nil {
@@ -154,13 +156,19 @@ func TestTxnAllocBudget(t *testing.T) {
 		_, err = decodeVote(voteYesReadBody)
 		return err
 	}
-	// The coordinator's side of a lazy release: owed at Commit, taken by
-	// the next invoke at that node.
+	// The coordinator's side of lazy delivery: a release and a commit
+	// owed at Commit, taken by the next invoke at that node, and the
+	// commit's ack counted when it comes back.
 	owedAndTaken := func() error {
 		f.coord.owe(target, invoke.Txn)
-		var owed [releaseScratch]byte
-		if l := f.coord.releases.take(target, releaseList{ids: owed[:0]}); l.n != 1 {
-			return fmt.Errorf("took %d releases, want 1", l.n)
+		f.coord.owed.await(invoke.Txn+1, []ids.NodeID{target}, false)
+		var owed, committed [owedScratch]byte
+		l := f.coord.owed.take(owedList{node: target, rel: txnList{ids: owed[:0]}, com: txnList{ids: committed[:0]}})
+		if l.rel.n != 1 || l.com.n != 1 {
+			return fmt.Errorf("took %d releases and %d commits, want 1 and 1", l.rel.n, l.com.n)
+		}
+		if !f.coord.owed.acked(target, invoke.Txn+1) {
+			return errors.New("the one writer's ack did not complete the decision")
 		}
 		return nil
 	}
@@ -182,10 +190,10 @@ func TestTxnAllocBudget(t *testing.T) {
 			return err
 		}},
 		{"dist: bodies of a read and a prepare", 0, bodies},
-		{"dist: a release owed and taken", 0, owedAndTaken},
+		{"dist: a release and a commit owed, taken, acked", 0, owedAndTaken},
 		{"txn: read + piggybacked release", 19, func() error { return f.read(ctx) }},
 		{"txn: write (1 participant)", 47, func() error { return f.write(ctx) }},
-		{"txn: transfer (2 participants)", 131, func() error { return f.transfer(ctx) }},
+		{"txn: transfer (2 participants)", 116, func() error { return f.transfer(ctx) }},
 	}
 	// A collection would empty the sync.Pools the path leans on and bill
 	// their refill to whichever row runs next.

@@ -226,9 +226,12 @@ func runChaosTransfers(t *testing.T, fileBacked bool) {
 }
 
 // TestCommitOneCrashedParticipantCostsOneTimeout crashes one of four
-// participants after every prepare succeeded: the phase-2 round must
-// cost the whole commit a single call timeout (the crashed node's ack),
-// not one timeout per participant, and the decision must stand.
+// participants after every prepare succeeded. Phase 2 is no longer part
+// of Commit, so the crashed node's missing ack costs the commit nothing —
+// not the one call timeout a concurrent phase-2 round paid for it, let
+// alone one per participant — and the decision stands: the restarted
+// participant resolves it, and the decision record goes once every
+// writer has acknowledged.
 func TestCommitOneCrashedParticipantCostsOneTimeout(t *testing.T) {
 	const callTimeout = 250 * time.Millisecond
 	opts := rpc.Options{RetryInterval: 5 * time.Millisecond, CallTimeout: callTimeout}
@@ -252,11 +255,8 @@ func TestCommitOneCrashedParticipantCostsOneTimeout(t *testing.T) {
 	if err != nil {
 		t.Fatalf("Commit = %v, want nil (crashed participant is left to recovery)", err)
 	}
-	if elapsed >= 2*callTimeout {
-		t.Fatalf("commit with one crashed participant took %v, want < %v (one call timeout, not N)", elapsed, 2*callTimeout)
-	}
-	if elapsed < callTimeout {
-		t.Fatalf("commit took %v, expected to wait out the crashed participant's timeout (%v)", elapsed, callTimeout)
+	if elapsed >= callTimeout {
+		t.Fatalf("commit with one crashed participant took %v, want it to return at the decision, well inside one call timeout (%v)", elapsed, callTimeout)
 	}
 
 	// Settle: the restarted participant resolves via the decision

@@ -6,12 +6,16 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 	"testing"
 	"time"
 
+	"mca/internal/clock"
 	"mca/internal/dist"
+	"mca/internal/flightrec"
 	"mca/internal/ids"
+	"mca/internal/metrics"
 	"mca/internal/netsim"
 	"mca/internal/node"
 	"mca/internal/rpc"
@@ -22,13 +26,20 @@ import (
 // in-memory simulation or a real log directory per node.
 func backedCluster(t *testing.T, fileBacked bool) *cluster {
 	t.Helper()
-	nw := netsim.New(netsim.Config{})
+	return backedClusterOn(t, fileBacked, clock.Real())
+}
+
+// backedClusterOn is backedCluster with every node, and the network, on
+// clk.
+func backedClusterOn(t *testing.T, fileBacked bool, clk clock.Clock) *cluster {
+	t.Helper()
+	nw := netsim.New(netsim.Config{Clock: clk})
 	t.Cleanup(nw.Close)
 
 	rpcOpts := rpc.Options{RetryInterval: 5 * time.Millisecond, CallTimeout: 300 * time.Millisecond}
 	c := &cluster{net: nw}
 	for i := 0; i < 3; i++ {
-		opts := []node.Option{node.WithRPCOptions(rpcOpts)}
+		opts := []node.Option{node.WithRPCOptions(rpcOpts), node.WithClock(clk)}
 		if fileBacked {
 			c.dirs[i] = t.TempDir()
 			opts = append(opts, node.WithStableDir(c.dirs[i]))
@@ -114,7 +125,8 @@ func TestCommitCrashMatrix(t *testing.T) {
 		committed bool
 	}{
 		// These fire inside ApplyBatch, which only runs after the
-		// decision: the transaction must survive as committed.
+		// decision — at a participant, in its unforced phase-2 install:
+		// the transaction must survive as committed.
 		{"beforeJournal", store.CrashBeforeJournal, true},
 		{"afterJournal", store.CrashAfterJournal, true},
 		{"midApply", store.CrashMidApply, true},
@@ -152,7 +164,7 @@ func TestCommitCrashMatrix(t *testing.T) {
 					} else {
 						// ApplyBatch runs only after the decision: at the
 						// coordinator in local commit, at the participant
-						// in phase 2.
+						// when phase 2 reaches it.
 						c.coord.TestHooks = dist.Hooks{AfterDecision: arm}
 					}
 
@@ -183,6 +195,14 @@ func TestCommitCrashMatrix(t *testing.T) {
 						}
 					}
 
+					if victim == "participant" && tt.point != midForce {
+						// The participant's install comes with phase 2,
+						// which Commit no longer waits for: let it arrive
+						// and hit the crash point.
+						if err := waitUntil(victimNode.Stable().Crashed); err != nil {
+							t.Fatalf("phase 2 never reached the armed participant: %v", err)
+						}
+					}
 					// The injected points crash only the stable store;
 					// finish the kill, then recover the whole cluster.
 					victimNode.Crash()
@@ -202,14 +222,15 @@ func TestCommitCrashMatrix(t *testing.T) {
 }
 
 // TestCommitCrashMatrixUnforcedForget extends the matrix past the end of
-// the protocol: the commit completed everywhere and every forget was
-// appended, but a forget is not forced — it rides the node's next forced
-// record — so a crash now resurrects intentions of finished
-// transactions. The cells crash the participant ("crash after install,
-// forget not yet forced"), the coordinator ("coordinator crash with
-// unforced forget") and both at once. Recovery re-drives what it finds;
-// the re-drive must be idempotent, and the balances exact — also after
-// further transfers over the same accounts.
+// the protocol: a transfer's commit reached every writer with the next
+// transfer and every forget was appended, but a forget is not forced — it
+// rides the node's next forced record — so a crash can resurrect
+// intentions of finished transactions. The cells crash the participant,
+// the coordinator and both at once, with the second transfer's phase 2
+// held back by a partition so that its records are the ones on disk.
+// Recovery re-drives what it finds; the re-drive must be idempotent, and
+// the balances exact — also after further transfers over the same
+// accounts.
 func TestCommitCrashMatrixUnforcedForget(t *testing.T) {
 	victims := map[string][]int{"participant": {1}, "coordinator": {0}, "both": {0, 1}}
 	for _, backing := range []string{"memory", "file"} {
@@ -236,13 +257,22 @@ func TestCommitCrashMatrixUnforcedForget(t *testing.T) {
 					return id
 				}
 				// Two transfers over the same accounts: the second one's
-				// forced records carry the first one's forgets to disk,
-				// so only the second can come back — were the first
-				// re-driven, its stale write set would undo the second.
-				first, second := transfer(), transfer()
+				// forced records carry the first one's installs and
+				// forgets to disk, so only the second can come back —
+				// were the first re-driven, its stale write set would
+				// undo the second.
+				first := transfer()
+				c.coord.TestHooks.AfterDecision = func() {
+					c.net.Partition(c.nodes[0].ID(), c.nodes[1].ID())
+					c.net.Partition(c.nodes[0].ID(), c.nodes[2].ID())
+				}
+				second := transfer()
+				c.coord.TestHooks.AfterDecision = nil
 				for _, i := range crash {
 					c.nodes[i].Crash()
 				}
+				c.net.Heal(c.nodes[0].ID(), c.nodes[1].ID())
+				c.net.Heal(c.nodes[0].ID(), c.nodes[2].ID())
 				if backing == "file" {
 					// What the disk holds is what recovery will see: the
 					// second transfer's record, not the first's.
@@ -255,7 +285,7 @@ func TestCommitCrashMatrixUnforcedForget(t *testing.T) {
 							t.Fatalf("node %d: forget of the first transfer did not ride a later force", i)
 						}
 						if _, ok, _ := onDisk.Intentions().Lookup(second); !ok {
-							t.Fatalf("node %d: the unforced forget is on disk; the cell tests nothing", i)
+							t.Fatalf("node %d: the second transfer is finished on disk; the cell tests nothing", i)
 						}
 					}
 				}
@@ -273,13 +303,268 @@ func TestCommitCrashMatrixUnforcedForget(t *testing.T) {
 	}
 }
 
-// TestDurableTransferForcesFiveTimes pins the force budget of a
+// TestCommitCrashMatrixLazyPhase2 is the matrix for phase 2 off the
+// commit path: a transfer of 10 from P1 to P2 commits, and its commits
+// reach the participants after Commit has returned. The cells walk the
+// participant states this opens — installed but not yet forced when the
+// participant crashes; still owed when the coordinator crashes; carried
+// by an invoke whose reply was lost; acknowledged both explicitly and
+// piggybacked — over both stable backings. Each ends with every log
+// drained and the balances exact.
+func TestCommitCrashMatrixLazyPhase2(t *testing.T) {
+	const flushInterval = time.Millisecond // dist's releaseFlushAfter
+	transferOne := func(t *testing.T, c *cluster, ctx context.Context) ids.ActionID {
+		t.Helper()
+		var id ids.ActionID
+		err := c.coord.Run(ctx, func(txn *dist.Txn) error {
+			id = txn.ID()
+			if err := txn.Invoke(ctx, c.nodes[1].ID(), "bank", "add", addArg{Delta: -10}, nil); err != nil {
+				return err
+			}
+			return txn.Invoke(ctx, c.nodes[2].ID(), "bank", "add", addArg{Delta: 10}, nil)
+		})
+		if err != nil {
+			t.Fatalf("transfer: %v", err)
+		}
+		return id
+	}
+	// readAt runs a single-site read at node i: its invoke carries what
+	// the coordinator owes the node.
+	readAt := func(ctx context.Context, c *cluster, i int) error {
+		return c.coord.Run(ctx, func(txn *dist.Txn) error {
+			return txn.Invoke(ctx, c.nodes[i].ID(), "bank", "get", struct{}{}, nil)
+		})
+	}
+	decided := func(t *testing.T, c *cluster, txn ids.ActionID) bool {
+		t.Helper()
+		return slices.ContainsFunc(pendingAt(t, c, 0), func(in store.Intention) bool { return in.Action == txn })
+	}
+	drained := func(t *testing.T, c *cluster) {
+		t.Helper()
+		err := waitUntil(func() bool {
+			return len(pendingAt(t, c, 0))+len(pendingAt(t, c, 1))+len(pendingAt(t, c, 2)) == 0
+		})
+		if err != nil {
+			t.Fatalf("logs did not drain (records %v / %v / %v): %v", pendingAt(t, c, 0), pendingAt(t, c, 1), pendingAt(t, c, 2), err)
+		}
+	}
+	want := [3]int{100, 90, 110}
+	cells := map[string]struct {
+		fake bool // the cell runs on a clock that moves only when told
+		run  func(t *testing.T, c *cluster, ctx context.Context, clk *clock.Fake)
+	}{
+		// P2 has acknowledged the commit — it rode the invoke of a
+		// transaction that also writes at the coordinator, whose prepare
+		// forced it and whose vote carried the ack. Then the commit rides
+		// a read's invoke to P1, which installs it and forgets its prepared
+		// record unforced, and crashes before any force: its ack must not
+		// have left, so the decision is still there for its in-doubt
+		// query.
+		"participantCrashBeforeForce": {fake: true, run: func(t *testing.T, c *cluster, ctx context.Context, clk *clock.Fake) {
+			t1 := transferOne(t, c, ctx)
+			err := c.coord.Run(ctx, func(txn *dist.Txn) error {
+				if err := txn.Invoke(ctx, c.nodes[0].ID(), "bank", "add", addArg{}, nil); err != nil {
+					return err
+				}
+				return txn.Invoke(ctx, c.nodes[2].ID(), "bank", "add", addArg{}, nil)
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if pending := pendingAt(t, c, 2); slices.ContainsFunc(pending, func(in store.Intention) bool { return in.Action == t1 }) {
+				t.Fatal("P2 still holds the transfer's prepared record: its commit did not ride the invoke")
+			}
+			if err := readAt(ctx, c, 1); err != nil {
+				t.Fatal(err)
+			}
+			if !decided(t, c, t1) {
+				t.Fatal("the coordinator forgot the decision before P1's install was forced")
+			}
+			c.nodes[1].Crash()
+			c.nodes[1].Restart()
+			clk.Advance(flushInterval) // what is still owed goes out
+			drained(t, c)
+		}},
+		// The coordinator crashes owing both commits: its restart
+		// re-drives them from the decision record, in end messages each
+		// writer answers only once it has forced what it acknowledges — so
+		// the crash of every node that ends each cell, once the decision is
+		// forgotten, loses nothing.
+		"coordinatorCrashOwingCommits": {fake: true, run: func(t *testing.T, c *cluster, ctx context.Context, _ *clock.Fake) {
+			t1 := transferOne(t, c, ctx)
+			if !decided(t, c, t1) {
+				t.Fatal("the decision record is gone before any commit was delivered")
+			}
+			c.nodes[0].Crash()
+			c.nodes[0].Restart()
+			drained(t, c)
+		}},
+		// The commit reaches P1 on an invoke whose reply is lost: it is
+		// sent again, in end messages, until an ack gets through — and
+		// that ack promises a forced install, so P1 crashing right after
+		// the coordinator forgot the decision loses nothing.
+		"resentAfterInvokeFailure": {run: func(t *testing.T, c *cluster, ctx context.Context, _ *clock.Fake) {
+			t1 := transferOne(t, c, ctx)
+			c.net.PartitionOneWay(c.nodes[1].ID(), c.nodes[0].ID())
+			short, cancel := context.WithTimeout(ctx, 100*time.Millisecond)
+			err := readAt(short, c, 1)
+			cancel()
+			if err == nil {
+				t.Fatal("the read's reply got through the partition")
+			}
+			c.net.Heal(c.nodes[1].ID(), c.nodes[0].ID())
+			drained(t, c)
+			resent := slices.ContainsFunc(flightrec.Snapshot(), func(ev flightrec.Event) bool {
+				return ev.Kind == flightrec.KindCommitResent && ids.ActionID(ev.A) == t1 && ids.NodeID(ev.B) == c.nodes[1].ID()
+			})
+			if !resent {
+				t.Fatal("no flight-recorder event for the commit sent again")
+			}
+			c.nodes[1].Crash()
+			c.nodes[1].Restart()
+		}},
+		// P1 acknowledges twice — the re-drive's end message, and the
+		// commit a read carried there — while P2 cannot be reached: the
+		// decision record must stay until P2's own ack.
+		"explicitRacesPiggyback": {run: func(t *testing.T, c *cluster, ctx context.Context, _ *clock.Fake) {
+			t1 := transferOne(t, c, ctx)
+			c.net.Partition(c.nodes[0].ID(), c.nodes[2].ID())
+			if err := readAt(ctx, c, 1); err != nil {
+				t.Fatal(err)
+			}
+			if remaining, err := c.coord.RecoverPending(ctx); err != nil || remaining != 1 {
+				t.Fatalf("re-drive with P2 cut off = %d records left, %v; want 1", remaining, err)
+			}
+			// The carried commit's ack rides P1's next reply.
+			if err := readAt(ctx, c, 1); err != nil {
+				t.Fatal(err)
+			}
+			if !decided(t, c, t1) {
+				t.Fatal("the decision record went on P1's acks alone: P2 never acknowledged")
+			}
+			c.net.Heal(c.nodes[0].ID(), c.nodes[2].ID())
+			drained(t, c)
+		}},
+	}
+	for _, backing := range []string{"memory", "file"} {
+		for name, cell := range cells {
+			t.Run(backing+"/"+name, func(t *testing.T) {
+				var clk clock.Clock = clock.Real()
+				fake := clock.NewFake()
+				if cell.fake {
+					clk = fake
+				}
+				c := backedClusterOn(t, backing == "file", clk)
+				ctx := context.Background()
+				cell.run(t, c, ctx, fake)
+				if got := stableBalances(t, c); got != want {
+					t.Fatalf("stable balances = %v, want %v", got, want)
+				}
+			})
+		}
+	}
+}
+
+// TestPreparedParticipantAsksSilentCoordinator: a participant that has
+// been prepared for a termination interval asks its coordinator what was
+// decided. In "crashedMidPrepare" the coordinator crashes after both
+// votes and before its decision, so nobody will ever send the abort: the
+// participants must ask, abort, let go of their locks and forget their
+// records by themselves. In "askedWhileDeciding" the coordinator is alive
+// and still deciding when they ask: it must not answer abort, because it
+// is about to commit.
+func TestPreparedParticipantAsksSilentCoordinator(t *testing.T) {
+	const terminateAfter = time.Second // dist's terminateAfter
+	transfer := func(ctx context.Context, c *cluster) error {
+		return c.coord.Run(ctx, func(txn *dist.Txn) error {
+			if err := txn.Invoke(ctx, c.nodes[1].ID(), "bank", "add", addArg{Delta: -10}, nil); err != nil {
+				return err
+			}
+			return txn.Invoke(ctx, c.nodes[2].ID(), "bank", "add", addArg{Delta: 10}, nil)
+		})
+	}
+	prepared := func(t *testing.T, c *cluster) int {
+		t.Helper()
+		return len(pendingAt(t, c, 1)) + len(pendingAt(t, c, 2))
+	}
+	// ask lets two termination ticks pass: the first sees the prepared
+	// records, the second asks about them.
+	ask := func(clk *clock.Fake) {
+		for range 2 {
+			clk.Advance(terminateAfter)
+			time.Sleep(50 * time.Millisecond)
+		}
+	}
+	for _, backing := range []string{"memory", "file"} {
+		t.Run(backing+"/crashedMidPrepare", func(t *testing.T) {
+			clk := clock.NewFake()
+			c := backedClusterOn(t, backing == "file", clk)
+			ctx := context.Background()
+			c.coord.TestHooks.AfterPrepare = func() { c.nodes[0].Crash() }
+			if err := transfer(ctx, c); err == nil {
+				t.Fatal("a transfer whose coordinator crashed before deciding committed")
+			}
+			c.coord.TestHooks.AfterPrepare = nil
+			c.nodes[0].Restart()
+			if got := prepared(t, c); got != 2 {
+				t.Fatalf("%d prepared records at the participants, want both: the cell tests nothing", got)
+			}
+			ask(clk)
+			if err := waitUntil(func() bool { return prepared(t, c) == 0 }); err != nil {
+				t.Fatalf("prepared records of a transaction nobody decided outlived the termination interval: %v", pendingAt(t, c, 1))
+			}
+			// The locks went with the records: the same accounts move.
+			if err := transfer(ctx, c); err != nil {
+				t.Fatalf("transfer after termination: %v", err)
+			}
+			settleCluster(t, c, ctx)
+			if got, want := stableBalances(t, c), [3]int{100, 90, 110}; got != want {
+				t.Fatalf("stable balances = %v, want %v", got, want)
+			}
+		})
+	}
+	t.Run("askedWhileDeciding", func(t *testing.T) {
+		clk := clock.NewFake()
+		c := backedClusterOn(t, false, clk)
+		ctx := context.Background()
+		release := make(chan struct{})
+		c.coord.TestHooks.AfterPrepare = func() { <-release }
+		done := make(chan error, 1)
+		go func() { done <- transfer(ctx, c) }()
+		if err := waitUntil(func() bool { return prepared(t, c) == 2 }); err != nil {
+			t.Fatal("the participants never prepared")
+		}
+		queries := func() float64 { return counterValue(t, "mca_dist_termination_queries_total") }
+		before := queries()
+		ask(clk)
+		if err := waitUntil(func() bool { return queries()-before >= 2 }); err != nil {
+			t.Fatal("the prepared participants never asked their coordinator")
+		}
+		if got := prepared(t, c); got != 2 {
+			t.Fatalf("%d prepared records left after asking a coordinator still deciding, want 2", got)
+		}
+		close(release)
+		if err := <-done; err != nil {
+			t.Fatalf("transfer: %v", err)
+		}
+		settleCluster(t, c, ctx)
+		if got, want := stableBalances(t, c), [3]int{100, 90, 110}; got != want {
+			t.Fatalf("stable balances = %v, want %v", got, want)
+		}
+	})
+}
+
+// TestDurableTransferForcesThreeTimes pins the force budget of a
 // two-participant transfer on the file backing: each participant forces
-// its prepare record and its phase-2 install, the coordinator forces the
-// decision — five forces, each one append and one fsync. The three
-// forgets force nothing: they ride the next transfer's records.
-func TestDurableTransferForcesFiveTimes(t *testing.T) {
-	c := backedCluster(t, true)
+// its prepare record and the coordinator the decision — three forces,
+// each one append and one fsync. Phase 2 forces nothing: the commit
+// reaches each participant with the next transfer's invoke there, its
+// install and forget ride that transfer's prepare, whose vote carries the
+// ack back, and the coordinator's forget of the decision rides the next
+// decision. The clock stands still, so no flush interval passes and
+// nothing travels on its own.
+func TestDurableTransferForcesThreeTimes(t *testing.T) {
+	c := backedClusterOn(t, true, clock.NewFake())
 	ctx := context.Background()
 	forces := func() (flushes, records uint64) {
 		for _, nd := range c.nodes {
@@ -302,13 +587,31 @@ func TestDurableTransferForcesFiveTimes(t *testing.T) {
 		}
 	}
 	f1, r1 := forces()
-	if got := f1 - f0; got != 5*transfers {
-		t.Fatalf("%d transfers forced the logs %d times, want %d (2 prepares + 1 decision + 2 installs each)", transfers, got, 5*transfers)
+	if got := f1 - f0; got != 3*transfers {
+		t.Fatalf("%d transfers forced the logs %d times, want %d (2 prepares + 1 decision each)", transfers, got, 3*transfers)
 	}
-	// Every forget but the last transfer's three has been carried.
-	if got, want := r1-r0, uint64(8*transfers-3); got != want {
+	// Each transfer logs 8 records — its 2 prepares and decision, and its
+	// predecessor's 2 installs, 3 forgets — but the first, which has no
+	// predecessor.
+	if got, want := r1-r0, uint64(8*transfers-5); got != want {
 		t.Fatalf("%d transfers logged %d records, want %d", transfers, got, want)
 	}
+	// Only the last transfer's decision is still awaiting its acks.
+	if pending := pendingAt(t, c, 0); len(pending) != 1 {
+		t.Fatalf("coordinator keeps %d decision records, want the last transfer's 1", len(pending))
+	}
+}
+
+// counterValue reads an unlabelled counter of the default registry.
+func counterValue(t *testing.T, name string) float64 {
+	t.Helper()
+	for _, f := range metrics.Default().Gather() {
+		if f.Name == name && len(f.Samples) == 1 {
+			return f.Samples[0].Value
+		}
+	}
+	t.Fatalf("no counter %s", name)
+	return 0
 }
 
 // pendingAt returns the intention records in node i's log.

@@ -11,15 +11,18 @@
 //     forces the action's write set to the node's intention log;
 //   - coordinator: Begin starts a distributed action; Invoke routes
 //     operations to resources (local or remote); Commit runs two-phase
-//     commit — prepare everywhere, force the decision with the
-//     participant list, complete everywhere. A transaction that touched
-//     exactly one remote node commits in one step instead (onephase.go).
+//     commit — prepare everywhere, force the decision with the writer
+//     list — and returns. The commit then reaches each writer with the
+//     coordinator's next message to it (release.go), and the decision
+//     record stays until every writer has acknowledged it. A transaction
+//     that touched exactly one remote node commits in one step instead
+//     (onephase.go).
 //
 // Crash recovery: a restarting participant resolves in-doubt (prepared)
 // actions by asking the coordinator for the decision, applying the
 // logged write set on commit and discarding it otherwise (presumed
-// abort). A restarting coordinator re-drives the completion phase of
-// every decided-but-unacknowledged action.
+// abort). A restarting coordinator re-drives the commit of every
+// decided-but-unacknowledged action.
 package dist
 
 import (
@@ -70,7 +73,6 @@ var (
 const (
 	methodInvoke   = "dist.invoke"
 	methodPrepare  = "dist.prepare"
-	methodCommit   = "dist.commit"
 	methodAbort    = "dist.abort"
 	methodDecision = "dist.decision"
 	methodCommit1  = "dist.commit1"
@@ -113,15 +115,6 @@ type Manager struct {
 	// ignored. Set it only from tests, before driving transactions.
 	TestHooks Hooks
 
-	// ParallelFanout makes every coordinator round (prepare, phase-2
-	// commit, abort, recovery re-drive, structure end) issue its RPCs
-	// concurrently instead of serially, so a round costs one
-	// round-trip rather than the sum over participants. On by default;
-	// set before driving transactions.
-	ParallelFanout bool
-	// MaxFanout bounds a round's concurrent RPCs (default 16). Set
-	// before driving transactions.
-	MaxFanout int
 	// OnRound, when non-nil, receives the outcome of every coordinator
 	// fan-out round (e.g. trace.Recorder.ObserveRound). Set before
 	// driving transactions.
@@ -146,15 +139,17 @@ type Manager struct {
 	containers  map[StructureID]*action.Action
 	passColours map[ids.ActionID]colour.Colour
 	recovering  bool
-	// tombstones records recently aborted transactions so that a late
+	// tombstones records recently finished transactions so that a late
 	// (re-ordered or retransmitted) invoke cannot resurrect a
-	// participant action after the coordinator's abort was processed.
+	// participant action after its abort, release or commit.
 	tombstones     map[ids.ActionID]struct{}
 	tombstoneOrder []ids.ActionID
 
-	// releases are the transactions this node has finished coordinating
-	// whose one participant has not been told yet (release.go).
-	releases releaseQueue
+	// owed is what this node, as coordinator, owes its participants and
+	// the acks it awaits from them; acks are what it owes, as
+	// participant, its coordinators (release.go).
+	owed owedQueue
+	acks ackQueue
 }
 
 // maxTombstones bounds the aborted-transaction memory; old entries
@@ -179,16 +174,14 @@ var _ node.Service = (*Manager)(nil)
 // in-doubt state); after a crash, node.Restart runs the recovery hook.
 func NewManager(n *node.Node) *Manager {
 	m := &Manager{
-		ParallelFanout: true,
-		MaxFanout:      defaultMaxFanout,
-		clk:            clock.Real(),
-		resources:      make(map[string]Resource),
-		active:         make(map[ids.ActionID]*participantState),
-		containers:     make(map[StructureID]*action.Action),
-		passColours:    make(map[ids.ActionID]colour.Colour),
-		tombstones:     make(map[ids.ActionID]struct{}),
+		clk:         clock.Real(),
+		resources:   make(map[string]Resource),
+		active:      make(map[ids.ActionID]*participantState),
+		containers:  make(map[StructureID]*action.Action),
+		passColours: make(map[ids.ActionID]colour.Colour),
+		tombstones:  make(map[ids.ActionID]struct{}),
 	}
-	m.releases.init()
+	m.owed.wake = make(chan struct{}, 1)
 	n.Host(m)
 	m.mu.Lock()
 	m.recovering = false
@@ -237,15 +230,19 @@ func (m *Manager) Register(n *node.Node, p *rpc.Peer) {
 	m.passColours = make(map[ids.ActionID]colour.Colour)
 	m.recovering = true
 	m.mu.Unlock()
-	// So did what this node still owed its participants: their locks
-	// are this node's word, and the word was volatile.
-	m.releases.reset()
+	// So did what this node still owed its participants — their locks
+	// are this node's word, and the word was volatile; the commits it
+	// owed, recovery re-drives from the decision records — and the acks
+	// it owed its coordinators, for installs that were not forced.
+	m.owed.reset(n.Clock())
+	m.acks.reset(n.Stable().WAL())
 	//mcalint:ignore goleak the flusher ends with the node's lifetime context, which Crash and Stop cancel
-	go m.flushReleases(n.Context(), n.Clock())
+	go m.flushOwed(n.Context(), n.Clock(), n.ID())
+	//mcalint:ignore goleak the termination loop ends with the node's lifetime context, which Crash and Stop cancel
+	go m.terminate(n.Context(), n.Clock())
 
 	p.Handle(methodInvoke, m.handleInvoke)
 	p.Handle(methodPrepare, m.handlePrepare)
-	p.Handle(methodCommit, m.handleCommit)
 	p.Handle(methodAbort, m.handleAbort)
 	p.Handle(methodDecision, m.handleDecision)
 	p.Handle(methodCommit1, m.handleCommit1)
@@ -404,12 +401,6 @@ func (m *Manager) bury(txn ids.ActionID) (*action.Action, bool) {
 	return m.dropLocked(txn)
 }
 
-func (m *Manager) takeActive(txn ids.ActionID) (*action.Action, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.dropLocked(txn)
-}
-
 // dropLocked removes the transaction's participant state and returns its
 // action, if it was live. Caller holds m.mu.
 func (m *Manager) dropLocked(txn ids.ActionID) (*action.Action, bool) {
@@ -437,14 +428,14 @@ func (m *Manager) freezeActive(txn ids.ActionID) (ps *participantState, alreadyP
 	return ps, alreadyPrepared, true
 }
 
-func (m *Manager) handleInvoke(ctx context.Context, _ ids.NodeID, body []byte) ([]byte, error) {
+func (m *Manager) handleInvoke(ctx context.Context, from ids.NodeID, body []byte) ([]byte, error) {
 	req, err := decodeInvokeReq(body)
 	if err != nil {
 		return nil, fmt.Errorf("decode invoke: %w", err)
 	}
 	// What the coordinator has finished with goes first: the operation
 	// below may want the very locks those transactions still hold.
-	m.release(req.Release)
+	m.workOff(ctx, from, req.Release, req.Commit)
 	m.mu.Lock()
 	res, ok := m.resources[req.Resource]
 	m.mu.Unlock()
@@ -462,10 +453,12 @@ func (m *Manager) handleInvoke(ctx context.Context, _ ids.NodeID, body []byte) (
 	if err != nil {
 		return nil, err
 	}
-	return appendInvokeReply(make([]byte, 0, len(out)+8), !a.HasWrites(), out), nil
+	var scratch [owedScratch]byte
+	acks := m.acks.take(from, txnList{ids: scratch[:0]})
+	return appendInvokeReply(make([]byte, 0, len(out)+8+len(acks.ids)+min(acks.n, 1)), !a.HasWrites(), out, acks), nil
 }
 
-func (m *Manager) handlePrepare(_ context.Context, _ ids.NodeID, body []byte) ([]byte, error) {
+func (m *Manager) handlePrepare(_ context.Context, from ids.NodeID, body []byte) ([]byte, error) {
 	req, err := decodePrepareReq(body)
 	if err != nil {
 		return nil, fmt.Errorf("decode prepare: %w", err)
@@ -515,54 +508,9 @@ func (m *Manager) handlePrepare(_ context.Context, _ ids.NodeID, body []byte) ([
 			}
 		}
 	}
-	return vote, nil
-}
-
-func (m *Manager) handleCommit(_ context.Context, _ ids.NodeID, body []byte) ([]byte, error) {
-	txn, err := decodeTxnReq(body)
-	if err != nil {
-		return nil, fmt.Errorf("decode commit: %w", err)
-	}
-	if err := m.commitParticipant(txn); err != nil {
-		return nil, err
-	}
-	return ackBody, nil
-}
-
-// commitParticipant applies the commit decision locally: through the
-// live action when it survived, or by replaying the logged write set
-// after a crash. Idempotent.
-//
-// The ack this returns into promises the install, which is forced by
-// the time Commit/ApplyBatch return. The forget behind it is appended
-// to the log but not forced: it becomes durable with the node's next
-// forced record. Should a crash come first, the prepared record is back
-// and recovery resolves it again — by replaying a write set that no
-// later install overwrote, since any later install would sit behind the
-// forget in the log and have carried it to disk.
-func (m *Manager) commitParticipant(txn ids.ActionID) error {
-	// Fetch the node through the guarded accessor: Register (node
-	// restart) swaps m.node while late handler goroutines of the old
-	// peer may still be draining.
-	nd := m.Node()
-	log := nd.Stable().Intentions()
-	if a, ok := m.takeActive(txn); ok && a.Status() == action.Active {
-		if err := a.Commit(); err != nil {
-			return fmt.Errorf("apply commit: %w", err)
-		}
-		return log.Forget(txn)
-	}
-	in, ok, err := log.Lookup(txn)
-	if err != nil {
-		return err
-	}
-	if !ok {
-		return nil // already completed (duplicate commit)
-	}
-	if err := nd.Stable().ApplyBatch(in.Writes); err != nil {
-		return fmt.Errorf("replay write set: %w", err)
-	}
-	return log.Forget(txn)
+	// The prepare's force, when there was one, carried whatever earlier
+	// commits here were waiting for it: their acks can ride the vote.
+	return m.withAcks(vote, from), nil
 }
 
 func (m *Manager) handleAbort(_ context.Context, _ ids.NodeID, body []byte) ([]byte, error) {
@@ -570,13 +518,19 @@ func (m *Manager) handleAbort(_ context.Context, _ ids.NodeID, body []byte) ([]b
 	if err != nil {
 		return nil, fmt.Errorf("decode abort: %w", err)
 	}
-	if a, ok := m.bury(txn); ok {
-		_ = a.Abort()
-	}
-	if err := m.Node().Stable().Intentions().Forget(txn); err != nil {
+	if err := m.abortHere(txn); err != nil {
 		return nil, err
 	}
 	return ackBody, nil
+}
+
+// abortHere undoes the transaction's participant action, if it is live,
+// and forgets its prepared record.
+func (m *Manager) abortHere(txn ids.ActionID) error {
+	if a, ok := m.bury(txn); ok {
+		_ = a.Abort()
+	}
+	return m.Node().Stable().Intentions().Forget(txn)
 }
 
 func (m *Manager) handleDecision(_ context.Context, _ ids.NodeID, body []byte) ([]byte, error) {
@@ -584,18 +538,23 @@ func (m *Manager) handleDecision(_ context.Context, _ ids.NodeID, body []byte) (
 	if err != nil {
 		return nil, fmt.Errorf("decode decision: %w", err)
 	}
-	in, ok, err := m.Node().Stable().Intentions().Lookup(txn)
-	if err != nil {
+	nd := m.Node()
+	in, ok, err := nd.Stable().Intentions().Lookup(txn)
+	switch {
+	case err != nil:
 		return nil, err
-	}
-	// Presumed abort: no record means aborted (or long since
-	// completed and forgotten — the participant asking still holds a
-	// prepared record, and a committed action is only forgotten after
-	// every participant acknowledged, so "no record" is safe to read
-	// as aborted).
-	if ok && in.Status == store.IntentionCommitted {
+	case ok && in.Status == store.IntentionCommitted:
 		return committedBody, nil
+	case nd.Runtime().Active(txn):
+		// Still deciding: a participant asking mid-prepare (restarted, or
+		// tired of waiting) must not be told abort and then sent commit.
+		return nil, fmt.Errorf("decision %v: not taken yet", txn)
 	}
+	// Presumed abort: no record and no transaction running means aborted
+	// — or decided by an incarnation that crashed before its force, or
+	// long since completed and forgotten; but a committed action is only
+	// forgotten after every writer acknowledged, and the participant
+	// asking still holds a prepared record.
 	return abortedBody, nil
 }
 
@@ -752,21 +711,24 @@ func (t *Txn) Invoke(ctx context.Context, target ids.NodeID, resource, op string
 	// The message also carries what this node owes the target: the
 	// transactions it has finished with there.
 	var scratch [bodyScratch]byte
-	var owedScratch [releaseScratch]byte
-	owed := t.mgr.releases.take(target, releaseList{ids: owedScratch[:0]})
+	var relScratch, comScratch [owedScratch]byte
+	owed := t.mgr.owed.take(owedList{node: target, rel: txnList{ids: relScratch[:0]}, com: txnList{ids: comScratch[:0]}})
 	body := appendInvokeReq(scratch[:0], &invokeReq{Txn: t.ID(), Continuation: continuation,
-		Resource: resource, Op: op, Arg: argBytes, Structure: t.structure, Release: owed})
+		Resource: resource, Op: op, Arg: argBytes, Structure: t.structure, Release: owed.rel, Commit: owed.com})
 	reply, err := t.mgr.Node().Peer().CallRaw(ctx, target, methodInvoke, body)
 	if err != nil {
 		// The call failed but may still have executed remotely:
-		// remember the contact so completion sends it an abort. What
-		// it carried for other transactions is owed again.
-		t.mgr.oweAgain(target, owed)
+		// remember the contact so completion sends it an abort. The
+		// releases it carried are owed again; its commits go out again
+		// unacknowledged.
+		owed.rel.each(func(txn ids.ActionID) { t.mgr.owe(target, txn) })
 		t.enlist(target, false, true)
 		return err
 	}
-	releasesPiggybacked.Add(uint64(owed.n))
-	out, nothingWritten, err := decodeInvokeReply(reply)
+	releasesPiggybacked.Add(uint64(owed.rel.n))
+	phase2Piggybacked.Add(uint64(owed.com.n))
+	out, nothingWritten, acks, err := decodeInvokeReply(reply)
+	t.mgr.acked(target, acks)
 	t.enlist(target, true, !nothingWritten || err != nil)
 	if t.onEnlist != nil {
 		t.onEnlist(target)
@@ -788,15 +750,19 @@ const bodyScratch = 128
 
 // Commit ends the action and returns when the outcome is decided and
 // durable. A transaction whose effects lie at several nodes runs
-// two-phase commit: on success they are permanent everywhere
-// (participants that were unreachable during the completion phase are
-// re-driven by coordinator recovery); on any prepare failure the action
-// aborts everywhere and ErrAborted is returned. One that touched a
-// single remote node and wrote nothing here commits in one step
-// (onephase.go): a writer hands that node the decision and may come back
-// ErrInDoubt when it stays silent past ctx; a reader is committed on the
-// spot, and its read locks at that node are released within the flush
-// interval.
+// two-phase commit: on any prepare failure the action aborts everywhere
+// and ErrAborted is returned; on success Commit returns once the commit
+// decision is forced and this node's own part installed. The action is
+// then permanent, though not yet installed at its other writers: each
+// hears of the decision with this node's next message to it, or within
+// the flush interval, and holds its write locks until then — a writer
+// that crashed first learns it from recovery. A constituent of a
+// distributed structure waits for its writers instead, whose actions
+// must commit before the structure ends. One that touched a single
+// remote node and wrote nothing here commits in one step (onephase.go): a
+// writer hands that node the decision and may come back ErrInDoubt when
+// it stays silent past ctx; a reader is committed on the spot, and its
+// read locks at that node are released within the flush interval.
 func (t *Txn) Commit(ctx context.Context) error {
 	t.mu.Lock()
 	if t.done {
@@ -849,6 +815,7 @@ func (t *Txn) Commit(ctx context.Context) error {
 			if err != nil {
 				return err
 			}
+			t.mgr.acked(p, vote.Acks)
 			if !vote.OK {
 				return errVotedNo
 			}
@@ -913,24 +880,37 @@ func (t *Txn) Commit(ctx context.Context) error {
 		return fmt.Errorf("dist: local apply after decision: %w", err)
 	}
 
-	// Phase 2: complete, fanning out concurrently. Unreachable
-	// participants are left to recovery (the decision record keeps the
-	// list), so the round never short-circuits.
-	if len(writers) > 0 {
-		acked := t.mgr.fanout(ctx, trace.RoundCommit, t.ID(), t.tc, writers, false,
-			func(ctx context.Context, p ids.NodeID) error {
-				return callTxn(ctx, peer, p, methodCommit, t.ID())
-			})
-		if _, _, failed := firstFailure(acked); !failed {
-			// Appended, not forced: nobody waits on a forget. A crash
-			// before the next force brings the decision record back,
-			// and the re-driven commits find every participant done.
-			//mcalint:ignore errdrop commit succeeded; forgetting is housekeeping, and a kept record is re-driven by recovery
-			_ = log.Forget(t.ID())
-		}
+	// Phase 2 is delivery. Each writer is owed the commit, which rides
+	// this node's next message to it; the decision record stays until
+	// every writer has acknowledged it (release.go).
+	switch {
+	case len(writers) == 0:
+	case t.structure == nil:
+		t.mgr.owed.await(t.ID(), writers, false)
+	default:
+		// A constituent's participant actions commit into containers the
+		// structure's end then ends: they must have committed first.
+		t.mgr.commitNow(ctx, trace.RoundCommit, t.ID(), t.tc, writers)
 	}
 	t.noteCommitted(clk.Since(start))
 	return nil
+}
+
+// commitNow sends the commit of txn to the writers that have not
+// acknowledged it, in one round of end messages, each answered once what
+// it acknowledges is forced. It returns how many did not acknowledge it;
+// they stay owed the commit.
+func (m *Manager) commitNow(ctx context.Context, kind trace.RoundKind, txn ids.ActionID, tc trace.Context, writers []ids.NodeID) (unacked int) {
+	com := txnList{}.add(txn)
+	for _, r := range m.fanout(ctx, kind, txn, tc, m.owed.await(txn, writers, true), false,
+		func(ctx context.Context, p ids.NodeID) error { return m.sendEnd(ctx, p, txnList{}, com) }) {
+		if r.Err != nil || m.owed.owes(r.Node, txn) {
+			unacked++
+		} else {
+			phase2Redriven.Inc()
+		}
+	}
+	return unacked
 }
 
 // noteCommitted counts one committed transaction and how long its Commit
@@ -1035,33 +1015,21 @@ func (m *Manager) RecoverPending(ctx context.Context) (int, error) {
 			// The coordinator's own leg needs no redo: the decision
 			// record carried the local write set, and the store installed
 			// it with the record (and replays it with the log).
-			// Coordinator role: re-drive completion, fanning out
-			// concurrently so one dead participant costs one timeout
-			// for the whole round, not one per participant. The
-			// decision record carries the transaction's original trace
-			// identity, so the re-drive round continues that trace.
+			// Coordinator role: re-drive the commit at every writer that
+			// has not acknowledged it, fanning out concurrently so one
+			// dead participant costs one timeout for the whole round,
+			// not one per participant. The last ack forgets the record.
+			// The decision record carries the transaction's original
+			// trace identity, so the re-drive round continues that trace.
 			tc := trace.Context{TraceID: in.TraceID, SpanID: in.TraceSpan}
-			acked := m.fanout(ctx, trace.RoundRecover, in.Action, tc, in.Participants, false,
-				func(ctx context.Context, p ids.NodeID) error {
-					return callTxn(ctx, nd.Peer(), p, methodCommit, in.Action)
-				})
-			if _, _, failed := firstFailure(acked); !failed {
-				//mcalint:ignore errdrop forgetting is housekeeping; a kept record is re-driven next recovery pass
-				_ = log.Forget(in.Action)
-			} else {
+			if m.commitNow(ctx, trace.RoundRecover, in.Action, tc, in.Participants) > 0 {
 				remaining++
 			}
 		case in.Coordinator != nd.ID() && in.Status == store.IntentionPrepared:
 			// Participant role: in doubt — ask the coordinator.
-			var scratch [bodyScratch]byte
-			reply, err := nd.Peer().CallRaw(ctx, in.Coordinator, methodDecision, appendTxnReq(scratch[:0], in.Action))
+			committed, err := m.askDecision(ctx, in)
 			if err != nil {
-				remaining++ // coordinator unreachable: stay in doubt
-				continue
-			}
-			committed, err := decodeDecision(reply)
-			if err != nil {
-				remaining++ // not an answer: ask again next pass
+				remaining++ // no answer: stay in doubt, ask again next pass
 				continue
 			}
 			if committed {
@@ -1087,6 +1055,61 @@ func (m *Manager) RecoverPending(ctx context.Context) (int, error) {
 		recoverHeld.Inc()
 	}
 	return remaining, nil
+}
+
+// askDecision asks the coordinator of a transaction prepared here what
+// it decided.
+func (m *Manager) askDecision(ctx context.Context, in store.Intention) (committed bool, err error) {
+	var scratch [bodyScratch]byte
+	reply, err := m.Node().Peer().CallRaw(ctx, in.Coordinator, methodDecision, appendTxnReq(scratch[:0], in.Action))
+	if err != nil {
+		return false, err
+	}
+	return decodeDecision(reply)
+}
+
+// terminateAfter is how long a participant stays prepared without a
+// decision before it asks its coordinator for one.
+const terminateAfter = time.Second
+
+// terminate is a participant's answer to a silent coordinator: every
+// terminateAfter it asks the coordinators of the transactions that were
+// already prepared here at the tick before what they decided, and aborts
+// those that were aborted. A coordinator that crashed mid-prepare sends
+// no abort; one that decided commit delivers it. It runs for one
+// incarnation of the node, on its clock, and ends with ctx, the node's
+// lifetime.
+func (m *Manager) terminate(ctx context.Context, clk clock.Clock) {
+	tick := clk.NewTicker(terminateAfter)
+	defer tick.Stop()
+	var waiting map[ids.ActionID]bool
+	for {
+		select {
+		case <-ctx.Done():
+			return
+		case <-tick.C():
+		}
+		pending, err := m.Node().Stable().Intentions().Pending()
+		if err != nil {
+			continue
+		}
+		seen := make(map[ids.ActionID]bool)
+		for _, in := range pending {
+			if in.Status != store.IntentionPrepared {
+				continue
+			}
+			if waiting[in.Action] {
+				terminationQueries.Inc()
+				if committed, err := m.askDecision(ctx, in); err == nil && !committed {
+					//mcalint:ignore errdrop a kept prepared record is asked about again next tick
+					_ = m.abortHere(in.Action)
+					continue
+				}
+			}
+			seen[in.Action] = true
+		}
+		waiting = seen
+	}
 }
 
 // Run executes fn inside a distributed action, committing on nil and

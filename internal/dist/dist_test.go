@@ -177,12 +177,24 @@ func TestDistributedCommitHappyPath(t *testing.T) {
 	if got := c.balanceAt(t, 2); got != 130 {
 		t.Fatalf("P2 balance = %d, want 130", got)
 	}
-	// Permanence: stable states updated at both participants.
-	if got, ok := c.stableBalanceAt(t, 1); !ok || got != 70 {
-		t.Fatalf("P1 stable = %d, %v", got, ok)
+	// Permanence: stable states updated at both participants once phase
+	// 2 reaches them — with no further traffic, within the flush interval
+	// — and the decision record forgotten once both have acknowledged.
+	err := waitUntil(func() bool {
+		p1, ok1 := c.stableBalanceAt(t, 1)
+		p2, ok2 := c.stableBalanceAt(t, 2)
+		return ok1 && ok2 && p1 == 70 && p2 == 130
+	})
+	if err != nil {
+		p1, _ := c.stableBalanceAt(t, 1)
+		p2, _ := c.stableBalanceAt(t, 2)
+		t.Fatalf("stable balances P1=%d P2=%d, want 70 and 130: %v", p1, p2, err)
 	}
-	if got, ok := c.stableBalanceAt(t, 2); !ok || got != 130 {
-		t.Fatalf("P2 stable = %d, %v", got, ok)
+	if err := waitUntil(func() bool {
+		pending, err := c.nodes[0].Stable().Intentions().Pending()
+		return err == nil && len(pending) == 0
+	}); err != nil {
+		t.Fatalf("the coordinator kept the decision record: %v", err)
 	}
 }
 

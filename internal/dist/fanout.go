@@ -1,12 +1,12 @@
 // Coordinator fan-out rounds: every remote round of the commit
-// protocol (prepare, phase-2 commit, abort, recovery re-drive,
-// structure end) is one broadcast to a set of participants. With
-// ParallelFanout on (the default) the round's RPCs are issued
-// concurrently by a bounded worker pool, so a round costs one
-// round-trip — or, with crashed participants, one call timeout —
-// instead of the sum over participants. Phase 1 additionally
-// short-circuits: the first NO vote or error cancels the shared round
-// context, stopping in-flight prepares from retransmitting.
+// protocol (prepare, explicit commit, abort, recovery re-drive,
+// structure end, end message) is one broadcast to a set of
+// participants. The round's RPCs are issued concurrently by a bounded
+// worker pool, so a round costs one round-trip — or, with crashed
+// participants, one call timeout — instead of the sum over
+// participants. Phase 1 additionally short-circuits: the first NO vote
+// or error cancels the shared round context, stopping in-flight
+// prepares from retransmitting.
 package dist
 
 import (
@@ -21,10 +21,10 @@ import (
 	"mca/internal/trace"
 )
 
-// defaultMaxFanout bounds a round's concurrent RPCs when the Manager
-// does not set MaxFanout. One worker per participant up to this limit
-// keeps a wide commit from flooding the transport.
-const defaultMaxFanout = 16
+// maxFanout bounds a round's concurrent RPCs. One worker per
+// participant up to this limit keeps a wide commit from flooding the
+// transport.
+const maxFanout = 16
 
 // errVotedNo distinguishes a deliberate NO vote from a transport
 // failure inside a prepare round.
@@ -40,14 +40,13 @@ type roundResult struct {
 }
 
 // fanout runs call against every target and reports per-participant
-// results, positionally aligned with targets. With the manager's
-// ParallelFanout on, calls run concurrently on a worker pool bounded
-// by MaxFanout; otherwise they run serially in order. When
-// shortCircuit is set the first failure cancels the shared round
-// context: in-flight calls stop retransmitting and return early, and
-// not-yet-started calls are skipped (their result is the cancelled
-// context's error). The round's outcome is reported to the manager's
-// round observer under the given kind.
+// results, positionally aligned with targets. Calls run concurrently on
+// a worker pool bounded by maxFanout; a round with one target runs on
+// the caller's goroutine. When shortCircuit is set the first failure
+// cancels the shared round context: in-flight calls stop retransmitting
+// and return early, and not-yet-started calls are skipped (their result
+// is the cancelled context's error). The round's outcome is reported to
+// the manager's round observer under the given kind.
 //
 // tc, when valid, is the transaction's root span: the round runs under
 // its own child span, injected into the calls' context so every RPC of
@@ -68,33 +67,18 @@ func (m *Manager) fanout(ctx context.Context, kind trace.RoundKind, txn ids.Acti
 		ctx = trace.Inject(ctx, roundTC)
 	}
 	results := make([]roundResult, len(targets))
-	parallel := m.ParallelFanout && len(targets) > 1
+	parallel := len(targets) > 1
 
-	switch {
-	case !parallel:
-		for i, p := range targets {
-			results[i] = roundResult{Node: p, Err: call(ctx, p)}
-			if shortCircuit && results[i].Err != nil {
-				for j := i + 1; j < len(targets); j++ {
-					results[j] = roundResult{Node: targets[j], Err: context.Canceled}
-				}
-				break
-			}
-		}
-	default:
+	if !parallel {
+		results[0] = roundResult{Node: targets[0], Err: call(ctx, targets[0])}
+	} else {
 		roundCtx := ctx
 		var cancel context.CancelFunc
 		if shortCircuit {
 			roundCtx, cancel = context.WithCancel(ctx)
 			defer cancel()
 		}
-		workers := m.MaxFanout
-		if workers <= 0 {
-			workers = defaultMaxFanout
-		}
-		if workers > len(targets) {
-			workers = len(targets)
-		}
+		workers := min(maxFanout, len(targets))
 		var wg sync.WaitGroup
 		idx := make(chan int)
 		for w := 0; w < workers; w++ {

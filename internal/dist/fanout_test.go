@@ -42,64 +42,68 @@ func fanoutCluster(t *testing.T, n int, opts rpc.Options) (*dist.Manager, []*nod
 }
 
 // TestRoundObserverRecordsFanoutRounds threads commit-protocol rounds
-// into a trace recorder and checks both fan-out modes: parallel (the
-// default) and serial (ParallelFanout off), which must agree on
-// protocol outcomes and differ only in the recorded Parallel flag.
+// into a trace recorder: a plain two-participant transaction runs one
+// prepare round and no commit round — its commits ride later traffic —
+// while a structure constituent still runs its commit round, and the
+// structure's end is a round too. Rounds over several participants fan
+// out.
 func TestRoundObserverRecordsFanoutRounds(t *testing.T) {
 	opts := rpc.Options{RetryInterval: 5 * time.Millisecond, CallTimeout: 2 * time.Second}
 	ctx := context.Background()
 
-	for _, parallel := range []bool{true, false} {
-		rec := trace.NewRecorder()
-		coord, nodes := fanoutCluster(t, 2, opts)
-		coord.ParallelFanout = parallel
-		coord.OnRound = rec.ObserveRound
+	rec := trace.NewRecorder()
+	coord, nodes := fanoutCluster(t, 2, opts)
+	coord.OnRound = rec.ObserveRound
 
-		err := coord.Run(ctx, func(txn *dist.Txn) error {
-			for _, nd := range nodes {
-				if err := txn.Invoke(ctx, nd.ID(), "bank", "add", addArg{Delta: 1}, nil); err != nil {
-					return err
-				}
+	var plain ids.ActionID
+	err := coord.Run(ctx, func(txn *dist.Txn) error {
+		plain = txn.ID()
+		for _, nd := range nodes {
+			if err := txn.Invoke(ctx, nd.ID(), "bank", "add", addArg{Delta: 1}, nil); err != nil {
+				return err
 			}
-			return nil
-		})
-		if err != nil {
-			t.Fatalf("parallel=%v: Run = %v", parallel, err)
 		}
+		return nil
+	})
+	if err != nil {
+		t.Fatalf("Run = %v", err)
+	}
 
-		// A structure end is a fan-out round too.
-		s, err := coord.BeginRemoteSerializing()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if err := s.RunConstituent(ctx, func(txn *dist.Txn) error {
-			return txn.Invoke(ctx, nodes[0].ID(), "bank", "add", addArg{Delta: 1}, nil)
-		}); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.End(ctx); err != nil {
-			t.Fatal(err)
-		}
+	s, err := coord.BeginRemoteSerializing()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RunConstituent(ctx, func(txn *dist.Txn) error {
+		return txn.Invoke(ctx, nodes[0].ID(), "bank", "add", addArg{Delta: 1}, nil)
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.End(ctx); err != nil {
+		t.Fatal(err)
+	}
 
-		sum := rec.RoundSummary()
-		if sum[trace.RoundPrepare] < 2 || sum[trace.RoundCommit] < 2 || sum[trace.RoundStructure] < 1 {
-			t.Fatalf("parallel=%v: round summary %v, want ≥2 prepare, ≥2 commit, ≥1 structure", parallel, sum)
+	sum := rec.RoundSummary()
+	if sum[trace.RoundPrepare] != 2 || sum[trace.RoundCommit] != 1 || sum[trace.RoundStructure] != 1 {
+		t.Fatalf("round summary %v, want 2 prepare, 1 commit (the constituent's), 1 structure", sum)
+	}
+	for _, ev := range rec.Rounds() {
+		if ev.Kind == trace.RoundRelease {
+			continue // the flusher delivering the plain transaction's commits
 		}
-		for _, ev := range rec.Rounds() {
-			if ev.Err != nil {
-				t.Fatalf("parallel=%v: round %v of txn %v failed: %v", parallel, ev.Kind, ev.Txn, ev.Err)
-			}
-			if ev.Participants != ev.OK {
-				t.Fatalf("parallel=%v: round %v: %d/%d participants ok", parallel, ev.Kind, ev.OK, ev.Participants)
-			}
-			if ev.Txn == ids.ActionID(0) {
-				t.Fatalf("parallel=%v: round %v without txn id", parallel, ev.Kind)
-			}
-			// Rounds with a single participant never fan out; wider
-			// rounds must match the configured mode.
-			if ev.Participants > 1 && ev.Parallel != parallel {
-				t.Fatalf("parallel=%v: round %v recorded Parallel=%v over %d participants", parallel, ev.Kind, ev.Parallel, ev.Participants)
-			}
+		if ev.Err != nil {
+			t.Fatalf("round %v of txn %v failed: %v", ev.Kind, ev.Txn, ev.Err)
+		}
+		if ev.Participants != ev.OK {
+			t.Fatalf("round %v: %d/%d participants ok", ev.Kind, ev.OK, ev.Participants)
+		}
+		if ev.Txn == ids.ActionID(0) {
+			t.Fatalf("round %v without txn id", ev.Kind)
+		}
+		if ev.Kind == trace.RoundCommit && ev.Txn == plain {
+			t.Fatalf("the plain transaction %v ran a commit round", plain)
+		}
+		if ev.Parallel != (ev.Participants > 1) {
+			t.Fatalf("round %v recorded Parallel=%v over %d participants", ev.Kind, ev.Parallel, ev.Participants)
 		}
 	}
 }

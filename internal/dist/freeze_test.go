@@ -123,7 +123,7 @@ func TestPrepareFreezesParticipant(t *testing.T) {
 		t.Fatal("duplicate prepare must re-derive the yes vote")
 	}
 
-	if _, err := f.part.handleCommit(context.Background(), f.coordNode.ID(), appendTxnReq(nil, txn)); err != nil {
+	if _, err := f.part.handleEnd(context.Background(), f.coordNode.ID(), appendEndReq(nil, txnList{}, txnList{}.add(txn))); err != nil {
 		t.Fatalf("commit: %v", err)
 	}
 	m, err := object.Load[int](f.regID, f.partNode.Stable())
@@ -175,10 +175,15 @@ func TestLateInvokeCannotDivergeFromLoggedWrites(t *testing.T) {
 	}
 
 	// The live-commit result must equal the logged write set: +5, not
-	// +105.
-	m, err := object.Load[int](f.regID, f.partNode.Stable())
-	if err != nil {
-		t.Fatal(err)
+	// +105 — once phase 2 has reached the participant.
+	var m *object.Managed[int]
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if m, err = object.Load[int](f.regID, f.partNode.Stable()); err == nil {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("phase 2 never installed the write set: %v", err)
+		}
 	}
 	if got := m.Peek(); got != 5 {
 		t.Fatalf("committed value = %d, want 5: live commit diverged from the logged write set", got)

@@ -40,6 +40,13 @@ var (
 	releasesFlushed     *metrics.Counter
 	releasesPending     *metrics.Gauge
 	inDoubt             *metrics.Counter
+
+	// Phase 2 of two-phase commit: commits delivered by the way they
+	// travelled, decision records still waiting for an ack, and prepared
+	// participants asking a silent coordinator.
+	phase2Piggybacked, phase2Flushed, phase2Redriven *metrics.Counter
+	acksAwaited                                      *metrics.Gauge
+	terminationQueries                               *metrics.Counter
 )
 
 func init() {
@@ -80,4 +87,11 @@ func init() {
 		"Finished single-site transactions whose participant has not been told yet.")
 	inDoubt = r.Counter("mca_dist_indoubt_total",
 		"One-phase commits whose participant never said what it decided.")
+	phase2 := r.CounterVec("mca_dist_phase2_total",
+		"Commit decisions delivered to prepared participants, by the path they took: riding an invoke, in the flusher's end message, or in one sent at once (structure constituents, recovery re-drive).", "path")
+	phase2Piggybacked, phase2Flushed, phase2Redriven = phase2.With("piggyback"), phase2.With("flush"), phase2.With("redrive")
+	acksAwaited = r.Gauge("mca_dist_acks_awaited",
+		"Commit decision records kept for a writer's ack that has not come yet.")
+	terminationQueries = r.Counter("mca_dist_termination_queries_total",
+		"Decision queries of participants prepared for longer than the termination timeout.")
 }

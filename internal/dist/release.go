@@ -1,161 +1,297 @@
-// Lazy release of single-site transactions.
+// Lazy delivery of what a coordinator owes its participants.
 //
-// A transaction that committed in one step (onephase.go) leaves something
-// behind at its participant: a reader's action still holding read locks,
-// a writer's decision record. Telling the participant it may drop them is
-// not worth a message of its own — a busy coordinator talks to the same
-// node again within microseconds. So the transaction joins a list of
-// releases owed to that node, the coordinator's next invoke there carries
-// the list along, and the participant works it off before running the
-// carried operation. A flusher covers the quiet case: a list whose oldest
-// entry has waited releaseFlushAfter, or that fills a message, goes out
-// in an end message of its own.
+// A transaction can leave work at a participant after its coordinator's
+// Commit has returned: a single-site one (onephase.go) a reader's read
+// locks or a writer's decision record to release, a multi-site one each
+// writer's commit, decided and forced here. Telling a participant is
+// delivery, not worth a message of its own — a busy coordinator talks to
+// the same node again within microseconds. So each is an entry, a release
+// or a commit, in the list owed to that node; the coordinator's next
+// invoke there carries the list, and the participant works it off before
+// the carried operation. A flusher covers the quiet case: what has waited
+// releaseFlushAfter, or fills a message, goes out in an end message.
 //
-// The lists are volatile and best effort. This node crashing drops them,
-// as it drops every participant action it had not yet prepared; a
-// participant crashing makes them moot, its locks and its unforced
-// forgets having died with it. A node that cannot be reached gets one
-// end message and is then owed nothing.
+// A participant pays no force for a carried commit: it appends the
+// install and the forget unforced, to become durable with its next
+// forced record, usually its next prepare. Only then does it owe the
+// coordinator an ack, which rides its next invoke reply or vote there.
+// An end message is answered once what it carried is forced, and the
+// reply brings the acks. The coordinator keeps each writer's commit until
+// that writer's ack, and the decision record until the last one; a commit
+// sent releaseFlushAfter ago without an ack goes out again.
+//
+// Releases are best effort: this node crashing drops them, as it drops
+// every participant action it had not yet prepared; a participant
+// crashing makes them moot; a node that cannot be reached gets one end
+// message and is then owed no release. The commits a crash drops here,
+// recovery re-drives from the decision records.
 package dist
 
 import (
 	"context"
+	"fmt"
+	"slices"
 	"sync"
 	"time"
 
+	"mca/internal/action"
 	"mca/internal/clock"
+	"mca/internal/flightrec"
 	"mca/internal/ids"
+	"mca/internal/node"
 	"mca/internal/store"
 	"mca/internal/trace"
 )
 
 const (
-	// releaseFlushAfter is how long a release may wait for an invoke to
-	// ride before the flusher sends it on its own.
+	// releaseFlushAfter is how long an owed entry waits for an invoke to
+	// ride before the flusher sends it, and a sent commit for its ack
+	// before it is sent again.
 	releaseFlushAfter = time.Millisecond
-	// releaseScratch sizes the stack buffer an invoke collects owed
-	// releases in: room for the few a busy coordinator owes at a time.
-	releaseScratch = 32
+	// owedScratch sizes the stack buffers an invoke collects owed entries
+	// in, and a reply its acks.
+	owedScratch = 32
 )
 
-// releaseQueue holds, per participant node, the transactions the local
-// coordinator has finished with there and has not yet said so.
-type releaseQueue struct {
-	mu   sync.Mutex
-	owed map[ids.NodeID]*owedReleases
-	// wake tells the flusher that a list has come into being or has
-	// filled a message.
+// owedEntry is one thing owed to a node. A commit stays owed once sent,
+// until the node acknowledges it. at is when the entry was owed or last
+// sent.
+type owedEntry struct {
+	txn          ids.ActionID
+	commit, sent bool
+	at           time.Time
+}
+
+type owedTo struct {
+	entries []owedEntry
+	sending bool // an end message is in flight
+}
+
+// unsent counts the entries no message has carried yet.
+func (o *owedTo) unsent() int {
+	n := 0
+	for _, e := range o.entries {
+		if !e.sent {
+			n++
+		}
+	}
+	return n
+}
+
+// owedQueue holds what the local coordinator owes each participant node,
+// and how many writers' acks each decision record kept here awaits.
+type owedQueue struct {
+	mu       sync.Mutex
+	clk      clock.Clock
+	owed     map[ids.NodeID]*owedTo
+	awaiting map[ids.ActionID]int
+	// wake tells the flusher that a list has come into being, has filled
+	// a message, or has no end message in flight any more.
 	wake chan struct{}
 }
 
-// owedReleases is what one node is owed.
-type owedReleases struct {
-	txns []ids.ActionID
-	// since is when the list was last empty: no entry is older.
-	since time.Time
-}
-
-func (q *releaseQueue) init() {
-	q.owed = make(map[ids.NodeID]*owedReleases)
-	q.wake = make(chan struct{}, 1)
-}
-
-// reset drops every list.
-func (q *releaseQueue) reset() {
+// reset drops everything owed and awaited; clk is the node's clock.
+func (q *owedQueue) reset(clk clock.Clock) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for _, o := range q.owed {
-		releasesPending.Add(-int64(len(o.txns)))
+		for _, e := range o.entries {
+			if !e.commit {
+				releasesPending.Dec()
+			}
+		}
 	}
-	clear(q.owed)
+	acksAwaited.Add(-int64(len(q.awaiting)))
+	q.clk, q.owed, q.awaiting = clk, make(map[ids.NodeID]*owedTo), make(map[ids.ActionID]int)
 }
 
-// add owes node the release of txn.
-func (q *releaseQueue) add(node ids.NodeID, txn ids.ActionID, now time.Time) {
-	q.mu.Lock()
+func (q *owedQueue) poke() {
+	select {
+	case q.wake <- struct{}{}:
+	default:
+	}
+}
+
+// addLocked owes node the entry. Called with mu held.
+func (q *owedQueue) addLocked(node ids.NodeID, e owedEntry) {
 	o := q.owed[node]
 	if o == nil {
-		o = &owedReleases{}
+		o = &owedTo{}
 		q.owed[node] = o
 	}
-	if len(o.txns) == 0 {
-		o.since = now
+	o.entries = append(o.entries, e)
+	if !e.commit {
+		releasesPending.Inc()
 	}
-	o.txns = append(o.txns, txn)
-	n := len(o.txns)
-	q.mu.Unlock()
-	releasesPending.Inc()
-	if n == 1 || n == maxReleaseBatch {
-		select {
-		case q.wake <- struct{}{}:
-		default:
-		}
+	if len(o.entries) == 1 || !e.sent && o.unsent() == maxOwedBatch {
+		q.poke()
 	}
-}
-
-// take moves up to a message's worth of what node is owed onto l, oldest
-// first.
-func (q *releaseQueue) take(node ids.NodeID, l releaseList) releaseList {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	o := q.owed[node]
-	if o == nil || len(o.txns) == 0 {
-		return l
-	}
-	n := min(len(o.txns), maxReleaseBatch-l.n)
-	for _, txn := range o.txns[:n] {
-		l = l.add(txn)
-	}
-	// A list emptied here keeps its backing array for the next
-	// transaction.
-	o.txns = o.txns[:copy(o.txns, o.txns[n:])]
-	releasesPending.Add(-int64(n))
-	return l
-}
-
-// takeDue removes and returns the lists that are due at now — the oldest
-// entry has waited releaseFlushAfter, or there is a message's worth —
-// and the earliest time another will be, zero when nothing else is owed.
-func (q *releaseQueue) takeDue(now time.Time) (due map[ids.NodeID][]ids.ActionID, next time.Time) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	for node, o := range q.owed {
-		if len(o.txns) == 0 {
-			continue
-		}
-		at := o.since.Add(releaseFlushAfter)
-		if len(o.txns) < maxReleaseBatch && at.After(now) {
-			if next.IsZero() || at.Before(next) {
-				next = at
-			}
-			continue
-		}
-		if due == nil {
-			due = make(map[ids.NodeID][]ids.ActionID)
-		}
-		due[node] = o.txns
-		o.txns = nil
-		releasesPending.Add(-int64(len(due[node])))
-	}
-	return due, next
 }
 
 // owe queues the release of txn at node: the coordinator has finished
 // with it there.
 func (m *Manager) owe(node ids.NodeID, txn ids.ActionID) {
-	m.releases.add(node, txn, m.clock().Now())
+	q := &m.owed
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.addLocked(node, owedEntry{txn: txn, at: q.clk.Now()})
 }
 
-// oweAgain queues once more what a message that failed was carrying.
-func (m *Manager) oweAgain(node ids.NodeID, l releaseList) {
-	l.each(func(txn ids.ActionID) { m.owe(node, txn) })
+// await keeps the decision record of txn until each writer has
+// acknowledged the commit, owing it to every one meanwhile — as sent now,
+// when it goes out at once. It returns the writers not yet heard from.
+func (q *owedQueue) await(txn ids.ActionID, writers []ids.NodeID, sent bool) []ids.NodeID {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if _, ok := q.awaiting[txn]; ok {
+		return slices.DeleteFunc(slices.Clone(writers), func(w ids.NodeID) bool { return q.findLocked(w, txn) < 0 })
+	}
+	q.awaiting[txn] = len(writers)
+	acksAwaited.Inc()
+	now := q.clk.Now()
+	for _, w := range writers {
+		q.addLocked(w, owedEntry{txn: txn, commit: true, sent: sent, at: now})
+	}
+	return writers
 }
 
-// flushReleases is the manager's flusher: it sends what no invoke came
-// along to carry. It runs for one incarnation of the node, on its clock,
-// and ends with ctx, the node's lifetime.
-func (m *Manager) flushReleases(ctx context.Context, clk clock.Clock) {
-	q := &m.releases
+// findLocked returns where the commit of txn is in node's list, -1 when
+// it is not. Called with mu held.
+func (q *owedQueue) findLocked(node ids.NodeID, txn ids.ActionID) int {
+	if o := q.owed[node]; o != nil {
+		return slices.IndexFunc(o.entries, func(e owedEntry) bool { return e.commit && e.txn == txn })
+	}
+	return -1
+}
+
+// owes reports whether node is still owed the commit of txn.
+func (q *owedQueue) owes(node ids.NodeID, txn ids.ActionID) bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	return q.findLocked(node, txn) >= 0
+}
+
+// acked counts node's ack of the commit of txn, once however often it
+// comes, and reports whether it was the last one awaited.
+func (q *owedQueue) acked(node ids.NodeID, txn ids.ActionID) bool {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	i := q.findLocked(node, txn)
+	if i < 0 {
+		return false
+	}
+	o := q.owed[node]
+	o.entries = slices.Delete(o.entries, i, i+1)
+	if q.awaiting[txn]--; q.awaiting[txn] > 0 {
+		return false
+	}
+	delete(q.awaiting, txn)
+	acksAwaited.Dec()
+	return true
+}
+
+// owedList is what one message carries to a node.
+type owedList struct {
+	node     ids.NodeID
+	rel, com txnList
+}
+
+// pick returns l with the entries that due selects added, oldest first
+// and up to a message's worth of each kind: a release leaves the list, a
+// commit stays until acknowledged, as sent at now. Called with the
+// queue's mu held.
+func (o *owedTo) pick(l owedList, now time.Time, due func(owedEntry) bool) owedList {
+	kept := o.entries[:0]
+	for _, e := range o.entries {
+		switch {
+		case !due(e):
+		case !e.commit && l.rel.n < maxOwedBatch:
+			l.rel = l.rel.add(e.txn)
+			continue
+		case e.commit && l.com.n < maxOwedBatch:
+			l.com = l.com.add(e.txn)
+			e.sent, e.at = true, now
+		}
+		kept = append(kept, e)
+	}
+	o.entries = kept
+	releasesPending.Add(-int64(l.rel.n))
+	return l
+}
+
+// take moves onto l what its node is owed and has not been sent.
+func (q *owedQueue) take(l owedList) owedList {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if o := q.owed[l.node]; o != nil && len(o.entries) > 0 {
+		l = o.pick(l, q.clk.Now(), func(e owedEntry) bool { return !e.sent })
+	}
+	return l
+}
+
+// takeDue takes, for every node with no end message in flight, what is
+// due at now — entries owed or sent releaseFlushAfter ago, and every
+// unsent one when they fill a message — and returns it with the earliest
+// time another entry falls due, zero when none will.
+func (q *owedQueue) takeDue(now time.Time, self ids.NodeID) (due []owedList, next time.Time) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	for node, o := range q.owed {
+		if o.sending {
+			continue
+		}
+		full := o.unsent() >= maxOwedBatch
+		l := o.pick(owedList{node: node}, now, func(e owedEntry) bool {
+			if at := e.at.Add(releaseFlushAfter); at.After(now) && (e.sent || !full) {
+				if next.IsZero() || at.Before(next) {
+					next = at
+				}
+				return false
+			}
+			if e.sent {
+				flightrec.Record(flightrec.Event{Kind: flightrec.KindCommitResent, Node: uint64(self), A: uint64(e.txn), B: uint64(node)})
+			}
+			return true
+		})
+		if l.rel.n+l.com.n > 0 {
+			o.sending = true
+			due = append(due, l)
+		}
+	}
+	return due, next
+}
+
+// sent marks the end message to node no longer in flight.
+func (q *owedQueue) sent(node ids.NodeID) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if o := q.owed[node]; o != nil {
+		o.sending = false
+	}
+	q.poke()
+}
+
+// acked counts the acks node sent.
+func (m *Manager) acked(node ids.NodeID, acks txnList) {
+	acks.each(func(txn ids.ActionID) { m.ack(node, txn) })
+}
+
+// ack counts node's ack of the commit of txn, and forgets the decision
+// record on the last one. The forget is not forced: a crash before the
+// next force brings the record back, and the re-drive finds every writer
+// done.
+func (m *Manager) ack(node ids.NodeID, txn ids.ActionID) {
+	if m.owed.acked(node, txn) {
+		//mcalint:ignore errdrop forgetting is housekeeping; a kept record is re-driven by recovery
+		_ = m.Node().Stable().Intentions().Forget(txn)
+	}
+}
+
+// flushOwed is the manager's flusher: it sends what no invoke came along
+// to carry. It runs for one incarnation of the node, on its clock, and
+// ends with ctx, the node's lifetime.
+func (m *Manager) flushOwed(ctx context.Context, clk clock.Clock, self ids.NodeID) {
+	q := &m.owed
 	// The timer is made by the first list that has to wait, and armed
 	// only while one does.
 	var (
@@ -168,10 +304,10 @@ func (m *Manager) flushReleases(ctx context.Context, clk clock.Clock) {
 		}
 	}()
 	for {
-		lists, next := q.takeDue(clk.Now())
-		if len(lists) > 0 {
-			m.sendReleases(ctx, lists)
-			continue
+		lists, next := q.takeDue(clk.Now(), self)
+		// A node that does not answer holds up only its own list.
+		for _, l := range lists {
+			go m.sendOwed(ctx, l)
 		}
 		due = nil
 		if !next.IsZero() {
@@ -191,54 +327,172 @@ func (m *Manager) flushReleases(ctx context.Context, clk clock.Clock) {
 	}
 }
 
-// sendReleases sends each node its due list in end messages of its own:
-// one attempt each, since a node that does not answer has probably lost
-// what the releases were for.
-func (m *Manager) sendReleases(ctx context.Context, due map[ids.NodeID][]ids.ActionID) {
-	nodes := make([]ids.NodeID, 0, len(due))
-	for node := range due {
-		nodes = append(nodes, node)
-	}
-	peer := m.Node().Peer()
-	m.fanout(ctx, trace.RoundRelease, 0, trace.Context{}, nodes, false,
+// sendOwed sends a node its due list in an end message, once: a release
+// the node does not take has probably lost what it was for, and a commit
+// goes out again until acknowledged.
+func (m *Manager) sendOwed(ctx context.Context, d owedList) {
+	defer m.owed.sent(d.node)
+	m.fanout(ctx, trace.RoundRelease, 0, trace.Context{}, []ids.NodeID{d.node}, false,
 		func(ctx context.Context, node ids.NodeID) error {
-			for txns := due[node]; len(txns) > 0; {
-				n := min(len(txns), maxReleaseBatch)
-				var l releaseList
-				for _, txn := range txns[:n] {
-					l = l.add(txn)
-				}
-				if _, err := peer.CallRaw(ctx, node, methodEnd, appendEndReq(nil, l)); err != nil {
-					return err
-				}
-				releasesFlushed.Add(uint64(n))
-				txns = txns[n:]
+			if err := m.sendEnd(ctx, node, d.rel, d.com); err != nil {
+				return err
 			}
+			releasesFlushed.Add(uint64(d.rel.n))
+			phase2Flushed.Add(uint64(d.com.n))
 			return nil
 		})
 }
 
+// sendEnd sends node an end message and counts the acks of its reply.
+func (m *Manager) sendEnd(ctx context.Context, node ids.NodeID, rel, com txnList) error {
+	reply, err := m.Node().Peer().CallRaw(ctx, node, methodEnd, appendEndReq(nil, rel, com))
+	if err != nil {
+		return err
+	}
+	acks, err := decodeAck(reply)
+	m.acked(node, acks)
+	return err
+}
+
 // --- participant role ---
 
-func (m *Manager) handleEnd(_ context.Context, _ ids.NodeID, body []byte) ([]byte, error) {
-	l, err := decodeEndReq(body)
+// ackQueue holds the acks this node owes its coordinators, each with the
+// log marks between which the install and forget it acknowledges were
+// appended.
+type ackQueue struct {
+	mu   sync.Mutex
+	wal  *store.WAL
+	owed []pendingAck
+}
+
+type pendingAck struct {
+	to       ids.NodeID
+	txn      ids.ActionID
+	from, at uint64
+}
+
+// reset drops every ack owed: what they would acknowledge was not forced,
+// and died with the node whose log is wal.
+func (q *ackQueue) reset(wal *store.WAL) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.wal, q.owed = wal, nil
+}
+
+func (q *ackQueue) add(a pendingAck) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.owed = append(q.owed, a)
+}
+
+// take moves onto l the acks owed to coordinator to whose records are
+// durable, up to a message's worth.
+func (q *ackQueue) take(to ids.NodeID, l txnList) txnList {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	q.owed = slices.DeleteFunc(q.owed, func(a pendingAck) bool {
+		if a.to != to || l.n == maxOwedBatch || !q.wal.Durable(a.from, a.at) {
+			return false
+		}
+		l = l.add(a.txn)
+		return true
+	})
+	return l
+}
+
+// withAcks returns a reply body that may end in an ack list (a vote, an
+// ack) with the durable acks owed to node appended — to a copy, as the
+// bodies passed in are shared.
+func (m *Manager) withAcks(reply []byte, to ids.NodeID) []byte {
+	var scratch [owedScratch]byte
+	if acks := m.acks.take(to, txnList{ids: scratch[:0]}); acks.n > 0 {
+		return appendOptList(slices.Clip(reply), acks)
+	}
+	return reply
+}
+
+// handleEnd works off what a coordinator sent on its own — the quiet
+// flush, a structure's commit, a recovery re-drive — and, no force being
+// due to carry the commits' acks, forces them before it answers.
+func (m *Manager) handleEnd(ctx context.Context, from ids.NodeID, body []byte) ([]byte, error) {
+	rel, com, err := decodeEndReq(body)
 	if err != nil {
 		return nil, err
 	}
-	m.release(l)
-	return ackBody, nil
+	if mark := m.workOff(ctx, from, rel, com); com.n > 0 {
+		if err := m.Node().Stable().WAL().Sync(mark); err != nil {
+			return nil, err
+		}
+	}
+	return m.withAcks(ackBody, from), nil
 }
 
-// release works off a list of transactions their coordinator has
-// finished with, whether an invoke carried it or an end message.
-// Releasing is idempotent, and a transaction this node does not know is
-// ignored.
-func (m *Manager) release(l releaseList) {
-	if l.n == 0 {
-		return
+// workOff does what coordinator from's message carries for transactions
+// it has finished with here, before anything else the message asks: it
+// releases, and it commits, owing from an ack of each commit once that is
+// durable. Both are idempotent, and a transaction this node does not know
+// is ignored. It returns the log's mark from before the commits.
+func (m *Manager) workOff(ctx context.Context, from ids.NodeID, rel, com txnList) (mark uint64) {
+	if rel.n+com.n == 0 {
+		return 0
 	}
 	nd := m.Node()
-	l.each(func(txn ids.ActionID) { m.releaseOne(nd.ID(), nd.Stable().Intentions(), txn) })
+	rel.each(func(txn ids.ActionID) { m.releaseOne(nd.ID(), nd.Stable().Intentions(), txn) })
+	if com.n == 0 {
+		return 0
+	}
+	clk, wal := m.clock(), nd.Stable().WAL()
+	start, mark := clk.Now(), wal.Mark()
+	com.each(func(txn ids.ActionID) {
+		if m.commitOne(nd, txn) == nil {
+			m.acks.add(pendingAck{to: from, txn: txn, from: mark, at: wal.Mark()})
+		}
+	})
+	// Phase-2 work riding another transaction's request is a span of its
+	// own under that request's server span, not part of its operation.
+	if caller, ok := trace.FromContext(ctx); ok && caller.Valid() {
+		if rec := m.traceRecorder(); rec != nil {
+			tc := caller.Child()
+			rec.AddSpan(trace.Span{Kind: "dist.phase2", Label: fmt.Sprintf("dist.phase2 commits=%d", com.n),
+				TraceID: tc.TraceID, SpanID: tc.SpanID, ParentSpanID: caller.SpanID,
+				Outcome: trace.OutcomeOK, Begin: start, End: clk.Now()})
+		}
+	}
+	return mark
+}
+
+// commitOne applies the commit decision here, through the live action
+// when it survived or by replaying the prepared record's write set after
+// a crash. Nothing is forced: the install and the forget are appended to
+// the log, to become durable with its next force. Idempotent.
+func (m *Manager) commitOne(nd *node.Node, txn ids.ActionID) error {
+	sink := &phase2Sink{st: nd.Stable(), txn: txn}
+	if a, ok := m.bury(txn); ok && a.Status() == action.Active {
+		return a.CommitWith(sink)
+	}
+	in, ok, err := sink.st.Intentions().Lookup(txn)
+	if err != nil || !ok {
+		return err
+	}
+	return sink.ApplyBatch(in.Writes)
+}
+
+// phase2Sink installs a participant's write set and forgets its prepared
+// record, both unforced, before the action lets go of its locks. So the
+// forget precedes in the log any later install of the same objects, and
+// every force that makes such an install durable carries the forget: a
+// crash can bring the prepared record back only with nothing later to
+// overwrite.
+type phase2Sink struct {
+	st  *store.Stable
+	txn ids.ActionID
+}
+
+func (s *phase2Sink) ApplyBatch(b store.Batch) error {
+	if err := s.st.ApplyBatchLazy(b); err != nil {
+		return err
+	}
+	return s.st.Intentions().Forget(s.txn)
 }
 
 // releaseOne lets go of what one finished single-site transaction left

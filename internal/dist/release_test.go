@@ -87,14 +87,15 @@ func (f *releaseFixture) op(c, part int, op string) error {
 	})
 }
 
-// owed counts the releases coordinator c has not yet sent.
+// owed counts the entries coordinator c holds: releases not yet sent,
+// commits not yet acknowledged.
 func (f *releaseFixture) owed(c int) int {
-	q := &f.coords[c].releases
+	q := &f.coords[c].owed
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	n := 0
 	for _, o := range q.owed {
-		n += len(o.txns)
+		n += len(o.entries)
 	}
 	return n
 }
@@ -229,6 +230,113 @@ func TestReleasesDrain(t *testing.T) {
 		if len(pending) != 0 {
 			t.Fatalf("participant %d still holds %d intention records", i, len(pending))
 		}
+	}
+}
+
+// TestQuietClusterForgetsDecisionsInOneFlush: after a run of
+// two-participant writes, with no traffic to carry their commits, every
+// decision record the coordinator keeps and every prepared record at the
+// participants is gone one flush interval later — not a nanosecond
+// earlier — at the price of one force per participant: the end message
+// brings the commits, and its reply, after that force, the acks. The
+// phase-2 counters and the awaited-acks gauge follow each step.
+func TestQuietClusterForgetsDecisionsInOneFlush(t *testing.T) {
+	clk := clock.NewFake()
+	f := newReleaseFixture(t, clk)
+	ctx := context.Background()
+	piggybacked, awaited := phase2Piggybacked.Value(), acksAwaited.Value()
+	for i := 0; i < 5; i++ {
+		err := f.coords[0].Run(ctx, func(txn *Txn) error {
+			for _, p := range f.parts {
+				if err := txn.Invoke(ctx, p.ID(), "reg", "add", struct{}{}, nil); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+		if err != nil {
+			t.Fatalf("write %d: %v", i, err)
+		}
+	}
+	records := func(nd *node.Node) int {
+		pending, err := nd.Stable().Intentions().Pending()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(pending)
+	}
+	coord := f.coords[0].Node()
+	// Each write's votes acknowledged its predecessor's commits: the last
+	// write's records are the ones left.
+	if c, p0, p1 := records(coord), records(f.parts[0]), records(f.parts[1]); c != 1 || p0 != 1 || p1 != 1 {
+		t.Fatalf("records kept: coordinator %d, participants %d and %d; want 1 each", c, p0, p1)
+	}
+	if got := phase2Piggybacked.Value() - piggybacked; got != 8 {
+		t.Fatalf("%d commits rode invokes, want 8: the first four writes' at both participants", got)
+	}
+	if got := acksAwaited.Value() - awaited; got != 1 {
+		t.Fatalf("acks awaited for %d decisions, want the last write's 1", got)
+	}
+	forces := func() (n [2]uint64) {
+		for i, nd := range f.parts {
+			n[i], _ = nd.Stable().WAL().Stats()
+		}
+		return n
+	}
+	before, flushed := forces(), phase2Flushed.Value()
+
+	clk.Advance(releaseFlushAfter - time.Nanosecond)
+	time.Sleep(30 * time.Millisecond)
+	if c := records(coord); c != 1 {
+		t.Fatalf("the decision record went before the flush interval was up (%d left)", c)
+	}
+	clk.Advance(time.Nanosecond)
+	eventually(t, "every record to be forgotten", func() bool {
+		return records(coord)+records(f.parts[0])+records(f.parts[1]) == 0
+	})
+	if after := forces(); after[0]-before[0] != 1 || after[1]-before[1] != 1 {
+		t.Fatalf("participants forced %d and %d times to acknowledge, want once each", after[0]-before[0], after[1]-before[1])
+	}
+	if got := phase2Flushed.Value() - flushed; got != 2 {
+		t.Fatalf("%d commits went out in end messages, want 2", got)
+	}
+	if got := acksAwaited.Value() - awaited; got != 0 {
+		t.Fatalf("acks still awaited for %d decisions", got)
+	}
+}
+
+// TestSentCommitsDoNotFillAMessage: what makes a list go out at once is a
+// message's worth of entries no message has carried. Commits sent and
+// waiting for their acks do not count: with a message's worth of them
+// outstanding, a new release still waits for an invoke or the flush
+// interval, while as many unsent releases wake the flusher and go at once.
+func TestSentCommitsDoNotFillAMessage(t *testing.T) {
+	clk := clock.NewFake()
+	m := &Manager{}
+	m.owed.wake = make(chan struct{}, 1)
+	m.owed.reset(clk)
+	defer m.owed.reset(clk)
+	const node = ids.NodeID(7)
+	for i := range maxOwedBatch {
+		m.owed.await(ids.ActionID(1000+i), []ids.NodeID{node}, true)
+	}
+	<-m.owed.wake // the list came into being
+	m.owe(node, 1)
+	if len(m.owed.wake) != 0 {
+		t.Fatal("a release beside a message's worth of sent commits woke the flusher")
+	}
+	if due, next := m.owed.takeDue(clk.Now(), 1); len(due) != 0 || !next.Equal(clk.Now().Add(releaseFlushAfter)) {
+		t.Fatalf("takeDue = %d lists, next %v; want none before the flush interval", len(due), next)
+	}
+	for i := 2; i <= maxOwedBatch; i++ {
+		m.owe(node, ids.ActionID(i))
+	}
+	if len(m.owed.wake) != 1 {
+		t.Fatal("a message's worth of unsent releases did not wake the flusher")
+	}
+	due, _ := m.owed.takeDue(clk.Now(), 1)
+	if len(due) != 1 || due[0].rel.n != maxOwedBatch || due[0].com.n != 0 {
+		t.Fatalf("takeDue = %+v, want the %d releases and no commit", due, maxOwedBatch)
 	}
 }
 

@@ -5,9 +5,11 @@ import (
 	"testing"
 	"time"
 
+	"mca/internal/clock"
 	"mca/internal/dist"
 	"mca/internal/netsim"
 	"mca/internal/node"
+	"mca/internal/phase"
 	"mca/internal/rpc"
 	"mca/internal/trace"
 )
@@ -28,7 +30,11 @@ func newTracedCluster(t *testing.T, cfg netsim.Config) *tracedCluster {
 	tc := &tracedCluster{cluster: &cluster{net: nw}}
 	for i := 0; i < 3; i++ {
 		tc.recs[i] = trace.NewRecorder()
-		nd, err := node.New(nw, node.WithRPCOptions(rpcOpts), node.WithTracer(tc.recs[i]))
+		opts := []node.Option{node.WithRPCOptions(rpcOpts), node.WithTracer(tc.recs[i])}
+		if cfg.Clock != nil {
+			opts = append(opts, node.WithClock(cfg.Clock))
+		}
+		nd, err := node.New(nw, opts...)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -83,8 +89,9 @@ func TestTracedCommitMergesToOneTreeWithoutOrphans(t *testing.T) {
 		t.Fatalf("spans carry %d distinct trace ids, want 1", len(traceIDs))
 	}
 
-	// The traced root must causally contain both 2PC rounds, the RPC
-	// spans, and participant actions at both remote nodes.
+	// The traced root must causally contain the prepare round, the RPC
+	// spans, and participant actions at both remote nodes — and no commit
+	// round: phase 2 travels after Commit returned, outside the trace.
 	var root *trace.TreeNode
 	for _, r := range tree.Roots {
 		if r.Span.TraceID != 0 {
@@ -101,13 +108,13 @@ func TestTracedCommitMergesToOneTreeWithoutOrphans(t *testing.T) {
 		kinds[n.Span.Kind]++
 		nodesSeen[n.Span.Node.String()] = true
 	})
-	if kinds["round.prepare"] != 1 || kinds["round.commit"] != 1 {
-		t.Fatalf("round spans under root: prepare=%d commit=%d, want 1/1 (kinds: %v)",
+	if kinds["round.prepare"] != 1 || kinds["round.commit"] != 0 {
+		t.Fatalf("round spans under root: prepare=%d commit=%d, want 1/0 (kinds: %v)",
 			kinds["round.prepare"], kinds["round.commit"], kinds)
 	}
-	// 2 invokes + 2 prepares + 2 commits = 6 client/server pairs.
-	if kinds["rpc.client"] != 6 || kinds["rpc.server"] != 6 {
-		t.Fatalf("rpc spans under root: client=%d server=%d, want 6/6", kinds["rpc.client"], kinds["rpc.server"])
+	// 2 invokes + 2 prepares = 4 client/server pairs.
+	if kinds["rpc.client"] != 4 || kinds["rpc.server"] != 4 {
+		t.Fatalf("rpc spans under root: client=%d server=%d, want 4/4", kinds["rpc.client"], kinds["rpc.server"])
 	}
 	for i := 0; i < 3; i++ {
 		if id := tc.nodes[i].ID().String(); !nodesSeen[id] {
@@ -120,6 +127,52 @@ func TestTracedCommitMergesToOneTreeWithoutOrphans(t *testing.T) {
 	path := trace.CriticalPath(root)
 	if len(path) < 2 {
 		t.Fatalf("critical path too short: %d spans", len(path))
+	}
+
+	// Nor does Commit's phase ledger hold a second round: its round time
+	// is the prepare round's, which the ledger took first.
+	var prepare time.Duration
+	for _, ev := range tc.recs[0].Rounds() {
+		if ev.Kind == trace.RoundPrepare {
+			prepare = ev.Duration
+		}
+	}
+	if got := time.Duration(phase.Snapshot(root.Span.TraceID)[phase.Round]); got <= 0 || got > prepare {
+		t.Fatalf("ledger round time %v, want the prepare round's %v alone", got, prepare)
+	}
+}
+
+// TestPiggybackedPhase2IsItsOwnSpan: a transfer's commit rides the next
+// transfer's invoke at each writer, and the writer's work on it is a span
+// of its own under that invoke's server span, in the carrying trace —
+// not part of the carried operation. The clock stands still, so nothing
+// is flushed on its own.
+func TestPiggybackedPhase2IsItsOwnSpan(t *testing.T) {
+	tc := newTracedCluster(t, netsim.Config{Clock: clock.NewFake()})
+	ctx := context.Background()
+	for i := 0; i < 2; i++ {
+		if err := transfer(ctx, tc.cluster, 1, 2, 10); err != nil {
+			t.Fatalf("transfer %d: %v", i, err)
+		}
+	}
+	spans := tc.mergedSpans()
+	byID := make(map[uint64]trace.Span, len(spans))
+	for _, s := range spans {
+		byID[s.SpanID] = s
+	}
+	found := 0
+	for _, s := range spans {
+		if s.Kind != "dist.phase2" {
+			continue
+		}
+		if parent := byID[s.ParentSpanID]; parent.Kind != "rpc.server" || parent.TraceID != s.TraceID {
+			t.Fatalf("phase-2 span %q hangs under %q of trace %x, want the carrying request's server span in trace %x",
+				s.Label, parent.Kind, parent.TraceID, s.TraceID)
+		}
+		found++
+	}
+	if found != 2 {
+		t.Fatalf("%d phase-2 spans, want one at each writer", found)
 	}
 }
 

@@ -8,22 +8,28 @@
 // and the result of an invocation) rides as opaque bytes.
 //
 //	invoke        D1 01  flags (bit0 first contact)  txn  resource  op  arg
-//	                     n  n×(structure container write flags)  r  r×txn
-//	invoke reply  D1 02  flags (bit0 nothing written so far)  result
+//	                     n  n×(structure container write flags)  r  r×txn  [c  c×txn]
+//	invoke reply  D1 02  flags (bit0 nothing written so far)  result  [a  a×txn]
 //	prepare       D1 03  txn  coordinator
-//	vote          D1 04  flags (bit0 yes, bit1 read-only)
-//	txn           D1 05  txn                    (commit, abort, decision query, commit1)
+//	vote          D1 04  flags (bit0 yes, bit1 read-only)  [a  a×txn]
+//	txn           D1 05  txn                    (abort, decision query, commit1)
 //	decision      D1 06  flags (bit0 committed) (decision reply, commit1 outcome)
-//	ack           D1 07
+//	ack           D1 07  [a  a×txn]             (abort, end and structure replies)
 //	structure     D1 08  structure              (end, abort)
-//	end           D1 09  r  r×txn               (standalone release batch)
+//	end           D1 09  r  r×txn  [c  c×txn]   (what is owed, sent on its own)
 //
 // The invoke's structure entries run from the transaction's own
 // structure outwards through its parents; n is 0 for a transaction
-// outside any structure. Entry flags: bit0 companion, bit1 read-own. The
-// r transactions after them are ones the sender has finished with at
-// this node (release.go); an end carries the same list on its own, and
-// neither carries more than maxReleaseBatch of them.
+// outside any structure. Entry flags: bit0 companion, bit1 read-own.
+//
+// What a coordinator owes a node (release.go) are entries of a one-bit
+// kind — the release of a finished single-site transaction, the commit of
+// a prepared one — which an invoke or an end carries as two lists: the r
+// releases, then the c commits. The a transactions after an invoke reply,
+// a vote or an ack are commits the replying node has made durable. A
+// bracketed list is absent when empty and never present with a zero
+// count, so a body without commits or acks is byte for byte what it was
+// before there were any. No list holds more than maxOwedBatch entries.
 package dist
 
 import (
@@ -85,10 +91,10 @@ type invokeReq struct {
 	// Structure, when non-nil, mirrors the coordinator-side colour
 	// scheme at the participant (distributed serializing actions).
 	Structure *structureInfo
-	// Release lists transactions the coordinator has finished with at
-	// this node, to be released before the operation runs. It aliases the
-	// body after a decode.
-	Release releaseList
+	// Release and Commit list what the coordinator owes this node, to be
+	// worked off before the operation runs: transactions to release, and
+	// transactions decided commit. They alias the body after a decode.
+	Release, Commit txnList
 }
 
 const (
@@ -130,7 +136,7 @@ func appendInvokeReq(buf []byte, q *invokeReq) []byte {
 		}
 		buf = append(buf, flags)
 	}
-	return appendReleaseList(buf, q.Release)
+	return appendOptList(appendTxnList(buf, q.Release), q.Commit)
 }
 
 // decodeInvokeReq decodes an invoke. Resource and Op are interned; Arg
@@ -163,86 +169,113 @@ func decodeInvokeReq(body []byte) (invokeReq, error) {
 		s.ReadOwn = flags&structReadOwn != 0
 		*link, link = s, &s.Parent
 	}
-	q.Release = readReleaseList(&r)
+	q.Release = readTxnList(&r)
+	q.Commit = readOptList(&r)
 	return q, finish(&r)
 }
 
 // appendInvokeReply encodes the operation's result with whether the
-// participant action has written nothing so far.
-func appendInvokeReply(buf []byte, nothingWritten bool, result []byte) []byte {
+// participant action has written nothing so far, and the acks the
+// replying node owes the caller.
+func appendInvokeReply(buf []byte, nothingWritten bool, result []byte, acks txnList) []byte {
 	var flags byte
 	if nothingWritten {
 		flags = replyNothingWritten
 	}
-	return wire.AppendBytes(append(buf, bodyMagic, byte(bodyInvokeReply), flags), result)
+	return appendOptList(wire.AppendBytes(append(buf, bodyMagic, byte(bodyInvokeReply), flags), result), acks)
 }
 
-// decodeInvokeReply returns the application's result, aliasing body.
-func decodeInvokeReply(body []byte) (result []byte, nothingWritten bool, err error) {
+// decodeInvokeReply returns the application's result and the acks,
+// aliasing body.
+func decodeInvokeReply(body []byte) (result []byte, nothingWritten bool, acks txnList, err error) {
 	r, err := bodyReader(body, bodyInvokeReply)
 	if err != nil {
-		return nil, false, err
+		return nil, false, txnList{}, err
 	}
 	flags := r.Byte()
 	if flags&^replyNothingWritten != 0 {
 		r.Fail()
 	}
 	result = r.Bytes()
-	return result, flags&replyNothingWritten != 0, finish(&r)
+	acks = readOptList(&r)
+	return result, flags&replyNothingWritten != 0, acks, finish(&r)
 }
 
-// --- release lists ---
+// --- transaction lists ---
 
-// releaseList is a list of transaction identifiers in its encoded form,
-// so that a sender builds it in a stack buffer and a receiver walks it in
+// txnList is a list of transaction identifiers in its encoded form, so
+// that a sender builds it in a stack buffer and a receiver walks it in
 // place. A decoded list aliases the body and was validated whole.
-type releaseList struct {
+type txnList struct {
 	n   int
 	ids []byte // n uvarints
 }
 
-// maxReleaseBatch caps the transactions one message releases.
-const maxReleaseBatch = 64
+// maxOwedBatch caps the transactions one list carries.
+const maxOwedBatch = 64
 
-func (l releaseList) add(txn ids.ActionID) releaseList {
-	return releaseList{n: l.n + 1, ids: wire.AppendUvarint(l.ids, uint64(txn))}
+func (l txnList) add(txn ids.ActionID) txnList {
+	return txnList{n: l.n + 1, ids: wire.AppendUvarint(l.ids, uint64(txn))}
 }
 
 // each calls fn with every transaction in the list.
-func (l releaseList) each(fn func(ids.ActionID)) {
+func (l txnList) each(fn func(ids.ActionID)) {
 	r := wire.NewReader(l.ids)
 	for range l.n {
 		fn(ids.ActionID(r.Uvarint()))
 	}
 }
 
-func appendReleaseList(buf []byte, l releaseList) []byte {
+func appendTxnList(buf []byte, l txnList) []byte {
 	return append(wire.AppendUvarint(buf, uint64(l.n)), l.ids...)
 }
 
-func readReleaseList(r *wire.Reader) releaseList {
+func readTxnList(r *wire.Reader) txnList {
 	n := r.Count(1)
-	if n > maxReleaseBatch {
+	if n > maxOwedBatch {
 		r.Fail()
-		return releaseList{}
+		return txnList{}
 	}
 	if ids := r.Uvarints(n); len(ids) > 0 {
-		return releaseList{n: n, ids: ids}
+		return txnList{n: n, ids: ids}
 	}
-	return releaseList{}
+	return txnList{}
 }
 
-func appendEndReq(buf []byte, l releaseList) []byte {
-	return appendReleaseList(append(buf, bodyMagic, byte(bodyEnd)), l)
+// appendOptList appends a body's optional last list: nothing when it is
+// empty.
+func appendOptList(buf []byte, l txnList) []byte {
+	if l.n == 0 {
+		return buf
+	}
+	return appendTxnList(buf, l)
 }
 
-func decodeEndReq(body []byte) (releaseList, error) {
+// readOptList reads a body's optional last list, which is present only
+// when bytes are left and then is not empty.
+func readOptList(r *wire.Reader) txnList {
+	if r.Len() == 0 {
+		return txnList{}
+	}
+	l := readTxnList(r)
+	if l.n == 0 {
+		r.Fail()
+	}
+	return l
+}
+
+func appendEndReq(buf []byte, rel, com txnList) []byte {
+	return appendOptList(appendTxnList(append(buf, bodyMagic, byte(bodyEnd)), rel), com)
+}
+
+func decodeEndReq(body []byte) (rel, com txnList, err error) {
 	r, err := bodyReader(body, bodyEnd)
 	if err != nil {
-		return releaseList{}, err
+		return txnList{}, txnList{}, err
 	}
-	l := readReleaseList(&r)
-	return l, finish(&r)
+	rel = readTxnList(&r)
+	com = readOptList(&r)
+	return rel, com, finish(&r)
 }
 
 // --- prepare and vote ---
@@ -273,6 +306,8 @@ type voteResp struct {
 	// committed locally at prepare (releasing its locks) and must be
 	// excluded from the decision record and phase 2.
 	ReadOnly bool
+	// Acks aliases the body.
+	Acks txnList
 }
 
 const (
@@ -281,7 +316,8 @@ const (
 )
 
 // The three votes there are, encoded once. Handlers return these slices
-// as reply bodies; the RPC layer only ever reads a reply body.
+// as reply bodies — with acks appended to a copy — and the RPC layer only
+// ever reads a reply body.
 var (
 	voteNoBody      = []byte{bodyMagic, byte(bodyVote), 0}
 	voteYesBody     = []byte{bodyMagic, byte(bodyVote), voteYes}
@@ -298,7 +334,8 @@ func decodeVote(body []byte) (voteResp, error) {
 	if flags&^(voteYes|voteReadOnly) != 0 || flags == voteReadOnly {
 		r.Fail()
 	}
-	return voteResp{OK: flags&voteYes != 0, ReadOnly: flags&voteReadOnly != 0}, finish(&r)
+	acks := readOptList(&r)
+	return voteResp{OK: flags&voteYes != 0, ReadOnly: flags&voteReadOnly != 0, Acks: acks}, finish(&r)
 }
 
 // --- commit, abort, decision ---
@@ -321,6 +358,16 @@ var (
 	committedBody = []byte{bodyMagic, byte(bodyDecision), 1}
 	abortedBody   = []byte{bodyMagic, byte(bodyDecision), 0}
 )
+
+// decodeAck returns the acks an ack body carries, aliasing body.
+func decodeAck(body []byte) (txnList, error) {
+	r, err := bodyReader(body, bodyAck)
+	if err != nil {
+		return txnList{}, err
+	}
+	acks := readOptList(&r)
+	return acks, finish(&r)
+}
 
 func decodeDecision(body []byte) (committed bool, err error) {
 	r, err := bodyReader(body, bodyDecision)

@@ -3,6 +3,7 @@ package dist
 import (
 	"bytes"
 	"reflect"
+	"slices"
 	"testing"
 
 	"mca/internal/ids"
@@ -21,19 +22,27 @@ func bodyCases() map[string][]byte {
 		// A later invoke at a node the transaction has been to, carrying
 		// two releases the coordinator owes that node.
 		"invoke_continuation": appendInvokeReq(nil, &invokeReq{Txn: 303, Continuation: true, Resource: "registers", Op: "get",
-			Arg: []byte(`{"k":7}`), Release: releaseList{}.add(298).add(5)}),
-		"invoke_reply":           appendInvokeReply(nil, false, []byte(`42`)),
-		"invoke_reply_unwritten": appendInvokeReply(nil, true, []byte(`42`)),
+			Arg: []byte(`{"k":7}`), Release: txnList{}.add(298).add(5)}),
+		// An invoke carrying commit decisions for two prepared transactions
+		// and no release.
+		"invoke_commits": appendInvokeReq(nil, &invokeReq{Txn: 304, Continuation: true, Resource: "registers", Op: "add",
+			Arg: []byte(`{"k":8}`), Commit: txnList{}.add(296).add(297)}),
+		"invoke_reply":           appendInvokeReply(nil, false, []byte(`42`), txnList{}),
+		"invoke_reply_unwritten": appendInvokeReply(nil, true, []byte(`42`), txnList{}),
+		"invoke_reply_acks":      appendInvokeReply(nil, false, []byte(`{}`), txnList{}.add(296)),
 		"prepare":                appendPrepareReq(nil, prepareReq{Txn: 300, Coordinator: 1}),
 		"vote_no":                voteNoBody,
 		"vote_yes":               voteYesBody,
 		"vote_read_only":         voteYesReadBody,
+		"vote_acks":              appendOptList(slices.Clip(voteYesBody), txnList{}.add(296).add(297)),
 		"txn":                    appendTxnReq(nil, 300),
 		"decision_yes":           committedBody,
 		"decision_no":            abortedBody,
 		"ack":                    ackBody,
+		"ack_acks":               appendOptList(slices.Clip(ackBody), txnList{}.add(297)),
 		"structure":              appendStructureReq(nil, 7),
-		"end":                    appendEndReq(nil, releaseList{}.add(300).add(7).add(301)),
+		"end":                    appendEndReq(nil, txnList{}.add(300).add(7).add(301), txnList{}),
+		"end_commits":            appendEndReq(nil, txnList{}, txnList{}.add(296)),
 	}
 }
 
@@ -48,8 +57,8 @@ func decodeAny(body []byte) (decoded any, reencoded []byte, ok bool) {
 		q, err := decodeInvokeReq(body)
 		return q, appendInvokeReq(nil, &q), err == nil
 	case bodyInvokeReply:
-		out, unwritten, err := decodeInvokeReply(body)
-		return [2]any{out, unwritten}, appendInvokeReply(nil, unwritten, out), err == nil
+		out, unwritten, acks, err := decodeInvokeReply(body)
+		return [3]any{out, unwritten, acks}, appendInvokeReply(nil, unwritten, out, acks), err == nil
 	case bodyPrepare:
 		q, err := decodePrepareReq(body)
 		return q, appendPrepareReq(nil, q), err == nil
@@ -62,7 +71,7 @@ func decodeAny(body []byte) (decoded any, reencoded []byte, ok bool) {
 		case v.OK:
 			enc = voteYesBody
 		}
-		return v, enc, err == nil
+		return v, appendOptList(slices.Clip(enc), v.Acks), err == nil
 	case bodyTxn:
 		txn, err := decodeTxnReq(body)
 		return txn, appendTxnReq(nil, txn), err == nil
@@ -74,14 +83,14 @@ func decodeAny(body []byte) (decoded any, reencoded []byte, ok bool) {
 		}
 		return committed, enc, err == nil
 	case bodyAck:
-		// Nobody reads an ack's body; its encoding is the header alone.
-		return nil, ackBody, bytes.Equal(body, ackBody)
+		acks, err := decodeAck(body)
+		return acks, appendOptList(slices.Clip(ackBody), acks), err == nil
 	case bodyStructure:
 		id, err := decodeStructureReq(body)
 		return id, appendStructureReq(nil, id), err == nil
 	case bodyEnd:
-		l, err := decodeEndReq(body)
-		return l, appendEndReq(nil, l), err == nil
+		rel, com, err := decodeEndReq(body)
+		return [2]txnList{rel, com}, appendEndReq(nil, rel, com), err == nil
 	}
 	return nil, nil, false
 }
@@ -114,23 +123,57 @@ func TestBodyRoundTrip(t *testing.T) {
 	}
 	var released []ids.ActionID
 	q.Release.each(func(txn ids.ActionID) { released = append(released, txn) })
-	if !q.Continuation || !reflect.DeepEqual(released, []ids.ActionID{298, 5}) {
-		t.Fatalf("decoded continuation=%v releasing %v, want a continuation releasing [a298 a5]", q.Continuation, released)
+	if !q.Continuation || !reflect.DeepEqual(released, []ids.ActionID{298, 5}) || q.Commit.n != 0 {
+		t.Fatalf("decoded continuation=%v releasing %v committing %d, want a continuation releasing [a298 a5] and committing none", q.Continuation, released, q.Commit.n)
+	}
+	q, err = decodeInvokeReq(bodyCases()["invoke_commits"])
+	if err != nil {
+		t.Fatal(err)
+	}
+	var committed []ids.ActionID
+	q.Commit.each(func(txn ids.ActionID) { committed = append(committed, txn) })
+	if q.Release.n != 0 || !reflect.DeepEqual(committed, []ids.ActionID{296, 297}) {
+		t.Fatalf("decoded %d releases and commits %v, want none and [a296 a297]", q.Release.n, committed)
+	}
+	v, err := decodeVote(bodyCases()["vote_acks"])
+	if err != nil || !v.OK || v.ReadOnly || v.Acks.n != 2 {
+		t.Fatalf("vote with acks decoded to %+v, %v; want a yes carrying two acks", v, err)
 	}
 }
 
-// TestReleaseListIsCapped: a message never releases more than
-// maxReleaseBatch transactions, and a body claiming more is rejected.
+// TestOptionalListsAreCanonical: a body's optional last list is absent
+// when empty — a present one with a zero count is rejected — so each body
+// has one encoding.
+func TestOptionalListsAreCanonical(t *testing.T) {
+	for name, body := range map[string][]byte{
+		"invoke":       append(bodyCases()["invoke"], 0),
+		"invoke_reply": append(bodyCases()["invoke_reply"], 0),
+		"vote":         {bodyMagic, byte(bodyVote), voteYes, 0},
+		"ack":          {bodyMagic, byte(bodyAck), 0},
+		"end":          append(bodyCases()["end"], 0),
+	} {
+		if _, _, ok := decodeAny(body); ok {
+			t.Errorf("%s with an empty optional list % x accepted", name, body)
+		}
+	}
+}
+
+// TestReleaseListIsCapped: a message never carries more than
+// maxOwedBatch transactions in one list, and a body claiming more is
+// rejected.
 func TestReleaseListIsCapped(t *testing.T) {
-	var l releaseList
-	for i := range maxReleaseBatch {
+	var l txnList
+	for i := range maxOwedBatch {
 		l = l.add(ids.ActionID(i + 1))
 	}
-	if _, err := decodeEndReq(appendEndReq(nil, l)); err != nil {
-		t.Fatalf("a full list is rejected: %v", err)
+	if _, _, err := decodeEndReq(appendEndReq(nil, l, l)); err != nil {
+		t.Fatalf("full lists are rejected: %v", err)
 	}
-	if _, err := decodeEndReq(appendEndReq(nil, l.add(99))); err == nil {
-		t.Fatal("a list past the cap is accepted")
+	if _, _, err := decodeEndReq(appendEndReq(nil, l.add(99), txnList{})); err == nil {
+		t.Fatal("a release list past the cap is accepted")
+	}
+	if _, _, err := decodeEndReq(appendEndReq(nil, txnList{}, l.add(99))); err == nil {
+		t.Fatal("a commit list past the cap is accepted")
 	}
 }
 
@@ -154,6 +197,10 @@ func TestBodyGoldenBytes(t *testing.T) {
 		"decision_no":            {0xD1, 0x06, 0},
 		"ack":                    {0xD1, 0x07},
 		"structure":              {0xD1, 0x08, 7},
+		// The optional lists, when present.
+		"vote_acks":   {0xD1, 0x04, 1, 2, 0xA8, 0x02, 0xA9, 0x02},
+		"ack_acks":    {0xD1, 0x07, 1, 0xA9, 0x02},
+		"end_commits": {0xD1, 0x09, 0, 1, 0xA8, 0x02},
 	}
 	cases := bodyCases()
 	for name, want := range golden {
@@ -164,13 +211,25 @@ func TestBodyGoldenBytes(t *testing.T) {
 }
 
 // TestBodyDecodeRejectsDamage: every truncation of every body is
-// rejected, and every single flipped bit is either rejected or decodes
-// to something that round-trips — never a panic, never a body accepted
-// with bytes left over.
+// rejected, but for the body less its optional last list, and every
+// single flipped bit is either rejected or decodes to something that
+// round-trips — never a panic, never a body accepted with bytes left
+// over.
 func TestBodyDecodeRejectsDamage(t *testing.T) {
-	for name, body := range bodyCases() {
+	// A body ending in an optional list is still a whole body without it:
+	// that one truncation is the body less its list.
+	cases := bodyCases()
+	lessList := map[string][]byte{
+		"invoke_commits": appendInvokeReq(nil, &invokeReq{Txn: 304, Continuation: true, Resource: "registers", Op: "add",
+			Arg: []byte(`{"k":8}`)}),
+		"invoke_reply_acks": appendInvokeReply(nil, false, []byte(`{}`), txnList{}),
+		"vote_acks":         voteYesBody,
+		"ack_acks":          ackBody,
+		"end_commits":       appendEndReq(nil, txnList{}, txnList{}),
+	}
+	for name, body := range cases {
 		for n := 0; n < len(body); n++ {
-			if _, _, ok := decodeAny(body[:n]); ok {
+			if _, _, ok := decodeAny(body[:n]); ok && !bytes.Equal(body[:n], lessList[name]) {
 				t.Errorf("%s: %d-byte truncation of %d bytes accepted", name, n, len(body))
 			}
 		}

@@ -84,6 +84,10 @@ const (
 	// what it decided: the coordinator returned in doubt. A is the
 	// transaction's action identifier, B the participant node.
 	KindInDoubt
+	// KindCommitResent is a commit decision sent to a participant again
+	// because its ack had not come. A is the transaction's action
+	// identifier, B the participant node.
+	KindCommitResent
 )
 
 // String renders the kind for dumps.
@@ -109,6 +113,8 @@ func (k Kind) String() string {
 		return "wal.flush"
 	case KindInDoubt:
 		return "indoubt"
+	case KindCommitResent:
+		return "commit.resent"
 	default:
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}

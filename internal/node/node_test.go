@@ -3,6 +3,8 @@ package node_test
 import (
 	"context"
 	"errors"
+	"os"
+	"runtime/debug"
 	"sync"
 	"testing"
 	"time"
@@ -139,5 +141,78 @@ func TestCrashIdempotent(t *testing.T) {
 	nd.Crash()
 	if got := nd.Crashes(); got != 2 {
 		t.Fatalf("Crashes = %d, want 2", got)
+	}
+}
+
+// TestStopClosesStableStore: a node on a stable directory, started and
+// stopped over and over, holds no more file descriptors than it began
+// with — Stop closes the log rather than leaving it to a finalizer, which
+// the collector, held off here, would otherwise be the one to run.
+func TestStopClosesStableStore(t *testing.T) {
+	fds := func() int {
+		entries, err := os.ReadDir("/proc/self/fd")
+		if err != nil {
+			t.Skipf("descriptors cannot be counted here: %v", err)
+		}
+		return len(entries)
+	}
+	nw := netsim.New(netsim.Config{})
+	t.Cleanup(nw.Close)
+	dir := t.TempDir()
+	cycle := func() {
+		nd, err := node.New(nw, node.WithStableDir(dir))
+		if err != nil {
+			t.Fatal(err)
+		}
+		nd.Stop()
+	}
+	defer debug.SetGCPercent(debug.SetGCPercent(-1))
+	cycle() // the first open creates the log
+	before := fds()
+	const cycles = 50
+	for range cycles {
+		cycle()
+	}
+	if after := fds(); after > before+2 {
+		t.Fatalf("%d start/stop cycles left %d more descriptors open", cycles, after-before)
+	}
+}
+
+// TestStopIsNotACrash: what a node appended without forcing — a write
+// set installed lazily and the forget of its prepared record, as a
+// participant's phase 2 leaves them — is on disk after Stop: a node
+// opened on the same directory finds the install and nothing in doubt.
+func TestStopIsNotACrash(t *testing.T) {
+	nw := netsim.New(netsim.Config{})
+	t.Cleanup(nw.Close)
+	dir := t.TempDir()
+	nd, err := node.New(nw, node.WithStableDir(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	txn, obj := ids.NewActionID(), ids.NewObjectID()
+	writes := store.Batch{Writes: map[ids.ObjectID]store.State{obj: store.State("v")}}
+	st := nd.Stable()
+	if err := st.Intentions().Record(store.Intention{Action: txn, Status: store.IntentionPrepared, Writes: writes}); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.ApplyBatchLazy(writes); err != nil {
+		t.Fatal(err)
+	}
+	if err := st.Intentions().Forget(txn); err != nil {
+		t.Fatal(err)
+	}
+	nd.Stop()
+
+	reopened, err := node.New(nw, node.WithStableDir(dir))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(reopened.Stop)
+	if got, err := reopened.Stable().Read(obj); err != nil || string(got) != "v" {
+		t.Fatalf("install after Stop and reopen = %q, %v", got, err)
+	}
+	if pending, err := reopened.Stable().Intentions().Pending(); err != nil || len(pending) != 0 {
+		t.Fatalf("in doubt after Stop and reopen: %v, %v", pending, err)
 	}
 }

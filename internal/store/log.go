@@ -449,6 +449,17 @@ func (lf *logFile) appendSync(frames []byte) error {
 	return nil
 }
 
+// close closes the file, once.
+func (lf *logFile) close() error {
+	if lf.f == nil {
+		return nil
+	}
+	logBytes.Add(-lf.size)
+	err := lf.f.Close()
+	lf.f, lf.size = nil, 0
+	return err
+}
+
 // compact atomically replaces the log with a checkpoint of the image:
 // the live intentions, then the live object states as batch records.
 // A failure before the rename leaves the old log in place, merely

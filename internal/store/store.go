@@ -176,6 +176,7 @@ const (
 type Stable struct {
 	mu      sync.Mutex
 	crashed bool
+	closed  bool // by Close: crashed for good
 	data    map[ids.ObjectID]State
 	// journal holds the batch an injected crash interrupted. It is "on
 	// disk": it survives Crash and is replayed by Recover. Unused by a
@@ -278,7 +279,15 @@ func (s *Stable) List() ([]ids.ObjectID, error) {
 // takes effect (possibly completed by Recover after a crash) or none
 // does. The returned error is ErrCrashed when the store is, or became,
 // crashed.
-func (s *Stable) ApplyBatch(b Batch) error {
+func (s *Stable) ApplyBatch(b Batch) error { return s.applyBatch(b, false) }
+
+// ApplyBatchLazy is ApplyBatch without the wait: on the file backing the
+// batch is installed at once and its record joins the log's open batch,
+// durable with the next record forced (WAL.Durable says when) and lost
+// to a crash before then. An armed crash point fires as in ApplyBatch.
+func (s *Stable) ApplyBatchLazy(b Batch) error { return s.applyBatch(b, true) }
+
+func (s *Stable) applyBatch(b Batch, lazy bool) error {
 	s.mu.Lock()
 	if s.crashed {
 		s.mu.Unlock()
@@ -298,7 +307,15 @@ func (s *Stable) ApplyBatch(b Batch) error {
 		return ErrCrashed
 	}
 
-	if s.wal.file != nil {
+	switch {
+	case s.wal.file != nil && lazy && point == 0:
+		// The cache takes the batch before the log does: a compaction
+		// that checkpoints the cache in between then holds it too, rather
+		// than replacing the log record it would have missed.
+		s.applyLocked(b)
+		s.mu.Unlock()
+		return s.wal.appendLazy(logRecord{kind: kindBatch, batch: b, noInstall: true})
+	case s.wal.file != nil:
 		s.mu.Unlock()
 		return s.logBatch(b, point)
 	}
@@ -416,12 +433,42 @@ func (s *Stable) Crashed() bool {
 	return s.crashed
 }
 
+// Close shuts the store down cleanly, not as a crash: it forces what the
+// log holds unforced and closes the file backing. Later operations fail
+// with ErrCrashed and Recover does nothing; a store opened on the same
+// directory finds everything.
+func (s *Stable) Close() error {
+	var err error
+	if !s.Crashed() {
+		err = s.wal.Sync(s.wal.Mark())
+	}
+	s.mu.Lock()
+	s.closed = true
+	s.crashLocked()
+	s.mu.Unlock()
+	if lf := s.wal.file; lf != nil {
+		// Forces check the crash under flushMu before touching the file.
+		s.wal.flushMu.Lock()
+		defer s.wal.flushMu.Unlock()
+		if cerr := lf.close(); err == nil {
+			err = cerr
+		}
+	}
+	return err
+}
+
 // Recover restarts a crashed store, completing any journalled batch
 // (redo), and returns whether a batch was repaired. A file-backed store
 // replays its log into the object cache and the intention index, so
 // recovery sees exactly what was durable at the crash; it reports
 // whether the replay changed any object state the cache showed.
 func (s *Stable) Recover() bool {
+	s.mu.Lock()
+	closed := s.closed
+	s.mu.Unlock()
+	if closed {
+		return false
+	}
 	if s.wal.file != nil {
 		return s.recoverFromLog()
 	}

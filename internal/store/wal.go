@@ -51,6 +51,8 @@ type walBatch struct {
 	// never install "durably" on a store that was down when they were
 	// forced.
 	gen uint64
+	// seq numbers the batch in opening order (WAL.Mark).
+	seq uint64
 
 	done chan struct{}
 	err  error
@@ -87,10 +89,6 @@ type WAL struct {
 	// gen counts owner crashes; in-flight batches from an older
 	// generation fail instead of installing.
 	gen atomic.Uint64
-	// perRecord disables group commit: every record is forced alone,
-	// forces serialised — the pre-WAL retail path, kept as the
-	// measurable baseline for E23.
-	perRecord atomic.Bool
 	// window holds a flush open (ns) so more transactions join the
 	// batch. Zero means natural batching only: records arriving while a
 	// force is in progress form the next batch.
@@ -123,12 +121,16 @@ type WAL struct {
 	// inflight is the batch the flusher has taken but not yet installed:
 	// its intention records are not in index yet.
 	inflight *walBatch
-	flushing bool
+	// seq is the newest batch opened, forced the newest forced. A crash
+	// takes a fresh number for both and makes it the floor: no mark below
+	// it is ever durable.
+	seq, forced, floor uint64
+	flushing           bool
 	// spare is a drained frame buffer kept for the next batch.
 	spare []byte
 
-	// flushMu serialises forces (one log head), including per-record
-	// baseline forces, and with them compaction and recovery's replay.
+	// flushMu serialises forces (one log head), and with them
+	// compaction, recovery's replay and closing the file.
 	flushMu sync.Mutex
 	file    *logFile // nil for the in-memory backing
 }
@@ -152,10 +154,6 @@ type clockBox struct{ c clock.Clock }
 func (w *WAL) SetClock(c clock.Clock) { w.clk.Store(clockBox{c}) }
 
 func (w *WAL) clock() clock.Clock { return w.clk.Load().(clockBox).c }
-
-// SetGroupCommit toggles batched forces (default on). Off forces every
-// record alone, serialised: the pre-WAL baseline.
-func (w *WAL) SetGroupCommit(on bool) { w.perRecord.Store(!on) }
 
 // SetWindow holds each flush open for d so more records join the batch.
 // Zero (the default) batches naturally: whatever arrives during the
@@ -203,9 +201,6 @@ func (w *WAL) Forget(a ids.ActionID) error {
 		return ErrCrashed
 	}
 	e := logRecord{kind: kindForget, action: a}
-	if w.perRecord.Load() {
-		return w.append(e)
-	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	_, had := w.index[a]
@@ -255,11 +250,6 @@ func (w *WAL) Pending() ([]Intention, error) {
 	return out, nil
 }
 
-// newBatch returns an empty batch of the current crash generation.
-func (w *WAL) newBatch() *walBatch {
-	return &walBatch{gen: w.gen.Load(), done: make(chan struct{})}
-}
-
 // add appends the record to the batch, encoding it for the file backing.
 func (w *WAL) add(b *walBatch, e *logRecord) error {
 	if w.file != nil {
@@ -277,7 +267,8 @@ func (w *WAL) add(b *walBatch, e *logRecord) error {
 // Called with mu held.
 func (w *WAL) joinLocked(e *logRecord) (*walBatch, error) {
 	if w.cur == nil {
-		w.cur = w.newBatch()
+		w.seq++
+		w.cur = &walBatch{gen: w.gen.Load(), seq: w.seq, done: make(chan struct{})}
 		w.cur.frames, w.spare = w.spare, nil
 	}
 	return w.cur, w.add(w.cur, e)
@@ -294,7 +285,7 @@ func (w *WAL) kickLocked() {
 }
 
 // append adds the record to the open batch and waits for that batch's
-// force. In per-record mode the record is its own batch.
+// force.
 func (w *WAL) append(e logRecord) error {
 	if w.owner.Crashed() {
 		return ErrCrashed
@@ -305,31 +296,75 @@ func (w *WAL) append(e logRecord) error {
 	// that transaction is traced.
 	clk := w.clock()
 	start := clk.Now()
-	var b *walBatch
-	if w.perRecord.Load() {
-		b = w.newBatch()
-		if err := w.add(b, &e); err != nil {
-			return err
-		}
-		w.flushMu.Lock()
-		w.flush(b)
-		w.flushMu.Unlock()
-	} else {
-		w.mu.Lock()
-		var err error
-		if b, err = w.joinLocked(&e); err != nil {
-			w.mu.Unlock()
-			return err
-		}
-		b.wanted = true
-		w.kickLocked()
+	w.mu.Lock()
+	b, err := w.joinLocked(&e)
+	if err != nil {
 		w.mu.Unlock()
-		<-b.done
+		return err
 	}
+	b.wanted = true
+	w.kickLocked()
+	w.mu.Unlock()
+	<-b.done
 	if e.kind != kindBatch {
 		phase.RecordAction(e.action, phase.Force, clk.Since(start))
 	}
 	return b.err
+}
+
+// appendLazy adds the record to the open batch and asks for no force: it
+// becomes durable with the next record somebody waits for, as a forget
+// does.
+func (w *WAL) appendLazy(e logRecord) error {
+	if w.owner.Crashed() {
+		return ErrCrashed
+	}
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	_, err := w.joinLocked(&e)
+	return err
+}
+
+// Mark returns the log's position, for Durable.
+func (w *WAL) Mark() uint64 {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if w.cur != nil {
+		return w.cur.seq // which may predate a crash
+	}
+	return w.seq
+}
+
+// Durable reports whether what was appended by the time of mark to is
+// forced, and the log has not crashed since mark from. Batches are forced
+// in order, a failed force fails every later one until a crash, and a
+// crash voids every mark taken before it.
+func (w *WAL) Durable(from, to uint64) bool {
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	return from >= w.floor && to <= w.forced
+}
+
+// Sync forces everything appended so far, lazy records included, and
+// fails unless that makes durable what was appended since mark from.
+func (w *WAL) Sync(from uint64) error {
+	to := w.Mark()
+	w.mu.Lock()
+	b := w.cur
+	if b != nil {
+		b.wanted = true
+		w.kickLocked()
+	} else {
+		b = w.inflight
+	}
+	w.mu.Unlock()
+	if b != nil {
+		<-b.done
+	}
+	if !w.Durable(from, to) {
+		return ErrCrashed
+	}
+	return nil
 }
 
 // flushLoop drains wanted batches until none remain. While one batch is
@@ -382,6 +417,7 @@ func (w *WAL) flush(b *walBatch) {
 				objects = true
 			}
 		}
+		w.forced = max(w.forced, b.seq)
 	}
 	if w.inflight == b {
 		w.inflight = nil
@@ -446,14 +482,17 @@ func (w *WAL) force(b *walBatch) error {
 	return nil
 }
 
-// dropLazy discards an open batch nobody waits for — forgets whose force
-// a crash has just overtaken. Called by the owner as it crashes.
+// dropLazy discards an open batch nobody waits for — forgets and lazy
+// installs whose force a crash has just overtaken. Called by the owner as
+// it crashes.
 func (w *WAL) dropLazy() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.cur != nil && !w.cur.wanted {
 		w.cur = nil
 	}
+	w.seq++
+	w.forced, w.floor = w.seq, w.seq
 }
 
 // maybeCompact rewrites the file backing down to a checkpoint of the

@@ -65,23 +65,6 @@ func TestWALGroupCommitSharesForces(t *testing.T) {
 	}
 }
 
-func TestWALPerRecordBaselineForcesEach(t *testing.T) {
-	s := NewStable()
-	s.WAL().SetGroupCommit(false)
-	log := s.Intentions()
-
-	const n = 8
-	for i := 0; i < n; i++ {
-		if err := log.Record(testIntention(ids.NewActionID(), "w")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	flushes, records := s.WAL().Stats()
-	if flushes != n || records != n {
-		t.Fatalf("per-record mode: flushes=%d records=%d, want %d each", flushes, records, n)
-	}
-}
-
 func TestWALFilePersistsAcrossReopen(t *testing.T) {
 	dir := t.TempDir()
 	s, err := NewStableAt(dir)
@@ -288,11 +271,11 @@ func TestWALDiscardsTornTail(t *testing.T) {
 	}
 }
 
-// TestCommitStepSyscallShape pins what a participant's durable commit
-// steps cost on the file backing: one append and one fsync each for the
-// prepare record and for the phase-2 install, nothing for the forget,
-// and no file created, renamed or directory synced along the way. Only
-// compaction, which replaces the log, renames — and it must pin the
+// TestCommitStepSyscallShape pins what a participant's commit steps cost
+// on the file backing: one append and one fsync for the prepare record,
+// nothing for the phase-2 install and the forget, which ride the next
+// force, and no file created, renamed or directory synced along the way.
+// Only compaction, which replaces the log, renames — and it must pin the
 // rename with a directory fsync.
 func TestCommitStepSyscallShape(t *testing.T) {
 	dir := t.TempDir()
@@ -323,25 +306,150 @@ func TestCommitStepSyscallShape(t *testing.T) {
 	step("prepare", 1, func() error {
 		return s.Intentions().Record(Intention{Action: txn, Status: IntentionPrepared, Writes: writes})
 	})
-	step("phase-2 install", 1, func() error { return s.ApplyBatch(writes) })
+	step("phase-2 install", 0, func() error { return s.ApplyBatchLazy(writes) })
 	step("forget", 0, func() error { return s.Intentions().Forget(txn) })
 	flushes, records := s.WAL().Stats()
-	if flushes != 2 || records != 2 {
-		t.Fatalf("Stats = %d flushes, %d records; want the two forced steps", flushes, records)
+	if flushes != 1 || records != 1 {
+		t.Fatalf("Stats = %d flushes, %d records; want the one forced step", flushes, records)
 	}
 
-	// The next force carries the forget, and with the threshold lowered
-	// compacts: a rename, so a directory fsync.
+	// The next force carries the install and the forget, and with the
+	// threshold lowered compacts: a rename, so a directory fsync.
 	s.wal.file.compactAt = 0
 	dirs := dirSyncs.Load()
-	if err := s.Write(obj, State("w")); err != nil {
+	if err := s.WAL().Sync(0); err != nil {
 		t.Fatal(err)
 	}
 	if dirSyncs.Load() == dirs {
 		t.Fatal("compaction renamed the checkpoint into place without a directory fsync")
 	}
-	if _, records := s.WAL().Stats(); records != 4 {
-		t.Fatalf("records = %d, want 4: the forget rides the next force", records)
+	if _, records := s.WAL().Stats(); records != 3 {
+		t.Fatalf("records = %d, want 3: the install and the forget ride the next force", records)
+	}
+}
+
+// TestApplyBatchLazyRidesNextForce: a lazy install is visible at once and
+// durable only once a later force has carried it — which Durable reports
+// — on both backings; a crash between the marks voids them, even once
+// later records are forced.
+func TestApplyBatchLazyRidesNextForce(t *testing.T) {
+	for _, backing := range []string{"memory", "file"} {
+		t.Run(backing, func(t *testing.T) {
+			s := NewStable()
+			if backing == "file" {
+				var err error
+				if s, err = NewStableAt(t.TempDir()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			w := s.WAL()
+			// install applies a lazy install and a lazy forget, as a
+			// participant's phase 2 does, between two marks.
+			install := func(id ids.ObjectID) (from, to uint64) {
+				t.Helper()
+				txn := ids.NewActionID()
+				if err := s.Intentions().Record(testIntention(txn, "prepared")); err != nil {
+					t.Fatal(err)
+				}
+				from = w.Mark()
+				if err := s.ApplyBatchLazy(Batch{Writes: map[ids.ObjectID]State{id: State("v")}}); err != nil {
+					t.Fatal(err)
+				}
+				if err := s.Intentions().Forget(txn); err != nil {
+					t.Fatal(err)
+				}
+				if got, err := s.Read(id); err != nil || string(got) != "v" {
+					t.Fatalf("Read right after the lazy install = %q, %v", got, err)
+				}
+				return from, w.Mark()
+			}
+			force := func() {
+				t.Helper()
+				if err := s.Intentions().Record(testIntention(ids.NewActionID(), "carrier")); err != nil {
+					t.Fatal(err)
+				}
+			}
+
+			lost := ids.NewObjectID()
+			from, to := install(lost)
+			if w.Durable(from, to) {
+				t.Fatal("an unforced install and forget reported durable")
+			}
+			s.Crash()
+			s.Recover()
+			if _, err := s.Read(lost); backing == "file" && !errors.Is(err, ErrNotFound) {
+				t.Fatalf("an unforced lazy install survived a crash on the file backing: %v", err)
+			}
+			force()
+			if w.Durable(from, to) {
+				t.Fatal("marks from before a crash reported durable once a later record was forced")
+			}
+
+			kept := ids.NewObjectID()
+			from, to = install(kept)
+			force()
+			if !w.Durable(from, to) {
+				t.Fatal("an install and forget carried by a later force reported not durable")
+			}
+			s.Crash()
+			s.Recover()
+			if got, err := s.Read(kept); err != nil || string(got) != "v" {
+				t.Fatalf("install carried by a later force, after a crash: %q, %v", got, err)
+			}
+			// The two carriers, and on the file backing the prepare whose
+			// forget the first crash lost (the in-memory index keeps no
+			// forgotten record).
+			want := map[string]int{"memory": 2, "file": 3}[backing]
+			if pending, err := s.Intentions().Pending(); err != nil || len(pending) != want {
+				t.Fatalf("records after the crash = %v, %v; want %d", pending, err, want)
+			}
+			if mark := w.Mark(); w.Sync(mark) != nil {
+				t.Fatal("Sync of a recovered log with nothing appended failed")
+			}
+		})
+	}
+}
+
+// TestCloseForcesAndShuts: Close forces what was appended lazily, so a
+// store opened on the directory afterwards finds it; the closed store
+// refuses work, and closing again is harmless.
+func TestCloseForcesAndShuts(t *testing.T) {
+	dir := t.TempDir()
+	s, err := NewStableAt(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	txn, obj := ids.NewActionID(), ids.NewObjectID()
+	if err := s.Intentions().Record(testIntention(txn, "prepared")); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.ApplyBatchLazy(Batch{Writes: map[ids.ObjectID]State{obj: State("v")}}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Intentions().Forget(txn); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.Close(); err != nil {
+		t.Fatalf("second Close = %v", err)
+	}
+	if err := s.Write(ids.NewObjectID(), State("x")); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("Write after Close = %v, want ErrCrashed", err)
+	}
+	if s.Recover(); !s.Crashed() {
+		t.Fatal("Recover reopened a closed store")
+	}
+	reopened, err := NewStableAt(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := reopened.Read(obj); err != nil || string(got) != "v" {
+		t.Fatalf("lazy install after Close and reopen = %q, %v", got, err)
+	}
+	if pending, err := reopened.Intentions().Pending(); err != nil || len(pending) != 0 {
+		t.Fatalf("records after Close and reopen = %v, %v; want the forget durable", pending, err)
 	}
 }
 

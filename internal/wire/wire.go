@@ -56,6 +56,10 @@ func (r *Reader) Fail() { r.buf, r.bad = nil, true }
 // bytes left over.
 func (r *Reader) Done() bool { return !r.bad && len(r.buf) == 0 }
 
+// Len returns how many bytes are left to read, for a format whose last
+// field is optional.
+func (r *Reader) Len() int { return len(r.buf) }
+
 // Uvarint reads one varint.
 func (r *Reader) Uvarint() uint64 {
 	v, n := binary.Uvarint(r.buf)
