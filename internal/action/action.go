@@ -82,15 +82,12 @@ var (
 )
 
 // Persister is the durable sink for the write set of an outermost-colour
-// commit. *store.Stable and *store.FileStore implement it.
+// commit. *store.Stable implements it.
 type Persister interface {
 	ApplyBatch(store.Batch) error
 }
 
-var (
-	_ Persister = (*store.Stable)(nil)
-	_ Persister = (*store.FileStore)(nil)
-)
+var _ Persister = (*store.Stable)(nil)
 
 // Recoverable is a managed object as seen by the runtime: it can
 // serialize its state for permanence and names the stable store
@@ -796,12 +793,9 @@ func (a *Action) HasWrites() bool {
 // and decision is then repaired from the log.
 func (a *Action) PendingWrites() (store.Batch, error) {
 	a.mu.Lock()
-	records := make([]undoRecord, len(a.undo))
-	copy(records, a.undo)
-	a.mu.Unlock()
-
-	batch := store.Batch{Writes: make(map[ids.ObjectID]store.State, len(records))}
-	for _, rec := range records {
+	defer a.mu.Unlock()
+	batch := store.Batch{Writes: make(map[ids.ObjectID]store.State, len(a.undo))}
+	for _, rec := range a.undo {
 		if rec.res.Persister() == nil {
 			continue
 		}
@@ -826,7 +820,7 @@ func (a *Action) PendingWrites() (store.Batch, error) {
 // colour with a are still active. Active colour-disjoint children
 // (independent actions) are left running. On permanence failure the
 // action is aborted and ErrPermanence returned.
-func (a *Action) Commit() error { return a.commit(nil) }
+func (a *Action) Commit() error { return a.commit(nil, nil) }
 
 // CommitWith is Commit with sink standing in for the objects' own stable
 // stores: it receives the whole outermost write set as one batch — empty
@@ -835,9 +829,19 @@ func (a *Action) Commit() error { return a.commit(nil) }
 // reload from when it returns nil. The distributed layer's one-phase
 // commit uses it to make the write set and the commit decision one log
 // record under one force.
-func (a *Action) CommitWith(sink Persister) error { return a.commit(sink) }
+func (a *Action) CommitWith(sink Persister) error { return a.commit(sink, nil) }
 
-func (a *Action) commit(sink Persister) error {
+// CommitPrepared is CommitWith for an action unchanged since PendingWrites
+// captured prepared: a top-level one hands sink that very batch; one with
+// a parent, whose records may pass to an heir, captures as CommitWith.
+func (a *Action) CommitPrepared(sink Persister, prepared store.Batch) error {
+	if a.parent != nil {
+		return a.commit(sink, nil)
+	}
+	return a.commit(sink, &prepared)
+}
+
+func (a *Action) commit(sink Persister, prepared *store.Batch) error {
 	a.mu.Lock()
 	if a.status != Active {
 		defer a.mu.Unlock()
@@ -859,10 +863,16 @@ func (a *Action) commit(sink Persister) error {
 	}
 	var flushBuf [2]flush
 	flushes := flushBuf[:0]
-	if sink != nil {
+	undo := a.undo
+	switch {
+	case prepared != nil:
+		// Top level: no record has an heir, so prepared is the write set.
+		flushes = append(flushes, flush{persister: sink, batch: *prepared})
+		undo = nil
+	case sink != nil:
 		flushes = append(flushes, flush{persister: sink, batch: store.Batch{Writes: make(map[ids.ObjectID]store.State)}})
 	}
-	for _, rec := range a.undo {
+	for _, rec := range undo {
 		if _, ok := a.heir(rec.colour); ok {
 			continue // handed to the heir below
 		}

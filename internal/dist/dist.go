@@ -63,9 +63,9 @@ var (
 	ErrNoResource = errors.New("dist: no such resource")
 	// ErrInDoubt is returned by Commit when the transaction's one
 	// participant was handed the decision (one-phase commit) and did not
-	// say what it decided before the caller's context ended: the
-	// transaction has committed or aborted there, and this node cannot
-	// tell which.
+	// say what it decided before the caller's context ended, or within two
+	// RPC call timeouts: the transaction has committed or aborted there,
+	// and this node cannot tell which.
 	ErrInDoubt = errors.New("dist: outcome in doubt")
 )
 
@@ -761,8 +761,9 @@ const bodyScratch = 128
 // must commit before the structure ends. One that touched a single
 // remote node and wrote nothing here commits in one step (onephase.go): a
 // writer hands that node the decision and may come back ErrInDoubt when
-// it stays silent past ctx; a reader is committed on the spot, and its
-// read locks at that node are released within the flush interval.
+// it stays silent past ctx or two RPC call timeouts; a reader is
+// committed on the spot, and its read locks at that node are released
+// within the flush interval.
 func (t *Txn) Commit(ctx context.Context) error {
 	t.mu.Lock()
 	if t.done {

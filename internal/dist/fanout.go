@@ -1,9 +1,9 @@
 // Coordinator fan-out rounds: every remote round of the commit
 // protocol (prepare, explicit commit, abort, recovery re-drive,
 // structure end, end message) is one broadcast to a set of
-// participants. The round's RPCs are issued concurrently by a bounded
-// worker pool, so a round costs one round-trip — or, with crashed
-// participants, one call timeout — instead of the sum over
+// participants. The round's RPCs are issued concurrently, by the caller
+// and a bounded set of workers, so a round costs one round-trip — or,
+// with crashed participants, one call timeout — instead of the sum over
 // participants. Phase 1 additionally short-circuits: the first NO vote
 // or error cancels the shared round context, stopping in-flight
 // prepares from retransmitting.
@@ -14,6 +14,7 @@ import (
 	"errors"
 	"fmt"
 	"sync"
+	"sync/atomic"
 
 	"mca/internal/flightrec"
 	"mca/internal/ids"
@@ -21,9 +22,8 @@ import (
 	"mca/internal/trace"
 )
 
-// maxFanout bounds a round's concurrent RPCs. One worker per
-// participant up to this limit keeps a wide commit from flooding the
-// transport.
+// maxFanout bounds a round's concurrent RPCs. One leg per participant up
+// to this limit keeps a wide commit from flooding the transport.
 const maxFanout = 16
 
 // errVotedNo distinguishes a deliberate NO vote from a transport
@@ -40,13 +40,14 @@ type roundResult struct {
 }
 
 // fanout runs call against every target and reports per-participant
-// results, positionally aligned with targets. Calls run concurrently on
-// a worker pool bounded by maxFanout; a round with one target runs on
-// the caller's goroutine. When shortCircuit is set the first failure
-// cancels the shared round context: in-flight calls stop retransmitting
-// and return early, and not-yet-started calls are skipped (their result
-// is the cancelled context's error). The round's outcome is reported to
-// the manager's round observer under the given kind.
+// results, positionally aligned with targets. Calls run concurrently,
+// at most maxFanout at once: one on the caller's goroutine and the rest
+// on workers; a round with one target runs on the caller's goroutine
+// alone. When shortCircuit is set the first failure cancels the shared
+// round context: in-flight calls stop retransmitting and return early,
+// and not-yet-started calls are skipped (their result is the cancelled
+// context's error). The round's outcome is reported to the manager's
+// round observer under the given kind.
 //
 // tc, when valid, is the transaction's root span: the round runs under
 // its own child span, injected into the calls' context so every RPC of
@@ -78,31 +79,31 @@ func (m *Manager) fanout(ctx context.Context, kind trace.RoundKind, txn ids.Acti
 			roundCtx, cancel = context.WithCancel(ctx)
 			defer cancel()
 		}
-		workers := min(maxFanout, len(targets))
+		// Legs take the next target until none is left; the caller runs one.
+		var next atomic.Int32
+		leg := func() {
+			for i := int(next.Add(1)) - 1; i < len(targets); i = int(next.Add(1)) - 1 {
+				p := targets[i]
+				if shortCircuit && roundCtx.Err() != nil {
+					results[i] = roundResult{Node: p, Err: roundCtx.Err()}
+					continue
+				}
+				err := call(roundCtx, p)
+				results[i] = roundResult{Node: p, Err: err}
+				if err != nil && cancel != nil {
+					cancel()
+				}
+			}
+		}
 		var wg sync.WaitGroup
-		idx := make(chan int)
-		for w := 0; w < workers; w++ {
+		for range min(maxFanout, len(targets)) - 1 {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
-				for i := range idx {
-					p := targets[i]
-					if shortCircuit && roundCtx.Err() != nil {
-						results[i] = roundResult{Node: p, Err: roundCtx.Err()}
-						continue
-					}
-					err := call(roundCtx, p)
-					results[i] = roundResult{Node: p, Err: err}
-					if err != nil && cancel != nil {
-						cancel()
-					}
-				}
+				leg()
 			}()
 		}
-		for i := range targets {
-			idx <- i
-		}
-		close(idx)
+		leg()
 		wg.Wait()
 	}
 

@@ -108,17 +108,25 @@ func (t *Txn) decideAt(ctx context.Context, node ids.NodeID) error {
 	return nil
 }
 
-// commit1Pause spaces out repeated commit1 calls that fail fast (the
-// participant answering that it cannot tell yet, say while its store is
-// down). Calls that time out pace themselves.
-const commit1Pause = 5 * time.Millisecond
+const (
+	// commit1Pause spaces out repeated commit1 calls that fail fast (the
+	// participant answering that it cannot tell yet, say while its store
+	// is down). Calls that time out pace themselves.
+	commit1Pause = 5 * time.Millisecond
+	// commit1Calls is how many RPC call timeouts a coordinator waits for
+	// its one participant's decision before it gives the outcome up as in
+	// doubt.
+	commit1Calls = 2
+)
 
 // askCommit1 hands the participant the decision and returns what it
 // decided. Only the participant knows, so an unanswered call is repeated
-// — the handler answers a repeat from its log — until ctx ends or this
-// node stops.
+// — the handler answers a repeat from its log — until ctx ends, this node
+// stops or commit1Calls call timeouts have passed.
 func (t *Txn) askCommit1(ctx context.Context, p ids.NodeID) (bool, error) {
 	peer := t.mgr.Node().Peer()
+	clk := t.mgr.clock()
+	giveUp := clk.Now().Add(commit1Calls * peer.CallTimeout())
 	var scratch [bodyScratch]byte
 	body := appendTxnReq(scratch[:0], t.ID())
 	for {
@@ -129,14 +137,14 @@ func (t *Txn) askCommit1(ctx context.Context, p ids.NodeID) (bool, error) {
 				return committed, nil
 			}
 		}
-		if ctx.Err() != nil || errors.Is(err, rpc.ErrStopped) {
+		if ctx.Err() != nil || errors.Is(err, rpc.ErrStopped) || !clk.Now().Before(giveUp) {
 			return false, err
 		}
 		if !errors.Is(err, rpc.ErrTimeout) {
 			select {
 			case <-ctx.Done():
 				return false, err
-			case <-t.mgr.clock().After(commit1Pause):
+			case <-clk.After(commit1Pause):
 			}
 		}
 	}

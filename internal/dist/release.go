@@ -463,15 +463,21 @@ func (m *Manager) workOff(ctx context.Context, from ids.NodeID, rel, com txnList
 
 // commitOne applies the commit decision here, through the live action
 // when it survived or by replaying the prepared record's write set after
-// a crash. Nothing is forced: the install and the forget are appended to
-// the log, to become durable with its next force. Idempotent.
+// a crash; the live action, frozen since it prepared, installs the write
+// set of its prepared record. Nothing is forced: the install and the
+// forget are appended to the log, to become durable with its next force.
+// Idempotent.
 func (m *Manager) commitOne(nd *node.Node, txn ids.ActionID) error {
 	sink := &phase2Sink{st: nd.Stable(), txn: txn}
-	if a, ok := m.bury(txn); ok && a.Status() == action.Active {
+	a, live := m.bury(txn)
+	live = live && a.Status() == action.Active
+	in, found, err := sink.st.Intentions().Lookup(txn)
+	switch {
+	case live && found && in.Status == store.IntentionPrepared:
+		return a.CommitPrepared(sink, in.Writes)
+	case live:
 		return a.CommitWith(sink)
-	}
-	in, ok, err := sink.st.Intentions().Lookup(txn)
-	if err != nil || !ok {
+	case err != nil || !found:
 		return err
 	}
 	return sink.ApplyBatch(in.Writes)

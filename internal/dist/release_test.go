@@ -145,6 +145,9 @@ func TestReleaseFlushesAtDeadline(t *testing.T) {
 	case <-time.After(5 * time.Second):
 		t.Fatal("the writer is still blocked after the flush deadline")
 	}
+	// The round is recorded once the end message's reply is back, which
+	// may be after the release it carried let the writer through.
+	eventually(t, "the release round", func() bool { return f.recs[0].RoundSummary()[trace.RoundRelease] > 0 })
 	if got := f.recs[0].RoundSummary()[trace.RoundRelease]; got != 1 {
 		t.Fatalf("the reader's coordinator recorded %d release rounds, want 1", got)
 	}
@@ -353,8 +356,11 @@ func TestReleaseToDownNodeIsDroppedAfterOneAttempt(t *testing.T) {
 	f.parts[0].Crash()
 	clk.Advance(releaseFlushAfter)
 	eventually(t, "the end message to be in flight", func() bool { return f.owed(0) == 0 })
-	clk.Advance(30 * time.Second) // the one call times out
-	eventually(t, "the failed release round", func() bool { return f.recs[0].RoundSummary()[trace.RoundRelease] == 1 })
+	eventually(t, "the failed release round", func() bool {
+		// The one call times out, once it has armed its timer.
+		clk.Advance(30 * time.Second)
+		return f.recs[0].RoundSummary()[trace.RoundRelease] == 1
+	})
 	if got := f.owed(0); got != 0 {
 		t.Fatalf("coordinator owes the dead node %d releases again, want the list dropped", got)
 	}

@@ -33,17 +33,14 @@ import (
 var ErrNotExists = errors.New("object: does not exist")
 
 // StableStore is the storage dependency of persistent objects: batch
-// application for commits plus reads for activation. *store.Stable and
-// *store.FileStore implement it.
+// application for commits plus reads for activation. *store.Stable
+// implements it.
 type StableStore interface {
 	action.Persister
 	Read(ids.ObjectID) (store.State, error)
 }
 
-var (
-	_ StableStore = (*store.Stable)(nil)
-	_ StableStore = (*store.FileStore)(nil)
-)
+var _ StableStore = (*store.Stable)(nil)
 
 // The first byte of a serialized state.
 const (

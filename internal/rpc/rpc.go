@@ -260,6 +260,9 @@ func NewPeerOn(t Transport, opts Options) *Peer {
 // ID returns the node identifier of the underlying endpoint.
 func (p *Peer) ID() ids.NodeID { return p.ep.ID() }
 
+// CallTimeout returns how long one call may take, retries included.
+func (p *Peer) CallTimeout() time.Duration { return p.opts.CallTimeout }
+
 // Handle registers a method handler. It must be called before Start or
 // between Stop/Start cycles.
 func (p *Peer) Handle(method string, h Handler) {

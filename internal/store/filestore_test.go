@@ -10,7 +10,7 @@ import (
 	"mca/internal/ids"
 )
 
-func openTestStore(t *testing.T, dir string) *FileStore {
+func openTestStore(t *testing.T, dir string) *Stable {
 	t.Helper()
 	fs, _, err := OpenFileStore(dir)
 	if err != nil {

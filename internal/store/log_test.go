@@ -236,7 +236,7 @@ func TestLogTornTailTruncatedOnOpen(t *testing.T) {
 	}
 	f.Close()
 
-	s2, truncated, err := openStableAt(dir)
+	s2, truncated, err := OpenFileStore(dir)
 	if err != nil {
 		t.Fatal(err)
 	}

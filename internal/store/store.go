@@ -22,8 +22,9 @@ import (
 	"mca/internal/ids"
 )
 
-// State is an opaque serialized object state. Stores copy states on the
-// way in and out, so callers may reuse buffers.
+// State is an opaque serialized object state. Read, Write and Delete
+// copy states on the way in and out, so callers may reuse buffers; a
+// Batch or Intention handed to the log is kept as it is.
 type State []byte
 
 // ErrNotFound is returned when no state is recorded for an object.
@@ -47,7 +48,9 @@ type Store interface {
 	List() ([]ids.ObjectID, error)
 }
 
-// Batch is a write set applied atomically to a stable store.
+// Batch is a write set applied atomically to a stable store. A batch
+// handed to ApplyBatch, or in an intention to Record, belongs to the store
+// from then on: it is immutable, and the caller must not reuse it.
 type Batch struct {
 	Writes  map[ids.ObjectID]State
 	Deletes []ids.ObjectID
@@ -204,13 +207,13 @@ func NewStable() *Stable {
 // cut off. A directory in the per-object-file layout of earlier
 // versions is refused.
 func NewStableAt(dir string) (*Stable, error) {
-	s, _, err := openStableAt(dir)
+	s, _, err := OpenFileStore(dir)
 	return s, err
 }
 
-// openStableAt is NewStableAt, also reporting whether a torn tail was
-// cut.
-func openStableAt(dir string) (*Stable, bool, error) {
+// OpenFileStore is NewStableAt, also reporting whether a torn tail — an
+// append a crash interrupted, never acknowledged — was cut off.
+func OpenFileStore(dir string) (*Stable, bool, error) {
 	lf, img, truncated, err := openLogFile(dir)
 	if err != nil {
 		return nil, false, err

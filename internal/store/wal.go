@@ -7,11 +7,13 @@
 // one fsync for the file backing, one simulated force for the in-memory
 // Stable. Callers block only until the batch containing their record is
 // forced, so durability cost is amortised across all transactions in
-// flight on the node instead of being paid per record.
+// flight on the node instead of being paid per record. The appender that
+// finds no force running forces the log itself; later ones wait for it.
 package store
 
 import (
 	"maps"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -36,8 +38,7 @@ var (
 )
 
 // walBatch is one group-commit unit: every record appended while the
-// batch was open becomes durable with a single force. Waiters block on
-// done; err is the batch's collective outcome.
+// batch was open becomes durable with a single force.
 type walBatch struct {
 	entries []logRecord
 	// frames is the entries' on-disk encoding, in order (file backing
@@ -54,8 +55,10 @@ type walBatch struct {
 	// seq numbers the batch in opening order (WAL.Mark).
 	seq uint64
 
-	done chan struct{}
-	err  error
+	// flushed says err is the outcome; a waiting follower makes done.
+	flushed bool
+	err     error
+	done    chan struct{}
 }
 
 // hasIntention reports whether the batch holds an intention record for
@@ -126,8 +129,9 @@ type WAL struct {
 	// it is ever durable.
 	seq, forced, floor uint64
 	flushing           bool
-	// spare is a drained frame buffer kept for the next batch.
-	spare []byte
+	// spare and spareEntries are a drained batch's buffers, for the next.
+	spare        []byte
+	spareEntries []logRecord
 
 	// flushMu serialises forces (one log head), and with them
 	// compaction, recovery's replay and closing the file.
@@ -183,9 +187,9 @@ func (w *WAL) Stats() (flushes, records uint64) {
 }
 
 // Record durably stores (or overwrites) the intention for the action,
-// returning once the batch containing it is forced.
+// returning once the batch containing it is forced. The log keeps in as
+// given: the caller must not change its write set afterwards.
 func (w *WAL) Record(in Intention) error {
-	in.Writes = *cloneBatch(in.Writes)
 	return w.append(logRecord{kind: kindIntention, action: in.Action, in: &in})
 }
 
@@ -268,20 +272,41 @@ func (w *WAL) add(b *walBatch, e *logRecord) error {
 func (w *WAL) joinLocked(e *logRecord) (*walBatch, error) {
 	if w.cur == nil {
 		w.seq++
-		w.cur = &walBatch{gen: w.gen.Load(), seq: w.seq, done: make(chan struct{})}
-		w.cur.frames, w.spare = w.spare, nil
+		w.cur = &walBatch{gen: w.gen.Load(), seq: w.seq, frames: w.spare, entries: w.spareEntries}
+		w.spare, w.spareEntries = nil, nil
 	}
 	return w.cur, w.add(w.cur, e)
 }
 
-// kickLocked makes sure a flusher is draining batches. Called with mu
-// held.
+// kickLocked makes sure a flusher is draining batches, for a caller that
+// does not wait for the force. Called with mu held.
 func (w *WAL) kickLocked() {
 	if !w.flushing {
 		w.flushing = true
-		//mcalint:ignore goleak flushLoop exits when no wanted batch remains; every appender joins its batch via <-b.done
+		//mcalint:ignore goleak flushLoop exits when no wanted batch remains
 		go w.flushLoop()
 	}
+}
+
+// awaitLocked returns the outcome of the wanted batch b once forced: by
+// the caller, draining every wanted batch, when no flush is running, else
+// by the flush that is. Called with mu held, which it releases.
+func (w *WAL) awaitLocked(b *walBatch) error {
+	for !b.flushed && !w.flushing {
+		w.flushing = true
+		w.mu.Unlock()
+		w.flushLoop()
+		w.mu.Lock()
+	}
+	if !b.flushed && b.done == nil {
+		b.done = make(chan struct{})
+	}
+	flushed := b.flushed
+	w.mu.Unlock()
+	if !flushed {
+		<-b.done // closed once err is set
+	}
+	return b.err
 }
 
 // append adds the record to the open batch and waits for that batch's
@@ -303,13 +328,11 @@ func (w *WAL) append(e logRecord) error {
 		return err
 	}
 	b.wanted = true
-	w.kickLocked()
-	w.mu.Unlock()
-	<-b.done
+	err = w.awaitLocked(b)
 	if e.kind != kindBatch {
 		phase.RecordAction(e.action, phase.Force, clk.Since(start))
 	}
-	return b.err
+	return err
 }
 
 // appendLazy adds the record to the open batch and asks for no force: it
@@ -353,13 +376,13 @@ func (w *WAL) Sync(from uint64) error {
 	b := w.cur
 	if b != nil {
 		b.wanted = true
-		w.kickLocked()
 	} else {
 		b = w.inflight
 	}
-	w.mu.Unlock()
-	if b != nil {
-		<-b.done
+	if b == nil {
+		w.mu.Unlock()
+	} else if w.awaitLocked(b) != nil {
+		return ErrCrashed
 	}
 	if !w.Durable(from, to) {
 		return ErrCrashed
@@ -372,10 +395,6 @@ func (w *WAL) Sync(from uint64) error {
 // transactions share forces without any coordination of their own.
 func (w *WAL) flushLoop() {
 	for {
-		if d := time.Duration(w.window.Load()); d > 0 {
-			// Hold the window open so more transactions join the batch.
-			w.clock().Sleep(d)
-		}
 		w.mu.Lock()
 		b := w.cur
 		if b == nil || !b.wanted {
@@ -383,6 +402,16 @@ func (w *WAL) flushLoop() {
 			w.mu.Unlock()
 			return
 		}
+		// Hold the batch open for the window or, before an fsync on one
+		// processor, for the appenders already runnable to join: nothing
+		// else runs there between a leader's append and its force.
+		w.mu.Unlock()
+		if d := time.Duration(w.window.Load()); d > 0 {
+			w.clock().Sleep(d)
+		} else if w.file != nil && runtime.GOMAXPROCS(0) == 1 {
+			runtime.Gosched()
+		}
+		w.mu.Lock()
 		w.cur, w.inflight = nil, b
 		w.mu.Unlock()
 		w.flushMu.Lock()
@@ -391,14 +420,14 @@ func (w *WAL) flushLoop() {
 	}
 }
 
-// maxSpareFrames bounds the frame buffer kept between batches, so one
-// huge batch does not pin its buffer for the life of the log.
-const maxSpareFrames = 64 << 10
+// maxSpareFrames and maxSpareEntries bound the frame buffer and record
+// slice kept between batches, so one huge batch does not pin them.
+const maxSpareFrames, maxSpareEntries = 64 << 10, 1024
 
 // flush forces the batch and, on success, installs its records: the
 // intentions in the index, the object batches — and the write sets of
-// committed intentions — in the owner's cache, in log order. Called with
-// flushMu held.
+// committed intentions — in the owner's cache, in log order — and then
+// records the outcome for its appenders. Called with flushMu held.
 func (w *WAL) flush(b *walBatch) {
 	clk := w.clock()
 	start := clk.Now()
@@ -451,8 +480,16 @@ func (w *WAL) flush(b *walBatch) {
 	if obs != nil {
 		obs(FlushInfo{Records: len(b.entries), Duration: d, Err: err})
 	}
-	b.err = err
-	close(b.done)
+	w.mu.Lock()
+	b.flushed, b.err = true, err
+	if w.spareEntries == nil && cap(b.entries) <= maxSpareEntries {
+		clear(b.entries)
+		w.spareEntries = b.entries[:0]
+	}
+	w.mu.Unlock()
+	if b.done != nil { // made before flushed was set, if at all
+		close(b.done)
+	}
 }
 
 // force makes the batch durable: one fsync'd file append for the file

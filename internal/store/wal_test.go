@@ -5,10 +5,12 @@ import (
 	"fmt"
 	"os"
 	"path/filepath"
+	"reflect"
 	"sync"
 	"testing"
 	"time"
 
+	"mca/internal/clock"
 	"mca/internal/ids"
 )
 
@@ -686,4 +688,135 @@ func TestApplyBatchSharesForces(t *testing.T) {
 		t.Fatalf("flushes = %d for %d records: concurrent installs never shared a force", flushes, records)
 	}
 	t.Logf("records_per_force = %.2f", float64(records)/float64(flushes))
+}
+
+// TestRecordKeepsTheCallersBatch: the log owns the intention it is
+// handed. The index holds the caller's write set itself — the same map
+// and the same state bytes — and recording a large write set costs a few
+// objects, not a copy of every state.
+func TestRecordKeepsTheCallersBatch(t *testing.T) {
+	s := NewStable()
+	log := s.Intentions()
+	const states = 64
+	in := Intention{Action: ids.NewActionID(), Status: IntentionPrepared, Writes: Batch{Writes: make(map[ids.ObjectID]State, states)}}
+	for i := range states {
+		in.Writes.Writes[ids.NewObjectID()] = State(fmt.Sprintf("state %d", i))
+	}
+	if err := log.Record(in); err != nil {
+		t.Fatal(err)
+	}
+	got, ok, err := log.Lookup(in.Action)
+	if err != nil || !ok {
+		t.Fatalf("Lookup = %v, %v", ok, err)
+	}
+	if reflect.ValueOf(got.Writes.Writes).UnsafePointer() != reflect.ValueOf(in.Writes.Writes).UnsafePointer() {
+		t.Fatal("the index holds a copy of the recorded write set")
+	}
+	for id, st := range in.Writes.Writes {
+		if &got.Writes.Writes[id][0] != &st[0] {
+			t.Fatalf("the index holds a copy of state %v", id)
+		}
+	}
+	allocs := testing.AllocsPerRun(100, func() {
+		if err := log.Record(in); err != nil {
+			t.Fatal(err)
+		}
+		if err := log.Forget(in.Action); err != nil {
+			t.Fatal(err)
+		}
+	})
+	t.Logf("Record + Forget of a %d-state write set: %.1f allocs", states, allocs)
+	if allocs > 8 {
+		t.Fatalf("Record + Forget of a %d-state write set: %.1f allocs, want at most 8 — is the write set copied?", states, allocs)
+	}
+}
+
+// waitUntil polls cond until it holds, failing the test after a while.
+func waitUntil(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	deadline := time.Now().Add(10 * time.Second)
+	for !cond() {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting until %s", what)
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+}
+
+// TestWALAppenderForcesAndFollowersShareTheCrash: the appender that finds
+// no flush running forces the log itself, and appenders joining its batch
+// meanwhile wait for its outcome. Alone, the leader needs no wait channel.
+// A crash injected into the force fails the leader and every follower,
+// none hangs, and an appender that comes to the batch after its flush
+// reads the outcome without waiting.
+func TestWALAppenderForcesAndFollowersShareTheCrash(t *testing.T) {
+	s := NewStable()
+	w := s.WAL()
+	clk := clock.NewFake()
+	w.SetClock(clk)
+	// The leader holds its batch open for the window, on the fake clock,
+	// until the test has every follower in it.
+	w.SetWindow(time.Millisecond)
+	const appenders = 17
+	errs := make(chan error, appenders) // one send per appender of a phase
+	record := func() { errs <- s.Intentions().Record(testIntention(ids.NewActionID(), "w")) }
+	// openBatch starts n appenders once the first sleeps in its window,
+	// and returns their batch once all of them joined it.
+	openBatch := func(n int) *walBatch {
+		go record()
+		waitUntil(t, "the leader holds its window", func() bool { return clk.Pending() == 1 })
+		for range n - 1 {
+			go record()
+		}
+		var b *walBatch
+		waitUntil(t, "every appender joined the batch", func() bool {
+			w.mu.Lock()
+			defer w.mu.Unlock()
+			b = w.cur
+			return b != nil && len(b.entries) == n
+		})
+		return b
+	}
+	outcomes := func(n int, want error) {
+		t.Helper()
+		for range n {
+			select {
+			case err := <-errs:
+				if !errors.Is(err, want) {
+					t.Fatalf("Record = %v, want %v", err, want)
+				}
+			case <-time.After(10 * time.Second):
+				t.Fatal("an appender hangs")
+			}
+		}
+	}
+
+	solo := openBatch(1)
+	clk.Advance(time.Millisecond)
+	outcomes(1, nil)
+	w.mu.Lock()
+	made := solo.done != nil
+	w.mu.Unlock()
+	if made {
+		t.Fatal("a leader alone made a wait channel")
+	}
+
+	b := openBatch(appenders)
+	s.CrashDuringNextForce()
+	clk.Advance(time.Millisecond)
+	outcomes(appenders, ErrCrashed)
+
+	late := make(chan error, 1)
+	go func() {
+		w.mu.Lock()
+		late <- w.awaitLocked(b)
+	}()
+	select {
+	case err := <-late:
+		if !errors.Is(err, ErrCrashed) {
+			t.Fatalf("a late appender read %v, want ErrCrashed", err)
+		}
+	case <-time.After(10 * time.Second):
+		t.Fatal("a late appender waits for a batch already flushed")
+	}
 }

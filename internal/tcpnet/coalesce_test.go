@@ -150,33 +150,6 @@ func TestSendQueueDropsOnOverflow(t *testing.T) {
 	}
 }
 
-// TestDirectWriteMode covers the non-coalescing baseline: every Send is
-// its own vectored write and datagrams still round-trip.
-func TestDirectWriteMode(t *testing.T) {
-	nw := tcpnet.NewNetwork()
-	nw.SetDirectWrite(true)
-	a := newEndpoint(t, nw)
-	b := newEndpoint(t, nw)
-
-	before := tcpnet.ReadWriterStats()
-	for i := 0; i < 5; i++ {
-		if err := a.Send(b.ID(), []byte{byte('0' + i)}); err != nil {
-			t.Fatalf("Send: %v", err)
-		}
-	}
-	got := recvN(t, b, 5, 5*time.Second)
-	if len(got) != 5 {
-		t.Fatalf("received %d datagrams, want 5", len(got))
-	}
-	after := tcpnet.ReadWriterStats()
-	if n := after.DirectWrites - before.DirectWrites; n != 5 {
-		t.Fatalf("direct writes = %d, want 5", n)
-	}
-	if after.Batches != before.Batches {
-		t.Fatal("coalescing writer ran in direct mode")
-	}
-}
-
 // TestCrashRestartOverTCP checks the endpoint's fail-silence model:
 // a crashed endpoint neither receives nor sends, and after Restart
 // traffic flows again over freshly dialed connections.

@@ -20,25 +20,22 @@ var (
 	writeBatches     *metrics.Counter
 	writeBatchFrames *metrics.Counter
 	sendQueueDrops   *metrics.Counter
-	directWrites     *metrics.Counter
 )
 
 // WriterStats is a point-in-time snapshot of the coalescing writer's
 // counters, used by experiment E24 to report syscalls saved.
 type WriterStats struct {
-	Batches      uint64 // writev flushes (one syscall each)
-	BatchFrames  uint64 // datagrams carried by those flushes
-	DirectWrites uint64 // per-datagram writes in direct mode
-	QueueDrops   uint64 // datagrams dropped on writer-queue overflow
+	Batches     uint64 // writev flushes (one syscall each)
+	BatchFrames uint64 // datagrams carried by those flushes
+	QueueDrops  uint64 // datagrams dropped on writer-queue overflow
 }
 
 // ReadWriterStats snapshots the process-wide coalescing counters.
 func ReadWriterStats() WriterStats {
 	return WriterStats{
-		Batches:      writeBatches.Value(),
-		BatchFrames:  writeBatchFrames.Value(),
-		DirectWrites: directWrites.Value(),
-		QueueDrops:   sendQueueDrops.Value(),
+		Batches:     writeBatches.Value(),
+		BatchFrames: writeBatchFrames.Value(),
+		QueueDrops:  sendQueueDrops.Value(),
 	}
 }
 
@@ -63,6 +60,4 @@ func init() {
 		"Datagrams carried by coalesced flushes.")
 	sendQueueDrops = r.Counter("mca_tcpnet_send_queue_drops_total",
 		"Datagrams dropped on writer-queue overflow.")
-	directWrites = r.Counter("mca_tcpnet_direct_writes_total",
-		"Per-datagram writes in direct (non-coalescing) mode.")
 }

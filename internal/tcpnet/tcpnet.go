@@ -105,7 +105,6 @@ type Network struct {
 	addrs map[ids.NodeID]string
 
 	clk        clock.Clock
-	direct     bool
 	batchBytes int
 	queueLen   int
 	linger     time.Duration
@@ -128,16 +127,6 @@ func (n *Network) SetClock(c clock.Clock) {
 	n.mu.Lock()
 	defer n.mu.Unlock()
 	n.clk = c
-}
-
-// SetDirectWrite disables the coalescing writer for endpoints created
-// after the call: every Send performs its own (vectored) write, the
-// pre-coalescing behaviour. Kept for baseline measurement (E24) and as
-// an escape hatch.
-func (n *Network) SetDirectWrite(direct bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.direct = direct
 }
 
 // SetCoalescing tunes the writer for endpoints created after the call:
@@ -175,9 +164,8 @@ func (n *Network) lookup(id ids.NodeID) (string, bool) {
 	return addr, ok
 }
 
-// sender owns one outbound connection. In coalescing mode ch feeds the
-// connection's writer goroutine; in direct mode ch is nil and Send
-// writes the frame itself.
+// sender owns one outbound connection; ch feeds the connection's writer
+// goroutine.
 type sender struct {
 	conn net.Conn
 	ch   chan *[]byte
@@ -202,7 +190,6 @@ type Endpoint struct {
 	ln  net.Listener
 
 	clk        clock.Clock
-	direct     bool
 	batchBytes int
 	queueLen   int
 	linger     time.Duration
@@ -227,14 +214,13 @@ func (n *Network) Listen(addr string) (*Endpoint, error) {
 		return nil, fmt.Errorf("tcpnet listen: %w", err)
 	}
 	n.mu.Lock()
-	clk, direct, batchBytes, queueLen, linger := n.clk, n.direct, n.batchBytes, n.queueLen, n.linger
+	clk, batchBytes, queueLen, linger := n.clk, n.batchBytes, n.queueLen, n.linger
 	n.mu.Unlock()
 	e := &Endpoint{
 		id:         ids.NewNodeID(),
 		net:        n,
 		ln:         ln,
 		clk:        clk,
-		direct:     direct,
 		batchBytes: batchBytes,
 		queueLen:   queueLen,
 		linger:     linger,
@@ -339,10 +325,9 @@ func stageFrame(from ids.NodeID, payload []byte) *[]byte {
 }
 
 // Send implements rpc.Transport: best-effort datagram delivery over a
-// cached connection. In the default coalescing mode the frame is staged
-// onto the destination's writer queue and flushed — together with
-// whatever else is queued — in one writev; a full queue drops the
-// datagram. Connection failures likewise drop the datagram (and the
+// cached connection. The frame is staged onto the destination's writer
+// queue and flushed — together with whatever else is queued — in one
+// writev; a full queue drops the datagram. Connection failures likewise drop the datagram (and the
 // cached connection) rather than erroring: the RPC layer's
 // retransmission owns reliability.
 func (e *Endpoint) Send(to ids.NodeID, payload []byte) error {
@@ -370,19 +355,6 @@ func (e *Endpoint) Send(to ids.NodeID, payload []byte) error {
 		if s == nil {
 			return nil // destination down: datagram lost, retransmission will retry
 		}
-	}
-
-	if s.ch == nil {
-		// Direct mode: one vectored write per datagram on the caller's
-		// goroutine (the pre-coalescing baseline).
-		if err := writeFrame(s.conn, e.id, payload); err != nil {
-			writeDrops.Inc()
-			e.dropSender(to, s)
-			return nil
-		}
-		directWrites.Inc()
-		tcpBytesWritten.Add(uint64(frameHeaderLen + len(payload)))
-		return nil
 	}
 
 	frame := stageFrame(e.id, payload)
@@ -431,12 +403,9 @@ func (e *Endpoint) dial(to ids.NodeID) (*sender, error) {
 		fresh.Close()
 		return existing, nil
 	}
-	s := &sender{conn: fresh, stop: make(chan struct{})}
-	if !e.direct {
-		s.ch = make(chan *[]byte, e.queueLen)
-		e.wg.Add(1)
-		go e.writeLoop(to, s)
-	}
+	s := &sender{conn: fresh, ch: make(chan *[]byte, e.queueLen), stop: make(chan struct{})}
+	e.wg.Add(1)
+	go e.writeLoop(to, s)
 	e.senders[to] = s
 	e.mu.Unlock()
 	return s, nil
@@ -648,22 +617,6 @@ func (e *Endpoint) Close() {
 	e.ln.Close()
 	e.teardownConns()
 	e.wg.Wait()
-}
-
-// writeFrame writes one datagram as a length-prefixed frame (layout:
-// 4-byte big-endian payload length, 8-byte big-endian sender id,
-// payload bytes) in a single vectored write — two iovecs, no
-// header+payload copy. One net.Buffers write is atomic against
-// concurrent writers on the same connection (internal/poll serialises
-// the whole vector under the fd write lock), which is what keeps the
-// direct path frame-safe without a mutex.
-func writeFrame(conn net.Conn, from ids.NodeID, payload []byte) error {
-	var header [frameHeaderLen]byte
-	binary.BigEndian.PutUint32(header[0:4], uint32(len(payload)))
-	binary.BigEndian.PutUint64(header[4:12], uint64(from))
-	bufs := net.Buffers{header[:], payload}
-	_, err := bufs.WriteTo(conn)
-	return err
 }
 
 // readFrame reads one frame from r into a fresh payload buffer, reusing
