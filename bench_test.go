@@ -187,8 +187,8 @@ func BenchmarkLockManager(b *testing.B) {
 // (every worker cycles write locks on its own object — throughput must
 // scale with -cpu, since workers never share a shard's state) and hot
 // (every worker cycles read locks on one shared object — bounded by that
-// object's shard). Run with -cpu=1,4,8; EXPERIMENTS.md and BENCH_lock.json
-// record the sweep.
+// object's shard). Run with -cpu=1,4,8; EXPERIMENTS.md (E20) records
+// the sweep.
 func BenchmarkLockContention(b *testing.B) {
 	selfOnly := lock.AncestryFunc(func(a, c ids.ActionID) bool { return a == c })
 	b.Run("disjoint", func(b *testing.B) {
@@ -851,7 +851,7 @@ func BenchmarkRemoteMakeIncremental(b *testing.B) {
 // layer. The lock sub-benchmarks repeat the BenchmarkLockContention
 // shapes — the hottest instrumented path in the tree — and must stay
 // within 5% of the pre-instrumentation numbers (recorded in
-// BENCH_metrics.json) with zero allocations per op. The instrument
+// EXPERIMENTS.md, E21) with zero allocations per op. The instrument
 // sub-benchmarks price the raw primitives, and gather prices a full
 // registry scrape.
 func BenchmarkMetricsOverhead(b *testing.B) {

@@ -18,8 +18,8 @@ var capacityJSONPath string
 
 // expCapacity is E25: open-loop capacity-at-SLO for real 2PC clusters
 // on both transports, plus the closed-vs-open demonstration of
-// coordinated omission. Unlike E23/E24 (closed-loop throughput of one
-// layer), this measures the whole stack the way clients experience it:
+// coordinated omission. Unlike a closed-loop throughput cell, this
+// measures the whole stack the way clients experience it:
 // arrivals keep coming whether or not the system keeps up, and latency
 // counts from each op's intended arrival.
 func expCapacity(rep *report) error {

@@ -81,7 +81,6 @@ func main() {
 		{"E16", "Examples i-iii: board, name server, billing", expIndependentApps},
 		{"E17", "Contention sweep: throughput and abort rate", expContention},
 		{"E19", "Distributed serializing actions (the paper's next step)", expRemoteSerializing},
-		{"E24", "RPC hot path: binary codec + coalescing writer", expRPCThroughput},
 		{"E25", "Capacity at SLO: open-loop load, coordinated-omission-free latency", expCapacity},
 		{"E26", "Tail-latency attribution: phase accounting localizes injected slowdowns", expAttrib},
 	}

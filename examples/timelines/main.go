@@ -68,7 +68,7 @@ func fig2() error {
 		return err
 	}
 	fmt.Printf("Fig 2 — nested atomic actions (A aborts: o=%d, everything undone)\n%s\n",
-		o.Peek(), rec.Render(width))
+		o.Peek(), trace.Merge(rec.Spans()).Render(width))
 	return nil
 }
 
@@ -104,7 +104,7 @@ func fig3() error {
 		return err
 	}
 	fmt.Printf("Fig 3 — serializing action, outcome (iii) (B commits, C aborts: o=%d)\n%s\n",
-		o.Peek(), rec.Render(width))
+		o.Peek(), trace.Merge(rec.Spans()).Render(width))
 	return nil
 }
 
@@ -139,7 +139,7 @@ func fig5() error {
 		return err
 	}
 	fmt.Printf("Fig 5 — glued actions (passed=%d released=%d; joints shown as unnamed rows)\n%s\n",
-		passed.Peek(), released.Peek(), rec.Render(width))
+		passed.Peek(), released.Peek(), trace.Merge(rec.Spans()).Render(width))
 	return nil
 }
 
@@ -177,6 +177,6 @@ func fig7() error {
 		return err
 	}
 	fmt.Printf("Fig 7 — top-level independent actions (invoker aborts, board=%d survives)\n%s\n",
-		board.Peek(), rec.Render(width))
+		board.Peek(), trace.Merge(rec.Spans()).Render(width))
 	return nil
 }

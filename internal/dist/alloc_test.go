@@ -15,6 +15,7 @@ import (
 	"mca/internal/node"
 	"mca/internal/object"
 	"mca/internal/rpc"
+	"mca/internal/testenv"
 )
 
 // allocFixture is a coordinator and two participants on an in-memory
@@ -120,7 +121,7 @@ func (f *allocFixture) transfer(ctx context.Context) error {
 // are checked to have ridden an invoke rather than the flusher. Run with
 // -v for the table.
 func TestTxnAllocBudget(t *testing.T) {
-	if raceEnabled {
+	if testenv.Race {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	f := newAllocFixture(t)

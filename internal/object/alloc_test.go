@@ -10,6 +10,7 @@ import (
 	"mca/internal/lock"
 	"mca/internal/object"
 	"mca/internal/store"
+	"mca/internal/testenv"
 )
 
 // encodes counts JSON encodings of the two instrumented value types.
@@ -95,7 +96,7 @@ func TestWriteEncodesOnceAtCommit(t *testing.T) {
 // encode, a map per undo log or a journal copy per batch fail here before
 // they show in the benchmark. Run with -v for the table.
 func TestWriteCommitAllocBudget(t *testing.T) {
-	if raceEnabled {
+	if testenv.Race {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	type cell [6]int

@@ -15,6 +15,7 @@ import (
 	"mca/internal/clock"
 	"mca/internal/ids"
 	"mca/internal/netsim"
+	"mca/internal/testenv"
 )
 
 // countingTransport is a black hole that counts what is sent into it.
@@ -196,7 +197,7 @@ func (c *timerCountingClock) NewTicker(d time.Duration) clock.Ticker {
 // transport's two payload copies. A derived context, a reply channel or
 // a ticker per call would each push it over the ceiling.
 func TestCallRawAllocs(t *testing.T) {
-	if raceEnabled {
+	if testenv.Race {
 		t.Skip("allocation counts are not meaningful under -race")
 	}
 	clk := &timerCountingClock{Clock: clock.Real()}

@@ -7,7 +7,6 @@ package rpc
 import (
 	"encoding/binary"
 	"hash/crc32"
-	"runtime"
 	"sync"
 
 	"mca/internal/ids"
@@ -151,49 +150,4 @@ func verifyFrame(data []byte) ([]byte, bool) {
 		return nil, false
 	}
 	return body, true
-}
-
-// EnvelopeRoundTripAllocs measures the mean heap allocations of one
-// envelope encode+decode cycle (frame, CRC, parse) over runs
-// iterations. It is the allocs-regression probe shared by the codec
-// tests and experiment E24; the steady-state expectation is zero.
-func EnvelopeRoundTripAllocs(runs int) float64 {
-	env := envelope{
-		Kind:   kindRequest,
-		CallID: 0x12345678,
-		Origin: 7,
-		Method: "dist.prepare",
-		Body:   []byte{0xD1, 3, 42, 7},
-		Traced: true,
-		Trace:  0xDEADBEEFCAFE,
-		Span:   0xFEEDFACE,
-	}
-	bp := getFrameBuf()
-	defer putFrameBuf(bp)
-	cycle := func() {
-		body, ok := verifyFrame(encodeFrame(bp, &env))
-		if !ok {
-			panic("rpc: framed envelope failed its own CRC")
-		}
-		var dec envelope
-		if !decodeEnvelope(body, &dec) {
-			panic("rpc: envelope failed to decode")
-		}
-		if dec.CallID != env.CallID || dec.Method != env.Method {
-			panic("rpc: envelope round trip mismatch")
-		}
-	}
-	// Warm the pool, the intern table and the buffer growth before
-	// measuring the steady state.
-	for i := 0; i < 16; i++ {
-		cycle()
-	}
-	runtime.GC()
-	var before, after runtime.MemStats
-	runtime.ReadMemStats(&before)
-	for i := 0; i < runs; i++ {
-		cycle()
-	}
-	runtime.ReadMemStats(&after)
-	return float64(after.Mallocs-before.Mallocs) / float64(runs)
 }

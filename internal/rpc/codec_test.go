@@ -117,7 +117,20 @@ func TestBinaryDecodeBitFlips(t *testing.T) {
 // envelope round-trip (encode into a pooled frame, CRC verify, strict
 // decode) must stay allocation-free in steady state.
 func TestEnvelopeCodecAllocs(t *testing.T) {
-	allocs := EnvelopeRoundTripAllocs(2000)
+	env := benchEnvelope()
+	bp := getFrameBuf()
+	defer putFrameBuf(bp)
+	allocs := testing.AllocsPerRun(2000, func() {
+		body, ok := verifyFrame(encodeFrame(bp, &env))
+		if !ok {
+			t.Fatal("framed envelope failed its own CRC")
+		}
+		var dec envelope
+		if !decodeEnvelope(body, &dec) || dec.CallID != env.CallID || dec.Method != env.Method {
+			t.Fatal("envelope round trip mismatch")
+		}
+	})
+	t.Logf("envelope encode+verify+decode: %.3f allocs/op", allocs)
 	if allocs >= 1 {
 		t.Fatalf("envelope round trip allocates %.2f objects/op, want ~0", allocs)
 	}

@@ -22,23 +22,6 @@ var (
 	sendQueueDrops   *metrics.Counter
 )
 
-// WriterStats is a point-in-time snapshot of the coalescing writer's
-// counters, used by experiment E24 to report syscalls saved.
-type WriterStats struct {
-	Batches     uint64 // writev flushes (one syscall each)
-	BatchFrames uint64 // datagrams carried by those flushes
-	QueueDrops  uint64 // datagrams dropped on writer-queue overflow
-}
-
-// ReadWriterStats snapshots the process-wide coalescing counters.
-func ReadWriterStats() WriterStats {
-	return WriterStats{
-		Batches:     writeBatches.Value(),
-		BatchFrames: writeBatchFrames.Value(),
-		QueueDrops:  sendQueueDrops.Value(),
-	}
-}
-
 func init() {
 	r := metrics.Default()
 	dials := r.CounterVec("mca_tcpnet_dials_total",

@@ -30,7 +30,6 @@ import (
 	"sync"
 	"time"
 
-	"mca/internal/clock"
 	"mca/internal/ids"
 	"mca/internal/rpc"
 )
@@ -98,55 +97,15 @@ const (
 // busy pipeline coalesce whole bursts into single writev calls.
 const maxYieldRounds = 8
 
-// Network is the shared address book (and transport configuration) of a
-// set of TCP endpoints.
+// Network is the shared address book of a set of TCP endpoints.
 type Network struct {
 	mu    sync.Mutex
 	addrs map[ids.NodeID]string
-
-	clk        clock.Clock
-	batchBytes int
-	queueLen   int
-	linger     time.Duration
 }
 
-// NewNetwork builds an empty address book with the default coalescing
-// configuration.
+// NewNetwork builds an empty address book.
 func NewNetwork() *Network {
-	return &Network{
-		addrs:      make(map[ids.NodeID]string),
-		clk:        clock.Real(),
-		batchBytes: defaultBatchBytes,
-		queueLen:   defaultQueueLen,
-	}
-}
-
-// SetClock substitutes the time source used by endpoints created after
-// the call (flush-linger timers). Default clock.Real().
-func (n *Network) SetClock(c clock.Clock) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	n.clk = c
-}
-
-// SetCoalescing tunes the writer for endpoints created after the call:
-// batchBytes bounds the bytes flushed in one writev, queueLen the
-// frames queued per destination (overflow drops, like a UDP send
-// buffer), and linger how long a flush waits for more frames once the
-// queue runs dry — 0 (the default) flushes once draining plus a few
-// scheduler yields (see maxYieldRounds) stage nothing more, adding no
-// latency while still batching whatever concurrent senders were about
-// to queue. The linger timer runs on the network's clock.
-func (n *Network) SetCoalescing(batchBytes, queueLen int, linger time.Duration) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	if batchBytes > 0 {
-		n.batchBytes = batchBytes
-	}
-	if queueLen > 0 {
-		n.queueLen = queueLen
-	}
-	n.linger = linger
+	return &Network{addrs: make(map[ids.NodeID]string)}
 }
 
 // Register binds a node identifier to a dialable address. Listen does
@@ -189,11 +148,6 @@ type Endpoint struct {
 	net *Network
 	ln  net.Listener
 
-	clk        clock.Clock
-	batchBytes int
-	queueLen   int
-	linger     time.Duration
-
 	mu      sync.Mutex
 	senders map[ids.NodeID]*sender // outbound, one per destination
 	inbound map[net.Conn]struct{}  // accepted connections
@@ -213,20 +167,13 @@ func (n *Network) Listen(addr string) (*Endpoint, error) {
 	if err != nil {
 		return nil, fmt.Errorf("tcpnet listen: %w", err)
 	}
-	n.mu.Lock()
-	clk, batchBytes, queueLen, linger := n.clk, n.batchBytes, n.queueLen, n.linger
-	n.mu.Unlock()
 	e := &Endpoint{
-		id:         ids.NewNodeID(),
-		net:        n,
-		ln:         ln,
-		clk:        clk,
-		batchBytes: batchBytes,
-		queueLen:   queueLen,
-		linger:     linger,
-		senders:    make(map[ids.NodeID]*sender),
-		inbound:    make(map[net.Conn]struct{}),
-		inbox:      make(chan rpc.Datagram, 256),
+		id:      ids.NewNodeID(),
+		net:     n,
+		ln:      ln,
+		senders: make(map[ids.NodeID]*sender),
+		inbound: make(map[net.Conn]struct{}),
+		inbox:   make(chan rpc.Datagram, 256),
 	}
 	n.Register(e.id, ln.Addr().String())
 	e.wg.Add(1)
@@ -403,7 +350,7 @@ func (e *Endpoint) dial(to ids.NodeID) (*sender, error) {
 		fresh.Close()
 		return existing, nil
 	}
-	s := &sender{conn: fresh, ch: make(chan *[]byte, e.queueLen), stop: make(chan struct{})}
+	s := &sender{conn: fresh, ch: make(chan *[]byte, defaultQueueLen), stop: make(chan struct{})}
 	e.wg.Add(1)
 	go e.writeLoop(to, s)
 	e.senders[to] = s
@@ -423,9 +370,8 @@ func (e *Endpoint) dropSender(to ids.NodeID, s *sender) {
 
 // writeLoop owns one outbound connection: it blocks for the first
 // queued frame, opportunistically drains whatever else concurrent
-// senders queued (bounded by batchBytes, optionally lingering on the
-// injected clock for stragglers), and flushes the whole batch in a
-// single writev. Frames return to the pool after the flush.
+// senders queued (bounded by defaultBatchBytes), and flushes the whole
+// batch in a single writev. Frames return to the pool after the flush.
 func (e *Endpoint) writeLoop(to ids.NodeID, s *sender) {
 	defer e.wg.Done()
 	refs := make([]*[]byte, 0, 64)
@@ -437,64 +383,39 @@ func (e *Endpoint) writeLoop(to ids.NodeID, s *sender) {
 		case first := <-s.ch:
 			refs = append(refs[:0], first)
 			size := len(*first)
-			var lingerT clock.Timer
-			var lingerC <-chan time.Time
-			if e.linger > 0 {
-				lingerT = e.clk.NewTimer(e.linger)
-				lingerC = lingerT.C()
-			}
 			yields := 0
 		collect:
-			for size < e.batchBytes {
+			for size < defaultBatchBytes {
 				select {
 				case f := <-s.ch:
 					refs = append(refs, f)
 					size += len(*f)
 				default:
-					if lingerC == nil {
-						// Queue drained. Yield to let already-runnable
-						// goroutines — handlers, reply loops, other
-						// callers — stage the frames they are about to
-						// send, then re-check. A yield that stages
-						// nothing means the pipeline is quiescent, so
-						// flushing now adds no latency; a yield that
-						// does lets one writev carry the whole burst.
-						if yields >= maxYieldRounds {
-							break collect
-						}
-						yields++
-						runtime.Gosched()
-						select {
-						case f := <-s.ch:
-							refs = append(refs, f)
-							size += len(*f)
-						case <-s.stop:
-							for _, f := range refs {
-								putTCPFrame(f)
-							}
-							return
-						default:
-							break collect // quiescent: flush now
-						}
-						continue
+					// Queue drained. Yield to let already-runnable
+					// goroutines — handlers, reply loops, other callers —
+					// stage the frames they are about to send, then
+					// re-check. A yield that stages nothing means the
+					// pipeline is quiescent, so flushing now adds no
+					// latency; a yield that does lets one writev carry the
+					// whole burst.
+					if yields >= maxYieldRounds {
+						break collect
 					}
+					yields++
+					runtime.Gosched()
 					select {
 					case f := <-s.ch:
 						refs = append(refs, f)
 						size += len(*f)
-					case <-lingerC:
-						lingerC = nil
 					case <-s.stop:
-						lingerT.Stop()
 						for _, f := range refs {
 							putTCPFrame(f)
 						}
 						return
+					default:
+						break collect // quiescent: flush now
 					}
 				}
-			}
-			if lingerT != nil {
-				lingerT.Stop()
 			}
 			bufs = bufs[:0]
 			for _, f := range refs {

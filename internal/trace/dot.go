@@ -87,9 +87,3 @@ func colourLabel(cs []colour.Colour) string {
 	}
 	return out
 }
-
-// WriteDOT renders the recorder's reconstructed spans as a Graphviz
-// digraph (see the package-level WriteDOT).
-func (r *Recorder) WriteDOT(w io.Writer) error {
-	return WriteDOT(w, r.Spans())
-}

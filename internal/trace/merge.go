@@ -209,16 +209,20 @@ func spanName(s Span) string {
 	return fmt.Sprintf("span-%x", s.SpanID)
 }
 
-// Render draws the merged tree as a cross-node ASCII timeline in the
-// style of the paper's figs 14/15: one row per span, indented by causal
-// depth, prefixed with the owning node, with a bar spanning begin to
-// end on a global time scale. Orphans, if any, render in a trailing
-// section.
+// Render draws the tree as an ASCII timeline in the style of the
+// paper's figures: one row per span, indented by causal depth, with a
+// bar spanning begin to end on a global time scale — `|` at begin, `C`
+// commit, `A` abort or error, `?` still active. An action row shows its
+// colour set after its name. Rows are prefixed with the owning node
+// when any span carries one (cross-node merges, figs 14/15); a
+// single-node recording draws without that column. Orphans, if any,
+// render in a trailing section.
 func (t *Tree) Render(width int) string {
 	if width < 20 {
 		width = 20
 	}
 	var minT, maxT time.Time
+	nodes := false
 	all := append(append([]*TreeNode{}, t.Roots...), t.Orphans...)
 	for _, r := range all {
 		r.Walk(func(n *TreeNode, _ int) {
@@ -232,6 +236,7 @@ func (t *Tree) Render(width int) string {
 			if s.Begin.After(maxT) {
 				maxT = s.Begin
 			}
+			nodes = nodes || s.Node != 0
 		})
 	}
 	if len(all) == 0 {
@@ -278,12 +283,18 @@ func (t *Tree) Render(width int) string {
 		if endCol > start || !s.End.IsZero() {
 			line[endCol] = endMark
 		}
-		where := "-"
-		if s.Node != 0 {
-			where = s.Node.String()
+		if nodes {
+			where := "-"
+			if s.Node != 0 {
+				where = s.Node.String()
+			}
+			fmt.Fprintf(&sb, "%-8s ", where)
 		}
 		name := strings.Repeat("  ", depth) + spanName(s)
-		fmt.Fprintf(&sb, "%-8s %-32s %s\n", where, name, string(line))
+		if len(s.Colours) > 0 {
+			name += " {" + colourLabel(s.Colours) + "}"
+		}
+		fmt.Fprintf(&sb, "%-32s %s\n", name, string(line))
 	}
 	for _, r := range t.Roots {
 		r.Walk(draw)

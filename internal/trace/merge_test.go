@@ -268,8 +268,8 @@ func TestRecorderWriteDOT(t *testing.T) {
 	rec := NewRecorder()
 	rec.AddSpan(testSpans()[0])
 	var buf bytes.Buffer
-	if err := rec.WriteDOT(&buf); err != nil {
-		t.Fatalf("Recorder.WriteDOT: %v", err)
+	if err := WriteDOT(&buf, rec.Spans()); err != nil {
+		t.Fatalf("WriteDOT: %v", err)
 	}
 	if !bytes.Contains(buf.Bytes(), []byte("digraph trace")) {
 		t.Fatalf("not a digraph:\n%s", buf.String())

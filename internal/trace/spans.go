@@ -1,5 +1,5 @@
-// Structured span export: the machine-readable counterpart to Render.
-// One Span per action, with parent identifier, colours, outcome and
+// Structured span export: the machine-readable counterpart to
+// Tree.Render. One Span per action, with parent identifier, colours, outcome and
 // timestamps, serialized as JSON Lines — one object per line, so
 // streams concatenate and external tooling (jq, the experiment
 // harness) can consume them without a framing parser.
@@ -79,8 +79,11 @@ func (s Span) Context() Context {
 }
 
 // Spans reconstructs one Span per recorded action, ordered by begin
-// time (ties by id). Actions with no recorded begin (observer attached
-// mid-run) get a zero-length span at their end event, mirroring Render.
+// time (ties by id). It is the package's one events→spans
+// reconstruction: timelines (Merge + Tree.Render), DOT graphs and JSON
+// Lines exports all start here. Actions with no recorded begin
+// (observer attached mid-run) get a zero-length span at their end
+// event; a begin naming the action as its own parent makes it a root.
 //
 // Distributed-trace identities are resolved on the way out: actions
 // bound with StartTrace/JoinTrace carry their identity, and their

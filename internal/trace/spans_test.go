@@ -32,7 +32,7 @@ func TestRenderSelfParentEvent(t *testing.T) {
 	})
 
 	done := make(chan string, 1)
-	go func() { done <- rec.Render(40) }()
+	go func() { done <- trace.Merge(rec.Spans()).Render(40) }()
 	select {
 	case out := <-done:
 		if !strings.Contains(out, ids.ActionID(7).String()) {
@@ -75,7 +75,7 @@ func TestRenderUnknownCompletion(t *testing.T) {
 		Action: ids.ActionID(1),
 	})
 
-	out := rec.Render(40)
+	out := trace.Merge(rec.Spans()).Render(40)
 	if !strings.Contains(out, ids.ActionID(9).String()) {
 		t.Fatalf("orphan completion missing from render:\n%s", out)
 	}
@@ -147,7 +147,7 @@ func TestObserveRoundConcurrent(t *testing.T) {
 }
 
 // TestLabelConcurrentWithRender applies labels while renders are in
-// flight: Render snapshots state under the lock, so late labels must
+// flight: Spans snapshots state under the lock, so late labels must
 // neither race nor corrupt output.
 func TestLabelConcurrentWithRender(t *testing.T) {
 	rec := trace.NewRecorder()
@@ -165,7 +165,7 @@ func TestLabelConcurrentWithRender(t *testing.T) {
 	go func() {
 		defer wg.Done()
 		for i := 0; i < 100; i++ {
-			_ = rec.Render(40)
+			_ = trace.Merge(rec.Spans()).Render(40)
 			_ = rec.Spans()
 		}
 	}()
@@ -178,7 +178,7 @@ func TestLabelConcurrentWithRender(t *testing.T) {
 	wg.Wait()
 
 	// After the dust settles the label must be applied.
-	if !strings.Contains(rec.Render(40), "late-label") {
+	if !strings.Contains(trace.Merge(rec.Spans()).Render(40), "late-label") {
 		t.Fatal("label applied after renders started was lost")
 	}
 	spans := rec.Spans()

@@ -3,6 +3,12 @@
 // action, indented under its parent, with a bar spanning begin to
 // commit/abort. It exists for debugging, teaching and the experiment
 // harness — a cheap way to *see* a structure execute.
+//
+// Recorder.Spans is the one reconstruction of events into spans;
+// everything drawn is drawn from spans:
+//
+//	fmt.Print(trace.Merge(rec.Spans()).Render(64)) // timeline
+//	trace.WriteDOT(w, rec.Spans())                  // Graphviz
 package trace
 
 import (
@@ -448,7 +454,7 @@ func (r *Recorder) RoundSummary() RoundSummary {
 	return out
 }
 
-// Label names an action in the rendered timeline (default: its id).
+// Label names an action in its exported span (default: its id).
 func (r *Recorder) Label(id ids.ActionID, name string) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -462,145 +468,6 @@ func (r *Recorder) Events() []action.Event {
 	out := make([]action.Event, len(r.events))
 	copy(out, r.events)
 	return out
-}
-
-// span is one action's reconstructed lifetime.
-type span struct {
-	id       ids.ActionID
-	parent   ids.ActionID
-	colours  string
-	begin    time.Time
-	end      time.Time
-	ended    bool
-	aborted  bool
-	children []*span
-}
-
-// Render draws the recorded actions as an ASCII timeline. Each row is
-// one action: `=` spans its lifetime, `C` marks commit, `A` marks
-// abort, `?` an action still active when rendering. Rows are indented
-// by nesting depth and ordered by begin time.
-func (r *Recorder) Render(width int) string {
-	if width < 20 {
-		width = 20
-	}
-	r.mu.Lock()
-	events := make([]action.Event, len(r.events))
-	copy(events, r.events)
-	labels := make(map[ids.ActionID]string, len(r.labels))
-	for k, v := range r.labels {
-		labels[k] = v
-	}
-	r.mu.Unlock()
-
-	if len(events) == 0 {
-		return "(no events)\n"
-	}
-
-	spans := make(map[ids.ActionID]*span)
-	var roots []*span
-	var minT, maxT time.Time
-	for _, ev := range events {
-		if minT.IsZero() || ev.Time.Before(minT) {
-			minT = ev.Time
-		}
-		if ev.Time.After(maxT) {
-			maxT = ev.Time
-		}
-		switch ev.Kind {
-		case action.EventBegin:
-			if _, dup := spans[ev.Action]; dup {
-				continue // duplicate begin for the same id: keep the first
-			}
-			s := &span{
-				id:      ev.Action,
-				parent:  ev.Parent,
-				colours: ev.Colours.String(),
-				begin:   ev.Time,
-			}
-			spans[ev.Action] = s
-			// A malformed event naming the action as its own parent
-			// would make draw() recurse forever; treat it as a root.
-			if parent, ok := spans[ev.Parent]; ok && ev.Parent != ev.Action {
-				parent.children = append(parent.children, s)
-			} else {
-				roots = append(roots, s)
-			}
-		case action.EventCommit, action.EventAbort:
-			s, ok := spans[ev.Action]
-			if !ok {
-				// Commit/abort for an action whose begin was never
-				// recorded (observer attached mid-run): synthesize a
-				// zero-length root span instead of dropping the event.
-				s = &span{id: ev.Action, colours: ev.Colours.String(), begin: ev.Time}
-				spans[ev.Action] = s
-				roots = append(roots, s)
-			}
-			s.end = ev.Time
-			s.ended = true
-			s.aborted = ev.Kind == action.EventAbort
-		}
-	}
-
-	total := maxT.Sub(minT)
-	if total <= 0 {
-		total = time.Nanosecond
-	}
-	col := func(t time.Time) int {
-		c := int(float64(t.Sub(minT)) / float64(total) * float64(width-1))
-		if c < 0 {
-			c = 0
-		}
-		if c >= width {
-			c = width - 1
-		}
-		return c
-	}
-
-	var sb strings.Builder
-	var draw func(s *span, depth int)
-	draw = func(s *span, depth int) {
-		name := labels[s.id]
-		if name == "" {
-			name = s.id.String()
-		}
-		start := col(s.begin)
-		var endCol int
-		endMark := byte('?')
-		if s.ended {
-			endCol = col(s.end)
-			if s.aborted {
-				endMark = 'A'
-			} else {
-				endMark = 'C'
-			}
-		} else {
-			endCol = width - 1
-		}
-		line := make([]byte, width)
-		for i := range line {
-			line[i] = ' '
-		}
-		for i := start; i <= endCol && i < width; i++ {
-			line[i] = '='
-		}
-		line[start] = '|'
-		if endCol > start || s.ended {
-			line[endCol] = endMark
-		}
-		fmt.Fprintf(&sb, "%-24s %s\n", strings.Repeat("  ", depth)+name+" "+s.colours, string(line))
-		sort.Slice(s.children, func(i, j int) bool {
-			return s.children[i].begin.Before(s.children[j].begin)
-		})
-		for _, c := range s.children {
-			draw(c, depth+1)
-		}
-	}
-	sort.Slice(roots, func(i, j int) bool { return roots[i].begin.Before(roots[j].begin) })
-	for _, root := range roots {
-		draw(root, 0)
-	}
-	return sb.String()
 }
 
 // Summary is a per-kind event count. Like RoundSummary it prints

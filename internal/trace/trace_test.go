@@ -98,7 +98,7 @@ func TestRenderTimelineShape(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	out := rec.Render(60)
+	out := trace.Merge(rec.Spans()).Render(60)
 	t.Logf("\n%s", out)
 
 	lines := strings.Split(strings.TrimRight(out, "\n"), "\n")
@@ -136,7 +136,7 @@ func TestRenderAbortMark(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = a.Abort()
-	out := rec.Render(40)
+	out := trace.Merge(rec.Spans()).Render(40)
 	if !strings.Contains(out, "A") {
 		t.Fatalf("abort mark missing:\n%s", out)
 	}
@@ -144,7 +144,7 @@ func TestRenderAbortMark(t *testing.T) {
 
 func TestRenderEmpty(t *testing.T) {
 	rec := trace.NewRecorder()
-	if out := rec.Render(40); !strings.Contains(out, "no events") {
+	if out := trace.Merge(rec.Spans()).Render(40); !strings.Contains(out, "no spans") {
 		t.Fatalf("empty render = %q", out)
 	}
 }
@@ -161,7 +161,7 @@ func TestRenderActiveActionMarkedOpen(t *testing.T) {
 		t.Fatal(err)
 	}
 	_ = child.Commit()
-	out := rec.Render(40)
+	out := trace.Merge(rec.Spans()).Render(40)
 	if !strings.Contains(out, "?") {
 		t.Fatalf("open action must be marked '?':\n%s", out)
 	}
