@@ -42,11 +42,13 @@ var (
 	inDoubt             *metrics.Counter
 
 	// Phase 2 of two-phase commit: commits delivered by the way they
-	// travelled, decision records still waiting for an ack, and prepared
-	// participants asking a silent coordinator.
+	// travelled, decision records still waiting for an ack, participants
+	// asking a silent coordinator, and the transactions the answer ended,
+	// by the state it found them in.
 	phase2Piggybacked, phase2Flushed, phase2Redriven *metrics.Counter
 	acksAwaited                                      *metrics.Gauge
 	terminationQueries                               *metrics.Counter
+	orphansReaped                                    map[state]*metrics.Counter
 )
 
 func init() {
@@ -93,5 +95,8 @@ func init() {
 	acksAwaited = r.Gauge("mca_dist_acks_awaited",
 		"Commit decision records kept for a writer's ack that has not come yet.")
 	terminationQueries = r.Counter("mca_dist_termination_queries_total",
-		"Decision queries of participants prepared for longer than the termination timeout.")
+		"Decision queries of participant transactions untouched for longer than the termination timeout.")
+	reaped := r.CounterVec("mca_dist_orphans_reaped_total",
+		"Participant transactions a silent coordinator left behind, ended by its answer to the decision query, by the state they were in.", "state")
+	orphansReaped = map[state]*metrics.Counter{live: reaped.With("live"), prepared: reaped.With("prepared"), decided: reaped.With("onephase")}
 }

@@ -88,6 +88,11 @@ const (
 	// because its ack had not come. A is the transaction's action
 	// identifier, B the participant node.
 	KindCommitResent
+	// KindReaped is a participant transaction its silent coordinator left
+	// behind, ended by the coordinator's answer to the participant's
+	// decision query. A is the transaction's action identifier, B the
+	// coordinator node.
+	KindReaped
 )
 
 // String renders the kind for dumps.
@@ -115,6 +120,8 @@ func (k Kind) String() string {
 		return "indoubt"
 	case KindCommitResent:
 		return "commit.resent"
+	case KindReaped:
+		return "reaped"
 	default:
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}
