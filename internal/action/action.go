@@ -35,8 +35,9 @@ import (
 	"mca/internal/store"
 )
 
-// Status is the lifecycle state of an action.
-type Status int
+// Status is the lifecycle state of an action. One byte, so that it
+// packs beside the action's other small fields.
+type Status uint8
 
 // Action lifecycle states.
 const (
@@ -160,8 +161,36 @@ type Runtime struct {
 	observer Observer
 	clk      clock.Clock
 
+	// registry holds every active action, striped by identifier: the
+	// begins, finishes and lock-ancestry queries of different actions
+	// take different mutexes.
+	registry [registryStripes]registryStripe
+}
+
+// registryStripes is the stripe width of the action registry, the same
+// as the lock manager's owner index. Action identifiers are sequential,
+// so their low bits spread actions evenly over the stripes.
+const registryStripes = 64
+
+// registryStripe holds the active actions whose identifiers fall on it.
+// Its map is made by the first action registered there, so a runtime
+// costs nothing per stripe until it is used.
+type registryStripe struct {
 	mu      sync.Mutex
 	actions map[ids.ActionID]*Action
+}
+
+func (r *Runtime) stripe(id ids.ActionID) *registryStripe {
+	return &r.registry[id%registryStripes]
+}
+
+// lookup returns the active action with this identifier, or nil.
+func (r *Runtime) lookup(id ids.ActionID) *Action {
+	st := r.stripe(id)
+	st.mu.Lock()
+	a := st.actions[id]
+	st.mu.Unlock()
+	return a
 }
 
 // Option configures a Runtime.
@@ -216,7 +245,7 @@ func NewRuntime(opts ...Option) *Runtime {
 	if o.clk == nil {
 		o.clk = clock.Real()
 	}
-	r := &Runtime{actions: make(map[ids.ActionID]*Action), observer: o.observer, clk: o.clk}
+	r := &Runtime{observer: o.observer, clk: o.clk}
 	lockOpts := []lock.Option{lock.WithClock(o.clk)}
 	if o.maxLockWait > 0 {
 		lockOpts = append(lockOpts, lock.WithMaxWait(o.maxLockWait))
@@ -247,9 +276,7 @@ func (ra runtimeAncestry) IsSameOrAncestor(a, b ids.ActionID) bool {
 
 // TopLevelOf implements lock.FamilyResolver.
 func (ra runtimeAncestry) TopLevelOf(id ids.ActionID) ids.ActionID {
-	ra.r.mu.Lock()
-	cur := ra.r.actions[id]
-	ra.r.mu.Unlock()
+	cur := ra.r.lookup(id)
 	if cur == nil {
 		return id
 	}
@@ -265,10 +292,7 @@ func (r *Runtime) Locks() *lock.Manager { return r.locks }
 
 // isSameOrAncestor serves the lock manager's ancestry queries.
 func (r *Runtime) isSameOrAncestor(a, b ids.ActionID) bool {
-	r.mu.Lock()
-	cur := r.actions[b]
-	r.mu.Unlock()
-	for ; cur != nil; cur = cur.parent {
+	for cur := r.lookup(b); cur != nil; cur = cur.parent {
 		if cur.id == a {
 			return true
 		}
@@ -277,9 +301,13 @@ func (r *Runtime) isSameOrAncestor(a, b ids.ActionID) bool {
 }
 
 func (r *Runtime) register(a *Action) {
-	r.mu.Lock()
-	r.actions[a.id] = a
-	r.mu.Unlock()
+	st := r.stripe(a.id)
+	st.mu.Lock()
+	if st.actions == nil {
+		st.actions = make(map[ids.ActionID]*Action)
+	}
+	st.actions[a.id] = a
+	st.mu.Unlock()
 	beginsByKind[a.kind].Inc()
 	depthHist.Observe(uint64(a.depth))
 	activeActions.Inc()
@@ -304,26 +332,27 @@ func (r *Runtime) observe(kind EventKind, a *Action) {
 }
 
 func (r *Runtime) unregister(id ids.ActionID) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	delete(r.actions, id)
+	st := r.stripe(id)
+	st.mu.Lock()
+	delete(st.actions, id)
+	st.mu.Unlock()
 }
 
 // Active reports whether the action with this identifier has begun here
 // and not yet completed.
-func (r *Runtime) Active(id ids.ActionID) bool {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	_, ok := r.actions[id]
-	return ok
-}
+func (r *Runtime) Active(id ids.ActionID) bool { return r.lookup(id) != nil }
 
 // ActiveActions returns the number of actions currently registered, for
 // leak checks in tests.
 func (r *Runtime) ActiveActions() int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return len(r.actions)
+	n := 0
+	for i := range r.registry {
+		st := &r.registry[i]
+		st.mu.Lock()
+		n += len(st.actions)
+		st.mu.Unlock()
+	}
+	return n
 }
 
 // BeginOption configures one action. Options take and return the
@@ -452,19 +481,23 @@ type Action struct {
 	// acquired alongside every write lock.
 	companion colour.Colour
 	// kind and depth are fixed at Begin for telemetry: the structural
-	// relation to the parent and the nesting depth (top level = 1).
-	kind  structureKind
-	depth int
-
-	mu     sync.Mutex
+	// relation to the parent and the nesting depth (top level = 1). They
+	// share a word with status, which keeps an Action at 224 bytes, its
+	// size class (TestActionSize).
+	kind   structureKind
 	status Status
+	depth  int32
+
+	// mu guards status and every field below.
+	mu sync.Mutex
 	// done is closed when the action stops being active, unblocking its
 	// lock waits. It is made by the first wait that parks (see
 	// waitContext): an action whose locks are all granted at once never
 	// has one.
 	done chan struct{}
-	// children is made by the first nested Begin.
-	children map[ids.ActionID]*Action
+	// children lists the active nested actions. The first nested Begin
+	// allocates it, one pointer long.
+	children []*Action
 	// undo holds one record per object written. An action writes an
 	// object or two, so lookups scan it.
 	undo []undoRecord
@@ -541,7 +574,7 @@ func (r *Runtime) begin(parent *Action, opts ...BeginOption) (*Action, error) {
 		return nil, fmt.Errorf("action: companion colour %v not in set %v: %w", bo.companion, cs, ErrColourNotHeld)
 	}
 
-	kind, depth := kindTop, 1
+	kind, depth := kindTop, int32(1)
 	if parent != nil {
 		depth = parent.depth + 1
 		switch {
@@ -574,10 +607,7 @@ func (r *Runtime) begin(parent *Action, opts ...BeginOption) (*Action, error) {
 			parent.mu.Unlock()
 			return nil, fmt.Errorf("action: parent %v is %v: %w", parent.id, parent.status, ErrNotActive)
 		}
-		if parent.children == nil {
-			parent.children = make(map[ids.ActionID]*Action)
-		}
-		parent.children[a.id] = a
+		parent.children = append(parent.children, a)
 		parent.mu.Unlock()
 	}
 	r.register(a)
@@ -958,10 +988,7 @@ func (a *Action) Abort() error {
 	}
 	// Completing wakes any lock wait in flight on this action.
 	a.completeLocked(Aborted)
-	children := make([]*Action, 0, len(a.children))
-	for _, c := range a.children {
-		children = append(children, c)
-	}
+	children := slices.Clone(a.children) // each child's finish edits the list
 	undo := a.undo
 	a.undo = nil
 	a.mu.Unlock()
@@ -1008,10 +1035,12 @@ func (a *Action) OnCompletion(fn func(Status)) {
 // finish detaches a completed action from the tree and the runtime, and
 // runs completion hooks.
 func (a *Action) finish() {
-	if a.parent != nil {
-		a.parent.mu.Lock()
-		delete(a.parent.children, a.id)
-		a.parent.mu.Unlock()
+	if p := a.parent; p != nil {
+		p.mu.Lock()
+		if i := slices.Index(p.children, a); i >= 0 {
+			p.children = slices.Delete(p.children, i, i+1)
+		}
+		p.mu.Unlock()
 	}
 	a.rt.unregister(a.id)
 

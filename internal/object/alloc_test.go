@@ -17,7 +17,7 @@ import (
 var encodes atomic.Int64
 
 // countedCell is reference-free; countedList is not. Both report every
-// encoding of themselves.
+// encoding of themselves, and having a marshaler keeps both on JSON.
 type (
 	countedCell struct{ N [6]int }
 	countedList []int
@@ -33,10 +33,12 @@ func (c countedList) MarshalJSON() ([]byte, error) {
 	return json.Marshal([]int(c))
 }
 
-// TestWriteEncodesOnceAtCommit counts encodings: a write to a
-// reference-free T encodes nothing until the commit that persists it,
-// which encodes once; a T that holds references pays one more for its
-// before-image; nothing is encoded for a volatile object or an abort.
+// TestWriteEncodesOnceAtCommit counts JSON encodings: a write to a
+// reference-free T on JSON encodes nothing until the commit that persists
+// it, which encodes once; a T that holds references pays one more for its
+// before-image; nothing is encoded for a volatile object or an abort. A
+// plain reference-free T encodes no JSON at all: its state is its binary
+// layout.
 func TestWriteEncodesOnceAtCommit(t *testing.T) {
 	rt := action.NewRuntime()
 	st := store.NewStable()
@@ -85,7 +87,20 @@ func TestWriteEncodesOnceAtCommit(t *testing.T) {
 		return a.Abort()
 	})
 	expect("reference-holding T: write + commit", 2, func() error { return rt.Run(bumpList) })
+
+	plain := object.New(plainCell{}, object.WithStore(st))
+	if err := rt.Run(func(a *action.Action) error {
+		return plain.Write(a, func(v *plainCell) error { v.N[0]++; return nil })
+	}); err != nil {
+		t.Fatal(err)
+	}
+	if got, err := st.Read(plain.ObjectID()); err != nil || string(got) != "\x02\x02\x00\x00\x00\x00\x00" {
+		t.Errorf("plain reference-free T: stored state %q (%v), want its binary layout", got, err)
+	}
 }
+
+// plainCell is countedCell without the marshaler.
+type plainCell struct{ N [6]int }
 
 // TestWriteCommitAllocBudget is the allocation budget of the object →
 // action → store path, in heap objects per operation. A first write by
@@ -171,8 +186,9 @@ func TestWriteCommitAllocBudget(t *testing.T) {
 	}
 }
 
-// writeCommitCeiling is one above today's 9: the action 1, the image 1,
-// the undo log 1, the encoded state 2 (json.Marshal's result and its copy
-// behind the discriminator), the batch's map 2, the store's copy of the
-// state 1, the lock table's release 1.
-const writeCommitCeiling = 10
+// writeCommitCeiling is one above today's 8: the action 1, the image 1,
+// the undo log 1, the state 1 (the binary layout, laid out on the stack
+// and copied once; JSON took 2, the output and its copy behind the
+// discriminator), the batch's map 2, the store's copy of the state 1, the
+// lock table's release 1.
+const writeCommitCeiling = 9

@@ -9,8 +9,9 @@
 //
 // Recovery data never leaves the object: a before-image is a copy of the
 // value kept in memory. Only the state a commit (or a prepare) persists
-// is serialized, as one discriminator byte — stateAbsent, or statePresent
-// followed by the value's JSON.
+// is serialized, as one discriminator byte — stateAbsent; stateBinary
+// followed by the value's binary layout when T is flat and plain (see
+// form); stateJSON followed by the value's JSON otherwise.
 package object
 
 import (
@@ -26,6 +27,7 @@ import (
 	"mca/internal/lock"
 	"mca/internal/metrics"
 	"mca/internal/store"
+	"mca/internal/wire"
 )
 
 // ErrNotExists is returned when reading an object that does not
@@ -42,12 +44,6 @@ type StableStore interface {
 
 var _ StableStore = (*store.Stable)(nil)
 
-// The first byte of a serialized state.
-const (
-	stateAbsent  = 0x00 // the object does not exist; nothing follows
-	statePresent = 0x01 // the value's JSON follows
-)
-
 // Before-images taken of existing objects, by how: a workload on the
 // slow (encoded) path shows on /metrics. Handles are resolved here so a
 // write never touches the label map.
@@ -60,9 +56,14 @@ var (
 )
 
 // Managed is a lockable, recoverable, optionally persistent object
-// holding a value of type T. T must be JSON-serializable; its zero value
-// must be usable. Managed is safe for concurrent use; isolation between
-// actions is enforced by coloured locking, not by the internal mutex.
+// holding a value of type T. Its zero value must be usable. A T that
+// holds references, or has a JSON or text marshaler anywhere in it, must
+// be JSON-serializable: its before-images and states are its JSON. Any
+// other T — bools, numbers, strings, and arrays and structs of those
+// with exported fields — needs nothing: its states are a binary layout
+// that keeps every bit, infinities and NaNs included. Managed is safe
+// for concurrent use; isolation between actions is enforced by coloured
+// locking, not by the internal mutex.
 //
 // Aliasing rule: a before-image must not share memory with the value a
 // Write mutates in place. When T holds no references (bools, numbers,
@@ -75,36 +76,11 @@ var (
 type Managed[T any] struct {
 	id    ids.ObjectID
 	store StableStore // nil for volatile-only objects
-	// flat records that T is reference-free, so assignment copies it.
-	flat bool
+	form  form
 
 	mu     sync.Mutex
 	value  T
 	exists bool
-}
-
-// referenceFree reports whether assigning a value of type t copies all
-// of it: t holds no pointer, slice, map, interface, channel or function
-// at any depth. Strings count as values — they are immutable.
-func referenceFree(t reflect.Type) bool {
-	switch t.Kind() {
-	case reflect.Bool, reflect.String,
-		reflect.Int, reflect.Int8, reflect.Int16, reflect.Int32, reflect.Int64,
-		reflect.Uint, reflect.Uint8, reflect.Uint16, reflect.Uint32, reflect.Uint64, reflect.Uintptr,
-		reflect.Float32, reflect.Float64, reflect.Complex64, reflect.Complex128:
-		return true
-	case reflect.Array:
-		return referenceFree(t.Elem())
-	case reflect.Struct:
-		for i := range t.NumField() {
-			if !referenceFree(t.Field(i).Type) {
-				return false
-			}
-		}
-		return true
-	default:
-		return false
-	}
 }
 
 // image is a before-image of m: the existence bit and, for an object
@@ -210,7 +186,7 @@ func build[T any](opts []Option) *Managed[T] {
 }
 
 func newManaged[T any](id ids.ObjectID, s StableStore) *Managed[T] {
-	return &Managed[T]{id: id, store: s, flat: referenceFree(reflect.TypeFor[T]())}
+	return &Managed[T]{id: id, store: s, form: formOf(reflect.TypeFor[T]())}
 }
 
 var _ action.Recoverable = (*Managed[int])(nil)
@@ -235,36 +211,49 @@ func (m *Managed[T]) CaptureState() (store.State, error) {
 }
 
 func (m *Managed[T]) captureLocked() (store.State, error) {
-	if !m.exists {
+	switch {
+	case !m.exists:
 		return store.State{stateAbsent}, nil
+	case m.form.binary:
+		// Laid out on the stack and copied once: a layout that fits the
+		// scratch costs the state alone.
+		var scratch [256]byte
+		b := appendBinary(append(scratch[:0], stateBinary), reflect.ValueOf(&m.value).Elem())
+		return append(store.State(nil), b...), nil
 	}
 	raw, err := json.Marshal(&m.value) // by pointer: boxing a T would copy it to the heap first
 	if err != nil {
 		return nil, fmt.Errorf("capture %v: %w", m.id, err)
 	}
 	st := make(store.State, 1+len(raw))
-	st[0] = statePresent
+	st[0] = stateJSON
 	copy(st[1:], raw)
 	return st, nil
 }
 
 // RestoreState replaces the object's value and existence with what a
-// state written by CaptureState holds. Anything else is refused.
+// state written by CaptureState holds. Anything else is refused, the
+// other form of present state included: a T has one form.
 func (m *Managed[T]) RestoreState(st store.State) error {
 	var v T
 	switch {
 	case len(st) == 1 && st[0] == stateAbsent:
-	case len(st) > 0 && st[0] == statePresent:
+	case len(st) > 0 && st[0] == stateBinary && m.form.binary:
+		r := wire.NewReader(st[1:])
+		if readBinary(&r, reflect.ValueOf(&v).Elem()); !r.Done() {
+			return fmt.Errorf("restore %v: %d bytes that are not a %T state", m.id, len(st), v)
+		}
+	case len(st) > 0 && st[0] == stateJSON && !m.form.binary:
 		if err := json.Unmarshal(st[1:], &v); err != nil {
 			return fmt.Errorf("restore %v: %w", m.id, err)
 		}
 	default:
-		return fmt.Errorf("restore %v: %d bytes that are not an object state", m.id, len(st))
+		return fmt.Errorf("restore %v: %d bytes that are not an object state of %T", m.id, len(st), v)
 	}
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	m.value = v
-	m.exists = st[0] == statePresent
+	m.exists = st[0] != stateAbsent
 	return nil
 }
 
@@ -340,7 +329,7 @@ func (m *Managed[T]) recordBefore(a *action.Action, c colour.Colour, op string) 
 	}
 	im := &image[T]{m: m, exists: true}
 	var err error
-	if m.flat {
+	if m.form.flat {
 		im.value = m.value
 		valueSnapshots.Inc()
 	} else {

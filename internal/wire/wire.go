@@ -1,10 +1,12 @@
 // Package wire is the repository's one binary field encoder. The RPC
-// envelope (internal/rpc), the 2PC message bodies (internal/dist) and
-// the stable-store log records (internal/store) are each a fixed header
+// envelope (internal/rpc), the 2PC message bodies (internal/dist), the
+// stable-store log records (internal/store) and the states of
+// reference-free objects (internal/object) are each a fixed header
 // followed by fields in this package's vocabulary:
 //
 //   - uvarint: an unsigned integer in the encoding/binary varint form;
-//   - uint64: eight bytes, big endian, for fields at a fixed offset;
+//   - uint64, uint32: eight or four bytes, big endian, for fields at a
+//     fixed offset and for the bits of floating-point numbers;
 //   - bytes/string: a uvarint length, then that many bytes.
 //
 // Encoding is a chain of Append calls onto a caller-owned buffer, so a
@@ -26,6 +28,9 @@ func AppendUvarint(buf []byte, v uint64) []byte { return binary.AppendUvarint(bu
 
 // AppendUint64 appends v as eight big-endian bytes.
 func AppendUint64(buf []byte, v uint64) []byte { return binary.BigEndian.AppendUint64(buf, v) }
+
+// AppendUint32 appends v as four big-endian bytes.
+func AppendUint32(buf []byte, v uint32) []byte { return binary.BigEndian.AppendUint32(buf, v) }
 
 // AppendBytes appends b behind its uvarint length.
 func AppendBytes(buf, b []byte) []byte {
@@ -105,6 +110,17 @@ func (r *Reader) Uint64() uint64 {
 	}
 	v := binary.BigEndian.Uint64(r.buf)
 	r.buf = r.buf[8:]
+	return v
+}
+
+// Uint32 reads four big-endian bytes.
+func (r *Reader) Uint32() uint32 {
+	if len(r.buf) < 4 {
+		r.Fail()
+		return 0
+	}
+	v := binary.BigEndian.Uint32(r.buf)
+	r.buf = r.buf[4:]
 	return v
 }
 
