@@ -148,7 +148,7 @@ func TestTxnAllocBudget(t *testing.T) {
 		if q.Op != invoke.Op || q.Resource != invoke.Resource || q.Txn != invoke.Txn || q.Release.n != 1 || q.Commit.n != 1 {
 			return errMalformedBody
 		}
-		if _, _, _, err := decodeInvokeReply(appendInvokeReply(scratch[:0], true, []byte("7"), invoke.Commit)); err != nil {
+		if _, _, _, err := decodeInvokeReply(appendInvokeReply(scratch[:0], replyNothingWritten, []byte("7"), invoke.Commit)); err != nil {
 			return err
 		}
 		if _, err := decodePrepareReq(appendPrepareReq(scratch[:0], prepareReq{Txn: invoke.Txn, Coordinator: 1})); err != nil {
@@ -194,7 +194,7 @@ func TestTxnAllocBudget(t *testing.T) {
 		{"dist: a release and a commit owed, taken, acked", 0, owedAndTaken},
 		{"txn: read + piggybacked release", 19, func() error { return f.read(ctx) }},
 		{"txn: write (1 participant)", 39, func() error { return f.write(ctx) }},
-		{"txn: transfer (2 participants)", 82, func() error { return f.transfer(ctx) }},
+		{"txn: transfer (2 participants)", 70, func() error { return f.transfer(ctx) }},
 	}
 	// A collection would empty the sync.Pools the path leans on and bill
 	// their refill to whichever row runs next.

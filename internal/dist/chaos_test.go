@@ -26,7 +26,9 @@ import (
 // transactions. After the
 // storm ends and every intention log drains, the committed (stable)
 // balances must conserve the total — two-phase commit's all-or-nothing
-// guarantee under fail-silence.
+// guarantee under fail-silence. Half the transfers continue at their
+// second participant, reopening the vote that participant cast in its
+// first invoke reply.
 func TestChaosTransfersConserveMoney(t *testing.T) {
 	if testing.Short() {
 		t.Skip("chaos test skipped in -short mode")
@@ -80,6 +82,7 @@ func runChaosTransfers(t *testing.T, fileBacked bool) {
 
 	ctx := context.Background()
 	stop := make(chan struct{})
+	reopened := counterValue(t, "mca_dist_votes_reopened_total")
 
 	// The storm: crash a random node, let it stay down for a while,
 	// restart it; repeat until told to stop.
@@ -128,11 +131,20 @@ func runChaosTransfers(t *testing.T, fileBacked bool) {
 				}
 				from := rng.Intn(participants)
 				to := (from + 1 + rng.Intn(participants-1)) % participants
+				amount := 1
+				if rng.Intn(2) == 0 {
+					amount = 2 // credited in two invokes: P1, P2, P2
+				}
 				err := coord.Run(ctx, func(txn *dist.Txn) error {
-					if err := txn.Invoke(ctx, nodes[from].ID(), "bank", "add", addArg{Delta: -1}, nil); err != nil {
+					if err := txn.Invoke(ctx, nodes[from].ID(), "bank", "add", addArg{Delta: -amount}, nil); err != nil {
 						return err
 					}
-					return txn.Invoke(ctx, nodes[to].ID(), "bank", "add", addArg{Delta: 1}, nil)
+					for range amount {
+						if err := txn.Invoke(ctx, nodes[to].ID(), "bank", "add", addArg{Delta: 1}, nil); err != nil {
+							return err
+						}
+					}
+					return nil
 				})
 				counterMu.Lock()
 				attempted++
@@ -211,10 +223,14 @@ func runChaosTransfers(t *testing.T, fileBacked bool) {
 			_ = stale
 		}
 		if total == participants*initial {
-			t.Logf("chaos summary: attempted=%d succeeded=%d crashes=[%d %d %d] coordinator crashes=%d total=%d",
-				attempted, succeeded, nodes[0].Crashes(), nodes[1].Crashes(), nodes[2].Crashes(), coordNode.Crashes(), total)
+			reopened := counterValue(t, "mca_dist_votes_reopened_total") - reopened
+			t.Logf("chaos summary: attempted=%d succeeded=%d crashes=[%d %d %d] coordinator crashes=%d reopened votes=%v total=%d",
+				attempted, succeeded, nodes[0].Crashes(), nodes[1].Crashes(), nodes[2].Crashes(), coordNode.Crashes(), reopened, total)
 			if succeeded == 0 {
 				t.Fatal("no transfer ever succeeded: the storm was too strong to be meaningful")
+			}
+			if reopened == 0 {
+				t.Fatal("no invoke vote was ever reopened: the storm did not run the reopen path")
 			}
 			return
 		}

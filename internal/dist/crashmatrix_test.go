@@ -608,10 +608,13 @@ func TestPreparedParticipantAsksSilentCoordinator(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for i, delta := range map[int]int{1: -10, 2: 10} {
-				if err := txn.Invoke(ctx, c.nodes[i].ID(), "bank", "add", addArg{Delta: delta}, nil); err != nil {
-					t.Fatal(err)
-				}
+			// P1 first, so that P2 votes in its invoke reply and P1 is
+			// prepared by the commit.
+			if err := txn.Invoke(ctx, c.nodes[1].ID(), "bank", "add", addArg{Delta: -10}, nil); err != nil {
+				t.Fatal(err)
+			}
+			if err := txn.Invoke(ctx, c.nodes[2].ID(), "bank", "add", addArg{Delta: 10}, nil); err != nil {
+				t.Fatal(err)
 			}
 			// P1's messages now take half a termination interval on a clock
 			// that stands still: its prepare is in flight when the caller
@@ -774,15 +777,50 @@ func TestDurableTransferForcesThreeTimes(t *testing.T) {
 	}
 }
 
-// counterValue reads an unlabelled counter of the default registry.
-func counterValue(t *testing.T, name string) float64 {
-	t.Helper()
-	for _, f := range metrics.Default().Gather() {
-		if f.Name == name && len(f.Samples) == 1 {
-			return f.Samples[0].Value
+// TestDurableTransferSendsSixMessages pins the message budget of a
+// two-participant transfer: an invoke and its reply at each participant,
+// the second participant voting in its reply, and one prepare round trip
+// to the first — six datagrams. The commits ride the next transfer's
+// invokes, and the clock stands still, so nothing travels on its own.
+func TestDurableTransferSendsSixMessages(t *testing.T) {
+	c := backedClusterOn(t, false, clock.NewFake())
+	ctx := context.Background()
+	const transfers = 20
+	votes := func() [2]float64 {
+		return [2]float64{counterValue(t, "mca_dist_votes_total", "at", "invoke"), counterValue(t, "mca_dist_votes_total", "at", "prepare")}
+	}
+	sent, voted := c.net.Stats().Sent, votes()
+	for i := 0; i < transfers; i++ {
+		err := c.coord.Run(ctx, func(txn *dist.Txn) error {
+			if err := txn.Invoke(ctx, c.nodes[1].ID(), "bank", "add", addArg{Delta: -1}, nil); err != nil {
+				return err
+			}
+			return txn.Invoke(ctx, c.nodes[2].ID(), "bank", "add", addArg{Delta: 1}, nil)
+		})
+		if err != nil {
+			t.Fatalf("transfer %d: %v", i, err)
 		}
 	}
-	t.Fatalf("no counter %s", name)
+	if got := c.net.Stats().Sent - sent; got != 6*transfers {
+		t.Fatalf("%d transfers sent %d messages, want %d (2 invokes, 1 prepare, each with its reply)", transfers, got, 6*transfers)
+	}
+	if now := votes(); now[0]-voted[0] != transfers || now[1]-voted[1] != transfers {
+		t.Fatalf("%d transfers voted yes %v times in invoke replies and %v in prepares, want %d each", transfers, now[0]-voted[0], now[1]-voted[1], transfers)
+	}
+}
+
+// counterValue reads a counter of the default registry: an unlabelled
+// one, or the sample with the given label name and value pairs.
+func counterValue(t *testing.T, name string, labels ...string) float64 {
+	t.Helper()
+	for _, f := range metrics.Default().Gather() {
+		for _, s := range f.Samples {
+			if f.Name == name && slices.Equal(s.Labels, labels) {
+				return s.Value
+			}
+		}
+	}
+	t.Fatalf("no counter %s%v", name, labels)
 	return 0
 }
 
@@ -946,5 +984,240 @@ func TestSingleParticipantWriteForcesOnce(t *testing.T) {
 	}
 	if f, _ := c.nodes[0].Stable().WAL().Stats(); f != 0 {
 		t.Fatalf("the coordinator forced its log %d times, want 0", f)
+	}
+}
+
+// TestCommitCrashMatrixInvokeVote is the matrix for the vote a further
+// participant casts in its invoke reply: a transfer of 10 invokes P1, then
+// P2, which, asked to vote, forces its prepared record before it answers.
+// The cells walk the windows this opens, over both stable backings; each
+// keeps the money and the all-or-nothing outcome, and leaves the locks
+// free for a further transfer over the same accounts:
+//
+//   - participantCrashBeforeReply: P2 crashes after the force, before its
+//     reply got through; the caller aborts, and P2's restart asks and
+//     forgets;
+//   - lostVoteThenCommit: as above, but the caller writes at its own node
+//     and commits with P1 alone while P2 is down, so the abort for P2 is
+//     lost; P2's restart asks a coordinator that holds a decision record
+//     naming P1 only, and must abort;
+//   - participantCrashAfterReply: P2 crashes after its vote reached the
+//     caller, and Commit goes ahead without contacting it for a prepare;
+//     P2's restart loads the record, stays recovering while the
+//     transaction is undecided, and installs the decision;
+//   - coordinatorCrashBeforeCommit: the coordinator crashes between P2's
+//     vote and Commit; both participants ask (the idle rule) and abort;
+//   - reopenedThenCrash: a continuation at P2 reopens its vote, forgetting
+//     the record unforced, and P2 crashes before the commit-time prepare,
+//     which must vote no;
+//   - lateContinuation: a continuation at P2 is lost, so the commit-time
+//     prepare finds the vote standing and makes it final; the continuation
+//     arriving after that is refused with ErrPrepared, and P2 installs what
+//     it logged;
+//   - abortAfterVote: the caller aborts after P2's vote; the abort forgets
+//     the record.
+func TestCommitCrashMatrixInvokeVote(t *testing.T) {
+	const terminateAfter = time.Second // dist's terminateAfter
+	invoke := func(ctx context.Context, c *cluster, txn *dist.Txn, i, delta int) error {
+		return txn.Invoke(ctx, c.nodes[i].ID(), "bank", "add", addArg{Delta: delta}, nil)
+	}
+	// begin starts a transfer of 10 from P1 to P2, left uncommitted, and
+	// checks that P2 voted in its reply.
+	begin := func(t *testing.T, c *cluster, ctx context.Context) *dist.Txn {
+		t.Helper()
+		txn, err := c.coord.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := invoke(ctx, c, txn, 1, -10); err != nil {
+			t.Fatal(err)
+		}
+		if err := invoke(ctx, c, txn, 2, 10); err != nil {
+			t.Fatal(err)
+		}
+		if n := len(pendingAt(t, c, 2)); n != 1 {
+			t.Fatalf("P2 holds %d prepared records after its invoke, want 1: it did not vote in its reply", n)
+		}
+		return txn
+	}
+	transfer := func(ctx context.Context, c *cluster) error {
+		return c.coord.Run(ctx, func(txn *dist.Txn) error {
+			if err := invoke(ctx, c, txn, 1, -10); err != nil {
+				return err
+			}
+			return invoke(ctx, c, txn, 2, 10)
+		})
+	}
+	cells := map[string]struct {
+		fake bool // the cell runs on a clock that moves only when told
+		want [3]int
+		run  func(t *testing.T, c *cluster, ctx context.Context, clk *clock.Fake)
+	}{
+		"participantCrashBeforeReply": {want: [3]int{100, 90, 110}, run: func(t *testing.T, c *cluster, ctx context.Context, _ *clock.Fake) {
+			c.net.PartitionOneWay(c.nodes[2].ID(), c.nodes[0].ID())
+			done := make(chan error, 1)
+			go func() { done <- transfer(ctx, c) }()
+			if err := waitUntil(func() bool { return len(pendingAt(t, c, 2)) == 1 }); err != nil {
+				t.Fatal("P2 never forced its vote")
+			}
+			c.nodes[2].Crash()
+			c.net.Heal(c.nodes[2].ID(), c.nodes[0].ID())
+			if err := <-done; err == nil {
+				t.Fatal("a transfer whose second participant's reply never came committed")
+			}
+			c.nodes[2].Restart()
+		}},
+		"lostVoteThenCommit": {want: [3]int{110, 80, 110}, run: func(t *testing.T, c *cluster, ctx context.Context, _ *clock.Fake) {
+			txn, err := c.coord.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := invoke(ctx, c, txn, 1, -10); err != nil {
+				t.Fatal(err)
+			}
+			c.net.PartitionOneWay(c.nodes[2].ID(), c.nodes[0].ID())
+			done := make(chan error, 1)
+			go func() { done <- invoke(ctx, c, txn, 2, 10) }()
+			if err := waitUntil(func() bool { return len(pendingAt(t, c, 2)) == 1 }); err != nil {
+				t.Fatal("P2 never forced its vote")
+			}
+			c.nodes[2].Crash()
+			c.net.Heal(c.nodes[2].ID(), c.nodes[0].ID())
+			if err := <-done; err == nil {
+				t.Fatal("an invoke whose reply never came succeeded")
+			}
+			// The money P2 never got stays at the caller's own node.
+			if err := invoke(ctx, c, txn, 0, 10); err != nil {
+				t.Fatal(err)
+			}
+			if err := txn.Commit(ctx); err != nil {
+				t.Fatalf("Commit = %v, want nil", err)
+			}
+			c.nodes[2].Restart()
+			if err := waitUntil(func() bool { return len(pendingAt(t, c, 2)) == 0 }); err != nil {
+				t.Fatal("P2 kept its vote for a transaction that committed without it")
+			}
+			if got := c.balanceAt(t, 2); got != 100 {
+				t.Fatalf("P2's balance = %d after its restart, want 100: it installed the vote the commit left out", got)
+			}
+		}},
+		"participantCrashAfterReply": {want: [3]int{100, 80, 120}, run: func(t *testing.T, c *cluster, ctx context.Context, _ *clock.Fake) {
+			txn := begin(t, c, ctx)
+			c.nodes[2].Crash()
+			if err := txn.Commit(ctx); err != nil {
+				t.Fatalf("Commit = %v, want nil: P2 voted before it crashed", err)
+			}
+			c.nodes[2].Restart()
+			opened := func() bool {
+				return c.coord.Run(ctx, func(txn *dist.Txn) error {
+					return txn.Invoke(ctx, c.nodes[2].ID(), "bank", "get", struct{}{}, nil)
+				}) == nil
+			}
+			if err := waitUntil(opened); err != nil {
+				t.Fatal("P2 stayed recovering after the transaction committed")
+			}
+		}},
+		"coordinatorCrashBeforeCommit": {fake: true, want: [3]int{100, 90, 110}, run: func(t *testing.T, c *cluster, ctx context.Context, clk *clock.Fake) {
+			begin(t, c, ctx)
+			c.nodes[0].Crash()
+			c.nodes[0].Restart()
+			for range 2 { // the first tick clears the touched bits, the second asks
+				clk.Advance(terminateAfter)
+				time.Sleep(50 * time.Millisecond)
+			}
+			left := func() bool {
+				return len(pendingAt(t, c, 2)) == 0 && c.nodes[1].Runtime().ActiveActions()+c.nodes[2].Runtime().ActiveActions() == 0
+			}
+			if err := waitUntil(left); err != nil {
+				t.Fatal("the vote of a transaction whose coordinator crashed outlived the termination interval")
+			}
+		}},
+		"reopenedThenCrash": {want: [3]int{100, 90, 110}, run: func(t *testing.T, c *cluster, ctx context.Context, _ *clock.Fake) {
+			reopened := counterValue(t, "mca_dist_votes_reopened_total")
+			txn := begin(t, c, ctx)
+			if err := invoke(ctx, c, txn, 2, 5); err != nil {
+				t.Fatal(err)
+			}
+			if got := counterValue(t, "mca_dist_votes_reopened_total") - reopened; got != 1 {
+				t.Fatalf("%v votes reopened, want 1: the continuation did not reopen P2's vote", got)
+			}
+			c.nodes[2].Crash()
+			c.nodes[2].Restart()
+			if c.dirs[2] != "" && len(pendingAt(t, c, 2)) != 1 {
+				t.Fatal("P2's restart did not bring back the reopened vote's record: the cell tests nothing")
+			}
+			if err := txn.Commit(ctx); !errors.Is(err, dist.ErrAborted) {
+				t.Fatalf("Commit = %v, want ErrAborted: P2 lost the continuation's write with its crash", err)
+			}
+			// A restart that loaded the record keeps P2 recovering until
+			// the transaction has ended.
+			opened := func() bool {
+				return c.coord.Run(ctx, func(txn *dist.Txn) error {
+					return txn.Invoke(ctx, c.nodes[2].ID(), "bank", "get", struct{}{}, nil)
+				}) == nil
+			}
+			if err := waitUntil(opened); err != nil {
+				t.Fatal("P2 stayed recovering after the transaction ended")
+			}
+		}},
+		"lateContinuation": {fake: true, want: [3]int{100, 80, 120}, run: func(t *testing.T, c *cluster, ctx context.Context, _ *clock.Fake) {
+			txn := begin(t, c, ctx)
+			c.net.PartitionOneWay(c.nodes[0].ID(), c.nodes[2].ID())
+			short, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
+			err := invoke(short, c, txn, 2, 1000)
+			cancel()
+			if err == nil {
+				t.Fatal("the continuation got through the partition")
+			}
+			c.net.Heal(c.nodes[0].ID(), c.nodes[2].ID())
+			if err := txn.Commit(ctx); err != nil {
+				t.Fatalf("Commit = %v, want nil", err)
+			}
+			// The lost continuation arrives now, after the commit-time
+			// prepare and before the commit.
+			arg, err := marshal(addArg{Delta: 1000})
+			if err != nil {
+				t.Fatal(err)
+			}
+			body := binary.AppendUvarint([]byte{0xD1, 0x01, 0x00}, uint64(txn.ID())) // invoke, continuation
+			for _, field := range [][]byte{[]byte("bank"), []byte("add"), arg} {
+				body = append(binary.AppendUvarint(body, uint64(len(field))), field...)
+			}
+			body = append(body, 0, 0) // no structure, no releases
+			_, err = c.nodes[0].Peer().CallRaw(ctx, c.nodes[2].ID(), "dist.invoke", body)
+			if err == nil || !strings.Contains(err.Error(), dist.ErrPrepared.Error()) {
+				t.Fatalf("late continuation = %v, want %v", err, dist.ErrPrepared)
+			}
+		}},
+		"abortAfterVote": {fake: true, want: [3]int{100, 90, 110}, run: func(t *testing.T, c *cluster, ctx context.Context, _ *clock.Fake) {
+			txn := begin(t, c, ctx)
+			if err := txn.Abort(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if n := len(pendingAt(t, c, 2)); n != 0 {
+				t.Fatalf("P2 keeps %d prepared records after the abort, want 0", n)
+			}
+		}},
+	}
+	for _, backing := range []string{"memory", "file"} {
+		for name, cell := range cells {
+			t.Run(backing+"/"+name, func(t *testing.T) {
+				var clk clock.Clock = clock.Real()
+				fake := clock.NewFake()
+				if cell.fake {
+					clk = fake
+				}
+				c := backedClusterOn(t, backing == "file", clk)
+				ctx := context.Background()
+				cell.run(t, c, ctx, fake)
+				if err := transfer(ctx, c); err != nil {
+					t.Fatalf("transfer after the cell: %v", err)
+				}
+				settleCluster(t, c, ctx)
+				if got := stableBalances(t, c); got != cell.want {
+					t.Fatalf("stable balances = %v, want %v", got, cell.want)
+				}
+			})
+		}
 	}
 }

@@ -12,11 +12,13 @@
 //   - coordinator: Begin starts a distributed action; Invoke routes
 //     operations to resources (local or remote); Commit runs two-phase
 //     commit — prepare everywhere, force the decision with the writer
-//     list — and returns. The commit then reaches each writer with the
-//     coordinator's next message to it (release.go), and the decision
-//     record stays until every writer has acknowledged it. A transaction
-//     that touched exactly one remote node commits in one step instead
-//     (onephase.go).
+//     list — and returns. A plain transaction asks every participant after
+//     its first to vote in its invoke reply, and a writer that did is not
+//     prepared again unless invoked again. The commit then reaches each
+//     writer with the coordinator's next message to it (release.go), and
+//     the decision record stays until every writer has acknowledged it. A
+//     transaction that touched exactly one remote node commits in one
+//     step instead (onephase.go).
 //
 // A participant keeps one table entry per transaction it serves; a
 // restart loads its logged prepared and one-phase records, and an entry no
@@ -297,9 +299,10 @@ func (m *Manager) recovered(ctx context.Context) bool {
 
 // state is where a transaction stands here: live (invoked; clean or wrote,
 // as its action's HasWrites says), prepared (voted yes with its write set
-// forced, and frozen), decided (made the decision itself, handed a
-// commit1; its forced record answers any repeat) or buried (finished: a
-// late invoke is refused, a late commit1 answered from the log).
+// forced, and frozen — reopenable when the vote rode an invoke reply),
+// decided (made the decision itself, handed a commit1; its forced record
+// answers any repeat) or buried (finished: a late invoke is refused, a late
+// commit1 answered from the log).
 type state uint8
 
 const (
@@ -314,12 +317,16 @@ const (
 // left untouched for a whole tick asks its coordinator (terminate).
 // installing is set while a commit installs the prepared write set, until
 // the install and the forget are in the log (Manager.installed).
+// reopenable marks a prepared entry that voted in its invoke reply, until
+// the coordinator's next invoke here reopens it or a commit-time prepare
+// makes the vote final.
 type entry struct {
 	a          *action.Action // nil when loaded from the log, and once finished
 	coord      ids.NodeID
 	state      state
 	touched    bool
 	installing bool
+	reopenable bool
 }
 
 // entryLocked returns txn's entry. When only the log knows txn — a restart
@@ -365,7 +372,8 @@ func (m *Manager) buryLocked(txn ids.ActionID, e *entry) *action.Action {
 }
 
 // participantAction resolves the node-local action serving the
-// distributed transaction, creating it on the coordinator's first contact.
+// distributed transaction, creating it on the coordinator's first contact
+// and reopening it on a continuation after a vote in an invoke reply.
 // A continuation that finds no entry is refused and the transaction
 // buried: the action it continues died in a crash with the earlier
 // invocations' effects. A new action joins the trace of caller, the RPC
@@ -386,6 +394,16 @@ func (m *Manager) participantAction(txn ids.ActionID, coord ids.NodeID, continua
 		return e.a, nil
 	case e.state == buried:
 		return nil, fmt.Errorf("%w (txn %v)", ErrAborted, txn)
+	case e.reopenable && continuation && e.coord == coord:
+		// The coordinator goes on with a transaction that voted in its
+		// invoke reply: the vote and its record go, unforced, and the
+		// commit-time prepare votes on the whole write set.
+		if err := m.node.Stable().Intentions().Forget(txn); err != nil {
+			return nil, err
+		}
+		e.state, e.reopenable, e.touched = live, false, true
+		votesReopened.Inc()
+		return e.a, nil
 	default:
 		// Frozen: this node already voted yes, or decided, with a logged
 		// write set; a late invoke may not mutate beyond it.
@@ -547,9 +565,75 @@ func (m *Manager) handleInvoke(ctx context.Context, from ids.NodeID, body []byte
 	if err != nil {
 		return nil, err
 	}
+	flags := replyNothingWritten
+	if a.HasWrites() {
+		flags = 0
+		if req.Vote {
+			if err := m.voteAtInvoke(req.Txn, a, from); err != nil {
+				return nil, err
+			}
+			flags = replyVoted
+		}
+	}
+	// A vote's force carried whatever earlier commits here were waiting for
+	// one: their acks ride the reply.
 	var scratch [owedScratch]byte
 	acks := m.acks.take(from, txnList{ids: scratch[:0]})
-	return appendInvokeReply(make([]byte, 0, len(out)+8+len(acks.ids)+min(acks.n, 1)), !a.HasWrites(), out, acks), nil
+	return appendInvokeReply(make([]byte, 0, len(out)+8+len(acks.ids)+min(acks.n, 1)), flags, out, acks), nil
+}
+
+// voteAtInvoke prepares txn's writer a once its invoke has run, for an
+// invoke that asked for the vote: the entry freezes, as at a prepare, and
+// stays reopenable by coord's next invoke here.
+func (m *Manager) voteAtInvoke(txn ids.ActionID, a *action.Action, coord ids.NodeID) error {
+	m.mu.Lock()
+	e := m.txns[txn]
+	ok := e != nil && e.state == live && e.a == a
+	if ok {
+		e.state = prepared
+	}
+	m.mu.Unlock()
+	if !ok {
+		return fmt.Errorf("%w (txn %v)", ErrAborted, txn) // ended while the operation ran
+	}
+	yes, err := m.vote(txn, e, a, coord, true)
+	if err == nil && !yes {
+		err = fmt.Errorf("%w (txn %v: voted no)", ErrAborted, txn)
+	}
+	return err
+}
+
+// vote is the prepare rule, for a prepare and for an invoke that asked for
+// the vote alike: it forces the write set of txn's writer a, whose entry e
+// the caller froze, as a prepared record naming coord, and says yes only
+// after the force. An abort that overtook the force (terminate) buried the
+// entry: the record goes too, and the vote is no. atInvoke leaves a yes
+// reopenable.
+func (m *Manager) vote(txn ids.ActionID, e *entry, a *action.Action, coord ids.NodeID, atInvoke bool) (yes bool, err error) {
+	log := m.Node().Stable().Intentions()
+	writes, err := a.PendingWrites()
+	if err == nil {
+		err = log.Record(store.Intention{
+			Action:      txn,
+			Status:      store.IntentionPrepared,
+			Writes:      writes,
+			Coordinator: coord,
+		})
+		// The YES vote is derived strictly after the log force (mcalint's
+		// forceorder rule); on an error path the vote is no.
+		yes = err == nil
+	}
+	m.mu.Lock()
+	overtaken := e.state == buried
+	e.reopenable = yes && !overtaken && atInvoke
+	m.mu.Unlock()
+	if overtaken {
+		return false, log.Forget(txn)
+	}
+	if yes {
+		votesYes[atInvoke].Inc()
+	}
+	return yes, nil
 }
 
 func (m *Manager) handlePrepare(_ context.Context, from ids.NodeID, body []byte) ([]byte, error) {
@@ -558,12 +642,12 @@ func (m *Manager) handlePrepare(_ context.Context, from ids.NodeID, body []byte)
 		return nil, fmt.Errorf("decode prepare: %w", err)
 	}
 	vote := voteNoBody
-	log := m.Node().Stable().Intentions()
 	m.mu.Lock()
 	was, a := buried, (*action.Action)(nil)
 	e := m.txns[req.Txn]
 	if e != nil {
-		was, a, e.touched = e.state, e.a, true
+		// A prepare makes a vote an invoke reply carried final.
+		was, a, e.touched, e.reopenable = e.state, e.a, true, false
 	}
 	reader := was == live && (a.Status() != action.Active || !a.HasWrites())
 	if was == live && !reader {
@@ -579,7 +663,7 @@ func (m *Manager) handlePrepare(_ context.Context, from ids.NodeID, body []byte)
 		// the entry, so it cannot reach here). An entry a restart loaded
 		// has no action: its objects came back without the write set, and
 		// the vote is no — presumed abort, not an install behind their back.
-		in, found, err := log.Lookup(req.Txn)
+		in, found, err := m.Node().Stable().Intentions().Lookup(req.Txn)
 		if err == nil && found && in.Status == store.IntentionPrepared && a != nil {
 			vote = voteYesBody
 		}
@@ -595,31 +679,12 @@ func (m *Manager) handlePrepare(_ context.Context, from ids.NodeID, body []byte)
 			readonlyVotes.Inc()
 		}
 	default:
-		writes, err := a.PendingWrites()
-		if err == nil {
-			err = log.Record(store.Intention{
-				Action:      req.Txn,
-				Status:      store.IntentionPrepared,
-				Writes:      writes,
-				Coordinator: req.Coordinator,
-			})
-			// The YES vote is derived strictly after the log force
-			// (mcalint's forceorder rule); on the PendingWrites error
-			// path the initializer's NO stands.
-			if err == nil {
-				vote = voteYesBody
-			}
+		yes, err := m.vote(req.Txn, e, a, req.Coordinator, false)
+		if err != nil {
+			return nil, err
 		}
-		// An abort that overtook the force (terminate) buried the entry:
-		// the record goes too, and the vote is no.
-		m.mu.Lock()
-		overtaken := e.state == buried
-		m.mu.Unlock()
-		if overtaken {
-			vote = voteNoBody
-			if err := log.Forget(req.Txn); err != nil {
-				return nil, err
-			}
+		if yes {
+			vote = voteYesBody
 		}
 	}
 	// The prepare's force, when there was one, carried whatever earlier
@@ -638,7 +703,7 @@ func (m *Manager) handleAbort(_ context.Context, _ ids.NodeID, body []byte) ([]b
 	return ackBody, nil
 }
 
-func (m *Manager) handleDecision(_ context.Context, _ ids.NodeID, body []byte) ([]byte, error) {
+func (m *Manager) handleDecision(_ context.Context, from ids.NodeID, body []byte) ([]byte, error) {
 	txn, err := decodeTxnReq(body)
 	if err != nil {
 		return nil, fmt.Errorf("decode decision: %w", err)
@@ -649,7 +714,13 @@ func (m *Manager) handleDecision(_ context.Context, _ ids.NodeID, body []byte) (
 	case err != nil:
 		return nil, err
 	case ok && in.Status == store.IntentionCommitted:
-		return committedBody, nil
+		// Committed for the writers the record names. Any other node
+		// asking is a contact the commit left out — one that voted in an
+		// invoke reply that never came back — and its record is aborted.
+		if slices.Contains(in.Participants, from) {
+			return committedBody, nil
+		}
+		return abortedBody, nil
 	case nd.Runtime().Active(txn):
 		// Still deciding: a participant asking mid-prepare (restarted, or
 		// tired of waiting) must not be told abort and then sent commit.
@@ -703,6 +774,10 @@ type contact struct {
 	// that the participant action had written nothing so far: by a reply
 	// without that flag, and by a failed call, which may have executed.
 	wrote bool
+	// voted is set while the node's yes vote from an invoke reply stands:
+	// the commit does not prepare it again. The next invoke there clears
+	// it before it is sent.
+	voted bool
 }
 
 // Begin starts a distributed atomic action coordinated by this node.
@@ -745,16 +820,16 @@ func (t *Txn) Participants() []ids.NodeID {
 // enlist records a contact with node n; ok upgrades it to a full
 // participant and is never downgraded (any successful invocation means
 // the node holds part of the action's effects), and neither is wrote.
-func (t *Txn) enlist(n ids.NodeID, ok, wrote bool) {
+func (t *Txn) enlist(n ids.NodeID, ok, wrote, voted bool) {
 	t.mu.Lock()
 	defer t.mu.Unlock()
 	for i := range t.contacts {
 		if c := &t.contacts[i]; c.node == n {
-			c.ok, c.wrote = c.ok || ok, c.wrote || wrote
+			c.ok, c.wrote, c.voted = c.ok || ok, c.wrote || wrote, c.voted || voted
 			return
 		}
 	}
-	t.contacts = append(t.contacts, contact{node: n, ok: ok, wrote: wrote})
+	t.contacts = append(t.contacts, contact{node: n, ok: ok, wrote: wrote, voted: voted})
 }
 
 // split returns the successful participants and the failed-contact
@@ -782,8 +857,16 @@ func (t *Txn) Invoke(ctx context.Context, target ids.NodeID, resource, op string
 		return ErrDone
 	}
 	// Any earlier invoke at the target, even a failed one, makes this one
-	// a continuation rather than a first contact.
-	continuation := slices.ContainsFunc(t.contacts, func(c contact) bool { return c.node == target })
+	// a continuation rather than a first contact, and takes back a vote
+	// the target cast in an invoke reply. A plain transaction that already
+	// has a participant asks each further one for its vote in the reply:
+	// a writer voting then needs no prepare at commit.
+	i := slices.IndexFunc(t.contacts, func(c contact) bool { return c.node == target })
+	continuation := i >= 0
+	if continuation {
+		t.contacts[i].voted = false
+	}
+	vote := !continuation && t.structure == nil && slices.ContainsFunc(t.contacts, func(c contact) bool { return c.ok })
 	t.mu.Unlock()
 
 	argBytes, err := json.Marshal(arg)
@@ -818,7 +901,7 @@ func (t *Txn) Invoke(ctx context.Context, target ids.NodeID, resource, op string
 	var scratch [bodyScratch]byte
 	var relScratch, comScratch [owedScratch]byte
 	owed := t.mgr.owed.take(owedList{node: target, rel: txnList{ids: relScratch[:0]}, com: txnList{ids: comScratch[:0]}})
-	body := appendInvokeReq(scratch[:0], &invokeReq{Txn: t.ID(), Continuation: continuation,
+	body := appendInvokeReq(scratch[:0], &invokeReq{Txn: t.ID(), Continuation: continuation, Vote: vote,
 		Resource: resource, Op: op, Arg: argBytes, Structure: t.structure, Release: owed.rel, Commit: owed.com})
 	reply, err := t.mgr.Node().Peer().CallRaw(ctx, target, methodInvoke, body)
 	if err != nil {
@@ -827,14 +910,14 @@ func (t *Txn) Invoke(ctx context.Context, target ids.NodeID, resource, op string
 		// releases it carried are owed again; its commits go out again
 		// unacknowledged.
 		owed.rel.each(func(txn ids.ActionID) { t.mgr.owe(target, txn) })
-		t.enlist(target, false, true)
+		t.enlist(target, false, true, false)
 		return err
 	}
 	releasesPiggybacked.Add(uint64(owed.rel.n))
 	phase2Piggybacked.Add(uint64(owed.com.n))
-	out, nothingWritten, acks, err := decodeInvokeReply(reply)
+	out, flags, acks, err := decodeInvokeReply(reply)
 	t.mgr.acked(target, acks)
-	t.enlist(target, true, !nothingWritten || err != nil)
+	t.enlist(target, true, flags&replyNothingWritten == 0 || err != nil, flags&replyVoted != 0 && err == nil)
 	if t.onEnlist != nil {
 		t.onEnlist(target)
 	}
@@ -877,6 +960,12 @@ func (t *Txn) Commit(ctx context.Context) error {
 	}
 	t.done = true
 	participants, failedContacts := t.split()
+	var unvoted []ids.NodeID // the participants the prepare round asks
+	for _, c := range t.contacts {
+		if c.ok && !c.voted {
+			unvoted = append(unvoted, c.node)
+		}
+	}
 	sole, singleSite := t.singleSiteLocked()
 	t.mu.Unlock()
 
@@ -884,9 +973,9 @@ func (t *Txn) Commit(ctx context.Context) error {
 	log := t.mgr.Node().Stable().Intentions()
 
 	// Failed contacts never joined the action's outcome: make sure any
-	// ghost execution there is aborted (best effort; presumed abort
-	// covers the rest), without waiting, so a dead node cannot stall the
-	// commit.
+	// ghost execution there is aborted (best effort; one that misses it
+	// and asks is told aborted, as the decision record does not name
+	// it), without waiting, so a dead node cannot stall the commit.
 	t.abortAt(ctx, failedContacts, false)
 
 	clk := t.mgr.clock()
@@ -900,17 +989,17 @@ func (t *Txn) Commit(ctx context.Context) error {
 		return err
 	}
 
-	// Phase 1: prepare every remote participant, fanning out
-	// concurrently. The first NO vote or error cancels the round so
-	// in-flight prepares stop retransmitting; the outcome is already
-	// decided. Read-only voters commit at prepare and drop out of the
-	// rest of the protocol.
+	// Phase 1: prepare every remote participant that has not voted in an
+	// invoke reply, fanning out concurrently. The first NO vote or error
+	// cancels the round so in-flight prepares stop retransmitting; the
+	// outcome is already decided. Read-only voters commit at prepare and
+	// drop out of the rest of the protocol.
 	coordID := t.mgr.Node().ID()
 	var (
 		voteMu   sync.Mutex
 		readOnly []ids.NodeID
 	)
-	prepared := t.mgr.fanout(ctx, trace.RoundPrepare, t.ID(), t.tc, participants, true,
+	prepared := t.mgr.fanout(ctx, trace.RoundPrepare, t.ID(), t.tc, unvoted, true,
 		func(ctx context.Context, p ids.NodeID) error {
 			var scratch [bodyScratch]byte
 			reply, err := peer.CallRaw(ctx, p, methodPrepare, appendPrepareReq(scratch[:0], prepareReq{Txn: t.ID(), Coordinator: coordID}))

@@ -275,18 +275,19 @@ func TestParticipantCrashBeforePrepareAborts(t *testing.T) {
 	if err := txn.Invoke(ctx, c.nodes[2].ID(), "bank", "add", addArg{Delta: 30}, nil); err != nil {
 		t.Fatal(err)
 	}
-	// P2 crashes before the coordinator commits.
-	c.nodes[2].Crash()
+	// P1 crashes before the coordinator commits. (P2 voted in its invoke
+	// reply: it is prepared already.)
+	c.nodes[1].Crash()
 	err = txn.Commit(ctx)
 	if !errors.Is(err, dist.ErrAborted) {
 		t.Fatalf("Commit = %v, want ErrAborted", err)
 	}
-	if got := c.balanceAt(t, 1); got != 100 {
-		t.Fatalf("P1 balance = %d, want 100 (aborted)", got)
-	}
-	c.nodes[2].Restart()
 	if got := c.balanceAt(t, 2); got != 100 {
-		t.Fatalf("P2 balance = %d, want 100", got)
+		t.Fatalf("P2 balance = %d, want 100 (aborted)", got)
+	}
+	c.nodes[1].Restart()
+	if got := c.balanceAt(t, 1); got != 100 {
+		t.Fatalf("P1 balance = %d, want 100", got)
 	}
 }
 

@@ -49,6 +49,12 @@ var (
 	acksAwaited                                      *metrics.Gauge
 	terminationQueries                               *metrics.Counter
 	orphansReaped                                    map[state]*metrics.Counter
+
+	// Writers' yes votes, by where they were cast — true for an invoke
+	// reply, false for a prepare — and invoke votes a continuation took
+	// back, each a wasted force.
+	votesYes      map[bool]*metrics.Counter
+	votesReopened *metrics.Counter
 )
 
 func init() {
@@ -99,4 +105,9 @@ func init() {
 	reaped := r.CounterVec("mca_dist_orphans_reaped_total",
 		"Participant transactions a silent coordinator left behind, ended by its answer to the decision query, by the state they were in.", "state")
 	orphansReaped = map[state]*metrics.Counter{live: reaped.With("live"), prepared: reaped.With("prepared"), decided: reaped.With("onephase")}
+	votes := r.CounterVec("mca_dist_votes_total",
+		"Writers' yes votes, each behind a forced prepared record, by the message that carried them: an invoke reply or a prepare's vote.", "at")
+	votesYes = map[bool]*metrics.Counter{true: votes.With("invoke"), false: votes.With("prepare")}
+	votesReopened = r.Counter("mca_dist_votes_reopened_total",
+		"Invoke-reply votes withdrawn because the coordinator invoked the participant again: each wasted one force.")
 }

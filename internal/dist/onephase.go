@@ -21,10 +21,13 @@
 //     whose release never comes asks the coordinator (terminate).
 //
 // Transactions with effects at several nodes, this one included, keep
-// two-phase commit — all-read-only ones too: their prepare round is what
-// finds out that some node lost its locks before the last invocation
-// elsewhere returned. So do constituents of distributed structures,
-// whose participant actions commit into a container, not to the store.
+// two-phase commit, where each writer after the first may have voted in
+// its invoke reply (dist.go) and the rest are prepared by a round. Readers
+// are always prepared by the round, all-read-only transactions too: it is
+// what finds out that some node lost its locks before the last invocation
+// elsewhere returned. Constituents of distributed structures, whose
+// participant actions commit into a container, not to the store, vote in
+// the round alone.
 package dist
 
 import (

@@ -287,11 +287,13 @@ func (m *Manager) acked(node ids.NodeID, acks txnList) {
 // ends with ctx, the node's lifetime.
 func (m *Manager) flushOwed(ctx context.Context, clk clock.Clock, self ids.NodeID) {
 	q := &m.owed
-	// The timer is made by the first list that has to wait, and armed
-	// only while one does.
+	// The timer is made by the first list that has to wait, and re-armed
+	// only when the earliest deadline changes: it is armed relative to a
+	// reading of the clock, and a simulated clock advanced between the
+	// reading and the arming would fire it that much late.
 	var (
 		timer clock.Timer
-		due   <-chan time.Time
+		armed time.Time // the deadline the timer is armed for, zero once it fired
 	)
 	defer func() {
 		if timer != nil {
@@ -304,13 +306,16 @@ func (m *Manager) flushOwed(ctx context.Context, clk clock.Clock, self ids.NodeI
 		for _, l := range lists {
 			go m.sendOwed(ctx, l)
 		}
-		due = nil
-		if !next.IsZero() {
+		if !next.IsZero() && !next.Equal(armed) {
 			if d := next.Sub(clk.Now()); timer == nil {
 				timer = clk.NewTimer(d)
 			} else {
 				timer.Reset(d)
 			}
+			armed = next
+		}
+		var due <-chan time.Time
+		if !armed.IsZero() {
 			due = timer.C()
 		}
 		select {
@@ -318,6 +323,7 @@ func (m *Manager) flushOwed(ctx context.Context, clk clock.Clock, self ids.NodeI
 			return
 		case <-q.wake:
 		case <-due:
+			armed = time.Time{}
 		}
 	}
 }

@@ -112,9 +112,10 @@ func TestTracedCommitMergesToOneTreeWithoutOrphans(t *testing.T) {
 		t.Fatalf("round spans under root: prepare=%d commit=%d, want 1/0 (kinds: %v)",
 			kinds["round.prepare"], kinds["round.commit"], kinds)
 	}
-	// 2 invokes + 2 prepares = 4 client/server pairs.
-	if kinds["rpc.client"] != 4 || kinds["rpc.server"] != 4 {
-		t.Fatalf("rpc spans under root: client=%d server=%d, want 4/4", kinds["rpc.client"], kinds["rpc.server"])
+	// 2 invokes + 1 prepare = 3 client/server pairs: the second
+	// participant voted in its invoke reply.
+	if kinds["rpc.client"] != 3 || kinds["rpc.server"] != 3 {
+		t.Fatalf("rpc spans under root: client=%d server=%d, want 3/3", kinds["rpc.client"], kinds["rpc.server"])
 	}
 	for i := 0; i < 3; i++ {
 		if id := tc.nodes[i].ID().String(); !nodesSeen[id] {

@@ -7,9 +7,9 @@
 // body. What the application passes through the protocol (the argument
 // and the result of an invocation) rides as opaque bytes.
 //
-//	invoke        D1 01  flags (bit0 first contact)  txn  resource  op  arg
-//	                     n  n×(structure container write flags)  r  r×txn  [c  c×txn]
-//	invoke reply  D1 02  flags (bit0 nothing written so far)  result  [a  a×txn]
+//	invoke        D1 01  flags (bit0 first contact, bit1 vote with the reply)  txn  resource
+//	                     op  arg  n  n×(structure container write flags)  r  r×txn  [c  c×txn]
+//	invoke reply  D1 02  flags (bit0 nothing written so far, bit1 voted)  result  [a  a×txn]
 //	prepare       D1 03  txn  coordinator
 //	vote          D1 04  flags (bit0 yes, bit1 read-only)  [a  a×txn]
 //	txn           D1 05  txn                    (abort, decision query, commit1)
@@ -84,8 +84,11 @@ type invokeReq struct {
 	// participant action. A later one that finds none is refused: the
 	// action it continues died, with its earlier effects, in a crash.
 	Continuation bool
-	Resource     string
-	Op           string
+	// Vote asks a writer to prepare once the operation has run and vote
+	// yes in its reply, sparing the commit a prepare round trip.
+	Vote     bool
+	Resource string
+	Op       string
 	// Arg is the application's argument, opaque here.
 	Arg []byte
 	// Structure, when non-nil, mirrors the coordinator-side colour
@@ -99,7 +102,9 @@ type invokeReq struct {
 
 const (
 	invokeFirstContact  byte = 1 << 0
+	invokeVote          byte = 1 << 1
 	replyNothingWritten byte = 1 << 0
+	replyVoted          byte = 1 << 1
 
 	structCompanion byte = 1 << 0
 	structReadOwn   byte = 1 << 1
@@ -112,6 +117,9 @@ func appendInvokeReq(buf []byte, q *invokeReq) []byte {
 	var flags byte
 	if !q.Continuation {
 		flags = invokeFirstContact
+	}
+	if q.Vote {
+		flags |= invokeVote
 	}
 	buf = append(buf, bodyMagic, byte(bodyInvoke), flags)
 	buf = wire.AppendUvarint(buf, uint64(q.Txn))
@@ -147,10 +155,10 @@ func decodeInvokeReq(body []byte) (invokeReq, error) {
 		return invokeReq{}, err
 	}
 	flags := r.Byte()
-	if flags&^invokeFirstContact != 0 {
+	if flags&^(invokeFirstContact|invokeVote) != 0 {
 		r.Fail()
 	}
-	q := invokeReq{Continuation: flags&invokeFirstContact == 0, Txn: ids.ActionID(r.Uvarint())}
+	q := invokeReq{Continuation: flags&invokeFirstContact == 0, Vote: flags&invokeVote != 0, Txn: ids.ActionID(r.Uvarint())}
 	q.Resource = wire.Intern(r.Bytes())
 	q.Op = wire.Intern(r.Bytes())
 	q.Arg = r.Bytes()
@@ -174,31 +182,28 @@ func decodeInvokeReq(body []byte) (invokeReq, error) {
 	return q, finish(&r)
 }
 
-// appendInvokeReply encodes the operation's result with whether the
-// participant action has written nothing so far, and the acks the
-// replying node owes the caller.
-func appendInvokeReply(buf []byte, nothingWritten bool, result []byte, acks txnList) []byte {
-	var flags byte
-	if nothingWritten {
-		flags = replyNothingWritten
-	}
+// appendInvokeReply encodes the operation's result with its flags —
+// whether the participant action has written nothing so far, whether it
+// voted yes — and the acks the replying node owes the caller.
+func appendInvokeReply(buf []byte, flags byte, result []byte, acks txnList) []byte {
 	return appendOptList(wire.AppendBytes(append(buf, bodyMagic, byte(bodyInvokeReply), flags), result), acks)
 }
 
-// decodeInvokeReply returns the application's result and the acks,
-// aliasing body.
-func decodeInvokeReply(body []byte) (result []byte, nothingWritten bool, acks txnList, err error) {
+// decodeInvokeReply returns the application's result, the flags and the
+// acks, aliasing body. Only a writer votes: a reply that says both is
+// malformed.
+func decodeInvokeReply(body []byte) (result []byte, flags byte, acks txnList, err error) {
 	r, err := bodyReader(body, bodyInvokeReply)
 	if err != nil {
-		return nil, false, txnList{}, err
+		return nil, 0, txnList{}, err
 	}
-	flags := r.Byte()
-	if flags&^replyNothingWritten != 0 {
+	flags = r.Byte()
+	if flags&^(replyNothingWritten|replyVoted) != 0 || flags == replyNothingWritten|replyVoted {
 		r.Fail()
 	}
 	result = r.Bytes()
 	acks = readOptList(&r)
-	return result, flags&replyNothingWritten != 0, acks, finish(&r)
+	return result, flags, acks, finish(&r)
 }
 
 // --- transaction lists ---

@@ -27,22 +27,27 @@ func bodyCases() map[string][]byte {
 		// and no release.
 		"invoke_commits": appendInvokeReq(nil, &invokeReq{Txn: 304, Continuation: true, Resource: "registers", Op: "add",
 			Arg: []byte(`{"k":8}`), Commit: txnList{}.add(296).add(297)}),
-		"invoke_reply":           appendInvokeReply(nil, false, []byte(`42`), txnList{}),
-		"invoke_reply_unwritten": appendInvokeReply(nil, true, []byte(`42`), txnList{}),
-		"invoke_reply_acks":      appendInvokeReply(nil, false, []byte(`{}`), txnList{}.add(296)),
-		"prepare":                appendPrepareReq(nil, prepareReq{Txn: 300, Coordinator: 1}),
-		"vote_no":                voteNoBody,
-		"vote_yes":               voteYesBody,
-		"vote_read_only":         voteYesReadBody,
-		"vote_acks":              appendOptList(slices.Clip(voteYesBody), txnList{}.add(296).add(297)),
-		"txn":                    appendTxnReq(nil, 300),
-		"decision_yes":           committedBody,
-		"decision_no":            abortedBody,
-		"ack":                    ackBody,
-		"ack_acks":               appendOptList(slices.Clip(ackBody), txnList{}.add(297)),
-		"structure":              appendStructureReq(nil, 7),
-		"end":                    appendEndReq(nil, txnList{}.add(300).add(7).add(301), txnList{}),
-		"end_commits":            appendEndReq(nil, txnList{}, txnList{}.add(296)),
+		// A further first contact asking the writer to vote in its reply.
+		"invoke_vote": appendInvokeReq(nil, &invokeReq{Txn: 305, Vote: true, Resource: "registers", Op: "add",
+			Arg: []byte(`{"k":9}`)}),
+		"invoke_reply":           appendInvokeReply(nil, 0, []byte(`42`), txnList{}),
+		"invoke_reply_unwritten": appendInvokeReply(nil, replyNothingWritten, []byte(`42`), txnList{}),
+		"invoke_reply_acks":      appendInvokeReply(nil, 0, []byte(`{}`), txnList{}.add(296)),
+		// A writer's yes vote, with the ack its force made durable.
+		"invoke_reply_voted": appendInvokeReply(nil, replyVoted, []byte(`{}`), txnList{}.add(296)),
+		"prepare":            appendPrepareReq(nil, prepareReq{Txn: 300, Coordinator: 1}),
+		"vote_no":            voteNoBody,
+		"vote_yes":           voteYesBody,
+		"vote_read_only":     voteYesReadBody,
+		"vote_acks":          appendOptList(slices.Clip(voteYesBody), txnList{}.add(296).add(297)),
+		"txn":                appendTxnReq(nil, 300),
+		"decision_yes":       committedBody,
+		"decision_no":        abortedBody,
+		"ack":                ackBody,
+		"ack_acks":           appendOptList(slices.Clip(ackBody), txnList{}.add(297)),
+		"structure":          appendStructureReq(nil, 7),
+		"end":                appendEndReq(nil, txnList{}.add(300).add(7).add(301), txnList{}),
+		"end_commits":        appendEndReq(nil, txnList{}, txnList{}.add(296)),
 	}
 }
 
@@ -57,8 +62,8 @@ func decodeAny(body []byte) (decoded any, reencoded []byte, ok bool) {
 		q, err := decodeInvokeReq(body)
 		return q, appendInvokeReq(nil, &q), err == nil
 	case bodyInvokeReply:
-		out, unwritten, acks, err := decodeInvokeReply(body)
-		return [3]any{out, unwritten, acks}, appendInvokeReply(nil, unwritten, out, acks), err == nil
+		out, flags, acks, err := decodeInvokeReply(body)
+		return [3]any{out, flags, acks}, appendInvokeReply(nil, flags, out, acks), err == nil
 	case bodyPrepare:
 		q, err := decodePrepareReq(body)
 		return q, appendPrepareReq(nil, q), err == nil
@@ -135,9 +140,26 @@ func TestBodyRoundTrip(t *testing.T) {
 	if q.Release.n != 0 || !reflect.DeepEqual(committed, []ids.ActionID{296, 297}) {
 		t.Fatalf("decoded %d releases and commits %v, want none and [a296 a297]", q.Release.n, committed)
 	}
+	q, err = decodeInvokeReq(bodyCases()["invoke_vote"])
+	if err != nil || q.Continuation || !q.Vote {
+		t.Fatalf("invoke asking for a vote decoded to continuation=%v vote=%v, %v; want a first contact asking", q.Continuation, q.Vote, err)
+	}
+	_, flags, acks, err := decodeInvokeReply(bodyCases()["invoke_reply_voted"])
+	if err != nil || flags != replyVoted || acks.n != 1 {
+		t.Fatalf("voted invoke reply decoded to flags %b with %d acks, %v; want voted with one ack", flags, acks.n, err)
+	}
 	v, err := decodeVote(bodyCases()["vote_acks"])
 	if err != nil || !v.OK || v.ReadOnly || v.Acks.n != 2 {
 		t.Fatalf("vote with acks decoded to %+v, %v; want a yes carrying two acks", v, err)
+	}
+}
+
+// TestVotedReplyWrote: only a writer votes, so an invoke reply saying
+// both "voted" and "nothing written" is rejected.
+func TestVotedReplyWrote(t *testing.T) {
+	body := appendInvokeReply(nil, replyNothingWritten|replyVoted, []byte(`42`), txnList{})
+	if _, _, _, err := decodeInvokeReply(body); err == nil {
+		t.Fatalf("invoke reply % x voting for nothing written accepted", body)
 	}
 }
 
@@ -185,8 +207,11 @@ func TestBodyGoldenBytes(t *testing.T) {
 		"invoke_structured": {0xD1, 0x01, 0x01, 0xAD, 0x02, 4, 'b', 'a', 'n', 'k', 3, 'g', 'e', 't', 0, 1, 7, 2, 3, 0x01, 0},
 		"invoke_continuation": append([]byte{0xD1, 0x01, 0x00, 0xAF, 0x02, 9, 'r', 'e', 'g', 'i', 's', 't', 'e', 'r', 's', 3, 'g', 'e', 't', 7},
 			append([]byte(`{"k":7}`), 0, 2, 0xAA, 0x02, 5)...),
+		"invoke_vote": append([]byte{0xD1, 0x01, 0x03, 0xB1, 0x02, 9, 'r', 'e', 'g', 'i', 's', 't', 'e', 'r', 's', 3, 'a', 'd', 'd', 7},
+			append([]byte(`{"k":9}`), 0, 0)...),
 		"invoke_reply":           {0xD1, 0x02, 0, 2, '4', '2'},
 		"invoke_reply_unwritten": {0xD1, 0x02, 1, 2, '4', '2'},
+		"invoke_reply_voted":     {0xD1, 0x02, 2, 2, '{', '}', 1, 0xA8, 0x02},
 		"end":                    {0xD1, 0x09, 3, 0xAC, 0x02, 7, 0xAD, 0x02},
 		"prepare":                {0xD1, 0x03, 0xAC, 0x02, 1},
 		"vote_no":                {0xD1, 0x04, 0},
@@ -222,10 +247,11 @@ func TestBodyDecodeRejectsDamage(t *testing.T) {
 	lessList := map[string][]byte{
 		"invoke_commits": appendInvokeReq(nil, &invokeReq{Txn: 304, Continuation: true, Resource: "registers", Op: "add",
 			Arg: []byte(`{"k":8}`)}),
-		"invoke_reply_acks": appendInvokeReply(nil, false, []byte(`{}`), txnList{}),
-		"vote_acks":         voteYesBody,
-		"ack_acks":          ackBody,
-		"end_commits":       appendEndReq(nil, txnList{}, txnList{}),
+		"invoke_reply_acks":  appendInvokeReply(nil, 0, []byte(`{}`), txnList{}),
+		"invoke_reply_voted": appendInvokeReply(nil, replyVoted, []byte(`{}`), txnList{}),
+		"vote_acks":          voteYesBody,
+		"ack_acks":           ackBody,
+		"end_commits":        appendEndReq(nil, txnList{}, txnList{}),
 	}
 	for name, body := range cases {
 		for n := 0; n < len(body); n++ {
