@@ -2,82 +2,52 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"fmt"
-	"sync"
+	"maps"
+	"slices"
+	"strings"
 	"time"
 
-	"mca/internal/action"
 	"mca/internal/billing"
 	"mca/internal/bulletin"
 	"mca/internal/core"
 	"mca/internal/dist"
 	"mca/internal/ids"
+	"mca/internal/loadgen"
+	"mca/internal/metrics"
 	"mca/internal/nameserver"
 	"mca/internal/netsim"
 	"mca/internal/node"
-	"mca/internal/object"
 	"mca/internal/rpc"
-	"mca/internal/trace"
 	"mca/internal/workload"
 )
 
-// kvResource hosts one integer register per node for the 2PC experiment.
-type kvResource struct {
-	mu    sync.Mutex
-	nd    *node.Node
-	objID ids.ObjectID
-	val   *object.Managed[int]
-}
-
-func newKVResource() *kvResource { return &kvResource{objID: ids.NewObjectID()} }
-
-func (k *kvResource) Register(nd *node.Node, _ *rpc.Peer) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	k.nd = nd
-	k.activateLocked()
-}
-
-func (k *kvResource) Recover(context.Context, *node.Node) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	k.activateLocked()
-}
-
-func (k *kvResource) activateLocked() {
-	if m, err := object.Load[int](k.objID, k.nd.Stable()); err == nil {
-		k.val = m
-		return
-	}
-	k.val = object.New(0, object.WithStore(k.nd.Stable()), object.WithID(k.objID))
-}
-
-func (k *kvResource) value() *object.Managed[int] {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.val
-}
-
-type kvDelta struct {
-	Delta int `json:"delta"`
-}
-
-func (k *kvResource) Invoke(a *action.Action, op string, arg []byte) ([]byte, error) {
-	switch op {
-	case "add":
-		var in kvDelta
-		if err := json.Unmarshal(arg, &in); err != nil {
-			return nil, err
+// roundCounts reads mca_dist_rounds_total by round kind, both outcomes
+// summed.
+func roundCounts() map[string]float64 {
+	out := make(map[string]float64)
+	for _, f := range metrics.Default().Gather() {
+		if f.Name == "mca_dist_rounds_total" {
+			for _, s := range f.Samples {
+				out[s.Labels[1]] += s.Value // labels: kind, <kind>, outcome, <outcome>
+			}
 		}
-		if err := k.value().Write(a, func(v *int) error { *v += in.Delta; return nil }); err != nil {
-			return nil, err
-		}
-		return []byte("{}"), nil
-	default:
-		return nil, errors.New("unknown op")
 	}
+	return out
+}
+
+// roundsSince renders the rounds run since before by kind, sorted by
+// name, e.g. "commit=2 prepare=2".
+func roundsSince(before map[string]float64) string {
+	now := roundCounts()
+	var parts []string
+	for _, kind := range slices.Sorted(maps.Keys(now)) {
+		if n := now[kind] - before[kind]; n > 0 {
+			parts = append(parts, fmt.Sprintf("%s=%.0f", kind, n))
+		}
+	}
+	return strings.Join(parts, " ")
 }
 
 // expTwoPhaseCommit measures commit latency against the number of
@@ -103,7 +73,7 @@ func expTwoPhaseCommit(rep *report) error {
 				return err
 			}
 			mgr := dist.NewManager(nd)
-			res := newKVResource()
+			res := loadgen.NewRegister()
 			nd.Host(res)
 			mgr.RegisterResource("kv", res)
 			targets = append(targets, nd.ID())
@@ -112,7 +82,7 @@ func expTwoPhaseCommit(rep *report) error {
 		res := workload.Run(1, 30, func(_, _ int) error {
 			return coord.Run(ctx, func(txn *dist.Txn) error {
 				for _, target := range targets {
-					if err := txn.Invoke(ctx, target, "kv", "add", kvDelta{Delta: 1}, nil); err != nil {
+					if err := txn.Invoke(ctx, target, "kv", "add", loadgen.Delta{Delta: 1}, nil); err != nil {
 						return err
 					}
 				}
@@ -127,6 +97,7 @@ func expTwoPhaseCommit(rep *report) error {
 		if res.Errors > 0 {
 			rep.check(fmt.Sprintf("latency sweep with %d participants error-free", participants), false)
 		}
+		coordNode.Stop() // its flusher would resend what it still owes into the closed network
 		nw.Close()
 	}
 
@@ -141,10 +112,9 @@ func expTwoPhaseCommit(rep *report) error {
 			return err
 		}
 		coord := dist.NewManager(coordNode)
-		rec := trace.NewRecorder()
-		coord.OnRound = rec.ObserveRound
+		before := roundCounts()
 		var targets []ids.NodeID
-		resources := make([]*kvResource, 2)
+		resources := make([]*loadgen.Register, 2)
 		for i := range resources {
 			nd, err := node.New(nw, node.WithRPCOptions(opts))
 			if err != nil {
@@ -152,7 +122,7 @@ func expTwoPhaseCommit(rep *report) error {
 				return err
 			}
 			mgr := dist.NewManager(nd)
-			resources[i] = newKVResource()
+			resources[i] = loadgen.NewRegister()
 			nd.Host(resources[i])
 			mgr.RegisterResource("kv", resources[i])
 			targets = append(targets, nd.ID())
@@ -160,7 +130,7 @@ func expTwoPhaseCommit(rep *report) error {
 		res := workload.Run(1, 20, func(_, _ int) error {
 			return coord.Run(ctx, func(txn *dist.Txn) error {
 				for _, target := range targets {
-					if err := txn.Invoke(ctx, target, "kv", "add", kvDelta{Delta: 1}, nil); err != nil {
+					if err := txn.Invoke(ctx, target, "kv", "add", loadgen.Delta{Delta: 1}, nil); err != nil {
 						return err
 					}
 				}
@@ -168,11 +138,12 @@ func expTwoPhaseCommit(rep *report) error {
 			})
 		})
 		committed := res.Ops - res.Errors
-		consistent := resources[0].value().Peek() == committed && resources[1].value().Peek() == committed
+		consistent := resources[0].Value().Peek() == committed && resources[1].Value().Peek() == committed
 		rep.rowf("  loss=%2.0f%%  commit p50=%8v  committed=%d/%d  rounds: %s", loss*100,
 			res.Latency.Percentile(50).Round(time.Microsecond), committed, res.Ops,
-			rec.RoundSummary())
+			roundsSince(before))
 		rep.check(fmt.Sprintf("loss=%.0f%%: committed actions applied at every participant", loss*100), consistent)
+		coordNode.Stop()
 		nw.Close()
 	}
 
@@ -187,7 +158,7 @@ func expTwoPhaseCommit(rep *report) error {
 			return err
 		}
 		coord := dist.NewManager(coordNode)
-		newParticipant := func() (*node.Node, *kvResource, error) {
+		newParticipant := func() (*node.Node, *loadgen.Register, error) {
 			nd, err := node.New(nw, node.WithRPCOptions(opts))
 			if err != nil {
 				return nil, nil, err
@@ -195,7 +166,7 @@ func expTwoPhaseCommit(rep *report) error {
 			// The manager first: on a restart it resolves in-doubt
 			// write sets before the resource reloads its state.
 			mgr := dist.NewManager(nd)
-			res := newKVResource()
+			res := loadgen.NewRegister()
 			nd.Host(res)
 			mgr.RegisterResource("kv", res)
 			return nd, res, nil
@@ -209,10 +180,10 @@ func expTwoPhaseCommit(rep *report) error {
 			return err
 		}
 		addAtBoth := func(txn *dist.Txn, delta int) error {
-			if err := txn.Invoke(ctx, qNode.ID(), "kv", "add", kvDelta{Delta: delta}, nil); err != nil {
+			if err := txn.Invoke(ctx, qNode.ID(), "kv", "add", loadgen.Delta{Delta: delta}, nil); err != nil {
 				return err
 			}
-			return txn.Invoke(ctx, pNode.ID(), "kv", "add", kvDelta{Delta: delta}, nil)
+			return txn.Invoke(ctx, pNode.ID(), "kv", "add", loadgen.Delta{Delta: delta}, nil)
 		}
 
 		coord.TestHooks.AfterPrepare = func() {
@@ -228,7 +199,7 @@ func expTwoPhaseCommit(rep *report) error {
 		nw.Heal(coordNode.ID(), pNode.ID())
 		pNode.Restart()
 
-		rep.check("in-doubt participant learns commit on recovery", res.value().Peek() == 5)
+		rep.check("in-doubt participant learns commit on recovery", res.Value().Peek() == 5)
 
 		// Presumed abort: coordinator dies before deciding.
 		crashDone := make(chan struct{})
@@ -249,7 +220,7 @@ func expTwoPhaseCommit(rep *report) error {
 		pNode.Crash()
 		coordNode.Restart()
 		pNode.Restart()
-		rep.check("undelivered decision presumed abort on recovery", res.value().Peek() == 5)
+		rep.check("undelivered decision presumed abort on recovery", res.Value().Peek() == 5)
 
 		// One participant: it is handed the decision (one-phase commit).
 		// It forces the decision record, its reply is lost, it crashes;
@@ -262,7 +233,7 @@ func expTwoPhaseCommit(rep *report) error {
 		if err != nil {
 			return err
 		}
-		if err := txn.Invoke(ctx, pNode.ID(), "kv", "add", kvDelta{Delta: 2}, nil); err != nil {
+		if err := txn.Invoke(ctx, pNode.ID(), "kv", "add", loadgen.Delta{Delta: 2}, nil); err != nil {
 			return err
 		}
 		nw.PartitionOneWay(pNode.ID(), coordNode.ID())
@@ -283,7 +254,7 @@ func expTwoPhaseCommit(rep *report) error {
 		pNode.Restart()
 		err = <-committed
 		rep.check("one-phase: decision forced, reply lost, participant crashed: answered committed from its log",
-			err == nil && res.value().Peek() == 7)
+			err == nil && res.Value().Peek() == 7)
 	}
 	return nil
 }
@@ -361,14 +332,14 @@ func expRemoteSerializing(rep *report) error {
 	}
 	coord := dist.NewManager(coordNode)
 	var targets []ids.NodeID
-	resources := make([]*kvResource, 2)
+	resources := make([]*loadgen.Register, 2)
 	for i := range resources {
 		nd, err := node.New(nw, node.WithRPCOptions(opts))
 		if err != nil {
 			return err
 		}
 		mgr := dist.NewManager(nd)
-		resources[i] = newKVResource()
+		resources[i] = loadgen.NewRegister()
 		nd.Host(resources[i])
 		mgr.RegisterResource("kv", resources[i])
 		targets = append(targets, nd.ID())
@@ -381,7 +352,7 @@ func expRemoteSerializing(rep *report) error {
 	// Constituent B updates both nodes.
 	if err := s.RunConstituent(ctx, func(txn *dist.Txn) error {
 		for _, target := range targets {
-			if err := txn.Invoke(ctx, target, "kv", "add", kvDelta{Delta: 10}, nil); err != nil {
+			if err := txn.Invoke(ctx, target, "kv", "add", loadgen.Delta{Delta: 10}, nil); err != nil {
 				return err
 			}
 		}
@@ -389,18 +360,18 @@ func expRemoteSerializing(rep *report) error {
 	}); err != nil {
 		return err
 	}
-	permanent := resources[0].value().Peek() == 10 && resources[1].value().Peek() == 10
+	permanent := resources[0].Value().Peek() == 10 && resources[1].Value().Peek() == 10
 	rep.check("constituent effects permanent at every node at its own commit", permanent)
 
 	// Protection across the cluster: an unrelated transaction is shut out.
 	blockedErr := coord.Run(ctx, func(txn *dist.Txn) error {
-		return txn.Invoke(ctx, targets[0], "kv", "add", kvDelta{Delta: 1}, nil)
+		return txn.Invoke(ctx, targets[0], "kv", "add", loadgen.Delta{Delta: 1}, nil)
 	})
 	rep.check("outsider blocked at remote nodes between constituents", blockedErr != nil)
 
 	// A failing second constituent leaves B intact.
 	_ = s.RunConstituent(ctx, func(txn *dist.Txn) error {
-		if err := txn.Invoke(ctx, targets[1], "kv", "add", kvDelta{Delta: 99}, nil); err != nil {
+		if err := txn.Invoke(ctx, targets[1], "kv", "add", loadgen.Delta{Delta: 99}, nil); err != nil {
 			return err
 		}
 		return errInjected
@@ -409,11 +380,11 @@ func expRemoteSerializing(rep *report) error {
 		return err
 	}
 	rep.check("failed constituent undone, committed constituent kept (outcome iii, distributed)",
-		resources[0].value().Peek() == 10 && resources[1].value().Peek() == 10)
+		resources[0].Value().Peek() == 10 && resources[1].Value().Peek() == 10)
 
 	// Everything free after Cancel.
 	freeErr := coord.Run(ctx, func(txn *dist.Txn) error {
-		return txn.Invoke(ctx, targets[0], "kv", "add", kvDelta{Delta: 1}, nil)
+		return txn.Invoke(ctx, targets[0], "kv", "add", loadgen.Delta{Delta: 1}, nil)
 	})
 	rep.check("locks released cluster-wide when the structure ends", freeErr == nil)
 	return nil

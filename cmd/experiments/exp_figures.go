@@ -561,6 +561,11 @@ func expFig15(rep *report) error {
 	rep.check("B's abort keeps E (second-level), undoes D", eSurvivedB && dUndone)
 	rep.check("A's abort undoes E", oE.Peek() == 0)
 	rep.check("C and F (top-level independent) survive everything", oC.Peek() == 1 && oF.Peek() == 1)
-	rep.rowf("  lifecycle: %s", rec.Summary())
+	spans, outcomes := rec.Spans(), make(map[string]int)
+	for _, s := range spans {
+		outcomes[s.Outcome]++
+	}
+	rep.rowf("  lifecycle: begin=%d commit=%d abort=%d",
+		len(spans), outcomes[trace.OutcomeCommitted], outcomes[trace.OutcomeAborted])
 	return nil
 }

@@ -118,21 +118,13 @@ type Manager struct {
 	// ignored. Set it only from tests, before driving transactions.
 	TestHooks Hooks
 
-	// OnRound, when non-nil, receives the outcome of every coordinator
-	// fan-out round (e.g. trace.Recorder.ObserveRound). Set before
-	// driving transactions.
-	OnRound trace.RoundObserver
-
-	mu   sync.Mutex
-	node *node.Node
-	// clk is the time source for recovery retries and round metrics,
-	// inherited from the hosting node in Register so a simulated node
-	// drives the manager's timers too.
-	clk clock.Clock
-	// tracer is the hosting node's distributed-trace recorder
-	// (node.WithTracer), nil when the node is untraced. Picked up in
-	// Register so a Restart re-resolves it.
+	// node, clk and tracer are the hosting node's, fixed for the
+	// manager's life: clk drives recovery retries and round metrics,
+	// tracer (node.WithTracer) is nil when the node is untraced.
+	node      *node.Node
+	clk       clock.Clock
 	tracer    *trace.Recorder
+	mu        sync.Mutex
 	resources map[string]Resource
 	// txns is the participant table, from a transaction's first invoke
 	// (or log record) until maxBuried burials after its own; burials lists
@@ -167,7 +159,9 @@ var _ node.Service = (*Manager)(nil)
 // in-doubt state); after a crash, node.Restart runs the recovery hook.
 func NewManager(n *node.Node) *Manager {
 	m := &Manager{
-		clk:       clock.Real(),
+		node:      n,
+		clk:       n.Clock(),
+		tracer:    n.Tracer(),
 		resources: make(map[string]Resource),
 	}
 	m.installed.L = &m.mu
@@ -180,25 +174,7 @@ func NewManager(n *node.Node) *Manager {
 }
 
 // Node returns the hosting node.
-func (m *Manager) Node() *node.Node {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.node
-}
-
-// traceRecorder returns the node's trace recorder, nil when untraced.
-func (m *Manager) traceRecorder() *trace.Recorder {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.tracer
-}
-
-// clock returns the manager's time source.
-func (m *Manager) clock() clock.Clock {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return m.clk
-}
+func (m *Manager) Node() *node.Node { return m.node }
 
 // RegisterResource installs a named resource at this node.
 func (m *Manager) RegisterResource(name string, r Resource) {
@@ -210,9 +186,6 @@ func (m *Manager) RegisterResource(name string, r Resource) {
 // Register implements node.Service.
 func (m *Manager) Register(n *node.Node, p *rpc.Peer) {
 	m.mu.Lock()
-	m.node = n
-	m.clk = n.Clock()
-	m.tracer = n.Tracer()
 	// Participant actions and structure containers died with the
 	// volatile memory; recovery loads what the log kept of the table.
 	m.txns, m.burials = make(map[ids.ActionID]*entry), nil
@@ -258,7 +231,7 @@ func (m *Manager) Recover(ctx context.Context, n *node.Node) {
 		return
 	}
 	go func() {
-		ticker := m.clock().NewTicker(25 * time.Millisecond)
+		ticker := m.clk.NewTicker(25 * time.Millisecond)
 		defer ticker.Stop()
 		for {
 			select {
@@ -496,7 +469,7 @@ func (m *Manager) end(txn ids.ActionID, ev event) (state, error) {
 		a := e.a
 		e.installing = true
 		m.mu.Unlock()
-		st := m.Node().Stable()
+		st := m.node.Stable()
 		in, found, err := st.Intentions().Lookup(txn)
 		if err == nil && found && in.Status == store.IntentionPrepared {
 			sink := &phase2Sink{st: st, txn: txn}
@@ -520,7 +493,7 @@ func (m *Manager) end(txn ids.ActionID, ev event) (state, error) {
 	}
 	a := m.buryLocked(txn, e)
 	m.mu.Unlock()
-	st := m.Node().Stable()
+	st := m.node.Stable()
 	switch {
 	case was == decided && a != nil:
 		return was, nil // still being forced: handleCommit1 forgets it
@@ -610,7 +583,7 @@ func (m *Manager) voteAtInvoke(txn ids.ActionID, a *action.Action, coord ids.Nod
 // entry: the record goes too, and the vote is no. atInvoke leaves a yes
 // reopenable.
 func (m *Manager) vote(txn ids.ActionID, e *entry, a *action.Action, coord ids.NodeID, atInvoke bool) (yes bool, err error) {
-	log := m.Node().Stable().Intentions()
+	log := m.node.Stable().Intentions()
 	writes, err := a.PendingWrites()
 	if err == nil {
 		err = log.Record(store.Intention{
@@ -663,7 +636,7 @@ func (m *Manager) handlePrepare(_ context.Context, from ids.NodeID, body []byte)
 		// the entry, so it cannot reach here). An entry a restart loaded
 		// has no action: its objects came back without the write set, and
 		// the vote is no — presumed abort, not an install behind their back.
-		in, found, err := m.Node().Stable().Intentions().Lookup(req.Txn)
+		in, found, err := m.node.Stable().Intentions().Lookup(req.Txn)
 		if err == nil && found && in.Status == store.IntentionPrepared && a != nil {
 			vote = voteYesBody
 		}
@@ -708,7 +681,7 @@ func (m *Manager) handleDecision(_ context.Context, from ids.NodeID, body []byte
 	if err != nil {
 		return nil, fmt.Errorf("decode decision: %w", err)
 	}
-	nd := m.Node()
+	nd := m.node
 	in, ok, err := nd.Stable().Intentions().Lookup(txn)
 	switch {
 	case err != nil:
@@ -794,8 +767,8 @@ func (m *Manager) Begin() (*Txn, error) {
 		return nil, err
 	}
 	t := &Txn{mgr: m, local: local}
-	if rec := m.traceRecorder(); rec != nil {
-		t.tc = rec.StartTrace(local.ID())
+	if m.tracer != nil {
+		t.tc = m.tracer.StartTrace(local.ID())
 	}
 	return t, nil
 }
@@ -874,7 +847,7 @@ func (t *Txn) Invoke(ctx context.Context, target ids.NodeID, resource, op string
 		return fmt.Errorf("dist: marshal arg: %w", err)
 	}
 
-	if target == t.mgr.Node().ID() {
+	if target == t.mgr.node.ID() {
 		t.mgr.mu.Lock()
 		res, ok := t.mgr.resources[resource]
 		t.mgr.mu.Unlock()
@@ -903,7 +876,7 @@ func (t *Txn) Invoke(ctx context.Context, target ids.NodeID, resource, op string
 	owed := t.mgr.owed.take(owedList{node: target, rel: txnList{ids: relScratch[:0]}, com: txnList{ids: comScratch[:0]}})
 	body := appendInvokeReq(scratch[:0], &invokeReq{Txn: t.ID(), Continuation: continuation, Vote: vote,
 		Resource: resource, Op: op, Arg: argBytes, Structure: t.structure, Release: owed.rel, Commit: owed.com})
-	reply, err := t.mgr.Node().Peer().CallRaw(ctx, target, methodInvoke, body)
+	reply, err := t.mgr.node.Peer().CallRaw(ctx, target, methodInvoke, body)
 	if err != nil {
 		// The call failed but may still have executed remotely:
 		// remember the contact so completion sends it an abort. The
@@ -969,8 +942,8 @@ func (t *Txn) Commit(ctx context.Context) error {
 	sole, singleSite := t.singleSiteLocked()
 	t.mu.Unlock()
 
-	peer := t.mgr.Node().Peer()
-	log := t.mgr.Node().Stable().Intentions()
+	peer := t.mgr.node.Peer()
+	log := t.mgr.node.Stable().Intentions()
 
 	// Failed contacts never joined the action's outcome: make sure any
 	// ghost execution there is aborted (best effort; one that misses it
@@ -978,7 +951,7 @@ func (t *Txn) Commit(ctx context.Context) error {
 	// it), without waiting, so a dead node cannot stall the commit.
 	t.abortAt(ctx, failedContacts, false)
 
-	clk := t.mgr.clock()
+	clk := t.mgr.clk
 	start := clk.Now()
 
 	if singleSite {
@@ -994,12 +967,12 @@ func (t *Txn) Commit(ctx context.Context) error {
 	// cancels the round so in-flight prepares stop retransmitting; the
 	// outcome is already decided. Read-only voters commit at prepare and
 	// drop out of the rest of the protocol.
-	coordID := t.mgr.Node().ID()
+	coordID := t.mgr.node.ID()
 	var (
 		voteMu   sync.Mutex
 		readOnly []ids.NodeID
 	)
-	prepared := t.mgr.fanout(ctx, trace.RoundPrepare, t.ID(), t.tc, unvoted, true,
+	prepared := t.mgr.fanout(ctx, RoundPrepare, t.ID(), t.tc, unvoted, true,
 		func(ctx context.Context, p ids.NodeID) error {
 			var scratch [bodyScratch]byte
 			reply, err := peer.CallRaw(ctx, p, methodPrepare, appendPrepareReq(scratch[:0], prepareReq{Txn: t.ID(), Coordinator: coordID}))
@@ -1049,7 +1022,7 @@ func (t *Txn) Commit(ctx context.Context) error {
 	// asking is told "aborted" as soon as it does not (handleDecision).
 	if len(writers) > 0 {
 		localWrites, err := t.local.PendingWrites()
-		if err == nil && !t.mgr.Node().Runtime().Active(t.ID()) {
+		if err == nil && !t.mgr.node.Runtime().Active(t.ID()) {
 			err = errors.New("the action no longer runs here")
 		}
 		if err == nil {
@@ -1095,7 +1068,7 @@ func (t *Txn) Commit(ctx context.Context) error {
 	default:
 		// A constituent's participant actions commit into containers the
 		// structure's end then ends: they must have committed first.
-		t.mgr.commitNow(ctx, trace.RoundCommit, t.ID(), t.tc, writers)
+		t.mgr.commitNow(ctx, RoundCommit, t.ID(), t.tc, writers)
 	}
 	t.noteCommitted(clk.Since(start))
 	return nil
@@ -1105,7 +1078,7 @@ func (t *Txn) Commit(ctx context.Context) error {
 // acknowledged it, in one round of end messages, each answered once what
 // it acknowledges is forced. It returns how many did not acknowledge it;
 // they stay owed the commit.
-func (m *Manager) commitNow(ctx context.Context, kind trace.RoundKind, txn ids.ActionID, tc trace.Context, writers []ids.NodeID) (unacked int) {
+func (m *Manager) commitNow(ctx context.Context, kind RoundKind, txn ids.ActionID, tc trace.Context, writers []ids.NodeID) (unacked int) {
 	com := txnList{}.add(txn)
 	for _, r := range m.fanout(ctx, kind, txn, tc, m.owed.await(txn, writers, true), false,
 		func(ctx context.Context, p ids.NodeID) error { return m.sendEnd(ctx, p, txnList{}, com) }) {
@@ -1159,13 +1132,13 @@ func (t *Txn) abortAt(ctx context.Context, nodes []ids.NodeID, wait bool) {
 	if len(nodes) == 0 {
 		return
 	}
-	peer := t.mgr.Node().Peer()
+	peer := t.mgr.node.Peer()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), abortTimeout)
 		defer cancel()
-		t.mgr.fanout(ctx, trace.RoundAbort, t.ID(), t.tc, nodes, false, func(ctx context.Context, p ids.NodeID) error {
+		t.mgr.fanout(ctx, RoundAbort, t.ID(), t.tc, nodes, false, func(ctx context.Context, p ids.NodeID) error {
 			var scratch [bodyScratch]byte
 			_, err := peer.CallRaw(ctx, p, methodAbort, appendTxnReq(scratch[:0], t.ID()))
 			return err
@@ -1186,7 +1159,7 @@ func (t *Txn) abortAt(ctx context.Context, nodes []ids.NodeID, wait bool) {
 // re-drives completion. It returns the number of records still pending
 // (e.g. because a coordinator is unreachable).
 func (m *Manager) RecoverPending(ctx context.Context) (int, error) {
-	nd := m.Node()
+	nd := m.node
 	log := nd.Stable().Intentions()
 	pending, err := log.Pending()
 	if err != nil {
@@ -1206,7 +1179,7 @@ func (m *Manager) RecoverPending(ctx context.Context) (int, error) {
 			// The decision record carries the transaction's original
 			// trace identity, so the re-drive round continues that trace.
 			tc := trace.Context{TraceID: in.TraceID, SpanID: in.TraceSpan}
-			if m.commitNow(ctx, trace.RoundRecover, in.Action, tc, in.Participants) > 0 {
+			if m.commitNow(ctx, RoundRecover, in.Action, tc, in.Participants) > 0 {
 				remaining++
 			}
 		case in.Coordinator != nd.ID() && in.Status != store.IntentionAborted:
@@ -1239,7 +1212,7 @@ func (m *Manager) RecoverPending(ctx context.Context) (int, error) {
 // txn here by the answer.
 func (m *Manager) resolve(ctx context.Context, txn ids.ActionID, coord ids.NodeID) (state, error) {
 	var scratch [bodyScratch]byte
-	reply, err := m.Node().Peer().CallRaw(ctx, coord, methodDecision, appendTxnReq(scratch[:0], txn))
+	reply, err := m.node.Peer().CallRaw(ctx, coord, methodDecision, appendTxnReq(scratch[:0], txn))
 	if err != nil {
 		return buried, err
 	}

@@ -22,6 +22,32 @@ import (
 	"mca/internal/trace"
 )
 
+// RoundKind classifies one coordinator fan-out round of the commit
+// protocol: each round is one concurrent broadcast to the round's
+// participants.
+type RoundKind string
+
+// Round kinds: metric labels, and span kinds after "round.".
+const (
+	// RoundPrepare is two-phase commit phase 1.
+	RoundPrepare RoundKind = "prepare"
+	// RoundCommit is two-phase commit phase 2 (completion).
+	RoundCommit RoundKind = "commit"
+	// RoundAbort is the abort broadcast.
+	RoundAbort RoundKind = "abort"
+	// RoundRecover is a coordinator recovery re-drive of completion.
+	RoundRecover RoundKind = "recover"
+	// RoundStructure is a distributed structure end/cancel broadcast.
+	RoundStructure RoundKind = "structure"
+	// RoundCommit1 is a one-phase commit: the single participant of a
+	// transaction is handed the decision and answers with it.
+	RoundCommit1 RoundKind = "commit1"
+	// RoundRelease is a standalone batch of releases: transactions that
+	// committed in one step and whose participants found no later invoke
+	// to carry the word.
+	RoundRelease RoundKind = "release"
+)
+
 // maxFanout bounds a round's concurrent RPCs. One leg per participant up
 // to this limit keeps a wide commit from flooding the transport.
 const maxFanout = 16
@@ -46,31 +72,28 @@ type roundResult struct {
 // alone. When shortCircuit is set the first failure cancels the shared
 // round context: in-flight calls stop retransmitting and return early,
 // and not-yet-started calls are skipped (their result is the cancelled
-// context's error). The round's outcome is reported to the manager's
-// round observer under the given kind.
+// context's error). The round counts in the metrics under its kind and,
+// on a traced node, is one span of kind "round.<kind>".
 //
 // tc, when valid, is the transaction's root span: the round runs under
 // its own child span, injected into the calls' context so every RPC of
-// the round links to it, and reported in the RoundEvent. The child is
-// derived only with a tracer installed — the tracer is what exports
-// the round span, and an exported-nowhere span on the wire would
-// orphan the participant side of the trace.
-func (m *Manager) fanout(ctx context.Context, kind trace.RoundKind, txn ids.ActionID, tc trace.Context, targets []ids.NodeID, shortCircuit bool, call roundCall) []roundResult {
+// the round links to it. The child is derived only with a tracer
+// installed — the tracer is what exports the round span, and an
+// exported-nowhere span on the wire would orphan the participant side
+// of the trace. A round outside any trace is a root span.
+func (m *Manager) fanout(ctx context.Context, kind RoundKind, txn ids.ActionID, tc trace.Context, targets []ids.NodeID, shortCircuit bool, call roundCall) []roundResult {
 	if len(targets) == 0 {
 		return nil
 	}
-	clk := m.clock()
-	start := clk.Now()
-	rec := m.traceRecorder()
+	start := m.clk.Now()
 	var roundTC trace.Context
-	if tc.Valid() && rec != nil {
+	if tc.Valid() && m.tracer != nil {
 		roundTC = tc.Child()
 		ctx = trace.Inject(ctx, roundTC)
 	}
 	results := make([]roundResult, len(targets))
-	parallel := len(targets) > 1
 
-	if !parallel {
+	if len(targets) == 1 {
 		results[0] = roundResult{Node: targets[0], Err: call(ctx, targets[0])}
 	} else {
 		roundCtx := ctx
@@ -116,15 +139,16 @@ func (m *Manager) fanout(ctx context.Context, kind trace.RoundKind, txn ids.Acti
 			votedNo++
 		}
 	}
+	// The round's wall clock, parallel legs overlapping (so ≤ the sum of
+	// the per-peer rpc phases): its phase, its histogram and its span.
+	d := m.clk.Since(start)
 	roundParts.Add(uint64(len(targets)))
-	// Round phase: wall-clock of the whole fan-out (parallel legs
-	// overlap, so this is ≤ the sum of the per-peer rpc phases).
-	phase.Record(tc.TraceID, phase.Round, clk.Since(start))
+	phase.Record(tc.TraceID, phase.Round, d)
 	if votedNo > 0 {
 		roundVoteNo.Add(uint64(votedNo))
 	}
 	if h := roundNs[kind]; h != nil {
-		h.ObserveDuration(clk.Since(start))
+		h.ObserveDuration(d)
 		if ok == len(targets) {
 			roundsOK[kind].Inc()
 		} else {
@@ -134,38 +158,29 @@ func (m *Manager) fanout(ctx context.Context, kind trace.RoundKind, txn ids.Acti
 
 	flightrec.Record(flightrec.Event{
 		Kind:  flightrec.KindRound,
-		Node:  uint64(m.Node().ID()),
+		Node:  uint64(m.node.ID()),
 		Trace: roundTC.TraceID,
 		Span:  roundTC.SpanID,
 		A:     uint64(txn),
 		B:     uint64(ok)<<32 | uint64(len(targets)),
 	})
-	if rec != nil || m.OnRound != nil {
-		var firstErr error
-		if n, err, failed := firstFailure(results); failed {
-			firstErr = fmt.Errorf("%v: %w", n, err)
+	if m.tracer != nil {
+		s := trace.Span{
+			Kind:    "round." + string(kind),
+			Label:   fmt.Sprintf("%s %d/%d", kind, ok, len(targets)),
+			TraceID: roundTC.TraceID,
+			SpanID:  roundTC.SpanID,
+			Outcome: trace.OutcomeCommitted,
+			Begin:   start,
+			End:     start.Add(d),
 		}
-		ev := trace.RoundEvent{
-			Kind:         kind,
-			Txn:          txn,
-			Trace:        roundTC,
-			ParentSpan:   tc.SpanID,
-			Participants: len(targets),
-			OK:           ok,
-			Parallel:     parallel,
-			Start:        start,
-			Duration:     clk.Since(start),
-			Err:          firstErr,
+		if roundTC.Valid() {
+			s.ParentSpanID = tc.SpanID
 		}
-		if !roundTC.Valid() {
-			ev.ParentSpan = 0
+		if ok < len(targets) {
+			s.Outcome = trace.OutcomeAborted
 		}
-		if rec != nil {
-			rec.ObserveRound(ev)
-		}
-		if obs := m.OnRound; obs != nil {
-			obs(ev)
-		}
+		m.tracer.AddSpan(s)
 	}
 	return results
 }

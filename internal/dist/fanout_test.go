@@ -2,6 +2,9 @@ package dist_test
 
 import (
 	"context"
+	"fmt"
+	"maps"
+	"strings"
 	"testing"
 	"time"
 
@@ -13,13 +16,13 @@ import (
 	"mca/internal/trace"
 )
 
-// fanoutCluster builds a coordinator and n bank participants on a
-// fresh fault-free simulated LAN.
-func fanoutCluster(t *testing.T, n int, opts rpc.Options) (*dist.Manager, []*node.Node) {
+// fanoutCluster builds a coordinator, with coordOpts, and n bank
+// participants on a fresh fault-free simulated LAN.
+func fanoutCluster(t *testing.T, n int, opts rpc.Options, coordOpts ...node.Option) (*dist.Manager, []*node.Node) {
 	t.Helper()
 	nw := netsim.New(netsim.Config{})
 	t.Cleanup(nw.Close)
-	coordNode, err := node.New(nw, node.WithRPCOptions(opts))
+	coordNode, err := node.New(nw, append(coordOpts, node.WithRPCOptions(opts))...)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -41,19 +44,44 @@ func fanoutCluster(t *testing.T, n int, opts rpc.Options) (*dist.Manager, []*nod
 	return coord, nodes
 }
 
-// TestRoundObserverRecordsFanoutRounds threads commit-protocol rounds
-// into a trace recorder: a plain two-participant transaction runs one
-// prepare round and no commit round — its commits ride later traffic —
-// while a structure constituent still runs its commit round, and the
-// structure's end is a round too. Rounds over several participants fan
-// out.
-func TestRoundObserverRecordsFanoutRounds(t *testing.T) {
+// roundOf parses a round span: its kind, and how many of how many
+// participants answered; ok is false for any other span.
+func roundOf(s trace.Span) (kind dist.RoundKind, answered, participants int, ok bool) {
+	k, ok := strings.CutPrefix(s.Kind, "round.")
+	if !ok {
+		return "", 0, 0, false
+	}
+	if _, err := fmt.Sscanf(s.Label, k+" %d/%d", &answered, &participants); err != nil {
+		return "", 0, 0, false
+	}
+	return dist.RoundKind(k), answered, participants, true
+}
+
+// callsUnder counts the RPC client spans under a span.
+func callsUnder(spans []trace.Span, parent trace.Span) int {
+	n := 0
+	for _, s := range spans {
+		if s.Kind == "rpc.client" && s.TraceID == parent.TraceID && s.ParentSpanID == parent.SpanID {
+			n++
+		}
+	}
+	return n
+}
+
+// TestRoundSpansRecordFanoutRounds records commit-protocol rounds
+// as spans of the coordinator's tracer: a plain two-participant
+// transaction runs one prepare round and no commit round — its commits
+// ride later traffic — while a structure constituent still runs its
+// commit round, and the structure's end is a round too. A traced round
+// is a child of its transaction's root span and calls each of its
+// participants once; the structure's rounds (its constituent runs
+// untraced) are root spans.
+func TestRoundSpansRecordFanoutRounds(t *testing.T) {
 	opts := rpc.Options{RetryInterval: 5 * time.Millisecond, CallTimeout: 2 * time.Second}
 	ctx := context.Background()
 
 	rec := trace.NewRecorder()
-	coord, nodes := fanoutCluster(t, 2, opts)
-	coord.OnRound = rec.ObserveRound
+	coord, nodes := fanoutCluster(t, 2, opts, node.WithTracer(rec))
 
 	var plain ids.ActionID
 	err := coord.Run(ctx, func(txn *dist.Txn) error {
@@ -82,40 +110,59 @@ func TestRoundObserverRecordsFanoutRounds(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sum := rec.RoundSummary()
-	if sum[trace.RoundPrepare] != 2 || sum[trace.RoundCommit] != 1 || sum[trace.RoundStructure] != 1 {
-		t.Fatalf("round summary %v, want 2 prepare, 1 commit (the constituent's), 1 structure", sum)
+	spans := rec.Spans()
+	roots := make(map[uint64]trace.Span) // action spans by span id
+	for _, s := range spans {
+		if s.ID != 0 && s.SpanID != 0 {
+			roots[s.SpanID] = s
+		}
 	}
-	for _, ev := range rec.Rounds() {
-		if ev.Kind == trace.RoundRelease {
+	sum, untraced := make(map[dist.RoundKind]int), make(map[dist.RoundKind]int)
+	for _, s := range spans {
+		kind, answered, participants, ok := roundOf(s)
+		if !ok {
+			continue
+		}
+		sum[kind]++
+		if kind == dist.RoundRelease {
 			continue // the flusher delivering the plain transaction's commits
 		}
-		if ev.Err != nil {
-			t.Fatalf("round %v of txn %v failed: %v", ev.Kind, ev.Txn, ev.Err)
+		if s.Outcome != trace.OutcomeCommitted {
+			t.Fatalf("round %q failed", s.Label)
 		}
-		if ev.Participants != ev.OK {
-			t.Fatalf("round %v: %d/%d participants ok", ev.Kind, ev.OK, ev.Participants)
+		if participants == 0 || answered != participants {
+			t.Fatalf("round %v: %d/%d participants ok", kind, answered, participants)
 		}
-		if ev.Txn == ids.ActionID(0) {
-			t.Fatalf("round %v without txn id", ev.Kind)
+		if s.TraceID == 0 {
+			untraced[kind]++
+			continue
 		}
-		if ev.Kind == trace.RoundCommit && ev.Txn == plain {
+		root, ok := roots[s.ParentSpanID]
+		if !ok || root.ID == 0 || root.ParentSpanID != 0 {
+			t.Fatalf("round %v is not a child of its transaction's root span", kind)
+		}
+		if kind == dist.RoundCommit && root.ID == plain {
 			t.Fatalf("the plain transaction %v ran a commit round", plain)
 		}
-		if ev.Parallel != (ev.Participants > 1) {
-			t.Fatalf("round %v recorded Parallel=%v over %d participants", ev.Kind, ev.Parallel, ev.Participants)
+		if got := callsUnder(spans, s); got != participants {
+			t.Fatalf("round %v over %d participants made %d calls", kind, participants, got)
 		}
+	}
+	if sum[dist.RoundPrepare] != 2 || sum[dist.RoundCommit] != 1 || sum[dist.RoundStructure] != 1 {
+		t.Fatalf("rounds %v, want 2 prepare, 1 commit (the constituent's), 1 structure", sum)
+	}
+	if want := map[dist.RoundKind]int{dist.RoundPrepare: 1, dist.RoundCommit: 1, dist.RoundStructure: 1}; !maps.Equal(untraced, want) {
+		t.Fatalf("untraced rounds %v, want the structure's: %v", untraced, want)
 	}
 }
 
 // TestAbortRoundObserved checks that an explicit Abort broadcasts one
-// abort round over every participant.
+// abort round over every participant, under the transaction's root span.
 func TestAbortRoundObserved(t *testing.T) {
 	opts := rpc.Options{RetryInterval: 5 * time.Millisecond, CallTimeout: 2 * time.Second}
 	ctx := context.Background()
 	rec := trace.NewRecorder()
-	coord, nodes := fanoutCluster(t, 3, opts)
-	coord.OnRound = rec.ObserveRound
+	coord, nodes := fanoutCluster(t, 3, opts, node.WithTracer(rec))
 
 	txn, err := coord.Begin()
 	if err != nil {
@@ -129,17 +176,28 @@ func TestAbortRoundObserved(t *testing.T) {
 	if err := txn.Abort(ctx); err != nil {
 		t.Fatal(err)
 	}
-	var abortRound *trace.RoundEvent
-	for _, ev := range rec.Rounds() {
-		if ev.Kind == trace.RoundAbort {
-			ev := ev
-			abortRound = &ev
+	spans := rec.Spans()
+	var root, abort trace.Span
+	aborts := 0
+	for _, s := range spans {
+		if s.ID == txn.ID() {
+			root = s
+		}
+		if kind, answered, participants, ok := roundOf(s); ok && kind == dist.RoundAbort {
+			aborts++
+			abort = s
+			if participants != 3 || answered != 3 || s.Outcome != trace.OutcomeCommitted {
+				t.Fatalf("abort round %q %s, want 3/3 ok", s.Label, s.Outcome)
+			}
 		}
 	}
-	if abortRound == nil {
-		t.Fatal("no abort round recorded")
+	if aborts != 1 {
+		t.Fatalf("%d abort rounds recorded, want 1", aborts)
 	}
-	if abortRound.Participants != 3 || abortRound.OK != 3 {
-		t.Fatalf("abort round = %d/%d ok, want 3/3", abortRound.OK, abortRound.Participants)
+	if root.SpanID == 0 || abort.TraceID != root.TraceID || abort.ParentSpanID != root.SpanID {
+		t.Fatalf("abort round %+v is not a child of the transaction's root %+v", abort, root)
+	}
+	if got := callsUnder(spans, abort); got != 3 {
+		t.Fatalf("abort round made %d calls, want 3", got)
 	}
 }

@@ -1,25 +1,22 @@
 package dist
 
-import (
-	"mca/internal/metrics"
-	"mca/internal/trace"
-)
+import "mca/internal/metrics"
 
 // Commit-protocol telemetry, exported under mca_dist_*. Every fan-out
 // round feeds these unconditionally — a round is already at least one
 // network round-trip, so a few striped-counter adds are noise — while
-// trace.RoundEvent observers remain opt-in. Handles are resolved per
-// RoundKind at init; the round path never touches a label map.
+// round spans need a tracer. Handles are resolved per RoundKind at
+// init; the round path never touches a label map.
 var (
-	roundKinds = []trace.RoundKind{
-		trace.RoundPrepare, trace.RoundCommit, trace.RoundAbort,
-		trace.RoundRecover, trace.RoundStructure,
-		trace.RoundCommit1, trace.RoundRelease,
+	roundKinds = []RoundKind{
+		RoundPrepare, RoundCommit, RoundAbort,
+		RoundRecover, RoundStructure,
+		RoundCommit1, RoundRelease,
 	}
 
-	roundsOK    map[trace.RoundKind]*metrics.Counter
-	roundsErr   map[trace.RoundKind]*metrics.Counter
-	roundNs     map[trace.RoundKind]*metrics.Histogram
+	roundsOK    map[RoundKind]*metrics.Counter
+	roundsErr   map[RoundKind]*metrics.Counter
+	roundNs     map[RoundKind]*metrics.Histogram
 	roundVoteNo *metrics.Counter
 	roundParts  *metrics.Counter
 	recoverHeld *metrics.Counter
@@ -63,9 +60,9 @@ func init() {
 		"Coordinator fan-out rounds, by kind and outcome.", "kind", "outcome")
 	latency := r.HistogramVec("mca_dist_round_ns",
 		"Fan-out round duration, ns, by kind.", "kind")
-	roundsOK = make(map[trace.RoundKind]*metrics.Counter, len(roundKinds))
-	roundsErr = make(map[trace.RoundKind]*metrics.Counter, len(roundKinds))
-	roundNs = make(map[trace.RoundKind]*metrics.Histogram, len(roundKinds))
+	roundsOK = make(map[RoundKind]*metrics.Counter, len(roundKinds))
+	roundsErr = make(map[RoundKind]*metrics.Counter, len(roundKinds))
+	roundNs = make(map[RoundKind]*metrics.Histogram, len(roundKinds))
 	for _, k := range roundKinds {
 		roundsOK[k] = rounds.With(string(k), "ok")
 		roundsErr[k] = rounds.With(string(k), "error")

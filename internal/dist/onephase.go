@@ -41,7 +41,6 @@ import (
 	"mca/internal/ids"
 	"mca/internal/rpc"
 	"mca/internal/store"
-	"mca/internal/trace"
 )
 
 // singleSiteLocked reports whether the transaction is a plain one whose
@@ -90,7 +89,7 @@ func (t *Txn) commitOnePhase(ctx context.Context, p contact) error {
 // round, and returns nil when it decided commit.
 func (t *Txn) decideAt(ctx context.Context, node ids.NodeID) error {
 	var committed bool
-	asked := t.mgr.fanout(ctx, trace.RoundCommit1, t.ID(), t.tc, []ids.NodeID{node}, false,
+	asked := t.mgr.fanout(ctx, RoundCommit1, t.ID(), t.tc, []ids.NodeID{node}, false,
 		func(ctx context.Context, node ids.NodeID) (err error) {
 			committed, err = t.askCommit1(ctx, node)
 			return err
@@ -101,7 +100,7 @@ func (t *Txn) decideAt(ctx context.Context, node ids.NodeID) error {
 		// action the message never reached and forgets a decision it did.
 		t.mgr.owe(node, t.ID())
 		inDoubt.Inc()
-		flightrec.Record(flightrec.Event{Kind: flightrec.KindInDoubt, Node: uint64(t.mgr.Node().ID()),
+		flightrec.Record(flightrec.Event{Kind: flightrec.KindInDoubt, Node: uint64(t.mgr.node.ID()),
 			Trace: t.tc.TraceID, Span: t.tc.SpanID, A: uint64(t.ID()), B: uint64(node)})
 		return fmt.Errorf("%w: participant %v: %v", ErrInDoubt, node, err)
 	}
@@ -128,8 +127,8 @@ const (
 // — the handler answers a repeat from its log — until ctx ends, this node
 // stops or commit1Calls call timeouts have passed.
 func (t *Txn) askCommit1(ctx context.Context, p ids.NodeID) (bool, error) {
-	peer := t.mgr.Node().Peer()
-	clk := t.mgr.clock()
+	peer := t.mgr.node.Peer()
+	clk := t.mgr.clk
 	giveUp := clk.Now().Add(commit1Calls * peer.CallTimeout())
 	var scratch [bodyScratch]byte
 	body := appendTxnReq(scratch[:0], t.ID())
@@ -182,7 +181,7 @@ func (m *Manager) handleCommit1(_ context.Context, from ids.NodeID, body []byte)
 	if err != nil {
 		return nil, fmt.Errorf("decode commit1: %w", err)
 	}
-	log := m.Node().Stable().Intentions()
+	log := m.node.Stable().Intentions()
 	m.mu.Lock()
 	e, err := m.entryLocked(txn)
 	var a *action.Action

@@ -277,7 +277,7 @@ func (m *Manager) acked(node ids.NodeID, acks txnList) {
 	acks.each(func(txn ids.ActionID) {
 		if m.owed.acked(node, txn) {
 			//mcalint:ignore errdrop forgetting is housekeeping; a kept record is re-driven by recovery
-			_ = m.Node().Stable().Intentions().Forget(txn)
+			_ = m.node.Stable().Intentions().Forget(txn)
 		}
 	})
 }
@@ -333,7 +333,7 @@ func (m *Manager) flushOwed(ctx context.Context, clk clock.Clock, self ids.NodeI
 // goes out again until acknowledged.
 func (m *Manager) sendOwed(ctx context.Context, d owedList) {
 	defer m.owed.sent(d.node)
-	m.fanout(ctx, trace.RoundRelease, 0, trace.Context{}, []ids.NodeID{d.node}, false,
+	m.fanout(ctx, RoundRelease, 0, trace.Context{}, []ids.NodeID{d.node}, false,
 		func(ctx context.Context, node ids.NodeID) error {
 			if err := m.sendEnd(ctx, node, d.rel, d.com); err != nil {
 				return err
@@ -346,7 +346,7 @@ func (m *Manager) sendOwed(ctx context.Context, d owedList) {
 
 // sendEnd sends node an end message and counts the acks of its reply.
 func (m *Manager) sendEnd(ctx context.Context, node ids.NodeID, rel, com txnList) error {
-	reply, err := m.Node().Peer().CallRaw(ctx, node, methodEnd, appendEndReq(nil, rel, com))
+	reply, err := m.node.Peer().CallRaw(ctx, node, methodEnd, appendEndReq(nil, rel, com))
 	if err != nil {
 		return err
 	}
@@ -421,7 +421,7 @@ func (m *Manager) handleEnd(ctx context.Context, from ids.NodeID, body []byte) (
 		return nil, err
 	}
 	if mark := m.workOff(ctx, from, rel, com); com.n > 0 {
-		if err := m.Node().Stable().WAL().Sync(mark); err != nil {
+		if err := m.node.Stable().WAL().Sync(mark); err != nil {
 			return nil, err
 		}
 	}
@@ -441,7 +441,7 @@ func (m *Manager) workOff(ctx context.Context, from ids.NodeID, rel, com txnList
 	if com.n == 0 {
 		return 0
 	}
-	clk, wal := m.clock(), m.Node().Stable().WAL()
+	clk, wal := m.clk, m.node.Stable().WAL()
 	start, mark := clk.Now(), wal.Mark()
 	com.each(func(txn ids.ActionID) {
 		if _, err := m.end(txn, evCommit); err == nil {
@@ -450,13 +450,11 @@ func (m *Manager) workOff(ctx context.Context, from ids.NodeID, rel, com txnList
 	})
 	// Phase-2 work riding another transaction's request is a span of its
 	// own under that request's server span, not part of its operation.
-	if caller, ok := trace.FromContext(ctx); ok && caller.Valid() {
-		if rec := m.traceRecorder(); rec != nil {
-			tc := caller.Child()
-			rec.AddSpan(trace.Span{Kind: "dist.phase2", Label: fmt.Sprintf("dist.phase2 commits=%d", com.n),
-				TraceID: tc.TraceID, SpanID: tc.SpanID, ParentSpanID: caller.SpanID,
-				Outcome: trace.OutcomeOK, Begin: start, End: clk.Now()})
-		}
+	if caller, ok := trace.FromContext(ctx); ok && caller.Valid() && m.tracer != nil {
+		tc := caller.Child()
+		m.tracer.AddSpan(trace.Span{Kind: "dist.phase2", Label: fmt.Sprintf("dist.phase2 commits=%d", com.n),
+			TraceID: tc.TraceID, SpanID: tc.SpanID, ParentSpanID: caller.SpanID,
+			Outcome: trace.OutcomeOK, Begin: start, End: clk.Now()})
 	}
 	return mark
 }

@@ -100,6 +100,17 @@ func (f *releaseFixture) owed(c int) int {
 	return n
 }
 
+// rounds counts a recorder's round spans by kind.
+func rounds(rec *trace.Recorder) map[RoundKind]int {
+	out := make(map[RoundKind]int)
+	for _, s := range rec.Spans() {
+		if kind, ok := strings.CutPrefix(s.Kind, "round."); ok {
+			out[RoundKind(kind)]++
+		}
+	}
+	return out
+}
+
 func eventually(t *testing.T, what string, cond func() bool) {
 	t.Helper()
 	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
@@ -147,8 +158,8 @@ func TestReleaseFlushesAtDeadline(t *testing.T) {
 	}
 	// The round is recorded once the end message's reply is back, which
 	// may be after the release it carried let the writer through.
-	eventually(t, "the release round", func() bool { return f.recs[0].RoundSummary()[trace.RoundRelease] > 0 })
-	if got := f.recs[0].RoundSummary()[trace.RoundRelease]; got != 1 {
+	eventually(t, "the release round", func() bool { return rounds(f.recs[0])[RoundRelease] > 0 })
+	if got := rounds(f.recs[0])[RoundRelease]; got != 1 {
 		t.Fatalf("the reader's coordinator recorded %d release rounds, want 1", got)
 	}
 }
@@ -178,7 +189,7 @@ func TestReleaseRidesOwnCoordinatorsInvoke(t *testing.T) {
 	if got := releasesPiggybacked.Value() - before; got != 1 {
 		t.Fatalf("%d releases rode an invoke, want the reader's 1", got)
 	}
-	if got := f.recs[0].RoundSummary(); got[trace.RoundRelease] != 0 || got[trace.RoundPrepare] != 0 || got[trace.RoundCommit1] != 1 {
+	if got := rounds(f.recs[0]); got[RoundRelease] != 0 || got[RoundPrepare] != 0 || got[RoundCommit1] != 1 {
 		t.Fatalf("rounds = %v, want one commit1 and nothing else", got)
 	}
 }
@@ -359,7 +370,7 @@ func TestReleaseToDownNodeIsDroppedAfterOneAttempt(t *testing.T) {
 	eventually(t, "the failed release round", func() bool {
 		// The one call times out, once it has armed its timer.
 		clk.Advance(30 * time.Second)
-		return f.recs[0].RoundSummary()[trace.RoundRelease] == 1
+		return rounds(f.recs[0])[RoundRelease] == 1
 	})
 	if got := f.owed(0); got != 0 {
 		t.Fatalf("coordinator owes the dead node %d releases again, want the list dropped", got)
@@ -435,7 +446,7 @@ func TestMultiSiteReadOnlyStillValidates(t *testing.T) {
 	if err := reader.Commit(ctx); !errors.Is(err, ErrAborted) {
 		t.Fatalf("Commit of the torn read = %v, want ErrAborted from the prepare round", err)
 	}
-	if got := f.recs[0].RoundSummary()[trace.RoundPrepare]; got != 1 {
+	if got := rounds(f.recs[0])[RoundPrepare]; got != 1 {
 		t.Fatalf("reader's coordinator ran %d prepare rounds, want 1", got)
 	}
 }
@@ -522,7 +533,7 @@ func TestOnePhaseAccounting(t *testing.T) {
 	if r, w := onePhaseReads.Value()-reads, onePhaseWrites.Value()-writes; r != 1 || w != 1 {
 		t.Fatalf("one-phase commits counted: %d reads %d writes, want 1 and 1", r, w)
 	}
-	if got := f.recs[0].RoundSummary(); got[trace.RoundCommit1] != 1 || got[trace.RoundPrepare] != 0 || got[trace.RoundCommit] != 0 {
+	if got := rounds(f.recs[0]); got[RoundCommit1] != 1 || got[RoundPrepare] != 0 || got[RoundCommit] != 0 {
 		t.Fatalf("rounds = %v, want one commit1 and no two-phase round", got)
 	}
 

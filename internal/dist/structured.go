@@ -203,8 +203,8 @@ func (m *Manager) endStructure(ctx context.Context, id StructureID, local *actio
 	if !commit {
 		method = methodAbortStructure
 	}
-	peer := m.Node().Peer()
-	results := m.fanout(ctx, trace.RoundStructure, ids.ActionID(id), trace.Context{}, nodes, false,
+	peer := m.node.Peer()
+	results := m.fanout(ctx, RoundStructure, ids.ActionID(id), trace.Context{}, nodes, false,
 		func(ctx context.Context, n ids.NodeID) error {
 			var scratch [bodyScratch]byte
 			_, err := peer.CallRaw(ctx, n, method, appendStructureReq(scratch[:0], id))
@@ -362,7 +362,7 @@ func (c *RemoteChain) beginStage() (*Txn, error) {
 
 	pass := colour.Fresh()
 	var parentInfo *structureInfo
-	begin := c.mgr.Node().Runtime().Begin
+	begin := c.mgr.node.Runtime().Begin
 	if n := len(c.joints); n > 0 {
 		parentInfo, begin = c.joints[n-1].info, c.joints[n-1].local.Begin
 	}

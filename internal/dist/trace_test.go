@@ -2,11 +2,14 @@ package dist_test
 
 import (
 	"context"
+	"fmt"
 	"testing"
 	"time"
 
 	"mca/internal/clock"
 	"mca/internal/dist"
+	"mca/internal/flightrec"
+	"mca/internal/ids"
 	"mca/internal/netsim"
 	"mca/internal/node"
 	"mca/internal/phase"
@@ -133,9 +136,9 @@ func TestTracedCommitMergesToOneTreeWithoutOrphans(t *testing.T) {
 	// Nor does Commit's phase ledger hold a second round: its round time
 	// is the prepare round's, which the ledger took first.
 	var prepare time.Duration
-	for _, ev := range tc.recs[0].Rounds() {
-		if ev.Kind == trace.RoundPrepare {
-			prepare = ev.Duration
+	for _, s := range tc.recs[0].Spans() {
+		if kind, _, _, ok := roundOf(s); ok && kind == dist.RoundPrepare {
+			prepare = s.End.Sub(s.Begin)
 		}
 	}
 	if got := time.Duration(phase.Snapshot(root.Span.TraceID)[phase.Round]); got <= 0 || got > prepare {
@@ -229,9 +232,9 @@ func TestRecoveryRoundKeepsOriginalTraceID(t *testing.T) {
 	// The original transaction's trace id, from the coordinator's
 	// prepare round.
 	var originalTrace uint64
-	for _, ev := range tc.recs[0].Rounds() {
-		if ev.Kind == trace.RoundPrepare {
-			originalTrace = ev.Trace.TraceID
+	for _, s := range tc.recs[0].Spans() {
+		if kind, _, _, ok := roundOf(s); ok && kind == dist.RoundPrepare {
+			originalTrace = s.TraceID
 		}
 	}
 	if originalTrace == 0 {
@@ -245,21 +248,26 @@ func TestRecoveryRoundKeepsOriginalTraceID(t *testing.T) {
 
 	deadline := time.Now().Add(5 * time.Second)
 	for {
-		var recovered *trace.RoundEvent
-		for _, ev := range tc.recs[0].Rounds() {
-			if ev.Kind == trace.RoundRecover && ev.OK == ev.Participants {
-				recovered = &ev
+		var recovered *trace.Span
+		var rounds []string
+		for _, s := range tc.recs[0].Spans() {
+			kind, answered, participants, ok := roundOf(s)
+			if ok {
+				rounds = append(rounds, s.Label)
+			}
+			if ok && kind == dist.RoundRecover && answered == participants {
+				recovered = &s
 				break
 			}
 		}
 		if recovered != nil {
-			if recovered.Trace.TraceID != originalTrace {
-				t.Fatalf("recovery round trace id %x, want original %x", recovered.Trace.TraceID, originalTrace)
+			if recovered.TraceID != originalTrace {
+				t.Fatalf("recovery round trace id %x, want original %x", recovered.TraceID, originalTrace)
 			}
 			break
 		}
 		if time.Now().After(deadline) {
-			t.Fatalf("no successful recovery round recorded; rounds: %v", tc.recs[0].RoundSummary())
+			t.Fatalf("no successful recovery round recorded; rounds: %v", rounds)
 		}
 		if _, err := tc.coord.RecoverPending(ctx); err != nil {
 			t.Fatal(err)
@@ -269,5 +277,82 @@ func TestRecoveryRoundKeepsOriginalTraceID(t *testing.T) {
 
 	if got := tc.balanceAt(t, 1); got != 90 {
 		t.Fatalf("P1 balance = %d, want 90", got)
+	}
+}
+
+// TestEveryRoundIsOneSpan: every fan-out round a traced node runs — a
+// transfer's prepare, an abort, a one-phase write's commit1, the
+// flusher's end messages — is exactly one round.<kind> span in the
+// node's recorder: as many as the flight recorder logged rounds for the
+// node, a traced one under the span the flight recorder names.
+func TestEveryRoundIsOneSpan(t *testing.T) {
+	tc := newTracedCluster(t, netsim.Config{})
+	ctx := context.Background()
+	p1, p2 := tc.nodes[1].ID(), tc.nodes[2].ID()
+
+	if err := transfer(ctx, tc.cluster, 1, 2, 10); err != nil {
+		t.Fatalf("transfer: %v", err)
+	}
+	txn, err := tc.coord.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []ids.NodeID{p1, p2} {
+		if err := txn.Invoke(ctx, p, "bank", "add", addArg{Delta: 1}, nil); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := txn.Abort(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := tc.coord.Run(ctx, func(txn *dist.Txn) error {
+		return txn.Invoke(ctx, p1, "bank", "add", addArg{Delta: 1}, nil)
+	}); err != nil {
+		t.Fatalf("one-phase write: %v", err)
+	}
+	if err := tc.coord.Run(ctx, func(txn *dist.Txn) error {
+		var out balanceResp
+		return txn.Invoke(ctx, p2, "bank", "get", struct{}{}, &out)
+	}); err != nil {
+		t.Fatalf("read: %v", err)
+	}
+
+	// The flusher's rounds end after the operations return.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		logged := make(map[uint64]int) // flight-recorder rounds by node
+		tracedLogged := make(map[uint64]bool)
+		for _, ev := range flightrec.Snapshot() {
+			if ev.Kind == flightrec.KindRound {
+				logged[ev.Node]++
+				tracedLogged[ev.Span] = ev.Span != 0
+			}
+		}
+		kinds := make(map[dist.RoundKind]int)
+		mismatch := ""
+		for i, rec := range tc.recs {
+			spans := 0
+			for _, s := range rec.Spans() {
+				kind, _, _, ok := roundOf(s)
+				if !ok {
+					continue
+				}
+				spans++
+				kinds[kind]++
+				if s.SpanID != 0 && !tracedLogged[s.SpanID] {
+					t.Fatalf("round span %q has span id %x, which no logged round has", s.Label, s.SpanID)
+				}
+			}
+			if n := logged[uint64(tc.nodes[i].ID())]; n != spans {
+				mismatch = fmt.Sprintf("node %d: %d rounds logged, %d round spans", i, n, spans)
+			}
+		}
+		done := kinds[dist.RoundPrepare] > 0 && kinds[dist.RoundAbort] > 0 &&
+			kinds[dist.RoundCommit1] > 0 && kinds[dist.RoundRelease] > 0
+		if mismatch == "" && done {
+			return
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%s; round spans by kind: %v", mismatch, kinds)
+		}
 	}
 }

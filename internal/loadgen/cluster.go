@@ -59,31 +59,35 @@ type ClusterConfig struct {
 	Trace *trace.SamplerConfig
 }
 
-// register is one transactional integer cell: the kv resource of the
-// 2PC experiments plus a read op, durable via the node's stable store.
-type register struct {
+// Register is one transactional integer cell, durable via the node's
+// stable store: a dist.Resource with ops "add" (argument Delta) and
+// "get". The load generator's clusters and the 2PC experiments host it.
+type Register struct {
 	mu    sync.Mutex
 	nd    *node.Node
 	objID ids.ObjectID
 	val   *object.Managed[int]
 }
 
-func newRegister() *register { return &register{objID: ids.NewObjectID()} }
+// NewRegister builds a register with a fresh object identity.
+func NewRegister() *Register { return &Register{objID: ids.NewObjectID()} }
 
-func (k *register) Register(nd *node.Node, _ *rpc.Peer) {
+// Register implements node.Service.
+func (k *Register) Register(nd *node.Node, _ *rpc.Peer) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	k.nd = nd
 	k.activateLocked()
 }
 
-func (k *register) Recover(context.Context, *node.Node) {
+// Recover implements node.Service.
+func (k *Register) Recover(context.Context, *node.Node) {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	k.activateLocked()
 }
 
-func (k *register) activateLocked() {
+func (k *Register) activateLocked() {
 	if m, err := object.Load[int](k.objID, k.nd.Stable()); err == nil {
 		k.val = m
 		return
@@ -91,30 +95,33 @@ func (k *register) activateLocked() {
 	k.val = object.New(0, object.WithStore(k.nd.Stable()), object.WithID(k.objID))
 }
 
-func (k *register) value() *object.Managed[int] {
+// Value returns the register's object as the node last loaded it.
+func (k *Register) Value() *object.Managed[int] {
 	k.mu.Lock()
 	defer k.mu.Unlock()
 	return k.val
 }
 
-type regDelta struct {
+// Delta is the argument of a register's "add".
+type Delta struct {
 	Delta int `json:"delta"`
 }
 
-func (k *register) Invoke(a *action.Action, op string, arg []byte) ([]byte, error) {
+// Invoke implements dist.Resource.
+func (k *Register) Invoke(a *action.Action, op string, arg []byte) ([]byte, error) {
 	switch op {
 	case "add":
-		var in regDelta
+		var in Delta
 		if err := json.Unmarshal(arg, &in); err != nil {
 			return nil, err
 		}
-		if err := k.value().Write(a, func(v *int) error { *v += in.Delta; return nil }); err != nil {
+		if err := k.Value().Write(a, func(v *int) error { *v += in.Delta; return nil }); err != nil {
 			return nil, err
 		}
 		return []byte("{}"), nil
 	case "get":
 		var out int
-		if err := k.value().Read(a, func(v int) error { out = v; return nil }); err != nil {
+		if err := k.Value().Read(a, func(v int) error { out = v; return nil }); err != nil {
 			return nil, err
 		}
 		return json.Marshal(out)
@@ -225,7 +232,7 @@ func NewCluster(cfg ClusterConfig) (*Cluster, error) {
 	c.hosts = make([]ids.NodeID, cfg.Registers)
 	for i := 0; i < cfg.Registers; i++ {
 		p := i % cfg.Participants
-		r := newRegister()
+		r := NewRegister()
 		c.nodes[p+1].Host(r)
 		mgrs[p].RegisterResource(regName(i), r)
 		c.hosts[i] = parts[p]
@@ -279,7 +286,7 @@ func (c *Cluster) Read(ctx context.Context, key uint64) error {
 func (c *Cluster) Write(ctx context.Context, key uint64) error {
 	i := int(key) % len(c.hosts)
 	return c.coord.Run(ctx, func(txn *dist.Txn) error {
-		return txn.Invoke(ctx, c.hosts[i], regName(i), "add", regDelta{Delta: 1}, nil)
+		return txn.Invoke(ctx, c.hosts[i], regName(i), "add", Delta{Delta: 1}, nil)
 	})
 }
 
@@ -330,9 +337,9 @@ func (c *Cluster) Transfer(ctx context.Context, key uint64) error {
 	i := int(key) % len(c.hosts)
 	j := (i + 1) % len(c.hosts)
 	return c.coord.Run(ctx, func(txn *dist.Txn) error {
-		if err := txn.Invoke(ctx, c.hosts[i], regName(i), "add", regDelta{Delta: -1}, nil); err != nil {
+		if err := txn.Invoke(ctx, c.hosts[i], regName(i), "add", Delta{Delta: -1}, nil); err != nil {
 			return err
 		}
-		return txn.Invoke(ctx, c.hosts[j], regName(j), "add", regDelta{Delta: 1}, nil)
+		return txn.Invoke(ctx, c.hosts[j], regName(j), "add", Delta{Delta: 1}, nil)
 	})
 }

@@ -44,16 +44,10 @@ var (
 	spanIDs  atomic.Uint64
 )
 
+// init seeds the counters from the process start time, keeping
+// separately started processes distinct.
 func init() {
-	SeedIDs(uint64(clock.Real().Now().UnixNano()))
-}
-
-// SeedIDs re-seeds the trace/span identifier counters. The default
-// seed is the process start time, keeping separately started processes
-// distinct; deterministic replays call this with a fixed seed so two
-// runs allocate identical identifiers.
-func SeedIDs(seed uint64) {
-	seed = splitmix64(seed)
+	seed := splitmix64(uint64(clock.Real().Now().UnixNano()))
 	// Keep the low 24 bits as counting room under random high bits.
 	traceIDs.Store(seed &^ 0xFFFFFF)
 	spanIDs.Store(splitmix64(seed) &^ 0xFFFFFF)

@@ -95,7 +95,8 @@ func keyOf(s Span) spanKey {
 // first (TraceID + ParentSpanID, which may cross nodes) and through
 // the node-local action tree (Node + Parent) otherwise. Duplicate
 // spans (same identity, e.g. a file merged twice) keep the first
-// occurrence.
+// occurrence; spans with no identity at all (untraced rounds, WAL
+// flushes) are all kept, as roots.
 func Merge(spans []Span) *Tree {
 	nodes := make([]*TreeNode, 0, len(spans))
 	index := make(map[spanKey]*TreeNode, len(spans))
@@ -105,7 +106,9 @@ func Merge(spans []Span) *Tree {
 			continue
 		}
 		n := &TreeNode{Span: s}
-		index[k] = n
+		if k.span != 0 || k.id != 0 {
+			index[k] = n
+		}
 		nodes = append(nodes, n)
 	}
 
@@ -189,7 +192,7 @@ func Merge(spans []Span) *Tree {
 	for _, n := range t.Adopted {
 		sort.Slice(n.Children, func(i, j int) bool { return byBegin(n.Children[i], n.Children[j]) })
 	}
-	sort.Slice(t.Roots, func(i, j int) bool { return byBegin(t.Roots[i], t.Roots[j]) })
+	sort.SliceStable(t.Roots, func(i, j int) bool { return byBegin(t.Roots[i], t.Roots[j]) })
 	sort.Slice(t.Orphans, func(i, j int) bool { return byBegin(t.Orphans[i], t.Orphans[j]) })
 	return t
 }

@@ -175,6 +175,17 @@ func TestMergeDeduplicatesRepeatedInput(t *testing.T) {
 	}
 }
 
+// TestMergeKeepsSpansWithoutIdentity: two untraced rounds of one node
+// share no identity to tell them apart by, so neither is a duplicate.
+func TestMergeKeepsSpansWithoutIdentity(t *testing.T) {
+	t0 := time.Date(2026, 1, 2, 3, 4, 5, 0, time.UTC)
+	round := Span{Kind: "round.release", Node: 1, Label: "release 1/1", Outcome: OutcomeCommitted, Begin: t0, End: t0}
+	tree := Merge([]Span{round, round})
+	if len(tree.Roots) != 2 || len(tree.Orphans) != 0 {
+		t.Fatalf("roots=%d orphans=%d, want 2 roots", len(tree.Roots), len(tree.Orphans))
+	}
+}
+
 func TestRenderShowsAllNodes(t *testing.T) {
 	out := Merge(testSpans()).Render(40)
 	for _, want := range []string{"n1", "n2", "transfer", "prepare 1/1", "dist.prepare"} {

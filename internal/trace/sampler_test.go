@@ -35,7 +35,7 @@ func (h *samplerHarness) txn(t *testing.T, d time.Duration, abort bool) uint64 {
 		t.Fatal(err)
 	}
 	// Begin fires before StartTrace, like dist.Manager.Begin does: the
-	// recorder must park and re-route the root's begin event.
+	// root's span is open, untraced, when it is bound.
 	tc := h.rec.StartTrace(a.ID())
 	h.clk.Advance(d)
 	if abort {

@@ -13,7 +13,6 @@ import (
 	"sort"
 	"time"
 
-	"mca/internal/action"
 	"mca/internal/colour"
 	"mca/internal/ids"
 	"mca/internal/phase"
@@ -78,26 +77,21 @@ func (s Span) Context() Context {
 	return Context{TraceID: s.TraceID, SpanID: s.SpanID}
 }
 
-// Spans reconstructs one Span per recorded action, ordered by begin
-// time (ties by id). It is the package's one events→spans
-// reconstruction: timelines (Merge + Tree.Render), DOT graphs and JSON
-// Lines exports all start here. Actions with no recorded begin
-// (observer attached mid-run) get a zero-length span at their end
-// event; a begin naming the action as its own parent makes it a root.
+// Spans exports the recorded spans: action spans, open ones included
+// as "active", ordered by begin time (ties by id), then every other span
+// in the order it was stored. Labels and, on trace roots, the phase
+// ledger are attached here. Timelines (Merge + Tree.Render), DOT graphs
+// and JSON Lines exports all start here.
 //
-// Distributed-trace identities are resolved on the way out: actions
-// bound with StartTrace/JoinTrace carry their identity, and their
-// local descendants inherit the TraceID with fresh span identifiers
-// (persisted, so repeated exports agree). Synthetic spans (AddSpan)
-// and traced commit-protocol rounds (ObserveRound events with a valid
-// Trace) are appended after the action spans, in the same time order.
+// With a sampler, spans of a trace show once it is kept; an open action
+// of an undecided trace waits like a finished one.
 func (r *Recorder) Spans() []Span {
 	r.mu.Lock()
 	defer r.mu.Unlock()
 	if r.sampler != nil {
-		// Apply decisions this recorder has not yet seen an event for
-		// (a participant whose last span arrived before the
-		// coordinator decided). Iteration follows insertion order so
+		// Apply decisions published since this recorder last stored a
+		// span of the trace (a participant whose last span arrived
+		// before the coordinator decided), in insertion order so that
 		// repeated exports append identically.
 		for _, tid := range r.pendingOrder {
 			if _, ok := r.pending[tid]; !ok {
@@ -108,112 +102,47 @@ func (r *Recorder) Spans() []Span {
 			}
 		}
 	}
-	events := r.events
-	labels := r.labels
-
-	index := make(map[ids.ActionID]int, len(events))
-	var spans []Span
-	for _, ev := range events {
-		switch ev.Kind {
-		case action.EventBegin:
-			if _, dup := index[ev.Action]; dup {
+	out := make([]Span, 0, len(r.spans)+len(r.open))
+	for _, s := range r.spans {
+		if s.ID != 0 {
+			out = append(out, s)
+		}
+	}
+	for _, o := range r.open {
+		s := *o
+		r.identifyLocked(&s)
+		if r.sampler != nil && s.TraceID != 0 {
+			if keep, _ := r.sampler.Decision(s.TraceID); !keep {
 				continue
 			}
-			s := Span{
-				ID:      ev.Action,
-				Colours: ev.Colours.Slice(),
-				Outcome: OutcomeActive,
-				Begin:   ev.Time,
-			}
-			if ev.Parent != ev.Action {
-				s.Parent = ev.Parent
-			}
-			index[ev.Action] = len(spans)
-			spans = append(spans, s)
-		case action.EventCommit, action.EventAbort:
-			i, ok := index[ev.Action]
-			if !ok {
-				i = len(spans)
-				index[ev.Action] = i
-				spans = append(spans, Span{
-					ID:      ev.Action,
-					Colours: ev.Colours.Slice(),
-					Begin:   ev.Time,
-				})
-			}
-			spans[i].End = ev.Time
-			if ev.Kind == action.EventAbort {
-				spans[i].Outcome = OutcomeAborted
-			} else {
-				spans[i].Outcome = OutcomeCommitted
-			}
 		}
+		out = append(out, s)
 	}
-	for i := range spans {
-		spans[i].Label = labels[spans[i].ID]
-	}
-	sort.Slice(spans, func(i, j int) bool {
-		if !spans[i].Begin.Equal(spans[j].Begin) {
-			return spans[i].Begin.Before(spans[j].Begin)
+	sort.Slice(out, func(i, j int) bool {
+		if !out[i].Begin.Equal(out[j].Begin) {
+			return out[i].Begin.Before(out[j].Begin)
 		}
-		return spans[i].ID < spans[j].ID
+		return out[i].ID < out[j].ID
 	})
-
-	// Resolve trace identities parent-first (the sort guarantees a
-	// parent sorts before its children: it began earlier, or ties and
-	// has the smaller monotonic id). Inherited bindings are persisted
-	// in r.binds so a second export assigns the same span identifiers.
-	for i := range spans {
-		s := &spans[i]
-		if b, ok := r.binds[s.ID]; ok {
-			s.TraceID, s.SpanID, s.ParentSpanID = b.tc.TraceID, b.tc.SpanID, b.parent
-			if b.parent == 0 && b.tc.TraceID != 0 {
-				// Trace root: carry the transaction's phase breakdown.
-				s.Phases = phase.Snapshot(b.tc.TraceID)
-			}
-			continue
-		}
-		if s.Parent == 0 {
-			continue
-		}
-		pb, ok := r.binds[s.Parent]
-		if !ok {
-			continue
-		}
-		b := traceBinding{tc: pb.tc.Child(), parent: pb.tc.SpanID}
-		r.binds[s.ID] = b
-		s.TraceID, s.SpanID, s.ParentSpanID = b.tc.TraceID, b.tc.SpanID, b.parent
-	}
-
-	// Traced commit-protocol rounds become synthetic spans.
-	for _, ev := range r.rounds {
-		if !ev.Trace.Valid() {
-			continue
-		}
-		outcome := OutcomeCommitted
-		if ev.Err != nil {
-			outcome = OutcomeAborted
-		}
-		spans = append(spans, Span{
-			Kind:         "round." + string(ev.Kind),
-			Label:        fmt.Sprintf("%s %d/%d", ev.Kind, ev.OK, ev.Participants),
-			TraceID:      ev.Trace.TraceID,
-			SpanID:       ev.Trace.SpanID,
-			ParentSpanID: ev.ParentSpan,
-			Outcome:      outcome,
-			Begin:        ev.Start,
-			End:          ev.Start.Add(ev.Duration),
-		})
-	}
-	spans = append(spans, r.extras...)
-	if r.node != 0 {
-		for i := range spans {
-			if spans[i].Node == 0 {
-				spans[i].Node = r.node
-			}
+	for _, s := range r.spans {
+		if s.ID == 0 {
+			out = append(out, s)
 		}
 	}
-	return spans
+	for i := range out {
+		s := &out[i]
+		if l, ok := r.labels[s.ID]; ok {
+			s.Label = l
+		}
+		if s.ID != 0 && s.TraceID != 0 && s.ParentSpanID == 0 {
+			// Trace root: carry the transaction's phase breakdown.
+			s.Phases = phase.Snapshot(s.TraceID)
+		}
+		if s.Node == 0 {
+			s.Node = r.node
+		}
+	}
+	return out
 }
 
 // WriteSpans writes spans as JSON Lines: one span object per line.
@@ -228,7 +157,7 @@ func WriteSpans(w io.Writer, spans []Span) error {
 	return bw.Flush()
 }
 
-// WriteSpans exports the recorder's reconstructed spans as JSON Lines.
+// WriteSpans exports the recorder's spans as JSON Lines.
 func (r *Recorder) WriteSpans(w io.Writer) error {
 	return WriteSpans(w, r.Spans())
 }

@@ -2,6 +2,8 @@ package trace_test
 
 import (
 	"bytes"
+	"fmt"
+	"maps"
 	"strings"
 	"sync"
 	"testing"
@@ -104,45 +106,72 @@ func TestRenderUnknownCompletion(t *testing.T) {
 	}
 }
 
-// TestObserveRoundConcurrent hammers ObserveRound from many goroutines
-// while readers aggregate, for the race detector.
-func TestObserveRoundConcurrent(t *testing.T) {
-	rec := trace.NewRecorder()
-	const writers, perWriter = 8, 200
-
-	var wg sync.WaitGroup
-	for w := 0; w < writers; w++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < perWriter; i++ {
-				rec.ObserveRound(trace.RoundEvent{
-					Kind:         trace.RoundPrepare,
-					Participants: 3,
-					OK:           3,
-				})
+// TestRecorderConcurrent hammers Observe, AddSpan and Spans from many
+// goroutines, with and without a sampler (one that keeps every trace),
+// for the race detector: afterwards every span was stored exactly once.
+func TestRecorderConcurrent(t *testing.T) {
+	for _, sampled := range []bool{false, true} {
+		t.Run(fmt.Sprintf("sampled=%v", sampled), func(t *testing.T) {
+			rec := trace.NewRecorder()
+			if sampled {
+				rec.SetSampler(trace.NewSampler(trace.SamplerConfig{BaselineN: 1}))
 			}
-		}()
-	}
-	// Concurrent readers exercise the summary paths mid-stream.
-	for r := 0; r < 2; r++ {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := 0; i < 50; i++ {
-				_ = rec.RoundSummary().String()
-				_ = rec.Rounds()
-			}
-		}()
-	}
-	wg.Wait()
+			rt := action.NewRuntime(action.WithObserver(rec.Observe))
+			const writers, perWriter = 8, 100
 
-	sum := rec.RoundSummary()
-	if sum[trace.RoundPrepare] != writers*perWriter {
-		t.Fatalf("prepare rounds = %d, want %d", sum[trace.RoundPrepare], writers*perWriter)
-	}
-	if got := sum.String(); got != "prepare=1600" {
-		t.Fatalf("RoundSummary.String() = %q", got)
+			var wg sync.WaitGroup
+			for w := 0; w < writers; w++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < perWriter; i++ {
+						a, err := rt.Begin()
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						tc := rec.StartTrace(a.ID())
+						child, err := a.Begin()
+						if err != nil {
+							t.Error(err)
+							return
+						}
+						_ = child.Commit()
+						round := tc.Child()
+						rec.AddSpan(trace.Span{Kind: "round.prepare", TraceID: round.TraceID, SpanID: round.SpanID,
+							ParentSpanID: tc.SpanID, Outcome: trace.OutcomeCommitted})
+						rec.AddSpan(trace.Span{Kind: "wal.flush", Outcome: trace.OutcomeOK})
+						if i%2 == 0 {
+							_ = a.Commit()
+						} else {
+							_ = a.Abort()
+						}
+					}
+				}()
+			}
+			for r := 0; r < 2; r++ {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					for i := 0; i < 20; i++ {
+						_ = trace.Merge(rec.Spans()).Render(40)
+					}
+				}()
+			}
+			wg.Wait()
+
+			kinds := make(map[string]int)
+			for _, s := range rec.Spans() {
+				if s.Outcome == trace.OutcomeActive {
+					t.Fatalf("span %+v still active", s)
+				}
+				kinds[s.Kind]++
+			}
+			want := map[string]int{"": 2 * writers * perWriter, "round.prepare": writers * perWriter, "wal.flush": writers * perWriter}
+			if !maps.Equal(kinds, want) {
+				t.Fatalf("spans by kind = %v, want %v", kinds, want)
+			}
+		})
 	}
 }
 

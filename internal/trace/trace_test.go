@@ -29,15 +29,19 @@ func TestRecorderCountsLifecycleEvents(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	sum := rec.Summary()
-	if sum[action.EventBegin] != 2 {
-		t.Fatalf("begins = %d", sum[action.EventBegin])
+	outcomes := make(map[string]int)
+	spans := rec.Spans()
+	for _, s := range spans {
+		outcomes[s.Outcome]++
 	}
-	if sum[action.EventCommit] != 1 {
-		t.Fatalf("commits = %d", sum[action.EventCommit])
+	if len(spans) != 2 {
+		t.Fatalf("begins = %d", len(spans))
 	}
-	if sum[action.EventAbort] != 1 {
-		t.Fatalf("aborts = %d", sum[action.EventAbort])
+	if outcomes[trace.OutcomeCommitted] != 1 {
+		t.Fatalf("commits = %d", outcomes[trace.OutcomeCommitted])
+	}
+	if outcomes[trace.OutcomeAborted] != 1 {
+		t.Fatalf("aborts = %d", outcomes[trace.OutcomeAborted])
 	}
 }
 
@@ -56,17 +60,20 @@ func TestEventsCarryParentage(t *testing.T) {
 	_ = child.Commit()
 	_ = a.Commit()
 
-	var sawChildBegin bool
-	for _, ev := range rec.Events() {
-		if ev.Kind == action.EventBegin && ev.Action == child.ID() {
-			sawChildBegin = true
-			if ev.Parent != a.ID() {
-				t.Fatalf("child begin parent = %v, want %v", ev.Parent, a.ID())
+	var sawChild bool
+	for _, s := range rec.Spans() {
+		if s.ID == child.ID() {
+			sawChild = true
+			if s.Parent != a.ID() {
+				t.Fatalf("child parent = %v, want %v", s.Parent, a.ID())
 			}
 		}
+		if s.End.Before(s.Begin) {
+			t.Fatalf("span %v ends before it begins", s.ID)
+		}
 	}
-	if !sawChildBegin {
-		t.Fatal("child begin event missing")
+	if !sawChild {
+		t.Fatal("child span missing")
 	}
 }
 
