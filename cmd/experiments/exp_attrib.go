@@ -205,7 +205,7 @@ func expAttrib(rep *report) error {
 			return out
 		}
 		out := map[string]any{
-			"experiment": "E26 tail-latency attribution: injected slowdowns localized by phase accounting",
+			"experiment": "E26 tail-latency attribution: injected slowdowns localized by span attribution",
 			"machine":    machineString(),
 			"scenarios": map[string]any{
 				"wal_force_20ms": scenario("force", forceCap),

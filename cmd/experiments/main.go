@@ -82,7 +82,7 @@ func main() {
 		{"E17", "Contention sweep: throughput and abort rate", expContention},
 		{"E19", "Distributed serializing actions (the paper's next step)", expRemoteSerializing},
 		{"E25", "Capacity at SLO: open-loop load, coordinated-omission-free latency", expCapacity},
-		{"E26", "Tail-latency attribution: phase accounting localizes injected slowdowns", expAttrib},
+		{"E26", "Tail-latency attribution: span attribution localizes injected slowdowns", expAttrib},
 	}
 
 	if *list {

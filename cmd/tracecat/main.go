@@ -19,7 +19,7 @@
 //	             root operations (0 = all), slowest first
 //	-attrib      with the listing, print each root's critical-path
 //	             attribution (lock/force/net/queue/compute, from the
-//	             phase ledger) and the aggregate % per bucket
+//	             spans of its trace) and the aggregate % per bucket
 //	-check       quiet mode for CI: exit 1 when the merged tree is
 //	             empty or any trace-less span's parent is missing from
 //	             the input. Spans whose distributed-trace parent was
@@ -173,6 +173,10 @@ func printSlowest(tree *trace.Tree, n int, attrib bool) {
 
 	totals := make(map[string]int64)
 	var total int64
+	var traces map[uint64][]trace.Span
+	if attrib {
+		traces = trace.ByTrace(tree.Spans())
+	}
 	fmt.Printf("%-4s %-12s %-10s %-18s", "#", "duration", "outcome", "trace")
 	if attrib {
 		for _, b := range trace.BreakdownNames {
@@ -184,7 +188,11 @@ func printSlowest(tree *trace.Tree, n int, attrib bool) {
 	for i, s := range roots {
 		fmt.Printf("%-4d %-12v %-10s %-18s", i+1, s.End.Sub(s.Begin), s.Outcome, fmt.Sprintf("%x", s.TraceID))
 		if attrib {
-			a := trace.AttributeSpan(s)
+			a := trace.Attribute(traces[s.TraceID])
+			if s.TraceID == 0 { // no trace, no recorded wait: all compute
+				d := s.End.Sub(s.Begin).Nanoseconds()
+				a = trace.Attribution{Total: d, Compute: d}
+			}
 			buckets := a.Buckets()
 			for _, b := range trace.BreakdownNames {
 				v := buckets[b]

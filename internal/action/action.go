@@ -125,6 +125,9 @@ const (
 	EventBegin EventKind = iota + 1
 	EventCommit
 	EventAbort
+	// EventLockWait reports a lock request of the action that blocked:
+	// Time is when the wait ended, Waited how long it lasted.
+	EventLockWait
 )
 
 // String renders the event kind for logs and traces.
@@ -136,6 +139,8 @@ func (k EventKind) String() string {
 		return "commit"
 	case EventAbort:
 		return "abort"
+	case EventLockWait:
+		return "lockwait"
 	default:
 		return fmt.Sprintf("event(%d)", int(k))
 	}
@@ -148,6 +153,7 @@ type Event struct {
 	Action  ids.ActionID
 	Parent  ids.ActionID // zero for top-level actions
 	Colours colour.Set
+	Waited  time.Duration // EventLockWait only
 }
 
 // Observer receives runtime events. Observers run synchronously on the
@@ -198,7 +204,6 @@ type Option interface{ apply(*runtimeOptions) }
 
 type runtimeOptions struct {
 	maxLockWait time.Duration
-	lockShards  int
 	observer    Observer
 	clk         clock.Clock
 }
@@ -209,15 +214,6 @@ func (o maxLockWaitOption) apply(opts *runtimeOptions) { opts.maxLockWait = time
 
 // WithMaxLockWait bounds lock waits; see lock.WithMaxWait.
 func WithMaxLockWait(d time.Duration) Option { return maxLockWaitOption(d) }
-
-type lockShardsOption int
-
-func (o lockShardsOption) apply(opts *runtimeOptions) { opts.lockShards = int(o) }
-
-// WithLockShards fixes the striped lock table's shard count (rounded up
-// to a power of two); see lock.WithShards. The default scales with
-// GOMAXPROCS.
-func WithLockShards(n int) Option { return lockShardsOption(n) }
 
 type observerOption struct{ fn Observer }
 
@@ -249,9 +245,6 @@ func NewRuntime(opts ...Option) *Runtime {
 	lockOpts := []lock.Option{lock.WithClock(o.clk)}
 	if o.maxLockWait > 0 {
 		lockOpts = append(lockOpts, lock.WithMaxWait(o.maxLockWait))
-	}
-	if o.lockShards > 0 {
-		lockOpts = append(lockOpts, lock.WithShards(o.lockShards))
 	}
 	r.locks = lock.NewManager(runtimeAncestry{r: r}, lockOpts...)
 	return r
@@ -311,11 +304,11 @@ func (r *Runtime) register(a *Action) {
 	beginsByKind[a.kind].Inc()
 	depthHist.Observe(uint64(a.depth))
 	activeActions.Inc()
-	r.observe(EventBegin, a)
+	r.observe(EventBegin, a, 0)
 }
 
 // observe delivers an event to the runtime's observer, if any.
-func (r *Runtime) observe(kind EventKind, a *Action) {
+func (r *Runtime) observe(kind EventKind, a *Action, waited time.Duration) {
 	if r.observer == nil {
 		return
 	}
@@ -324,6 +317,7 @@ func (r *Runtime) observe(kind EventKind, a *Action) {
 		Time:    r.clk.Now(),
 		Action:  a.id,
 		Colours: a.colours,
+		Waited:  waited,
 	}
 	if a.parent != nil {
 		ev.Parent = a.parent.id
@@ -690,7 +684,14 @@ func (a *Action) Lock(obj ids.ObjectID, mode lock.Mode, c colour.Colour) error {
 // nothing until a wait parks and asks for Done.
 type waitContext struct{ a *Action }
 
-var _ context.Context = waitContext{}
+var (
+	_ context.Context   = waitContext{}
+	_ lock.WaitObserver = waitContext{}
+)
+
+// LockWaited implements lock.WaitObserver: a lock request that blocked
+// is an EventLockWait.
+func (w waitContext) LockWaited(d time.Duration) { w.a.rt.observe(EventLockWait, w.a, d) }
 
 func (waitContext) Deadline() (time.Time, bool) { return time.Time{}, false }
 func (waitContext) Value(any) any               { return nil }
@@ -1058,7 +1059,7 @@ func (a *Action) finish() {
 	} else {
 		commitsByKind[a.kind].Inc()
 	}
-	a.rt.observe(kind, a)
+	a.rt.observe(kind, a, 0)
 
 	for _, h := range hooks {
 		h(st)

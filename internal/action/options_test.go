@@ -9,6 +9,7 @@ import (
 	"mca/internal/action"
 	"mca/internal/colour"
 	"mca/internal/lock"
+	"mca/internal/metrics"
 	"mca/internal/store"
 )
 
@@ -20,6 +21,7 @@ func TestEventKindString(t *testing.T) {
 		{action.EventBegin, "begin"},
 		{action.EventCommit, "commit"},
 		{action.EventAbort, "abort"},
+		{action.EventLockWait, "lockwait"},
 		{action.EventKind(9), "event(9)"},
 	}
 	for _, tt := range tests {
@@ -29,21 +31,54 @@ func TestEventKindString(t *testing.T) {
 	}
 }
 
-func TestWithLockShardsConfiguresStripeWidth(t *testing.T) {
-	rt := action.NewRuntime(action.WithLockShards(3))
-	if got := rt.Locks().ShardCount(); got != 4 {
-		t.Fatalf("ShardCount = %d, want 4 (3 rounded up to a power of two)", got)
-	}
-	// The runtime must behave identically at any stripe width.
+// TestObserverSeesLockWaits: a lock request that blocks reaches the
+// observer as one EventLockWait of the waiting action, carrying how long
+// it waited; a request granted at once reports nothing.
+func TestObserverSeesLockWaits(t *testing.T) {
+	var (
+		mu    sync.Mutex
+		waits []action.Event
+	)
+	rt := action.NewRuntime(action.WithObserver(func(ev action.Event) {
+		if ev.Kind == action.EventLockWait {
+			mu.Lock()
+			defer mu.Unlock()
+			waits = append(waits, ev)
+		}
+	}))
 	r := newReg("x", nil)
-	a := mustBegin(t, rt)
-	r.write(t, a, colour.None, "v")
-	if err := a.Commit(); err != nil {
-		t.Fatalf("commit: %v", err)
+	holder := mustBegin(t, rt)
+	r.write(t, holder, colour.None, "held")
+
+	parked := lockWaiters()
+	waiter := mustBegin(t, rt)
+	done := make(chan error, 1)
+	go func() { done <- r.writeErr(waiter, colour.None, "after") }()
+	for lockWaiters() == parked {
+		time.Sleep(time.Millisecond)
 	}
-	if n := rt.Locks().LockCount(); n != 0 {
-		t.Fatalf("LockCount after top-level commit = %d, want 0", n)
+	time.Sleep(5 * time.Millisecond)
+	if err := holder.Commit(); err != nil {
+		t.Fatal(err)
 	}
+	if err := <-done; err != nil {
+		t.Fatalf("blocked write = %v", err)
+	}
+	if err := waiter.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	mu.Lock()
+	defer mu.Unlock()
+	if len(waits) != 1 || waits[0].Action != waiter.ID() || waits[0].Waited < 5*time.Millisecond {
+		t.Fatalf("lock wait events = %+v, want one of %v lasting at least 5ms", waits, waiter.ID())
+	}
+}
+
+// lockWaiters reads how many lock requests are parked in the process.
+func lockWaiters() float64 {
+	f, _ := metrics.Default().Find("mca_lock_waiters")
+	return f.Samples[0].Value
 }
 
 func TestWithMaxLockWaitBoundsWaits(t *testing.T) {

@@ -91,8 +91,6 @@ var (
 	NewRuntime = action.NewRuntime
 	// WithMaxLockWait bounds lock waits (deadlock safety valve).
 	WithMaxLockWait = action.WithMaxLockWait
-	// WithLockShards fixes the striped lock table's shard count.
-	WithLockShards = action.WithLockShards
 	// WithColours gives a new action exactly the listed colours.
 	WithColours = action.WithColours
 	// WithColourSet is WithColours for an existing set.

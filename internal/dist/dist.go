@@ -529,7 +529,7 @@ func (m *Manager) handleInvoke(ctx context.Context, from ids.NodeID, body []byte
 	}
 	// The RPC layer injected the server span's context into ctx; the
 	// participant action joins the caller's trace under it.
-	caller, _ := trace.FromContext(ctx)
+	caller := m.callerSpan(ctx)
 	a, err := m.participantAction(req.Txn, from, req.Continuation, caller, req.Structure)
 	if err != nil {
 		return nil, err
@@ -542,7 +542,7 @@ func (m *Manager) handleInvoke(ctx context.Context, from ids.NodeID, body []byte
 	if a.HasWrites() {
 		flags = 0
 		if req.Vote {
-			if err := m.voteAtInvoke(req.Txn, a, from); err != nil {
+			if err := m.voteAtInvoke(req.Txn, a, from, caller); err != nil {
 				return nil, err
 			}
 			flags = replyVoted
@@ -557,8 +557,8 @@ func (m *Manager) handleInvoke(ctx context.Context, from ids.NodeID, body []byte
 
 // voteAtInvoke prepares txn's writer a once its invoke has run, for an
 // invoke that asked for the vote: the entry freezes, as at a prepare, and
-// stays reopenable by coord's next invoke here.
-func (m *Manager) voteAtInvoke(txn ids.ActionID, a *action.Action, coord ids.NodeID) error {
+// stays reopenable by coord's next invoke here. tc is the invoke's span.
+func (m *Manager) voteAtInvoke(txn ids.ActionID, a *action.Action, coord ids.NodeID, tc trace.Context) error {
 	m.mu.Lock()
 	e := m.txns[txn]
 	ok := e != nil && e.state == live && e.a == a
@@ -569,7 +569,7 @@ func (m *Manager) voteAtInvoke(txn ids.ActionID, a *action.Action, coord ids.Nod
 	if !ok {
 		return fmt.Errorf("%w (txn %v)", ErrAborted, txn) // ended while the operation ran
 	}
-	yes, err := m.vote(txn, e, a, coord, true)
+	yes, err := m.vote(txn, e, a, coord, tc, true)
 	if err == nil && !yes {
 		err = fmt.Errorf("%w (txn %v: voted no)", ErrAborted, txn)
 	}
@@ -581,12 +581,11 @@ func (m *Manager) voteAtInvoke(txn ids.ActionID, a *action.Action, coord ids.Nod
 // the caller froze, as a prepared record naming coord, and says yes only
 // after the force. An abort that overtook the force (terminate) buried the
 // entry: the record goes too, and the vote is no. atInvoke leaves a yes
-// reopenable.
-func (m *Manager) vote(txn ids.ActionID, e *entry, a *action.Action, coord ids.NodeID, atInvoke bool) (yes bool, err error) {
-	log := m.node.Stable().Intentions()
+// reopenable. tc is the span of the request that asked for the vote.
+func (m *Manager) vote(txn ids.ActionID, e *entry, a *action.Action, coord ids.NodeID, tc trace.Context, atInvoke bool) (yes bool, err error) {
 	writes, err := a.PendingWrites()
 	if err == nil {
-		err = log.Record(store.Intention{
+		err = m.force(tc, store.Intention{
 			Action:      txn,
 			Status:      store.IntentionPrepared,
 			Writes:      writes,
@@ -601,7 +600,7 @@ func (m *Manager) vote(txn ids.ActionID, e *entry, a *action.Action, coord ids.N
 	e.reopenable = yes && !overtaken && atInvoke
 	m.mu.Unlock()
 	if overtaken {
-		return false, log.Forget(txn)
+		return false, m.node.Stable().Intentions().Forget(txn)
 	}
 	if yes {
 		votesYes[atInvoke].Inc()
@@ -609,7 +608,35 @@ func (m *Manager) vote(txn ids.ActionID, e *entry, a *action.Action, coord ids.N
 	return yes, nil
 }
 
-func (m *Manager) handlePrepare(_ context.Context, from ids.NodeID, body []byte) ([]byte, error) {
+// force records in, forced, in the node's intention log. On a traced
+// node a force under a trace is a wal.force span, a child of tc.
+func (m *Manager) force(tc trace.Context, in store.Intention) error {
+	log := m.node.Stable().Intentions()
+	if m.tracer == nil || !tc.Valid() {
+		return log.Record(in)
+	}
+	start := m.clk.Now()
+	err := log.Record(in)
+	s := trace.Span{Kind: trace.KindForce, TraceID: tc.TraceID, SpanID: trace.NewSpanID(), ParentSpanID: tc.SpanID,
+		Outcome: trace.OutcomeOK, Begin: start, End: m.clk.Now()}
+	if err != nil {
+		s.Outcome = trace.OutcomeError
+	}
+	m.tracer.AddSpan(s)
+	return err
+}
+
+// callerSpan returns the span a request's ctx carries (the server span
+// the RPC layer injected), zero on an untraced node.
+func (m *Manager) callerSpan(ctx context.Context) trace.Context {
+	if m.tracer == nil {
+		return trace.Context{}
+	}
+	tc, _ := trace.FromContext(ctx)
+	return tc
+}
+
+func (m *Manager) handlePrepare(ctx context.Context, from ids.NodeID, body []byte) ([]byte, error) {
 	req, err := decodePrepareReq(body)
 	if err != nil {
 		return nil, fmt.Errorf("decode prepare: %w", err)
@@ -652,7 +679,7 @@ func (m *Manager) handlePrepare(_ context.Context, from ids.NodeID, body []byte)
 			readonlyVotes.Inc()
 		}
 	default:
-		yes, err := m.vote(req.Txn, e, a, req.Coordinator, false)
+		yes, err := m.vote(req.Txn, e, a, req.Coordinator, m.callerSpan(ctx), false)
 		if err != nil {
 			return nil, err
 		}
@@ -943,7 +970,6 @@ func (t *Txn) Commit(ctx context.Context) error {
 	t.mu.Unlock()
 
 	peer := t.mgr.node.Peer()
-	log := t.mgr.node.Stable().Intentions()
 
 	// Failed contacts never joined the action's outcome: make sure any
 	// ghost execution there is aborted (best effort; one that misses it
@@ -1026,7 +1052,7 @@ func (t *Txn) Commit(ctx context.Context) error {
 			err = errors.New("the action no longer runs here")
 		}
 		if err == nil {
-			err = log.Record(store.Intention{
+			err = t.mgr.force(t.tc, store.Intention{
 				Action:       t.ID(),
 				Status:       store.IntentionCommitted,
 				Writes:       localWrites,

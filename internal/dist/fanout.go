@@ -18,7 +18,6 @@ import (
 
 	"mca/internal/flightrec"
 	"mca/internal/ids"
-	"mca/internal/phase"
 	"mca/internal/trace"
 )
 
@@ -140,10 +139,9 @@ func (m *Manager) fanout(ctx context.Context, kind RoundKind, txn ids.ActionID, 
 		}
 	}
 	// The round's wall clock, parallel legs overlapping (so ≤ the sum of
-	// the per-peer rpc phases): its phase, its histogram and its span.
+	// the per-peer calls): its histogram and its span.
 	d := m.clk.Since(start)
 	roundParts.Add(uint64(len(targets)))
-	phase.Record(tc.TraceID, phase.Round, d)
 	if votedNo > 0 {
 		roundVoteNo.Add(uint64(votedNo))
 	}

@@ -41,6 +41,7 @@ import (
 	"mca/internal/ids"
 	"mca/internal/rpc"
 	"mca/internal/store"
+	"mca/internal/trace"
 )
 
 // singleSiteLocked reports whether the transaction is a plain one whose
@@ -155,15 +156,17 @@ func (t *Txn) askCommit1(ctx context.Context, p ids.NodeID) (bool, error) {
 
 // decisionRecord is the stable sink of a one-phase commit: the write set
 // it is handed becomes, with the commit decision, one forced intention
-// record, which the store installs as it forces it.
+// record, which the store installs as it forces it. tc is the span of the
+// commit1 request.
 type decisionRecord struct {
-	log         *store.IntentionLog
+	m           *Manager
+	tc          trace.Context
 	txn         ids.ActionID
 	coordinator ids.NodeID
 }
 
 func (d *decisionRecord) ApplyBatch(writes store.Batch) error {
-	return d.log.Record(store.Intention{
+	return d.m.force(d.tc, store.Intention{
 		Action:      d.txn,
 		Status:      store.IntentionCommitted,
 		Writes:      writes,
@@ -176,7 +179,7 @@ func (d *decisionRecord) ApplyBatch(writes store.Batch) error {
 // decision record, first time and every repeat; aborted means there is
 // no record and, the transaction being buried, never will be. An error
 // means this node cannot tell yet, and the coordinator asks again.
-func (m *Manager) handleCommit1(_ context.Context, from ids.NodeID, body []byte) ([]byte, error) {
+func (m *Manager) handleCommit1(ctx context.Context, from ids.NodeID, body []byte) ([]byte, error) {
 	txn, err := decodeTxnReq(body)
 	if err != nil {
 		return nil, fmt.Errorf("decode commit1: %w", err)
@@ -216,7 +219,7 @@ func (m *Manager) handleCommit1(_ context.Context, from ids.NodeID, body []byte)
 		return abortedBody, nil
 	}
 	// The record, the install and the local commit in one step.
-	err = a.CommitWith(&decisionRecord{log: log, txn: txn, coordinator: from})
+	err = a.CommitWith(&decisionRecord{m: m, tc: m.callerSpan(ctx), txn: txn, coordinator: from})
 	m.mu.Lock()
 	released := e.state == buried // the coordinator let go meanwhile
 	if err != nil && !released {

@@ -17,7 +17,6 @@ import (
 	"mca/internal/netsim"
 	"mca/internal/node"
 	"mca/internal/object"
-	"mca/internal/phase"
 	"mca/internal/rpc"
 	"mca/internal/trace"
 )
@@ -516,16 +515,30 @@ func TestOnePhaseAccounting(t *testing.T) {
 	if err := txn.Invoke(ctx, f.parts[0].ID(), "reg", "get", struct{}{}, nil); err != nil {
 		t.Fatal(err)
 	}
-	invoked := phase.Snapshot(txn.tc.TraceID)
-	if invoked[phase.RPC] == 0 {
-		t.Fatal("the traced invoke charged no rpc time: the ledger is not recording")
+	// The network and round time the trace holds: what its rpc.client
+	// and round spans at the coordinator took.
+	netTime := func() (d time.Duration, rounds int) {
+		for _, s := range f.recs[0].Spans() {
+			switch {
+			case s.TraceID != txn.tc.TraceID:
+			case s.Kind == trace.KindRPCClient:
+				d += s.End.Sub(s.Begin)
+			case strings.HasPrefix(s.Kind, "round."):
+				d += s.End.Sub(s.Begin)
+				rounds++
+			}
+		}
+		return d, rounds
+	}
+	invoked, _ := netTime()
+	if invoked == 0 {
+		t.Fatal("the traced invoke has no rpc.client span")
 	}
 	if err := txn.Commit(ctx); err != nil {
 		t.Fatal(err)
 	}
-	committed := phase.Snapshot(txn.tc.TraceID)
-	if committed[phase.RPC] != invoked[phase.RPC] || committed[phase.Round] != 0 {
-		t.Fatalf("read commit charged net time: ledger %v after the invoke, %v after Commit", invoked, committed)
+	if committed, rounds := netTime(); committed != invoked || rounds != 0 {
+		t.Fatalf("read commit charged net time: %v after the invoke, %v and %d rounds after Commit", invoked, committed, rounds)
 	}
 	if err := f.op(0, 0, "add"); err != nil {
 		t.Fatal(err)

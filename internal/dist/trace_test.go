@@ -3,6 +3,9 @@ package dist_test
 import (
 	"context"
 	"fmt"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -10,9 +13,9 @@ import (
 	"mca/internal/dist"
 	"mca/internal/flightrec"
 	"mca/internal/ids"
+	"mca/internal/metrics"
 	"mca/internal/netsim"
 	"mca/internal/node"
-	"mca/internal/phase"
 	"mca/internal/rpc"
 	"mca/internal/trace"
 )
@@ -133,17 +136,138 @@ func TestTracedCommitMergesToOneTreeWithoutOrphans(t *testing.T) {
 		t.Fatalf("critical path too short: %d spans", len(path))
 	}
 
-	// Nor does Commit's phase ledger hold a second round: its round time
-	// is the prepare round's, which the ledger took first.
-	var prepare time.Duration
+	// Nor does the trace hold a second round: its round time is the
+	// prepare round's alone.
+	var prepare, rounds time.Duration
 	for _, s := range tc.recs[0].Spans() {
 		if kind, _, _, ok := roundOf(s); ok && kind == dist.RoundPrepare {
 			prepare = s.End.Sub(s.Begin)
 		}
 	}
-	if got := time.Duration(phase.Snapshot(root.Span.TraceID)[phase.Round]); got <= 0 || got > prepare {
-		t.Fatalf("ledger round time %v, want the prepare round's %v alone", got, prepare)
+	root.Walk(func(n *trace.TreeNode, _ int) {
+		if strings.HasPrefix(n.Span.Kind, "round.") {
+			rounds += n.Span.End.Sub(n.Span.Begin)
+		}
+	})
+	if rounds <= 0 || rounds != prepare {
+		t.Fatalf("round time in the trace %v, want the prepare round's %v alone", rounds, prepare)
 	}
+}
+
+// TestAttributionAcrossNodeFiles: a transfer waits for a lock and for a
+// slowed force at the participants, and its breakdown, computed from
+// each node's spans written to its own file and read back, is the one
+// computed in process — each wait charged where it happened.
+func TestAttributionAcrossNodeFiles(t *testing.T) {
+	tc := newTracedCluster(t, netsim.Config{})
+	ctx := context.Background()
+	const slow = 5 * time.Millisecond
+	tc.nodes[1].Stable().WAL().SetForceDelay(slow)
+
+	// A transaction holds P2's account while the transfer reaches it.
+	blocker, err := tc.coord.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := blocker.Invoke(ctx, tc.nodes[2].ID(), "bank", "add", addArg{Delta: 1}, nil); err != nil {
+		t.Fatal(err)
+	}
+	txn, err := tc.coord.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	parked := lockWaiters()
+	done := make(chan error, 1)
+	go func() {
+		if err := txn.Invoke(ctx, tc.nodes[1].ID(), "bank", "add", addArg{Delta: -10}, nil); err != nil {
+			done <- err
+			return
+		}
+		if err := txn.Invoke(ctx, tc.nodes[2].ID(), "bank", "add", addArg{Delta: 10}, nil); err != nil {
+			done <- err
+			return
+		}
+		done <- txn.Commit(ctx)
+	}()
+	if err := waitUntil(func() bool { return lockWaiters() > parked }); err != nil {
+		t.Fatalf("the transfer never waited for P2's lock: %v", err)
+	}
+	time.Sleep(slow)
+	if err := blocker.Abort(ctx); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("transfer: %v", err)
+	}
+
+	dir := t.TempDir()
+	var inProcess, fromFiles []trace.Span
+	for i, rec := range tc.recs {
+		spans := rec.Spans()
+		inProcess = append(inProcess, spans...)
+		path := filepath.Join(dir, fmt.Sprintf("node%d.jsonl", i))
+		f, err := os.Create(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if err := trace.WriteSpans(f, spans); err != nil {
+			t.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
+			t.Fatal(err)
+		}
+		f, err = os.Open(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		read, err := trace.ReadSpans(f)
+		f.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		fromFiles = append(fromFiles, read...)
+	}
+	var tid uint64
+	for _, s := range inProcess {
+		if s.ID == txn.ID() && s.IsRoot() {
+			tid = s.TraceID
+		}
+	}
+	spans := trace.ByTrace(inProcess)[tid]
+	want := trace.Attribute(spans)
+	if got := trace.Attribute(trace.ByTrace(fromFiles)[tid]); got != want {
+		t.Fatalf("breakdown from the files %+v, in process %+v", got, want)
+	}
+
+	// Each wait is a span of the node it happened at.
+	waited := map[string]map[ids.NodeID]time.Duration{}
+	for _, s := range spans {
+		if s.Kind == trace.KindLockWait || s.Kind == trace.KindForce {
+			if waited[s.Kind] == nil {
+				waited[s.Kind] = map[ids.NodeID]time.Duration{}
+			}
+			waited[s.Kind][s.Node] += s.End.Sub(s.Begin)
+		}
+	}
+	p1, p2 := tc.nodes[1].ID(), tc.nodes[2].ID()
+	if got := waited[trace.KindLockWait][p2]; got < slow || time.Duration(want.Lock) != got {
+		t.Fatalf("lock waits by node %v (breakdown %+v), want P2's alone, at least %v", waited[trace.KindLockWait], want, slow)
+	}
+	if got := waited[trace.KindForce][p1]; got < slow || time.Duration(want.Force) < got {
+		t.Fatalf("forces by node %v (breakdown %+v), want P1's at least %v", waited[trace.KindForce], want, slow)
+	}
+	if want.Queue <= 0 || want.Net <= 0 {
+		t.Fatalf("breakdown %+v has no serve-pool queueing or no wire time", want)
+	}
+	if want.Total < want.Lock+want.Force {
+		t.Fatalf("breakdown %+v charges more waiting than the transaction took", want)
+	}
+}
+
+// lockWaiters reads how many lock requests are parked in the process.
+func lockWaiters() float64 {
+	f, _ := metrics.Default().Find("mca_lock_waiters")
+	return f.Samples[0].Value
 }
 
 // TestPiggybackedPhase2IsItsOwnSpan: a transfer's commit rides the next

@@ -257,7 +257,7 @@ func (c *Cluster) Config() ClusterConfig { return c.cfg }
 
 // SetForceDelay installs a simulated per-force latency on every node's
 // WAL — the storage-fault injection knob of the attribution experiment
-// (E26): a slow disk shows up as force-wait time in the phase ledger.
+// (E26): a slow disk shows up as the traces' wal.force spans.
 func (c *Cluster) SetForceDelay(d time.Duration) {
 	for _, nd := range c.nodes {
 		nd.Stable().WAL().SetForceDelay(d)
@@ -290,35 +290,43 @@ func (c *Cluster) Write(ctx context.Context, key uint64) error {
 	})
 }
 
-// SlowRoots drains every recorder and returns the sampled trace-root
-// spans — the transactions the tail sampler kept — slowest first, at
-// most k (k <= 0 means all). Nil when the cluster is untraced.
-func (c *Cluster) SlowRoots(k int) []trace.Span {
+// SlowTraces drains every recorder and returns the traces the tail
+// sampler kept whose root has ended, each with its spans from every
+// node, slowest root first, at most k (k <= 0 means all). Nil when the
+// cluster is untraced.
+func (c *Cluster) SlowTraces(k int) [][]trace.Span {
 	if c.sampler == nil {
 		return nil
 	}
-	var roots []trace.Span
+	var all []trace.Span
 	for _, rec := range c.recs {
-		for _, s := range rec.Spans() {
-			// Trace roots carry the phase ledger; skip still-active
-			// spans (no end recorded yet).
-			if s.TraceID != 0 && s.ParentSpanID == 0 && s.SpanID != 0 &&
-				s.ID != 0 && s.Parent == 0 && !s.End.IsZero() {
-				roots = append(roots, s)
-			}
+		all = append(all, rec.Spans()...)
+	}
+	type slow struct {
+		root  trace.Span
+		spans []trace.Span
+	}
+	var found []slow
+	for _, spans := range trace.ByTrace(all) {
+		if root, ok := trace.Root(spans); ok && !root.End.IsZero() {
+			found = append(found, slow{root, spans})
 		}
 	}
-	sort.Slice(roots, func(i, j int) bool {
-		di, dj := roots[i].End.Sub(roots[i].Begin), roots[j].End.Sub(roots[j].Begin)
-		if di != dj {
+	sort.Slice(found, func(i, j int) bool {
+		ri, rj := found[i].root, found[j].root
+		if di, dj := ri.End.Sub(ri.Begin), rj.End.Sub(rj.Begin); di != dj {
 			return di > dj
 		}
-		return roots[i].TraceID < roots[j].TraceID
+		return ri.TraceID < rj.TraceID
 	})
-	if k > 0 && len(roots) > k {
-		roots = roots[:k]
+	if k > 0 && len(found) > k {
+		found = found[:k]
 	}
-	return roots
+	out := make([][]trace.Span, len(found))
+	for i, f := range found {
+		out[i] = f.spans
+	}
+	return out
 }
 
 // LastCapture returns the slow-transaction capture taken at the most

@@ -113,9 +113,9 @@ func TestSearchCapacityOnCluster(t *testing.T) {
 
 // TestTracedClusterCapture runs the slow-transaction pipeline end to
 // end: a traced cluster with an injected WAL force delay keeps every
-// transaction (all beat the threshold), SlowRoots returns them slowest
-// first with phase ledgers attached, and the derived report names the
-// injected fault dominant.
+// transaction (all beat the threshold), SlowTraces returns them slowest
+// root first with each one's spans from every node, and the breakdown
+// derived from those spans names the injected fault dominant.
 func TestTracedClusterCapture(t *testing.T) {
 	c, err := NewCluster(ClusterConfig{
 		Backend:      BackendNetsim,
@@ -134,22 +134,26 @@ func TestTracedClusterCapture(t *testing.T) {
 			t.Fatalf("write key %d: %v", key, err)
 		}
 	}
-	roots := c.SlowRoots(4)
-	if len(roots) != 4 {
-		t.Fatalf("SlowRoots(4) returned %d roots, want 4 (every write pays >=20ms of forces)", len(roots))
+	traces := c.SlowTraces(4)
+	if len(traces) != 4 {
+		t.Fatalf("SlowTraces(4) returned %d traces, want 4 (every write pays >=10ms of forces)", len(traces))
 	}
-	for i, s := range roots {
-		if i > 0 {
-			prev := roots[i-1].End.Sub(roots[i-1].Begin)
-			if s.End.Sub(s.Begin) > prev {
-				t.Fatalf("roots not sorted slowest-first at %d", i)
-			}
+	var prev time.Duration
+	for i, spans := range traces {
+		root, ok := trace.Root(spans)
+		if !ok {
+			t.Fatalf("trace %d has no root span", i)
 		}
-		if len(s.Phases) == 0 {
-			t.Fatalf("root %d has no phase ledger: %+v", i, s)
+		if d := root.End.Sub(root.Begin); i > 0 && d > prev {
+			t.Fatalf("traces not sorted slowest-first at %d", i)
+		} else {
+			prev = d
+		}
+		if a := trace.Attribute(spans); a.Force < (10 * time.Millisecond).Nanoseconds() {
+			t.Fatalf("trace %d charges %v to forces, want the injected 10ms at least (spans %+v)", i, time.Duration(a.Force), spans)
 		}
 	}
-	st := NewSlowTxnsReport(123, roots)
+	st := NewSlowTxnsReport(123, traces)
 	if st == nil || st.TriggerRateQPS != 123 || len(st.Txns) != 4 {
 		t.Fatalf("NewSlowTxnsReport = %+v", st)
 	}
@@ -164,7 +168,7 @@ func TestTracedClusterCapture(t *testing.T) {
 	}
 	// An untraced cluster exposes none of this.
 	plain := newTestCluster(t)
-	if plain.SlowRoots(4) != nil || plain.LastCapture() != nil {
+	if plain.SlowTraces(4) != nil || plain.LastCapture() != nil {
 		t.Fatal("untraced cluster returned sampled roots")
 	}
 }

@@ -107,27 +107,26 @@ type SlowTxn struct {
 	Outcome    string  `json:"outcome"`
 	// Dominant is the largest exclusive bucket (trace.Attribution).
 	Dominant string `json:"dominant"`
-	// PhasesMS is the raw (overlapping) phase ledger in milliseconds.
-	PhasesMS map[string]float64 `json:"phases_ms,omitempty"`
 	// BreakdownMS is the derived exclusive view in milliseconds.
 	BreakdownMS map[string]float64 `json:"breakdown_ms"`
 }
 
-// NewSlowTxnsReport converts captured trace roots (Cluster.SlowRoots)
-// to report form. Returns nil for an empty capture.
-func NewSlowTxnsReport(rate float64, roots []trace.Span) *SlowTxnsReport {
-	if len(roots) == 0 {
+// NewSlowTxnsReport converts captured traces (Cluster.SlowTraces) to
+// report form. Returns nil for an empty capture.
+func NewSlowTxnsReport(rate float64, traces [][]trace.Span) *SlowTxnsReport {
+	if len(traces) == 0 {
 		return nil
 	}
 	out := &SlowTxnsReport{TriggerRateQPS: round2(rate)}
 	totals := make(map[string]int64, len(trace.BreakdownNames))
 	var total int64
-	for _, s := range roots {
-		a := trace.AttributeSpan(s)
+	for _, spans := range traces {
+		root, _ := trace.Root(spans)
+		a := trace.Attribute(spans)
 		st := SlowTxn{
-			TraceID:     fmt.Sprintf("%016x", s.TraceID),
-			DurationMS:  ms(s.End.Sub(s.Begin)),
-			Outcome:     s.Outcome,
+			TraceID:     fmt.Sprintf("%016x", root.TraceID),
+			DurationMS:  ms(root.End.Sub(root.Begin)),
+			Outcome:     root.Outcome,
 			Dominant:    a.Dominant(),
 			BreakdownMS: make(map[string]float64, len(trace.BreakdownNames)),
 		}
@@ -135,12 +134,6 @@ func NewSlowTxnsReport(rate float64, roots []trace.Span) *SlowTxnsReport {
 			totals[name] += v
 			total += v
 			st.BreakdownMS[name] = ms(time.Duration(v))
-		}
-		if len(s.Phases) > 0 {
-			st.PhasesMS = make(map[string]float64, len(s.Phases))
-			for name, ns := range s.Phases {
-				st.PhasesMS[name] = ms(time.Duration(ns))
-			}
 		}
 		out.Txns = append(out.Txns, st)
 	}

@@ -199,7 +199,7 @@ func (c *Cluster) maybeCapture(rc RunConfig, rate float64, res workload.OpenResu
 	if res.Latency.Percentile(rc.SLO.Quantile*100) <= rc.SLO.Target {
 		return
 	}
-	if rep := NewSlowTxnsReport(rate, c.SlowRoots(slowTxnCaptureK)); rep != nil {
+	if rep := NewSlowTxnsReport(rate, c.SlowTraces(slowTxnCaptureK)); rep != nil {
 		c.mu.Lock()
 		c.capture = rep
 		c.mu.Unlock()

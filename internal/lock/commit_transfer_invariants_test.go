@@ -138,6 +138,10 @@ func TestAssertHeirRejectsNonAncestor(t *testing.T) {
 		if recover() == nil {
 			t.Fatal("CommitTransfer with non-ancestor heir did not panic under invariants")
 		}
+		// The panic left the object's shard mutex held; release it so
+		// that a later gather of the process's lock counters can read
+		// this manager.
+		m.shardOf(obj).mu.Unlock()
 	}()
 	m.CommitTransfer(3, func(colour.Colour) (ids.ActionID, bool) { return 7, true })
 }
@@ -155,6 +159,10 @@ func TestAssertHeirRejectsSelf(t *testing.T) {
 		if recover() == nil {
 			t.Fatal("CommitTransfer with self heir did not panic under invariants")
 		}
+		// The panic left the object's shard mutex held; release it so
+		// that a later gather of the process's lock counters can read
+		// this manager.
+		m.shardOf(obj).mu.Unlock()
 	}()
 	m.CommitTransfer(2, func(colour.Colour) (ids.ActionID, bool) { return 2, true })
 }

@@ -58,7 +58,6 @@ import (
 	"mca/internal/colour"
 	"mca/internal/flightrec"
 	"mca/internal/ids"
-	"mca/internal/phase"
 )
 
 // Mode is a lock mode.
@@ -226,19 +225,25 @@ type Manager struct {
 	// cycle detection.
 	waits waitsFor
 
+	// slow holds the counters the shard-mutex fast path does not keep.
+	// It is allocated apart from the manager, like shards, so that the
+	// process totals can fold both in once the manager is collected
+	// (metrics.go).
+	slow *slowCounts
+}
+
+// slowCounts are the atomic counters of the paths off the shard-mutex
+// fast path. Those paths have already parked or taken the waits-for
+// mutex, so an atomic add is free by comparison.
+type slowCounts struct {
 	// signals counts targeted waiter wakeups; tests use it to pin that
 	// a release wakes only the waiters queued on the released objects.
 	signals atomic.Uint64
-
-	// slow counts failure outcomes that occur off the shard-mutex fast
-	// path (cycle deadlocks, timeouts, cancellations); those paths have
-	// already parked or taken the waits-for mutex, so an atomic add is
-	// free by comparison. Indexed by Mode (slot 0 unused).
-	slow struct {
-		cycles   [4]atomic.Uint64
-		timeouts [4]atomic.Uint64
-		cancels  [4]atomic.Uint64
-	}
+	// Failure outcomes (cycle deadlocks, timeouts, cancellations),
+	// indexed by Mode (slot 0 unused).
+	cycles   [4]atomic.Uint64
+	timeouts [4]atomic.Uint64
+	cancels  [4]atomic.Uint64
 }
 
 // shardStats are the shard's hot-path telemetry counters. They are
@@ -307,6 +312,7 @@ func NewManager(ancestry Ancestry, opts ...Option) *Manager {
 		opts:      o,
 		shards:    make([]shard, n),
 		shardMask: uint64(n - 1),
+		slow:      new(slowCounts),
 	}
 	for i := range m.shards {
 		m.shards[i].objects = make(map[ids.ObjectID]*objectLocks)
@@ -419,6 +425,13 @@ func (m *Manager) TryAcquire(req Request) error {
 	return nil
 }
 
+// WaitObserver is implemented by an Acquire context that wants to learn
+// how long its request stayed parked: Acquire calls LockWaited once for a
+// request that blocked, whatever the outcome, after the wait.
+type WaitObserver interface {
+	LockWaited(time.Duration)
+}
+
 // Acquire grants the request, waiting for conflicting locks to be
 // released. It fails with ErrDeadlock when the wait provably cannot end,
 // with ErrTimeout when the manager's maximum wait is exceeded, and with
@@ -439,15 +452,16 @@ func (m *Manager) Acquire(ctx context.Context, req Request) error {
 		w          *waiter
 		blockStart time.Time
 	)
-	// Record how long the request spent parked, whatever the outcome.
-	// Requests that never block skip the observation entirely. Blocked
-	// time is also charged to the owner's transaction phase ledger
-	// (lock-wait) when the owner belongs to a distributed trace.
+	// Record how long the request spent parked, whatever the outcome,
+	// and tell a context that asks. Requests that never block skip the
+	// observation entirely.
 	defer func() {
 		if w != nil {
 			blocked := m.opts.clk.Since(blockStart)
 			blockNs.ObserveDuration(blocked)
-			phase.RecordAction(req.Owner, phase.Lock, blocked)
+			if o, ok := ctx.(WaitObserver); ok {
+				o.LockWaited(blocked)
+			}
 		}
 	}()
 	s := m.shardOf(req.Object)
@@ -566,7 +580,7 @@ func (m *Manager) dequeueLocked(s *shard, obj ids.ObjectID, w *waiter) {
 // hold the shard mutex; the woken waiters immediately contend for it.
 func (m *Manager) signalWaiters(woken []*waiter) {
 	for _, w := range woken {
-		m.signals.Add(1)
+		m.slow.signals.Add(1)
 		select {
 		case w.ready <- struct{}{}:
 		default:
@@ -910,8 +924,4 @@ func (m *Manager) waitersOn(object ids.ObjectID) int {
 
 // signalCount returns the cumulative number of targeted wakeups sent,
 // for tests pinning the no-spurious-wakeup property.
-func (m *Manager) signalCount() uint64 { return m.signals.Load() }
-
-// ShardCount reports the stripe width of the lock table, for
-// introspection by tests and the experiment harness.
-func (m *Manager) ShardCount() int { return len(m.shards) }
+func (m *Manager) signalCount() uint64 { return m.slow.signals.Load() }

@@ -1,9 +1,9 @@
 package lock
 
 import (
+	"runtime"
 	"strconv"
 	"sync"
-	"weak"
 
 	"mca/internal/metrics"
 )
@@ -16,9 +16,12 @@ import (
 // shardStats); failure paths that have already parked use the Manager's
 // atomic slow counters; only the block-time histogram pays atomic adds,
 // and only on requests that actually blocked. Everything is summed here
-// at gather time across all live managers, tracked through weak
-// pointers so telemetry never keeps a discarded manager (tests build
-// thousands) alive.
+// at gather time, over every manager's tally. A tally holds a manager's
+// shards and slow counters, not the manager, so telemetry never keeps a
+// discarded manager (tests build thousands) alive; once the manager is
+// collected, a cleanup folds its counts into the retired totals and
+// drops the tally, under the mutex every gather holds, so a counter
+// never goes down when a node restarts with a new runtime.
 
 // blockNs records how long blocked Acquires spent parked, in
 // nanoseconds, across all managers in the process.
@@ -26,42 +29,44 @@ var blockNs = metrics.Default().Histogram(
 	"mca_lock_block_ns",
 	"Time blocked Acquire calls spent parked, ns (all outcomes).")
 
-// live is the weak set of constructed managers; gathers sum over it and
-// drop entries whose manager has been collected.
+// tally is what telemetry reads of one manager.
+type tally struct {
+	shards []shard
+	slow   *slowCounts
+}
+
+// live holds the tallies of managers not yet collected, and retired the
+// counters of those that were (its shard depths stay empty).
 var live struct {
-	mu  sync.Mutex
-	set map[weak.Pointer[Manager]]struct{}
+	mu      sync.Mutex
+	set     map[*tally]struct{}
+	retired aggregate
 }
 
 func registerManager(m *Manager) {
+	t := &tally{shards: m.shards, slow: m.slow}
 	live.mu.Lock()
-	defer live.mu.Unlock()
 	if live.set == nil {
-		live.set = make(map[weak.Pointer[Manager]]struct{})
+		live.set = make(map[*tally]struct{})
 	}
-	live.set[weak.Make(m)] = struct{}{}
+	live.set[t] = struct{}{}
+	live.mu.Unlock()
+	runtime.AddCleanup(m, retire, t)
 }
 
-// forEachManager visits every still-live manager, pruning dead weak
-// pointers as a side effect. Shard mutexes may be taken inside f: the
-// lock-ordering rule (shard mutex first) is respected because nothing
-// under a shard mutex ever touches live.mu.
-func forEachManager(f func(*Manager)) {
+// retire folds a collected manager's counters into the retired totals.
+// It runs on the process's one cleanup goroutine, so it must not block:
+// nothing can hold a collected manager's shard mutex but a panic that
+// left it locked, and such a shard's counts are lost.
+func retire(t *tally) {
 	live.mu.Lock()
 	defer live.mu.Unlock()
-	for p := range live.set {
-		m := p.Value()
-		if m == nil {
-			delete(live.set, p)
-			continue
-		}
-		f(m)
-	}
+	t.addTo(&live.retired, true)
+	delete(live.set, t)
 }
 
-// sumStats folds every shard's stats (and the slow atomics) of every
-// live manager into one aggregate, also reporting instantaneous table
-// depth per shard index.
+// aggregate is the sum of every manager's counters, with the
+// instantaneous table depth per shard index of the live ones.
 type aggregate struct {
 	stats        shardStats
 	cycles       [4]uint64
@@ -72,44 +77,56 @@ type aggregate struct {
 	shardWaiters []uint64 // parked waiters by shard index
 }
 
-func gatherAggregate() aggregate {
-	var a aggregate
-	forEachManager(func(m *Manager) {
-		if len(m.shards) > len(a.shardEntries) {
-			grown := make([]uint64, len(m.shards))
-			copy(grown, a.shardEntries)
-			a.shardEntries = grown
-			grown = make([]uint64, len(m.shards))
-			copy(grown, a.shardWaiters)
-			a.shardWaiters = grown
-		}
-		for i := range m.shards {
-			s := &m.shards[i]
+// addTo adds the tally's counters to a, and the table depth unless the
+// manager is gone, when it skips a shard whose mutex it cannot take.
+// Shard mutexes are taken under live.mu: nothing under a shard mutex
+// ever touches live.mu, so the lock-ordering rule holds.
+func (t *tally) addTo(a *aggregate, gone bool) {
+	if !gone && len(t.shards) > len(a.shardEntries) {
+		a.shardEntries = append(a.shardEntries, make([]uint64, len(t.shards)-len(a.shardEntries))...)
+		a.shardWaiters = append(a.shardWaiters, make([]uint64, len(t.shards)-len(a.shardWaiters))...)
+	}
+	for i := range t.shards {
+		s := &t.shards[i]
+		if !gone {
 			s.mu.Lock()
-			for mode := range s.stats.grants {
-				a.stats.grants[mode] += s.stats.grants[mode]
-				a.stats.conflicts[mode] += s.stats.conflicts[mode]
-				a.stats.permanent[mode] += s.stats.permanent[mode]
-			}
-			a.stats.blocks += s.stats.blocks
-			a.stats.inherited += s.stats.inherited
-			a.stats.relCommit += s.stats.relCommit
-			a.stats.relAbort += s.stats.relAbort
+		} else if !s.mu.TryLock() {
+			continue
+		}
+		for mode := range s.stats.grants {
+			a.stats.grants[mode] += s.stats.grants[mode]
+			a.stats.conflicts[mode] += s.stats.conflicts[mode]
+			a.stats.permanent[mode] += s.stats.permanent[mode]
+		}
+		a.stats.blocks += s.stats.blocks
+		a.stats.inherited += s.stats.inherited
+		a.stats.relCommit += s.stats.relCommit
+		a.stats.relAbort += s.stats.relAbort
+		if !gone {
 			for _, ol := range s.objects {
 				a.shardEntries[i] += uint64(len(ol.entries))
 			}
 			for _, q := range s.waiters {
 				a.shardWaiters[i] += uint64(len(q))
 			}
-			s.mu.Unlock()
 		}
-		for mode := 1; mode < 4; mode++ {
-			a.cycles[mode] += m.slow.cycles[mode].Load()
-			a.timeouts[mode] += m.slow.timeouts[mode].Load()
-			a.cancels[mode] += m.slow.cancels[mode].Load()
-		}
-		a.wakeups += m.signals.Load()
-	})
+		s.mu.Unlock()
+	}
+	for mode := 1; mode < 4; mode++ {
+		a.cycles[mode] += t.slow.cycles[mode].Load()
+		a.timeouts[mode] += t.slow.timeouts[mode].Load()
+		a.cancels[mode] += t.slow.cancels[mode].Load()
+	}
+	a.wakeups += t.slow.signals.Load()
+}
+
+func gatherAggregate() aggregate {
+	live.mu.Lock()
+	defer live.mu.Unlock()
+	a := live.retired
+	for t := range live.set {
+		t.addTo(&a, false)
+	}
 	return a
 }
 

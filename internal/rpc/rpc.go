@@ -18,7 +18,6 @@ import (
 	"mca/internal/flightrec"
 	"mca/internal/ids"
 	"mca/internal/netsim"
-	"mca/internal/phase"
 	"mca/internal/trace"
 )
 
@@ -320,8 +319,9 @@ type serveJob struct {
 	from ids.NodeID
 	req  envelope
 	// arrived is the dispatch timestamp, stamped only for traced
-	// requests: serve-start minus arrived is the queue phase (pool
-	// wait, or goroutine scheduling delay on the spawn path).
+	// requests at a peer with a tracer: serve-start minus arrived is
+	// the server span's queueing (pool wait, or goroutine scheduling
+	// delay on the spawn path).
 	arrived time.Time
 }
 
@@ -366,7 +366,7 @@ func (p *Peer) loop(stop, done chan struct{}, serveq chan serveJob) {
 		switch env.Kind {
 		case kindRequest:
 			job := serveJob{from: msg.From, req: env}
-			if env.Trace != 0 {
+			if env.Trace != 0 && p.tracer.Load() != nil {
 				job.arrived = p.opts.Clock.Now()
 			}
 			select {
@@ -444,11 +444,8 @@ func (p *Peer) serve(ctx context.Context, job serveJob) {
 	var serverSpan trace.Context
 	var spanStart time.Time
 	if reqTC.Valid() {
-		spanStart = p.opts.Clock.Now()
-		if !job.arrived.IsZero() {
-			phase.Record(reqTC.TraceID, phase.Queue, spanStart.Sub(job.arrived))
-		}
 		if rec != nil {
+			spanStart = p.opts.Clock.Now()
 			serverSpan = reqTC.Child()
 			hctx = trace.Inject(ctx, serverSpan)
 		} else {
@@ -470,25 +467,26 @@ func (p *Peer) serve(ctx context.Context, job serveJob) {
 		}
 	}
 
-	if reqTC.Valid() {
-		end := p.opts.Clock.Now()
-		phase.Record(reqTC.TraceID, phase.Serve, end.Sub(spanStart))
-		if serverSpan.Valid() {
-			outcome := trace.OutcomeOK
-			if resp.IsErr {
-				outcome = trace.OutcomeError
-			}
-			rec.AddSpan(trace.Span{
-				Kind:         "rpc.server",
-				Label:        req.Method,
-				TraceID:      serverSpan.TraceID,
-				SpanID:       serverSpan.SpanID,
-				ParentSpanID: reqTC.SpanID,
-				Outcome:      outcome,
-				Begin:        spanStart,
-				End:          end,
-			})
+	if serverSpan.Valid() {
+		outcome := trace.OutcomeOK
+		if resp.IsErr {
+			outcome = trace.OutcomeError
 		}
+		var queued time.Duration
+		if !job.arrived.IsZero() {
+			queued = spanStart.Sub(job.arrived)
+		}
+		rec.AddSpan(trace.Span{
+			Kind:         trace.KindRPCServer,
+			Label:        req.Method,
+			TraceID:      serverSpan.TraceID,
+			SpanID:       serverSpan.SpanID,
+			ParentSpanID: reqTC.SpanID,
+			Outcome:      outcome,
+			Begin:        spanStart,
+			End:          p.opts.Clock.Now(),
+			Queued:       queued,
+		})
 	}
 
 	p.mu.Lock()
@@ -571,16 +569,12 @@ func (p *Peer) tracedCall(ctx context.Context, to ids.NodeID, method string, bod
 	start := p.opts.Clock.Now()
 	out, err := p.call(ctx, to, method, callSpan, body)
 	end := p.opts.Clock.Now()
-	// Client-side rpc phase: queueing + network + remote serve, as the
-	// caller experienced it. The attribution view subtracts the remote
-	// serve/queue phases back out to isolate wire time.
-	phase.Record(tc.TraceID, phase.RPC, end.Sub(start))
 	outcome := trace.OutcomeOK
 	if err != nil {
 		outcome = trace.OutcomeError
 	}
 	rec.AddSpan(trace.Span{
-		Kind:         "rpc.client",
+		Kind:         trace.KindRPCClient,
 		Label:        method + " to " + to.String(),
 		TraceID:      callSpan.TraceID,
 		SpanID:       callSpan.SpanID,

@@ -22,7 +22,6 @@ import (
 	"mca/internal/flightrec"
 	"mca/internal/ids"
 	"mca/internal/metrics"
-	"mca/internal/phase"
 )
 
 // WAL telemetry, exported under mca_store_*.
@@ -315,12 +314,6 @@ func (w *WAL) append(e logRecord) error {
 	if w.owner.Crashed() {
 		return ErrCrashed
 	}
-	// The whole wait — group-commit window plus the force itself — is
-	// force-wait from the transaction's point of view; charge it to the
-	// record's action (the distributed transaction identifier) when
-	// that transaction is traced.
-	clk := w.clock()
-	start := clk.Now()
 	w.mu.Lock()
 	b, err := w.joinLocked(&e)
 	if err != nil {
@@ -328,11 +321,7 @@ func (w *WAL) append(e logRecord) error {
 		return err
 	}
 	b.wanted = true
-	err = w.awaitLocked(b)
-	if e.kind != kindBatch {
-		phase.RecordAction(e.action, phase.Force, clk.Since(start))
-	}
-	return err
+	return w.awaitLocked(b)
 }
 
 // appendLazy adds the record to the open batch and asks for no force: it

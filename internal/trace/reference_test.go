@@ -13,14 +13,14 @@ import (
 	"mca/internal/clock"
 	"mca/internal/colour"
 	"mca/internal/ids"
-	"mca/internal/phase"
 )
 
 // refRecorder is the reference model of the Recorder: it logs every
 // action event and rebuilds the spans at export, resolving the trace
 // identities that actions inherit from their bound ancestors there and
-// then. It does not sample; sampling is modelled as a filter on its
-// export (refExport).
+// then. A lock wait is a span of the trace its action is bound to when
+// it is reported, if any. It does not sample; sampling is modelled as a
+// filter on its export (refExport).
 type refRecorder struct {
 	node   ids.NodeID
 	events []action.Event
@@ -33,7 +33,14 @@ func newRefRecorder(node ids.NodeID) *refRecorder {
 	return &refRecorder{node: node, labels: make(map[ids.ActionID]string), binds: make(map[ids.ActionID]traceBinding)}
 }
 
-func (r *refRecorder) Observe(ev action.Event)            { r.events = append(r.events, ev) }
+func (r *refRecorder) Observe(ev action.Event) {
+	if ev.Kind != action.EventLockWait {
+		r.events = append(r.events, ev)
+	} else if b, ok := r.binds[ev.Action]; ok {
+		r.extras = append(r.extras, Span{Kind: KindLockWait, TraceID: b.tc.TraceID, SpanID: NewSpanID(), ParentSpanID: b.tc.SpanID,
+			Outcome: OutcomeOK, Begin: ev.Time.Add(-ev.Waited), End: ev.Time})
+	}
+}
 func (r *refRecorder) AddSpan(s Span)                     { r.extras = append(r.extras, s) }
 func (r *refRecorder) Label(id ids.ActionID, name string) { r.labels[id] = name }
 
@@ -102,9 +109,6 @@ func (r *refRecorder) Spans() []Span {
 		s := &spans[i]
 		if b, ok := r.binds[s.ID]; ok {
 			s.TraceID, s.SpanID, s.ParentSpanID = b.tc.TraceID, b.tc.SpanID, b.parent
-			if b.parent == 0 {
-				s.Phases = phase.Snapshot(b.tc.TraceID)
-			}
 			continue
 		}
 		if pb, ok := r.binds[s.Parent]; ok && s.Parent != 0 {
@@ -162,6 +166,16 @@ func (d *streamDriver) pick(from []ids.ActionID, ok func(ids.ActionID) bool) (id
 		return 0, false
 	}
 	return cands[d.rng.IntN(len(cands))], true
+}
+
+// boundAbove reports whether the action or an ancestor was bound.
+func (d *streamDriver) boundAbove(id ids.ActionID) bool {
+	for ; id != 0; id = d.parent[id] {
+		if _, ok := d.ctx[id]; ok {
+			return true
+		}
+	}
+	return false
 }
 
 func (d *streamDriver) hasOpenChild(id ids.ActionID) bool {
@@ -223,9 +237,6 @@ func (d *streamDriver) step() {
 			_, inherited := d.ref.binds[id]
 			pair = [2]Context{d.rec.StartTrace(id), d.ref.StartTrace(id)}
 			d.roots[id] = !inherited
-			ns := time.Duration(1 + d.rng.IntN(1000))
-			phase.Record(pair[0].TraceID, phase.Lock, ns)
-			phase.Record(pair[1].TraceID, phase.Lock, ns)
 		} else {
 			remote := NewRoot()
 			d.remote = append(d.remote, remote)
@@ -233,7 +244,7 @@ func (d *streamDriver) step() {
 		}
 		d.ctx[id] = pair
 		d.bound = append(d.bound, id)
-	case op < 85: // add a span: untraced, or under a bound action
+	case op < 80: // add a span: untraced, or under a bound action
 		d.extraSeq++
 		s := Span{Kind: "rpc.client", Label: fmt.Sprintf("extra-%d", d.extraSeq), Outcome: OutcomeOK,
 			Begin: d.clk.Now().Add(-time.Millisecond), End: d.clk.Now()}
@@ -248,6 +259,18 @@ func (d *streamDriver) step() {
 			s.TraceID, s.SpanID, s.ParentSpanID = c.TraceID, c.SpanID, pair[i].SpanID
 			add(s)
 		}
+	case op < 85: // an open action's lock wait: bound, or with no bound ancestor
+		id, ok := d.pick(d.open, func(id ids.ActionID) bool {
+			_, bound := d.ctx[id]
+			return bound || !d.boundAbove(id)
+		})
+		if !ok {
+			return
+		}
+		d.extraSeq++
+		ev := action.Event{Kind: action.EventLockWait, Time: d.clk.Now(), Action: id, Waited: time.Duration(d.extraSeq) * time.Microsecond}
+		d.rec.Observe(ev)
+		d.ref.Observe(ev)
 	case op < 90: // a remote coordinator publishes its decision
 		if len(d.remote) == 0 {
 			return
@@ -284,8 +307,9 @@ func (d *streamDriver) refExport() []Span {
 	})
 }
 
-// canonical orders the added spans by label (a sampler stores a kept
-// trace's spans when it is decided, not as they were added) and renames
+// canonical orders the added spans by label and duration (a sampler
+// stores a kept trace's spans when it is decided, not as they were
+// added; lock waits differ in duration alone) and renames
 // trace and span identifiers in order of first appearance, so two
 // exports compare although each recorder drew its own identifiers.
 func canonical(spans []Span) []Span {
@@ -293,7 +317,9 @@ func canonical(spans []Span) []Span {
 	if n < 0 {
 		n = len(spans)
 	}
-	slices.SortStableFunc(spans[n:], func(a, b Span) int { return cmp.Compare(a.Label, b.Label) })
+	slices.SortStableFunc(spans[n:], func(a, b Span) int {
+		return cmp.Or(cmp.Compare(a.Label, b.Label), cmp.Compare(a.End.Sub(a.Begin), b.End.Sub(b.Begin)))
+	})
 	traces, spanIDs := map[uint64]uint64{0: 0}, map[uint64]uint64{0: 0}
 	rename := func(m map[uint64]uint64, v uint64) uint64 {
 		if r, ok := m[v]; ok {

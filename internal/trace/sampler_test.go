@@ -6,7 +6,10 @@ import (
 
 	"mca/internal/action"
 	"mca/internal/clock"
-	"mca/internal/phase"
+	"mca/internal/colour"
+	"mca/internal/ids"
+	"mca/internal/lock"
+	"mca/internal/metrics"
 	"mca/internal/trace"
 )
 
@@ -190,48 +193,63 @@ func TestSamplerLateSpansFollowDecision(t *testing.T) {
 	}
 }
 
-// TestSamplerKeptRootCarriesPhases: the phase ledger survives the keep
-// decision and lands on the exported root span; dropped transactions'
-// ledgers are discarded.
+// TestSamplerKeptRootCarriesPhases: the phases of a kept transaction
+// survive the keep decision — a traced action's lock wait is a lock.wait
+// span of its trace, which the keep decision exports and Attribute
+// charges to lock — and a dropped transaction's go with its trace.
 func TestSamplerKeptRootCarriesPhases(t *testing.T) {
 	h := newSamplerHarness(t, trace.SamplerConfig{Threshold: 10 * time.Millisecond})
-
-	a, err := h.rt.Begin()
-	if err != nil {
-		t.Fatal(err)
-	}
-	tc := h.rec.StartTrace(a.ID())
-	phase.Record(tc.TraceID, phase.Lock, 7*time.Millisecond)
-	h.clk.Advance(20 * time.Millisecond)
-	if err := a.Commit(); err != nil {
-		t.Fatal(err)
-	}
-
-	b, err := h.rt.Begin()
-	if err != nil {
-		t.Fatal(err)
-	}
-	dropped := h.rec.StartTrace(b.ID()).TraceID
-	phase.Record(dropped, phase.Lock, time.Millisecond)
-	h.clk.Advance(time.Millisecond)
-	if err := b.Commit(); err != nil {
-		t.Fatal(err)
-	}
-
-	var root *trace.Span
-	for _, s := range h.rec.Spans() {
-		if s.TraceID == tc.TraceID && s.ID != 0 && s.ParentSpanID == 0 {
-			root = &s
-			break
+	obj := ids.NewObjectID()
+	// waiting runs a traced transaction taking total, whose one lock
+	// request waits d for an untraced holder.
+	waiting := func(d, total time.Duration) uint64 {
+		holder, err := h.rt.Begin()
+		if err != nil {
+			t.Fatal(err)
 		}
+		if err := holder.Lock(obj, lock.Write, colour.None); err != nil {
+			t.Fatal(err)
+		}
+		a, err := h.rt.Begin()
+		if err != nil {
+			t.Fatal(err)
+		}
+		tc := h.rec.StartTrace(a.ID())
+		parked := lockWaiters()
+		done := make(chan error, 1)
+		go func() { done <- a.Lock(obj, lock.Write, colour.None) }()
+		for lockWaiters() == parked {
+			time.Sleep(time.Millisecond)
+		}
+		h.clk.Advance(d)
+		if err := holder.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		if err := <-done; err != nil {
+			t.Fatalf("blocked lock: %v", err)
+		}
+		h.clk.Advance(total - d)
+		if err := a.Commit(); err != nil {
+			t.Fatal(err)
+		}
+		return tc.TraceID
 	}
-	if root == nil {
-		t.Fatalf("kept root span missing")
+	kept := waiting(7*time.Millisecond, 20*time.Millisecond)
+	dropped := waiting(time.Millisecond, 2*time.Millisecond)
+
+	traces := trace.ByTrace(h.rec.Spans())
+	want := trace.Attribution{Total: (20 * time.Millisecond).Nanoseconds(), Lock: (7 * time.Millisecond).Nanoseconds(),
+		Compute: (13 * time.Millisecond).Nanoseconds()}
+	if got := trace.Attribute(traces[kept]); got != want {
+		t.Fatalf("kept trace attributes %+v, want %+v (spans %+v)", got, want, traces[kept])
 	}
-	if root.Phases[phase.Lock] != (7 * time.Millisecond).Nanoseconds() {
-		t.Fatalf("root phases = %v, want lock=7ms", root.Phases)
+	if spans := traces[dropped]; len(spans) != 0 {
+		t.Fatalf("dropped transaction's spans exported: %+v", spans)
 	}
-	if got := phase.Snapshot(dropped); got != nil {
-		t.Fatalf("dropped transaction's ledger survived: %v", got)
-	}
+}
+
+// lockWaiters reads how many lock requests are parked in the process.
+func lockWaiters() float64 {
+	f, _ := metrics.Default().Find("mca_lock_waiters")
+	return f.Samples[0].Value
 }

@@ -15,7 +15,6 @@ import (
 
 	"mca/internal/colour"
 	"mca/internal/ids"
-	"mca/internal/phase"
 )
 
 // Span is one exported unit of timed work: an action's lifetime, a
@@ -30,8 +29,8 @@ type Span struct {
 	ID     ids.ActionID `json:"id,omitempty"`
 	Parent ids.ActionID `json:"parent,omitempty"`
 	// Kind classifies the span: "" for actions, "round.<kind>" for
-	// commit-protocol fan-out rounds, "rpc.client"/"rpc.server" for RPC
-	// calls.
+	// commit-protocol fan-out rounds, the Kind constants for the waits
+	// Attribute reads.
 	Kind string `json:"kind,omitempty"`
 	// Node is the exporting node, when the recorder is node-bound
 	// (Recorder.SetNode).
@@ -53,13 +52,24 @@ type Span struct {
 	Begin   time.Time `json:"begin"`
 	// End is zero while the action is still active.
 	End time.Time `json:"end,omitzero"`
-	// Phases is the transaction's accumulated wait breakdown in
-	// nanoseconds (internal/phase), attached to trace-root spans at
-	// export: lock-wait, WAL force-wait, rpc client/server time, serve
-	// queueing and round wall time. Raw sums overlap; tracecat's
-	// -attrib derives the exclusive view.
-	Phases map[string]int64 `json:"phases,omitempty"`
+	// Queued is, on an rpc.server span, how long the request waited
+	// between arrival and its handler's start (Begin).
+	Queued time.Duration `json:"queued,omitempty"`
 }
+
+// Kinds of the spans that record a wait, as Attribute reads them.
+const (
+	// KindRPCClient is an RPC call as its caller saw it: send to reply,
+	// retransmissions, the wire and the remote handler included.
+	KindRPCClient = "rpc.client"
+	// KindRPCServer is an RPC handler's run; Queued is its wait before.
+	KindRPCServer = "rpc.server"
+	// KindLockWait is the time an action's lock request stayed blocked.
+	KindLockWait = "lock.wait"
+	// KindForce is the time a forced intention record took to become
+	// durable: the group-commit window and the force itself.
+	KindForce = "wal.force"
+)
 
 // Span outcomes.
 const (
@@ -79,8 +89,9 @@ func (s Span) Context() Context {
 
 // Spans exports the recorded spans: action spans, open ones included
 // as "active", ordered by begin time (ties by id), then every other span
-// in the order it was stored. Labels and, on trace roots, the phase
-// ledger are attached here. Timelines (Merge + Tree.Render), DOT graphs
+// in the order it was stored. Labels are attached here, and times lose
+// their monotonic reading, so that a span read back from a file is the
+// span exported. Timelines (Merge + Tree.Render), DOT graphs
 // and JSON Lines exports all start here.
 //
 // With a sampler, spans of a trace show once it is kept; an open action
@@ -134,10 +145,7 @@ func (r *Recorder) Spans() []Span {
 		if l, ok := r.labels[s.ID]; ok {
 			s.Label = l
 		}
-		if s.ID != 0 && s.TraceID != 0 && s.ParentSpanID == 0 {
-			// Trace root: carry the transaction's phase breakdown.
-			s.Phases = phase.Snapshot(s.TraceID)
-		}
+		s.Begin, s.End = s.Begin.Round(0), s.End.Round(0)
 		if s.Node == 0 {
 			s.Node = r.node
 		}

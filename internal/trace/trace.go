@@ -17,7 +17,6 @@ import (
 
 	"mca/internal/action"
 	"mca/internal/ids"
-	"mca/internal/phase"
 )
 
 // Recorder collects spans. Install with:
@@ -26,8 +25,10 @@ import (
 //	rt := action.NewRuntime(action.WithObserver(rec.Observe))
 //
 // An action's span opens at its begin event and is stored when the
-// action commits or aborts; other timed work (RPC calls, commit-protocol
-// rounds, WAL flushes) arrives finished, through AddSpan.
+// action commits or aborts, and a lock wait event of a traced action is
+// a lock.wait span under it; other timed work (RPC calls,
+// commit-protocol rounds, WAL forces and flushes) arrives finished,
+// through AddSpan.
 type Recorder struct {
 	mu     sync.Mutex
 	labels map[ids.ActionID]string
@@ -44,8 +45,7 @@ type Recorder struct {
 
 	// Tail sampling (SetSampler). A finished span of an undecided trace
 	// waits in pending, keyed by TraceID, until the decision: then the
-	// buffer joins spans, or is dropped along with the trace's phase
-	// ledger. pendingOrder is insertion order, for eviction and
+	// buffer joins spans, or is dropped. pendingOrder is insertion order, for eviction and
 	// reproducible drains.
 	sampler      *Sampler
 	pending      map[uint64][]Span
@@ -119,7 +119,6 @@ func (r *Recorder) bind(id ids.ActionID, fresh func() traceBinding) Context {
 	}
 	b := fresh()
 	r.binds[id] = b
-	phase.Bind(id, b.tc.TraceID)
 	return b.tc
 }
 
@@ -153,10 +152,19 @@ func (r *Recorder) identifyLocked(s *Span) {
 // Observe implements action.Observer: a begin opens the action's span,
 // a commit or abort ends it. An action whose begin was never seen
 // (observer attached mid-run) gets a zero-length span at its end; a
-// begin naming the action as its own parent makes it a root.
+// begin naming the action as its own parent makes it a root. A lock
+// wait of an action in a trace is a lock.wait span, a child of the
+// action's; one outside any trace is not recorded.
 func (r *Recorder) Observe(ev action.Event) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
+	if ev.Kind == action.EventLockWait {
+		if b, ok := r.bindingLocked(ev.Action); ok {
+			r.storeLocked(Span{Kind: KindLockWait, TraceID: b.tc.TraceID, SpanID: NewSpanID(), ParentSpanID: b.tc.SpanID,
+				Outcome: OutcomeOK, Begin: ev.Time.Add(-ev.Waited), End: ev.Time})
+		}
+		return
+	}
 	s := r.open[ev.Action]
 	if ev.Kind == action.EventBegin {
 		if s == nil {
@@ -212,7 +220,7 @@ func (r *Recorder) storeLocked(s Span) {
 		r.pendingOrder = append(r.pendingOrder, tid)
 	}
 	r.pending[tid] = append(buf, s)
-	if s.ID != 0 && s.ParentSpanID == 0 {
+	if s.IsRoot() {
 		r.drainLocked(tid, r.sampler.decide(tid, s.End.Sub(s.Begin), s.Outcome == OutcomeAborted))
 	}
 }
@@ -226,7 +234,6 @@ func (r *Recorder) makeRoomLocked() {
 		r.pendingOrder = r.pendingOrder[1:]
 		if _, ok := r.pending[old]; ok {
 			delete(r.pending, old)
-			phase.Discard(old)
 			samplerEvicted.Inc()
 		}
 	}
@@ -239,12 +246,10 @@ func (r *Recorder) makeRoomLocked() {
 }
 
 // drainLocked applies a published decision to the trace's pending
-// buffer: keep it, or discard it along with the trace's phase ledger.
+// buffer: keep it or discard it.
 func (r *Recorder) drainLocked(trace uint64, keep bool) {
 	if keep {
 		r.spans = append(r.spans, r.pending[trace]...)
-	} else {
-		phase.Discard(trace)
 	}
 	delete(r.pending, trace)
 }
