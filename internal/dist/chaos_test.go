@@ -113,7 +113,7 @@ func runChaosTransfers(t *testing.T, fileBacked bool) {
 	}()
 
 	// The workload: transfers between random banks; errors (aborts,
-	// timeouts, recovering nodes) are expected and ignored — the
+	// timeouts, accounts in doubt) are expected and ignored — the
 	// invariant must hold regardless.
 	var workWG sync.WaitGroup
 	var attempted, succeeded int64

@@ -78,7 +78,7 @@ func TestCommitThroughputSmoke(t *testing.T) {
 		t.Fatalf("commit smoke: %d/%d transactions failed: %v", res.Errors, res.Ops, res.ErrKinds)
 	}
 	for w := 0; w < workers; w++ {
-		a, b := banks[w][0].account().Peek(), banks[w][1].account().Peek()
+		a, b := banks[w][0].balance(), banks[w][1].balance()
 		if a != 100-txns || b != 100+txns {
 			t.Fatalf("worker %d balances = %d/%d, want %d/%d", w, a, b, 100-txns, 100+txns)
 		}

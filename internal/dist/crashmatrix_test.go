@@ -18,6 +18,7 @@ import (
 	"mca/internal/metrics"
 	"mca/internal/netsim"
 	"mca/internal/node"
+	"mca/internal/object"
 	"mca/internal/rpc"
 	"mca/internal/store"
 )
@@ -1003,7 +1004,7 @@ func TestSingleParticipantWriteForcesOnce(t *testing.T) {
 //     naming P1 only, and must abort;
 //   - participantCrashAfterReply: P2 crashes after its vote reached the
 //     caller, and Commit goes ahead without contacting it for a prepare;
-//     P2's restart loads the record, stays recovering while the
+//     P2's restart loads the record, refuses its account while the
 //     transaction is undecided, and installs the decision;
 //   - coordinatorCrashBeforeCommit: the coordinator crashes between P2's
 //     vote and Commit; both participants ask (the idle rule) and abort;
@@ -1114,7 +1115,7 @@ func TestCommitCrashMatrixInvokeVote(t *testing.T) {
 				}) == nil
 			}
 			if err := waitUntil(opened); err != nil {
-				t.Fatal("P2 stayed recovering after the transaction committed")
+				t.Fatal("P2 kept refusing its account after the transaction committed")
 			}
 		}},
 		"coordinatorCrashBeforeCommit": {fake: true, want: [3]int{100, 90, 110}, run: func(t *testing.T, c *cluster, ctx context.Context, clk *clock.Fake) {
@@ -1149,15 +1150,15 @@ func TestCommitCrashMatrixInvokeVote(t *testing.T) {
 			if err := txn.Commit(ctx); !errors.Is(err, dist.ErrAborted) {
 				t.Fatalf("Commit = %v, want ErrAborted: P2 lost the continuation's write with its crash", err)
 			}
-			// A restart that loaded the record keeps P2 recovering until
-			// the transaction has ended.
+			// A restart that loaded the record keeps P2's account refused
+			// until the transaction has ended.
 			opened := func() bool {
 				return c.coord.Run(ctx, func(txn *dist.Txn) error {
 					return txn.Invoke(ctx, c.nodes[2].ID(), "bank", "get", struct{}{}, nil)
 				}) == nil
 			}
 			if err := waitUntil(opened); err != nil {
-				t.Fatal("P2 stayed recovering after the transaction ended")
+				t.Fatal("P2 kept refusing its account after the transaction ended")
 			}
 		}},
 		"lateContinuation": {fake: true, want: [3]int{100, 80, 120}, run: func(t *testing.T, c *cluster, ctx context.Context, _ *clock.Fake) {
@@ -1216,6 +1217,137 @@ func TestCommitCrashMatrixInvokeVote(t *testing.T) {
 				settleCluster(t, c, ctx)
 				if got := stableBalances(t, c); got != cell.want {
 					t.Fatalf("stable balances = %v, want %v", got, cell.want)
+				}
+			})
+		}
+	}
+}
+
+// TestCommitCrashMatrixRestartInDoubt is the matrix for a node that
+// restarts with records in doubt, over both stable backings. A restart
+// opens the node at once; the store refuses only the objects a prepared
+// record still in doubt writes. Every node hosts a second account,
+// "spare", that no transfer touches:
+//
+//   - participantRestartsCoordinatorDown: P1 restarts prepared while its
+//     coordinator is down, and serves a transaction on its spare account
+//     and coordinates one of its own;
+//   - coordinatorRestartsParticipantDown: the coordinator restarts owing P1
+//     a commit while P1 is down, and begins and commits a transaction
+//     elsewhere;
+//   - refusedUntilCommitted and refusedUntilAborted: P1 restarts in doubt
+//     while the coordinator is down; a transaction reading its account is
+//     refused until the record resolves, and a retry then reads the
+//     decided balance.
+func TestCommitCrashMatrixRestartInDoubt(t *testing.T) {
+	add := func(ctx context.Context, mgr *dist.Manager, resource string, nodes ...ids.NodeID) error {
+		return mgr.Run(ctx, func(txn *dist.Txn) error {
+			for _, n := range nodes {
+				if err := txn.Invoke(ctx, n, resource, "add", addArg{Delta: 1}, nil); err != nil {
+					return err
+				}
+			}
+			return nil
+		})
+	}
+	// refusedUntil restarts P1 in doubt while the coordinator is down, and
+	// checks that a read of P1's account from P2 is refused until the
+	// coordinator is back and the record resolved, then reads want.
+	refusedUntil := func(t *testing.T, c *cluster, ctx context.Context, want int) {
+		t.Helper()
+		c.nodes[1].Crash()
+		c.nodes[1].Restart()
+		if _, err := readAt(ctx, c.parts[1], c.nodes[1].ID()); err == nil || !strings.Contains(err.Error(), store.ErrUnresolved.Error()) {
+			t.Fatalf("read of the in-doubt account = %v, want %v", err, store.ErrUnresolved)
+		}
+		c.nodes[0].Restart()
+		var got int
+		if err := waitUntil(func() bool {
+			var err error
+			got, err = readAt(ctx, c.parts[1], c.nodes[1].ID())
+			return err == nil
+		}); err != nil {
+			t.Fatal("the account stayed refused after its coordinator came back")
+		}
+		if got != want {
+			t.Fatalf("P1's balance read after the record resolved = %d, want %d", got, want)
+		}
+	}
+	cells := map[string]struct {
+		bank, spare [3]int
+		run         func(t *testing.T, c *cluster, ctx context.Context)
+	}{
+		"participantRestartsCoordinatorDown": {bank: [3]int{100, 100, 100}, spare: [3]int{100, 101, 101}, run: func(t *testing.T, c *cluster, ctx context.Context) {
+			c.coord.TestHooks.AfterPrepare = func() { c.nodes[0].Crash() }
+			if err := transfer(ctx, c, 1, 2, 10); err == nil {
+				t.Fatal("a transfer whose coordinator crashed before the decision committed")
+			}
+			c.coord.TestHooks = dist.Hooks{}
+			c.nodes[1].Crash()
+			c.nodes[1].Restart()
+			if err := add(ctx, c.parts[1], "spare", c.nodes[1].ID()); err != nil {
+				t.Fatalf("a transaction on P1's spare account = %v, want it committed", err)
+			}
+			if err := add(ctx, c.parts[0], "spare", c.nodes[2].ID()); err != nil {
+				t.Fatalf("a transaction P1 coordinates = %v, want it committed", err)
+			}
+			c.nodes[0].Restart()
+		}},
+		"coordinatorRestartsParticipantDown": {bank: [3]int{100, 90, 110}, spare: [3]int{101, 100, 101}, run: func(t *testing.T, c *cluster, ctx context.Context) {
+			c.coord.TestHooks.AfterDecision = func() { c.nodes[1].Crash() }
+			if err := transfer(ctx, c, 1, 2, 10); err != nil {
+				t.Fatalf("Commit = %v, want nil: the decision is durable", err)
+			}
+			c.coord.TestHooks = dist.Hooks{}
+			c.nodes[0].Crash()
+			c.nodes[0].Restart()
+			if err := add(ctx, c.coord, "spare", c.nodes[0].ID(), c.nodes[2].ID()); err != nil {
+				t.Fatalf("a transaction the restarted coordinator runs = %v, want it committed", err)
+			}
+			c.nodes[1].Restart()
+		}},
+		"refusedUntilCommitted": {bank: [3]int{100, 90, 110}, spare: [3]int{100, 100, 100}, run: func(t *testing.T, c *cluster, ctx context.Context) {
+			c.coord.TestHooks.AfterDecision = func() { c.nodes[0].Crash() }
+			_ = transfer(ctx, c, 1, 2, 10) // decided; the crash may fail the local apply
+			c.coord.TestHooks = dist.Hooks{}
+			refusedUntil(t, c, ctx, 90)
+		}},
+		"refusedUntilAborted": {bank: [3]int{100, 100, 100}, spare: [3]int{100, 100, 100}, run: func(t *testing.T, c *cluster, ctx context.Context) {
+			c.coord.TestHooks.AfterPrepare = func() { c.nodes[0].Crash() }
+			if err := transfer(ctx, c, 1, 2, 10); err == nil {
+				t.Fatal("a transfer whose coordinator crashed before the decision committed")
+			}
+			c.coord.TestHooks = dist.Hooks{}
+			refusedUntil(t, c, ctx, 100)
+		}},
+	}
+	for _, backing := range []string{"memory", "file"} {
+		for name, cell := range cells {
+			t.Run(backing+"/"+name, func(t *testing.T) {
+				c := backedCluster(t, backing == "file")
+				var spare [3]*bank
+				for i, mgr := range []*dist.Manager{c.coord, c.parts[0], c.parts[1]} {
+					spare[i] = newBank(100)
+					c.nodes[i].Host(spare[i])
+					mgr.RegisterResource("spare", spare[i])
+				}
+				ctx := context.Background()
+				cell.run(t, c, ctx)
+				settleCluster(t, c, ctx)
+				if got := stableBalances(t, c); got != cell.bank {
+					t.Fatalf("stable balances = %v, want %v", got, cell.bank)
+				}
+				var got [3]int
+				for i, b := range spare {
+					got[i] = 100
+					if m, err := object.Load[int](b.acctID, c.nodes[i].Stable()); err == nil {
+						got[i] = m.Peek()
+					} else if !errors.Is(err, store.ErrNotFound) {
+						t.Fatal(err)
+					}
+				}
+				if got != cell.spare {
+					t.Fatalf("stable spare balances = %v, want %v", got, cell.spare)
 				}
 			})
 		}

@@ -23,8 +23,10 @@
 // A participant keeps one table entry per transaction it serves; a
 // restart loads its logged prepared and one-phase records, and an entry no
 // message touched for a termination interval asks its coordinator what was
-// decided (presumed abort). A restarting coordinator re-drives the commit
-// of every decided-but-unacknowledged action.
+// decided (presumed abort). A restarted coordinator owes the commit of
+// every decided-but-unacknowledged action again. A restarted node serves
+// at once: its store refuses to activate an object a prepared record
+// still in doubt writes (store.ErrUnresolved).
 package dist
 
 import (
@@ -54,9 +56,6 @@ var (
 	ErrAborted = errors.New("dist: action aborted")
 	// ErrDone is returned for operations on a completed transaction.
 	ErrDone = errors.New("dist: transaction already completed")
-	// ErrRecovering is returned to remote invokers while the node is
-	// resolving in-doubt actions after a restart.
-	ErrRecovering = errors.New("dist: node recovering")
 	// ErrPrepared is returned for invokes on a transaction this
 	// participant has already voted yes on: the logged write set is
 	// frozen, so no further mutation may join the action.
@@ -139,7 +138,6 @@ type Manager struct {
 	// objects in (see structured.go).
 	containers  map[StructureID]*action.Action
 	passColours map[ids.ActionID]colour.Colour
-	recovering  bool
 
 	// owed is what this node, as coordinator, owes its participants and
 	// the acks it awaits from them; acks are what it owes, as
@@ -154,9 +152,8 @@ const maxBuried = 4096
 
 var _ node.Service = (*Manager)(nil)
 
-// NewManager builds a manager and installs it on the node. A freshly
-// installed manager is open immediately (a brand-new node has no
-// in-doubt state); after a crash, node.Restart runs the recovery hook.
+// NewManager builds a manager and installs it on the node; after a crash,
+// node.Restart runs the recovery hook.
 func NewManager(n *node.Node) *Manager {
 	m := &Manager{
 		node:      n,
@@ -167,9 +164,6 @@ func NewManager(n *node.Node) *Manager {
 	m.installed.L = &m.mu
 	m.owed.wake = make(chan struct{}, 1)
 	n.Host(m)
-	m.mu.Lock()
-	m.recovering = false
-	m.mu.Unlock()
 	return m
 }
 
@@ -191,11 +185,10 @@ func (m *Manager) Register(n *node.Node, p *rpc.Peer) {
 	m.txns, m.burials = make(map[ids.ActionID]*entry), nil
 	m.containers = make(map[StructureID]*action.Action)
 	m.passColours = make(map[ids.ActionID]colour.Colour)
-	m.recovering = true
 	m.mu.Unlock()
 	// So did what this node still owed its participants — their locks
 	// are this node's word, and the word was volatile; the commits it
-	// owed, recovery re-drives from the decision records — and the acks
+	// owed, recovery owes again from the decision records — and the acks
 	// it owed its coordinators, for installs that were not forced.
 	m.owed.reset(n.Clock())
 	m.acks.reset(n.Stable().WAL())
@@ -214,53 +207,29 @@ func (m *Manager) Register(n *node.Node, p *rpc.Peer) {
 	p.Handle(methodAbortStructure, m.handleStructure(false))
 }
 
-// Recover implements node.Service: it resolves in-doubt participant
-// records and re-drives unfinished coordinator decisions, then opens the
-// node for new work. While records remain unresolved (e.g. the
-// coordinator is down), the node stays closed to new transactions —
-// in-doubt objects have lost their locks with the volatile memory, so
-// serving new work before resolution could interleave with the pending
-// write sets — and a background loop keeps retrying until ctx (the
-// node's lifetime) ends, so another crash cannot strand the loop.
-//
-// Note: a write set applied by late resolution reaches stable storage
-// but not object instances already re-activated by other services;
-// their next re-activation reads the repaired state.
-func (m *Manager) Recover(ctx context.Context, n *node.Node) {
-	if m.recovered(ctx) {
+// Recover implements node.Service: it asks the coordinator of every
+// prepared record the log kept what was decided, and owes its
+// participants the commit of every decision record it kept. Nothing waits
+// for it: the store refuses only the objects records in doubt write. While
+// records stay in doubt, a background loop asks again until none is left
+// or ctx, the node's lifetime, ends; a failed pass does not end it.
+func (m *Manager) Recover(ctx context.Context, _ *node.Node) {
+	inDoubt, _, err := m.recoverPass(ctx)
+	if err == nil && inDoubt == 0 {
 		return
 	}
 	go func() {
 		ticker := m.clk.NewTicker(25 * time.Millisecond)
 		defer ticker.Stop()
-		for {
+		for err != nil || inDoubt > 0 {
 			select {
 			case <-ctx.Done():
-				// The node crashed again or shut down; the next
-				// Restart runs Recover afresh.
-				return
+				return // crashed again or stopped: the next Restart recovers afresh
 			case <-ticker.C():
 			}
-			// A pass that fails on transient trouble (the store crashed
-			// again briefly, RPC noise) is retried: returning here would
-			// strand the node in recovering forever.
-			if m.recovered(ctx) {
-				return
-			}
+			inDoubt, _, err = m.recoverPass(ctx)
 		}
 	}()
-}
-
-// recovered runs one recovery pass and opens the node if it left nothing
-// pending.
-func (m *Manager) recovered(ctx context.Context) bool {
-	if remaining, err := m.RecoverPending(ctx); err != nil || remaining > 0 {
-		return false
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.recovering = false
-	return true
 }
 
 // --- participant role ---
@@ -292,7 +261,8 @@ const (
 // the install and the forget are in the log (Manager.installed).
 // reopenable marks a prepared entry that voted in its invoke reply, until
 // the coordinator's next invoke here reopens it or a commit-time prepare
-// makes the vote final.
+// makes the vote final. installed is the log mark from before a commit's
+// install here (never 0: the prepared record came first).
 type entry struct {
 	a          *action.Action // nil when loaded from the log, and once finished
 	coord      ids.NodeID
@@ -300,6 +270,7 @@ type entry struct {
 	touched    bool
 	installing bool
 	reopenable bool
+	installed  uint64
 }
 
 // entryLocked returns txn's entry. When only the log knows txn — a restart
@@ -354,10 +325,13 @@ func (m *Manager) buryLocked(txn ids.ActionID, e *entry) *action.Action {
 func (m *Manager) participantAction(txn ids.ActionID, coord ids.NodeID, continuation bool, caller trace.Context, info *structureInfo) (*action.Action, error) {
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	if m.recovering {
-		return nil, ErrRecovering
+	e, err := m.txns[txn], error(nil)
+	if e == nil && continuation {
+		e, err = m.entryLocked(txn) // a restart's record recovery has not loaded yet
 	}
-	switch e := m.txns[txn]; {
+	switch {
+	case err != nil:
+		return nil, err
 	case e == nil && continuation:
 		m.buryLocked(txn, nil)
 		return nil, fmt.Errorf("%w (txn %v: participant restarted since its earlier invocations)", ErrAborted, txn)
@@ -470,6 +444,7 @@ func (m *Manager) end(txn ids.ActionID, ev event) (state, error) {
 		e.installing = true
 		m.mu.Unlock()
 		st := m.node.Stable()
+		mark := st.WAL().Mark()
 		in, found, err := st.Intentions().Lookup(txn)
 		if err == nil && found && in.Status == store.IntentionPrepared {
 			sink := &phase2Sink{st: st, txn: txn}
@@ -483,6 +458,7 @@ func (m *Manager) end(txn ids.ActionID, ev event) (state, error) {
 		switch {
 		case err == nil:
 			m.buryLocked(txn, e)
+			e.installed = mark
 		case a != nil && a.Status() != action.Active:
 			e.a = nil // the commit sent again installs the record's write set
 		}
@@ -782,14 +758,7 @@ type contact struct {
 
 // Begin starts a distributed atomic action coordinated by this node.
 func (m *Manager) Begin() (*Txn, error) {
-	m.mu.Lock()
-	if m.recovering {
-		m.mu.Unlock()
-		return nil, ErrRecovering
-	}
-	rt := m.node.Runtime()
-	m.mu.Unlock()
-	local, err := rt.Begin()
+	local, err := m.node.Runtime().Begin()
 	if err != nil {
 		return nil, err
 	}
@@ -1058,10 +1027,6 @@ func (t *Txn) Commit(ctx context.Context) error {
 				Writes:       localWrites,
 				Coordinator:  coordID,
 				Participants: writers,
-				// Persist the trace identity with the decision, so a
-				// recovery re-drive continues the original trace.
-				TraceID:   t.tc.TraceID,
-				TraceSpan: t.tc.SpanID,
 			})
 		}
 		if err != nil {
@@ -1090,31 +1055,23 @@ func (t *Txn) Commit(ctx context.Context) error {
 	switch {
 	case len(writers) == 0:
 	case t.structure == nil:
-		t.mgr.owed.await(t.ID(), writers, false)
+		t.mgr.owed.await(t.ID(), writers, clk.Now(), false)
 	default:
 		// A constituent's participant actions commit into containers the
-		// structure's end then ends: they must have committed first.
-		t.mgr.commitNow(ctx, RoundCommit, t.ID(), t.tc, writers)
+		// structure's end then ends: they must have committed first, so the
+		// commit goes out at once, in one round of end messages.
+		com := txnList{}.add(t.ID())
+		t.mgr.owed.await(t.ID(), writers, clk.Now(), true)
+		t.mgr.fanout(ctx, RoundCommit, t.ID(), t.tc, writers, false, func(ctx context.Context, p ids.NodeID) error {
+			err := t.mgr.sendEnd(ctx, p, txnList{}, com)
+			if err == nil {
+				phase2Structure.Inc()
+			}
+			return err
+		})
 	}
 	t.noteCommitted(clk.Since(start))
 	return nil
-}
-
-// commitNow sends the commit of txn to the writers that have not
-// acknowledged it, in one round of end messages, each answered once what
-// it acknowledges is forced. It returns how many did not acknowledge it;
-// they stay owed the commit.
-func (m *Manager) commitNow(ctx context.Context, kind RoundKind, txn ids.ActionID, tc trace.Context, writers []ids.NodeID) (unacked int) {
-	com := txnList{}.add(txn)
-	for _, r := range m.fanout(ctx, kind, txn, tc, m.owed.await(txn, writers, true), false,
-		func(ctx context.Context, p ids.NodeID) error { return m.sendEnd(ctx, p, txnList{}, com) }) {
-		if r.Err != nil || m.owed.owes(r.Node, txn) {
-			unacked++
-		} else {
-			phase2Redriven.Inc()
-		}
-	}
-	return unacked
 }
 
 // noteCommitted counts one committed transaction and how long its Commit
@@ -1181,33 +1138,37 @@ func (t *Txn) abortAt(ctx context.Context, nodes []ids.NodeID, wait bool) {
 // --- recovery ---
 
 // RecoverPending resolves this node's pending intention records: as
-// participant it asks coordinators for decisions; as coordinator it
-// re-drives completion. It returns the number of records still pending
-// (e.g. because a coordinator is unreachable).
+// participant it asks coordinators for decisions; as coordinator it owes
+// every writer that has not acknowledged a decision record the commit,
+// which the flusher delivers. It returns the number of records still
+// pending: prepared records whose coordinator did not answer, and
+// decision records awaiting an ack.
 func (m *Manager) RecoverPending(ctx context.Context) (int, error) {
+	inDoubt, owed, err := m.recoverPass(ctx)
+	return inDoubt + owed, err
+}
+
+// recoverPass is one recovery pass. It returns the prepared records left
+// in doubt and the decision records still awaiting an ack.
+func (m *Manager) recoverPass(ctx context.Context) (inDoubt, owed int, err error) {
 	nd := m.node
 	log := nd.Stable().Intentions()
 	pending, err := log.Pending()
 	if err != nil {
-		return 0, err
+		return 0, 0, err
 	}
-	remaining := 0
 	for _, in := range pending {
 		switch {
 		case in.Coordinator == nd.ID() && in.Status == store.IntentionCommitted:
-			// The coordinator's own leg needs no redo: the decision
-			// record carried the local write set, and the store installed
-			// it with the record (and replays it with the log).
-			// Coordinator role: re-drive the commit at every writer that
-			// has not acknowledged it, fanning out concurrently so one
-			// dead participant costs one timeout for the whole round,
-			// not one per participant. The last ack forgets the record.
-			// The decision record carries the transaction's original
-			// trace identity, so the re-drive round continues that trace.
-			tc := trace.Context{TraceID: in.TraceID, SpanID: in.TraceSpan}
-			if m.commitNow(ctx, RoundRecover, in.Action, tc, in.Participants) > 0 {
-				remaining++
-			}
+			// The coordinator's own leg needs no redo: the decision record
+			// carried the local write set, and the store installed it with
+			// the record (and replays it with the log). Every writer that
+			// has not acknowledged it is owed the commit, which the flusher
+			// sends until it is acknowledged; the last ack forgets the
+			// record. Owed since before a crash, or asked for again, it is
+			// due at once.
+			m.owed.await(in.Action, in.Participants, time.Time{}, false)
+			owed++
 		case in.Coordinator != nd.ID() && in.Status != store.IntentionAborted:
 			// Participant role: the record joins the table. A prepared one
 			// is in doubt and asks its coordinator now; a one-phase
@@ -1220,7 +1181,7 @@ func (m *Manager) RecoverPending(ctx context.Context) (int, error) {
 				_, err = m.resolve(ctx, in.Action, in.Coordinator)
 			}
 			if err != nil {
-				remaining++ // no answer: stay in doubt, ask again next pass
+				inDoubt++ // no answer: stay in doubt, ask again next pass
 			}
 		default:
 			// Stale record in a shape recovery does not own: drop it.
@@ -1228,10 +1189,10 @@ func (m *Manager) RecoverPending(ctx context.Context) (int, error) {
 			_ = log.Forget(in.Action)
 		}
 	}
-	if remaining > 0 {
+	if inDoubt > 0 {
 		recoverHeld.Inc()
 	}
-	return remaining, nil
+	return inDoubt, owed, nil
 }
 
 // resolve asks txn's coordinator what it decided (handleDecision) and ends

@@ -8,7 +8,9 @@ import (
 
 	"mca/internal/action"
 	"mca/internal/dist"
+	"mca/internal/ids"
 	"mca/internal/netsim"
+	"mca/internal/store"
 )
 
 func TestResourceFuncAdapter(t *testing.T) {
@@ -126,9 +128,11 @@ func TestTombstoneRejectsLateInvoke(t *testing.T) {
 	}
 }
 
-func TestRecoveringNodeRejectsNewWork(t *testing.T) {
-	// A node whose coordinator is unreachable stays closed after
-	// restart; new invokes fail with ErrRecovering.
+// TestRestartedNodeRefusesOnlyInDoubtObjects: a participant that restarts
+// in doubt while its coordinator is out of reach serves new work at once;
+// only the object its prepared record writes is refused, until the record
+// resolves, and then it shows the decided state.
+func TestRestartedNodeRefusesOnlyInDoubtObjects(t *testing.T) {
 	c := newCluster(t, netsim.Config{})
 	ctx := context.Background()
 
@@ -142,35 +146,36 @@ func TestRecoveringNodeRejectsNewWork(t *testing.T) {
 	c.coord.TestHooks.AfterPrepare = nil
 
 	// P1 crashes and restarts while still partitioned from the
-	// coordinator: it must stay closed.
+	// coordinator. It begins, and serves, at once.
 	c.nodes[1].Crash()
 	c.nodes[1].Restart()
-
-	txn, err := c.parts[0].Begin()
-	if !errors.Is(err, dist.ErrRecovering) {
-		if err == nil {
-			_ = txn.Abort(ctx)
-		}
-		t.Fatalf("Begin on recovering node = %v, want ErrRecovering", err)
+	if _, err := readAt(ctx, c.parts[0], c.nodes[2].ID()); err != nil {
+		t.Fatalf("a transaction begun at the restarted node = %v, want it served", err)
+	}
+	// Its own account, which the record in doubt writes, is refused.
+	if _, err := readAt(ctx, c.parts[0], c.nodes[1].ID()); !errors.Is(err, store.ErrUnresolved) {
+		t.Fatalf("read of the in-doubt account = %v, want %v", err, store.ErrUnresolved)
 	}
 
-	// Heal: background recovery resolves and opens the node.
+	// Heal: background recovery resolves the record as committed, and the
+	// account activates with the write set installed.
 	c.net.Heal(c.nodes[0].ID(), c.nodes[1].ID())
-	deadlineErr := waitUntil(func() bool {
-		txn, err := c.parts[0].Begin()
-		if err != nil {
-			return false
-		}
-		_ = txn.Abort(ctx)
-		return true
+	if err := waitUntil(func() bool {
+		got, err := readAt(ctx, c.parts[0], c.nodes[1].ID())
+		return err == nil && got == 90
+	}); err != nil {
+		t.Fatalf("the account never showed the committed transfer: %v", err)
+	}
+}
+
+// readAt reads the bank account at node in a transaction coordinated by
+// mgr.
+func readAt(ctx context.Context, mgr *dist.Manager, node ids.NodeID) (int, error) {
+	var out balanceResp
+	err := mgr.Run(ctx, func(txn *dist.Txn) error {
+		return txn.Invoke(ctx, node, "bank", "get", struct{}{}, &out)
 	})
-	if deadlineErr != nil {
-		t.Fatal(deadlineErr)
-	}
-	// The in-doubt write was resolved as committed during recovery.
-	if got, ok := c.stableBalanceAt(t, 1); !ok || got != 90 {
-		t.Fatalf("P1 stable after recovery = %d, %v; want 90", got, ok)
-	}
+	return out.Balance, err
 }
 
 func waitUntil(cond func() bool) error {

@@ -1,6 +1,6 @@
 // Coordinator fan-out rounds: every remote round of the commit
-// protocol (prepare, explicit commit, abort, recovery re-drive,
-// structure end, end message) is one broadcast to a set of
+// protocol (prepare, explicit commit, abort, structure end, end
+// message) is one broadcast to a set of
 // participants. The round's RPCs are issued concurrently, by the caller
 // and a bounded set of workers, so a round costs one round-trip — or,
 // with crashed participants, one call timeout — instead of the sum over
@@ -30,12 +30,10 @@ type RoundKind string
 const (
 	// RoundPrepare is two-phase commit phase 1.
 	RoundPrepare RoundKind = "prepare"
-	// RoundCommit is two-phase commit phase 2 (completion).
+	// RoundCommit is phase 2 sent at once, for a structure constituent.
 	RoundCommit RoundKind = "commit"
 	// RoundAbort is the abort broadcast.
 	RoundAbort RoundKind = "abort"
-	// RoundRecover is a coordinator recovery re-drive of completion.
-	RoundRecover RoundKind = "recover"
 	// RoundStructure is a distributed structure end/cancel broadcast.
 	RoundStructure RoundKind = "structure"
 	// RoundCommit1 is a one-phase commit: the single participant of a

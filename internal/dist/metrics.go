@@ -10,8 +10,7 @@ import "mca/internal/metrics"
 var (
 	roundKinds = []RoundKind{
 		RoundPrepare, RoundCommit, RoundAbort,
-		RoundRecover, RoundStructure,
-		RoundCommit1, RoundRelease,
+		RoundStructure, RoundCommit1, RoundRelease,
 	}
 
 	roundsOK    map[RoundKind]*metrics.Counter
@@ -42,10 +41,10 @@ var (
 	// travelled, decision records still waiting for an ack, participants
 	// asking a silent coordinator, and the transactions the answer ended,
 	// by the state it found them in.
-	phase2Piggybacked, phase2Flushed, phase2Redriven *metrics.Counter
-	acksAwaited                                      *metrics.Gauge
-	terminationQueries                               *metrics.Counter
-	orphansReaped                                    map[state]*metrics.Counter
+	phase2Piggybacked, phase2Flushed, phase2Structure *metrics.Counter
+	acksAwaited                                       *metrics.Gauge
+	terminationQueries                                *metrics.Counter
+	orphansReaped                                     map[state]*metrics.Counter
 
 	// Writers' yes votes, by where they were cast — true for an invoke
 	// reply, false for a prepare — and invoke votes a continuation took
@@ -73,7 +72,7 @@ func init() {
 	roundParts = r.Counter("mca_dist_round_participants_total",
 		"Participants addressed across all fan-out rounds.")
 	recoverHeld = r.Counter("mca_dist_recover_retries_total",
-		"RecoverPending passes that left records pending (another retry follows).")
+		"Recovery passes that left prepared records in doubt (another pass follows).")
 	txnCommits = r.Counter("mca_dist_txn_commits_total",
 		"Distributed transactions committed by this process's coordinators.")
 	txnAborts = r.Counter("mca_dist_txn_aborts_total",
@@ -93,8 +92,8 @@ func init() {
 	inDoubt = r.Counter("mca_dist_indoubt_total",
 		"One-phase commits whose participant never said what it decided.")
 	phase2 := r.CounterVec("mca_dist_phase2_total",
-		"Commit decisions delivered to prepared participants, by the path they took: riding an invoke, in the flusher's end message, or in one sent at once (structure constituents, recovery re-drive).", "path")
-	phase2Piggybacked, phase2Flushed, phase2Redriven = phase2.With("piggyback"), phase2.With("flush"), phase2.With("redrive")
+		"Commit decisions delivered to prepared participants, by the path they took: riding an invoke, in the flusher's end message, or in the round a structure constituent's commit sends at once.", "path")
+	phase2Piggybacked, phase2Flushed, phase2Structure = phase2.With("piggyback"), phase2.With("flush"), phase2.With("structure")
 	acksAwaited = r.Gauge("mca_dist_acks_awaited",
 		"Commit decision records kept for a writer's ack that has not come yet.")
 	terminationQueries = r.Counter("mca_dist_termination_queries_total",

@@ -24,7 +24,7 @@
 // every participant action it had not yet prepared; a participant
 // crashing makes them moot; a node that cannot be reached gets one end
 // message and is then owed no release. A participant left waiting asks
-// (terminate). The commits a crash drops here, recovery re-drives from
+// (terminate). The commits a crash drops here, recovery owes again from
 // the decision records.
 package dist
 
@@ -137,21 +137,26 @@ func (m *Manager) owe(node ids.NodeID, txn ids.ActionID) {
 }
 
 // await keeps the decision record of txn until each writer has
-// acknowledged the commit, owing it to every one meanwhile — as sent now,
-// when it goes out at once. It returns the writers not yet heard from.
-func (q *owedQueue) await(txn ids.ActionID, writers []ids.NodeID, sent bool) []ids.NodeID {
+// acknowledged the commit, owing it to every one meanwhile: from at on, or
+// as sent at at, when it goes out at once. A commit owed already is owed
+// from at on if that is sooner.
+func (q *owedQueue) await(txn ids.ActionID, writers []ids.NodeID, at time.Time, sent bool) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if _, ok := q.awaiting[txn]; ok {
-		return slices.DeleteFunc(slices.Clone(writers), func(w ids.NodeID) bool { return q.findLocked(w, txn) < 0 })
+		for _, w := range writers {
+			if i := q.findLocked(w, txn); i >= 0 && at.Before(q.owed[w].entries[i].at) {
+				q.owed[w].entries[i].at = at
+			}
+		}
+		q.poke()
+		return
 	}
 	q.awaiting[txn] = len(writers)
 	acksAwaited.Inc()
-	now := q.clk.Now()
 	for _, w := range writers {
-		q.addLocked(w, owedEntry{txn: txn, commit: true, sent: sent, at: now})
+		q.addLocked(w, owedEntry{txn: txn, commit: true, sent: sent, at: at})
 	}
-	return writers
 }
 
 // findLocked returns where the commit of txn is in node's list, -1 when
@@ -161,13 +166,6 @@ func (q *owedQueue) findLocked(node ids.NodeID, txn ids.ActionID) int {
 		return slices.IndexFunc(o.entries, func(e owedEntry) bool { return e.commit && e.txn == txn })
 	}
 	return -1
-}
-
-// owes reports whether node is still owed the commit of txn.
-func (q *owedQueue) owes(node ids.NodeID, txn ids.ActionID) bool {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	return q.findLocked(node, txn) >= 0
 }
 
 // acked counts node's ack of the commit of txn, once however often it
@@ -272,11 +270,12 @@ func (q *owedQueue) sent(node ids.NodeID) {
 
 // acked counts the acks node sent, and forgets a decision record on its
 // last one. The forget is not forced: a crash before the next force brings
-// the record back, and the re-drive finds every writer done.
+// the record back, and recovery owes its commit to writers that are all
+// done.
 func (m *Manager) acked(node ids.NodeID, acks txnList) {
 	acks.each(func(txn ids.ActionID) {
 		if m.owed.acked(node, txn) {
-			//mcalint:ignore errdrop forgetting is housekeeping; a kept record is re-driven by recovery
+			//mcalint:ignore errdrop forgetting is housekeeping; a kept record is owed again by recovery
 			_ = m.node.Stable().Intentions().Forget(txn)
 		}
 	})
@@ -301,6 +300,10 @@ func (m *Manager) flushOwed(ctx context.Context, clk clock.Clock, self ids.NodeI
 		}
 	}()
 	for {
+		// The queue outlives the incarnation: the next one's is not for it.
+		if ctx.Err() != nil {
+			return
+		}
 		lists, next := q.takeDue(clk.Now(), self)
 		// A node that does not answer holds up only its own list.
 		for _, l := range lists {
@@ -413,7 +416,7 @@ func (m *Manager) withAcks(reply []byte, to ids.NodeID) []byte {
 }
 
 // handleEnd works off what a coordinator sent on its own — the quiet
-// flush, a structure's commit, a recovery re-drive — and, no force being
+// flush, a structure's commit — and, no force being
 // due to carry the commits' acks, forces them before it answers.
 func (m *Manager) handleEnd(ctx context.Context, from ids.NodeID, body []byte) ([]byte, error) {
 	rel, com, err := decodeEndReq(body)
@@ -444,8 +447,8 @@ func (m *Manager) workOff(ctx context.Context, from ids.NodeID, rel, com txnList
 	clk, wal := m.clk, m.node.Stable().WAL()
 	start, mark := clk.Now(), wal.Mark()
 	com.each(func(txn ids.ActionID) {
-		if _, err := m.end(txn, evCommit); err == nil {
-			m.acks.add(pendingAck{to: from, txn: txn, from: mark, at: wal.Mark()})
+		if was, err := m.end(txn, evCommit); err == nil {
+			m.acks.add(pendingAck{to: from, txn: txn, from: m.installedFrom(txn, was, mark), at: wal.Mark()})
 		}
 	})
 	// Phase-2 work riding another transaction's request is a span of its
@@ -455,6 +458,23 @@ func (m *Manager) workOff(ctx context.Context, from ids.NodeID, rel, com txnList
 		m.tracer.AddSpan(trace.Span{Kind: "dist.phase2", Label: fmt.Sprintf("dist.phase2 commits=%d", com.n),
 			TraceID: tc.TraceID, SpanID: tc.SpanID, ParentSpanID: caller.SpanID,
 			Outcome: trace.OutcomeOK, Begin: start, End: clk.Now()})
+	}
+	return mark
+}
+
+// installedFrom returns the log mark an ack of txn's commit, which found
+// it in state was, counts from: mark, or the earlier one from before the
+// install a decision query or an earlier message made. A handler a crash
+// left running may find an install the crash lost: counted from before
+// it, the ack is never durable.
+func (m *Manager) installedFrom(txn ids.ActionID, was state, mark uint64) uint64 {
+	if was != buried {
+		return mark
+	}
+	m.mu.Lock()
+	defer m.mu.Unlock()
+	if e := m.txns[txn]; e != nil && e.installed != 0 && e.installed < mark {
+		return e.installed
 	}
 	return mark
 }

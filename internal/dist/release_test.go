@@ -331,7 +331,7 @@ func TestSentCommitsDoNotFillAMessage(t *testing.T) {
 	defer m.owed.reset(clk)
 	const node = ids.NodeID(7)
 	for i := range maxOwedBatch {
-		m.owed.await(ids.ActionID(1000+i), []ids.NodeID{node}, true)
+		m.owed.await(ids.ActionID(1000+i), []ids.NodeID{node}, clk.Now(), true)
 	}
 	<-m.owed.wake // the list came into being
 	m.owe(node, 1)

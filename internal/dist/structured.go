@@ -88,16 +88,8 @@ type RemoteSerializing struct {
 // BeginRemoteSerializing starts a distributed serializing action
 // coordinated by this node.
 func (m *Manager) BeginRemoteSerializing() (*RemoteSerializing, error) {
-	m.mu.Lock()
-	if m.recovering {
-		m.mu.Unlock()
-		return nil, ErrRecovering
-	}
-	rt := m.node.Runtime()
-	m.mu.Unlock()
-
 	blue := colour.Fresh()
-	local, err := rt.Begin(action.WithColours(blue))
+	local, err := m.node.Runtime().Begin(action.WithColours(blue))
 	if err != nil {
 		return nil, err
 	}
@@ -325,12 +317,6 @@ type RemoteChain struct {
 // BeginRemoteChain starts a distributed glued chain coordinated by this
 // node.
 func (m *Manager) BeginRemoteChain() (*RemoteChain, error) {
-	m.mu.Lock()
-	if m.recovering {
-		m.mu.Unlock()
-		return nil, ErrRecovering
-	}
-	m.mu.Unlock()
 	return &RemoteChain{mgr: m, touched: make(map[ids.NodeID]struct{})}, nil
 }
 

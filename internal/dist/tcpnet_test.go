@@ -78,7 +78,7 @@ func TestCommitOverTCP(t *testing.T) {
 		t.Fatalf("2PC over TCP: %d/%d transactions failed: %v", res.Errors, res.Ops, res.ErrKinds)
 	}
 	for w := 0; w < workers; w++ {
-		a, b := banks[w][0].account().Peek(), banks[w][1].account().Peek()
+		a, b := banks[w][0].balance(), banks[w][1].balance()
 		if a != 100-txns || b != 100+txns {
 			t.Fatalf("worker %d balances = %d/%d, want %d/%d", w, a, b, 100-txns, 100+txns)
 		}
@@ -129,7 +129,7 @@ func TestCommitOverTCPSurvivesParticipantCrash(t *testing.T) {
 			t.Fatalf("transfer still failing after restart: %v", err)
 		}
 	}
-	a, b := banks[0][0].account().Peek(), banks[0][1].account().Peek()
+	a, b := banks[0][0].balance(), banks[0][1].balance()
 	if a+b != 200 {
 		t.Fatalf("balances %d+%d do not conserve 200", a, b)
 	}

@@ -336,74 +336,6 @@ func TestTracedAbortRecordsAbortRound(t *testing.T) {
 	}
 }
 
-// TestRecoveryRoundKeepsOriginalTraceID is the chaos case: the
-// coordinator crashes after forcing the decision, restarts, and
-// re-drives completion. The recovery round must continue the
-// transaction's original trace, not start a fresh one — the decision
-// record carries the trace identity across the crash.
-func TestRecoveryRoundKeepsOriginalTraceID(t *testing.T) {
-	tc := newTracedCluster(t, netsim.Config{})
-	ctx := context.Background()
-
-	tc.coord.TestHooks.AfterDecision = func() {
-		tc.net.Partition(tc.nodes[0].ID(), tc.nodes[1].ID())
-		tc.net.Partition(tc.nodes[0].ID(), tc.nodes[2].ID())
-	}
-	if err := transfer(ctx, tc.cluster, 1, 2, 10); err != nil {
-		t.Fatalf("Commit = %v (decision was durable)", err)
-	}
-
-	// The original transaction's trace id, from the coordinator's
-	// prepare round.
-	var originalTrace uint64
-	for _, s := range tc.recs[0].Spans() {
-		if kind, _, _, ok := roundOf(s); ok && kind == dist.RoundPrepare {
-			originalTrace = s.TraceID
-		}
-	}
-	if originalTrace == 0 {
-		t.Fatal("prepare round was not traced")
-	}
-
-	tc.nodes[0].Crash()
-	tc.net.Heal(tc.nodes[0].ID(), tc.nodes[1].ID())
-	tc.net.Heal(tc.nodes[0].ID(), tc.nodes[2].ID())
-	tc.nodes[0].Restart()
-
-	deadline := time.Now().Add(5 * time.Second)
-	for {
-		var recovered *trace.Span
-		var rounds []string
-		for _, s := range tc.recs[0].Spans() {
-			kind, answered, participants, ok := roundOf(s)
-			if ok {
-				rounds = append(rounds, s.Label)
-			}
-			if ok && kind == dist.RoundRecover && answered == participants {
-				recovered = &s
-				break
-			}
-		}
-		if recovered != nil {
-			if recovered.TraceID != originalTrace {
-				t.Fatalf("recovery round trace id %x, want original %x", recovered.TraceID, originalTrace)
-			}
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatalf("no successful recovery round recorded; rounds: %v", rounds)
-		}
-		if _, err := tc.coord.RecoverPending(ctx); err != nil {
-			t.Fatal(err)
-		}
-		time.Sleep(10 * time.Millisecond)
-	}
-
-	if got := tc.balanceAt(t, 1); got != 90 {
-		t.Fatalf("P1 balance = %d, want 90", got)
-	}
-}
-
 // TestEveryRoundIsOneSpan: every fan-out round a traced node runs — a
 // transfer's prepare, an abort, a one-phase write's commit1, the
 // flusher's end messages — is exactly one round.<kind> span in the

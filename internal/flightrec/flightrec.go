@@ -93,6 +93,11 @@ const (
 	// decision query. A is the transaction's action identifier, B the
 	// coordinator node.
 	KindReaped
+	// KindUnresolvedRead is a stable-store read refused because a
+	// prepared record replayed at the node's restart writes the object
+	// and has not been resolved. A is the object identifier, B the
+	// record's action identifier.
+	KindUnresolvedRead
 )
 
 // String renders the kind for dumps.
@@ -122,6 +127,8 @@ func (k Kind) String() string {
 		return "commit.resent"
 	case KindReaped:
 		return "reaped"
+	case KindUnresolvedRead:
+		return "unresolved.read"
 	default:
 		return fmt.Sprintf("kind(%d)", uint8(k))
 	}

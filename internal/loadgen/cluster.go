@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"sort"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mca/internal/action"
@@ -63,43 +64,28 @@ type ClusterConfig struct {
 // stable store: a dist.Resource with ops "add" (argument Delta) and
 // "get". The load generator's clusters and the 2PC experiments host it.
 type Register struct {
-	mu    sync.Mutex
-	nd    *node.Node
 	objID ids.ObjectID
-	val   *object.Managed[int]
+	reg   atomic.Pointer[object.Registry[int]] // this incarnation's activated cell
 }
 
 // NewRegister builds a register with a fresh object identity.
 func NewRegister() *Register { return &Register{objID: ids.NewObjectID()} }
 
-// Register implements node.Service.
+// Register implements node.Service: the cell activated before a crash
+// died with it.
 func (k *Register) Register(nd *node.Node, _ *rpc.Peer) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	k.nd = nd
-	k.activateLocked()
+	k.reg.Store(object.NewRegistry[int](nd.Stable(), nil))
 }
 
-// Recover implements node.Service.
-func (k *Register) Recover(context.Context, *node.Node) {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	k.activateLocked()
-}
+// Recover implements node.Service. The cell activates on first use.
+func (k *Register) Recover(context.Context, *node.Node) {}
 
-func (k *Register) activateLocked() {
-	if m, err := object.Load[int](k.objID, k.nd.Stable()); err == nil {
-		k.val = m
-		return
-	}
-	k.val = object.New(0, object.WithStore(k.nd.Stable()), object.WithID(k.objID))
-}
-
-// Value returns the register's object as the node last loaded it.
-func (k *Register) Value() *object.Managed[int] {
-	k.mu.Lock()
-	defer k.mu.Unlock()
-	return k.val
+// Value returns the register's object, activating it from the node's
+// stable store on first use — at 0 when the store has no state for it.
+// It fails while a transaction in doubt at the node's restart writes the
+// cell (store.ErrUnresolved).
+func (k *Register) Value() (*object.Managed[int], error) {
+	return k.reg.Load().Get(k.objID)
 }
 
 // Delta is the argument of a register's "add".
@@ -109,19 +95,23 @@ type Delta struct {
 
 // Invoke implements dist.Resource.
 func (k *Register) Invoke(a *action.Action, op string, arg []byte) ([]byte, error) {
+	m, err := k.Value()
+	if err != nil {
+		return nil, err
+	}
 	switch op {
 	case "add":
 		var in Delta
 		if err := json.Unmarshal(arg, &in); err != nil {
 			return nil, err
 		}
-		if err := k.Value().Write(a, func(v *int) error { *v += in.Delta; return nil }); err != nil {
+		if err := m.Write(a, func(v *int) error { *v += in.Delta; return nil }); err != nil {
 			return nil, err
 		}
 		return []byte("{}"), nil
 	case "get":
 		var out int
-		if err := k.Value().Read(a, func(v int) error { out = v; return nil }); err != nil {
+		if err := m.Read(a, func(v int) error { out = v; return nil }); err != nil {
 			return nil, err
 		}
 		return json.Marshal(out)

@@ -15,7 +15,7 @@ import (
 	"encoding/json"
 	"errors"
 	"fmt"
-	"sync"
+	"sync/atomic"
 
 	"mca/internal/action"
 	"mca/internal/dist"
@@ -37,10 +37,8 @@ type directory map[string]string
 
 // Server hosts one replica of the name directory on a node.
 type Server struct {
-	mu    sync.Mutex
-	nd    *node.Node
 	objID ids.ObjectID
-	dir   *object.Managed[directory]
+	reg   atomic.Pointer[object.Registry[directory]] // this incarnation's activated directory
 }
 
 var _ node.Service = (*Server)(nil)
@@ -54,36 +52,15 @@ func NewServer(nd *node.Node, mgr *dist.Manager) *Server {
 	return s
 }
 
-// Register implements node.Service.
+// Register implements node.Service: the directory activated before a
+// crash died with it.
 func (s *Server) Register(nd *node.Node, _ *rpc.Peer) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.nd = nd
-	s.activateLocked()
+	s.reg.Store(object.NewRegistry(nd.Stable(), func(ids.ObjectID) directory { return directory{} }))
 }
 
-// Recover implements node.Service: reactivate the directory from stable
-// storage after a crash.
-func (s *Server) Recover(_ context.Context, _ *node.Node) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.activateLocked()
-}
-
-func (s *Server) activateLocked() {
-	if m, err := object.Load[directory](s.objID, s.nd.Stable()); err == nil {
-		s.dir = m
-		return
-	}
-	s.dir = object.New(directory{},
-		object.WithStore(s.nd.Stable()), object.WithID(s.objID))
-}
-
-func (s *Server) directoryObject() *object.Managed[directory] {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.dir
-}
+// Recover implements node.Service. The directory activates on first use:
+// from stable storage, or empty when the store has no state for it.
+func (s *Server) Recover(context.Context, *node.Node) {}
 
 // Wire types.
 type bindArg struct {
@@ -106,13 +83,17 @@ type listResp struct {
 
 // Invoke implements dist.Resource.
 func (s *Server) Invoke(a *action.Action, op string, arg []byte) ([]byte, error) {
+	dir, err := s.reg.Load().Get(s.objID)
+	if err != nil {
+		return nil, err
+	}
 	switch op {
 	case "add":
 		var in bindArg
 		if err := json.Unmarshal(arg, &in); err != nil {
 			return nil, fmt.Errorf("nameserver add: %w", err)
 		}
-		err := s.directoryObject().Write(a, func(d *directory) error {
+		err = dir.Write(a, func(d *directory) error {
 			if *d == nil {
 				*d = directory{}
 			}
@@ -128,7 +109,7 @@ func (s *Server) Invoke(a *action.Action, op string, arg []byte) ([]byte, error)
 		if err := json.Unmarshal(arg, &in); err != nil {
 			return nil, fmt.Errorf("nameserver remove: %w", err)
 		}
-		err := s.directoryObject().Write(a, func(d *directory) error {
+		err = dir.Write(a, func(d *directory) error {
 			delete(*d, in.Name)
 			return nil
 		})
@@ -142,7 +123,7 @@ func (s *Server) Invoke(a *action.Action, op string, arg []byte) ([]byte, error)
 			return nil, fmt.Errorf("nameserver lookup: %w", err)
 		}
 		var out lookupResp
-		err := s.directoryObject().Read(a, func(d directory) error {
+		err = dir.Read(a, func(d directory) error {
 			out.Value, out.Found = d[in.Name]
 			return nil
 		})
@@ -152,7 +133,7 @@ func (s *Server) Invoke(a *action.Action, op string, arg []byte) ([]byte, error)
 		return json.Marshal(out)
 	case "list":
 		var out listResp
-		err := s.directoryObject().Read(a, func(d directory) error {
+		err = dir.Read(a, func(d directory) error {
 			for name := range d {
 				out.Names = append(out.Names, name)
 			}

@@ -127,8 +127,9 @@ type idOption ids.ObjectID
 
 func (o idOption) apply(opts *objOptions) { opts.id = ids.ObjectID(o) }
 
-// WithID fixes the object identifier (used when re-activating an object
-// known by a stable identifier). The default is a fresh identifier.
+// WithID fixes the object identifier. The default is a fresh identifier.
+// An object the store has a state for activates with Load: built with
+// WithID instead, it bypasses the store's refusal of objects in doubt.
 func WithID(id ids.ObjectID) Option { return idOption(id) }
 
 // New creates a managed object with the given initial value, existing

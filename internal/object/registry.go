@@ -10,10 +10,10 @@ import (
 
 // Registry manages a set of persistent objects of one type in one
 // stable store: it activates objects on first use (loading their state
-// when the store has one, creating them otherwise) and re-activates
-// them after a node crash — the pattern every node-resident service
-// needs (paper §2: objects "normally reside in object stores"; they are
-// activated into volatile memory to be operated on).
+// when the store has one, creating them otherwise) — the pattern every
+// node-resident service needs (paper §2: objects "normally reside in
+// object stores"; they are activated into volatile memory to be operated
+// on).
 type Registry[T any] struct {
 	store   StableStore
 	initial func(ids.ObjectID) T
@@ -37,14 +37,12 @@ func NewRegistry[T any](s StableStore, initial func(ids.ObjectID) T) *Registry[T
 }
 
 // Get returns the managed object with the given identifier, activating
-// it from the store (or creating it at its initial value) on first use.
+// it from the store on first use — or creating it at its initial value
+// when the store has no state for it, and no other error: an object the
+// store refuses (store.ErrUnresolved) is activated by a later Get.
 func (r *Registry[T]) Get(id ids.ObjectID) (*Managed[T], error) {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.getLocked(id)
-}
-
-func (r *Registry[T]) getLocked(id ids.ObjectID) (*Managed[T], error) {
 	if m, ok := r.objects[id]; ok {
 		return m, nil
 	}
@@ -60,22 +58,13 @@ func (r *Registry[T]) getLocked(id ids.ObjectID) (*Managed[T], error) {
 	return m, nil
 }
 
-// Reactivate discards every in-memory instance and reloads from the
-// store. Call it from a node service's Recover hook: the volatile
-// instances died with the crash, and any in-doubt write sets applied by
-// commit-protocol recovery are only visible in the store.
-func (r *Registry[T]) Reactivate() error {
+// Reactivate discards every in-memory instance, which died with a node
+// crash: each object activates from the store again on its next Get,
+// once commit-protocol recovery has resolved any write set in doubt.
+func (r *Registry[T]) Reactivate() {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	old := r.objects
-	r.objects = make(map[ids.ObjectID]*Managed[T], len(old))
-	var firstErr error
-	for id := range old {
-		if _, err := r.getLocked(id); err != nil && firstErr == nil {
-			firstErr = err
-		}
-	}
-	return firstErr
+	clear(r.objects)
 }
 
 // Known returns the identifiers of currently activated objects, in no

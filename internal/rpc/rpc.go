@@ -141,12 +141,13 @@ type Options struct {
 	// Clock is the time source for retransmission timers, call deadlines
 	// and span timestamps. Default clock.Real().
 	Clock clock.Clock
-	// ServeWorkers bounds the resident handler pool. Incoming requests
-	// are handed to an idle pooled worker when one is ready and spawn a
-	// fresh goroutine otherwise, so a burst (or a pool full of blocked
-	// handlers) never delays or deadlocks dispatch. Default 8.
-	ServeWorkers int
 }
+
+// serveWorkers bounds the resident handler pool. Incoming requests are
+// handed to an idle pooled worker when one is ready and spawn a fresh
+// goroutine otherwise, so a burst (or a pool full of blocked handlers)
+// never delays or deadlocks dispatch.
+const serveWorkers = 8
 
 func (o *Options) fill() {
 	if o.RetryInterval <= 0 {
@@ -160,9 +161,6 @@ func (o *Options) fill() {
 	}
 	if o.Clock == nil {
 		o.Clock = clock.Real()
-	}
-	if o.ServeWorkers <= 0 {
-		o.ServeWorkers = 8
 	}
 }
 
@@ -342,7 +340,7 @@ func (p *Peer) loop(stop, done chan struct{}, serveq chan serveJob) {
 	// Closing serveq releases the resident workers; a worker mid-handler
 	// finishes its job first, exactly like a spawned goroutine would.
 	defer close(serveq)
-	for i := 0; i < p.opts.ServeWorkers; i++ {
+	for range serveWorkers {
 		go p.serveWorker(ctx, serveq)
 	}
 	go func() {

@@ -30,15 +30,8 @@ type stableImage struct {
 func imageOf(t *testing.T, s *Stable) stableImage {
 	t.Helper()
 	img := stableImage{Objects: make(map[ids.ObjectID]string)}
-	list, err := s.List()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for _, id := range list {
-		st, err := s.Read(id)
-		if err != nil {
-			t.Fatal(err)
-		}
+	// The cache, not Read: a replayed prepared record fences its objects.
+	for id, st := range s.snapshot() {
 		img.Objects[id] = string(st)
 	}
 	pending, err := s.Intentions().Pending()
@@ -214,7 +207,7 @@ func runCrashPrefix(t *testing.T, seed int64) {
 		case r < 7:
 			a := actions[rng.Intn(len(actions))]
 			in := Intention{Action: a, Status: IntentionStatus(1 + rng.Intn(3)), Coordinator: ids.NodeID(rng.Intn(4)),
-				Writes: randBatch(), TraceID: uint64(rng.Intn(3))}
+				Writes: randBatch()}
 			if rng.Intn(2) == 0 {
 				in.Participants = []ids.NodeID{1, 2}
 			}

@@ -45,8 +45,9 @@ var (
 const (
 	walFilename = "wal.log"
 	// logVersion is the first byte of the file. It differs from '{', the
-	// first byte of the JSON-lines log this format replaced.
-	logVersion byte = 1
+	// first byte of the JSON-lines log this format replaced; version 1
+	// intentions carried a trace identity.
+	logVersion byte = 2
 	// logHeaderLen is the frame header: payload length and checksum.
 	logHeaderLen = 8
 	// maxLogRecord bounds one record's payload. A length beyond it is
@@ -139,8 +140,6 @@ func appendLogRecord(buf []byte, r *logRecord) ([]byte, error) {
 		buf = wire.AppendUvarint(buf, uint64(in.Action))
 		buf = append(buf, byte(in.Status))
 		buf = wire.AppendUvarint(buf, uint64(in.Coordinator))
-		buf = wire.AppendUvarint(buf, in.TraceID)
-		buf = wire.AppendUvarint(buf, in.TraceSpan)
 		buf = wire.AppendUvarint(buf, uint64(len(in.Participants)))
 		for _, p := range in.Participants {
 			buf = wire.AppendUvarint(buf, uint64(p))
@@ -203,8 +202,6 @@ func decodeLogRecord(buf []byte) (logRecord, int, error) {
 		in := &Intention{Action: ids.ActionID(r.Uvarint())}
 		in.Status = IntentionStatus(r.Byte())
 		in.Coordinator = ids.NodeID(r.Uvarint())
-		in.TraceID = r.Uvarint()
-		in.TraceSpan = r.Uvarint()
 		if np := r.Count(1); np > 0 {
 			in.Participants = make([]ids.NodeID, np)
 			for i := range in.Participants {

@@ -22,8 +22,6 @@ func sampleRecords() []logRecord {
 		Status:       IntentionCommitted,
 		Coordinator:  3,
 		Participants: []ids.NodeID{4, 5},
-		TraceID:      0xDEADBEEF,
-		TraceSpan:    0xCAFE,
 		Writes:       Batch{Writes: map[ids.ObjectID]State{9: State("nine")}, Deletes: []ids.ObjectID{10}},
 	}
 	return []logRecord{
@@ -103,7 +101,7 @@ func TestLogRecordGolden(t *testing.T) {
 	in := Intention{Action: 1, Status: IntentionPrepared, Coordinator: 2,
 		Writes: Batch{Writes: map[ids.ObjectID]State{5: State("v")}}}
 	got = hex.EncodeToString(mustFrame(t, logRecord{kind: kindIntention, action: 1, in: &in})[logHeaderLen:])
-	if want := "01" + "01" + "01" + "02" + "00" + "00" + "00" + "01" + "05" + "01" + "76" + "00"; got != want {
+	if want := "01" + "01" + "01" + "02" + "00" + "01" + "05" + "01" + "76" + "00"; got != want {
 		t.Fatalf("intention payload = %s, want %s", got, want)
 	}
 }
@@ -389,7 +387,8 @@ func TestRecoverAfterCompactionCutsTornTail(t *testing.T) {
 // decision and the install in one record — its write set is in the object
 // states when Record returns, is still there after a restart that replays
 // the log, and survives a compaction that writes newer states after it.
-// A prepared intention installs nothing.
+// A prepared intention installs nothing; once replayed, it fences what it
+// writes.
 func TestCommittedIntentionInstallsItsWriteSet(t *testing.T) {
 	dir := t.TempDir()
 	open := func() *Stable {
@@ -414,19 +413,22 @@ func TestCommittedIntentionInstallsItsWriteSet(t *testing.T) {
 			}
 			record(1, IntentionCommitted, Batch{Writes: map[ids.ObjectID]State{decided: State("v1"), gone: State("v1")}})
 			record(2, IntentionPrepared, Batch{Writes: map[ids.ObjectID]State{prepared: State("p")}})
-			check := func(s *Stable, when string, wantDecided string) {
+			check := func(s *Stable, when string, wantDecided string, wantPrepared error) {
 				t.Helper()
 				if got, err := s.Read(decided); err != nil || string(got) != wantDecided {
 					t.Fatalf("%s: decided object = %q, %v; want %q", when, got, err, wantDecided)
 				}
-				if _, err := s.Read(prepared); !errors.Is(err, ErrNotFound) {
-					t.Fatalf("%s: a prepared intention installed its write set (err %v)", when, err)
+				if _, ok := s.snapshot()[prepared]; ok {
+					t.Fatalf("%s: a prepared intention installed its write set", when)
+				}
+				if _, err := s.Read(prepared); !errors.Is(err, wantPrepared) {
+					t.Fatalf("%s: read of the prepared intention's object = %v, want %v", when, err, wantPrepared)
 				}
 			}
-			check(s, "after Record", "v1")
+			check(s, "after Record", "v1", ErrNotFound)
 			s.Crash()
 			s.Recover()
-			check(s, "after a restart", "v1")
+			check(s, "after a restart", "v1", ErrUnresolved)
 			if name != "file" {
 				return
 			}
@@ -440,7 +442,7 @@ func TestCommittedIntentionInstallsItsWriteSet(t *testing.T) {
 				t.Fatal(err)
 			}
 			reopened := open()
-			check(reopened, "after compaction and reopen", "v2")
+			check(reopened, "after compaction and reopen", "v2", ErrUnresolved)
 			if _, err := reopened.Read(gone); !errors.Is(err, ErrNotFound) {
 				t.Fatalf("a deleted object came back with the checkpointed intention (err %v)", err)
 			}

@@ -19,7 +19,9 @@ import (
 	"sort"
 	"sync"
 
+	"mca/internal/flightrec"
 	"mca/internal/ids"
+	"mca/internal/metrics"
 )
 
 // State is an opaque serialized object state. Read, Write and Delete
@@ -33,6 +35,14 @@ var ErrNotFound = errors.New("store: object not found")
 // ErrCrashed is returned by operations attempted on a store whose node is
 // crashed (fail-silence: a crashed node performs no work).
 var ErrCrashed = errors.New("store: node is crashed")
+
+// ErrUnresolved is returned by Stable.Read for an object whose state is in
+// doubt: a prepared record replayed at the store's open or recovery writes
+// it. It is transient: the record's commit or abort lifts it.
+var ErrUnresolved = errors.New("store: object written by an unresolved transaction")
+
+var readsRefused = metrics.Default().Counter("mca_store_reads_refused_total",
+	"Stable-store reads refused with ErrUnresolved: the object is written by a prepared record replayed at a restart and not yet resolved.")
 
 // Store is the common read/write surface of object stores.
 type Store interface {
@@ -188,6 +198,11 @@ type Stable struct {
 	// pendingCrash injects a crash at the chosen point of the next
 	// ApplyBatch.
 	pendingCrash CrashPoint
+	// fenced maps every object a prepared record replayed at the last open
+	// or Recover writes or deletes to the record's action, until the record
+	// is forgotten (WAL.Forget). Records appended since fence nothing: the
+	// action that wrote them holds the objects' locks.
+	fenced map[ids.ObjectID]ids.ActionID
 
 	wal        *WAL
 	intentions *IntentionLog
@@ -218,7 +233,7 @@ func OpenFileStore(dir string) (*Stable, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	s := &Stable{data: img.data}
+	s := &Stable{data: img.data, fenced: fencesOf(img.index)}
 	s.wal = newWAL(s, lf, img.index)
 	s.intentions = &IntentionLog{wal: s.wal}
 	return s, truncated, nil
@@ -226,12 +241,19 @@ func OpenFileStore(dir string) (*Stable, bool, error) {
 
 var _ Store = (*Stable)(nil)
 
-// Read implements Store.
+// Read implements Store. A fenced object is refused with ErrUnresolved
+// whether or not the store holds a state for it, so an object the
+// unresolved transaction creates is not created a second time.
 func (s *Stable) Read(id ids.ObjectID) (State, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if s.crashed {
 		return nil, ErrCrashed
+	}
+	if a, ok := s.fenced[id]; ok {
+		readsRefused.Inc()
+		flightrec.Record(flightrec.Event{Kind: flightrec.KindUnresolvedRead, Node: s.wal.nodeID.Load(), A: uint64(id), B: uint64(a)})
+		return nil, fmt.Errorf("%w (object %v, transaction %v)", ErrUnresolved, id, a)
 	}
 	st, ok := s.data[id]
 	if !ok {
@@ -417,9 +439,9 @@ func (s *Stable) crashLocked() {
 	s.crashed = true
 	// Invalidate in-flight WAL batches: a force completing after the
 	// crash must fail its waiters, not install records on a store that
-	// was down. Forgets nobody forced are lost with the node.
+	// was down. Records nobody forced are lost with the node.
 	s.wal.gen.Add(1)
-	s.wal.dropLazy()
+	s.wal.dropOpen()
 }
 
 // CrashDuringNextBatch arms a crash injection for the next ApplyBatch.
@@ -464,7 +486,8 @@ func (s *Stable) Close() error {
 // (redo), and returns whether a batch was repaired. A file-backed store
 // replays its log into the object cache and the intention index, so
 // recovery sees exactly what was durable at the crash; it reports
-// whether the replay changed any object state the cache showed.
+// whether the replay changed any object state the cache showed. Either
+// way the prepared records the store then holds fence their objects.
 func (s *Stable) Recover() bool {
 	s.mu.Lock()
 	closed := s.closed
@@ -478,6 +501,9 @@ func (s *Stable) Recover() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	s.crashed = false
+	s.wal.mu.Lock()
+	s.fenced = fencesOf(s.wal.index)
+	s.wal.mu.Unlock()
 	if s.journal == nil {
 		return false
 	}
@@ -503,9 +529,34 @@ func (s *Stable) recoverFromLog() bool {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	repaired := !maps.EqualFunc(s.data, img.data, func(a, b State) bool { return bytes.Equal(a, b) })
-	s.data = img.data
+	s.data, s.fenced = img.data, fencesOf(img.index)
 	s.crashed = false
 	return repaired
+}
+
+// fencesOf returns the objects the prepared records of index write or
+// delete, each with its record's action.
+func fencesOf(index map[ids.ActionID]Intention) map[ids.ObjectID]ids.ActionID {
+	fenced := make(map[ids.ObjectID]ids.ActionID)
+	for a, in := range index {
+		if in.Status != IntentionPrepared {
+			continue
+		}
+		for id := range in.Writes.Writes {
+			fenced[id] = a
+		}
+		for _, id := range in.Writes.Deletes {
+			fenced[id] = a
+		}
+	}
+	return fenced
+}
+
+// unfence lifts the fences of action a's record, which is resolved.
+func (s *Stable) unfence(a ids.ActionID) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	maps.DeleteFunc(s.fenced, func(_ ids.ObjectID, by ids.ActionID) bool { return by == a })
 }
 
 // Intentions returns the store's intention log. The log shares the
@@ -582,14 +633,8 @@ type Intention struct {
 	Writes      Batch
 	Coordinator ids.NodeID
 	// Participants is recorded by the coordinator with its decision,
-	// so recovery can re-drive the completion phase.
+	// so recovery can owe them the commit again.
 	Participants []ids.NodeID
-	// TraceID and TraceSpan carry the transaction's distributed-trace
-	// identity (raw, to keep store free of a trace dependency), so a
-	// recovery re-drive continues the original trace instead of
-	// starting a fresh one.
-	TraceID   uint64
-	TraceSpan uint64
 }
 
 // IntentionLog is the stable log consulted during crash recovery of the

@@ -198,15 +198,19 @@ func (w *WAL) Record(in Intention) error {
 // it becomes durable with the next record forced after it. A crash
 // before then resurrects the intention, and recovery resolves it again
 // — re-applying a write set that nothing later in the log overwrote,
-// because anything later in the log would have carried the forget.
+// because anything later in the log would have carried the forget. A
+// forgotten prepared record fences no object any more.
 func (w *WAL) Forget(a ids.ActionID) error {
 	if w.owner.Crashed() {
 		return ErrCrashed
 	}
 	e := logRecord{kind: kindForget, action: a}
 	w.mu.Lock()
+	in, had := w.index[a]
+	if had && in.Status == IntentionPrepared {
+		defer w.owner.unfence(a) // after mu is released: a crash takes the owner's lock before mu
+	}
 	defer w.mu.Unlock()
-	_, had := w.index[a]
 	delete(w.index, a)
 	// A Record of the same action still on its way to the index (an
 	// abort overtaking its prepare) would outlive this forget there
@@ -350,8 +354,13 @@ func (w *WAL) Mark() uint64 {
 // Durable reports whether what was appended by the time of mark to is
 // forced, and the log has not crashed since mark from. Batches are forced
 // in order, a failed force fails every later one until a crash, and a
-// crash voids every mark taken before it.
+// crash voids every mark taken before it. Nothing is durable while the
+// store is crashed: what it appended since its last force is lost, and
+// its recovery replays the log without it.
 func (w *WAL) Durable(from, to uint64) bool {
+	if w.owner.Crashed() {
+		return false
+	}
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	return from >= w.floor && to <= w.forced
@@ -401,6 +410,10 @@ func (w *WAL) flushLoop() {
 			runtime.Gosched()
 		}
 		w.mu.Lock()
+		if w.cur != b {
+			w.mu.Unlock() // a crash dropped it meanwhile
+			continue
+		}
 		w.cur, w.inflight = nil, b
 		w.mu.Unlock()
 		w.flushMu.Lock()
@@ -508,14 +521,21 @@ func (w *WAL) force(b *walBatch) error {
 	return nil
 }
 
-// dropLazy discards an open batch nobody waits for — forgets and lazy
-// installs whose force a crash has just overtaken. Called by the owner as
-// it crashes.
-func (w *WAL) dropLazy() {
+// dropOpen discards the open batch, whose force a crash has just
+// overtaken: its records are lost, and its appenders fail. What the next
+// incarnation appends goes to a batch of its own — joined to this one, it
+// would fail with it, while later batches are forced. Called by the owner
+// as it crashes.
+func (w *WAL) dropOpen() {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	if w.cur != nil && !w.cur.wanted {
+	if b := w.cur; b != nil {
 		w.cur = nil
+		b.flushed, b.err = true, ErrCrashed
+		if b.done != nil {
+			//mcalint:ignore forceorder the batch completes failed: its appenders learn that nothing in it is durable
+			close(b.done)
+		}
 	}
 	w.seq++
 	w.forced, w.floor = w.seq, w.seq
