@@ -10,6 +10,7 @@ import (
 
 	"mca/internal/billing"
 	"mca/internal/bulletin"
+	"mca/internal/clock"
 	"mca/internal/core"
 	"mca/internal/dist"
 	"mca/internal/ids"
@@ -49,45 +50,55 @@ func roundsSince(before map[string]float64) string {
 	return strings.Join(parts, " ")
 }
 
+// kvCluster starts a coordinator and n participants on nw, every node
+// with opts and every participant hosting a register "kv".
+func kvCluster(nw *netsim.Network, n int, opts ...node.Option) (coord *dist.Manager, parts []*node.Node, regs []*loadgen.Register, err error) {
+	for i := range n + 1 {
+		nd, err := node.New(nw, opts...)
+		if err != nil {
+			return nil, nil, nil, err
+		}
+		mgr := dist.NewManager(nd)
+		if i == 0 {
+			coord = mgr
+			continue
+		}
+		reg := loadgen.NewRegister()
+		nd.Host(reg)
+		mgr.RegisterResource("kv", reg)
+		parts, regs = append(parts, nd), append(regs, reg)
+	}
+	return coord, parts, regs, nil
+}
+
+// addAt returns a transaction body that adds delta to the register at
+// each of nodes in turn.
+func addAt(ctx context.Context, delta int, nodes ...*node.Node) func(*dist.Txn) error {
+	return func(txn *dist.Txn) error {
+		for _, nd := range nodes {
+			if err := txn.Invoke(ctx, nd.ID(), "kv", "add", loadgen.Delta{Delta: delta}, nil); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+}
+
 // expTwoPhaseCommit measures commit latency against the number of
 // participants and verifies the crash matrix end to end.
 func expTwoPhaseCommit(rep *report) error {
 	ctx := context.Background()
-	opts := rpc.Options{RetryInterval: 5 * time.Millisecond, CallTimeout: 500 * time.Millisecond}
+	opts := node.WithRPCOptions(rpc.Options{RetryInterval: 5 * time.Millisecond, CallTimeout: 500 * time.Millisecond})
 
 	// Latency sweep.
 	for _, participants := range []int{1, 2, 3, 4} {
 		nw := netsim.New(netsim.Config{MinDelay: 200 * time.Microsecond, MaxDelay: time.Millisecond})
-		coordNode, err := node.New(nw, node.WithRPCOptions(opts))
+		coord, parts, _, err := kvCluster(nw, participants, opts)
 		if err != nil {
 			nw.Close()
 			return err
 		}
-		coord := dist.NewManager(coordNode)
-		var targets []ids.NodeID
-		for i := 0; i < participants; i++ {
-			nd, err := node.New(nw, node.WithRPCOptions(opts))
-			if err != nil {
-				nw.Close()
-				return err
-			}
-			mgr := dist.NewManager(nd)
-			res := loadgen.NewRegister()
-			nd.Host(res)
-			mgr.RegisterResource("kv", res)
-			targets = append(targets, nd.ID())
-		}
-
-		res := workload.Run(1, 30, func(_, _ int) error {
-			return coord.Run(ctx, func(txn *dist.Txn) error {
-				for _, target := range targets {
-					if err := txn.Invoke(ctx, target, "kv", "add", loadgen.Delta{Delta: 1}, nil); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-		})
+		res := workload.Run(1, 30, func(_, _ int) error { return coord.Run(ctx, addAt(ctx, 1, parts...)) })
 		rep.rowf("  participants=%d  commit p50=%v p99=%v errs=%d",
 			participants,
 			res.Latency.Percentile(50).Round(time.Microsecond),
@@ -96,7 +107,7 @@ func expTwoPhaseCommit(rep *report) error {
 		if res.Errors > 0 {
 			rep.check(fmt.Sprintf("latency sweep with %d participants error-free", participants), false)
 		}
-		coordNode.Stop() // its flusher would resend what it still owes into the closed network
+		coord.Node().Stop() // its flusher would resend what it still owes into the closed network
 		nw.Close()
 	}
 
@@ -105,44 +116,20 @@ func expTwoPhaseCommit(rep *report) error {
 	// stay correct.
 	for _, loss := range []float64{0, 0.1, 0.3} {
 		nw := netsim.New(netsim.Config{LossRate: loss, Seed: 77})
-		coordNode, err := node.New(nw, node.WithRPCOptions(opts))
+		coord, parts, resources, err := kvCluster(nw, 2, opts)
 		if err != nil {
 			nw.Close()
 			return err
 		}
-		coord := dist.NewManager(coordNode)
 		before := roundCounts()
-		var targets []ids.NodeID
-		resources := make([]*loadgen.Register, 2)
-		for i := range resources {
-			nd, err := node.New(nw, node.WithRPCOptions(opts))
-			if err != nil {
-				nw.Close()
-				return err
-			}
-			mgr := dist.NewManager(nd)
-			resources[i] = loadgen.NewRegister()
-			nd.Host(resources[i])
-			mgr.RegisterResource("kv", resources[i])
-			targets = append(targets, nd.ID())
-		}
-		res := workload.Run(1, 20, func(_, _ int) error {
-			return coord.Run(ctx, func(txn *dist.Txn) error {
-				for _, target := range targets {
-					if err := txn.Invoke(ctx, target, "kv", "add", loadgen.Delta{Delta: 1}, nil); err != nil {
-						return err
-					}
-				}
-				return nil
-			})
-		})
+		res := workload.Run(1, 20, func(_, _ int) error { return coord.Run(ctx, addAt(ctx, 1, parts...)) })
 		committed := res.Ops - res.Errors
 		consistent := peek(resources[0]) == committed && peek(resources[1]) == committed
 		rep.rowf("  loss=%2.0f%%  commit p50=%8v  committed=%d/%d  rounds: %s", loss*100,
 			res.Latency.Percentile(50).Round(time.Microsecond), committed, res.Ops,
 			roundsSince(before))
 		rep.check(fmt.Sprintf("loss=%.0f%%: committed actions applied at every participant", loss*100), consistent)
-		coordNode.Stop()
+		coord.Node().Stop()
 		nw.Close()
 	}
 
@@ -152,41 +139,16 @@ func expTwoPhaseCommit(rep *report) error {
 	{
 		nw := netsim.New(netsim.Config{})
 		defer nw.Close()
-		coordNode, err := node.New(nw, node.WithRPCOptions(opts))
+		coord, parts, regs, err := kvCluster(nw, 2, opts)
 		if err != nil {
 			return err
 		}
-		coord := dist.NewManager(coordNode)
-		newParticipant := func() (*node.Node, *loadgen.Register, error) {
-			nd, err := node.New(nw, node.WithRPCOptions(opts))
-			if err != nil {
-				return nil, nil, err
-			}
-			mgr := dist.NewManager(nd)
-			res := loadgen.NewRegister()
-			nd.Host(res)
-			mgr.RegisterResource("kv", res)
-			return nd, res, nil
-		}
-		pNode, res, err := newParticipant()
-		if err != nil {
-			return err
-		}
-		qNode, _, err := newParticipant()
-		if err != nil {
-			return err
-		}
-		addAtBoth := func(txn *dist.Txn, delta int) error {
-			if err := txn.Invoke(ctx, qNode.ID(), "kv", "add", loadgen.Delta{Delta: delta}, nil); err != nil {
-				return err
-			}
-			return txn.Invoke(ctx, pNode.ID(), "kv", "add", loadgen.Delta{Delta: delta}, nil)
-		}
+		coordNode, pNode, qNode, res := coord.Node(), parts[0], parts[1], regs[0]
 
 		coord.TestHooks.AfterPrepare = func() {
 			nw.Partition(coordNode.ID(), pNode.ID())
 		}
-		err = coord.Run(ctx, func(txn *dist.Txn) error { return addAtBoth(txn, 5) })
+		err = coord.Run(ctx, addAt(ctx, 5, qNode, pNode))
 		if err != nil {
 			return fmt.Errorf("commit with partitioned completion: %w", err)
 		}
@@ -208,7 +170,7 @@ func expTwoPhaseCommit(rep *report) error {
 		if err != nil {
 			return err
 		}
-		if err := addAtBoth(txn, 100); err != nil {
+		if err := addAt(ctx, 100, qNode, pNode)(txn); err != nil {
 			return err
 		}
 		_ = txn.Commit(ctx)
@@ -321,30 +283,27 @@ func expIndependentApps(rep *report) error {
 // expRemoteSerializing verifies the distributed serializing action: the
 // paper's "distributed version" next step. Constituents are two-phase-
 // commit transactions; per-node containers retain their locks until the
-// structure ends.
+// structure ends. The cluster's clock stands still, so nothing travels on
+// its own: a two-node constituent costs what a plain transfer does.
 func expRemoteSerializing(rep *report) error {
 	ctx := context.Background()
-	opts := rpc.Options{RetryInterval: 5 * time.Millisecond, CallTimeout: 300 * time.Millisecond}
-	nw := netsim.New(netsim.Config{})
+	clk := clock.NewFake()
+	nw := netsim.New(netsim.Config{Clock: clk})
 	defer nw.Close()
-
-	coordNode, err := node.New(nw, node.WithRPCOptions(opts))
+	coord, parts, regs, err := kvCluster(nw, 2, node.WithClock(clk), node.WithRPCOptions(rpc.Options{RetryInterval: 5 * time.Millisecond, CallTimeout: 300 * time.Millisecond}))
 	if err != nil {
 		return err
 	}
-	coord := dist.NewManager(coordNode)
-	var targets []ids.NodeID
-	resources := make([]*loadgen.Register, 2)
-	for i := range resources {
-		nd, err := node.New(nw, node.WithRPCOptions(opts))
-		if err != nil {
-			return err
+	nodes := append([]*node.Node{coord.Node()}, parts...)
+	for _, nd := range nodes {
+		defer nd.Stop()
+	}
+	forces := func() (n uint64) {
+		for _, nd := range nodes {
+			f, _ := nd.Stable().WAL().Stats()
+			n += f
 		}
-		mgr := dist.NewManager(nd)
-		resources[i] = loadgen.NewRegister()
-		nd.Host(resources[i])
-		mgr.RegisterResource("kv", resources[i])
-		targets = append(targets, nd.ID())
+		return n
 	}
 
 	s, err := coord.BeginRemoteSerializing()
@@ -352,28 +311,24 @@ func expRemoteSerializing(rep *report) error {
 		return err
 	}
 	// Constituent B updates both nodes.
-	if err := s.RunConstituent(ctx, func(txn *dist.Txn) error {
-		for _, target := range targets {
-			if err := txn.Invoke(ctx, target, "kv", "add", loadgen.Delta{Delta: 10}, nil); err != nil {
-				return err
-			}
-		}
-		return nil
-	}); err != nil {
+	sent, forced := nw.Stats().Sent, forces()
+	if err := s.RunConstituent(ctx, addAt(ctx, 10, parts...)); err != nil {
 		return err
 	}
-	permanent := peek(resources[0]) == 10 && peek(resources[1]) == 10
-	rep.check("constituent effects permanent at every node at its own commit", permanent)
+	msgs, f := nw.Stats().Sent-sent, forces()-forced
+	rep.rowf("two-node constituent: %d datagrams, %d forces (a plain transfer: 6 and 3)", msgs, f)
+	rep.check("a two-node constituent sends 6 datagrams and forces 3 times, as a plain transfer does", msgs == 6 && f == 3)
 
-	// Protection across the cluster: an unrelated transaction is shut out.
-	blockedErr := coord.Run(ctx, func(txn *dist.Txn) error {
-		return txn.Invoke(ctx, targets[0], "kv", "add", loadgen.Delta{Delta: 1}, nil)
-	})
+	// Protection across the cluster: an unrelated transaction is shut out
+	// until its caller gives up.
+	octx, cancel := context.WithTimeout(ctx, 50*time.Millisecond)
+	blockedErr := coord.Run(octx, addAt(octx, 1, parts[0]))
+	cancel()
 	rep.check("outsider blocked at remote nodes between constituents", blockedErr != nil)
 
 	// A failing second constituent leaves B intact.
 	_ = s.RunConstituent(ctx, func(txn *dist.Txn) error {
-		if err := txn.Invoke(ctx, targets[1], "kv", "add", loadgen.Delta{Delta: 99}, nil); err != nil {
+		if err := addAt(ctx, 99, parts[1])(txn); err != nil {
 			return err
 		}
 		return errInjected
@@ -382,12 +337,24 @@ func expRemoteSerializing(rep *report) error {
 		return err
 	}
 	rep.check("failed constituent undone, committed constituent kept (outcome iii, distributed)",
-		peek(resources[0]) == 10 && peek(resources[1]) == 10)
+		peek(regs[0]) == 10 && peek(regs[1]) == 10)
+	rep.check("locks released cluster-wide when the structure ends", coord.Run(ctx, addAt(ctx, 1, parts[0])) == nil)
 
-	// Everything free after Cancel.
-	freeErr := coord.Run(ctx, func(txn *dist.Txn) error {
-		return txn.Invoke(ctx, targets[0], "kv", "add", loadgen.Delta{Delta: 1}, nil)
-	})
-	rep.check("locks released cluster-wide when the structure ends", freeErr == nil)
+	// A constituent is permanent at its Commit: both participants crash
+	// before the structure's End, and restart and recovery install it.
+	if s, err = coord.BeginRemoteSerializing(); err != nil {
+		return err
+	}
+	if err := s.RunConstituent(ctx, addAt(ctx, 1, parts...)); err != nil {
+		return err
+	}
+	for _, p := range parts {
+		p.Crash()
+		p.Restart()
+	}
+	rep.check("constituent kept by both participants crashing before End", peek(regs[0]) == 12 && peek(regs[1]) == 11)
+	sent = nw.Stats().Sent
+	err = s.End(ctx)
+	rep.check("the structure's End sends 4 datagrams, an end message to each node, answered", err == nil && nw.Stats().Sent-sent == 4)
 	return nil
 }

@@ -43,14 +43,6 @@ func (r *report) check(name string, ok bool) {
 	r.rows = append(r.rows, fmt.Sprintf("  [%s] %s", status, name))
 }
 
-func (r *report) checkErr(name string, err error) {
-	if err != nil {
-		r.check(fmt.Sprintf("%s (%v)", name, err), false)
-		return
-	}
-	r.check(name, true)
-}
-
 func main() {
 	var (
 		runFilter = flag.String("run", "", "run only experiments whose id or title contains this substring")

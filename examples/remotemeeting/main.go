@@ -155,10 +155,7 @@ func run() error {
 		fmt.Printf("%s's diary on node %v, busy days %v\n", p, nd.ID(), busy[p])
 	}
 
-	chain, err := coord.BeginRemoteChain()
-	if err != nil {
-		return err
-	}
+	chain := coord.BeginRemoteChain()
 	defer chain.End(ctx)
 
 	// Round 1: find commonly free days among the candidates and hold

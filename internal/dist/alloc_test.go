@@ -162,7 +162,7 @@ func TestTxnAllocBudget(t *testing.T) {
 	// commit's ack counted when it comes back.
 	owedAndTaken := func() error {
 		f.coord.owe(target, invoke.Txn)
-		f.coord.owed.await(invoke.Txn+1, []ids.NodeID{target}, f.coord.clk.Now(), false)
+		f.coord.owed.await(invoke.Txn+1, []ids.NodeID{target}, f.coord.clk.Now())
 		var owed, committed [owedScratch]byte
 		l := f.coord.owed.take(owedList{node: target, rel: txnList{ids: owed[:0]}, com: txnList{ids: committed[:0]}})
 		if l.rel.n != 1 || l.com.n != 1 {

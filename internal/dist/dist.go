@@ -75,7 +75,6 @@ var (
 const (
 	methodInvoke   = "dist.invoke"
 	methodPrepare  = "dist.prepare"
-	methodAbort    = "dist.abort"
 	methodDecision = "dist.decision"
 	methodCommit1  = "dist.commit1"
 	methodEnd      = "dist.end"
@@ -199,12 +198,9 @@ func (m *Manager) Register(n *node.Node, p *rpc.Peer) {
 
 	p.Handle(methodInvoke, m.handleInvoke)
 	p.Handle(methodPrepare, m.handlePrepare)
-	p.Handle(methodAbort, m.handleAbort)
 	p.Handle(methodDecision, m.handleDecision)
 	p.Handle(methodCommit1, m.handleCommit1)
 	p.Handle(methodEnd, m.handleEnd)
-	p.Handle(methodEndStructure, m.handleStructure(true))
-	p.Handle(methodAbortStructure, m.handleStructure(false))
 }
 
 // Recover implements node.Service: it asks the coordinator of every
@@ -395,7 +391,8 @@ func (m *Manager) participantAction(txn ids.ActionID, coord ids.NodeID, continua
 
 // event is what ends a transaction here: an abort, or "aborted" from the
 // decision query; a single-site transaction's release (onephase.go); a
-// commit carried here (release.go), or "committed" from the query.
+// commit carried here (release.go), or "committed" from the query. An end
+// message carries one list of transactions per event.
 type event uint8
 
 const (
@@ -496,7 +493,7 @@ func (m *Manager) handleInvoke(ctx context.Context, from ids.NodeID, body []byte
 	}
 	// What the coordinator has finished with goes first: the operation
 	// below may want the very locks those transactions still hold.
-	m.workOff(ctx, from, req.Release, req.Commit)
+	m.workOff(ctx, from, req.Release, req.Commit, txnList{})
 	m.mu.Lock()
 	res, ok := m.resources[req.Resource]
 	m.mu.Unlock()
@@ -668,17 +665,6 @@ func (m *Manager) handlePrepare(ctx context.Context, from ids.NodeID, body []byt
 	return m.withAcks(vote, from), nil
 }
 
-func (m *Manager) handleAbort(_ context.Context, _ ids.NodeID, body []byte) ([]byte, error) {
-	txn, err := decodeTxnReq(body)
-	if err != nil {
-		return nil, fmt.Errorf("decode abort: %w", err)
-	}
-	if _, err := m.end(txn, evAbort); err != nil {
-		return nil, err
-	}
-	return ackBody, nil
-}
-
 func (m *Manager) handleDecision(_ context.Context, from ids.NodeID, body []byte) ([]byte, error) {
 	txn, err := decodeTxnReq(body)
 	if err != nil {
@@ -827,15 +813,15 @@ func (t *Txn) Invoke(ctx context.Context, target ids.NodeID, resource, op string
 	}
 	// Any earlier invoke at the target, even a failed one, makes this one
 	// a continuation rather than a first contact, and takes back a vote
-	// the target cast in an invoke reply. A plain transaction that already
-	// has a participant asks each further one for its vote in the reply:
-	// a writer voting then needs no prepare at commit.
+	// the target cast in an invoke reply. A transaction that already has a
+	// participant asks each further one for its vote in the reply: a writer
+	// voting then needs no prepare at commit.
 	i := slices.IndexFunc(t.contacts, func(c contact) bool { return c.node == target })
 	continuation := i >= 0
 	if continuation {
 		t.contacts[i].voted = false
 	}
-	vote := !continuation && t.structure == nil && slices.ContainsFunc(t.contacts, func(c contact) bool { return c.ok })
+	vote := !continuation && slices.ContainsFunc(t.contacts, func(c contact) bool { return c.ok })
 	t.mu.Unlock()
 
 	argBytes, err := json.Marshal(arg)
@@ -913,9 +899,7 @@ const bodyScratch = 128
 // then permanent, though not yet installed at its other writers: each
 // hears of the decision with this node's next message to it, or within
 // the flush interval, and holds its write locks until then — a writer
-// that crashed first learns it from recovery. A constituent of a
-// distributed structure waits for its writers instead, whose actions
-// must commit before the structure ends. One that touched a single
+// that crashed first learns it from recovery. One that touched a single
 // remote node and wrote nothing here commits in one step (onephase.go): a
 // writer hands that node the decision and may come back ErrInDoubt when
 // it stays silent past ctx or two RPC call timeouts; a reader is
@@ -1051,24 +1035,10 @@ func (t *Txn) Commit(ctx context.Context) error {
 
 	// Phase 2 is delivery. Each writer is owed the commit, which rides
 	// this node's next message to it; the decision record stays until
-	// every writer has acknowledged it (release.go).
-	switch {
-	case len(writers) == 0:
-	case t.structure == nil:
-		t.mgr.owed.await(t.ID(), writers, clk.Now(), false)
-	default:
-		// A constituent's participant actions commit into containers the
-		// structure's end then ends: they must have committed first, so the
-		// commit goes out at once, in one round of end messages.
-		com := txnList{}.add(t.ID())
-		t.mgr.owed.await(t.ID(), writers, clk.Now(), true)
-		t.mgr.fanout(ctx, RoundCommit, t.ID(), t.tc, writers, false, func(ctx context.Context, p ids.NodeID) error {
-			err := t.mgr.sendEnd(ctx, p, txnList{}, com)
-			if err == nil {
-				phase2Structure.Inc()
-			}
-			return err
-		})
+	// every writer has acknowledged it (release.go). A structure's end
+	// carries its constituents' commits that are still owed.
+	if len(writers) > 0 {
+		t.mgr.owed.await(t.ID(), writers, clk.Now())
 	}
 	t.noteCommitted(clk.Since(start))
 	return nil
@@ -1106,25 +1076,24 @@ func (t *Txn) Abort(ctx context.Context) error {
 // goroutine forever (presumed abort covers nodes it cannot reach).
 const abortTimeout = 2 * time.Second
 
-// abortAt sends the transaction's abort to nodes in one round, on ctx's
-// values but not its cancellation, bounded by abortTimeout: a caller
-// whose deadline cut the prepare round short must not leave the
-// yes-voters holding their locks until they ask (terminate). With wait
-// the caller waits for the round, as long as ctx lasts.
+// abortAt sends the transaction's abort to nodes in one round of end
+// messages, on ctx's values but not its cancellation, bounded by
+// abortTimeout: a caller whose deadline cut the prepare round short must
+// not leave the yes-voters holding their locks until they ask
+// (terminate). With wait the caller waits for the round, as long as ctx
+// lasts.
 func (t *Txn) abortAt(ctx context.Context, nodes []ids.NodeID, wait bool) {
 	if len(nodes) == 0 {
 		return
 	}
-	peer := t.mgr.node.Peer()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), abortTimeout)
 		defer cancel()
 		t.mgr.fanout(ctx, RoundAbort, t.ID(), t.tc, nodes, false, func(ctx context.Context, p ids.NodeID) error {
-			var scratch [bodyScratch]byte
-			_, err := peer.CallRaw(ctx, p, methodAbort, appendTxnReq(scratch[:0], t.ID()))
-			return err
+			var scratch [owedScratch]byte
+			return t.mgr.sendEnd(ctx, p, &endReq{Abort: txnList{ids: scratch[:0]}.add(t.ID())})
 		})
 	}()
 	if wait {
@@ -1167,7 +1136,7 @@ func (m *Manager) recoverPass(ctx context.Context) (inDoubt, owed int, err error
 			// sends until it is acknowledged; the last ack forgets the
 			// record. Owed since before a crash, or asked for again, it is
 			// due at once.
-			m.owed.await(in.Action, in.Participants, time.Time{}, false)
+			m.owed.await(in.Action, in.Participants, time.Time{})
 			owed++
 		case in.Coordinator != nd.ID() && in.Status != store.IntentionAborted:
 			// Participant role: the record joins the table. A prepared one

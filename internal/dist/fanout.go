@@ -1,6 +1,6 @@
 // Coordinator fan-out rounds: every remote round of the commit
-// protocol (prepare, explicit commit, abort, structure end, end
-// message) is one broadcast to a set of
+// protocol (prepare, commit1, and the end messages of an abort, a
+// structure's end and the flusher) is one broadcast to a set of
 // participants. The round's RPCs are issued concurrently, by the caller
 // and a bounded set of workers, so a round costs one round-trip — or,
 // with crashed participants, one call timeout — instead of the sum over
@@ -30,18 +30,16 @@ type RoundKind string
 const (
 	// RoundPrepare is two-phase commit phase 1.
 	RoundPrepare RoundKind = "prepare"
-	// RoundCommit is phase 2 sent at once, for a structure constituent.
-	RoundCommit RoundKind = "commit"
-	// RoundAbort is the abort broadcast.
+	// RoundAbort is the abort broadcast, of end messages.
 	RoundAbort RoundKind = "abort"
-	// RoundStructure is a distributed structure end/cancel broadcast.
+	// RoundStructure is a distributed structure's end or cancel, one end
+	// message per node with the commits still owed there on board.
 	RoundStructure RoundKind = "structure"
 	// RoundCommit1 is a one-phase commit: the single participant of a
 	// transaction is handed the decision and answers with it.
 	RoundCommit1 RoundKind = "commit1"
-	// RoundRelease is a standalone batch of releases: transactions that
-	// committed in one step and whose participants found no later invoke
-	// to carry the word.
+	// RoundRelease is the flusher's end message: releases and commits
+	// owed to a node that found no later invoke to carry them.
 	RoundRelease RoundKind = "release"
 )
 

@@ -9,7 +9,6 @@ import (
 	"time"
 
 	"mca/internal/dist"
-	"mca/internal/ids"
 	"mca/internal/netsim"
 	"mca/internal/node"
 	"mca/internal/rpc"
@@ -70,12 +69,11 @@ func callsUnder(spans []trace.Span, parent trace.Span) int {
 
 // TestRoundSpansRecordFanoutRounds records commit-protocol rounds
 // as spans of the coordinator's tracer: a plain two-participant
-// transaction runs one prepare round and no commit round — its commits
-// ride later traffic — while a structure constituent still runs its
-// commit round, and the structure's end is a round too. A traced round
-// is a child of its transaction's root span and calls each of its
-// participants once; the structure's rounds (its constituent runs
-// untraced) are root spans.
+// transaction and a structure constituent each run one prepare round and
+// nothing more — their commits ride later traffic — and the structure's
+// end is a round too. A traced round is a child of its transaction's root
+// span and calls each of its participants once; the structure's rounds
+// (its constituent runs untraced) are root spans.
 func TestRoundSpansRecordFanoutRounds(t *testing.T) {
 	opts := rpc.Options{RetryInterval: 5 * time.Millisecond, CallTimeout: 2 * time.Second}
 	ctx := context.Background()
@@ -83,9 +81,7 @@ func TestRoundSpansRecordFanoutRounds(t *testing.T) {
 	rec := trace.NewRecorder()
 	coord, nodes := fanoutCluster(t, 2, opts, node.WithTracer(rec))
 
-	var plain ids.ActionID
 	err := coord.Run(ctx, func(txn *dist.Txn) error {
-		plain = txn.ID()
 		for _, nd := range nodes {
 			if err := txn.Invoke(ctx, nd.ID(), "bank", "add", addArg{Delta: 1}, nil); err != nil {
 				return err
@@ -141,17 +137,14 @@ func TestRoundSpansRecordFanoutRounds(t *testing.T) {
 		if !ok || root.ID == 0 || root.ParentSpanID != 0 {
 			t.Fatalf("round %v is not a child of its transaction's root span", kind)
 		}
-		if kind == dist.RoundCommit && root.ID == plain {
-			t.Fatalf("the plain transaction %v ran a commit round", plain)
-		}
 		if got := callsUnder(spans, s); got != participants {
 			t.Fatalf("round %v over %d participants made %d calls", kind, participants, got)
 		}
 	}
-	if sum[dist.RoundPrepare] != 2 || sum[dist.RoundCommit] != 1 || sum[dist.RoundStructure] != 1 {
-		t.Fatalf("rounds %v, want 2 prepare, 1 commit (the constituent's), 1 structure", sum)
+	if sum[dist.RoundPrepare] != 2 || sum[dist.RoundStructure] != 1 || len(sum)-min(sum[dist.RoundRelease], 1) != 2 {
+		t.Fatalf("rounds %v, want 2 prepare, 1 structure and the flusher's", sum)
 	}
-	if want := map[dist.RoundKind]int{dist.RoundPrepare: 1, dist.RoundCommit: 1, dist.RoundStructure: 1}; !maps.Equal(untraced, want) {
+	if want := map[dist.RoundKind]int{dist.RoundPrepare: 1, dist.RoundStructure: 1}; !maps.Equal(untraced, want) {
 		t.Fatalf("untraced rounds %v, want the structure's: %v", untraced, want)
 	}
 }

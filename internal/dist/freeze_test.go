@@ -123,7 +123,7 @@ func TestPrepareFreezesParticipant(t *testing.T) {
 		t.Fatal("duplicate prepare must re-derive the yes vote")
 	}
 
-	if _, err := f.part.handleEnd(context.Background(), f.coordNode.ID(), appendEndReq(nil, txnList{}, txnList{}.add(txn))); err != nil {
+	if _, err := f.part.handleEnd(context.Background(), f.coordNode.ID(), appendEndReq(nil, &endReq{Commit: txnList{}.add(txn)})); err != nil {
 		t.Fatalf("commit: %v", err)
 	}
 	m, err := object.Load[int](f.regID, f.partNode.Stable())

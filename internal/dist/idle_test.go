@@ -230,7 +230,7 @@ func raceIdleRule(t *testing.T, f *idleFixture) {
 		carry := func(p int, late time.Duration) func() {
 			return func() {
 				time.Sleep(late)
-				reply, err := f.parts[p].handleEnd(ctx, coord, appendEndReq(nil, txnList{}, txnList{}.add(txn)))
+				reply, err := f.parts[p].handleEnd(ctx, coord, appendEndReq(nil, &endReq{Commit: txnList{}.add(txn)}))
 				if err != nil {
 					t.Error(err)
 					return

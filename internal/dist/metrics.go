@@ -9,8 +9,8 @@ import "mca/internal/metrics"
 // init; the round path never touches a label map.
 var (
 	roundKinds = []RoundKind{
-		RoundPrepare, RoundCommit, RoundAbort,
-		RoundStructure, RoundCommit1, RoundRelease,
+		RoundPrepare, RoundAbort, RoundStructure,
+		RoundCommit1, RoundRelease,
 	}
 
 	roundsOK    map[RoundKind]*metrics.Counter
@@ -41,10 +41,10 @@ var (
 	// travelled, decision records still waiting for an ack, participants
 	// asking a silent coordinator, and the transactions the answer ended,
 	// by the state it found them in.
-	phase2Piggybacked, phase2Flushed, phase2Structure *metrics.Counter
-	acksAwaited                                       *metrics.Gauge
-	terminationQueries                                *metrics.Counter
-	orphansReaped                                     map[state]*metrics.Counter
+	phase2Piggybacked, phase2Flushed *metrics.Counter
+	acksAwaited                      *metrics.Gauge
+	terminationQueries               *metrics.Counter
+	orphansReaped                    map[state]*metrics.Counter
 
 	// Writers' yes votes, by where they were cast — true for an invoke
 	// reply, false for a prepare — and invoke votes a continuation took
@@ -92,8 +92,8 @@ func init() {
 	inDoubt = r.Counter("mca_dist_indoubt_total",
 		"One-phase commits whose participant never said what it decided.")
 	phase2 := r.CounterVec("mca_dist_phase2_total",
-		"Commit decisions delivered to prepared participants, by the path they took: riding an invoke, in the flusher's end message, or in the round a structure constituent's commit sends at once.", "path")
-	phase2Piggybacked, phase2Flushed, phase2Structure = phase2.With("piggyback"), phase2.With("flush"), phase2.With("structure")
+		"Commit decisions delivered to prepared participants, by the path they took: riding an invoke, or in the flusher's end message.", "path")
+	phase2Piggybacked, phase2Flushed = phase2.With("piggyback"), phase2.With("flush")
 	acksAwaited = r.Gauge("mca_dist_acks_awaited",
 		"Commit decision records kept for a writer's ack that has not come yet.")
 	terminationQueries = r.Counter("mca_dist_termination_queries_total",

@@ -25,9 +25,9 @@
 // its invoke reply (dist.go) and the rest are prepared by a round. Readers
 // are always prepared by the round, all-read-only transactions too: it is
 // what finds out that some node lost its locks before the last invocation
-// elsewhere returned. Constituents of distributed structures, whose
-// participant actions commit into a container, not to the store, vote in
-// the round alone.
+// elsewhere returned. Constituents of distributed structures keep it too:
+// a reader's release the flusher has taken may still be in flight when the
+// structure's end arrives, and a container cannot end with a live child.
 package dist
 
 import (

@@ -9,7 +9,8 @@
 // or a commit, in the list owed to that node; the coordinator's next
 // invoke there carries the list, and the participant works it off before
 // the carried operation. A flusher covers the quiet case: what has waited
-// releaseFlushAfter, or fills a message, goes out in an end message.
+// releaseFlushAfter, or fills a message, goes out in an end message, as
+// does a distributed structure's end, with every commit owed there.
 //
 // A participant pays no force for a carried commit: it appends the
 // install and the forget unforced, to become durable with its next
@@ -122,7 +123,7 @@ func (q *owedQueue) addLocked(node ids.NodeID, e owedEntry) {
 	if !e.commit {
 		releasesPending.Inc()
 	}
-	if len(o.entries) == 1 || !e.sent && o.unsent() == maxOwedBatch {
+	if len(o.entries) == 1 || o.unsent() == maxOwedBatch {
 		q.poke()
 	}
 }
@@ -137,10 +138,9 @@ func (m *Manager) owe(node ids.NodeID, txn ids.ActionID) {
 }
 
 // await keeps the decision record of txn until each writer has
-// acknowledged the commit, owing it to every one meanwhile: from at on, or
-// as sent at at, when it goes out at once. A commit owed already is owed
-// from at on if that is sooner.
-func (q *owedQueue) await(txn ids.ActionID, writers []ids.NodeID, at time.Time, sent bool) {
+// acknowledged the commit, owing it to every one meanwhile, from at on. A
+// commit owed already is owed from at on if that is sooner.
+func (q *owedQueue) await(txn ids.ActionID, writers []ids.NodeID, at time.Time) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	if _, ok := q.awaiting[txn]; ok {
@@ -155,7 +155,7 @@ func (q *owedQueue) await(txn ids.ActionID, writers []ids.NodeID, at time.Time, 
 	q.awaiting[txn] = len(writers)
 	acksAwaited.Inc()
 	for _, w := range writers {
-		q.addLocked(w, owedEntry{txn: txn, commit: true, sent: sent, at: at})
+		q.addLocked(w, owedEntry{txn: txn, commit: true, at: at})
 	}
 }
 
@@ -258,6 +258,21 @@ func (q *owedQueue) takeDue(now time.Time, self ids.NodeID) (due []owedList, nex
 	return due, next
 }
 
+// commitsTo returns every commit owed to node, sent or not, as sent now.
+func (q *owedQueue) commitsTo(node ids.NodeID) (txns []ids.ActionID) {
+	q.mu.Lock()
+	defer q.mu.Unlock()
+	if o := q.owed[node]; o != nil {
+		for i, e := range o.entries {
+			if e.commit {
+				txns = append(txns, e.txn)
+				o.entries[i].sent, o.entries[i].at = true, q.clk.Now()
+			}
+		}
+	}
+	return txns
+}
+
 // sent marks the end message to node no longer in flight.
 func (q *owedQueue) sent(node ids.NodeID) {
 	q.mu.Lock()
@@ -338,7 +353,7 @@ func (m *Manager) sendOwed(ctx context.Context, d owedList) {
 	defer m.owed.sent(d.node)
 	m.fanout(ctx, RoundRelease, 0, trace.Context{}, []ids.NodeID{d.node}, false,
 		func(ctx context.Context, node ids.NodeID) error {
-			if err := m.sendEnd(ctx, node, d.rel, d.com); err != nil {
+			if err := m.sendEnd(ctx, node, &endReq{Release: d.rel, Commit: d.com}); err != nil {
 				return err
 			}
 			releasesFlushed.Add(uint64(d.rel.n))
@@ -348,8 +363,9 @@ func (m *Manager) sendOwed(ctx context.Context, d owedList) {
 }
 
 // sendEnd sends node an end message and counts the acks of its reply.
-func (m *Manager) sendEnd(ctx context.Context, node ids.NodeID, rel, com txnList) error {
-	reply, err := m.node.Peer().CallRaw(ctx, node, methodEnd, appendEndReq(nil, rel, com))
+func (m *Manager) sendEnd(ctx context.Context, node ids.NodeID, q *endReq) error {
+	var scratch [bodyScratch]byte
+	reply, err := m.node.Peer().CallRaw(ctx, node, methodEnd, appendEndReq(scratch[:0], q))
 	if err != nil {
 		return err
 	}
@@ -416,31 +432,36 @@ func (m *Manager) withAcks(reply []byte, to ids.NodeID) []byte {
 }
 
 // handleEnd works off what a coordinator sent on its own — the quiet
-// flush, a structure's commit — and, no force being
-// due to carry the commits' acks, forces them before it answers.
+// flush, an abort, a structure's end — and, no force being due to carry
+// the commits' acks, forces them before it answers. Then it ends the
+// structure's container here, if the message ends one.
 func (m *Manager) handleEnd(ctx context.Context, from ids.NodeID, body []byte) ([]byte, error) {
-	rel, com, err := decodeEndReq(body)
+	q, err := decodeEndReq(body)
 	if err != nil {
 		return nil, err
 	}
-	if mark := m.workOff(ctx, from, rel, com); com.n > 0 {
+	if mark := m.workOff(ctx, from, q.Release, q.Commit, q.Abort); q.Commit.n > 0 {
 		if err := m.node.Stable().WAL().Sync(mark); err != nil {
 			return nil, err
 		}
+	}
+	if err := m.endContainer(q.Structure, q.CommitStructure); err != nil {
+		return nil, err
 	}
 	return m.withAcks(ackBody, from), nil
 }
 
 // workOff does what coordinator from's message carries for transactions
 // it has finished with here, before anything else the message asks: it
-// releases, and it commits, owing from an ack of each commit once that is
-// durable. Both are idempotent, and a transaction this node does not know
-// is ignored. It returns the log's mark from before the commits.
-func (m *Manager) workOff(ctx context.Context, from ids.NodeID, rel, com txnList) (mark uint64) {
-	if rel.n+com.n == 0 {
+// releases, aborts, and commits, owing from an ack of each commit once
+// that is durable. All are idempotent, and a transaction this node does
+// not know is ignored. It returns the log's mark from before the commits.
+func (m *Manager) workOff(ctx context.Context, from ids.NodeID, rel, com, abort txnList) (mark uint64) {
+	if rel.n+com.n+abort.n == 0 {
 		return 0
 	}
 	rel.each(func(txn ids.ActionID) { _, _ = m.end(txn, evRelease) })
+	abort.each(func(txn ids.ActionID) { _, _ = m.end(txn, evAbort) })
 	if com.n == 0 {
 		return 0
 	}

@@ -331,9 +331,12 @@ func TestSentCommitsDoNotFillAMessage(t *testing.T) {
 	defer m.owed.reset(clk)
 	const node = ids.NodeID(7)
 	for i := range maxOwedBatch {
-		m.owed.await(ids.ActionID(1000+i), []ids.NodeID{node}, clk.Now(), true)
+		m.owed.await(ids.ActionID(1000+i), []ids.NodeID{node}, clk.Now())
 	}
-	<-m.owed.wake // the list came into being
+	<-m.owed.wake // the list came into being, and filled a message
+	if l := m.owed.take(owedList{node: node}); l.com.n != maxOwedBatch {
+		t.Fatalf("an invoke took %d commits, want %d", l.com.n, maxOwedBatch)
+	}
 	m.owe(node, 1)
 	if len(m.owed.wake) != 0 {
 		t.Fatal("a release beside a message's worth of sent commits woke the flusher")
@@ -546,7 +549,7 @@ func TestOnePhaseAccounting(t *testing.T) {
 	if r, w := onePhaseReads.Value()-reads, onePhaseWrites.Value()-writes; r != 1 || w != 1 {
 		t.Fatalf("one-phase commits counted: %d reads %d writes, want 1 and 1", r, w)
 	}
-	if got := rounds(f.recs[0]); got[RoundCommit1] != 1 || got[RoundPrepare] != 0 || got[RoundCommit] != 0 {
+	if got := rounds(f.recs[0]); got[RoundCommit1] != 1 || got[RoundPrepare] != 0 {
 		t.Fatalf("rounds = %v, want one commit1 and no two-phase round", got)
 	}
 
@@ -575,5 +578,59 @@ func TestOnePhaseAccounting(t *testing.T) {
 	}
 	if !recorded {
 		t.Fatal("no flight-recorder event for the in-doubt commit")
+	}
+}
+
+// TestStructureEndCarriesEveryOwedCommit: a structure's end at a node
+// carries every commit owed there, however many: past a message's worth,
+// the surplus goes first in an end message of its own. Here a constituent
+// and maxOwedBatch+6 other decisions are owed to one participant, a
+// message's worth of them sent by the flusher and lost; its end takes two
+// messages, the other participant's one, and every commit is acknowledged
+// when End returns.
+func TestStructureEndCarriesEveryOwedCommit(t *testing.T) {
+	clk := clock.NewFake()
+	f := newReleaseFixture(t, clk)
+	ctx := context.Background()
+	coord := f.coords[0]
+	s, err := coord.BeginRemoteSerializing()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := s.RunConstituent(ctx, func(txn *Txn) error {
+		for _, p := range f.parts {
+			if err := txn.Invoke(ctx, p.ID(), "reg", "add", struct{}{}, nil); err != nil {
+				return err
+			}
+		}
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	from, to := coord.node.ID(), f.parts[0].ID()
+	f.net.PartitionOneWay(from, to)
+	lost := f.net.Stats().Lost
+	for i := range maxOwedBatch + 6 {
+		coord.owed.await(ids.ActionID(1<<40+i), []ids.NodeID{to}, clk.Now())
+	}
+	eventually(t, "the flusher's full message", func() bool { return f.net.Stats().Lost > lost })
+	f.net.Heal(from, to)
+	sent := f.net.Stats().Sent
+	if err := s.End(ctx); err != nil {
+		t.Fatalf("End: %v", err)
+	}
+	if got := f.net.Stats().Sent - sent; got != 6 {
+		t.Fatalf("End sent %d datagrams, want 6 (two end messages to the first participant, one to the second, each answered)", got)
+	}
+	if got := f.owed(0); got != 0 {
+		t.Fatalf("%d commits still owed after End, want none", got)
+	}
+	for _, p := range f.parts {
+		var got int
+		if err := f.coords[1].Run(ctx, func(txn *Txn) error {
+			return txn.Invoke(ctx, p.ID(), "reg", "get", struct{}{}, &got)
+		}); err != nil || got != 1 {
+			t.Fatalf("register at %v = %d, %v after End; want the constituent's 1", p.ID(), got, err)
+		}
 	}
 }

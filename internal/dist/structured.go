@@ -13,6 +13,11 @@
 // locks it held pass to the local containers (blue) — outsiders stay
 // locked out across the whole cluster until the structure ends.
 //
+// A constituent commits like any other transaction: its Commit returns at
+// the forced decision, and each writer's commit rides the next message
+// there. The structure's end or cancel is one end message per node, which
+// carries every commit still owed there before it ends the container.
+//
 // Containers are volatile, like all locks: a participant crash releases
 // that node's retained locks (the protection window shrinks) but never
 // un-commits constituent effects, which is exactly the serializing
@@ -23,14 +28,12 @@ import (
 	"context"
 	"errors"
 	"fmt"
-	"maps"
 	"slices"
 	"sync"
 
 	"mca/internal/action"
 	"mca/internal/colour"
 	"mca/internal/ids"
-	"mca/internal/rpc"
 	"mca/internal/trace"
 )
 
@@ -41,12 +44,6 @@ var ErrStructureEnded = errors.New("dist: structure already ended")
 // StructureID identifies one distributed structure instance across the
 // cluster. It reuses the action identifier space for uniqueness.
 type StructureID ids.ActionID
-
-// RPC method names for structures.
-const (
-	methodEndStructure   = "dist.endStructure"
-	methodAbortStructure = "dist.abortStructure"
-)
 
 // structureInfo is the colour scheme shipped with remote invocations of
 // structured transactions. For a serializing constituent the container
@@ -70,6 +67,33 @@ type structureInfo struct {
 	Parent *structureInfo
 }
 
+// footprint is what a distributed structure keeps under its lock: the
+// nodes its transactions touched, which its end must reach, and whether
+// it has ended.
+type footprint struct {
+	mu      sync.Mutex
+	touched []ids.NodeID // a handful: a slice to scan
+	ended   bool
+}
+
+func (f *footprint) noteTouched(n ids.NodeID) {
+	f.mu.Lock()
+	defer f.mu.Unlock()
+	if !slices.Contains(f.touched, n) {
+		f.touched = append(f.touched, n)
+	}
+}
+
+// endLocked marks the structure ended and returns the nodes it touched,
+// or ErrStructureEnded when it had ended already. Caller holds f.mu.
+func (f *footprint) endLocked() ([]ids.NodeID, error) {
+	if f.ended {
+		return nil, ErrStructureEnded
+	}
+	f.ended = true
+	return slices.Clone(f.touched), nil
+}
+
 // RemoteSerializing coordinates a serializing action over distributed
 // constituents.
 type RemoteSerializing struct {
@@ -79,10 +103,7 @@ type RemoteSerializing struct {
 	// local is the coordinator-side container (retains locks on
 	// coordinator-local objects).
 	local *action.Action
-
-	mu      sync.Mutex
-	touched map[ids.NodeID]struct{}
-	ended   bool
+	footprint
 }
 
 // BeginRemoteSerializing starts a distributed serializing action
@@ -93,13 +114,7 @@ func (m *Manager) BeginRemoteSerializing() (*RemoteSerializing, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &RemoteSerializing{
-		mgr:     m,
-		id:      StructureID(local.ID()),
-		blue:    blue,
-		local:   local,
-		touched: make(map[ids.NodeID]struct{}),
-	}, nil
+	return &RemoteSerializing{mgr: m, id: StructureID(local.ID()), blue: blue, local: local}, nil
 }
 
 // ID returns the structure identifier.
@@ -153,12 +168,6 @@ func (s *RemoteSerializing) RunConstituent(ctx context.Context, fn func(*Txn) er
 	return txn.run(ctx, fn)
 }
 
-func (s *RemoteSerializing) noteTouched(n ids.NodeID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.touched[n] = struct{}{}
-}
-
 // End terminates the structure: every node's container commits,
 // releasing the retained locks. Constituent effects are permanent
 // already; End never undoes anything.
@@ -175,13 +184,11 @@ func (s *RemoteSerializing) Cancel(ctx context.Context) error {
 
 func (s *RemoteSerializing) finish(ctx context.Context, commit bool) error {
 	s.mu.Lock()
-	if s.ended {
-		s.mu.Unlock()
-		return ErrStructureEnded
-	}
-	s.ended = true
-	nodes := slices.Collect(maps.Keys(s.touched))
+	nodes, err := s.endLocked()
 	s.mu.Unlock()
+	if err != nil {
+		return err
+	}
 	return s.mgr.endStructure(ctx, s.id, s.local, nodes, commit)
 }
 
@@ -189,18 +196,26 @@ func (s *RemoteSerializing) finish(ctx context.Context, commit bool) error {
 // coordinator-local container local, committing or aborting them. The
 // nodes go concurrently: the structure is over everywhere, no node's
 // outcome depends on another's, and the end is idempotent at a node that
-// never hosted the structure.
+// never hosted the structure. Each node's end carries every commit this
+// node owes it, sent or not — a commit is idempotent there — so the
+// container ends with no constituent still prepared in it: Cancel cannot
+// undo a committed one. Commits past a message's worth go first, in end
+// messages of their own.
 func (m *Manager) endStructure(ctx context.Context, id StructureID, local *action.Action, nodes []ids.NodeID, commit bool) error {
-	method := methodEndStructure
-	if !commit {
-		method = methodAbortStructure
-	}
-	peer := m.node.Peer()
 	results := m.fanout(ctx, RoundStructure, ids.ActionID(id), trace.Context{}, nodes, false,
 		func(ctx context.Context, n ids.NodeID) error {
-			var scratch [bodyScratch]byte
-			_, err := peer.CallRaw(ctx, n, method, appendStructureReq(scratch[:0], id))
-			return err
+			for owed := m.owed.commitsTo(n); ; {
+				q := &endReq{}
+				for ; len(owed) > 0 && q.Commit.n < maxOwedBatch; owed = owed[1:] {
+					q.Commit = q.Commit.add(owed[0])
+				}
+				if len(owed) == 0 {
+					q.Structure, q.CommitStructure = id, commit
+				}
+				if err := m.sendEnd(ctx, n, q); err != nil || q.Structure != 0 {
+					return err
+				}
+			}
 		})
 	var err error
 	switch {
@@ -260,31 +275,21 @@ func (m *Manager) PassColour(a *action.Action) (colour.Colour, bool) {
 	return c, ok
 }
 
-// handleStructure returns the handler that ends (commit) or aborts a
-// structure's container at this node. An unknown structure is a duplicate,
-// or was lost to a crash with the locks it held: acknowledged all the same.
-func (m *Manager) handleStructure(commit bool) rpc.Handler {
-	return func(_ context.Context, _ ids.NodeID, body []byte) ([]byte, error) {
-		id, err := decodeStructureReq(body)
-		if err != nil {
-			return nil, fmt.Errorf("decode structure end: %w", err)
-		}
-		m.mu.Lock()
-		a, ok := m.containers[id]
-		delete(m.containers, id)
-		m.mu.Unlock()
-		switch {
-		case !ok:
-		case commit:
-			err = a.Commit()
-		default:
-			err = a.Abort()
-		}
-		if err != nil {
-			return nil, err
-		}
-		return ackBody, nil
+// endContainer commits or aborts the structure's container at this node.
+// An unknown structure — none, a duplicate, or one lost to a crash with the
+// locks it held — has nothing to end.
+func (m *Manager) endContainer(id StructureID, commit bool) error {
+	m.mu.Lock()
+	a, ok := m.containers[id]
+	delete(m.containers, id)
+	m.mu.Unlock()
+	switch {
+	case !ok:
+		return nil
+	case commit:
+		return a.Commit()
 	}
+	return a.Abort()
 }
 
 // --- distributed glued chains ---
@@ -306,18 +311,16 @@ type remoteJoint struct {
 // stage i commits, so passed-then-dropped objects release promptly.
 type RemoteChain struct {
 	mgr *Manager
-
-	mu      sync.Mutex
-	joints  []*remoteJoint
-	touched map[ids.NodeID]struct{}
-	ended   bool
-	stages  int
+	footprint
+	// joints and stages are guarded by footprint.mu.
+	joints []*remoteJoint
+	stages int
 }
 
 // BeginRemoteChain starts a distributed glued chain coordinated by this
 // node.
-func (m *Manager) BeginRemoteChain() (*RemoteChain, error) {
-	return &RemoteChain{mgr: m, touched: make(map[ids.NodeID]struct{})}, nil
+func (m *Manager) BeginRemoteChain() *RemoteChain {
+	return &RemoteChain{mgr: m}
 }
 
 // RunStage executes fn as the next top-level (distributed) action of
@@ -393,12 +396,6 @@ func (c *RemoteChain) beginStage() (*Txn, error) {
 	return txn, nil
 }
 
-func (c *RemoteChain) noteTouched(n ids.NodeID) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
-	c.touched[n] = struct{}{}
-}
-
 // afterStage ends the joint before the one a stage just committed in.
 func (c *RemoteChain) afterStage(ctx context.Context) {
 	c.mu.Lock()
@@ -408,7 +405,7 @@ func (c *RemoteChain) afterStage(ctx context.Context) {
 	}
 	old := c.joints[len(c.joints)-2]
 	c.joints = append(c.joints[:len(c.joints)-2], c.joints[len(c.joints)-1])
-	nodes := slices.Collect(maps.Keys(c.touched))
+	nodes := slices.Clone(c.touched)
 	c.mu.Unlock()
 	_ = c.mgr.endStructure(ctx, old.info.Structure, old.local, nodes, true)
 }
@@ -433,15 +430,13 @@ func (c *RemoteChain) Cancel(ctx context.Context) error {
 
 func (c *RemoteChain) finish(ctx context.Context, commit bool) error {
 	c.mu.Lock()
-	if c.ended {
-		c.mu.Unlock()
-		return ErrStructureEnded
-	}
-	c.ended = true
+	nodes, err := c.endLocked()
 	joints := c.joints
 	c.joints = nil
-	nodes := slices.Collect(maps.Keys(c.touched))
 	c.mu.Unlock()
+	if err != nil {
+		return err
+	}
 
 	// Innermost joints first: each is a child of its predecessor.
 	for i := len(joints) - 1; i >= 0; i-- {

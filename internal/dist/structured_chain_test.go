@@ -138,13 +138,10 @@ func TestRemoteChainPassesExactlyTheHeldSubset(t *testing.T) {
 	f := newChainFixture(t)
 	ctx := context.Background()
 
-	chain, err := f.coord.BeginRemoteChain()
-	if err != nil {
-		t.Fatal(err)
-	}
+	chain := f.coord.BeginRemoteChain()
 
 	// Stage A writes slots 0 and 1, holds only slot 0.
-	err = chain.RunStage(ctx, func(txn *dist.Txn) error {
+	err := chain.RunStage(ctx, func(txn *dist.Txn) error {
 		for i := 0; i < 2; i++ {
 			if err := txn.Invoke(ctx, f.nd.ID(), "slots", "set", slotArg{Slot: i, Value: 1}, nil); err != nil {
 				return err
@@ -190,11 +187,8 @@ func TestRemoteChainNarrowsAcrossRounds(t *testing.T) {
 	f := newChainFixture(t)
 	ctx := context.Background()
 
-	chain, err := f.coord.BeginRemoteChain()
-	if err != nil {
-		t.Fatal(err)
-	}
-	err = chain.RunStage(ctx, func(txn *dist.Txn) error {
+	chain := f.coord.BeginRemoteChain()
+	err := chain.RunStage(ctx, func(txn *dist.Txn) error {
 		for i := 0; i < 3; i++ {
 			if err := txn.Invoke(ctx, f.nd.ID(), "slots", "hold", slotArg{Slot: i}, nil); err != nil {
 				return err
@@ -238,10 +232,7 @@ func TestRemoteChainFailedStageKeepsPreviousJoint(t *testing.T) {
 	f := newChainFixture(t)
 	ctx := context.Background()
 
-	chain, err := f.coord.BeginRemoteChain()
-	if err != nil {
-		t.Fatal(err)
-	}
+	chain := f.coord.BeginRemoteChain()
 	if err := chain.RunStage(ctx, func(txn *dist.Txn) error {
 		return txn.Invoke(ctx, f.nd.ID(), "slots", "hold", slotArg{Slot: 0}, nil)
 	}); err != nil {
@@ -275,10 +266,7 @@ func TestRemoteChainStageEffectsSurviveLaterFailureAndCancel(t *testing.T) {
 	f := newChainFixture(t)
 	ctx := context.Background()
 
-	chain, err := f.coord.BeginRemoteChain()
-	if err != nil {
-		t.Fatal(err)
-	}
+	chain := f.coord.BeginRemoteChain()
 	if err := chain.RunStage(ctx, func(txn *dist.Txn) error {
 		if err := txn.Invoke(ctx, f.nd.ID(), "slots", "set", slotArg{Slot: 2, Value: 42}, nil); err != nil {
 			return err
@@ -289,7 +277,7 @@ func TestRemoteChainStageEffectsSurviveLaterFailureAndCancel(t *testing.T) {
 	}
 	// Stage B modifies and fails: its own write is undone, A's stays.
 	boom := errors.New("boom")
-	err = chain.RunStage(ctx, func(txn *dist.Txn) error {
+	err := chain.RunStage(ctx, func(txn *dist.Txn) error {
 		if err := txn.Invoke(ctx, f.nd.ID(), "slots", "set", slotArg{Slot: 2, Value: 0}, nil); err != nil {
 			return err
 		}
@@ -314,10 +302,7 @@ func TestRemoteChainLifecycle(t *testing.T) {
 	f := newChainFixture(t)
 	ctx := context.Background()
 
-	chain, err := f.coord.BeginRemoteChain()
-	if err != nil {
-		t.Fatal(err)
-	}
+	chain := f.coord.BeginRemoteChain()
 	if got := chain.Stages(); got != 0 {
 		t.Fatalf("Stages = %d", got)
 	}
@@ -338,7 +323,7 @@ func TestRemoteChainLifecycle(t *testing.T) {
 	if err := chain.End(ctx); !errors.Is(err, dist.ErrStructureEnded) {
 		t.Fatalf("double End = %v", err)
 	}
-	err = chain.RunStage(ctx, func(*dist.Txn) error { return nil })
+	err := chain.RunStage(ctx, func(*dist.Txn) error { return nil })
 	if !errors.Is(err, dist.ErrStructureEnded) {
 		t.Fatalf("RunStage after End = %v", err)
 	}

@@ -4,15 +4,18 @@ import (
 	"context"
 	"errors"
 	"testing"
+	"time"
 
+	"mca/internal/clock"
 	"mca/internal/dist"
 	"mca/internal/netsim"
 )
 
 // TestRemoteSerializingHappyPath: two constituents across two nodes;
-// the first constituent's effects are permanent at its own commit while
-// its locks stay with the per-node containers; the second constituent
-// reuses them; End releases everything.
+// the first constituent's locks stay with the per-node containers; the
+// second constituent reuses them; End installs both everywhere and
+// releases everything. TestConstituentSurvivesParticipantCrashesBeforeEnd
+// shows a constituent permanent before End.
 func TestRemoteSerializingHappyPath(t *testing.T) {
 	c := newCluster(t, netsim.Config{})
 	ctx := context.Background()
@@ -33,15 +36,7 @@ func TestRemoteSerializingHappyPath(t *testing.T) {
 		t.Fatalf("constituent B: %v", err)
 	}
 
-	// B's effects are permanent at every node already...
-	if got, ok := c.stableBalanceAt(t, 1); !ok || got != 110 {
-		t.Fatalf("P1 stable = %d, %v; want 110", got, ok)
-	}
-	if got, ok := c.stableBalanceAt(t, 2); !ok || got != 120 {
-		t.Fatalf("P2 stable = %d, %v; want 120", got, ok)
-	}
-
-	// ...but still protected: an unrelated transaction cannot touch
+	// B's effects are protected: an unrelated transaction cannot touch
 	// them (its participant action blocks behind the container's
 	// retained locks until the RPC call times out).
 	err = c.coord.Run(ctx, func(txn *dist.Txn) error {
@@ -61,6 +56,12 @@ func TestRemoteSerializingHappyPath(t *testing.T) {
 
 	if err := s.End(ctx); err != nil {
 		t.Fatalf("End: %v", err)
+	}
+	if got, ok := c.stableBalanceAt(t, 1); !ok || got != 115 {
+		t.Fatalf("P1 stable = %d, %v; want 115", got, ok)
+	}
+	if got, ok := c.stableBalanceAt(t, 2); !ok || got != 120 {
+		t.Fatalf("P2 stable = %d, %v; want 120", got, ok)
 	}
 
 	// Everything free now.
@@ -309,5 +310,158 @@ func TestPlainTxnsUnaffectedByStructures(t *testing.T) {
 	}
 	if got := c.balanceAt(t, 1); got != 95 {
 		t.Fatalf("P1 = %d", got)
+	}
+}
+
+// twoNodeConstituent runs one constituent of s that moves one unit from
+// P1 to P2.
+func twoNodeConstituent(ctx context.Context, c *cluster, s *dist.RemoteSerializing) error {
+	return s.RunConstituent(ctx, func(txn *dist.Txn) error {
+		if err := txn.Invoke(ctx, c.nodes[1].ID(), "bank", "add", addArg{Delta: -1}, nil); err != nil {
+			return err
+		}
+		return txn.Invoke(ctx, c.nodes[2].ID(), "bank", "add", addArg{Delta: 1}, nil)
+	})
+}
+
+// TestConstituentCostsWhatATransferCosts pins a structure constituent to
+// a plain transfer's budget, on both backings: a two-node writing
+// constituent sends six datagrams — an invoke and its reply at each
+// participant, the second voting in its reply, and one prepare round trip
+// to the first — and forces three records: the two votes and the
+// decision. Its commits ride the next constituent's invokes, and the clock
+// stands still, so nothing travels on its own. The structure's End is one
+// end message per node, the last constituent's commit on board, each
+// answered: four datagrams.
+func TestConstituentCostsWhatATransferCosts(t *testing.T) {
+	for _, backing := range []string{"memory", "file"} {
+		t.Run(backing, func(t *testing.T) {
+			c := backedClusterOn(t, backing == "file", clock.NewFake())
+			ctx := context.Background()
+			forces := func() (n uint64) {
+				for _, nd := range c.nodes {
+					f, _ := nd.Stable().WAL().Stats()
+					n += f
+				}
+				return n
+			}
+			s, err := c.coord.BeginRemoteSerializing()
+			if err != nil {
+				t.Fatal(err)
+			}
+			const constituents = 10
+			sent, forced := c.net.Stats().Sent, forces()
+			for i := range constituents {
+				if err := twoNodeConstituent(ctx, c, s); err != nil {
+					t.Fatalf("constituent %d: %v", i, err)
+				}
+			}
+			if got := c.net.Stats().Sent - sent; got != 6*constituents {
+				t.Fatalf("%d constituents sent %d datagrams, want %d (2 invokes, 1 prepare, each with its reply)", constituents, got, 6*constituents)
+			}
+			if got := forces() - forced; got != 3*constituents {
+				t.Fatalf("%d constituents forced the logs %d times, want %d (2 votes + 1 decision each)", constituents, got, 3*constituents)
+			}
+			sent = c.net.Stats().Sent
+			if err := s.End(ctx); err != nil {
+				t.Fatalf("End: %v", err)
+			}
+			if got := c.net.Stats().Sent - sent; got != 4 {
+				t.Fatalf("End sent %d datagrams, want 4 (an end message to each node, answered)", got)
+			}
+			for i, want := range map[int]int{1: 100 - constituents, 2: 100 + constituents} {
+				if got, ok := c.stableBalanceAt(t, i); !ok || got != want {
+					t.Fatalf("P%d stable = %d, %v after End; want %d", i, got, ok, want)
+				}
+			}
+		})
+	}
+}
+
+// TestConstituentCommitLostInFlight: the flusher sends a constituent's
+// commits and the messages are lost. The structure's end carries them
+// again: End installs the constituent and ends the containers, and Cancel
+// keeps it too (outcome iii) — no container ends with the constituent
+// still prepared in it.
+func TestConstituentCommitLostInFlight(t *testing.T) {
+	for _, end := range []string{"End", "Cancel"} {
+		t.Run(end, func(t *testing.T) {
+			clk := clock.NewFake()
+			c := backedClusterOn(t, false, clk)
+			ctx := context.Background()
+			s, err := c.coord.BeginRemoteSerializing()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := twoNodeConstituent(ctx, c, s); err != nil {
+				t.Fatal(err)
+			}
+			coord := c.nodes[0].ID()
+			for _, nd := range c.nodes[1:] {
+				c.net.PartitionOneWay(coord, nd.ID())
+			}
+			lost := c.net.Stats().Lost
+			clk.Advance(time.Millisecond) // the flush interval: the commits go out, and are lost
+			if err := waitUntil(func() bool { return c.net.Stats().Lost-lost == 2 }); err != nil {
+				t.Fatal("the flusher never sent the constituent's commits")
+			}
+			for _, nd := range c.nodes[1:] {
+				c.net.Heal(coord, nd.ID())
+			}
+			finish := s.End
+			if end == "Cancel" {
+				finish = s.Cancel
+			}
+			if err := finish(ctx); err != nil {
+				t.Fatalf("%s: %v", end, err)
+			}
+			for i, want := range map[int]int{1: 99, 2: 101} {
+				if got, ok := c.stableBalanceAt(t, i); !ok || got != want {
+					t.Fatalf("P%d stable = %d, %v after %s; want %d", i, got, ok, end, want)
+				}
+			}
+			if err := transfer(ctx, c, 1, 2, 1); err != nil {
+				t.Fatalf("transfer after %s: %v", end, err)
+			}
+		})
+	}
+}
+
+// TestConstituentSurvivesParticipantCrashesBeforeEnd: a constituent is
+// permanent once its Commit returns. Both participants crash before its
+// commits reach them; after restart and recovery they hold its effects,
+// and the structure still ends.
+func TestConstituentSurvivesParticipantCrashesBeforeEnd(t *testing.T) {
+	for _, backing := range []string{"memory", "file"} {
+		t.Run(backing, func(t *testing.T) {
+			c := backedClusterOn(t, backing == "file", clock.NewFake())
+			ctx := context.Background()
+			s, err := c.coord.BeginRemoteSerializing()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := twoNodeConstituent(ctx, c, s); err != nil {
+				t.Fatal(err)
+			}
+			for _, nd := range c.nodes[1:] {
+				nd.Crash()
+				nd.Restart()
+			}
+			for i, want := range map[int]int{1: 99, 2: 101} {
+				if got, ok := c.stableBalanceAt(t, i); !ok || got != want {
+					t.Fatalf("P%d stable = %d, %v after its restart; want %d", i, got, ok, want)
+				}
+			}
+			if err := s.End(ctx); err != nil {
+				t.Fatalf("End: %v", err)
+			}
+			if err := transfer(ctx, c, 1, 2, 1); err != nil {
+				t.Fatalf("transfer after End: %v", err)
+			}
+			settleCluster(t, c, ctx)
+			if got, want := stableBalances(t, c), [3]int{100, 98, 102}; got != want {
+				t.Fatalf("stable balances = %v, want %v", got, want)
+			}
+		})
 	}
 }

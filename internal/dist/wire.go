@@ -12,11 +12,10 @@
 //	invoke reply  D1 02  flags (bit0 nothing written so far, bit1 voted)  result  [a  a×txn]
 //	prepare       D1 03  txn  coordinator
 //	vote          D1 04  flags (bit0 yes, bit1 read-only)  [a  a×txn]
-//	txn           D1 05  txn                    (abort, decision query, commit1)
+//	txn           D1 05  txn                    (decision query, commit1)
 //	decision      D1 06  flags (bit0 committed) (decision reply, commit1 outcome)
-//	ack           D1 07  [a  a×txn]             (abort, end and structure replies)
-//	structure     D1 08  structure              (end, abort)
-//	end           D1 09  r  r×txn  [c  c×txn]   (what is owed, sent on its own)
+//	ack           D1 07  [a  a×txn]             (end reply)
+//	end           D1 08  structure<<1 | commit  r  r×txn  c  c×txn  x  x×txn
 //
 // The invoke's structure entries run from the transaction's own
 // structure outwards through its parents; n is 0 for a transaction
@@ -24,12 +23,15 @@
 //
 // What a coordinator owes a node (release.go) are entries of a one-bit
 // kind — the release of a finished single-site transaction, the commit of
-// a prepared one — which an invoke or an end carries as two lists: the r
-// releases, then the c commits. The a transactions after an invoke reply,
-// a vote or an ack are commits the replying node has made durable. A
-// bracketed list is absent when empty and never present with a zero
-// count, so a body without commits or acks is byte for byte what it was
-// before there were any. No list holds more than maxOwedBatch entries.
+// a prepared one — which an invoke carries as two lists: the r releases,
+// then the c commits. An end carries one list per event that ends a
+// transaction there (Manager.end): the r releases, the c commits, the x
+// aborts; a structure's end or cancel names the structure (0: none).
+// The a transactions after an invoke reply, a vote or an ack are commits
+// the replying node has made durable. A bracketed list is absent when
+// empty and never present with a zero count, so a body without commits or
+// acks is byte for byte what it was before there were any. No list holds
+// more than maxOwedBatch entries.
 package dist
 
 import (
@@ -52,7 +54,6 @@ const (
 	bodyTxn
 	bodyDecision
 	bodyAck
-	bodyStructure
 	bodyEnd
 )
 
@@ -269,18 +270,39 @@ func readOptList(r *wire.Reader) txnList {
 	return l
 }
 
-func appendEndReq(buf []byte, rel, com txnList) []byte {
-	return appendOptList(appendTxnList(append(buf, bodyMagic, byte(bodyEnd)), rel), com)
+// endReq is an end message: what a coordinator has finished with at a
+// node, by the event that ends each transaction there, and, when Structure
+// is not zero, the structure whose container the node then ends —
+// committing it when CommitStructure is set, aborting it otherwise. The
+// lists alias the body after a decode.
+type endReq struct {
+	Release, Commit, Abort txnList
+	Structure              StructureID
+	CommitStructure        bool
 }
 
-func decodeEndReq(body []byte) (rel, com txnList, err error) {
+func appendEndReq(buf []byte, q *endReq) []byte {
+	s := uint64(q.Structure) << 1
+	if q.CommitStructure {
+		s |= 1
+	}
+	buf = wire.AppendUvarint(append(buf, bodyMagic, byte(bodyEnd)), s)
+	return appendTxnList(appendTxnList(appendTxnList(buf, q.Release), q.Commit), q.Abort)
+}
+
+// decodeEndReq decodes an end. Only a structure's end commits one.
+func decodeEndReq(body []byte) (endReq, error) {
 	r, err := bodyReader(body, bodyEnd)
 	if err != nil {
-		return txnList{}, txnList{}, err
+		return endReq{}, err
 	}
-	rel = readTxnList(&r)
-	com = readOptList(&r)
-	return rel, com, finish(&r)
+	s := r.Uvarint()
+	if s == 1 {
+		r.Fail()
+	}
+	q := endReq{Structure: StructureID(s >> 1), CommitStructure: s&1 != 0}
+	q.Release, q.Commit, q.Abort = readTxnList(&r), readTxnList(&r), readTxnList(&r)
+	return q, finish(&r)
 }
 
 // --- prepare and vote ---
@@ -343,7 +365,7 @@ func decodeVote(body []byte) (voteResp, error) {
 	return voteResp{OK: flags&voteYes != 0, ReadOnly: flags&voteReadOnly != 0, Acks: acks}, finish(&r)
 }
 
-// --- commit, abort, decision ---
+// --- commit1 and decision ---
 
 func appendTxnReq(buf []byte, txn ids.ActionID) []byte {
 	return wire.AppendUvarint(append(buf, bodyMagic, byte(bodyTxn)), uint64(txn))
@@ -384,19 +406,4 @@ func decodeDecision(body []byte) (committed bool, err error) {
 		r.Fail()
 	}
 	return flags == 1, finish(&r)
-}
-
-// --- structures ---
-
-func appendStructureReq(buf []byte, id StructureID) []byte {
-	return wire.AppendUvarint(append(buf, bodyMagic, byte(bodyStructure)), uint64(id))
-}
-
-func decodeStructureReq(body []byte) (StructureID, error) {
-	r, err := bodyReader(body, bodyStructure)
-	if err != nil {
-		return 0, err
-	}
-	id := StructureID(r.Uvarint())
-	return id, finish(&r)
 }

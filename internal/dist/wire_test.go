@@ -45,9 +45,13 @@ func bodyCases() map[string][]byte {
 		"decision_no":        abortedBody,
 		"ack":                ackBody,
 		"ack_acks":           appendOptList(slices.Clip(ackBody), txnList{}.add(297)),
-		"structure":          appendStructureReq(nil, 7),
-		"end":                appendEndReq(nil, txnList{}.add(300).add(7).add(301), txnList{}),
-		"end_commits":        appendEndReq(nil, txnList{}, txnList{}.add(296)),
+		"end":                appendEndReq(nil, &endReq{Release: txnList{}.add(300).add(7).add(301)}),
+		"end_commits":        appendEndReq(nil, &endReq{Commit: txnList{}.add(296)}),
+		"end_aborts":         appendEndReq(nil, &endReq{Abort: txnList{}.add(300)}),
+		// A structure's end, with the commit still owed there on board, and
+		// a structure's cancel.
+		"structure":  appendEndReq(nil, &endReq{Commit: txnList{}.add(296), Structure: 7, CommitStructure: true}),
+		"end_cancel": appendEndReq(nil, &endReq{Structure: 7}),
 	}
 }
 
@@ -90,12 +94,9 @@ func decodeAny(body []byte) (decoded any, reencoded []byte, ok bool) {
 	case bodyAck:
 		acks, err := decodeAck(body)
 		return acks, appendOptList(slices.Clip(ackBody), acks), err == nil
-	case bodyStructure:
-		id, err := decodeStructureReq(body)
-		return id, appendStructureReq(nil, id), err == nil
 	case bodyEnd:
-		rel, com, err := decodeEndReq(body)
-		return [2]txnList{rel, com}, appendEndReq(nil, rel, com), err == nil
+		q, err := decodeEndReq(body)
+		return q, appendEndReq(nil, &q), err == nil
 	}
 	return nil, nil, false
 }
@@ -152,6 +153,10 @@ func TestBodyRoundTrip(t *testing.T) {
 	if err != nil || !v.OK || v.ReadOnly || v.Acks.n != 2 {
 		t.Fatalf("vote with acks decoded to %+v, %v; want a yes carrying two acks", v, err)
 	}
+	end, err := decodeEndReq(bodyCases()["structure"])
+	if err != nil || end.Structure != 7 || !end.CommitStructure || end.Commit.n != 1 || end.Release.n+end.Abort.n != 0 {
+		t.Fatalf("structure end decoded to %+v, %v; want structure 7 committing, with one commit on board", end, err)
+	}
 }
 
 // TestVotedReplyWrote: only a writer votes, so an invoke reply saying
@@ -172,7 +177,6 @@ func TestOptionalListsAreCanonical(t *testing.T) {
 		"invoke_reply": append(bodyCases()["invoke_reply"], 0),
 		"vote":         {bodyMagic, byte(bodyVote), voteYes, 0},
 		"ack":          {bodyMagic, byte(bodyAck), 0},
-		"end":          append(bodyCases()["end"], 0),
 	} {
 		if _, _, ok := decodeAny(body); ok {
 			t.Errorf("%s with an empty optional list % x accepted", name, body)
@@ -188,14 +192,13 @@ func TestReleaseListIsCapped(t *testing.T) {
 	for i := range maxOwedBatch {
 		l = l.add(ids.ActionID(i + 1))
 	}
-	if _, _, err := decodeEndReq(appendEndReq(nil, l, l)); err != nil {
+	if _, err := decodeEndReq(appendEndReq(nil, &endReq{Release: l, Commit: l, Abort: l})); err != nil {
 		t.Fatalf("full lists are rejected: %v", err)
 	}
-	if _, _, err := decodeEndReq(appendEndReq(nil, l.add(99), txnList{})); err == nil {
-		t.Fatal("a release list past the cap is accepted")
-	}
-	if _, _, err := decodeEndReq(appendEndReq(nil, txnList{}, l.add(99))); err == nil {
-		t.Fatal("a commit list past the cap is accepted")
+	for name, q := range map[string]endReq{"release": {Release: l.add(99)}, "commit": {Commit: l.add(99)}, "abort": {Abort: l.add(99)}} {
+		if _, err := decodeEndReq(appendEndReq(nil, &q)); err == nil {
+			t.Fatalf("a %s list past the cap is accepted", name)
+		}
 	}
 }
 
@@ -212,7 +215,7 @@ func TestBodyGoldenBytes(t *testing.T) {
 		"invoke_reply":           {0xD1, 0x02, 0, 2, '4', '2'},
 		"invoke_reply_unwritten": {0xD1, 0x02, 1, 2, '4', '2'},
 		"invoke_reply_voted":     {0xD1, 0x02, 2, 2, '{', '}', 1, 0xA8, 0x02},
-		"end":                    {0xD1, 0x09, 3, 0xAC, 0x02, 7, 0xAD, 0x02},
+		"end":                    {0xD1, 0x08, 0, 3, 0xAC, 0x02, 7, 0xAD, 0x02, 0, 0},
 		"prepare":                {0xD1, 0x03, 0xAC, 0x02, 1},
 		"vote_no":                {0xD1, 0x04, 0},
 		"vote_yes":               {0xD1, 0x04, 1},
@@ -221,11 +224,13 @@ func TestBodyGoldenBytes(t *testing.T) {
 		"decision_yes":           {0xD1, 0x06, 1},
 		"decision_no":            {0xD1, 0x06, 0},
 		"ack":                    {0xD1, 0x07},
-		"structure":              {0xD1, 0x08, 7},
+		"end_commits":            {0xD1, 0x08, 0, 0, 1, 0xA8, 0x02, 0},
+		"end_aborts":             {0xD1, 0x08, 0, 0, 0, 1, 0xAC, 0x02},
+		"structure":              {0xD1, 0x08, 15, 0, 1, 0xA8, 0x02, 0},
+		"end_cancel":             {0xD1, 0x08, 14, 0, 0, 0},
 		// The optional lists, when present.
-		"vote_acks":   {0xD1, 0x04, 1, 2, 0xA8, 0x02, 0xA9, 0x02},
-		"ack_acks":    {0xD1, 0x07, 1, 0xA9, 0x02},
-		"end_commits": {0xD1, 0x09, 0, 1, 0xA8, 0x02},
+		"vote_acks": {0xD1, 0x04, 1, 2, 0xA8, 0x02, 0xA9, 0x02},
+		"ack_acks":  {0xD1, 0x07, 1, 0xA9, 0x02},
 	}
 	cases := bodyCases()
 	for name, want := range golden {
@@ -251,7 +256,6 @@ func TestBodyDecodeRejectsDamage(t *testing.T) {
 		"invoke_reply_voted": appendInvokeReply(nil, replyVoted, []byte(`{}`), txnList{}),
 		"vote_acks":          voteYesBody,
 		"ack_acks":           ackBody,
-		"end_commits":        appendEndReq(nil, txnList{}, txnList{}),
 	}
 	for name, body := range cases {
 		for n := 0; n < len(body); n++ {
@@ -297,6 +301,6 @@ func FuzzDistBodyDecode(f *testing.F) {
 	f.Add([]byte{})
 	f.Add([]byte{bodyMagic})
 	f.Add([]byte{bodyMagic, byte(bodyInvoke), 1, 1, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}) // absurd structure count
-	f.Add([]byte{bodyMagic, byte(bodyEnd), 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 1, 2})             // absurd release count
+	f.Add([]byte{bodyMagic, byte(bodyEnd), 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 1, 2})          // absurd release count
 	f.Fuzz(func(t *testing.T, body []byte) { checkStable(t, body) })
 }

@@ -74,9 +74,6 @@ const (
 	KindDeadlock
 	// KindCrash is a node crash. Node identifies the crashed node.
 	KindCrash
-	// KindSpan is a completed trace span recorded by higher layers. A is
-	// the span's action identifier when it has one.
-	KindSpan
 	// KindWALFlush is one write-ahead-log group-commit flush. A is the
 	// number of records forced, B the flush duration in nanoseconds.
 	KindWALFlush
@@ -117,8 +114,6 @@ func (k Kind) String() string {
 		return "deadlock"
 	case KindCrash:
 		return "crash"
-	case KindSpan:
-		return "span"
 	case KindWALFlush:
 		return "wal.flush"
 	case KindInDoubt:
