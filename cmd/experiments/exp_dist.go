@@ -156,7 +156,9 @@ func expTwoPhaseCommit(rep *report) error {
 
 		pNode.Crash()
 		nw.Heal(coordNode.ID(), pNode.ID())
-		pNode.Restart()
+		if err := pNode.Restart(); err != nil {
+			return err
+		}
 
 		rep.check("in-doubt participant learns commit on recovery", peek(res) == 5)
 
@@ -177,8 +179,12 @@ func expTwoPhaseCommit(rep *report) error {
 		<-crashDone
 		coord.TestHooks.AfterPrepare = nil
 		pNode.Crash()
-		coordNode.Restart()
-		pNode.Restart()
+		if err := coordNode.Restart(); err != nil {
+			return err
+		}
+		if err := pNode.Restart(); err != nil {
+			return err
+		}
 		rep.check("undelivered decision presumed abort on recovery", peek(res) == 5)
 
 		// One participant: it is handed the decision (one-phase commit).
@@ -206,7 +212,9 @@ func expTwoPhaseCommit(rep *report) error {
 		}
 		pNode.Crash()
 		nw.Heal(pNode.ID(), coordNode.ID())
-		pNode.Restart()
+		if err := pNode.Restart(); err != nil {
+			return err
+		}
 		err = <-committed
 		rep.check("one-phase: decision forced, reply lost, participant crashed: answered committed from its log",
 			err == nil && peek(res) == 7)
@@ -350,7 +358,9 @@ func expRemoteSerializing(rep *report) error {
 	}
 	for _, p := range parts {
 		p.Crash()
-		p.Restart()
+		if err := p.Restart(); err != nil {
+			return err
+		}
 	}
 	rep.check("constituent kept by both participants crashing before End", peek(regs[0]) == 12 && peek(regs[1]) == 11)
 	sent = nw.Stats().Sent

@@ -88,7 +88,9 @@ func run() error {
 
 	// 4. Permanence: crash the store and reactivate the objects.
 	st.Crash()
-	st.Recover()
+	if err := st.Recover(); err != nil {
+		return fmt.Errorf("recover: %w", err)
+	}
 	recovered, err := core.LoadObject[int](checking.ObjectID(), st)
 	if err != nil {
 		return fmt.Errorf("reactivate: %w", err)

@@ -11,10 +11,10 @@ import (
 
 // These tests pin down the all-or-nothing property of a top-level
 // commit's permanence flush across node crashes, end to end through the
-// journal: a crash before the journal force loses the whole write set
-// (the action is effectively aborted); a crash after it yields the whole
-// write set on recovery (effectively committed). Either way the stable
-// state is never a partial mixture.
+// store's batch: a crash before the batch is durable loses the whole
+// write set (the action is effectively aborted); a crash after it yields
+// the whole write set on recovery (effectively committed). Either way the
+// stable state is never a partial mixture.
 //
 // Stable.Crash models a node crash: in-memory objects die with it and
 // are re-activated from the store afterwards, which is how the runtime
@@ -54,9 +54,9 @@ func crashCommitFixture(t *testing.T, point store.CrashPoint) (st *store.Stable,
 }
 
 func TestCrashBeforeJournalLosesWholeWriteSet(t *testing.T) {
-	st, regs := crashCommitFixture(t, store.CrashBeforeJournal)
-	if st.Recover() {
-		t.Fatal("nothing must be repaired: the journal was never forced")
+	st, regs := crashCommitFixture(t, store.CrashBeforeForce)
+	if err := st.Recover(); err != nil {
+		t.Fatal(err)
 	}
 	for _, r := range regs {
 		got, err := st.Read(r.id)
@@ -70,9 +70,9 @@ func TestCrashBeforeJournalLosesWholeWriteSet(t *testing.T) {
 }
 
 func TestCrashAfterJournalYieldsWholeWriteSetOnRecovery(t *testing.T) {
-	st, regs := crashCommitFixture(t, store.CrashAfterJournal)
-	if !st.Recover() {
-		t.Fatal("recovery must replay the journalled batch")
+	st, regs := crashCommitFixture(t, store.CrashAfterForce)
+	if err := st.Recover(); err != nil {
+		t.Fatal(err)
 	}
 	for _, r := range regs {
 		got, err := st.Read(r.id)
@@ -80,23 +80,7 @@ func TestCrashAfterJournalYieldsWholeWriteSetOnRecovery(t *testing.T) {
 			t.Fatalf("read %v: %v", r.id, err)
 		}
 		if string(got) != "NEW" {
-			t.Fatalf("stable state = %q, want the full write set after journal replay", got)
-		}
-	}
-}
-
-func TestCrashMidApplyRepairedToWholeWriteSet(t *testing.T) {
-	st, regs := crashCommitFixture(t, store.CrashMidApply)
-	if !st.Recover() {
-		t.Fatal("recovery must complete the half-applied batch")
-	}
-	for _, r := range regs {
-		got, err := st.Read(r.id)
-		if err != nil {
-			t.Fatalf("read %v: %v", r.id, err)
-		}
-		if string(got) != "NEW" {
-			t.Fatalf("stable state = %q: batch left partial after recovery", got)
+			t.Fatalf("stable state = %q, want the full write set after recovery", got)
 		}
 	}
 }
@@ -121,14 +105,14 @@ func TestColouredFlushAtomicPerColour(t *testing.T) {
 	r1.write(t, b, red, "R1")
 	r2.write(t, b, red, "R2")
 
-	st.CrashDuringNextBatch(store.CrashAfterJournal)
+	st.CrashDuringNextBatch(store.CrashAfterForce)
 	if err := b.Commit(); !errors.Is(err, action.ErrPermanence) {
 		t.Fatalf("Commit = %v, want ErrPermanence", err)
 	}
 	_ = a.Abort()
 
-	if !st.Recover() {
-		t.Fatal("journal replay expected")
+	if err := st.Recover(); err != nil {
+		t.Fatal(err)
 	}
 	for _, r := range []*reg{r1, r2} {
 		got, err := st.Read(r.id)

@@ -250,7 +250,9 @@ func TestBoardReloadsFromStableStore(t *testing.T) {
 	_ = invoker.Commit()
 
 	st.Crash()
-	st.Recover()
+	if err := st.Recover(); err != nil {
+		t.Fatal(err)
+	}
 
 	// A fresh board instance activated from the store sees the post.
 	reloaded, err := object.Load[struct {

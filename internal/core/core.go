@@ -155,8 +155,6 @@ var (
 	WithID = object.WithID
 	// NewStableStore builds an in-memory stable store.
 	NewStableStore = store.NewStable
-	// NewVolatileStore builds an in-memory volatile store.
-	NewVolatileStore = store.NewVolatile
 	// OpenFileStore opens a disk-backed stable store: one append-only,
 	// checksummed log per directory, replayed on open.
 	OpenFileStore = store.OpenFileStore

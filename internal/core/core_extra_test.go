@@ -1,11 +1,9 @@
 package core_test
 
 import (
-	"errors"
 	"testing"
 
 	"mca/internal/core"
-	"mca/internal/store"
 )
 
 func TestFacadeGluedChain(t *testing.T) {
@@ -127,18 +125,6 @@ func TestFacadeFileStore(t *testing.T) {
 	}
 	if loaded.Peek() != "persisted" {
 		t.Fatalf("loaded = %q", loaded.Peek())
-	}
-}
-
-func TestFacadeVolatileStore(t *testing.T) {
-	v := core.NewVolatileStore()
-	if err := v.Write(1, store.State("x")); err != nil {
-		t.Fatal(err)
-	}
-	v.Crash()
-	v.Restart()
-	if _, err := v.Read(1); !errors.Is(err, store.ErrNotFound) {
-		t.Fatalf("Read = %v, want ErrNotFound after crash", err)
 	}
 }
 

@@ -339,7 +339,9 @@ func TestDiaryPersistenceAcrossCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.Crash()
-	st.Recover()
+	if err := st.Recover(); err != nil {
+		t.Fatal(err)
+	}
 	loaded, err := object.Load[diary.Slot](d.SlotObject(chosen).ObjectID(), st)
 	if err != nil {
 		t.Fatal(err)

@@ -113,7 +113,7 @@ func stableBalances(t *testing.T, c *cluster) [3]int {
 }
 
 // TestCommitCrashMatrix kills the commit path at every injected crash
-// point — the three batch-apply points plus the mid-group-commit-window
+// point — the store's two batch points plus the mid-group-commit-window
 // force — at both the coordinator and a participant, over both stable
 // backings. Post-decision crashes must still commit everywhere after
 // recovery; a crash during the group-commit force (the record never
@@ -127,10 +127,11 @@ func TestCommitCrashMatrix(t *testing.T) {
 	}{
 		// These fire inside ApplyBatch, which only runs after the
 		// decision — at a participant, in its unforced phase-2 install:
-		// the transaction must survive as committed.
-		{"beforeJournal", store.CrashBeforeJournal, true},
-		{"afterJournal", store.CrashAfterJournal, true},
-		{"midApply", store.CrashMidApply, true},
+		// the transaction must survive as committed. The cells keep the
+		// names the points had when the in-memory store journalled its
+		// batches.
+		{"beforeJournal", store.CrashBeforeForce, true},
+		{"afterJournal", store.CrashAfterForce, true},
 		// The force dies mid group-commit window, before any record is
 		// durable: prepare (participant) or decision (coordinator) is
 		// lost, so the transaction aborts.

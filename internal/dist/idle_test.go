@@ -261,7 +261,9 @@ func raceIdleRule(t *testing.T, f *idleFixture) {
 		for p, part := range f.parts {
 			st := part.Node().Stable()
 			st.Crash()
-			st.Recover()
+			if err := st.Recover(); err != nil {
+				t.Fatal(err)
+			}
 			if in, found, _ := st.Intentions().Lookup(txn); found {
 				t.Fatalf("round %d: participant %d acked the commit, and a crash brought its %v record back", round, p, in.Status)
 			}

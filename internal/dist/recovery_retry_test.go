@@ -48,7 +48,9 @@ func TestRecoveryRetriesThroughStoreBlip(t *testing.T) {
 	// loop must survive it.
 	c.nodes[1].Stable().Crash()
 	time.Sleep(80 * time.Millisecond) // >= 3 retry ticks hit the crashed store
-	c.nodes[1].Stable().Recover()
+	if err := c.nodes[1].Stable().Recover(); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := readAt(ctx, c.parts[0], c.nodes[1].ID()); !errors.Is(err, store.ErrUnresolved) {
 		t.Fatalf("read after the store's recovery = %v, want %v", err, store.ErrUnresolved)
 	}

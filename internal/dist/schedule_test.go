@@ -153,7 +153,9 @@ func runSchedule(seed int64, dir string, stats *scheduleStats) (string, error) {
 			logf("step %d: crash n%d after the decision", step, victim)
 			coord.TestHooks.AfterDecision = func() { nodes[victim].Crash() }
 		case 3:
-			point := store.CrashPoint(1 + rng.Intn(3))
+			// Three draws, as when the store had a third point that
+			// behaved as after-force: every seed keeps its schedule.
+			point := []store.CrashPoint{store.CrashBeforeForce, store.CrashAfterForce, store.CrashAfterForce}[rng.Intn(3)]
 			logf("step %d: store crash point %d at n%d after the decision", step, point, victim)
 			coord.TestHooks.AfterDecision = func() { nodes[victim].Stable().CrashDuringNextBatch(point) }
 		case 4:

@@ -1,14 +1,16 @@
 // Package node models the workstations of paper §2: fail-silent nodes
-// with stable and volatile storage, attached to the simulated network.
+// with stable storage, attached to the simulated network or real TCP.
 // A node hosts an action runtime, an RPC peer and application services;
-// Crash makes it fail silently (volatile state lost, stable state kept),
-// Restart repairs stable storage and restarts services so higher layers
+// Crash makes it fail silently — its volatile state (the runtime with its
+// locks and in-flight actions, the peer) is lost, its stable store kept —
+// and Restart recovers the store and restarts services so higher layers
 // (internal/dist) can run their recovery protocols.
 package node
 
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"mca/internal/action"
@@ -59,7 +61,6 @@ type Node struct {
 	mu       sync.Mutex
 	peer     *rpc.Peer
 	runtime  *action.Runtime
-	volatile *store.Volatile
 	services []Service
 	crashed  bool
 	// life is cancelled when the node crashes or stops, so goroutines
@@ -84,12 +85,11 @@ type Node struct {
 type Option interface{ apply(*nodeOptions) }
 
 type nodeOptions struct {
-	rpcOpts    rpc.Options
-	rpcOptsSet bool
-	debugAddr  string
-	tracer     *trace.Recorder
-	stableDir  string
-	clk        clock.Clock
+	rpcOpts   rpc.Options
+	debugAddr string
+	tracer    *trace.Recorder
+	stableDir string
+	clk       clock.Clock
 }
 
 type clockOption struct{ c clock.Clock }
@@ -128,10 +128,7 @@ func WithTracer(rec *trace.Recorder) Option { return tracerOption{rec} }
 
 type rpcOptsOption rpc.Options
 
-func (o rpcOptsOption) apply(opts *nodeOptions) {
-	opts.rpcOpts = rpc.Options(o)
-	opts.rpcOptsSet = true
-}
+func (o rpcOptsOption) apply(opts *nodeOptions) { opts.rpcOpts = rpc.Options(o) }
 
 // WithRPCOptions tunes the node's RPC behaviour.
 func WithRPCOptions(o rpc.Options) Option { return rpcOptsOption(o) }
@@ -201,7 +198,6 @@ func NewOn(ep Endpoint, opts ...Option) (*Node, error) {
 		stable:   stable,
 		rpcOpts:  no.rpcOpts,
 		clk:      no.clk,
-		volatile: store.NewVolatile(),
 		tracer:   no.tracer,
 	}
 	stable.WAL().SetNodeID(uint64(ep.ID()))
@@ -232,13 +228,8 @@ func NewOn(ep Endpoint, opts ...Option) (*Node, error) {
 	}
 	if n.tracer != nil {
 		n.tracer.SetNode(ep.ID())
-		n.runtime = action.NewRuntime(action.WithClock(n.clk), action.WithObserver(n.tracer.Observe))
-	} else {
-		n.runtime = action.NewRuntime(action.WithClock(n.clk))
 	}
-	n.life, n.stopLife = context.WithCancel(context.Background())
-	n.peer = rpc.NewPeerOn(ep, n.rpcOpts)
-	n.peer.SetTracer(n.tracer)
+	n.start()
 	if no.debugAddr != "" {
 		d, err := startDebugServer(no.debugAddr, n)
 		if err != nil {
@@ -249,6 +240,20 @@ func NewOn(ep Endpoint, opts ...Option) (*Node, error) {
 	}
 	n.peer.Start()
 	return n, nil
+}
+
+// start builds what a crash discards — the action runtime, the RPC peer
+// and the lifetime context — for a node starting or restarting. The peer
+// is not started. Called with mu held, or before the node is shared.
+func (n *Node) start() {
+	opts := []action.Option{action.WithClock(n.clk)}
+	if n.tracer != nil {
+		opts = append(opts, action.WithObserver(n.tracer.Observe))
+	}
+	n.runtime = action.NewRuntime(opts...)
+	n.peer = rpc.NewPeerOn(n.endpoint, n.rpcOpts)
+	n.peer.SetTracer(n.tracer)
+	n.life, n.stopLife = context.WithCancel(context.Background())
 }
 
 // Context returns the node's lifetime context: cancelled when the node
@@ -265,13 +270,6 @@ func (n *Node) ID() ids.NodeID { return n.endpoint.ID() }
 
 // Stable returns the node's stable store (survives crashes).
 func (n *Node) Stable() *store.Stable { return n.stable }
-
-// Volatile returns the node's volatile store (lost on crash).
-func (n *Node) Volatile() *store.Volatile {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	return n.volatile
-}
 
 // Runtime returns the node's action runtime. After a crash/restart it is
 // a fresh runtime: in-flight actions and their locks died with the
@@ -308,9 +306,9 @@ func (n *Node) Host(s Service) {
 }
 
 // Crash makes the node fail silently: the RPC engine stops, queued and
-// future messages are dropped, volatile storage is cleared, the action
-// runtime (locks, in-flight actions) is abandoned, and stable storage
-// rejects operations until Restart. Crashing a crashed node is a no-op.
+// future messages are dropped, the action runtime (locks, in-flight
+// actions) is abandoned, and stable storage rejects operations until
+// Restart. Crashing a crashed node is a no-op.
 func (n *Node) Crash() {
 	n.mu.Lock()
 	if n.crashed {
@@ -326,38 +324,32 @@ func (n *Node) Crash() {
 	stopLife()
 	peer.Stop()
 	n.endpoint.Crash()
-	n.volatile.Crash()
 	n.stable.Crash()
 	flightrec.Record(flightrec.Event{Kind: flightrec.KindCrash, Node: uint64(n.ID())})
 	flightrec.AutoDump("crash")
 }
 
-// Restart repairs the node: stable storage recovers (completing any
-// journalled batch; a file-backed store replays its log), volatile
-// storage and the action runtime start empty, services re-register
-// their handlers and run their recovery hooks.
-func (n *Node) Restart() {
+// Restart repairs the node: stable storage recovers (a file-backed store
+// replays its log), the action runtime and the RPC peer start empty, and
+// services re-register their handlers and run their recovery hooks. When
+// the store does not recover, Restart returns the error and the node
+// stays crashed — endpoint down, no service registered — for a later
+// Restart to try again. Restarting a node that is up does nothing.
+func (n *Node) Restart() error {
 	n.mu.Lock()
 	if !n.crashed {
 		n.mu.Unlock()
-		return
+		return nil
+	}
+	if err := n.stable.Recover(); err != nil {
+		n.mu.Unlock()
+		return fmt.Errorf("restart node %v: %w", n.ID(), err)
 	}
 	n.crashed = false
-	n.stable.Recover()
 	n.endpoint.Restart()
-	n.volatile = store.NewVolatile()
-	if n.tracer != nil {
-		n.runtime = action.NewRuntime(action.WithClock(n.clk), action.WithObserver(n.tracer.Observe))
-	} else {
-		n.runtime = action.NewRuntime(action.WithClock(n.clk))
-	}
-	n.peer = rpc.NewPeerOn(n.endpoint, n.rpcOpts)
-	n.peer.SetTracer(n.tracer)
-	n.life, n.stopLife = context.WithCancel(context.Background())
-	services := make([]Service, len(n.services))
-	copy(services, n.services)
-	peer := n.peer
-	life := n.life
+	n.start()
+	services := slices.Clone(n.services)
+	peer, life := n.peer, n.life
 	n.mu.Unlock()
 
 	for _, s := range services {
@@ -367,6 +359,7 @@ func (n *Node) Restart() {
 	for _, s := range services {
 		s.Recover(life, n)
 	}
+	return nil
 }
 
 // Crashed reports whether the node is currently crashed.

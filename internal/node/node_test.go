@@ -1,9 +1,11 @@
 package node_test
 
 import (
+	"bytes"
 	"context"
 	"errors"
 	"os"
+	"path/filepath"
 	"runtime/debug"
 	"sync"
 	"testing"
@@ -97,10 +99,7 @@ func TestCrashSemanticsOfStores(t *testing.T) {
 	nd := newTestNode(t, nw)
 
 	oid := ids.NewObjectID()
-	if err := nd.Stable().Write(oid, store.State("durable")); err != nil {
-		t.Fatal(err)
-	}
-	if err := nd.Volatile().Write(oid, store.State("ram")); err != nil {
+	if err := nd.Stable().ApplyBatch(store.Batch{Writes: map[ids.ObjectID]store.State{oid: store.State("durable")}}); err != nil {
 		t.Fatal(err)
 	}
 	rtBefore := nd.Runtime()
@@ -109,17 +108,92 @@ func TestCrashSemanticsOfStores(t *testing.T) {
 	if _, err := nd.Stable().Read(oid); !errors.Is(err, store.ErrCrashed) {
 		t.Fatalf("stable read while crashed = %v", err)
 	}
-	nd.Restart()
+	if err := nd.Restart(); err != nil {
+		t.Fatal(err)
+	}
 
 	got, err := nd.Stable().Read(oid)
 	if err != nil || string(got) != "durable" {
 		t.Fatalf("stable after restart = %q, %v", got, err)
 	}
-	if _, err := nd.Volatile().Read(oid); !errors.Is(err, store.ErrNotFound) {
-		t.Fatalf("volatile after restart = %v, want ErrNotFound", err)
-	}
 	if nd.Runtime() == rtBefore {
 		t.Fatal("runtime must be fresh after restart (locks died with RAM)")
+	}
+}
+
+// TestRestartOverAnUnreadableLog: a node whose log does not replay stays
+// crashed — its store down, its endpoint deaf, no service re-registered —
+// and Restart says why; once the log is repaired, the next Restart brings
+// the node up with its state.
+func TestRestartOverAnUnreadableLog(t *testing.T) {
+	nw := netsim.New(netsim.Config{})
+	t.Cleanup(nw.Close)
+	dir := t.TempDir()
+	nd, err := node.New(nw, node.WithStableDir(dir), node.WithRPCOptions(rpc.Options{
+		RetryInterval: 5 * time.Millisecond,
+		CallTimeout:   200 * time.Millisecond,
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(nd.Stop)
+	caller := newTestNode(t, nw)
+	p := &probe{}
+	nd.Host(p)
+	ping := func() error {
+		return caller.Peer().Call(context.Background(), nd.ID(), "ping", struct{}{}, nil)
+	}
+
+	// Two records: damage in the first, with a whole one after it, is
+	// damage in the middle of the log, which replay refuses.
+	oid := ids.NewObjectID()
+	for _, v := range []string{"v1", "v2"} {
+		if err := nd.Stable().ApplyBatch(store.Batch{Writes: map[ids.ObjectID]store.State{oid: store.State(v)}}); err != nil {
+			t.Fatal(err)
+		}
+	}
+	nd.Crash()
+	path := filepath.Join(dir, "wal.log")
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	bad := bytes.Clone(good)
+	bad[10] ^= 0xff // the version byte, the first frame's 8-byte header, its kind byte, then its body
+	if err := os.WriteFile(path, bad, 0o644); err != nil {
+		t.Fatal(err)
+	}
+
+	if err := nd.Restart(); err == nil {
+		t.Fatal("Restart over a log that does not replay succeeded")
+	}
+	if !nd.Crashed() || !nd.Stable().Crashed() {
+		t.Fatalf("after a failed Restart: node crashed %v, store crashed %v; want both down", nd.Crashed(), nd.Stable().Crashed())
+	}
+	if reg, rec := p.counts(); reg != 1 || rec != 0 {
+		t.Fatalf("after a failed Restart: registers=%d recovers=%d, want 1 and 0", reg, rec)
+	}
+	if err := ping(); !errors.Is(err, rpc.ErrTimeout) {
+		t.Fatalf("ping to a node whose Restart failed = %v, want ErrTimeout", err)
+	}
+
+	if err := os.WriteFile(path, good, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := nd.Restart(); err != nil {
+		t.Fatalf("Restart over the repaired log: %v", err)
+	}
+	if nd.Crashed() {
+		t.Fatal("node still down after a successful Restart")
+	}
+	if got, err := nd.Stable().Read(oid); err != nil || string(got) != "v2" {
+		t.Fatalf("state after the second Restart = %q, %v; want v2", got, err)
+	}
+	if reg, rec := p.counts(); reg != 2 || rec != 1 {
+		t.Fatalf("after the second Restart: registers=%d recovers=%d, want 2 and 1", reg, rec)
+	}
+	if err := ping(); err != nil {
+		t.Fatalf("ping after the second Restart: %v", err)
 	}
 }
 

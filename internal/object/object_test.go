@@ -423,7 +423,9 @@ func TestCrashLosesUncommittedSurvivesCommitted(t *testing.T) {
 	if err := a.Abort(); err != nil {
 		t.Fatal(err)
 	}
-	st.Recover()
+	if err := st.Recover(); err != nil {
+		t.Fatal(err)
+	}
 
 	loaded, err := object.Load[account](m.ObjectID(), st)
 	if err != nil {

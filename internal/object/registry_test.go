@@ -78,7 +78,9 @@ func TestRegistryReactivateAfterCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.Crash()
-	st.Recover()
+	if err := st.Recover(); err != nil {
+		t.Fatal(err)
+	}
 	reg.Reactivate()
 	_ = a.Abort() // the old action's restore hits the abandoned instance
 

@@ -250,7 +250,7 @@ func TestLoadRefusesForeignState(t *testing.T) {
 	} {
 		st := store.NewStable()
 		id := ids.NewObjectID()
-		if err := st.Write(id, store.State(c.raw)); err != nil {
+		if err := st.ApplyBatch(store.Batch{Writes: map[ids.ObjectID]store.State{id: store.State(c.raw)}}); err != nil {
 			t.Fatal(err)
 		}
 		err := c.load(id, st)

@@ -223,7 +223,7 @@ func runCrashPrefix(t *testing.T, seed int64) {
 			checkGeneration()
 			s.wal.file.compactAt = 0
 			id, st := objects[rng.Intn(len(objects))], State(fmt.Sprintf("c%d", step))
-			op = prefixOp{name: "write+compact", logged: true, apply: func(s *Stable) error { return s.Write(id, st) }}
+			op = prefixOp{name: "write+compact", logged: true, apply: func(s *Stable) error { return put(s, id, st) }}
 		}
 		if err := op.apply(s); err != nil {
 			t.Fatalf("step %d %s: %v", step, op.name, err)

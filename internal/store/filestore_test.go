@@ -26,14 +26,14 @@ func TestFileStoreBasics(t *testing.T) {
 	if _, err := fs.Read(id); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Read empty = %v, want ErrNotFound", err)
 	}
-	if err := fs.Write(id, State("on disk")); err != nil {
+	if err := put(fs, id, State("on disk")); err != nil {
 		t.Fatal(err)
 	}
 	got, err := fs.Read(id)
 	if err != nil || string(got) != "on disk" {
 		t.Fatalf("Read = %q, %v", got, err)
 	}
-	if err := fs.Delete(id); err != nil {
+	if err := del(fs, id); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := fs.Read(id); !errors.Is(err, ErrNotFound) {
@@ -45,7 +45,7 @@ func TestFileStoreSurvivesReopen(t *testing.T) {
 	dir := t.TempDir()
 	id := ids.NewObjectID()
 	fs := openTestStore(t, dir)
-	if err := fs.Write(id, State("persisted")); err != nil {
+	if err := put(fs, id, State("persisted")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -55,9 +55,8 @@ func TestFileStoreSurvivesReopen(t *testing.T) {
 	if err != nil || string(got) != "persisted" {
 		t.Fatalf("Read after reopen = %q, %v", got, err)
 	}
-	list, err := fs2.List()
-	if err != nil || len(list) != 1 || list[0] != id {
-		t.Fatalf("List after reopen = %v, %v", list, err)
+	if n := len(fs2.snapshot()); n != 1 {
+		t.Fatalf("%d objects after reopen, want 1", n)
 	}
 }
 
@@ -65,7 +64,7 @@ func TestFileStoreBatchAtomic(t *testing.T) {
 	dir := t.TempDir()
 	fs := openTestStore(t, dir)
 	a, b, c := ids.NewObjectID(), ids.NewObjectID(), ids.NewObjectID()
-	if err := fs.Write(c, State("victim")); err != nil {
+	if err := put(fs, c, State("victim")); err != nil {
 		t.Fatal(err)
 	}
 	err := fs.ApplyBatch(Batch{
@@ -98,7 +97,7 @@ func TestFileStoreBatchIsOneRecord(t *testing.T) {
 	dir := t.TempDir()
 	fs := openTestStore(t, dir)
 	a, b := ids.NewObjectID(), ids.NewObjectID()
-	if err := fs.Write(a, State("old")); err != nil {
+	if err := put(fs, a, State("old")); err != nil {
 		t.Fatal(err)
 	}
 	path := filepath.Join(dir, walFilename)
@@ -139,7 +138,7 @@ func TestFileStoreBinaryStates(t *testing.T) {
 	for i := range blob {
 		blob[i] = byte(i)
 	}
-	if err := fs.Write(id, blob); err != nil {
+	if err := put(fs, id, blob); err != nil {
 		t.Fatal(err)
 	}
 	got, err := fs.Read(id)
@@ -155,11 +154,11 @@ func TestFileStoreIgnoresForeignFiles(t *testing.T) {
 	}
 	fs := openTestStore(t, dir)
 	id := ids.NewObjectID()
-	if err := fs.Write(id, State("real")); err != nil {
+	if err := put(fs, id, State("real")); err != nil {
 		t.Fatal(err)
 	}
-	list, err := openTestStore(t, dir).List()
-	if err != nil || len(list) != 1 || list[0] != id {
-		t.Fatalf("List = %v, %v; want just %v", list, err, id)
+	reopened := openTestStore(t, dir)
+	if got, err := reopened.Read(id); err != nil || string(got) != "real" || len(reopened.snapshot()) != 1 {
+		t.Fatalf("reopened store = %v (Read(%v) = %q, %v); want just that object", reopened.snapshot(), id, got, err)
 	}
 }

@@ -96,8 +96,8 @@ type logRecord struct {
 	action ids.ActionID // kindIntention, kindForget
 	in     *Intention   // kindIntention
 	batch  Batch        // kindBatch
-	// noInstall leaves a forced batch out of the object cache: the
-	// injected "crash after the force" of CrashDuringNextBatch.
+	// noInstall leaves a forced batch out of the object cache, which
+	// took it already (ApplyBatchLazy).
 	noInstall bool
 }
 
@@ -289,7 +289,7 @@ func replayLog(file []byte) (*logImage, int, error) {
 		img.data[id] = cloneState(st)
 	}
 	for a, in := range img.index {
-		in.Writes = *cloneBatch(in.Writes)
+		in.Writes = cloneBatch(in.Writes)
 		img.index[a] = in
 	}
 	return img, off, nil

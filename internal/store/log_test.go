@@ -248,7 +248,7 @@ func TestLogTornTailTruncatedOnOpen(t *testing.T) {
 	if err := s2.Intentions().Record(testIntention(second, "second")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s2.Write(obj, State("kept")); err != nil {
+	if err := put(s2, obj, State("kept")); err != nil {
 		t.Fatal(err)
 	}
 
@@ -356,10 +356,10 @@ func TestRecoverAfterCompactionCutsTornTail(t *testing.T) {
 	}
 	a, b, c := ids.NewObjectID(), ids.NewObjectID(), ids.NewObjectID()
 	s.wal.file.compactAt = 0
-	if err := s.Write(a, State("checkpointed")); err != nil {
+	if err := put(s, a, State("checkpointed")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Write(b, State("tail")); err != nil {
+	if err := put(s, b, State("tail")); err != nil {
 		t.Fatal(err)
 	}
 	// A short write of the log's own: half a frame through its handle.
@@ -368,8 +368,10 @@ func TestRecoverAfterCompactionCutsTornTail(t *testing.T) {
 	}
 
 	s.Crash()
-	s.Recover()
-	if err := s.Write(c, State("after")); err != nil {
+	if err := s.Recover(); err != nil {
+		t.Fatal(err)
+	}
+	if err := put(s, c, State("after")); err != nil {
 		t.Fatal(err)
 	}
 	s2, err := NewStableAt(dir)
@@ -402,7 +404,7 @@ func TestCommittedIntentionInstallsItsWriteSet(t *testing.T) {
 	for name, s := range map[string]*Stable{"memory": NewStable(), "file": open()} {
 		t.Run(name, func(t *testing.T) {
 			decided, prepared, gone := ids.NewObjectID(), ids.NewObjectID(), ids.NewObjectID()
-			if err := s.Write(gone, State("old")); err != nil {
+			if err := put(s, gone, State("old")); err != nil {
 				t.Fatal(err)
 			}
 			record := func(a ids.ActionID, st IntentionStatus, b Batch) {
@@ -427,7 +429,9 @@ func TestCommittedIntentionInstallsItsWriteSet(t *testing.T) {
 			}
 			check(s, "after Record", "v1", ErrNotFound)
 			s.Crash()
-			s.Recover()
+			if err := s.Recover(); err != nil {
+				t.Fatal(err)
+			}
 			check(s, "after a restart", "v1", ErrUnresolved)
 			if name != "file" {
 				return
@@ -438,7 +442,7 @@ func TestCommittedIntentionInstallsItsWriteSet(t *testing.T) {
 				t.Fatal(err)
 			}
 			s.wal.file.compactAt = 0
-			if err := s.Write(ids.NewObjectID(), State("x")); err != nil {
+			if err := put(s, ids.NewObjectID(), State("x")); err != nil {
 				t.Fatal(err)
 			}
 			reopened := open()

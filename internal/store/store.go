@@ -1,22 +1,20 @@
-// Package store implements the object stores of paper §2: stable storage
-// that survives node crashes with high probability, and volatile storage
-// that loses its contents when the node crashes.
+// Package store implements the stable storage of paper §2: object states
+// that survive node crashes. A node's volatile state is what its Crash
+// discards (internal/node); nothing here models it.
 //
 // Stores hold opaque serialized object states keyed by object identifier.
-// Stable stores additionally support atomic batches — the all-or-nothing
-// installation of a top-level (or outermost-coloured) action's write set
-// — and an intention log used by the distributed commit protocol. A
-// file-backed stable store keeps both in one append-only log (log.go)
-// that recovery replays; the in-memory one simulates a journal, which it
-// materialises only when a crash is injected into a batch.
+// Every write is an atomic batch — the all-or-nothing installation of a
+// top-level (or outermost-coloured) action's write set — and stable
+// stores also keep an intention log used by the distributed commit
+// protocol. A file-backed stable store keeps both in one append-only log
+// (log.go) that recovery replays; in the in-memory one the object map is
+// itself the disk.
 package store
 
 import (
-	"bytes"
 	"errors"
 	"fmt"
 	"maps"
-	"sort"
 	"sync"
 
 	"mca/internal/flightrec"
@@ -24,9 +22,9 @@ import (
 	"mca/internal/metrics"
 )
 
-// State is an opaque serialized object state. Read, Write and Delete
-// copy states on the way in and out, so callers may reuse buffers; a
-// Batch or Intention handed to the log is kept as it is.
+// State is an opaque serialized object state. Read returns a copy, so
+// callers may change it; a Batch or Intention handed to the store is kept
+// as it is.
 type State []byte
 
 // ErrNotFound is returned when no state is recorded for an object.
@@ -43,20 +41,6 @@ var ErrUnresolved = errors.New("store: object written by an unresolved transacti
 
 var readsRefused = metrics.Default().Counter("mca_store_reads_refused_total",
 	"Stable-store reads refused with ErrUnresolved: the object is written by a prepared record replayed at a restart and not yet resolved.")
-
-// Store is the common read/write surface of object stores.
-type Store interface {
-	// Read returns the state recorded for the object, or ErrNotFound.
-	Read(id ids.ObjectID) (State, error)
-	// Write records the state for the object.
-	Write(id ids.ObjectID, s State) error
-	// Delete removes the object. Deleting an absent object is not an
-	// error.
-	Delete(id ids.ObjectID) error
-	// List returns the identifiers of all recorded objects in
-	// ascending order.
-	List() ([]ids.ObjectID, error)
-}
 
 // Batch is a write set applied atomically to a stable store. A batch
 // handed to ApplyBatch, or in an intention to Record, belongs to the store
@@ -78,125 +62,40 @@ func cloneState(s State) State {
 	return out
 }
 
-// Volatile is an in-memory store modelling the volatile storage of a
-// diskless workstation: Crash discards everything. It is safe for
-// concurrent use.
-type Volatile struct {
-	mu      sync.Mutex
-	crashed bool
-	data    map[ids.ObjectID]State
-}
-
-// NewVolatile returns an empty volatile store.
-func NewVolatile() *Volatile {
-	return &Volatile{data: make(map[ids.ObjectID]State)}
-}
-
-var _ Store = (*Volatile)(nil)
-
-// Read implements Store.
-func (v *Volatile) Read(id ids.ObjectID) (State, error) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if v.crashed {
-		return nil, ErrCrashed
-	}
-	s, ok := v.data[id]
-	if !ok {
-		return nil, ErrNotFound
-	}
-	return cloneState(s), nil
-}
-
-// Write implements Store.
-func (v *Volatile) Write(id ids.ObjectID, s State) error {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if v.crashed {
-		return ErrCrashed
-	}
-	v.data[id] = cloneState(s)
-	return nil
-}
-
-// Delete implements Store.
-func (v *Volatile) Delete(id ids.ObjectID) error {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if v.crashed {
-		return ErrCrashed
-	}
-	delete(v.data, id)
-	return nil
-}
-
-// List implements Store.
-func (v *Volatile) List() ([]ids.ObjectID, error) {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	if v.crashed {
-		return nil, ErrCrashed
-	}
-	return sortedKeys(v.data), nil
-}
-
-// Crash models a node crash: all volatile data is lost and the store
-// rejects operations until Restart.
-func (v *Volatile) Crash() {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.crashed = true
-	v.data = make(map[ids.ObjectID]State)
-}
-
-// Restart brings the store back, empty.
-func (v *Volatile) Restart() {
-	v.mu.Lock()
-	defer v.mu.Unlock()
-	v.crashed = false
-}
-
-// CrashPoint selects a moment inside ApplyBatch at which an injected
-// crash takes effect, for recovery testing.
+// CrashPoint selects a moment inside the next ApplyBatch or
+// ApplyBatchLazy at which an injected crash takes effect, for recovery
+// testing. On either backing the call returns ErrCrashed, and after
+// Recover the batch is wholly absent or wholly present.
 type CrashPoint int
 
 // Crash points understood by Stable.CrashDuringNextBatch.
 const (
-	// CrashBeforeJournal crashes before the journal record is forced:
-	// the batch is wholly lost.
-	CrashBeforeJournal CrashPoint = iota + 1
-	// CrashAfterJournal crashes after the journal record is forced but
-	// before the batch is applied: recovery must complete the batch.
-	CrashAfterJournal
-	// CrashMidApply crashes after applying roughly half of the batch:
-	// recovery must make the batch whole.
-	CrashMidApply
+	// CrashBeforeForce crashes before the batch is durable: it is lost.
+	CrashBeforeForce CrashPoint = iota + 1
+	// CrashAfterForce crashes once the batch is durable: Recover yields
+	// it whole.
+	CrashAfterForce
 )
 
-// Stable is an in-memory store modelling stable storage: Crash preserves
-// all durably recorded data. ApplyBatch installs a write set atomically
-// through a journal; Recover repairs a half-applied batch after a crash.
-// It is safe for concurrent use.
+// Stable models stable storage: Crash preserves everything durable, and
+// Recover brings the store back with exactly that. Every object write is
+// a batch (ApplyBatch, ApplyBatchLazy), installed whole or not at all. It
+// is safe for concurrent use.
 //
-// A Stable opened with NewStableAt is log-structured: every durable
-// mutation — object batches, single writes and deletes, intention
-// records — is one record appended to the directory's wal.log through
-// the group-commit WAL, forced, and only then installed in data, which
-// is a cache of the log's replay. Recover re-reads the log, so recovery
-// sees exactly what was durable at the crash — the "diskfull
-// workstation" configuration with the same crash simulation surface the
-// in-memory store offers.
+// NewStable's store is in memory: its object map is the disk, so a batch
+// is durable once applied. A store opened with NewStableAt is
+// log-structured: every durable mutation — object batches and intention
+// records — is one record appended to the directory's wal.log through the
+// group-commit WAL, forced, and only then installed in data, which is a
+// cache of the log's replay. Recover re-reads the log, so recovery sees
+// exactly what was durable at the crash — the "diskfull workstation"
+// configuration, with the in-memory store's crash model.
 type Stable struct {
 	mu      sync.Mutex
 	crashed bool
 	closed  bool // by Close: crashed for good
 	data    map[ids.ObjectID]State
-	// journal holds the batch an injected crash interrupted. It is "on
-	// disk": it survives Crash and is replayed by Recover. Unused by a
-	// file-backed store, whose batches are log records.
-	journal *Batch
-	// pendingCrash injects a crash at the chosen point of the next
-	// ApplyBatch.
+	// pendingCrash injects a crash at the chosen point of the next batch.
 	pendingCrash CrashPoint
 	// fenced maps every object a prepared record replayed at the last open
 	// or Recover writes or deletes to the record's action, until the record
@@ -239,11 +138,10 @@ func OpenFileStore(dir string) (*Stable, bool, error) {
 	return s, truncated, nil
 }
 
-var _ Store = (*Stable)(nil)
-
-// Read implements Store. A fenced object is refused with ErrUnresolved
-// whether or not the store holds a state for it, so an object the
-// unresolved transaction creates is not created a second time.
+// Read returns the state recorded for the object, or ErrNotFound. A fenced
+// object is refused with ErrUnresolved whether or not the store holds a
+// state for it, so an object the unresolved transaction creates is not
+// created a second time.
 func (s *Stable) Read(id ids.ObjectID) (State, error) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -262,48 +160,9 @@ func (s *Stable) Read(id ids.ObjectID) (State, error) {
 	return cloneState(st), nil
 }
 
-// Write implements Store. A single write is atomic.
-func (s *Stable) Write(id ids.ObjectID, st State) error {
-	if s.wal.file != nil {
-		return s.logBatch(Batch{Writes: map[ids.ObjectID]State{id: st}}, 0)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.crashed {
-		return ErrCrashed
-	}
-	s.data[id] = cloneState(st)
-	return nil
-}
-
-// Delete implements Store.
-func (s *Stable) Delete(id ids.ObjectID) error {
-	if s.wal.file != nil {
-		return s.logBatch(Batch{Deletes: []ids.ObjectID{id}}, 0)
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.crashed {
-		return ErrCrashed
-	}
-	delete(s.data, id)
-	return nil
-}
-
-// List implements Store.
-func (s *Stable) List() ([]ids.ObjectID, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.crashed {
-		return nil, ErrCrashed
-	}
-	return sortedKeys(s.data), nil
-}
-
 // ApplyBatch installs the batch atomically: either every write and delete
-// takes effect (possibly completed by Recover after a crash) or none
-// does. The returned error is ErrCrashed when the store is, or became,
-// crashed.
+// takes effect or none does. It returns once the batch is durable, or
+// with ErrCrashed when the store is, or became, crashed.
 func (s *Stable) ApplyBatch(b Batch) error { return s.applyBatch(b, false) }
 
 // ApplyBatchLazy is ApplyBatch without the wait: on the file backing the
@@ -322,66 +181,36 @@ func (s *Stable) applyBatch(b Batch, lazy bool) error {
 		s.mu.Unlock()
 		return nil
 	}
-
 	point := s.pendingCrash
 	s.pendingCrash = 0
-
-	if point == CrashBeforeJournal {
+	var err error
+	switch {
+	case point == CrashBeforeForce:
 		s.crashLocked()
 		s.mu.Unlock()
 		return ErrCrashed
-	}
-
-	switch {
-	case s.wal.file != nil && lazy && point == 0:
+	case s.wal.file == nil:
+		s.applyLocked(b)
+		s.mu.Unlock()
+	case lazy && point == 0:
 		// The cache takes the batch before the log does: a compaction
 		// that checkpoints the cache in between then holds it too, rather
 		// than replacing the log record it would have missed.
 		s.applyLocked(b)
 		s.mu.Unlock()
 		return s.wal.appendLazy(logRecord{kind: kindBatch, batch: b, noInstall: true})
-	case s.wal.file != nil:
+	default:
+		// One log record — atomic because a record is whole or absent —
+		// joined to the WAL's group commit; the cache takes it once
+		// forced. mu is not held across the force.
 		s.mu.Unlock()
-		return s.logBatch(b, point)
+		err = s.wal.append(logRecord{kind: kindBatch, batch: b})
 	}
-	defer s.mu.Unlock()
-
-	// Forcing the journal record and applying it happen inside this one
-	// critical section, so nobody can observe the journal unless a crash
-	// lands between the two: only then is the record materialised, for
-	// Recover to redo.
-	if point != 0 {
-		s.journal = cloneBatch(b)
-		if point == CrashMidApply {
-			s.applyHalfLocked(b)
-		}
-		s.crashLocked()
-		return ErrCrashed
+	if err == nil && point == CrashAfterForce {
+		s.Crash()
+		err = ErrCrashed
 	}
-	s.applyLocked(b)
-	return nil
-}
-
-// logBatch is the file-backed install: the batch is one log record —
-// atomic because a record is whole or absent — joined to the WAL's
-// group commit, and enters the cache once forced. mu is not held across
-// the force. A crash point (CrashAfterJournal, CrashMidApply) stops
-// after the force, leaving the cache as a crash there would; Recover's
-// replay makes the batch whole.
-func (s *Stable) logBatch(b Batch, point CrashPoint) error {
-	if err := s.wal.append(logRecord{kind: kindBatch, batch: b, noInstall: point != 0}); err != nil {
-		return err
-	}
-	if point == 0 {
-		return nil
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if point == CrashMidApply {
-		s.applyHalfLocked(b)
-	}
-	s.crashLocked()
-	return ErrCrashed
+	return err
 }
 
 // install enters what the forced records install (logRecord.installs)
@@ -414,21 +243,8 @@ func (s *Stable) applyLocked(b Batch) {
 	}
 }
 
-func (s *Stable) applyHalfLocked(b Batch) {
-	n := 0
-	half := len(b.Writes) / 2
-	for _, id := range sortedKeys(b.Writes) {
-		if n >= half {
-			break
-		}
-		s.data[id] = cloneState(b.Writes[id])
-		n++
-	}
-}
-
-// Crash models a node crash. Durable data (including the journal and the
-// intention log) is preserved; the store rejects operations until
-// Recover.
+// Crash models a node crash. Durable data (including the intention log)
+// is preserved; the store rejects operations until Recover.
 func (s *Stable) Crash() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -444,7 +260,8 @@ func (s *Stable) crashLocked() {
 	s.wal.dropOpen()
 }
 
-// CrashDuringNextBatch arms a crash injection for the next ApplyBatch.
+// CrashDuringNextBatch arms a crash injection for the next non-empty
+// ApplyBatch or ApplyBatchLazy.
 func (s *Stable) CrashDuringNextBatch(p CrashPoint) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -460,7 +277,7 @@ func (s *Stable) Crashed() bool {
 
 // Close shuts the store down cleanly, not as a crash: it forces what the
 // log holds unforced and closes the file backing. Later operations fail
-// with ErrCrashed and Recover does nothing; a store opened on the same
+// with ErrCrashed and Recover refuses; a store opened on the same
 // directory finds everything.
 func (s *Stable) Close() error {
 	var err error
@@ -482,56 +299,40 @@ func (s *Stable) Close() error {
 	return err
 }
 
-// Recover restarts a crashed store, completing any journalled batch
-// (redo), and returns whether a batch was repaired. A file-backed store
-// replays its log into the object cache and the intention index, so
-// recovery sees exactly what was durable at the crash; it reports
-// whether the replay changed any object state the cache showed. Either
-// way the prepared records the store then holds fence their objects.
-func (s *Stable) Recover() bool {
+// Recover restarts a crashed store with what was durable at the crash. A
+// file-backed store replays its log into the object cache and the
+// intention index; the in-memory one keeps both, as they are its disk.
+// Either way the prepared records the store then holds fence their
+// objects. On an error — the log does not replay, or the store is closed
+// — the store stays crashed, and a later Recover may try again.
+func (s *Stable) Recover() error {
 	s.mu.Lock()
 	closed := s.closed
 	s.mu.Unlock()
 	if closed {
-		return false
+		return fmt.Errorf("recover: %w (the store is closed)", ErrCrashed)
 	}
-	if s.wal.file != nil {
-		return s.recoverFromLog()
-	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.crashed = false
-	s.wal.mu.Lock()
-	s.fenced = fencesOf(s.wal.index)
-	s.wal.mu.Unlock()
-	if s.journal == nil {
-		return false
-	}
-	s.applyLocked(*s.journal)
-	s.journal = nil
-	return true
-}
-
-func (s *Stable) recoverFromLog() bool {
 	w := s.wal
-	// No force may run while the log is read and its end re-established.
-	w.flushMu.Lock()
-	defer w.flushMu.Unlock()
-	img, _, err := w.file.replay()
-	if err != nil {
-		// Disk trouble on recovery: stay crashed rather than serve a
-		// partial view.
-		return false
+	var img *logImage
+	if w.file != nil {
+		// No force may run while the log is read and its end re-established.
+		w.flushMu.Lock()
+		defer w.flushMu.Unlock()
+		var err error
+		if img, _, err = w.file.replay(); err != nil {
+			return err
+		}
 	}
-	w.mu.Lock()
-	w.index = img.index
-	w.mu.Unlock()
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	repaired := !maps.EqualFunc(s.data, img.data, func(a, b State) bool { return bytes.Equal(a, b) })
-	s.data, s.fenced = img.data, fencesOf(img.index)
+	w.mu.Lock()
+	defer w.mu.Unlock()
+	if img != nil {
+		s.data, w.index = img.data, img.index
+	}
+	s.fenced = fencesOf(w.index)
 	s.crashed = false
-	return repaired
+	return nil
 }
 
 // fencesOf returns the objects the prepared records of index write or
@@ -578,21 +379,12 @@ func (s *Stable) CrashDuringNextForce() {
 	s.wal.crashNextForce.Store(true)
 }
 
-func cloneBatch(b Batch) *Batch {
+func cloneBatch(b Batch) Batch {
 	out := Batch{Writes: make(map[ids.ObjectID]State, len(b.Writes))}
 	for id, st := range b.Writes {
 		out.Writes[id] = cloneState(st)
 	}
 	out.Deletes = append(out.Deletes, b.Deletes...)
-	return &out
-}
-
-func sortedKeys(m map[ids.ObjectID]State) []ids.ObjectID {
-	out := make([]ids.ObjectID, 0, len(m))
-	for id := range m {
-		out = append(out, id)
-	}
-	sort.Slice(out, func(i, j int) bool { return out[i] < out[j] })
 	return out
 }
 

@@ -10,64 +10,28 @@ import (
 	"mca/internal/ids"
 )
 
-func TestVolatileBasics(t *testing.T) {
-	v := NewVolatile()
-	id := ids.NewObjectID()
-
-	if _, err := v.Read(id); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Read empty = %v, want ErrNotFound", err)
-	}
-	if err := v.Write(id, State("hello")); err != nil {
-		t.Fatalf("Write: %v", err)
-	}
-	got, err := v.Read(id)
-	if err != nil {
-		t.Fatalf("Read: %v", err)
-	}
-	if !bytes.Equal(got, []byte("hello")) {
-		t.Fatalf("Read = %q", got)
-	}
-	if err := v.Delete(id); err != nil {
-		t.Fatalf("Delete: %v", err)
-	}
-	if _, err := v.Read(id); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Read after delete = %v, want ErrNotFound", err)
-	}
-	if err := v.Delete(id); err != nil {
-		t.Fatalf("Delete absent: %v", err)
-	}
+// put and del write one object through the store's one write path.
+func put(s *Stable, id ids.ObjectID, st State) error {
+	return s.ApplyBatch(Batch{Writes: map[ids.ObjectID]State{id: st}})
 }
 
-func TestVolatileCrashLosesEverything(t *testing.T) {
-	v := NewVolatile()
-	id := ids.NewObjectID()
-	if err := v.Write(id, State("x")); err != nil {
-		t.Fatal(err)
-	}
-	v.Crash()
-	if _, err := v.Read(id); !errors.Is(err, ErrCrashed) {
-		t.Fatalf("Read while crashed = %v, want ErrCrashed", err)
-	}
-	if err := v.Write(id, State("y")); !errors.Is(err, ErrCrashed) {
-		t.Fatalf("Write while crashed = %v, want ErrCrashed", err)
-	}
-	v.Restart()
-	if _, err := v.Read(id); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("Read after restart = %v, want ErrNotFound (volatile data lost)", err)
-	}
+func del(s *Stable, id ids.ObjectID) error {
+	return s.ApplyBatch(Batch{Deletes: []ids.ObjectID{id}})
 }
 
 func TestStableCrashPreservesData(t *testing.T) {
 	s := NewStable()
 	id := ids.NewObjectID()
-	if err := s.Write(id, State("durable")); err != nil {
+	if err := put(s, id, State("durable")); err != nil {
 		t.Fatal(err)
 	}
 	s.Crash()
 	if _, err := s.Read(id); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("Read while crashed = %v, want ErrCrashed", err)
 	}
-	s.Recover()
+	if err := s.Recover(); err != nil {
+		t.Fatal(err)
+	}
 	got, err := s.Read(id)
 	if err != nil {
 		t.Fatalf("Read after recover: %v", err)
@@ -80,17 +44,12 @@ func TestStableCrashPreservesData(t *testing.T) {
 func TestStatesAreCopiedAtBoundaries(t *testing.T) {
 	s := NewStable()
 	id := ids.NewObjectID()
-	buf := State("aaaa")
-	if err := s.Write(id, buf); err != nil {
+	if err := put(s, id, State("aaaa")); err != nil {
 		t.Fatal(err)
 	}
-	buf[0] = 'z' // caller reuses its buffer
 	got, err := s.Read(id)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if string(got) != "aaaa" {
-		t.Fatalf("store aliased the caller's buffer: %q", got)
 	}
 	got[0] = 'q' // caller mutates the returned state
 	again, err := s.Read(id)
@@ -105,7 +64,7 @@ func TestStatesAreCopiedAtBoundaries(t *testing.T) {
 func TestApplyBatchAtomicHappyPath(t *testing.T) {
 	s := NewStable()
 	a, b, c := ids.NewObjectID(), ids.NewObjectID(), ids.NewObjectID()
-	if err := s.Write(c, State("old")); err != nil {
+	if err := put(s, c, State("old")); err != nil {
 		t.Fatal(err)
 	}
 	err := s.ApplyBatch(Batch{
@@ -133,80 +92,54 @@ func TestApplyBatchEmptyIsNoop(t *testing.T) {
 	}
 }
 
-func TestCrashBeforeJournalLosesBatch(t *testing.T) {
-	s := NewStable()
-	a := ids.NewObjectID()
-	s.CrashDuringNextBatch(CrashBeforeJournal)
-	err := s.ApplyBatch(Batch{Writes: map[ids.ObjectID]State{a: State("x")}})
-	if !errors.Is(err, ErrCrashed) {
-		t.Fatalf("ApplyBatch = %v, want ErrCrashed", err)
-	}
-	if repaired := s.Recover(); repaired {
-		t.Fatal("nothing should be repaired: the journal was never forced")
-	}
-	if _, err := s.Read(a); !errors.Is(err, ErrNotFound) {
-		t.Fatalf("object must not exist after lost batch: %v", err)
-	}
-}
-
-func TestCrashAfterJournalIsRepaired(t *testing.T) {
-	s := NewStable()
-	a, b := ids.NewObjectID(), ids.NewObjectID()
-	s.CrashDuringNextBatch(CrashAfterJournal)
-	err := s.ApplyBatch(Batch{Writes: map[ids.ObjectID]State{a: State("1"), b: State("2")}})
-	if !errors.Is(err, ErrCrashed) {
-		t.Fatalf("ApplyBatch = %v, want ErrCrashed", err)
-	}
-	if repaired := s.Recover(); !repaired {
-		t.Fatal("Recover must repair the journalled batch")
-	}
-	for id, want := range map[ids.ObjectID]string{a: "1", b: "2"} {
-		got, err := s.Read(id)
-		if err != nil || string(got) != want {
-			t.Fatalf("Read(%v) = %q, %v; want %q", id, got, err, want)
-		}
-	}
-}
-
-func TestCrashMidApplyIsRepaired(t *testing.T) {
-	s := NewStable()
-	writes := make(map[ids.ObjectID]State)
-	for i := 0; i < 10; i++ {
-		writes[ids.NewObjectID()] = State{byte(i)}
-	}
-	s.CrashDuringNextBatch(CrashMidApply)
-	if err := s.ApplyBatch(Batch{Writes: writes}); !errors.Is(err, ErrCrashed) {
-		t.Fatalf("ApplyBatch = %v, want ErrCrashed", err)
-	}
-	if !s.Recover() {
-		t.Fatal("Recover must repair the half-applied batch")
-	}
-	for id, want := range writes {
-		got, err := s.Read(id)
-		if err != nil || !bytes.Equal(got, want) {
-			t.Fatalf("Read(%v) = %q, %v; want %q", id, got, err, want)
-		}
-	}
-}
-
-func TestListIsSorted(t *testing.T) {
-	s := NewStable()
-	idA, idB, idC := ids.NewObjectID(), ids.NewObjectID(), ids.NewObjectID()
-	for _, id := range []ids.ObjectID{idC, idA, idB} {
-		if err := s.Write(id, State("x")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	list, err := s.List()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(list) != 3 {
-		t.Fatalf("List len = %d", len(list))
-	}
-	for i := 1; i < len(list); i++ {
-		if list[i-1] >= list[i] {
-			t.Fatalf("List not ascending: %v", list)
+// TestCrashModel pins the one crash model of both backings, through both
+// write calls: a crash before the batch is durable loses all of it, a
+// crash after leaves all of it once Recover returns. Either way the call
+// reports ErrCrashed.
+func TestCrashModel(t *testing.T) {
+	points := map[CrashPoint]string{CrashBeforeForce: "beforeForce", CrashAfterForce: "afterForce"}
+	for _, backing := range []string{"memory", "file"} {
+		for _, lazy := range []bool{false, true} {
+			for _, point := range []CrashPoint{CrashBeforeForce, CrashAfterForce} {
+				call := map[bool]string{false: "ApplyBatch", true: "ApplyBatchLazy"}[lazy]
+				t.Run(backing+"/"+call+"/"+points[point], func(t *testing.T) {
+					s := NewStable()
+					if backing == "file" {
+						var err error
+						if s, err = NewStableAt(t.TempDir()); err != nil {
+							t.Fatal(err)
+						}
+					}
+					keep, drop, add := ids.NewObjectID(), ids.NewObjectID(), ids.NewObjectID()
+					if err := s.ApplyBatch(Batch{Writes: map[ids.ObjectID]State{keep: State("old"), drop: State("old")}}); err != nil {
+						t.Fatal(err)
+					}
+					s.CrashDuringNextBatch(point)
+					apply := s.ApplyBatch
+					if lazy {
+						apply = s.ApplyBatchLazy
+					}
+					next := Batch{Writes: map[ids.ObjectID]State{keep: State("new"), add: State("new")}, Deletes: []ids.ObjectID{drop}}
+					if err := apply(next); !errors.Is(err, ErrCrashed) || !s.Crashed() {
+						t.Fatalf("%s at %s = %v (crashed %v), want ErrCrashed", call, points[point], err, s.Crashed())
+					}
+					if err := s.Recover(); err != nil {
+						t.Fatal(err)
+					}
+					want := map[ids.ObjectID]string{keep: "old", drop: "old"}
+					if point == CrashAfterForce {
+						want = map[ids.ObjectID]string{keep: "new", add: "new"}
+					}
+					for _, id := range []ids.ObjectID{keep, drop, add} {
+						got, err := s.Read(id)
+						if w, ok := want[id]; ok && (err != nil || string(got) != w) {
+							t.Fatalf("Read(%v) = %q, %v; want %q: the batch is not all-or-nothing", id, got, err, w)
+						} else if !ok && !errors.Is(err, ErrNotFound) {
+							t.Fatalf("Read(%v) = %q, %v; want ErrNotFound: the batch is not all-or-nothing", id, got, err)
+						}
+					}
+				})
+			}
 		}
 	}
 }
@@ -268,7 +201,9 @@ func TestIntentionLogSurvivesCrash(t *testing.T) {
 	if _, _, err := log.Lookup(action); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("Lookup while crashed = %v, want ErrCrashed", err)
 	}
-	s.Recover()
+	if err := s.Recover(); err != nil {
+		t.Fatal(err)
+	}
 	pending, err := log.Pending()
 	if err != nil {
 		t.Fatal(err)
@@ -307,13 +242,15 @@ func TestStableReadBackProperty(t *testing.T) {
 		want := make(map[ids.ObjectID][]byte)
 		for i := 0; i < n; i++ {
 			id := ids.ObjectID(uint64(keys[i]) + 1)
-			if err := s.Write(id, vals[i]); err != nil {
+			if err := put(s, id, vals[i]); err != nil {
 				return false
 			}
 			want[id] = vals[i]
 		}
 		s.Crash()
-		s.Recover()
+		if s.Recover() != nil {
+			return false
+		}
 		for id, w := range want {
 			got, err := s.Read(id)
 			if err != nil {
@@ -367,60 +304,41 @@ func TestPendingSortedByAction(t *testing.T) {
 	}
 }
 
-func TestVolatileList(t *testing.T) {
-	v := NewVolatile()
-	idA, idB := ids.NewObjectID(), ids.NewObjectID()
-	for _, id := range []ids.ObjectID{idB, idA} {
-		if err := v.Write(id, State("x")); err != nil {
-			t.Fatal(err)
-		}
-	}
-	list, err := v.List()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(list) != 2 || list[0] >= list[1] {
-		t.Fatalf("List = %v", list)
-	}
-	v.Crash()
-	if _, err := v.List(); !errors.Is(err, ErrCrashed) {
-		t.Fatalf("List while crashed = %v", err)
-	}
-}
-
 func TestStableDelete(t *testing.T) {
 	s := NewStable()
 	id := ids.NewObjectID()
-	if err := s.Write(id, State("x")); err != nil {
+	if err := put(s, id, State("x")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Delete(id); err != nil {
+	if err := del(s, id); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := s.Read(id); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Read after delete = %v", err)
 	}
-	if err := s.Delete(id); err != nil {
+	if err := del(s, id); err != nil {
 		t.Fatalf("double delete = %v", err)
 	}
 	s.Crash()
-	if err := s.Delete(id); !errors.Is(err, ErrCrashed) {
+	if err := del(s, id); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("Delete while crashed = %v", err)
 	}
-	s.Recover()
+	if err := s.Recover(); err != nil {
+		t.Fatal(err)
+	}
 }
 
 func TestApplyBatchWithDeletes(t *testing.T) {
 	s := NewStable()
 	keep, drop := ids.NewObjectID(), ids.NewObjectID()
-	if err := s.Write(keep, State("k")); err != nil {
+	if err := put(s, keep, State("k")); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.Write(drop, State("d")); err != nil {
+	if err := put(s, drop, State("d")); err != nil {
 		t.Fatal(err)
 	}
-	// Journal + crash: the delete must also replay.
-	s.CrashDuringNextBatch(CrashAfterJournal)
+	// An after-force crash: the delete is durable with the writes.
+	s.CrashDuringNextBatch(CrashAfterForce)
 	err := s.ApplyBatch(Batch{
 		Writes:  map[ids.ObjectID]State{keep: State("k2")},
 		Deletes: []ids.ObjectID{drop},
@@ -428,8 +346,8 @@ func TestApplyBatchWithDeletes(t *testing.T) {
 	if !errors.Is(err, ErrCrashed) {
 		t.Fatal(err)
 	}
-	if !s.Recover() {
-		t.Fatal("journal replay expected")
+	if err := s.Recover(); err != nil {
+		t.Fatal(err)
 	}
 	if got, _ := s.Read(keep); string(got) != "k2" {
 		t.Fatalf("keep = %q", got)

@@ -115,7 +115,9 @@ func TestWALFileRecoverReloadsFromDisk(t *testing.T) {
 	if err := s.Intentions().Record(testIntention(ids.NewActionID(), "x")); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("Record while crashed = %v, want ErrCrashed", err)
 	}
-	s.Recover()
+	if err := s.Recover(); err != nil {
+		t.Fatal(err)
+	}
 	in, ok, err := s.Intentions().Lookup(a)
 	if err != nil || !ok {
 		t.Fatalf("Lookup after recover = %v, %v", ok, err)
@@ -146,7 +148,9 @@ func TestWALCrashDuringForceFailsWaiters(t *testing.T) {
 			if !s.Crashed() {
 				t.Fatal("store must be crashed after the injected force crash")
 			}
-			s.Recover()
+			if err := s.Recover(); err != nil {
+				t.Fatal(err)
+			}
 			// The batch never forced: the record must not exist after
 			// recovery (presumed abort counts on exactly this).
 			if _, ok, err := s.Intentions().Lookup(a); err != nil || ok {
@@ -170,7 +174,9 @@ func TestWALStaleBatchFailsAfterCrash(t *testing.T) {
 	if err := <-done; !errors.Is(err, ErrCrashed) {
 		t.Fatalf("Record across crash = %v, want ErrCrashed", err)
 	}
-	s.Recover()
+	if err := s.Recover(); err != nil {
+		t.Fatal(err)
+	}
 	if _, ok, _ := s.Intentions().Lookup(a); ok {
 		t.Fatal("record from invalidated batch must not survive")
 	}
@@ -205,7 +211,7 @@ func TestWALFileCompaction(t *testing.T) {
 		}
 	}
 	// The last forget is still lazy: any forced record carries it.
-	if err := s.Write(ids.NewObjectID(), State("tail")); err != nil {
+	if err := put(s, ids.NewObjectID(), State("tail")); err != nil {
 		t.Fatal(err)
 	}
 	// Without compaction the churn leaves ~17KB of dead entries behind;
@@ -378,7 +384,9 @@ func TestApplyBatchLazyRidesNextForce(t *testing.T) {
 				t.Fatal("an unforced install and forget reported durable")
 			}
 			s.Crash()
-			s.Recover()
+			if err := s.Recover(); err != nil {
+				t.Fatal(err)
+			}
 			if _, err := s.Read(lost); backing == "file" && !errors.Is(err, ErrNotFound) {
 				t.Fatalf("an unforced lazy install survived a crash on the file backing: %v", err)
 			}
@@ -394,7 +402,9 @@ func TestApplyBatchLazyRidesNextForce(t *testing.T) {
 				t.Fatal("an install and forget carried by a later force reported not durable")
 			}
 			s.Crash()
-			s.Recover()
+			if err := s.Recover(); err != nil {
+				t.Fatal(err)
+			}
 			if got, err := s.Read(kept); err != nil || string(got) != "v" {
 				t.Fatalf("install carried by a later force, after a crash: %q, %v", got, err)
 			}
@@ -437,11 +447,11 @@ func TestCloseForcesAndShuts(t *testing.T) {
 	if err := s.Close(); err != nil {
 		t.Fatalf("second Close = %v", err)
 	}
-	if err := s.Write(ids.NewObjectID(), State("x")); !errors.Is(err, ErrCrashed) {
+	if err := put(s, ids.NewObjectID(), State("x")); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("Write after Close = %v, want ErrCrashed", err)
 	}
-	if s.Recover(); !s.Crashed() {
-		t.Fatal("Recover reopened a closed store")
+	if err := s.Recover(); !errors.Is(err, ErrCrashed) || !s.Crashed() {
+		t.Fatalf("Recover of a closed store = %v, want ErrCrashed and the store still down", err)
 	}
 	reopened, err := NewStableAt(dir)
 	if err != nil {
@@ -455,6 +465,11 @@ func TestCloseForcesAndShuts(t *testing.T) {
 	}
 }
 
+// TestFileBackedStableCrashPoints: a file-backed store opened afresh on
+// the directory of one that crashed at an injected point finds what the
+// crashed store's Recover does (TestCrashModel pins that on both
+// backings). The subtests keep the names the points had when the
+// in-memory store journalled its batches.
 func TestFileBackedStableCrashPoints(t *testing.T) {
 	o1, o2 := ids.NewObjectID(), ids.NewObjectID()
 	points := []struct {
@@ -462,9 +477,8 @@ func TestFileBackedStableCrashPoints(t *testing.T) {
 		point     CrashPoint
 		committed bool // batch visible after recovery
 	}{
-		{"beforeJournal", CrashBeforeJournal, false},
-		{"afterJournal", CrashAfterJournal, true},
-		{"midApply", CrashMidApply, true},
+		{"beforeJournal", CrashBeforeForce, false},
+		{"afterJournal", CrashAfterForce, true},
 	}
 	for _, tt := range points {
 		t.Run(tt.name, func(t *testing.T) {
@@ -483,9 +497,11 @@ func TestFileBackedStableCrashPoints(t *testing.T) {
 			if err := s.ApplyBatch(next); !errors.Is(err, ErrCrashed) {
 				t.Fatalf("ApplyBatch at %s = %v, want ErrCrashed", tt.name, err)
 			}
-			s.Recover()
+			if err := s.Recover(); err != nil {
+				t.Fatal(err)
+			}
 
-			check := func(label string, st Store) {
+			check := func(label string, st *Stable) {
 				want := map[ids.ObjectID]string{o1: "old1", o2: "old2"}
 				if tt.committed {
 					want = map[ids.ObjectID]string{o1: "new1", o2: "new2"}
@@ -519,20 +535,24 @@ func TestFileBackedStableWritesThrough(t *testing.T) {
 		t.Fatal(err)
 	}
 	id := ids.NewObjectID()
-	if err := s.Write(id, State("v1")); err != nil {
+	if err := put(s, id, State("v1")); err != nil {
 		t.Fatal(err)
 	}
 	s.Crash()
-	s.Recover()
+	if err := s.Recover(); err != nil {
+		t.Fatal(err)
+	}
 	got, err := s.Read(id)
 	if err != nil || string(got) != "v1" {
 		t.Fatalf("Read after crash = %q, %v", got, err)
 	}
-	if err := s.Delete(id); err != nil {
+	if err := del(s, id); err != nil {
 		t.Fatal(err)
 	}
 	s.Crash()
-	s.Recover()
+	if err := s.Recover(); err != nil {
+		t.Fatal(err)
+	}
 	if _, err := s.Read(id); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Read after delete+crash = %v, want ErrNotFound", err)
 	}
@@ -590,7 +610,7 @@ func TestWALForgetIsLazy(t *testing.T) {
 	if now, _ := s.WAL().Stats(); now != flushes {
 		t.Fatalf("Forget forced the log (%d -> %d flushes)", flushes, now)
 	}
-	if err := s.Write(ids.NewObjectID(), State("later")); err != nil { // carries the forget
+	if err := put(s, ids.NewObjectID(), State("later")); err != nil { // carries the forget
 		t.Fatal(err)
 	}
 	if err := log.Forget(lost); err != nil {
@@ -602,7 +622,9 @@ func TestWALForgetIsLazy(t *testing.T) {
 	}
 
 	s.Crash()
-	s.Recover()
+	if err := s.Recover(); err != nil {
+		t.Fatal(err)
+	}
 	if _, ok, _ := log.Lookup(carried); ok {
 		t.Fatal("forget followed by a forced record was not durable")
 	}
