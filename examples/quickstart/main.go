@@ -86,10 +86,11 @@ func run() error {
 	}
 	fmt.Printf("after nested bonus: checking=%d\n", checking.Peek())
 
-	// 4. Permanence: crash the store and reactivate the objects.
+	// 4. Permanence: crash the store and reactivate the objects through
+	// the next incarnation's handle.
 	st.Crash()
-	if err := st.Recover(); err != nil {
-		return fmt.Errorf("recover: %w", err)
+	if st, err = st.Restart(); err != nil {
+		return fmt.Errorf("restart: %w", err)
 	}
 	recovered, err := core.LoadObject[int](checking.ObjectID(), st)
 	if err != nil {

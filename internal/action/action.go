@@ -26,6 +26,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mca/internal/clock"
@@ -166,6 +167,7 @@ type Runtime struct {
 	locks    *lock.Manager
 	observer Observer
 	clk      clock.Clock
+	closed   atomic.Bool
 
 	// registry holds every active action, striped by identifier: the
 	// begins, finishes and lock-ancestry queries of different actions
@@ -278,6 +280,9 @@ func (ra runtimeAncestry) TopLevelOf(id ids.ActionID) ids.ActionID {
 	}
 	return cur.id
 }
+
+// Close ends the runtime with its node's incarnation: its actions lock nothing more.
+func (r *Runtime) Close() { r.closed.Store(true) }
 
 // Locks exposes the lock manager for introspection by tests and the
 // experiment harness.
@@ -726,6 +731,9 @@ func (a *Action) completeLocked(st Status) {
 }
 
 func (a *Action) acquire(obj ids.ObjectID, mode lock.Mode, c colour.Colour) error {
+	if a.rt.closed.Load() {
+		return fmt.Errorf("action %v: runtime closed: %w", a.id, ErrNotActive)
+	}
 	err := a.rt.locks.Acquire(waitContext{a}, lock.Request{
 		Object: obj,
 		Owner:  a.id,

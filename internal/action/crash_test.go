@@ -55,7 +55,8 @@ func crashCommitFixture(t *testing.T, point store.CrashPoint) (st *store.Stable,
 
 func TestCrashBeforeJournalLosesWholeWriteSet(t *testing.T) {
 	st, regs := crashCommitFixture(t, store.CrashBeforeForce)
-	if err := st.Recover(); err != nil {
+	st, err := st.Restart()
+	if err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range regs {
@@ -71,7 +72,8 @@ func TestCrashBeforeJournalLosesWholeWriteSet(t *testing.T) {
 
 func TestCrashAfterJournalYieldsWholeWriteSetOnRecovery(t *testing.T) {
 	st, regs := crashCommitFixture(t, store.CrashAfterForce)
-	if err := st.Recover(); err != nil {
+	st, err := st.Restart()
+	if err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range regs {
@@ -111,7 +113,8 @@ func TestColouredFlushAtomicPerColour(t *testing.T) {
 	}
 	_ = a.Abort()
 
-	if err := st.Recover(); err != nil {
+	st, err = st.Restart()
+	if err != nil {
 		t.Fatal(err)
 	}
 	for _, r := range []*reg{r1, r2} {

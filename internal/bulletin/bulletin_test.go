@@ -250,7 +250,8 @@ func TestBoardReloadsFromStableStore(t *testing.T) {
 	_ = invoker.Commit()
 
 	st.Crash()
-	if err := st.Recover(); err != nil {
+	st, err = st.Restart()
+	if err != nil {
 		t.Fatal(err)
 	}
 

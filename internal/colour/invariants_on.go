@@ -2,7 +2,10 @@
 
 package colour
 
-import "fmt"
+import (
+	"fmt"
+	"slices"
+)
 
 // InvariantsEnabled reports whether the build carries the invariants tag.
 const InvariantsEnabled = true
@@ -12,12 +15,13 @@ const InvariantsEnabled = true
 // padding of the inline form, and a spill only for a set the inline form
 // cannot hold. Sets are immutable and built only by the constructors in
 // this package, so a violation means a constructor regressed. It panics
-// on violation.
+// on violation, formatting a copy of the members so that s stays off the
+// heap.
 func assertWellFormed(s Set, op string) Set {
 	v := s.view()
 	for i, c := range v {
 		if !c.Valid() || (i > 0 && v[i-1] >= c) {
-			panic(fmt.Sprintf("colour invariant: %s produced members %v, want valid colours strictly ascending", op, v))
+			panic(fmt.Sprintf("colour invariant: %s produced members %v, want valid colours strictly ascending", op, slices.Clone(v)))
 		}
 	}
 	if s.spill != nil && len(s.spill) <= inlineCap {
@@ -26,7 +30,7 @@ func assertWellFormed(s Set, op string) Set {
 	if s.spill == nil {
 		for _, c := range s.inline[len(v):] {
 			if c.Valid() {
-				panic(fmt.Sprintf("colour invariant: %s left colour %v behind the inline padding of %v", op, c, v))
+				panic(fmt.Sprintf("colour invariant: %s left colour %v behind the inline padding of %v", op, c, slices.Clone(v)))
 			}
 		}
 	}

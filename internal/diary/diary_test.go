@@ -339,7 +339,8 @@ func TestDiaryPersistenceAcrossCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.Crash()
-	if err := st.Recover(); err != nil {
+	st, err = st.Restart()
+	if err != nil {
 		t.Fatal(err)
 	}
 	loaded, err := object.Load[diary.Slot](d.SlotObject(chosen).ObjectID(), st)

@@ -161,14 +161,14 @@ func TestTxnAllocBudget(t *testing.T) {
 	// owed at Commit, taken by the next invoke at that node, and the
 	// commit's ack counted when it comes back.
 	owedAndTaken := func() error {
-		f.coord.owe(target, invoke.Txn)
-		f.coord.owed.await(invoke.Txn+1, []ids.NodeID{target}, f.coord.clk.Now())
+		f.coord.cur.Load().owed.owe(target, invoke.Txn)
+		f.coord.cur.Load().owed.await(invoke.Txn+1, []ids.NodeID{target}, f.coord.clk.Now())
 		var owed, committed [owedScratch]byte
-		l := f.coord.owed.take(owedList{node: target, rel: txnList{ids: owed[:0]}, com: txnList{ids: committed[:0]}})
+		l := f.coord.cur.Load().owed.take(owedList{node: target, rel: txnList{ids: owed[:0]}, com: txnList{ids: committed[:0]}})
 		if l.rel.n != 1 || l.com.n != 1 {
 			return fmt.Errorf("took %d releases and %d commits, want 1 and 1", l.rel.n, l.com.n)
 		}
-		if !f.coord.owed.acked(target, invoke.Txn+1) {
+		if !f.coord.cur.Load().owed.acked(target, invoke.Txn+1) {
 			return errors.New("the one writer's ack did not complete the decision")
 		}
 		return nil

@@ -20,13 +20,13 @@
 //     transaction that touched exactly one remote node commits in one
 //     step instead (onephase.go).
 //
-// A participant keeps one table entry per transaction it serves; a
-// restart loads its logged prepared and one-phase records, and an entry no
-// message touched for a termination interval asks its coordinator what was
-// decided (presumed abort). A restarted coordinator owes the commit of
-// every decided-but-unacknowledged action again. A restarted node serves
-// at once: its store refuses to activate an object a prepared record
-// still in doubt writes (store.ErrUnresolved).
+// Each incarnation of the node has its own participant table, queues and
+// loops, on its own store handle and peer: what a crash leaves running of
+// it changes nothing. A restart loads the logged prepared and one-phase
+// records; an entry untouched for a termination interval asks its
+// coordinator what was decided (presumed abort); a restarted coordinator
+// owes every unacknowledged commit again. A restarted node serves at once:
+// its store refuses objects a record in doubt writes (store.ErrUnresolved).
 package dist
 
 import (
@@ -36,6 +36,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mca/internal/action"
@@ -110,7 +111,8 @@ type Hooks struct {
 	AfterDecision func()
 }
 
-// Manager is the per-node engine for distributed actions.
+// Manager is the per-node engine for distributed actions: configuration
+// that holds across crashes, and the node's current incarnation.
 type Manager struct {
 	// TestHooks injects faults between commit phases; nil fields are
 	// ignored. Set it only from tests, before driving transactions.
@@ -122,8 +124,22 @@ type Manager struct {
 	node      *node.Node
 	clk       clock.Clock
 	tracer    *trace.Recorder
-	mu        sync.Mutex
-	resources map[string]Resource
+	resources sync.Map // name → Resource
+	cur       atomic.Pointer[incarnation]
+}
+
+// incarnation is a Manager's state for one incarnation of its node, built
+// by Register on that incarnation's store handle, peer and runtime: its
+// handlers, goroutines and transactions reach only these, which a crash
+// closes.
+type incarnation struct {
+	*Manager
+	self ids.NodeID
+	st   *store.Stable
+	peer *rpc.Peer
+	rt   *action.Runtime
+
+	mu sync.Mutex
 	// txns is the participant table, from a transaction's first invoke
 	// (or log record) until maxBuried burials after its own; burials lists
 	// the buried ones oldest first.
@@ -141,7 +157,7 @@ type Manager struct {
 	// owed is what this node, as coordinator, owes its participants and
 	// the acks it awaits from them; acks are what it owes, as
 	// participant, its coordinators (release.go).
-	owed owedQueue
+	owed *owedQueue
 	acks ackQueue
 }
 
@@ -154,14 +170,7 @@ var _ node.Service = (*Manager)(nil)
 // NewManager builds a manager and installs it on the node; after a crash,
 // node.Restart runs the recovery hook.
 func NewManager(n *node.Node) *Manager {
-	m := &Manager{
-		node:      n,
-		clk:       n.Clock(),
-		tracer:    n.Tracer(),
-		resources: make(map[string]Resource),
-	}
-	m.installed.L = &m.mu
-	m.owed.wake = make(chan struct{}, 1)
+	m := &Manager{node: n, clk: n.Clock(), tracer: n.Tracer()}
 	n.Host(m)
 	return m
 }
@@ -170,60 +179,62 @@ func NewManager(n *node.Node) *Manager {
 func (m *Manager) Node() *node.Node { return m.node }
 
 // RegisterResource installs a named resource at this node.
-func (m *Manager) RegisterResource(name string, r Resource) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	m.resources[name] = r
-}
+func (m *Manager) RegisterResource(name string, r Resource) { m.resources.Store(name, r) }
 
-// Register implements node.Service.
+// Register implements node.Service: it builds the node's new incarnation.
+// What the last one held died with it; recovery loads what the log kept.
 func (m *Manager) Register(n *node.Node, p *rpc.Peer) {
-	m.mu.Lock()
-	// Participant actions and structure containers died with the
-	// volatile memory; recovery loads what the log kept of the table.
-	m.txns, m.burials = make(map[ids.ActionID]*entry), nil
-	m.containers = make(map[StructureID]*action.Action)
-	m.passColours = make(map[ids.ActionID]colour.Colour)
-	m.mu.Unlock()
-	// So did what this node still owed its participants — their locks
-	// are this node's word, and the word was volatile; the commits it
-	// owed, recovery owes again from the decision records — and the acks
-	// it owed its coordinators, for installs that were not forced.
-	m.owed.reset(n.Clock())
-	m.acks.reset(n.Stable().WAL())
+	st := n.Stable()
+	inc := &incarnation{
+		Manager:     m,
+		self:        n.ID(),
+		st:          st,
+		peer:        p,
+		rt:          n.Runtime(),
+		txns:        make(map[ids.ActionID]*entry),
+		containers:  make(map[StructureID]*action.Action),
+		passColours: make(map[ids.ActionID]colour.Colour),
+		owed:        &owedQueue{clk: m.clk, owed: make(map[ids.NodeID]*owedTo), awaiting: make(map[ids.ActionID]int), wake: make(chan struct{}, 1)},
+		acks:        ackQueue{st: st},
+	}
+	inc.installed.L = &inc.mu
+	m.cur.Store(inc)
+	life := n.Context()
 	//mcalint:ignore goleak the flusher ends with the node's lifetime context, which Crash and Stop cancel
-	go m.flushOwed(n.Context(), n.Clock(), n.ID())
+	go inc.flushOwed(life)
 	//mcalint:ignore goleak the termination loop ends with the node's lifetime context, which Crash and Stop cancel
-	go m.terminate(n.Context(), n.Clock().NewTicker(terminateAfter), n.ID())
+	go inc.terminate(life, m.clk.NewTicker(terminateAfter))
 
-	p.Handle(methodInvoke, m.handleInvoke)
-	p.Handle(methodPrepare, m.handlePrepare)
-	p.Handle(methodDecision, m.handleDecision)
-	p.Handle(methodCommit1, m.handleCommit1)
-	p.Handle(methodEnd, m.handleEnd)
+	p.Handle(methodInvoke, inc.handleInvoke)
+	p.Handle(methodPrepare, inc.handlePrepare)
+	p.Handle(methodDecision, inc.handleDecision)
+	p.Handle(methodCommit1, inc.handleCommit1)
+	p.Handle(methodEnd, inc.handleEnd)
 }
 
 // Recover implements node.Service: it asks the coordinator of every
 // prepared record the log kept what was decided, and owes its
 // participants the commit of every decision record it kept. Nothing waits
 // for it: the store refuses only the objects records in doubt write. While
-// records stay in doubt, a background loop asks again until none is left
-// or ctx, the node's lifetime, ends; a failed pass does not end it.
+// records stay in doubt, a background loop asks again until none is left,
+// or ctx, the incarnation's lifetime, ends, or a pass fails: its store
+// handle has closed.
 func (m *Manager) Recover(ctx context.Context, _ *node.Node) {
-	inDoubt, _, err := m.recoverPass(ctx)
-	if err == nil && inDoubt == 0 {
+	inc := m.cur.Load()
+	inDoubt, _, err := inc.recoverPass(ctx)
+	if err != nil || inDoubt == 0 {
 		return
 	}
 	go func() {
 		ticker := m.clk.NewTicker(25 * time.Millisecond)
 		defer ticker.Stop()
-		for err != nil || inDoubt > 0 {
+		for err == nil && inDoubt > 0 {
 			select {
 			case <-ctx.Done():
 				return // crashed again or stopped: the next Restart recovers afresh
 			case <-ticker.C():
 			}
-			inDoubt, _, err = m.recoverPass(ctx)
+			inDoubt, _, err = inc.recoverPass(ctx)
 		}
 	}()
 }
@@ -232,7 +243,7 @@ func (m *Manager) Recover(ctx context.Context, _ *node.Node) {
 //
 // Every transaction this node serves is one entry of the participant
 // table, and every message about it one guarded transition of the entry,
-// taken under m.mu; what it does to the action and the log follows
+// taken under inc.mu; what it does to the action and the log follows
 // outside. DESIGN.md §7 has the table.
 
 // state is where a transaction stands here: live (invoked; clean or wrote,
@@ -254,11 +265,10 @@ const (
 // every message about it and cleared by the termination tick: an entry
 // left untouched for a whole tick asks its coordinator (terminate).
 // installing is set while a commit installs the prepared write set, until
-// the install and the forget are in the log (Manager.installed).
+// the install and the forget are in the log (incarnation.installed).
 // reopenable marks a prepared entry that voted in its invoke reply, until
 // the coordinator's next invoke here reopens it or a commit-time prepare
-// makes the vote final. installed is the log mark from before a commit's
-// install here (never 0: the prepared record came first).
+// makes the vote final.
 type entry struct {
 	a          *action.Action // nil when loaded from the log, and once finished
 	coord      ids.NodeID
@@ -266,47 +276,46 @@ type entry struct {
 	touched    bool
 	installing bool
 	reopenable bool
-	installed  uint64
 }
 
 // entryLocked returns txn's entry. When only the log knows txn — a restart
 // left its prepared record or one-phase decision — it loads the entry from
-// that record. Caller holds m.mu.
-func (m *Manager) entryLocked(txn ids.ActionID) (*entry, error) {
-	if e, ok := m.txns[txn]; ok {
+// that record. Caller holds inc.mu.
+func (inc *incarnation) entryLocked(txn ids.ActionID) (*entry, error) {
+	if e, ok := inc.txns[txn]; ok {
 		return e, nil
 	}
-	in, found, err := m.node.Stable().Intentions().Lookup(txn)
-	if err != nil || !found || in.Coordinator == m.node.ID() {
+	in, found, err := inc.st.Intentions().Lookup(txn)
+	if err != nil || !found || in.Coordinator == inc.self {
 		return nil, err
 	}
 	e := &entry{coord: in.Coordinator, state: prepared, touched: true}
 	if in.Status == store.IntentionCommitted {
 		e.state = decided
 	}
-	m.txns[txn] = e
+	inc.txns[txn] = e
 	return e, nil
 }
 
 // buryLocked buries txn's entry — e, or a new one when nil — and returns
 // the action it held; past maxBuried burials the oldest buried entry is
-// evicted. Caller holds m.mu.
-func (m *Manager) buryLocked(txn ids.ActionID, e *entry) *action.Action {
+// evicted. Caller holds inc.mu.
+func (inc *incarnation) buryLocked(txn ids.ActionID, e *entry) *action.Action {
 	if e == nil {
 		e = &entry{}
-		m.txns[txn] = e
+		inc.txns[txn] = e
 	}
 	a := e.a
 	if a != nil {
-		delete(m.passColours, a.ID())
+		delete(inc.passColours, a.ID())
 	}
 	e.a, e.state = nil, buried
-	m.burials = append(m.burials, txn)
-	for len(m.burials) > maxBuried {
-		if old := m.txns[m.burials[0]]; old != nil && old.state == buried {
-			delete(m.txns, m.burials[0])
+	inc.burials = append(inc.burials, txn)
+	for len(inc.burials) > maxBuried {
+		if old := inc.txns[inc.burials[0]]; old != nil && old.state == buried {
+			delete(inc.txns, inc.burials[0])
 		}
-		m.burials = m.burials[1:]
+		inc.burials = inc.burials[1:]
 	}
 	return a
 }
@@ -318,18 +327,18 @@ func (m *Manager) buryLocked(txn ids.ActionID, e *entry) *action.Action {
 // buried: the action it continues died in a crash with the earlier
 // invocations' effects. A new action joins the trace of caller, the RPC
 // server span, when valid.
-func (m *Manager) participantAction(txn ids.ActionID, coord ids.NodeID, continuation bool, caller trace.Context, info *structureInfo) (*action.Action, error) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	e, err := m.txns[txn], error(nil)
+func (inc *incarnation) participantAction(txn ids.ActionID, coord ids.NodeID, continuation bool, caller trace.Context, info *structureInfo) (*action.Action, error) {
+	inc.mu.Lock()
+	defer inc.mu.Unlock()
+	e, err := inc.txns[txn], error(nil)
 	if e == nil && continuation {
-		e, err = m.entryLocked(txn) // a restart's record recovery has not loaded yet
+		e, err = inc.entryLocked(txn) // a restart's record recovery has not loaded yet
 	}
 	switch {
 	case err != nil:
 		return nil, err
 	case e == nil && continuation:
-		m.buryLocked(txn, nil)
+		inc.buryLocked(txn, nil)
 		return nil, fmt.Errorf("%w (txn %v: participant restarted since its earlier invocations)", ErrAborted, txn)
 	case e == nil:
 	case e.state == live:
@@ -341,7 +350,7 @@ func (m *Manager) participantAction(txn ids.ActionID, coord ids.NodeID, continua
 		// The coordinator goes on with a transaction that voted in its
 		// invoke reply: the vote and its record go, unforced, and the
 		// commit-time prepare votes on the whole write set.
-		if err := m.node.Stable().Intentions().Forget(txn); err != nil {
+		if err := inc.st.Intentions().Forget(txn); err != nil {
 			return nil, err
 		}
 		e.state, e.reopenable, e.touched = live, false, true
@@ -352,7 +361,7 @@ func (m *Manager) participantAction(txn ids.ActionID, coord ids.NodeID, continua
 		// write set; a late invoke may not mutate beyond it.
 		return nil, fmt.Errorf("%w (txn %v)", ErrPrepared, txn)
 	}
-	container, err := m.structureContainerLocked(info)
+	container, err := inc.structureContainerLocked(info)
 	if err != nil {
 		return nil, err
 	}
@@ -374,17 +383,17 @@ func (m *Manager) participantAction(txn ids.ActionID, coord ids.NodeID, continua
 		}
 		a, err = container.Begin(opts...)
 	} else {
-		a, err = m.node.Runtime().Begin()
+		a, err = inc.rt.Begin()
 	}
 	if err != nil {
 		return nil, err
 	}
-	m.txns[txn] = &entry{a: a, coord: coord, touched: true}
+	inc.txns[txn] = &entry{a: a, coord: coord, touched: true}
 	if info != nil {
-		m.passColours[a.ID()] = info.Container
+		inc.passColours[a.ID()] = info.Container
 	}
-	if m.tracer != nil && caller.Valid() {
-		m.tracer.JoinTrace(a.ID(), caller)
+	if inc.tracer != nil && caller.Valid() {
+		inc.tracer.JoinTrace(a.ID(), caller)
 	}
 	return a, nil
 }
@@ -411,26 +420,26 @@ const (
 // finds an install under way waits until it is in the log: whatever the
 // event's caller then reports as done — an ack, a recovery pass — was
 // appended before the caller's next force.
-func (m *Manager) end(txn ids.ActionID, ev event) (state, error) {
-	m.mu.Lock()
-	e, err := m.entryLocked(txn)
+func (inc *incarnation) end(txn ids.ActionID, ev event) (state, error) {
+	inc.mu.Lock()
+	e, err := inc.entryLocked(txn)
 	for err == nil && e != nil && e.installing {
-		m.installed.Wait()
-		e, err = m.entryLocked(txn)
+		inc.installed.Wait()
+		e, err = inc.entryLocked(txn)
 	}
 	was := buried
 	switch {
 	case err != nil:
-		m.mu.Unlock()
+		inc.mu.Unlock()
 		return buried, err
 	case e == nil:
 		// Known nowhere: nothing to end, but no late invoke may begin it.
-		m.buryLocked(txn, nil)
+		inc.buryLocked(txn, nil)
 	default:
 		was = e.state
 	}
 	if was == buried || was == prepared && ev == evRelease || was == decided && ev == evCommit {
-		m.mu.Unlock()
+		inc.mu.Unlock()
 		return buried, nil
 	}
 	if was == prepared && ev == evCommit {
@@ -439,39 +448,35 @@ func (m *Manager) end(txn ids.ActionID, ev event) (state, error) {
 		// it went in before a restart. The entry stays prepared meanwhile.
 		a := e.a
 		e.installing = true
-		m.mu.Unlock()
-		st := m.node.Stable()
-		mark := st.WAL().Mark()
-		in, found, err := st.Intentions().Lookup(txn)
+		inc.mu.Unlock()
+		in, found, err := inc.st.Intentions().Lookup(txn)
 		if err == nil && found && in.Status == store.IntentionPrepared {
-			sink := &phase2Sink{st: st, txn: txn}
+			sink := &phase2Sink{st: inc.st, txn: txn}
 			if a != nil {
 				err = a.CommitPrepared(sink, in.Writes)
 			} else {
 				err = sink.ApplyBatch(in.Writes)
 			}
 		}
-		m.mu.Lock()
+		inc.mu.Lock()
 		switch {
 		case err == nil:
-			m.buryLocked(txn, e)
-			e.installed = mark
+			inc.buryLocked(txn, e)
 		case a != nil && a.Status() != action.Active:
 			e.a = nil // the commit sent again installs the record's write set
 		}
 		e.installing = false
-		m.installed.Broadcast()
-		m.mu.Unlock()
+		inc.installed.Broadcast()
+		inc.mu.Unlock()
 		return was, err
 	}
-	a := m.buryLocked(txn, e)
-	m.mu.Unlock()
-	st := m.node.Stable()
+	a := inc.buryLocked(txn, e)
+	inc.mu.Unlock()
 	switch {
 	case was == decided && a != nil:
 		return was, nil // still being forced: handleCommit1 forgets it
 	case was == decided:
-		return was, st.Intentions().Forget(txn)
+		return was, inc.st.Intentions().Forget(txn)
 	case ev == evRelease && !a.HasWrites():
 		// A committed reader: its read locks go.
 		_ = a.Commit()
@@ -481,33 +486,31 @@ func (m *Manager) end(txn ids.ActionID, ev event) (state, error) {
 		_ = a.Abort()
 	}
 	if was == prepared {
-		return was, st.Intentions().Forget(txn)
+		return was, inc.st.Intentions().Forget(txn)
 	}
 	return was, nil
 }
 
-func (m *Manager) handleInvoke(ctx context.Context, from ids.NodeID, body []byte) ([]byte, error) {
+func (inc *incarnation) handleInvoke(ctx context.Context, from ids.NodeID, body []byte) ([]byte, error) {
 	req, err := decodeInvokeReq(body)
 	if err != nil {
 		return nil, fmt.Errorf("decode invoke: %w", err)
 	}
 	// What the coordinator has finished with goes first: the operation
 	// below may want the very locks those transactions still hold.
-	m.workOff(ctx, from, req.Release, req.Commit, txnList{})
-	m.mu.Lock()
-	res, ok := m.resources[req.Resource]
-	m.mu.Unlock()
+	inc.workOff(ctx, from, req.Release, req.Commit, txnList{})
+	res, ok := inc.resources.Load(req.Resource)
 	if !ok {
 		return nil, fmt.Errorf("%w: %s", ErrNoResource, req.Resource)
 	}
 	// The RPC layer injected the server span's context into ctx; the
 	// participant action joins the caller's trace under it.
-	caller := m.callerSpan(ctx)
-	a, err := m.participantAction(req.Txn, from, req.Continuation, caller, req.Structure)
+	caller := inc.callerSpan(ctx)
+	a, err := inc.participantAction(req.Txn, from, req.Continuation, caller, req.Structure)
 	if err != nil {
 		return nil, err
 	}
-	out, err := res.Invoke(a, req.Op, req.Arg)
+	out, err := res.(Resource).Invoke(a, req.Op, req.Arg)
 	if err != nil {
 		return nil, err
 	}
@@ -515,7 +518,7 @@ func (m *Manager) handleInvoke(ctx context.Context, from ids.NodeID, body []byte
 	if a.HasWrites() {
 		flags = 0
 		if req.Vote {
-			if err := m.voteAtInvoke(req.Txn, a, from, caller); err != nil {
+			if err := inc.voteAtInvoke(req.Txn, a, from, caller); err != nil {
 				return nil, err
 			}
 			flags = replyVoted
@@ -524,25 +527,25 @@ func (m *Manager) handleInvoke(ctx context.Context, from ids.NodeID, body []byte
 	// A vote's force carried whatever earlier commits here were waiting for
 	// one: their acks ride the reply.
 	var scratch [owedScratch]byte
-	acks := m.acks.take(from, txnList{ids: scratch[:0]})
+	acks := inc.acks.take(from, txnList{ids: scratch[:0]})
 	return appendInvokeReply(make([]byte, 0, len(out)+8+len(acks.ids)+min(acks.n, 1)), flags, out, acks), nil
 }
 
 // voteAtInvoke prepares txn's writer a once its invoke has run, for an
 // invoke that asked for the vote: the entry freezes, as at a prepare, and
 // stays reopenable by coord's next invoke here. tc is the invoke's span.
-func (m *Manager) voteAtInvoke(txn ids.ActionID, a *action.Action, coord ids.NodeID, tc trace.Context) error {
-	m.mu.Lock()
-	e := m.txns[txn]
+func (inc *incarnation) voteAtInvoke(txn ids.ActionID, a *action.Action, coord ids.NodeID, tc trace.Context) error {
+	inc.mu.Lock()
+	e := inc.txns[txn]
 	ok := e != nil && e.state == live && e.a == a
 	if ok {
 		e.state = prepared
 	}
-	m.mu.Unlock()
+	inc.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("%w (txn %v)", ErrAborted, txn) // ended while the operation ran
 	}
-	yes, err := m.vote(txn, e, a, coord, tc, true)
+	yes, err := inc.vote(txn, e, a, coord, tc, true)
 	if err == nil && !yes {
 		err = fmt.Errorf("%w (txn %v: voted no)", ErrAborted, txn)
 	}
@@ -555,10 +558,10 @@ func (m *Manager) voteAtInvoke(txn ids.ActionID, a *action.Action, coord ids.Nod
 // after the force. An abort that overtook the force (terminate) buried the
 // entry: the record goes too, and the vote is no. atInvoke leaves a yes
 // reopenable. tc is the span of the request that asked for the vote.
-func (m *Manager) vote(txn ids.ActionID, e *entry, a *action.Action, coord ids.NodeID, tc trace.Context, atInvoke bool) (yes bool, err error) {
+func (inc *incarnation) vote(txn ids.ActionID, e *entry, a *action.Action, coord ids.NodeID, tc trace.Context, atInvoke bool) (yes bool, err error) {
 	writes, err := a.PendingWrites()
 	if err == nil {
-		err = m.force(tc, store.Intention{
+		err = inc.force(tc, store.Intention{
 			Action:      txn,
 			Status:      store.IntentionPrepared,
 			Writes:      writes,
@@ -568,12 +571,12 @@ func (m *Manager) vote(txn ids.ActionID, e *entry, a *action.Action, coord ids.N
 		// forceorder rule); on an error path the vote is no.
 		yes = err == nil
 	}
-	m.mu.Lock()
+	inc.mu.Lock()
 	overtaken := e.state == buried
 	e.reopenable = yes && !overtaken && atInvoke
-	m.mu.Unlock()
+	inc.mu.Unlock()
 	if overtaken {
-		return false, m.node.Stable().Intentions().Forget(txn)
+		return false, inc.st.Intentions().Forget(txn)
 	}
 	if yes {
 		votesYes[atInvoke].Inc()
@@ -583,19 +586,19 @@ func (m *Manager) vote(txn ids.ActionID, e *entry, a *action.Action, coord ids.N
 
 // force records in, forced, in the node's intention log. On a traced
 // node a force under a trace is a wal.force span, a child of tc.
-func (m *Manager) force(tc trace.Context, in store.Intention) error {
-	log := m.node.Stable().Intentions()
-	if m.tracer == nil || !tc.Valid() {
+func (inc *incarnation) force(tc trace.Context, in store.Intention) error {
+	log := inc.st.Intentions()
+	if inc.tracer == nil || !tc.Valid() {
 		return log.Record(in)
 	}
-	start := m.clk.Now()
+	start := inc.clk.Now()
 	err := log.Record(in)
 	s := trace.Span{Kind: trace.KindForce, TraceID: tc.TraceID, SpanID: trace.NewSpanID(), ParentSpanID: tc.SpanID,
-		Outcome: trace.OutcomeOK, Begin: start, End: m.clk.Now()}
+		Outcome: trace.OutcomeOK, Begin: start, End: inc.clk.Now()}
 	if err != nil {
 		s.Outcome = trace.OutcomeError
 	}
-	m.tracer.AddSpan(s)
+	inc.tracer.AddSpan(s)
 	return err
 }
 
@@ -609,15 +612,15 @@ func (m *Manager) callerSpan(ctx context.Context) trace.Context {
 	return tc
 }
 
-func (m *Manager) handlePrepare(ctx context.Context, from ids.NodeID, body []byte) ([]byte, error) {
+func (inc *incarnation) handlePrepare(ctx context.Context, from ids.NodeID, body []byte) ([]byte, error) {
 	req, err := decodePrepareReq(body)
 	if err != nil {
 		return nil, fmt.Errorf("decode prepare: %w", err)
 	}
 	vote := voteNoBody
-	m.mu.Lock()
+	inc.mu.Lock()
 	was, a := buried, (*action.Action)(nil)
-	e := m.txns[req.Txn]
+	e := inc.txns[req.Txn]
 	if e != nil {
 		// A prepare makes a vote an invoke reply carried final.
 		was, a, e.touched, e.reopenable = e.state, e.a, true, false
@@ -626,7 +629,7 @@ func (m *Manager) handlePrepare(ctx context.Context, from ids.NodeID, body []byt
 	if was == live && !reader {
 		e.state = prepared // frozen: no late invoke joins what is logged
 	}
-	m.mu.Unlock()
+	inc.mu.Unlock()
 	switch {
 	case was == buried:
 		// Unknown (lost to a crash) or finished: vote no — presumed abort.
@@ -636,7 +639,7 @@ func (m *Manager) handlePrepare(ctx context.Context, from ids.NodeID, body []byt
 		// the entry, so it cannot reach here). An entry a restart loaded
 		// has no action: its objects came back without the write set, and
 		// the vote is no — presumed abort, not an install behind their back.
-		in, found, err := m.node.Stable().Intentions().Lookup(req.Txn)
+		in, found, err := inc.st.Intentions().Lookup(req.Txn)
 		if err == nil && found && in.Status == store.IntentionPrepared && a != nil {
 			vote = voteYesBody
 		}
@@ -647,12 +650,12 @@ func (m *Manager) handlePrepare(ctx context.Context, from ids.NodeID, body []byt
 		// record and phase 2 (presumed-abort read-only optimisation). An
 		// action that died here (deadlock victim) fails to commit and
 		// votes no.
-		if _, err := m.end(req.Txn, evRelease); err == nil && a.Status() == action.Committed {
+		if _, err := inc.end(req.Txn, evRelease); err == nil && a.Status() == action.Committed {
 			vote = voteYesReadBody
 			readonlyVotes.Inc()
 		}
 	default:
-		yes, err := m.vote(req.Txn, e, a, req.Coordinator, m.callerSpan(ctx), false)
+		yes, err := inc.vote(req.Txn, e, a, req.Coordinator, inc.callerSpan(ctx), false)
 		if err != nil {
 			return nil, err
 		}
@@ -662,16 +665,15 @@ func (m *Manager) handlePrepare(ctx context.Context, from ids.NodeID, body []byt
 	}
 	// The prepare's force, when there was one, carried whatever earlier
 	// commits here were waiting for it: their acks can ride the vote.
-	return m.withAcks(vote, from), nil
+	return inc.withAcks(vote, from), nil
 }
 
-func (m *Manager) handleDecision(_ context.Context, from ids.NodeID, body []byte) ([]byte, error) {
+func (inc *incarnation) handleDecision(_ context.Context, from ids.NodeID, body []byte) ([]byte, error) {
 	txn, err := decodeTxnReq(body)
 	if err != nil {
 		return nil, fmt.Errorf("decode decision: %w", err)
 	}
-	nd := m.node
-	in, ok, err := nd.Stable().Intentions().Lookup(txn)
+	in, ok, err := inc.st.Intentions().Lookup(txn)
 	switch {
 	case err != nil:
 		return nil, err
@@ -683,7 +685,7 @@ func (m *Manager) handleDecision(_ context.Context, from ids.NodeID, body []byte
 			return committedBody, nil
 		}
 		return abortedBody, nil
-	case nd.Runtime().Active(txn):
+	case inc.rt.Active(txn):
 		// Still deciding: a participant asking mid-prepare (restarted, or
 		// tired of waiting) must not be told abort and then sent commit.
 		return nil, fmt.Errorf("decision %v: not taken yet", txn)
@@ -698,9 +700,11 @@ func (m *Manager) handleDecision(_ context.Context, from ids.NodeID, body []byte
 
 // --- coordinator role ---
 
-// Txn is a distributed atomic action driven from this node.
+// Txn is a distributed atomic action driven from this node, in the
+// node's incarnation that began it: once that incarnation ends, the
+// transaction can send nothing and log nothing.
 type Txn struct {
-	mgr   *Manager
+	inc   *incarnation
 	local *action.Action
 	// tc is the transaction's root span in the distributed trace (zero
 	// when the hosting node is untraced): every commit-protocol round
@@ -744,11 +748,12 @@ type contact struct {
 
 // Begin starts a distributed atomic action coordinated by this node.
 func (m *Manager) Begin() (*Txn, error) {
-	local, err := m.node.Runtime().Begin()
+	inc := m.cur.Load()
+	local, err := inc.rt.Begin()
 	if err != nil {
 		return nil, err
 	}
-	t := &Txn{mgr: m, local: local}
+	t := &Txn{inc: inc, local: local}
 	if m.tracer != nil {
 		t.tc = m.tracer.StartTrace(local.ID())
 	}
@@ -829,14 +834,12 @@ func (t *Txn) Invoke(ctx context.Context, target ids.NodeID, resource, op string
 		return fmt.Errorf("dist: marshal arg: %w", err)
 	}
 
-	if target == t.mgr.node.ID() {
-		t.mgr.mu.Lock()
-		res, ok := t.mgr.resources[resource]
-		t.mgr.mu.Unlock()
+	if target == t.inc.self {
+		res, ok := t.inc.resources.Load(resource)
 		if !ok {
 			return fmt.Errorf("%w: %s", ErrNoResource, resource)
 		}
-		out, err := res.Invoke(t.local, op, argBytes)
+		out, err := res.(Resource).Invoke(t.local, op, argBytes)
 		if err != nil {
 			return err
 		}
@@ -855,23 +858,23 @@ func (t *Txn) Invoke(ctx context.Context, target ids.NodeID, resource, op string
 	// transactions it has finished with there.
 	var scratch [bodyScratch]byte
 	var relScratch, comScratch [owedScratch]byte
-	owed := t.mgr.owed.take(owedList{node: target, rel: txnList{ids: relScratch[:0]}, com: txnList{ids: comScratch[:0]}})
+	owed := t.inc.owed.take(owedList{node: target, rel: txnList{ids: relScratch[:0]}, com: txnList{ids: comScratch[:0]}})
 	body := appendInvokeReq(scratch[:0], &invokeReq{Txn: t.ID(), Continuation: continuation, Vote: vote,
 		Resource: resource, Op: op, Arg: argBytes, Structure: t.structure, Release: owed.rel, Commit: owed.com})
-	reply, err := t.mgr.node.Peer().CallRaw(ctx, target, methodInvoke, body)
+	reply, err := t.inc.peer.CallRaw(ctx, target, methodInvoke, body)
 	if err != nil {
 		// The call failed but may still have executed remotely:
 		// remember the contact so completion sends it an abort. The
 		// releases it carried are owed again; its commits go out again
 		// unacknowledged.
-		owed.rel.each(func(txn ids.ActionID) { t.mgr.owe(target, txn) })
+		owed.rel.each(func(txn ids.ActionID) { t.inc.owed.owe(target, txn) })
 		t.enlist(target, false, true, false)
 		return err
 	}
 	releasesPiggybacked.Add(uint64(owed.rel.n))
 	phase2Piggybacked.Add(uint64(owed.com.n))
 	out, flags, acks, err := decodeInvokeReply(reply)
-	t.mgr.acked(target, acks)
+	t.inc.acked(target, acks)
 	t.enlist(target, true, flags&replyNothingWritten == 0 || err != nil, flags&replyVoted != 0 && err == nil)
 	if t.onEnlist != nil {
 		t.onEnlist(target)
@@ -922,7 +925,7 @@ func (t *Txn) Commit(ctx context.Context) error {
 	sole, singleSite := t.singleSiteLocked()
 	t.mu.Unlock()
 
-	peer := t.mgr.node.Peer()
+	peer := t.inc.peer
 
 	// Failed contacts never joined the action's outcome: make sure any
 	// ghost execution there is aborted (best effort; one that misses it
@@ -930,7 +933,7 @@ func (t *Txn) Commit(ctx context.Context) error {
 	// it), without waiting, so a dead node cannot stall the commit.
 	t.abortAt(ctx, failedContacts, false)
 
-	clk := t.mgr.clk
+	clk := t.inc.clk
 	start := clk.Now()
 
 	if singleSite {
@@ -946,12 +949,12 @@ func (t *Txn) Commit(ctx context.Context) error {
 	// cancels the round so in-flight prepares stop retransmitting; the
 	// outcome is already decided. Read-only voters commit at prepare and
 	// drop out of the rest of the protocol.
-	coordID := t.mgr.node.ID()
+	coordID := t.inc.self
 	var (
 		voteMu   sync.Mutex
 		readOnly []ids.NodeID
 	)
-	prepared := t.mgr.fanout(ctx, RoundPrepare, t.ID(), t.tc, unvoted, true,
+	prepared := t.inc.fanout(ctx, RoundPrepare, t.ID(), t.tc, unvoted, true,
 		func(ctx context.Context, p ids.NodeID) error {
 			var scratch [bodyScratch]byte
 			reply, err := peer.CallRaw(ctx, p, methodPrepare, appendPrepareReq(scratch[:0], prepareReq{Txn: t.ID(), Coordinator: coordID}))
@@ -962,7 +965,7 @@ func (t *Txn) Commit(ctx context.Context) error {
 			if err != nil {
 				return err
 			}
-			t.mgr.acked(p, vote.Acks)
+			t.inc.acked(p, vote.Acks)
 			if !vote.OK {
 				return errVotedNo
 			}
@@ -989,23 +992,21 @@ func (t *Txn) Commit(ctx context.Context) error {
 		return fmt.Errorf("%w: prepare %v: %v", ErrAborted, p, err)
 	}
 
-	if h := t.mgr.TestHooks.AfterPrepare; h != nil {
+	if h := t.inc.TestHooks.AfterPrepare; h != nil {
 		h()
 	}
 
 	// Decision point: force the commit record with the writer list.
 	// From here the action is committed. The record also carries the
 	// coordinator's own write set, which the store installs with it: a
-	// crash that beats the local commit below loses nothing. The decision
-	// is this incarnation's only while the action runs here: a participant
-	// asking is told "aborted" as soon as it does not (handleDecision).
+	// crash that beats the local commit below loses nothing. The force
+	// goes through the store handle of the incarnation that began the
+	// transaction: once that incarnation has crashed — and a participant
+	// asking the next one is told "aborted" (handleDecision) — it fails.
 	if len(writers) > 0 {
 		localWrites, err := t.local.PendingWrites()
-		if err == nil && !t.mgr.node.Runtime().Active(t.ID()) {
-			err = errors.New("the action no longer runs here")
-		}
 		if err == nil {
-			err = t.mgr.force(t.tc, store.Intention{
+			err = t.inc.force(t.tc, store.Intention{
 				Action:       t.ID(),
 				Status:       store.IntentionCommitted,
 				Writes:       localWrites,
@@ -1021,7 +1022,7 @@ func (t *Txn) Commit(ctx context.Context) error {
 		}
 	}
 
-	if h := t.mgr.TestHooks.AfterDecision; h != nil {
+	if h := t.inc.TestHooks.AfterDecision; h != nil {
 		h()
 	}
 
@@ -1029,7 +1030,8 @@ func (t *Txn) Commit(ctx context.Context) error {
 	if err := t.local.Commit(); err != nil {
 		// The decision is already durable; local application failed
 		// (e.g. local store crashed). The distributed action is
-		// committed; local repair happens via the journal/recovery.
+		// committed: the decision record carries this node's write set,
+		// which the store installed with it.
 		return fmt.Errorf("dist: local apply after decision: %w", err)
 	}
 
@@ -1038,7 +1040,7 @@ func (t *Txn) Commit(ctx context.Context) error {
 	// every writer has acknowledged it (release.go). A structure's end
 	// carries its constituents' commits that are still owed.
 	if len(writers) > 0 {
-		t.mgr.owed.await(t.ID(), writers, clk.Now())
+		t.inc.owed.await(t.ID(), writers, clk.Now())
 	}
 	t.noteCommitted(clk.Since(start))
 	return nil
@@ -1091,9 +1093,9 @@ func (t *Txn) abortAt(ctx context.Context, nodes []ids.NodeID, wait bool) {
 		defer close(done)
 		ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), abortTimeout)
 		defer cancel()
-		t.mgr.fanout(ctx, RoundAbort, t.ID(), t.tc, nodes, false, func(ctx context.Context, p ids.NodeID) error {
+		t.inc.fanout(ctx, RoundAbort, t.ID(), t.tc, nodes, false, func(ctx context.Context, p ids.NodeID) error {
 			var scratch [owedScratch]byte
-			return t.mgr.sendEnd(ctx, p, &endReq{Abort: txnList{ids: scratch[:0]}.add(t.ID())})
+			return t.inc.sendEnd(ctx, p, &endReq{Abort: txnList{ids: scratch[:0]}.add(t.ID())})
 		})
 	}()
 	if wait {
@@ -1113,22 +1115,21 @@ func (t *Txn) abortAt(ctx context.Context, nodes []ids.NodeID, wait bool) {
 // pending: prepared records whose coordinator did not answer, and
 // decision records awaiting an ack.
 func (m *Manager) RecoverPending(ctx context.Context) (int, error) {
-	inDoubt, owed, err := m.recoverPass(ctx)
+	inDoubt, owed, err := m.cur.Load().recoverPass(ctx)
 	return inDoubt + owed, err
 }
 
 // recoverPass is one recovery pass. It returns the prepared records left
 // in doubt and the decision records still awaiting an ack.
-func (m *Manager) recoverPass(ctx context.Context) (inDoubt, owed int, err error) {
-	nd := m.node
-	log := nd.Stable().Intentions()
+func (inc *incarnation) recoverPass(ctx context.Context) (inDoubt, owed int, err error) {
+	log := inc.st.Intentions()
 	pending, err := log.Pending()
 	if err != nil {
 		return 0, 0, err
 	}
 	for _, in := range pending {
 		switch {
-		case in.Coordinator == nd.ID() && in.Status == store.IntentionCommitted:
+		case in.Coordinator == inc.self && in.Status == store.IntentionCommitted:
 			// The coordinator's own leg needs no redo: the decision record
 			// carried the local write set, and the store installed it with
 			// the record (and replays it with the log). Every writer that
@@ -1136,18 +1137,18 @@ func (m *Manager) recoverPass(ctx context.Context) (inDoubt, owed int, err error
 			// sends until it is acknowledged; the last ack forgets the
 			// record. Owed since before a crash, or asked for again, it is
 			// due at once.
-			m.owed.await(in.Action, in.Participants, time.Time{})
+			inc.owed.await(in.Action, in.Participants, time.Time{})
 			owed++
-		case in.Coordinator != nd.ID() && in.Status != store.IntentionAborted:
+		case in.Coordinator != inc.self && in.Status != store.IntentionAborted:
 			// Participant role: the record joins the table. A prepared one
 			// is in doubt and asks its coordinator now; a one-phase
 			// decision answers a coordinator still asking until it is
 			// released, or its silent coordinator asked (terminate).
-			m.mu.Lock()
-			_, err := m.entryLocked(in.Action)
-			m.mu.Unlock()
+			inc.mu.Lock()
+			_, err := inc.entryLocked(in.Action)
+			inc.mu.Unlock()
 			if in.Status == store.IntentionPrepared && err == nil {
-				_, err = m.resolve(ctx, in.Action, in.Coordinator)
+				_, err = inc.resolve(ctx, in.Action, in.Coordinator)
 			}
 			if err != nil {
 				inDoubt++ // no answer: stay in doubt, ask again next pass
@@ -1166,9 +1167,9 @@ func (m *Manager) recoverPass(ctx context.Context) (inDoubt, owed int, err error
 
 // resolve asks txn's coordinator what it decided (handleDecision) and ends
 // txn here by the answer.
-func (m *Manager) resolve(ctx context.Context, txn ids.ActionID, coord ids.NodeID) (state, error) {
+func (inc *incarnation) resolve(ctx context.Context, txn ids.ActionID, coord ids.NodeID) (state, error) {
 	var scratch [bodyScratch]byte
-	reply, err := m.node.Peer().CallRaw(ctx, coord, methodDecision, appendTxnReq(scratch[:0], txn))
+	reply, err := inc.peer.CallRaw(ctx, coord, methodDecision, appendTxnReq(scratch[:0], txn))
 	if err != nil {
 		return buried, err
 	}
@@ -1177,9 +1178,9 @@ func (m *Manager) resolve(ctx context.Context, txn ids.ActionID, coord ids.NodeI
 	case err != nil:
 		return buried, err
 	case committed:
-		return m.end(txn, evCommit)
+		return inc.end(txn, evCommit)
 	}
-	return m.end(txn, evAbort)
+	return inc.end(txn, evAbort)
 }
 
 // terminateAfter is how long a participant's transaction stays untouched
@@ -1198,7 +1199,7 @@ const terminateAfter = time.Second
 // transactions wait for the next tick. It runs for one incarnation of the
 // node, on tick, made on its clock as the node starts, and ends with ctx,
 // the node's lifetime.
-func (m *Manager) terminate(ctx context.Context, tick clock.Ticker, self ids.NodeID) {
+func (inc *incarnation) terminate(ctx context.Context, tick clock.Ticker) {
 	defer tick.Stop()
 	for {
 		select {
@@ -1207,18 +1208,18 @@ func (m *Manager) terminate(ctx context.Context, tick clock.Ticker, self ids.Nod
 		case <-tick.C():
 		}
 		var wg sync.WaitGroup
-		for coord, txns := range m.idle() {
+		for coord, txns := range inc.idle() {
 			wg.Add(1)
 			go func() {
 				defer wg.Done()
 				for _, txn := range txns {
 					terminationQueries.Inc()
-					was, err := m.resolve(ctx, txn, coord)
+					was, err := inc.resolve(ctx, txn, coord)
 					var answered *rpc.RemoteError
 					switch {
 					case err == nil && was != buried:
 						orphansReaped[was].Inc()
-						flightrec.Record(flightrec.Event{Kind: flightrec.KindReaped, Node: uint64(self), A: uint64(txn), B: uint64(coord)})
+						flightrec.Record(flightrec.Event{Kind: flightrec.KindReaped, Node: uint64(inc.self), A: uint64(txn), B: uint64(coord)})
 					case err != nil && !errors.As(err, &answered):
 						return
 					}
@@ -1231,11 +1232,11 @@ func (m *Manager) terminate(ctx context.Context, tick clock.Ticker, self ids.Nod
 
 // idle returns the unfinished transactions no message has touched since
 // the last tick, by coordinator, and clears the rest's touched bits.
-func (m *Manager) idle() map[ids.NodeID][]ids.ActionID {
-	m.mu.Lock()
-	defer m.mu.Unlock()
+func (inc *incarnation) idle() map[ids.NodeID][]ids.ActionID {
+	inc.mu.Lock()
+	defer inc.mu.Unlock()
 	out := make(map[ids.NodeID][]ids.ActionID)
-	for txn, e := range m.txns {
+	for txn, e := range inc.txns {
 		switch {
 		case e.state == buried:
 		case e.touched:

@@ -77,7 +77,7 @@ func (f *freezeFixture) invokeDirect(txn ids.ActionID, delta int) error {
 		Op:       "add",
 		Arg:      []byte(`{"delta":` + jsonInt(delta) + `}`),
 	})
-	_, err := f.part.handleInvoke(context.Background(), f.coordNode.ID(), body)
+	_, err := f.part.cur.Load().handleInvoke(context.Background(), f.coordNode.ID(), body)
 	return err
 }
 
@@ -101,7 +101,7 @@ func TestPrepareFreezesParticipant(t *testing.T) {
 	prepare := appendPrepareReq(nil, prepareReq{Txn: txn, Coordinator: f.coordNode.ID()})
 	vote := func() voteResp {
 		t.Helper()
-		raw, err := f.part.handlePrepare(context.Background(), f.coordNode.ID(), prepare)
+		raw, err := f.part.cur.Load().handlePrepare(context.Background(), f.coordNode.ID(), prepare)
 		if err != nil {
 			t.Fatalf("prepare: %v", err)
 		}
@@ -123,7 +123,7 @@ func TestPrepareFreezesParticipant(t *testing.T) {
 		t.Fatal("duplicate prepare must re-derive the yes vote")
 	}
 
-	if _, err := f.part.handleEnd(context.Background(), f.coordNode.ID(), appendEndReq(nil, &endReq{Commit: txnList{}.add(txn)})); err != nil {
+	if _, err := f.part.cur.Load().handleEnd(context.Background(), f.coordNode.ID(), appendEndReq(nil, &endReq{Commit: txnList{}.add(txn)})); err != nil {
 		t.Fatalf("commit: %v", err)
 	}
 	m, err := object.Load[int](f.regID, f.partNode.Stable())

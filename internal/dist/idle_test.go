@@ -53,15 +53,14 @@ func newIdleFixture(t *testing.T, fileBacked bool) *idleFixture {
 		for r := range f.regs[p] {
 			f.regs[p][r] = object.New(0, object.WithStore(nd.Stable()))
 		}
-		regs := f.regs[p]
 		f.parts[p].RegisterResource("reg", ResourceFunc(func(a *action.Action, op string, arg []byte) ([]byte, error) {
 			var d int
 			if err := json.Unmarshal(arg, &d); err != nil {
 				return nil, err
 			}
-			reg := regs[0]
+			reg := f.regs[p][0]
 			if op == "y" {
-				reg = regs[1]
+				reg = f.regs[p][1]
 			}
 			return []byte("{}"), reg.Write(a, func(v *int) error { *v += d; return nil })
 		}))
@@ -72,8 +71,30 @@ func newIdleFixture(t *testing.T, fileBacked bool) *idleFixture {
 // invoke delivers an invoke of txn to participant p.
 func (f *idleFixture) invoke(p int, txn ids.ActionID, continuation bool, reg string, d int) error {
 	body := appendInvokeReq(nil, &invokeReq{Txn: txn, Continuation: continuation, Resource: "reg", Op: reg, Arg: []byte(strconv.Itoa(d))})
-	_, err := f.parts[p].handleInvoke(context.Background(), f.coord.Node().ID(), body)
+	_, err := f.parts[p].cur.Load().handleInvoke(context.Background(), f.coord.Node().ID(), body)
 	return err
+}
+
+// restart crashes and restarts participant p and activates its registers
+// anew from the next incarnation's store: the ones in memory died with the
+// crash.
+func (f *idleFixture) restart(t *testing.T, p int) {
+	t.Helper()
+	nd := f.parts[p].Node()
+	nd.Crash()
+	if err := nd.Restart(); err != nil {
+		t.Fatal(err)
+	}
+	for r, reg := range f.regs[p] {
+		m, err := object.Load[int](reg.ObjectID(), nd.Stable())
+		if errors.Is(err, store.ErrNotFound) {
+			m, err = object.New(0, object.WithID(reg.ObjectID()), object.WithStore(nd.Stable())), nil
+		}
+		if err != nil {
+			t.Fatal(err)
+		}
+		f.regs[p][r] = m
+	}
 }
 
 // stable returns participant p's registers as its stable store holds them.
@@ -135,7 +156,7 @@ func raceIdleRule(t *testing.T, f *idleFixture) {
 	// came: a coordinator asked mid-race may not have one yet.
 	resolve := func(p int, txn ids.ActionID) {
 		for range 20 {
-			if _, err := f.parts[p].resolve(ctx, txn, coord); err == nil {
+			if _, err := f.parts[p].cur.Load().resolve(ctx, txn, coord); err == nil {
 				return
 			}
 			time.Sleep(time.Millisecond)
@@ -192,7 +213,7 @@ func raceIdleRule(t *testing.T, f *idleFixture) {
 		race(func() { resolve(0, txn) }, func() {
 			time.Sleep(late)
 			for {
-				reply, err := f.parts[0].handleCommit1(ctx, coord, appendTxnReq(nil, txn))
+				reply, err := f.parts[0].cur.Load().handleCommit1(ctx, coord, appendTxnReq(nil, txn))
 				if err == nil {
 					committed, _ = decodeDecision(reply)
 					return
@@ -217,7 +238,7 @@ func raceIdleRule(t *testing.T, f *idleFixture) {
 			if err := f.invoke(p, txn, false, "x", d); err != nil {
 				t.Fatal(err)
 			}
-			vote, err := f.parts[p].handlePrepare(ctx, coord, appendPrepareReq(nil, prepareReq{Txn: txn, Coordinator: coord}))
+			vote, err := f.parts[p].cur.Load().handlePrepare(ctx, coord, appendPrepareReq(nil, prepareReq{Txn: txn, Coordinator: coord}))
 			if v, _ := decodeVote(vote); err != nil || !v.OK {
 				t.Fatalf("round %d: participant %d voted %+v, %v", round, p, v, err)
 			}
@@ -230,7 +251,7 @@ func raceIdleRule(t *testing.T, f *idleFixture) {
 		carry := func(p int, late time.Duration) func() {
 			return func() {
 				time.Sleep(late)
-				reply, err := f.parts[p].handleEnd(ctx, coord, appendEndReq(nil, &endReq{Commit: txnList{}.add(txn)}))
+				reply, err := f.parts[p].cur.Load().handleEnd(ctx, coord, appendEndReq(nil, &endReq{Commit: txnList{}.add(txn)}))
 				if err != nil {
 					t.Error(err)
 					return
@@ -247,7 +268,7 @@ func raceIdleRule(t *testing.T, f *idleFixture) {
 		// At P1 the rule's answer is delivered without the query's round
 		// trip, so that it and the carried commit meet within the install.
 		answer := func() {
-			if _, err := f.parts[1].end(txn, evCommit); err != nil {
+			if _, err := f.parts[1].cur.Load().end(txn, evCommit); err != nil {
 				t.Error(err)
 			}
 		}
@@ -259,12 +280,8 @@ func raceIdleRule(t *testing.T, f *idleFixture) {
 			t.Fatal(err)
 		}
 		for p, part := range f.parts {
-			st := part.Node().Stable()
-			st.Crash()
-			if err := st.Recover(); err != nil {
-				t.Fatal(err)
-			}
-			if in, found, _ := st.Intentions().Lookup(txn); found {
+			f.restart(t, p)
+			if in, found, _ := part.Node().Stable().Intentions().Lookup(txn); found {
 				t.Fatalf("round %d: participant %d acked the commit, and a crash brought its %v record back", round, p, in.Status)
 			}
 		}

@@ -78,7 +78,7 @@ func (t *Txn) commitOnePhase(ctx context.Context, p contact) error {
 	// For a reader the release lets the participant action go; for a
 	// writer it is the acknowledgement that lets the participant forget
 	// its decision record.
-	t.mgr.owe(p.node, t.ID())
+	t.inc.owed.owe(p.node, t.ID())
 	committed.Inc()
 	if err := t.local.Commit(); err != nil {
 		return fmt.Errorf("dist: local apply after decision: %w", err)
@@ -90,7 +90,7 @@ func (t *Txn) commitOnePhase(ctx context.Context, p contact) error {
 // round, and returns nil when it decided commit.
 func (t *Txn) decideAt(ctx context.Context, node ids.NodeID) error {
 	var committed bool
-	asked := t.mgr.fanout(ctx, RoundCommit1, t.ID(), t.tc, []ids.NodeID{node}, false,
+	asked := t.inc.fanout(ctx, RoundCommit1, t.ID(), t.tc, []ids.NodeID{node}, false,
 		func(ctx context.Context, node ids.NodeID) (err error) {
 			committed, err = t.askCommit1(ctx, node)
 			return err
@@ -99,9 +99,9 @@ func (t *Txn) decideAt(ctx context.Context, node ids.NodeID) error {
 		// Whatever the participant did or will do with the commit1, this
 		// node has finished with the transaction: the release undoes an
 		// action the message never reached and forgets a decision it did.
-		t.mgr.owe(node, t.ID())
+		t.inc.owed.owe(node, t.ID())
 		inDoubt.Inc()
-		flightrec.Record(flightrec.Event{Kind: flightrec.KindInDoubt, Node: uint64(t.mgr.node.ID()),
+		flightrec.Record(flightrec.Event{Kind: flightrec.KindInDoubt, Node: uint64(t.inc.self),
 			Trace: t.tc.TraceID, Span: t.tc.SpanID, A: uint64(t.ID()), B: uint64(node)})
 		return fmt.Errorf("%w: participant %v: %v", ErrInDoubt, node, err)
 	}
@@ -128,8 +128,8 @@ const (
 // — the handler answers a repeat from its log — until ctx ends, this node
 // stops or commit1Calls call timeouts have passed.
 func (t *Txn) askCommit1(ctx context.Context, p ids.NodeID) (bool, error) {
-	peer := t.mgr.node.Peer()
-	clk := t.mgr.clk
+	peer := t.inc.peer
+	clk := t.inc.clk
 	giveUp := clk.Now().Add(commit1Calls * peer.CallTimeout())
 	var scratch [bodyScratch]byte
 	body := appendTxnReq(scratch[:0], t.ID())
@@ -159,14 +159,14 @@ func (t *Txn) askCommit1(ctx context.Context, p ids.NodeID) (bool, error) {
 // record, which the store installs as it forces it. tc is the span of the
 // commit1 request.
 type decisionRecord struct {
-	m           *Manager
+	inc         *incarnation
 	tc          trace.Context
 	txn         ids.ActionID
 	coordinator ids.NodeID
 }
 
 func (d *decisionRecord) ApplyBatch(writes store.Batch) error {
-	return d.m.force(d.tc, store.Intention{
+	return d.inc.force(d.tc, store.Intention{
 		Action:      d.txn,
 		Status:      store.IntentionCommitted,
 		Writes:      writes,
@@ -179,14 +179,14 @@ func (d *decisionRecord) ApplyBatch(writes store.Batch) error {
 // decision record, first time and every repeat; aborted means there is
 // no record and, the transaction being buried, never will be. An error
 // means this node cannot tell yet, and the coordinator asks again.
-func (m *Manager) handleCommit1(ctx context.Context, from ids.NodeID, body []byte) ([]byte, error) {
+func (inc *incarnation) handleCommit1(ctx context.Context, from ids.NodeID, body []byte) ([]byte, error) {
 	txn, err := decodeTxnReq(body)
 	if err != nil {
 		return nil, fmt.Errorf("decode commit1: %w", err)
 	}
-	log := m.node.Stable().Intentions()
-	m.mu.Lock()
-	e, err := m.entryLocked(txn)
+	log := inc.st.Intentions()
+	inc.mu.Lock()
+	e, err := inc.entryLocked(txn)
 	var a *action.Action
 	deciding := false
 	if e != nil {
@@ -196,7 +196,7 @@ func (m *Manager) handleCommit1(ctx context.Context, from ids.NodeID, body []byt
 			a, e.state = e.a, decided // frozen: no late invoke can write past the record
 		}
 	}
-	m.mu.Unlock()
+	inc.mu.Unlock()
 	switch {
 	case err != nil:
 		return nil, err
@@ -213,20 +213,20 @@ func (m *Manager) handleCommit1(ctx context.Context, from ids.NodeID, body []byt
 		case found && in.Status == store.IntentionCommitted:
 			return committedBody, nil
 		}
-		if _, err := m.end(txn, evAbort); err != nil {
+		if _, err := inc.end(txn, evAbort); err != nil {
 			return nil, err
 		}
 		return abortedBody, nil
 	}
 	// The record, the install and the local commit in one step.
-	err = a.CommitWith(&decisionRecord{m: m, tc: m.callerSpan(ctx), txn: txn, coordinator: from})
-	m.mu.Lock()
+	err = a.CommitWith(&decisionRecord{inc: inc, tc: inc.callerSpan(ctx), txn: txn, coordinator: from})
+	inc.mu.Lock()
 	released := e.state == buried // the coordinator let go meanwhile
 	if err != nil && !released {
-		m.buryLocked(txn, e)
+		inc.buryLocked(txn, e)
 	}
 	e.a = nil
-	m.mu.Unlock()
+	inc.mu.Unlock()
 	switch {
 	case err != nil:
 		// The action is undone here — by CommitWith when the force failed,

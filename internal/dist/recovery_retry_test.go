@@ -13,13 +13,12 @@ import (
 
 // TestRecoveryRetriesThroughStoreBlip is the regression for the stranded
 // recovery loop: a participant restarts while its coordinator is down,
-// so its background retry loop keeps re-asking for the decision. If the
-// stable store then hiccups briefly (crashes and recovers while the node
-// itself stays up), one recovery pass errors — and before the fix that
-// error ended the retry loop, leaving the record in doubt forever even
-// after the coordinator came back. The loop must instead keep asking, and
-// the account the record writes must come back once the decision
-// resolves; the store's own recovery must not lift the fence meanwhile.
+// so its background retry loop keeps re-asking for the decision. A blip
+// of its stable store — a crash of the node's incarnation, since the
+// store handle dies with it — ends that loop with the incarnation, and
+// the next incarnation's recovery must take over: the fence stays across
+// the blip, and the account the record writes comes back once the
+// coordinator returns and the decision resolves.
 func TestRecoveryRetriesThroughStoreBlip(t *testing.T) {
 	c := newCluster(t, netsim.Config{})
 	ctx := context.Background()
@@ -43,12 +42,11 @@ func TestRecoveryRetriesThroughStoreBlip(t *testing.T) {
 		t.Fatalf("read while in doubt = %v, want %v", err, store.ErrUnresolved)
 	}
 
-	// The store blip: the stable store alone crashes for a few retry
-	// ticks and recovers. Recovery passes fail during the window; the
-	// loop must survive it.
-	c.nodes[1].Stable().Crash()
-	time.Sleep(80 * time.Millisecond) // >= 3 retry ticks hit the crashed store
-	if err := c.nodes[1].Stable().Recover(); err != nil {
+	// The store blip: the participant is down for a few retry ticks and
+	// comes back as its next incarnation, still in doubt.
+	c.nodes[1].Crash()
+	time.Sleep(80 * time.Millisecond) // >= 3 retry ticks
+	if err := c.nodes[1].Restart(); err != nil {
 		t.Fatal(err)
 	}
 	if _, err := readAt(ctx, c.parts[0], c.nodes[1].ID()); !errors.Is(err, store.ErrUnresolved) {

@@ -79,7 +79,8 @@ func (o *owedTo) unsent() int {
 }
 
 // owedQueue holds what the local coordinator owes each participant node,
-// and how many writers' acks each decision record kept here awaits.
+// and how many writers' acks each decision record kept here awaits, for
+// one incarnation of the node. Both maps are nil once it is closed.
 type owedQueue struct {
 	mu       sync.Mutex
 	clk      clock.Clock
@@ -90,8 +91,10 @@ type owedQueue struct {
 	wake chan struct{}
 }
 
-// reset drops everything owed and awaited; clk is the node's clock.
-func (q *owedQueue) reset(clk clock.Clock) {
+// close ends the queue with its incarnation: its debts leave the gauges,
+// which count the live incarnations', and nothing joins it any more. The
+// next incarnation's recovery owes the commits again.
+func (q *owedQueue) close() {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	for _, o := range q.owed {
@@ -102,7 +105,7 @@ func (q *owedQueue) reset(clk clock.Clock) {
 		}
 	}
 	acksAwaited.Add(-int64(len(q.awaiting)))
-	q.clk, q.owed, q.awaiting = clk, make(map[ids.NodeID]*owedTo), make(map[ids.ActionID]int)
+	q.owed, q.awaiting = nil, nil
 }
 
 func (q *owedQueue) poke() {
@@ -114,6 +117,9 @@ func (q *owedQueue) poke() {
 
 // addLocked owes node the entry. Called with mu held.
 func (q *owedQueue) addLocked(node ids.NodeID, e owedEntry) {
+	if q.owed == nil {
+		return
+	}
 	o := q.owed[node]
 	if o == nil {
 		o = &owedTo{}
@@ -130,8 +136,7 @@ func (q *owedQueue) addLocked(node ids.NodeID, e owedEntry) {
 
 // owe queues the release of txn at node: the coordinator has finished
 // with it there.
-func (m *Manager) owe(node ids.NodeID, txn ids.ActionID) {
-	q := &m.owed
+func (q *owedQueue) owe(node ids.NodeID, txn ids.ActionID) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.addLocked(node, owedEntry{txn: txn, at: q.clk.Now()})
@@ -143,6 +148,9 @@ func (m *Manager) owe(node ids.NodeID, txn ids.ActionID) {
 func (q *owedQueue) await(txn ids.ActionID, writers []ids.NodeID, at time.Time) {
 	q.mu.Lock()
 	defer q.mu.Unlock()
+	if q.awaiting == nil {
+		return
+	}
 	if _, ok := q.awaiting[txn]; ok {
 		for _, w := range writers {
 			if i := q.findLocked(w, txn); i >= 0 && at.Before(q.owed[w].entries[i].at) {
@@ -287,20 +295,21 @@ func (q *owedQueue) sent(node ids.NodeID) {
 // last one. The forget is not forced: a crash before the next force brings
 // the record back, and recovery owes its commit to writers that are all
 // done.
-func (m *Manager) acked(node ids.NodeID, acks txnList) {
+func (inc *incarnation) acked(node ids.NodeID, acks txnList) {
 	acks.each(func(txn ids.ActionID) {
-		if m.owed.acked(node, txn) {
+		if inc.owed.acked(node, txn) {
 			//mcalint:ignore errdrop forgetting is housekeeping; a kept record is owed again by recovery
-			_ = m.node.Stable().Intentions().Forget(txn)
+			_ = inc.st.Intentions().Forget(txn)
 		}
 	})
 }
 
-// flushOwed is the manager's flusher: it sends what no invoke came along
-// to carry. It runs for one incarnation of the node, on its clock, and
-// ends with ctx, the node's lifetime.
-func (m *Manager) flushOwed(ctx context.Context, clk clock.Clock, self ids.NodeID) {
-	q := &m.owed
+// flushOwed is the incarnation's flusher: it sends what no invoke came
+// along to carry, on the node's clock. It ends with ctx, the
+// incarnation's lifetime, and closes the queue as it does.
+func (inc *incarnation) flushOwed(ctx context.Context) {
+	q, clk := inc.owed, inc.clk
+	defer q.close()
 	// The timer is made by the first list that has to wait, and re-armed
 	// only when the earliest deadline changes: it is armed relative to a
 	// reading of the clock, and a simulated clock advanced between the
@@ -315,14 +324,10 @@ func (m *Manager) flushOwed(ctx context.Context, clk clock.Clock, self ids.NodeI
 		}
 	}()
 	for {
-		// The queue outlives the incarnation: the next one's is not for it.
-		if ctx.Err() != nil {
-			return
-		}
-		lists, next := q.takeDue(clk.Now(), self)
+		lists, next := q.takeDue(clk.Now(), inc.self)
 		// A node that does not answer holds up only its own list.
 		for _, l := range lists {
-			go m.sendOwed(ctx, l)
+			go inc.sendOwed(ctx, l)
 		}
 		if !next.IsZero() && !next.Equal(armed) {
 			if d := next.Sub(clk.Now()); timer == nil {
@@ -349,11 +354,11 @@ func (m *Manager) flushOwed(ctx context.Context, clk clock.Clock, self ids.NodeI
 // sendOwed sends a node its due list in an end message, once: a release
 // the node does not take has probably lost what it was for, and a commit
 // goes out again until acknowledged.
-func (m *Manager) sendOwed(ctx context.Context, d owedList) {
-	defer m.owed.sent(d.node)
-	m.fanout(ctx, RoundRelease, 0, trace.Context{}, []ids.NodeID{d.node}, false,
+func (inc *incarnation) sendOwed(ctx context.Context, d owedList) {
+	defer inc.owed.sent(d.node)
+	inc.fanout(ctx, RoundRelease, 0, trace.Context{}, []ids.NodeID{d.node}, false,
 		func(ctx context.Context, node ids.NodeID) error {
-			if err := m.sendEnd(ctx, node, &endReq{Release: d.rel, Commit: d.com}); err != nil {
+			if err := inc.sendEnd(ctx, node, &endReq{Release: d.rel, Commit: d.com}); err != nil {
 				return err
 			}
 			releasesFlushed.Add(uint64(d.rel.n))
@@ -363,40 +368,31 @@ func (m *Manager) sendOwed(ctx context.Context, d owedList) {
 }
 
 // sendEnd sends node an end message and counts the acks of its reply.
-func (m *Manager) sendEnd(ctx context.Context, node ids.NodeID, q *endReq) error {
+func (inc *incarnation) sendEnd(ctx context.Context, node ids.NodeID, q *endReq) error {
 	var scratch [bodyScratch]byte
-	reply, err := m.node.Peer().CallRaw(ctx, node, methodEnd, appendEndReq(scratch[:0], q))
+	reply, err := inc.peer.CallRaw(ctx, node, methodEnd, appendEndReq(scratch[:0], q))
 	if err != nil {
 		return err
 	}
 	acks, err := decodeAck(reply)
-	m.acked(node, acks)
+	inc.acked(node, acks)
 	return err
 }
 
 // --- participant role ---
 
-// ackQueue holds the acks this node owes its coordinators, each with the
-// log marks between which the install and forget it acknowledges were
-// appended.
+// ackQueue holds the acks this node owes its coordinators, each due once
+// the mark after its install is durable through st: never, after a crash.
 type ackQueue struct {
 	mu   sync.Mutex
-	wal  *store.WAL
+	st   *store.Stable
 	owed []pendingAck
 }
 
 type pendingAck struct {
-	to       ids.NodeID
-	txn      ids.ActionID
-	from, at uint64
-}
-
-// reset drops every ack owed: what they would acknowledge was not forced,
-// and died with the node whose log is wal.
-func (q *ackQueue) reset(wal *store.WAL) {
-	q.mu.Lock()
-	defer q.mu.Unlock()
-	q.wal, q.owed = wal, nil
+	to  ids.NodeID
+	txn ids.ActionID
+	at  uint64
 }
 
 func (q *ackQueue) add(a pendingAck) {
@@ -411,7 +407,7 @@ func (q *ackQueue) take(to ids.NodeID, l txnList) txnList {
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	q.owed = slices.DeleteFunc(q.owed, func(a pendingAck) bool {
-		if a.to != to || l.n == maxOwedBatch || !q.wal.Durable(a.from, a.at) {
+		if a.to != to || l.n == maxOwedBatch || !q.st.Durable(a.at) {
 			return false
 		}
 		l = l.add(a.txn)
@@ -423,9 +419,9 @@ func (q *ackQueue) take(to ids.NodeID, l txnList) txnList {
 // withAcks returns a reply body that may end in an ack list (a vote, an
 // ack) with the durable acks owed to node appended — to a copy, as the
 // bodies passed in are shared.
-func (m *Manager) withAcks(reply []byte, to ids.NodeID) []byte {
+func (inc *incarnation) withAcks(reply []byte, to ids.NodeID) []byte {
 	var scratch [owedScratch]byte
-	if acks := m.acks.take(to, txnList{ids: scratch[:0]}); acks.n > 0 {
+	if acks := inc.acks.take(to, txnList{ids: scratch[:0]}); acks.n > 0 {
 		return appendOptList(slices.Clip(reply), acks)
 	}
 	return reply
@@ -435,69 +431,48 @@ func (m *Manager) withAcks(reply []byte, to ids.NodeID) []byte {
 // flush, an abort, a structure's end — and, no force being due to carry
 // the commits' acks, forces them before it answers. Then it ends the
 // structure's container here, if the message ends one.
-func (m *Manager) handleEnd(ctx context.Context, from ids.NodeID, body []byte) ([]byte, error) {
+func (inc *incarnation) handleEnd(ctx context.Context, from ids.NodeID, body []byte) ([]byte, error) {
 	q, err := decodeEndReq(body)
 	if err != nil {
 		return nil, err
 	}
-	if mark := m.workOff(ctx, from, q.Release, q.Commit, q.Abort); q.Commit.n > 0 {
-		if err := m.node.Stable().WAL().Sync(mark); err != nil {
+	inc.workOff(ctx, from, q.Release, q.Commit, q.Abort)
+	if q.Commit.n > 0 {
+		if err := inc.st.Sync(); err != nil {
 			return nil, err
 		}
 	}
-	if err := m.endContainer(q.Structure, q.CommitStructure); err != nil {
+	if err := inc.endContainer(q.Structure, q.CommitStructure); err != nil {
 		return nil, err
 	}
-	return m.withAcks(ackBody, from), nil
+	return inc.withAcks(ackBody, from), nil
 }
 
 // workOff does what coordinator from's message carries for transactions
 // it has finished with here, before anything else the message asks: it
 // releases, aborts, and commits, owing from an ack of each commit once
 // that is durable. All are idempotent, and a transaction this node does
-// not know is ignored. It returns the log's mark from before the commits.
-func (m *Manager) workOff(ctx context.Context, from ids.NodeID, rel, com, abort txnList) (mark uint64) {
-	if rel.n+com.n+abort.n == 0 {
-		return 0
-	}
-	rel.each(func(txn ids.ActionID) { _, _ = m.end(txn, evRelease) })
-	abort.each(func(txn ids.ActionID) { _, _ = m.end(txn, evAbort) })
+// not know is ignored.
+func (inc *incarnation) workOff(ctx context.Context, from ids.NodeID, rel, com, abort txnList) {
+	rel.each(func(txn ids.ActionID) { _, _ = inc.end(txn, evRelease) })
+	abort.each(func(txn ids.ActionID) { _, _ = inc.end(txn, evAbort) })
 	if com.n == 0 {
-		return 0
+		return
 	}
-	clk, wal := m.clk, m.node.Stable().WAL()
-	start, mark := clk.Now(), wal.Mark()
+	start := inc.clk.Now()
 	com.each(func(txn ids.ActionID) {
-		if was, err := m.end(txn, evCommit); err == nil {
-			m.acks.add(pendingAck{to: from, txn: txn, from: m.installedFrom(txn, was, mark), at: wal.Mark()})
+		if _, err := inc.end(txn, evCommit); err == nil {
+			inc.acks.add(pendingAck{to: from, txn: txn, at: inc.st.Mark()})
 		}
 	})
 	// Phase-2 work riding another transaction's request is a span of its
 	// own under that request's server span, not part of its operation.
-	if caller, ok := trace.FromContext(ctx); ok && caller.Valid() && m.tracer != nil {
+	if caller, ok := trace.FromContext(ctx); ok && caller.Valid() && inc.tracer != nil {
 		tc := caller.Child()
-		m.tracer.AddSpan(trace.Span{Kind: "dist.phase2", Label: fmt.Sprintf("dist.phase2 commits=%d", com.n),
+		inc.tracer.AddSpan(trace.Span{Kind: "dist.phase2", Label: fmt.Sprintf("dist.phase2 commits=%d", com.n),
 			TraceID: tc.TraceID, SpanID: tc.SpanID, ParentSpanID: caller.SpanID,
-			Outcome: trace.OutcomeOK, Begin: start, End: clk.Now()})
+			Outcome: trace.OutcomeOK, Begin: start, End: inc.clk.Now()})
 	}
-	return mark
-}
-
-// installedFrom returns the log mark an ack of txn's commit, which found
-// it in state was, counts from: mark, or the earlier one from before the
-// install a decision query or an earlier message made. A handler a crash
-// left running may find an install the crash lost: counted from before
-// it, the ack is never durable.
-func (m *Manager) installedFrom(txn ids.ActionID, was state, mark uint64) uint64 {
-	if was != buried {
-		return mark
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	if e := m.txns[txn]; e != nil && e.installed != 0 && e.installed < mark {
-		return e.installed
-	}
-	return mark
 }
 
 // phase2Sink installs a participant's write set and forgets its prepared

@@ -89,7 +89,7 @@ func (f *releaseFixture) op(c, part int, op string) error {
 // owed counts the entries coordinator c holds: releases not yet sent,
 // commits not yet acknowledged.
 func (f *releaseFixture) owed(c int) int {
-	q := &f.coords[c].owed
+	q := f.coords[c].cur.Load().owed
 	q.mu.Lock()
 	defer q.mu.Unlock()
 	n := 0
@@ -325,32 +325,30 @@ func TestQuietClusterForgetsDecisionsInOneFlush(t *testing.T) {
 // interval, while as many unsent releases wake the flusher and go at once.
 func TestSentCommitsDoNotFillAMessage(t *testing.T) {
 	clk := clock.NewFake()
-	m := &Manager{}
-	m.owed.wake = make(chan struct{}, 1)
-	m.owed.reset(clk)
-	defer m.owed.reset(clk)
+	q := &owedQueue{clk: clk, owed: make(map[ids.NodeID]*owedTo), awaiting: make(map[ids.ActionID]int), wake: make(chan struct{}, 1)}
+	defer q.close()
 	const node = ids.NodeID(7)
 	for i := range maxOwedBatch {
-		m.owed.await(ids.ActionID(1000+i), []ids.NodeID{node}, clk.Now())
+		q.await(ids.ActionID(1000+i), []ids.NodeID{node}, clk.Now())
 	}
-	<-m.owed.wake // the list came into being, and filled a message
-	if l := m.owed.take(owedList{node: node}); l.com.n != maxOwedBatch {
+	<-q.wake // the list came into being, and filled a message
+	if l := q.take(owedList{node: node}); l.com.n != maxOwedBatch {
 		t.Fatalf("an invoke took %d commits, want %d", l.com.n, maxOwedBatch)
 	}
-	m.owe(node, 1)
-	if len(m.owed.wake) != 0 {
+	q.owe(node, 1)
+	if len(q.wake) != 0 {
 		t.Fatal("a release beside a message's worth of sent commits woke the flusher")
 	}
-	if due, next := m.owed.takeDue(clk.Now(), 1); len(due) != 0 || !next.Equal(clk.Now().Add(releaseFlushAfter)) {
+	if due, next := q.takeDue(clk.Now(), 1); len(due) != 0 || !next.Equal(clk.Now().Add(releaseFlushAfter)) {
 		t.Fatalf("takeDue = %d lists, next %v; want none before the flush interval", len(due), next)
 	}
 	for i := 2; i <= maxOwedBatch; i++ {
-		m.owe(node, ids.ActionID(i))
+		q.owe(node, ids.ActionID(i))
 	}
-	if len(m.owed.wake) != 1 {
+	if len(q.wake) != 1 {
 		t.Fatal("a message's worth of unsent releases did not wake the flusher")
 	}
-	due, _ := m.owed.takeDue(clk.Now(), 1)
+	due, _ := q.takeDue(clk.Now(), 1)
 	if len(due) != 1 || due[0].rel.n != maxOwedBatch || due[0].com.n != 0 {
 		t.Fatalf("takeDue = %+v, want the %d releases and no commit", due, maxOwedBatch)
 	}
@@ -611,7 +609,7 @@ func TestStructureEndCarriesEveryOwedCommit(t *testing.T) {
 	f.net.PartitionOneWay(from, to)
 	lost := f.net.Stats().Lost
 	for i := range maxOwedBatch + 6 {
-		coord.owed.await(ids.ActionID(1<<40+i), []ids.NodeID{to}, clk.Now())
+		coord.cur.Load().owed.await(ids.ActionID(1<<40+i), []ids.NodeID{to}, clk.Now())
 	}
 	eventually(t, "the flusher's full message", func() bool { return f.net.Stats().Lost > lost })
 	f.net.Heal(from, to)

@@ -97,7 +97,7 @@ func (f *footprint) endLocked() ([]ids.NodeID, error) {
 // RemoteSerializing coordinates a serializing action over distributed
 // constituents.
 type RemoteSerializing struct {
-	mgr  *Manager
+	inc  *incarnation
 	id   StructureID
 	blue colour.Colour
 	// local is the coordinator-side container (retains locks on
@@ -110,11 +110,12 @@ type RemoteSerializing struct {
 // coordinated by this node.
 func (m *Manager) BeginRemoteSerializing() (*RemoteSerializing, error) {
 	blue := colour.Fresh()
-	local, err := m.node.Runtime().Begin(action.WithColours(blue))
+	inc := m.cur.Load()
+	local, err := inc.rt.Begin(action.WithColours(blue))
 	if err != nil {
 		return nil, err
 	}
-	return &RemoteSerializing{mgr: m, id: StructureID(local.ID()), blue: blue, local: local}, nil
+	return &RemoteSerializing{inc: inc, id: StructureID(local.ID()), blue: blue, local: local}, nil
 }
 
 // ID returns the structure identifier.
@@ -146,7 +147,7 @@ func (s *RemoteSerializing) BeginConstituent() (*Txn, error) {
 		return nil, err
 	}
 	return &Txn{
-		mgr:   s.mgr,
+		inc:   s.inc,
 		local: localAct,
 		structure: &structureInfo{
 			Structure: s.id,
@@ -189,7 +190,7 @@ func (s *RemoteSerializing) finish(ctx context.Context, commit bool) error {
 	if err != nil {
 		return err
 	}
-	return s.mgr.endStructure(ctx, s.id, s.local, nodes, commit)
+	return s.inc.endStructure(ctx, s.id, s.local, nodes, commit)
 }
 
 // endStructure ends the structure's container at every node, then its
@@ -201,10 +202,10 @@ func (s *RemoteSerializing) finish(ctx context.Context, commit bool) error {
 // container ends with no constituent still prepared in it: Cancel cannot
 // undo a committed one. Commits past a message's worth go first, in end
 // messages of their own.
-func (m *Manager) endStructure(ctx context.Context, id StructureID, local *action.Action, nodes []ids.NodeID, commit bool) error {
-	results := m.fanout(ctx, RoundStructure, ids.ActionID(id), trace.Context{}, nodes, false,
+func (inc *incarnation) endStructure(ctx context.Context, id StructureID, local *action.Action, nodes []ids.NodeID, commit bool) error {
+	results := inc.fanout(ctx, RoundStructure, ids.ActionID(id), trace.Context{}, nodes, false,
 		func(ctx context.Context, n ids.NodeID) error {
-			for owed := m.owed.commitsTo(n); ; {
+			for owed := inc.owed.commitsTo(n); ; {
 				q := &endReq{}
 				for ; len(owed) > 0 && q.Commit.n < maxOwedBatch; owed = owed[1:] {
 					q.Commit = q.Commit.add(owed[0])
@@ -212,7 +213,7 @@ func (m *Manager) endStructure(ctx context.Context, id StructureID, local *actio
 				if len(owed) == 0 {
 					q.Structure, q.CommitStructure = id, commit
 				}
-				if err := m.sendEnd(ctx, n, q); err != nil || q.Structure != 0 {
+				if err := inc.sendEnd(ctx, n, q); err != nil || q.Structure != 0 {
 					return err
 				}
 			}
@@ -236,12 +237,12 @@ func (m *Manager) endStructure(ctx context.Context, id StructureID, local *actio
 // structureContainerLocked returns (creating if needed) this node's
 // container action for the structure, carrying the container colour and
 // nested under the parent structure's container when the info names one;
-// nil for a transaction outside structures. Caller holds m.mu.
-func (m *Manager) structureContainerLocked(info *structureInfo) (*action.Action, error) {
+// nil for a transaction outside structures. Caller holds inc.mu.
+func (inc *incarnation) structureContainerLocked(info *structureInfo) (*action.Action, error) {
 	if info == nil {
 		return nil, nil
 	}
-	if a, ok := m.containers[info.Structure]; ok {
+	if a, ok := inc.containers[info.Structure]; ok {
 		return a, nil
 	}
 	var (
@@ -249,18 +250,18 @@ func (m *Manager) structureContainerLocked(info *structureInfo) (*action.Action,
 		err error
 	)
 	if info.Parent != nil {
-		parent, perr := m.structureContainerLocked(info.Parent)
+		parent, perr := inc.structureContainerLocked(info.Parent)
 		if perr != nil {
 			return nil, perr
 		}
 		a, err = parent.Begin(action.WithColours(info.Container))
 	} else {
-		a, err = m.node.Runtime().Begin(action.WithColours(info.Container))
+		a, err = inc.rt.Begin(action.WithColours(info.Container))
 	}
 	if err != nil {
 		return nil, err
 	}
-	m.containers[info.Structure] = a
+	inc.containers[info.Structure] = a
 	return a, nil
 }
 
@@ -269,20 +270,21 @@ func (m *Manager) structureContainerLocked(info *structureInfo) (*action.Action,
 // objects for the next stage (glued chains: Retain/lock in this colour
 // to pass an object on). ok is false for plain transactions.
 func (m *Manager) PassColour(a *action.Action) (colour.Colour, bool) {
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	c, ok := m.passColours[a.ID()]
+	inc := m.cur.Load()
+	inc.mu.Lock()
+	defer inc.mu.Unlock()
+	c, ok := inc.passColours[a.ID()]
 	return c, ok
 }
 
 // endContainer commits or aborts the structure's container at this node.
 // An unknown structure — none, a duplicate, or one lost to a crash with the
 // locks it held — has nothing to end.
-func (m *Manager) endContainer(id StructureID, commit bool) error {
-	m.mu.Lock()
-	a, ok := m.containers[id]
-	delete(m.containers, id)
-	m.mu.Unlock()
+func (inc *incarnation) endContainer(id StructureID, commit bool) error {
+	inc.mu.Lock()
+	a, ok := inc.containers[id]
+	delete(inc.containers, id)
+	inc.mu.Unlock()
 	switch {
 	case !ok:
 		return nil
@@ -310,7 +312,7 @@ type remoteJoint struct {
 // As in the local Chain, the joint for stages (i-1, i) ends as soon as
 // stage i commits, so passed-then-dropped objects release promptly.
 type RemoteChain struct {
-	mgr *Manager
+	inc *incarnation
 	footprint
 	// joints and stages are guarded by footprint.mu.
 	joints []*remoteJoint
@@ -320,7 +322,7 @@ type RemoteChain struct {
 // BeginRemoteChain starts a distributed glued chain coordinated by this
 // node.
 func (m *Manager) BeginRemoteChain() *RemoteChain {
-	return &RemoteChain{mgr: m}
+	return &RemoteChain{inc: m.cur.Load()}
 }
 
 // RunStage executes fn as the next top-level (distributed) action of
@@ -351,7 +353,7 @@ func (c *RemoteChain) beginStage() (*Txn, error) {
 
 	pass := colour.Fresh()
 	var parentInfo *structureInfo
-	begin := c.mgr.node.Runtime().Begin
+	begin := c.inc.rt.Begin
 	if n := len(c.joints); n > 0 {
 		parentInfo, begin = c.joints[n-1].info, c.joints[n-1].local.Begin
 	}
@@ -382,7 +384,7 @@ func (c *RemoteChain) beginStage() (*Txn, error) {
 	c.stages++
 
 	txn := &Txn{
-		mgr:   c.mgr,
+		inc:   c.inc,
 		local: stageLocal,
 		structure: &structureInfo{
 			Structure: joint.info.Structure,
@@ -407,7 +409,7 @@ func (c *RemoteChain) afterStage(ctx context.Context) {
 	c.joints = append(c.joints[:len(c.joints)-2], c.joints[len(c.joints)-1])
 	nodes := slices.Clone(c.touched)
 	c.mu.Unlock()
-	_ = c.mgr.endStructure(ctx, old.info.Structure, old.local, nodes, true)
+	_ = c.inc.endStructure(ctx, old.info.Structure, old.local, nodes, true)
 }
 
 // Stages returns how many stages have been started.
@@ -440,7 +442,7 @@ func (c *RemoteChain) finish(ctx context.Context, commit bool) error {
 
 	// Innermost joints first: each is a child of its predecessor.
 	for i := len(joints) - 1; i >= 0; i-- {
-		_ = c.mgr.endStructure(ctx, joints[i].info.Structure, joints[i].local, nodes, commit)
+		_ = c.inc.endStructure(ctx, joints[i].info.Structure, joints[i].local, nodes, commit)
 	}
 	return nil
 }

@@ -25,7 +25,7 @@
 // kind — the release of a finished single-site transaction, the commit of
 // a prepared one — which an invoke carries as two lists: the r releases,
 // then the c commits. An end carries one list per event that ends a
-// transaction there (Manager.end): the r releases, the c commits, the x
+// transaction there (incarnation.end): the r releases, the c commits, the x
 // aborts; a structure's end or cancel names the structure (0: none).
 // The a transactions after an invoke reply, a vote or an ack are commits
 // the replying node has made durable. A bracketed list is absent when

@@ -32,20 +32,6 @@ import (
 	"mca/internal/clock"
 )
 
-// clk stamps events recorded without an explicit When. Package-level
-// (the default recorder is package-level too) and atomic so tests can
-// swap in a clock.Fake while recorders are live. Boxed, since
-// atomic.Value rejects stores of differing concrete types.
-var clk atomic.Value // clockBox
-
-type clockBox struct{ c clock.Clock }
-
-func init() { clk.Store(clockBox{clock.Real()}) }
-
-// SetClock substitutes the timestamp source for events recorded
-// without an explicit When. Default clock.Real().
-func SetClock(c clock.Clock) { clk.Store(clockBox{c}) }
-
 // Kind classifies one flight-recorder event.
 type Kind uint8
 
@@ -132,8 +118,8 @@ func (k Kind) String() string {
 // Event is one recorded moment. All fields besides When and Kind are
 // optional and kind-specific.
 type Event struct {
-	// When is the event time in Unix nanoseconds. Record stamps it when
-	// zero.
+	// When is the event time in Unix nanoseconds. Record stamps it from
+	// the real clock when zero.
 	When int64 `json:"when"`
 	// Kind classifies the event.
 	Kind Kind `json:"kind"`
@@ -212,7 +198,7 @@ func ceilPow2(n, min int) int {
 // claimed via its sequence counter.
 func (r *Recorder) Record(ev Event) {
 	if ev.When == 0 {
-		ev.When = clk.Load().(clockBox).c.Now().UnixNano()
+		ev.When = clock.Real().Now().UnixNano()
 	}
 	// Spread writers over stripes. There is no portable per-P hint, so
 	// mix a cheap round-robin ticket with the event's identity; either

@@ -46,6 +46,7 @@ type Message struct {
 	From    ids.NodeID
 	To      ids.NodeID
 	Payload []byte
+	crashes uint64 // the recipient's crashes when it was sent
 }
 
 // Config tunes the simulated faults.
@@ -164,6 +165,7 @@ type Endpoint struct {
 	inbox   chan Message
 	crashed bool
 	closed  bool
+	crashes uint64
 }
 
 // NewEndpoint attaches a new node to the network.
@@ -213,6 +215,9 @@ func (n *Network) send(m Message) error {
 		n.mu.Unlock()
 		return ErrUnknownNode
 	}
+	dst.mu.Lock()
+	m.crashes = dst.crashes
+	dst.mu.Unlock()
 	n.stats.Sent++
 	msgSent.Inc()
 
@@ -267,23 +272,24 @@ func (n *Network) send(m Message) error {
 	return nil
 }
 
+// deliver hands m to dst unless dst has crashed since it was sent.
 func (n *Network) deliver(dst *Endpoint, m Message) {
 	defer n.wg.Done()
 	dst.mu.Lock()
-	crashedOrClosed := dst.crashed || dst.closed
-	inbox := dst.inbox
-	dst.mu.Unlock()
-	if crashedOrClosed {
+	if dst.crashed || dst.closed || dst.crashes != m.crashes {
+		dst.mu.Unlock()
 		n.bumpLost()
 		return
 	}
 	select {
-	case inbox <- m:
+	case dst.inbox <- m:
+		dst.mu.Unlock()
 		n.mu.Lock()
 		n.stats.Delivered++
 		msgDelivered.Inc()
 		n.mu.Unlock()
 	default:
+		dst.mu.Unlock()
 		n.mu.Lock()
 		n.stats.Overflow++
 		msgOverflow.Inc()
@@ -333,6 +339,7 @@ func (e *Endpoint) Crash() {
 		return
 	}
 	e.crashed = true
+	e.crashes++
 	// Drain the inbox: messages queued at a crashed node are lost
 	// with its volatile memory.
 	for {

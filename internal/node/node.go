@@ -1,10 +1,11 @@
 // Package node models the workstations of paper §2: fail-silent nodes
 // with stable storage, attached to the simulated network or real TCP.
-// A node hosts an action runtime, an RPC peer and application services;
-// Crash makes it fail silently — its volatile state (the runtime with its
-// locks and in-flight actions, the peer) is lost, its stable store kept —
-// and Restart recovers the store and restarts services so higher layers
-// (internal/dist) can run their recovery protocols.
+// A node hosts an action runtime, an RPC peer and application services.
+// Each incarnation — a start or Restart to the next Crash — has its own
+// runtime, peer, lifetime context and stable-store handle, and Crash ends
+// all four for good: what outlives it (a handler, a goroutine, a
+// transaction) changes nothing. Restart builds the next incarnation over
+// the same stable store so services (internal/dist) can recover.
 package node
 
 import (
@@ -12,6 +13,7 @@ import (
 	"fmt"
 	"slices"
 	"sync"
+	"sync/atomic"
 
 	"mca/internal/action"
 	"mca/internal/clock"
@@ -51,18 +53,19 @@ type Endpoint interface {
 // Node is one simulated workstation.
 type Node struct {
 	endpoint Endpoint
-	stable   *store.Stable
+	stable   atomic.Pointer[store.Stable] // the current incarnation's
 	rpcOpts  rpc.Options
 	// clk is the node's time source, handed down to the action
 	// runtime, lock manager, RPC peer, WAL and hosted services so a
 	// whole node runs on one (possibly virtual) timeline.
 	clk clock.Clock
 
-	mu       sync.Mutex
-	peer     *rpc.Peer
-	runtime  *action.Runtime
-	services []Service
-	crashed  bool
+	restarting sync.Mutex // one Restart at a time: services register on its parts
+	mu         sync.Mutex
+	peer       *rpc.Peer
+	runtime    *action.Runtime
+	services   []Service
+	crashed    bool
 	// life is cancelled when the node crashes or stops, so goroutines
 	// working on the node's behalf (recovery retry loops, in-flight
 	// calls) terminate with it. Restart installs a fresh context.
@@ -195,11 +198,11 @@ func NewOn(ep Endpoint, opts ...Option) (*Node, error) {
 	}
 	n := &Node{
 		endpoint: ep,
-		stable:   stable,
 		rpcOpts:  no.rpcOpts,
 		clk:      no.clk,
 		tracer:   no.tracer,
 	}
+	n.stable.Store(stable)
 	stable.WAL().SetNodeID(uint64(ep.ID()))
 	stable.WAL().SetClock(no.clk)
 	if n.tracer != nil {
@@ -268,8 +271,9 @@ func (n *Node) Context() context.Context {
 // ID returns the node identifier.
 func (n *Node) ID() ids.NodeID { return n.endpoint.ID() }
 
-// Stable returns the node's stable store (survives crashes).
-func (n *Node) Stable() *store.Stable { return n.stable }
+// Stable returns the current incarnation's handle on the node's stable
+// store: Crash closes it for good, and Restart opens the next.
+func (n *Node) Stable() *store.Stable { return n.stable.Load() }
 
 // Runtime returns the node's action runtime. After a crash/restart it is
 // a fresh runtime: in-flight actions and their locks died with the
@@ -305,10 +309,10 @@ func (n *Node) Host(s Service) {
 	s.Register(n, peer)
 }
 
-// Crash makes the node fail silently: the RPC engine stops, queued and
-// future messages are dropped, the action runtime (locks, in-flight
-// actions) is abandoned, and stable storage rejects operations until
-// Restart. Crashing a crashed node is a no-op.
+// Crash makes the node fail silently and ends its incarnation: the RPC
+// engine stops, queued and future messages are dropped, the action
+// runtime closes with its in-flight actions, which take no lock any more,
+// and the store handle closes for good. Crashing a crashed node is a no-op.
 func (n *Node) Crash() {
 	n.mu.Lock()
 	if n.crashed {
@@ -317,34 +321,39 @@ func (n *Node) Crash() {
 	}
 	n.crashed = true
 	n.crashes++
-	peer := n.peer
+	peer, rt := n.peer, n.runtime
 	stopLife := n.stopLife
 	n.mu.Unlock()
 
 	stopLife()
 	peer.Stop()
 	n.endpoint.Crash()
-	n.stable.Crash()
+	n.Stable().Crash()
+	rt.Close()
 	flightrec.Record(flightrec.Event{Kind: flightrec.KindCrash, Node: uint64(n.ID())})
 	flightrec.AutoDump("crash")
 }
 
-// Restart repairs the node: stable storage recovers (a file-backed store
-// replays its log), the action runtime and the RPC peer start empty, and
-// services re-register their handlers and run their recovery hooks. When
-// the store does not recover, Restart returns the error and the node
-// stays crashed — endpoint down, no service registered — for a later
-// Restart to try again. Restarting a node that is up does nothing.
+// Restart repairs the node as its next incarnation: a new store handle
+// (a file-backed store replays its log), an empty runtime and RPC peer,
+// and services re-registering and running their recovery hooks. When the
+// store does not recover, Restart returns the error and the node stays
+// crashed — endpoint down, no service registered — for a later Restart to
+// try again. Restarting a node that is up does nothing.
 func (n *Node) Restart() error {
+	n.restarting.Lock()
+	defer n.restarting.Unlock()
 	n.mu.Lock()
 	if !n.crashed {
 		n.mu.Unlock()
 		return nil
 	}
-	if err := n.stable.Recover(); err != nil {
+	stable, err := n.Stable().Restart()
+	if err != nil {
 		n.mu.Unlock()
 		return fmt.Errorf("restart node %v: %w", n.ID(), err)
 	}
+	n.stable.Store(stable)
 	n.crashed = false
 	n.endpoint.Restart()
 	n.start()
@@ -388,6 +397,6 @@ func (n *Node) Stop() {
 	peer.Stop()
 	n.endpoint.Close()
 	//mcalint:ignore errdrop a stop has nobody to report a failed final force to; the log is as a crash would have left it
-	_ = n.stable.Close()
+	_ = n.Stable().Close()
 	n.debug.close()
 }

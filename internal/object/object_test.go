@@ -423,7 +423,8 @@ func TestCrashLosesUncommittedSurvivesCommitted(t *testing.T) {
 	if err := a.Abort(); err != nil {
 		t.Fatal(err)
 	}
-	if err := st.Recover(); err != nil {
+	st, err := st.Restart()
+	if err != nil {
 		t.Fatal(err)
 	}
 

@@ -13,7 +13,9 @@ import (
 // when the store has one, creating them otherwise) — the pattern every
 // node-resident service needs (paper §2: objects "normally reside in
 // object stores"; they are activated into volatile memory to be operated
-// on).
+// on). A registry belongs to one incarnation of its node: it activates
+// through that incarnation's store handle, and the next incarnation
+// builds a registry of its own.
 type Registry[T any] struct {
 	store   StableStore
 	initial func(ids.ObjectID) T
@@ -56,15 +58,6 @@ func (r *Registry[T]) Get(id ids.ObjectID) (*Managed[T], error) {
 	}
 	r.objects[id] = m
 	return m, nil
-}
-
-// Reactivate discards every in-memory instance, which died with a node
-// crash: each object activates from the store again on its next Get,
-// once commit-protocol recovery has resolved any write set in doubt.
-func (r *Registry[T]) Reactivate() {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	clear(r.objects)
 }
 
 // Known returns the identifiers of currently activated objects, in no

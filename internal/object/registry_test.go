@@ -1,6 +1,7 @@
 package object_test
 
 import (
+	"errors"
 	"testing"
 
 	"mca/internal/action"
@@ -78,10 +79,15 @@ func TestRegistryReactivateAfterCrash(t *testing.T) {
 		t.Fatal(err)
 	}
 	st.Crash()
-	if err := st.Recover(); err != nil {
+	if _, err := reg.Get(ids.NewObjectID()); !errors.Is(err, store.ErrCrashed) {
+		t.Fatalf("Get through the crashed incarnation's registry = %v, want ErrCrashed", err)
+	}
+	if st, err = st.Restart(); err != nil {
 		t.Fatal(err)
 	}
-	reg.Reactivate()
+	// The next incarnation activates from its own handle, in a registry of
+	// its own.
+	reg = object.NewRegistry[int](st, func(ids.ObjectID) int { return 10 })
 	_ = a.Abort() // the old action's restore hits the abandoned instance
 
 	fresh, err := reg.Get(id)

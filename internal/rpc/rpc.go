@@ -487,6 +487,9 @@ func (p *Peer) serve(ctx context.Context, job serveJob) {
 		})
 	}
 
+	if ctx.Err() != nil {
+		return // stopped meanwhile: a crashed peer answers nothing
+	}
 	p.mu.Lock()
 	delete(p.inflight, req.CallID)
 	if _, dup := p.seen[req.CallID]; !dup {

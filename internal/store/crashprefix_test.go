@@ -31,7 +31,7 @@ func imageOf(t *testing.T, s *Stable) stableImage {
 	t.Helper()
 	img := stableImage{Objects: make(map[ids.ObjectID]string)}
 	// The cache, not Read: a replayed prepared record fences its objects.
-	for id, st := range s.snapshot() {
+	for id, st := range s.d.snapshot() {
 		img.Objects[id] = string(st)
 	}
 	pending, err := s.Intentions().Pending()
@@ -221,7 +221,7 @@ func runCrashPrefix(t *testing.T, seed int64) {
 			// Compaction: the next forced record rewrites the log as a
 			// checkpoint. Check the file it is about to replace first.
 			checkGeneration()
-			s.wal.file.compactAt = 0
+			s.d.wal.file.compactAt = 0
 			id, st := objects[rng.Intn(len(objects))], State(fmt.Sprintf("c%d", step))
 			op = prefixOp{name: "write+compact", logged: true, apply: func(s *Stable) error { return put(s, id, st) }}
 		}

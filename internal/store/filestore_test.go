@@ -55,7 +55,7 @@ func TestFileStoreSurvivesReopen(t *testing.T) {
 	if err != nil || string(got) != "persisted" {
 		t.Fatalf("Read after reopen = %q, %v", got, err)
 	}
-	if n := len(fs2.snapshot()); n != 1 {
+	if n := len(fs2.d.snapshot()); n != 1 {
 		t.Fatalf("%d objects after reopen, want 1", n)
 	}
 }
@@ -158,7 +158,7 @@ func TestFileStoreIgnoresForeignFiles(t *testing.T) {
 		t.Fatal(err)
 	}
 	reopened := openTestStore(t, dir)
-	if got, err := reopened.Read(id); err != nil || string(got) != "real" || len(reopened.snapshot()) != 1 {
-		t.Fatalf("reopened store = %v (Read(%v) = %q, %v); want just that object", reopened.snapshot(), id, got, err)
+	if got, err := reopened.Read(id); err != nil || string(got) != "real" || len(reopened.d.snapshot()) != 1 {
+		t.Fatalf("reopened store = %v (Read(%v) = %q, %v); want just that object", reopened.d.snapshot(), id, got, err)
 	}
 }

@@ -355,7 +355,7 @@ func TestRecoverAfterCompactionCutsTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	a, b, c := ids.NewObjectID(), ids.NewObjectID(), ids.NewObjectID()
-	s.wal.file.compactAt = 0
+	s.d.wal.file.compactAt = 0
 	if err := put(s, a, State("checkpointed")); err != nil {
 		t.Fatal(err)
 	}
@@ -363,14 +363,12 @@ func TestRecoverAfterCompactionCutsTornTail(t *testing.T) {
 		t.Fatal(err)
 	}
 	// A short write of the log's own: half a frame through its handle.
-	if _, err := s.wal.file.f.Write([]byte{200, 0, 0, 0, 1, 2, 3}); err != nil {
+	if _, err := s.d.wal.file.f.Write([]byte{200, 0, 0, 0, 1, 2, 3}); err != nil {
 		t.Fatal(err)
 	}
 
 	s.Crash()
-	if err := s.Recover(); err != nil {
-		t.Fatal(err)
-	}
+	s = restart(t, s)
 	if err := put(s, c, State("after")); err != nil {
 		t.Fatal(err)
 	}
@@ -420,7 +418,7 @@ func TestCommittedIntentionInstallsItsWriteSet(t *testing.T) {
 				if got, err := s.Read(decided); err != nil || string(got) != wantDecided {
 					t.Fatalf("%s: decided object = %q, %v; want %q", when, got, err, wantDecided)
 				}
-				if _, ok := s.snapshot()[prepared]; ok {
+				if _, ok := s.d.snapshot()[prepared]; ok {
 					t.Fatalf("%s: a prepared intention installed its write set", when)
 				}
 				if _, err := s.Read(prepared); !errors.Is(err, wantPrepared) {
@@ -429,9 +427,7 @@ func TestCommittedIntentionInstallsItsWriteSet(t *testing.T) {
 			}
 			check(s, "after Record", "v1", ErrNotFound)
 			s.Crash()
-			if err := s.Recover(); err != nil {
-				t.Fatal(err)
-			}
+			s = restart(t, s)
 			check(s, "after a restart", "v1", ErrUnresolved)
 			if name != "file" {
 				return
@@ -441,7 +437,7 @@ func TestCommittedIntentionInstallsItsWriteSet(t *testing.T) {
 			if err := s.ApplyBatch(Batch{Writes: map[ids.ObjectID]State{decided: State("v2")}, Deletes: []ids.ObjectID{gone}}); err != nil {
 				t.Fatal(err)
 			}
-			s.wal.file.compactAt = 0
+			s.d.wal.file.compactAt = 0
 			if err := put(s, ids.NewObjectID(), State("x")); err != nil {
 				t.Fatal(err)
 			}

@@ -77,42 +77,56 @@ const (
 	CrashAfterForce
 )
 
-// Stable models stable storage: Crash preserves everything durable, and
-// Recover brings the store back with exactly that. Every object write is
-// a batch (ApplyBatch, ApplyBatchLazy), installed whole or not at all. It
-// is safe for concurrent use.
+// Stable is one incarnation's handle on a node's stable storage: Crash
+// closes it for good, keeping what is durable for the handle Restart
+// opens. A closed handle refuses every operation, one begun before the
+// crash included. Every object write is a batch (ApplyBatch,
+// ApplyBatchLazy), installed whole or not at all. It is safe for
+// concurrent use.
 //
-// NewStable's store is in memory: its object map is the disk, so a batch
-// is durable once applied. A store opened with NewStableAt is
+// NewStable's storage is in memory: its object map is the disk, so a
+// batch is durable once applied. Storage opened with NewStableAt is
 // log-structured: every durable mutation — object batches and intention
 // records — is one record appended to the directory's wal.log through the
 // group-commit WAL, forced, and only then installed in data, which is a
-// cache of the log's replay. Recover re-reads the log, so recovery sees
-// exactly what was durable at the crash — the "diskfull workstation"
-// configuration, with the in-memory store's crash model.
+// cache of the log's replay. Restart re-reads the log, so the next
+// incarnation sees exactly what was durable at the crash — the "diskfull
+// workstation" configuration, with the in-memory store's crash model.
 type Stable struct {
-	mu      sync.Mutex
-	crashed bool
-	closed  bool // by Close: crashed for good
-	data    map[ids.ObjectID]State
+	d   *disk
+	gen uint64 // the disk's crash generation when the handle was opened
+}
+
+// disk is the storage the handles of a node's incarnations share: object
+// states, fences and the log, whose settings and counters outlive crashes.
+type disk struct {
+	mu     sync.Mutex
+	closed bool // by Close: no incarnation follows
+	data   map[ids.ObjectID]State
 	// pendingCrash injects a crash at the chosen point of the next batch.
 	pendingCrash CrashPoint
 	// fenced maps every object a prepared record replayed at the last open
-	// or Recover writes or deletes to the record's action, until the record
-	// is forgotten (WAL.Forget). Records appended since fence nothing: the
-	// action that wrote them holds the objects' locks.
+	// or Restart writes or deletes to the record's action, until the
+	// record is forgotten (IntentionLog.Forget). Records appended since
+	// fence nothing: the action that wrote them holds the objects' locks.
 	fenced map[ids.ObjectID]ids.ActionID
+	// cur is the newest handle, the one Restart takes.
+	cur *Stable
+	wal *WAL
+}
 
-	wal        *WAL
-	intentions *IntentionLog
+// handle returns a handle of the disk's current incarnation and makes it
+// the newest. Called with mu held, or before the disk is shared.
+func (d *disk) handle() *Stable {
+	d.cur = &Stable{d: d, gen: d.wal.gen.Load()}
+	return d.cur
 }
 
 // NewStable returns an empty stable store.
 func NewStable() *Stable {
-	s := &Stable{data: make(map[ids.ObjectID]State)}
-	s.wal = newWAL(s, nil, nil)
-	s.intentions = &IntentionLog{wal: s.wal}
-	return s
+	d := &disk{data: make(map[ids.ObjectID]State)}
+	d.wal = newWAL(d, nil, nil)
+	return d.handle()
 }
 
 // NewStableAt returns a stable store backed by the log in dir (created
@@ -132,28 +146,31 @@ func OpenFileStore(dir string) (*Stable, bool, error) {
 	if err != nil {
 		return nil, false, err
 	}
-	s := &Stable{data: img.data, fenced: fencesOf(img.index)}
-	s.wal = newWAL(s, lf, img.index)
-	s.intentions = &IntentionLog{wal: s.wal}
-	return s, truncated, nil
+	d := &disk{data: img.data, fenced: fencesOf(img.index)}
+	d.wal = newWAL(d, lf, img.index)
+	return d.handle(), truncated, nil
 }
+
+// open reports whether no crash has closed the handle, for good.
+func (s *Stable) open() bool { return s.gen == s.d.wal.gen.Load() }
 
 // Read returns the state recorded for the object, or ErrNotFound. A fenced
 // object is refused with ErrUnresolved whether or not the store holds a
 // state for it, so an object the unresolved transaction creates is not
 // created a second time.
 func (s *Stable) Read(id ids.ObjectID) (State, error) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	if s.crashed {
+	d := s.d
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if !s.open() {
 		return nil, ErrCrashed
 	}
-	if a, ok := s.fenced[id]; ok {
+	if a, ok := d.fenced[id]; ok {
 		readsRefused.Inc()
-		flightrec.Record(flightrec.Event{Kind: flightrec.KindUnresolvedRead, Node: s.wal.nodeID.Load(), A: uint64(id), B: uint64(a)})
+		flightrec.Record(flightrec.Event{Kind: flightrec.KindUnresolvedRead, Node: d.wal.nodeID.Load(), A: uint64(id), B: uint64(a)})
 		return nil, fmt.Errorf("%w (object %v, transaction %v)", ErrUnresolved, id, a)
 	}
-	st, ok := s.data[id]
+	st, ok := d.data[id]
 	if !ok {
 		return nil, ErrNotFound
 	}
@@ -162,49 +179,50 @@ func (s *Stable) Read(id ids.ObjectID) (State, error) {
 
 // ApplyBatch installs the batch atomically: either every write and delete
 // takes effect or none does. It returns once the batch is durable, or
-// with ErrCrashed when the store is, or became, crashed.
+// with ErrCrashed when the handle is, or became, closed.
 func (s *Stable) ApplyBatch(b Batch) error { return s.applyBatch(b, false) }
 
 // ApplyBatchLazy is ApplyBatch without the wait: on the file backing the
 // batch is installed at once and its record joins the log's open batch,
-// durable with the next record forced (WAL.Durable says when) and lost
-// to a crash before then. An armed crash point fires as in ApplyBatch.
+// durable with the next record forced (Durable says when) and lost to a
+// crash before then. An armed crash point fires as in ApplyBatch.
 func (s *Stable) ApplyBatchLazy(b Batch) error { return s.applyBatch(b, true) }
 
 func (s *Stable) applyBatch(b Batch, lazy bool) error {
-	s.mu.Lock()
-	if s.crashed {
-		s.mu.Unlock()
+	d := s.d
+	d.mu.Lock()
+	if !s.open() {
+		d.mu.Unlock()
 		return ErrCrashed
 	}
 	if b.Empty() {
-		s.mu.Unlock()
+		d.mu.Unlock()
 		return nil
 	}
-	point := s.pendingCrash
-	s.pendingCrash = 0
+	point := d.pendingCrash
+	d.pendingCrash = 0
 	var err error
 	switch {
 	case point == CrashBeforeForce:
-		s.crashLocked()
-		s.mu.Unlock()
+		d.crashLocked()
+		d.mu.Unlock()
 		return ErrCrashed
-	case s.wal.file == nil:
-		s.applyLocked(b)
-		s.mu.Unlock()
+	case d.wal.file == nil:
+		d.applyLocked(b)
+		d.mu.Unlock()
 	case lazy && point == 0:
 		// The cache takes the batch before the log does: a compaction
 		// that checkpoints the cache in between then holds it too, rather
 		// than replacing the log record it would have missed.
-		s.applyLocked(b)
-		s.mu.Unlock()
-		return s.wal.appendLazy(logRecord{kind: kindBatch, batch: b, noInstall: true})
+		d.applyLocked(b)
+		d.mu.Unlock()
+		return d.wal.appendLazy(s.gen, logRecord{kind: kindBatch, batch: b, noInstall: true})
 	default:
 		// One log record — atomic because a record is whole or absent —
 		// joined to the WAL's group commit; the cache takes it once
 		// forced. mu is not held across the force.
-		s.mu.Unlock()
-		err = s.wal.append(logRecord{kind: kindBatch, batch: b})
+		d.mu.Unlock()
+		err = d.wal.append(s.gen, logRecord{kind: kindBatch, batch: b})
 	}
 	if err == nil && point == CrashAfterForce {
 		s.Crash()
@@ -216,82 +234,86 @@ func (s *Stable) applyBatch(b Batch, lazy bool) error {
 // install enters what the forced records install (logRecord.installs)
 // into the cache, in log order. Appenders are still blocked in their
 // append, so their states are copied here, once.
-func (s *Stable) install(records []logRecord) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
+func (d *disk) install(records []logRecord) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
 	for i := range records {
 		if b, ok := records[i].installs(); ok {
-			s.applyLocked(b)
+			d.applyLocked(b)
 		}
 	}
 }
 
 // snapshot returns the cache's current contents. States are immutable
 // once installed, so the copy is shallow.
-func (s *Stable) snapshot() map[ids.ObjectID]State {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return maps.Clone(s.data)
+func (d *disk) snapshot() map[ids.ObjectID]State {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	return maps.Clone(d.data)
 }
 
-func (s *Stable) applyLocked(b Batch) {
+func (d *disk) applyLocked(b Batch) {
 	for id, st := range b.Writes {
-		s.data[id] = cloneState(st)
+		d.data[id] = cloneState(st)
 	}
 	for _, id := range b.Deletes {
-		delete(s.data, id)
+		delete(d.data, id)
 	}
 }
 
-// Crash models a node crash. Durable data (including the intention log)
-// is preserved; the store rejects operations until Recover.
-func (s *Stable) Crash() {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.crashLocked()
+// Crash models a node crash: the handle closes for good, and what is
+// durable waits for the next incarnation's (Restart). Crashing a closed
+// handle does nothing.
+func (s *Stable) Crash() { s.d.crash(s.gen) }
+
+// crash crashes incarnation gen, if it is still the current one.
+func (d *disk) crash(gen uint64) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if gen == d.wal.gen.Load() {
+		d.crashLocked()
+	}
 }
 
-func (s *Stable) crashLocked() {
-	s.crashed = true
+func (d *disk) crashLocked() {
 	// Invalidate in-flight WAL batches: a force completing after the
 	// crash must fail its waiters, not install records on a store that
 	// was down. Records nobody forced are lost with the node.
-	s.wal.gen.Add(1)
-	s.wal.dropOpen()
+	d.wal.gen.Add(1)
+	d.wal.dropOpen()
 }
 
 // CrashDuringNextBatch arms a crash injection for the next non-empty
 // ApplyBatch or ApplyBatchLazy.
 func (s *Stable) CrashDuringNextBatch(p CrashPoint) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	s.pendingCrash = p
+	s.d.mu.Lock()
+	defer s.d.mu.Unlock()
+	s.d.pendingCrash = p
 }
 
-// Crashed reports whether the store is currently crashed.
-func (s *Stable) Crashed() bool {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.crashed
-}
+// Crashed reports whether a crash has closed the handle.
+func (s *Stable) Crashed() bool { return !s.open() }
 
-// Close shuts the store down cleanly, not as a crash: it forces what the
-// log holds unforced and closes the file backing. Later operations fail
-// with ErrCrashed and Recover refuses; a store opened on the same
+// Close shuts the storage down cleanly, not as a crash: it forces what
+// the log holds unforced and closes the file backing. Every handle then
+// fails with ErrCrashed and Restart refuses; a store opened on the same
 // directory finds everything.
 func (s *Stable) Close() error {
 	var err error
-	if !s.Crashed() {
-		err = s.wal.Sync(s.wal.Mark())
+	if s.open() {
+		err = s.Sync()
 	}
-	s.mu.Lock()
-	s.closed = true
-	s.crashLocked()
-	s.mu.Unlock()
-	if lf := s.wal.file; lf != nil {
+	d := s.d
+	d.mu.Lock()
+	if !d.closed {
+		d.closed = true
+		d.crashLocked()
+	}
+	d.mu.Unlock()
+	if lf := d.wal.file; lf != nil {
 		// Forces check the crash under flushMu before touching the file.
-		s.wal.flushMu.Lock()
-		defer s.wal.flushMu.Unlock()
+		d.wal.flushMu.Lock()
+		defer d.wal.flushMu.Unlock()
 		if cerr := lf.close(); err == nil {
 			err = cerr
 		}
@@ -299,20 +321,23 @@ func (s *Stable) Close() error {
 	return err
 }
 
-// Recover restarts a crashed store with what was durable at the crash. A
-// file-backed store replays its log into the object cache and the
-// intention index; the in-memory one keeps both, as they are its disk.
-// Either way the prepared records the store then holds fence their
-// objects. On an error — the log does not replay, or the store is closed
-// — the store stays crashed, and a later Recover may try again.
-func (s *Stable) Recover() error {
-	s.mu.Lock()
-	closed := s.closed
-	s.mu.Unlock()
-	if closed {
-		return fmt.Errorf("recover: %w (the store is closed)", ErrCrashed)
+// Restart crashes s, if nothing has, and returns the next incarnation's
+// handle with what was durable: a file-backed store replays its log, the
+// in-memory one keeps its object map and intentions, and either fences the
+// objects of the prepared records it holds. On an error — the log does
+// not replay, the storage is closed, or s is not the newest handle — there
+// is no next handle; a later Restart of s may try again.
+func (s *Stable) Restart() (*Stable, error) {
+	d, w := s.d, s.d.wal
+	d.mu.Lock()
+	stale := d.closed || d.cur != s
+	if !stale && s.open() {
+		d.crashLocked()
 	}
-	w := s.wal
+	d.mu.Unlock()
+	if stale {
+		return nil, fmt.Errorf("restart: %w (the store is closed, or a later handle exists)", ErrCrashed)
+	}
 	var img *logImage
 	if w.file != nil {
 		// No force may run while the log is read and its end re-established.
@@ -320,19 +345,21 @@ func (s *Stable) Recover() error {
 		defer w.flushMu.Unlock()
 		var err error
 		if img, _, err = w.file.replay(); err != nil {
-			return err
+			return nil, err
 		}
 	}
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	w.mu.Lock()
-	defer w.mu.Unlock()
-	if img != nil {
-		s.data, w.index = img.data, img.index
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	if d.closed || d.cur != s {
+		return nil, fmt.Errorf("restart: %w (the store is closed, or a later handle exists)", ErrCrashed)
 	}
-	s.fenced = fencesOf(w.index)
-	s.crashed = false
-	return nil
+	w.mu.Lock()
+	if img != nil {
+		d.data, w.index = img.data, img.index
+	}
+	d.fenced = fencesOf(w.index)
+	w.mu.Unlock()
+	return d.handle(), nil
 }
 
 // fencesOf returns the objects the prepared records of index write or
@@ -354,30 +381,26 @@ func fencesOf(index map[ids.ActionID]Intention) map[ids.ObjectID]ids.ActionID {
 }
 
 // unfence lifts the fences of action a's record, which is resolved.
-func (s *Stable) unfence(a ids.ActionID) {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	maps.DeleteFunc(s.fenced, func(_ ids.ObjectID, by ids.ActionID) bool { return by == a })
+func (d *disk) unfence(a ids.ActionID) {
+	d.mu.Lock()
+	defer d.mu.Unlock()
+	maps.DeleteFunc(d.fenced, func(_ ids.ObjectID, by ids.ActionID) bool { return by == a })
 }
 
-// Intentions returns the store's intention log. The log shares the
-// store's crash state.
-func (s *Stable) Intentions() *IntentionLog {
-	return s.intentions
-}
+// Intentions returns the handle's intention log.
+func (s *Stable) Intentions() *IntentionLog { return (*IntentionLog)(s) }
 
-// WAL returns the store's write-ahead log, for tuning (group-commit
-// window, simulated force latency) and flush observation.
+// WAL returns the write-ahead log the storage's handles share, for
+// tuning (group-commit window, simulated force latency) and flush
+// observation. Its settings and counters outlive every crash.
 func (s *Stable) WAL() *WAL {
-	return s.wal
+	return s.d.wal
 }
 
-// CrashDuringNextForce arms a crash injection inside the WAL's next
+// CrashDuringNextForce arms a crash injection inside the handle's next
 // force: the node dies mid group-commit window, with every transaction
-// waiting in the batch unforced.
-func (s *Stable) CrashDuringNextForce() {
-	s.wal.crashNextForce.Store(true)
-}
+// waiting in the batch unforced. A crash before then disarms it.
+func (s *Stable) CrashDuringNextForce() { s.d.wal.crashNextForce.Store(s.gen + 1) }
 
 func cloneBatch(b Batch) Batch {
 	out := Batch{Writes: make(map[ids.ObjectID]State, len(b.Writes))}
@@ -430,26 +453,18 @@ type Intention struct {
 }
 
 // IntentionLog is the stable log consulted during crash recovery of the
-// commit protocol. It shares fate with its owning Stable store: records
-// survive crashes, and operations fail while the store is crashed.
+// commit protocol, through one handle: records survive crashes, and
+// operations fail once the handle is closed.
 //
 // The log is a view over the store's write-ahead log: Record and Forget
 // append entries and return once the group-commit batch holding them is
 // forced, so concurrent transactions share forces instead of paying one
 // each.
-type IntentionLog struct {
-	wal *WAL
+type IntentionLog Stable
+
+// Record durably stores (or overwrites) the intention for the action,
+// returning once the batch containing it is forced. The log keeps in as
+// given: the caller must not change its write set afterwards.
+func (l *IntentionLog) Record(in Intention) error {
+	return l.d.wal.append(l.gen, logRecord{kind: kindIntention, action: in.Action, in: &in})
 }
-
-// Record durably stores (or overwrites) the intention for the action.
-func (l *IntentionLog) Record(in Intention) error { return l.wal.Record(in) }
-
-// Lookup returns the intention recorded for the action.
-func (l *IntentionLog) Lookup(a ids.ActionID) (Intention, bool, error) { return l.wal.Lookup(a) }
-
-// Forget removes the record once the outcome is fully applied and
-// acknowledged.
-func (l *IntentionLog) Forget(a ids.ActionID) error { return l.wal.Forget(a) }
-
-// Pending returns all records still in the log, for recovery scans.
-func (l *IntentionLog) Pending() ([]Intention, error) { return l.wal.Pending() }

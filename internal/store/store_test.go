@@ -19,6 +19,16 @@ func del(s *Stable, id ids.ObjectID) error {
 	return s.ApplyBatch(Batch{Deletes: []ids.ObjectID{id}})
 }
 
+// restart returns the next incarnation's handle on s's storage.
+func restart(t *testing.T, s *Stable) *Stable {
+	t.Helper()
+	next, err := s.Restart()
+	if err != nil {
+		t.Fatal(err)
+	}
+	return next
+}
+
 func TestStableCrashPreservesData(t *testing.T) {
 	s := NewStable()
 	id := ids.NewObjectID()
@@ -29,9 +39,7 @@ func TestStableCrashPreservesData(t *testing.T) {
 	if _, err := s.Read(id); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("Read while crashed = %v, want ErrCrashed", err)
 	}
-	if err := s.Recover(); err != nil {
-		t.Fatal(err)
-	}
+	s = restart(t, s)
 	got, err := s.Read(id)
 	if err != nil {
 		t.Fatalf("Read after recover: %v", err)
@@ -123,9 +131,7 @@ func TestCrashModel(t *testing.T) {
 					if err := apply(next); !errors.Is(err, ErrCrashed) || !s.Crashed() {
 						t.Fatalf("%s at %s = %v (crashed %v), want ErrCrashed", call, points[point], err, s.Crashed())
 					}
-					if err := s.Recover(); err != nil {
-						t.Fatal(err)
-					}
+					s = restart(t, s)
 					want := map[ids.ObjectID]string{keep: "old", drop: "old"}
 					if point == CrashAfterForce {
 						want = map[ids.ObjectID]string{keep: "new", add: "new"}
@@ -201,10 +207,11 @@ func TestIntentionLogSurvivesCrash(t *testing.T) {
 	if _, _, err := log.Lookup(action); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("Lookup while crashed = %v, want ErrCrashed", err)
 	}
-	if err := s.Recover(); err != nil {
-		t.Fatal(err)
+	if _, err := log.Pending(); !errors.Is(err, ErrCrashed) {
+		t.Fatalf("Pending through the crashed handle = %v, want ErrCrashed", err)
 	}
-	pending, err := log.Pending()
+	s = restart(t, s)
+	pending, err := s.Intentions().Pending()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -248,7 +255,8 @@ func TestStableReadBackProperty(t *testing.T) {
 			want[id] = vals[i]
 		}
 		s.Crash()
-		if s.Recover() != nil {
+		var err error
+		if s, err = s.Restart(); err != nil {
 			return false
 		}
 		for id, w := range want {
@@ -323,9 +331,7 @@ func TestStableDelete(t *testing.T) {
 	if err := del(s, id); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("Delete while crashed = %v", err)
 	}
-	if err := s.Recover(); err != nil {
-		t.Fatal(err)
-	}
+	s = restart(t, s)
 }
 
 func TestApplyBatchWithDeletes(t *testing.T) {
@@ -346,9 +352,7 @@ func TestApplyBatchWithDeletes(t *testing.T) {
 	if !errors.Is(err, ErrCrashed) {
 		t.Fatal(err)
 	}
-	if err := s.Recover(); err != nil {
-		t.Fatal(err)
-	}
+	s = restart(t, s)
 	if got, _ := s.Read(keep); string(got) != "k2" {
 		t.Fatalf("keep = %q", got)
 	}

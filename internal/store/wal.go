@@ -46,7 +46,7 @@ type walBatch struct {
 	// wanted marks a batch somebody needs forced. A batch holding only
 	// lazy forgets is not: it waits for the next record to carry it.
 	wanted bool
-	// gen is the owner's crash generation at the batch's creation: a
+	// gen is the disk's crash generation at the batch's creation: a
 	// crash between append and force invalidates the batch, so records
 	// never install "durably" on a store that was down when they were
 	// forced.
@@ -82,14 +82,15 @@ type FlushInfo struct {
 	Err      error
 }
 
-// WAL is a per-node write-ahead log shared by every transaction on the
-// node. It shares fate with its owning Stable store: appends fail while
-// the store is crashed, and forced records survive crashes.
+// WAL is a per-node write-ahead log shared by every transaction and every
+// incarnation of the node, settings and counters included: an append
+// through a closed handle fails, and forced records survive crashes.
 type WAL struct {
-	owner *Stable
+	owner *disk
 
-	// gen counts owner crashes; in-flight batches from an older
-	// generation fail instead of installing.
+	// gen counts crashes: a handle is open while it is the generation it
+	// was opened in, and in-flight batches from an older generation fail
+	// instead of installing.
 	gen atomic.Uint64
 	// window holds a flush open (ns) so more transactions join the
 	// batch. Zero means natural batching only: records arriving while a
@@ -98,9 +99,10 @@ type WAL struct {
 	// forceDelay simulates the latency of one stable-log force for the
 	// in-memory backing (the file backing pays its real fsync instead).
 	forceDelay atomic.Int64
-	// crashNextForce arms a crash injection inside the next force — the
-	// "kill mid group-commit window" point of the chaos matrix.
-	crashNextForce atomic.Bool
+	// crashNextForce arms a crash injection inside the next force of
+	// incarnation crashNextForce-1 — the "kill mid group-commit window"
+	// point of the chaos matrix; a crash before it disarms it.
+	crashNextForce atomic.Uint64
 	// nodeID tags flight-recorder events with the hosting node, when the
 	// node layer announces it (store itself is node-agnostic).
 	nodeID atomic.Uint64
@@ -124,10 +126,9 @@ type WAL struct {
 	// its intention records are not in index yet.
 	inflight *walBatch
 	// seq is the newest batch opened, forced the newest forced. A crash
-	// takes a fresh number for both and makes it the floor: no mark below
-	// it is ever durable.
-	seq, forced, floor uint64
-	flushing           bool
+	// takes a fresh number for both.
+	seq, forced uint64
+	flushing    bool
 	// spare and spareEntries are a drained batch's buffers, for the next.
 	spare        []byte
 	spareEntries []logRecord
@@ -138,7 +139,7 @@ type WAL struct {
 	file    *logFile // nil for the in-memory backing
 }
 
-func newWAL(owner *Stable, file *logFile, index map[ids.ActionID]Intention) *WAL {
+func newWAL(owner *disk, file *logFile, index map[ids.ActionID]Intention) *WAL {
 	if index == nil {
 		index = make(map[ids.ActionID]Intention)
 	}
@@ -185,13 +186,6 @@ func (w *WAL) Stats() (flushes, records uint64) {
 	return w.flushes.Load(), w.records.Load()
 }
 
-// Record durably stores (or overwrites) the intention for the action,
-// returning once the batch containing it is forced. The log keeps in as
-// given: the caller must not change its write set afterwards.
-func (w *WAL) Record(in Intention) error {
-	return w.append(logRecord{kind: kindIntention, action: in.Action, in: &in})
-}
-
 // Forget removes the record once the outcome is fully applied and
 // acknowledged. The record leaves the index at once, and the forget
 // takes its place in log order at once, but nobody waits for its force:
@@ -200,12 +194,14 @@ func (w *WAL) Record(in Intention) error {
 // — re-applying a write set that nothing later in the log overwrote,
 // because anything later in the log would have carried the forget. A
 // forgotten prepared record fences no object any more.
-func (w *WAL) Forget(a ids.ActionID) error {
-	if w.owner.Crashed() {
-		return ErrCrashed
-	}
+func (l *IntentionLog) Forget(a ids.ActionID) error {
+	w := l.d.wal
 	e := logRecord{kind: kindForget, action: a}
 	w.mu.Lock()
+	if !(*Stable)(l).open() {
+		w.mu.Unlock()
+		return ErrCrashed
+	}
 	in, had := w.index[a]
 	if had && in.Status == IntentionPrepared {
 		defer w.owner.unfence(a) // after mu is released: a crash takes the owner's lock before mu
@@ -219,7 +215,7 @@ func (w *WAL) Forget(a ids.ActionID) error {
 	if !had && !racing {
 		return nil // nothing durable or in flight to forget
 	}
-	b, err := w.joinLocked(&e)
+	b, err := w.joinLocked(l.gen, &e)
 	if err != nil {
 		return err
 	}
@@ -231,24 +227,26 @@ func (w *WAL) Forget(a ids.ActionID) error {
 }
 
 // Lookup returns the intention recorded for the action.
-func (w *WAL) Lookup(a ids.ActionID) (Intention, bool, error) {
-	if w.owner.Crashed() {
-		return Intention{}, false, ErrCrashed
-	}
+func (l *IntentionLog) Lookup(a ids.ActionID) (Intention, bool, error) {
+	w := l.d.wal
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if !(*Stable)(l).open() {
+		return Intention{}, false, ErrCrashed
+	}
 	in, ok := w.index[a]
 	return in, ok, nil
 }
 
 // Pending returns all records still in the log, sorted by action, for
 // recovery scans.
-func (w *WAL) Pending() ([]Intention, error) {
-	if w.owner.Crashed() {
-		return nil, ErrCrashed
-	}
+func (l *IntentionLog) Pending() ([]Intention, error) {
+	w := l.d.wal
 	w.mu.Lock()
 	defer w.mu.Unlock()
+	if !(*Stable)(l).open() {
+		return nil, ErrCrashed
+	}
 	out := make([]Intention, 0, len(w.index))
 	for _, in := range w.index {
 		out = append(out, in)
@@ -270,12 +268,15 @@ func (w *WAL) add(b *walBatch, e *logRecord) error {
 	return nil
 }
 
-// joinLocked adds the record to the open batch, opening one if needed.
-// Called with mu held.
-func (w *WAL) joinLocked(e *logRecord) (*walBatch, error) {
+// joinLocked adds incarnation gen's record to the open batch, opening one
+// if needed. Called with mu held: a crash refuses it, or drops it later.
+func (w *WAL) joinLocked(gen uint64, e *logRecord) (*walBatch, error) {
+	if gen != w.gen.Load() {
+		return nil, ErrCrashed
+	}
 	if w.cur == nil {
 		w.seq++
-		w.cur = &walBatch{gen: w.gen.Load(), seq: w.seq, frames: w.spare, entries: w.spareEntries}
+		w.cur = &walBatch{gen: gen, seq: w.seq, frames: w.spare, entries: w.spareEntries}
 		w.spare, w.spareEntries = nil, nil
 	}
 	return w.cur, w.add(w.cur, e)
@@ -312,14 +313,11 @@ func (w *WAL) awaitLocked(b *walBatch) error {
 	return b.err
 }
 
-// append adds the record to the open batch and waits for that batch's
-// force.
-func (w *WAL) append(e logRecord) error {
-	if w.owner.Crashed() {
-		return ErrCrashed
-	}
+// append adds the record of incarnation gen to the open batch and waits
+// for that batch's force.
+func (w *WAL) append(gen uint64, e logRecord) error {
 	w.mu.Lock()
-	b, err := w.joinLocked(&e)
+	b, err := w.joinLocked(gen, &e)
 	if err != nil {
 		w.mu.Unlock()
 		return err
@@ -328,48 +326,46 @@ func (w *WAL) append(e logRecord) error {
 	return w.awaitLocked(b)
 }
 
-// appendLazy adds the record to the open batch and asks for no force: it
-// becomes durable with the next record somebody waits for, as a forget
-// does.
-func (w *WAL) appendLazy(e logRecord) error {
-	if w.owner.Crashed() {
-		return ErrCrashed
-	}
+// appendLazy adds the record of incarnation gen to the open batch and
+// asks for no force: it becomes durable with the next record somebody
+// waits for, as a forget does.
+func (w *WAL) appendLazy(gen uint64, e logRecord) error {
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	_, err := w.joinLocked(&e)
+	_, err := w.joinLocked(gen, &e)
 	return err
 }
 
 // Mark returns the log's position, for Durable.
-func (w *WAL) Mark() uint64 {
+func (s *Stable) Mark() uint64 {
+	w := s.d.wal
 	w.mu.Lock()
 	defer w.mu.Unlock()
 	if w.cur != nil {
-		return w.cur.seq // which may predate a crash
+		return w.cur.seq
 	}
 	return w.seq
 }
 
-// Durable reports whether what was appended by the time of mark to is
-// forced, and the log has not crashed since mark from. Batches are forced
-// in order, a failed force fails every later one until a crash, and a
-// crash voids every mark taken before it. Nothing is durable while the
-// store is crashed: what it appended since its last force is lost, and
-// its recovery replays the log without it.
-func (w *WAL) Durable(from, to uint64) bool {
-	if w.owner.Crashed() {
-		return false
-	}
+// Durable reports whether what was appended by the time of mark is
+// forced, and the handle is open. Batches are forced in order, and a
+// failed force fails every later one until a crash. Nothing is durable
+// through a closed handle: what its incarnation appended since its last
+// force is lost, and the next incarnation's log does not hold it.
+func (s *Stable) Durable(mark uint64) bool {
+	w := s.d.wal
 	w.mu.Lock()
 	defer w.mu.Unlock()
-	return from >= w.floor && to <= w.forced
+	return s.open() && mark <= w.forced
 }
 
 // Sync forces everything appended so far, lazy records included, and
-// fails unless that makes durable what was appended since mark from.
-func (w *WAL) Sync(from uint64) error {
-	to := w.Mark()
+// fails unless that makes it durable through the handle.
+func (s *Stable) Sync() error {
+	if !s.open() {
+		return ErrCrashed // a dead incarnation forces nothing
+	}
+	w, to := s.d.wal, s.Mark()
 	w.mu.Lock()
 	b := w.cur
 	if b != nil {
@@ -382,7 +378,7 @@ func (w *WAL) Sync(from uint64) error {
 	} else if w.awaitLocked(b) != nil {
 		return ErrCrashed
 	}
-	if !w.Durable(from, to) {
+	if !s.Durable(to) {
 		return ErrCrashed
 	}
 	return nil
@@ -498,14 +494,14 @@ func (w *WAL) flush(b *walBatch) {
 // backing, one (optionally delayed) install for the in-memory backing.
 // A crash during the force fails every record in the batch.
 func (w *WAL) force(b *walBatch) error {
-	if w.crashNextForce.CompareAndSwap(true, false) {
+	if w.crashNextForce.CompareAndSwap(b.gen+1, 0) {
 		// Injected kill mid-window: the node dies with the batch
 		// unforced — no waiter learns of success, and presumed abort
 		// resolves them after recovery.
-		w.owner.Crash()
+		w.owner.crash(b.gen)
 		return ErrCrashed
 	}
-	if w.owner.Crashed() || b.gen != w.gen.Load() {
+	if b.gen != w.gen.Load() {
 		return ErrCrashed
 	}
 	if w.file != nil {
@@ -515,7 +511,7 @@ func (w *WAL) force(b *walBatch) error {
 	} else if d := time.Duration(w.forceDelay.Load()); d > 0 {
 		w.clock().Sleep(d)
 	}
-	if w.owner.Crashed() || b.gen != w.gen.Load() {
+	if b.gen != w.gen.Load() {
 		return ErrCrashed
 	}
 	return nil
@@ -538,7 +534,7 @@ func (w *WAL) dropOpen() {
 		}
 	}
 	w.seq++
-	w.forced, w.floor = w.seq, w.seq
+	w.forced = w.seq
 }
 
 // maybeCompact rewrites the file backing down to a checkpoint of the

@@ -7,6 +7,7 @@ import (
 	"path/filepath"
 	"reflect"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -115,9 +116,7 @@ func TestWALFileRecoverReloadsFromDisk(t *testing.T) {
 	if err := s.Intentions().Record(testIntention(ids.NewActionID(), "x")); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("Record while crashed = %v, want ErrCrashed", err)
 	}
-	if err := s.Recover(); err != nil {
-		t.Fatal(err)
-	}
+	s = restart(t, s)
 	in, ok, err := s.Intentions().Lookup(a)
 	if err != nil || !ok {
 		t.Fatalf("Lookup after recover = %v, %v", ok, err)
@@ -148,9 +147,7 @@ func TestWALCrashDuringForceFailsWaiters(t *testing.T) {
 			if !s.Crashed() {
 				t.Fatal("store must be crashed after the injected force crash")
 			}
-			if err := s.Recover(); err != nil {
-				t.Fatal(err)
-			}
+			s = restart(t, s)
 			// The batch never forced: the record must not exist after
 			// recovery (presumed abort counts on exactly this).
 			if _, ok, err := s.Intentions().Lookup(a); err != nil || ok {
@@ -174,9 +171,7 @@ func TestWALStaleBatchFailsAfterCrash(t *testing.T) {
 	if err := <-done; !errors.Is(err, ErrCrashed) {
 		t.Fatalf("Record across crash = %v, want ErrCrashed", err)
 	}
-	if err := s.Recover(); err != nil {
-		t.Fatal(err)
-	}
+	s = restart(t, s)
 	if _, ok, _ := s.Intentions().Lookup(a); ok {
 		t.Fatal("record from invalidated batch must not survive")
 	}
@@ -201,7 +196,7 @@ func TestWALFileCompaction(t *testing.T) {
 		payload[i] = 'x'
 	}
 	for i := 0; i < 50; i++ {
-		s.wal.file.compactAt = 1 << 10
+		s.d.wal.file.compactAt = 1 << 10
 		a := ids.NewActionID()
 		if err := s.Intentions().Record(testIntention(a, string(payload))); err != nil {
 			t.Fatal(err)
@@ -216,8 +211,8 @@ func TestWALFileCompaction(t *testing.T) {
 	}
 	// Without compaction the churn leaves ~17KB of dead entries behind;
 	// with it the log holds little more than the one live record.
-	if s.wal.file.size > 4<<10 {
-		t.Fatalf("log size %d still unbounded after churn", s.wal.file.size)
+	if s.d.wal.file.size > 4<<10 {
+		t.Fatalf("log size %d still unbounded after churn", s.d.wal.file.size)
 	}
 
 	// Compaction must preserve exactly the live records, durably.
@@ -323,9 +318,9 @@ func TestCommitStepSyscallShape(t *testing.T) {
 
 	// The next force carries the install and the forget, and with the
 	// threshold lowered compacts: a rename, so a directory fsync.
-	s.wal.file.compactAt = 0
+	s.d.wal.file.compactAt = 0
 	dirs := dirSyncs.Load()
-	if err := s.WAL().Sync(0); err != nil {
+	if err := s.Sync(); err != nil {
 		t.Fatal(err)
 	}
 	if dirSyncs.Load() == dirs {
@@ -338,8 +333,8 @@ func TestCommitStepSyscallShape(t *testing.T) {
 
 // TestApplyBatchLazyRidesNextForce: a lazy install is visible at once and
 // durable only once a later force has carried it — which Durable reports
-// — on both backings; a crash between the marks voids them, even once
-// later records are forced.
+// — on both backings; a crash closes the handle it went through, whose
+// Durable stays false even once the next incarnation forces records.
 func TestApplyBatchLazyRidesNextForce(t *testing.T) {
 	for _, backing := range []string{"memory", "file"} {
 		t.Run(backing, func(t *testing.T) {
@@ -350,16 +345,14 @@ func TestApplyBatchLazyRidesNextForce(t *testing.T) {
 					t.Fatal(err)
 				}
 			}
-			w := s.WAL()
 			// install applies a lazy install and a lazy forget, as a
-			// participant's phase 2 does, between two marks.
-			install := func(id ids.ObjectID) (from, to uint64) {
+			// participant's phase 2 does, and returns the mark after them.
+			install := func(id ids.ObjectID) uint64 {
 				t.Helper()
 				txn := ids.NewActionID()
 				if err := s.Intentions().Record(testIntention(txn, "prepared")); err != nil {
 					t.Fatal(err)
 				}
-				from = w.Mark()
 				if err := s.ApplyBatchLazy(Batch{Writes: map[ids.ObjectID]State{id: State("v")}}); err != nil {
 					t.Fatal(err)
 				}
@@ -369,7 +362,7 @@ func TestApplyBatchLazyRidesNextForce(t *testing.T) {
 				if got, err := s.Read(id); err != nil || string(got) != "v" {
 					t.Fatalf("Read right after the lazy install = %q, %v", got, err)
 				}
-				return from, w.Mark()
+				return s.Mark()
 			}
 			force := func() {
 				t.Helper()
@@ -379,32 +372,29 @@ func TestApplyBatchLazyRidesNextForce(t *testing.T) {
 			}
 
 			lost := ids.NewObjectID()
-			from, to := install(lost)
-			if w.Durable(from, to) {
+			to := install(lost)
+			if s.Durable(to) {
 				t.Fatal("an unforced install and forget reported durable")
 			}
+			old := s
 			s.Crash()
-			if err := s.Recover(); err != nil {
-				t.Fatal(err)
-			}
+			s = restart(t, s)
 			if _, err := s.Read(lost); backing == "file" && !errors.Is(err, ErrNotFound) {
 				t.Fatalf("an unforced lazy install survived a crash on the file backing: %v", err)
 			}
 			force()
-			if w.Durable(from, to) {
-				t.Fatal("marks from before a crash reported durable once a later record was forced")
+			if old.Durable(to) {
+				t.Fatal("a crashed handle reported its mark durable once the next incarnation forced a record")
 			}
 
 			kept := ids.NewObjectID()
-			from, to = install(kept)
+			to = install(kept)
 			force()
-			if !w.Durable(from, to) {
+			if !s.Durable(to) {
 				t.Fatal("an install and forget carried by a later force reported not durable")
 			}
 			s.Crash()
-			if err := s.Recover(); err != nil {
-				t.Fatal(err)
-			}
+			s = restart(t, s)
 			if got, err := s.Read(kept); err != nil || string(got) != "v" {
 				t.Fatalf("install carried by a later force, after a crash: %q, %v", got, err)
 			}
@@ -415,7 +405,7 @@ func TestApplyBatchLazyRidesNextForce(t *testing.T) {
 			if pending, err := s.Intentions().Pending(); err != nil || len(pending) != want {
 				t.Fatalf("records after the crash = %v, %v; want %d", pending, err, want)
 			}
-			if mark := w.Mark(); w.Sync(mark) != nil {
+			if s.Sync() != nil {
 				t.Fatal("Sync of a recovered log with nothing appended failed")
 			}
 		})
@@ -450,8 +440,8 @@ func TestCloseForcesAndShuts(t *testing.T) {
 	if err := put(s, ids.NewObjectID(), State("x")); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("Write after Close = %v, want ErrCrashed", err)
 	}
-	if err := s.Recover(); !errors.Is(err, ErrCrashed) || !s.Crashed() {
-		t.Fatalf("Recover of a closed store = %v, want ErrCrashed and the store still down", err)
+	if next, err := s.Restart(); !errors.Is(err, ErrCrashed) || next != nil || !s.Crashed() {
+		t.Fatalf("Restart of a closed store = %v, %v; want ErrCrashed and no handle", next, err)
 	}
 	reopened, err := NewStableAt(dir)
 	if err != nil {
@@ -497,9 +487,7 @@ func TestFileBackedStableCrashPoints(t *testing.T) {
 			if err := s.ApplyBatch(next); !errors.Is(err, ErrCrashed) {
 				t.Fatalf("ApplyBatch at %s = %v, want ErrCrashed", tt.name, err)
 			}
-			if err := s.Recover(); err != nil {
-				t.Fatal(err)
-			}
+			s = restart(t, s)
 
 			check := func(label string, st *Stable) {
 				want := map[ids.ObjectID]string{o1: "old1", o2: "old2"}
@@ -539,9 +527,7 @@ func TestFileBackedStableWritesThrough(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Crash()
-	if err := s.Recover(); err != nil {
-		t.Fatal(err)
-	}
+	s = restart(t, s)
 	got, err := s.Read(id)
 	if err != nil || string(got) != "v1" {
 		t.Fatalf("Read after crash = %q, %v", got, err)
@@ -550,9 +536,7 @@ func TestFileBackedStableWritesThrough(t *testing.T) {
 		t.Fatal(err)
 	}
 	s.Crash()
-	if err := s.Recover(); err != nil {
-		t.Fatal(err)
-	}
+	s = restart(t, s)
 	if _, err := s.Read(id); !errors.Is(err, ErrNotFound) {
 		t.Fatalf("Read after delete+crash = %v, want ErrNotFound", err)
 	}
@@ -622,9 +606,8 @@ func TestWALForgetIsLazy(t *testing.T) {
 	}
 
 	s.Crash()
-	if err := s.Recover(); err != nil {
-		t.Fatal(err)
-	}
+	s = restart(t, s)
+	log = s.Intentions()
 	if _, ok, _ := log.Lookup(carried); ok {
 		t.Fatal("forget followed by a forced record was not durable")
 	}
@@ -649,9 +632,9 @@ func TestWALForgetRacingRecord(t *testing.T) {
 	recorded := make(chan error, 1)
 	go func() { recorded <- log.Record(testIntention(a, "w")) }()
 	for { // wait until the record is in the open batch or in flight
-		s.wal.mu.Lock()
-		queued := s.wal.cur.hasIntention(a) || s.wal.inflight.hasIntention(a)
-		s.wal.mu.Unlock()
+		s.d.wal.mu.Lock()
+		queued := s.d.wal.cur.hasIntention(a) || s.d.wal.inflight.hasIntention(a)
+		s.d.wal.mu.Unlock()
 		if queued {
 			break
 		}
@@ -840,5 +823,98 @@ func TestWALAppenderForcesAndFollowersShareTheCrash(t *testing.T) {
 		}
 	case <-time.After(10 * time.Second):
 		t.Fatal("a late appender waits for a batch already flushed")
+	}
+}
+
+// TestRestartClosesTheOldHandle: Restart hands out the next incarnation's
+// handle, and the crashed one refuses every operation for good — writes,
+// reads, intention records, force waits, Sync and Durable — so nothing
+// done through it reaches the next incarnation's state. The log's own
+// settings and counters belong to no incarnation: the flush observer, the
+// force delay and Stats carry over.
+func TestRestartClosesTheOldHandle(t *testing.T) {
+	for _, backing := range []string{"memory", "file"} {
+		t.Run(backing, func(t *testing.T) {
+			s := NewStable()
+			if backing == "file" {
+				var err error
+				if s, err = NewStableAt(t.TempDir()); err != nil {
+					t.Fatal(err)
+				}
+			}
+			const delay = 20 * time.Millisecond
+			var observed atomic.Int64
+			s.WAL().SetFlushObserver(func(FlushInfo) { observed.Add(1) })
+			s.WAL().SetForceDelay(delay)
+			kept := ids.NewActionID()
+			if err := s.Intentions().Record(testIntention(kept, "prepared")); err != nil {
+				t.Fatal(err)
+			}
+			flushes, _ := s.WAL().Stats()
+
+			old := s
+			mark := old.Mark()
+			s = restart(t, old)
+			if s == old || s.WAL() != old.WAL() {
+				t.Fatal("Restart must return a new handle over the same log")
+			}
+
+			lost := ids.NewObjectID()
+			batch := Batch{Writes: map[ids.ObjectID]State{lost: State("x")}}
+			refused := map[string]error{
+				"ApplyBatch":     old.ApplyBatch(batch),
+				"ApplyBatchLazy": old.ApplyBatchLazy(batch),
+				"Record":         old.Intentions().Record(testIntention(ids.NewActionID(), "late")),
+				"Forget":         old.Intentions().Forget(kept),
+				"Sync":           old.Sync(),
+			}
+			_, refused["Read"] = old.Read(lost)
+			_, _, refused["Lookup"] = old.Intentions().Lookup(kept)
+			_, refused["Pending"] = old.Intentions().Pending()
+			_, refused["Restart"] = old.Restart()
+			for op, err := range refused {
+				if !errors.Is(err, ErrCrashed) {
+					t.Errorf("%s through the crashed handle = %v, want ErrCrashed", op, err)
+				}
+			}
+			if old.Durable(mark) || !old.Crashed() {
+				t.Error("the crashed handle reports its marks durable, or itself open")
+			}
+			if _, err := s.Read(lost); !errors.Is(err, ErrNotFound) {
+				t.Errorf("a write through the crashed handle reached the next incarnation: Read = %v", err)
+			}
+			if _, ok, err := s.Intentions().Lookup(kept); !ok || err != nil {
+				t.Errorf("the next incarnation lost a forced record (%v), or the crashed handle forgot it", err)
+			}
+
+			// A force wait begun before the crash fails with it, and what
+			// it appended does not reach the next incarnation either (on
+			// the in-memory backing, whose simulated force can be held).
+			if backing == "memory" {
+				waiting := ids.NewActionID()
+				done := make(chan error, 1)
+				go func() { done <- s.Intentions().Record(testIntention(waiting, "in flight")) }()
+				time.Sleep(5 * time.Millisecond)
+				s = restart(t, s)
+				if err := <-done; !errors.Is(err, ErrCrashed) {
+					t.Errorf("a force wait across Crash and Restart = %v, want ErrCrashed", err)
+				}
+				if _, ok, _ := s.Intentions().Lookup(waiting); ok {
+					t.Error("a record whose force a crash overtook reached the next incarnation")
+				}
+			}
+
+			before := observed.Load()
+			start := time.Now()
+			if err := s.Intentions().Record(testIntention(ids.NewActionID(), "next")); err != nil {
+				t.Fatal(err)
+			}
+			if backing == "memory" && time.Since(start) < delay {
+				t.Error("the force delay did not carry over to the next incarnation")
+			}
+			if now, _ := s.WAL().Stats(); now <= flushes || observed.Load() <= before {
+				t.Errorf("Stats (%d flushes, %d before) or the flush observer did not carry over", now, flushes)
+			}
+		})
 	}
 }
