@@ -14,7 +14,7 @@
 //	goleak       goroutine launches with no cancellation or join
 //	metricsname  metric registrations without the mca_<pkg>_ prefix
 //	detclock     ambient time/math-rand in deterministic-critical packages
-//	forceorder   WAL completions, 2PC votes and one-phase committed replies not dominated by a force
+//	forceorder   WAL completions, 2PC votes and committed decision replies not dominated by a force
 //	errdrop      discarded errors from internal/store and internal/rpc
 //
 // Exit status: 0 clean, 1 findings, 2 load or internal failure. With

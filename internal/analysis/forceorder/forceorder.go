@@ -19,11 +19,10 @@
 // before the log round-trip re-introduces the unforced-vote bug class.
 // Assigning the literal false is exempt: a NO vote promises nothing
 // (presumed abort). The committed outcome — any use of the committedBody
-// reply, which answers a decision query and, in one-phase commit, the
-// commit1 that hands a participant the decision — is held to the same
-// rule: the participant's committed is the only durable trace of the
-// decision, so it must follow the force of its record (Record, or the
-// CommitWith that wraps it) or the Lookup that found it.
+// reply, which answers a decision query — is held to the same rule: a
+// committed answer promises a durable decision record, so it must follow
+// the force of that record (Record, or the CommitWith that wraps it) or
+// the Lookup that found it.
 //
 // Rule c (store): a function calling os.Rename must also call syncDir.
 // Renaming installs the file in the directory, but only a directory

@@ -52,8 +52,8 @@ func prepareDeny() voteResp {
 	return vote
 }
 
-// The committed outcome: what a participant answers to commit1 (and to a
-// decision query) once the decision record is forced, or found.
+// The committed outcome: what a node answers a decision query with once
+// the decision record is forced, or found.
 var (
 	committedBody = []byte{1}
 	abortedBody   = []byte{0}
@@ -63,27 +63,27 @@ type sink struct{ log *store.Log }
 
 func (s sink) ApplyBatch() error { return s.log.Record(store.Intention{}) }
 
-func commit1Good(a *action.Action, log *store.Log) ([]byte, error) {
+func committedAfterForce(a *action.Action, log *store.Log) ([]byte, error) {
 	if err := a.CommitWith(sink{log}); err != nil {
 		return nil, err
 	}
 	return committedBody, nil
 }
 
-func commit1Repeat(log *store.Log, txn uint64) []byte {
+func committedFromLog(log *store.Log, txn uint64) []byte {
 	if _, found, err := log.Lookup(txn); err == nil && found {
 		return committedBody
 	}
 	return abortedBody
 }
 
-func commit1Eager(a *action.Action, log *store.Log) []byte {
+func committedBeforeForce(a *action.Action, log *store.Log) []byte {
 	reply := committedBody // want "committed answered with no dominating stable-log operation"
 	_ = a.CommitWith(sink{log})
 	return reply
 }
 
-func commit1Raced(a *action.Action, log *store.Log, live bool) []byte {
+func committedOnOnePath(a *action.Action, log *store.Log, live bool) []byte {
 	if live {
 		_ = a.CommitWith(sink{log})
 	}

@@ -114,12 +114,12 @@ func (f *allocFixture) transfer(ctx context.Context) error {
 // copies. A ceiling sits a few objects above today's count: re-deriving
 // a context or re-making a timer per call, a map per colour set or a
 // JSON pass over a protocol body each cost more than that slack and
-// fail here before they show in the benchmark. The single-participant
-// rows run back to back, so every read and write carries its
-// predecessor's release: a goroutine, closure, context or timer per
-// transaction on the release path would show in them, and the releases
-// are checked to have ridden an invoke rather than the flusher. Run with
-// -v for the table.
+// fail here before they show in the benchmark. The transaction rows run
+// back to back, so every read carries its predecessor's release and every
+// write its predecessor's commit: a goroutine, closure, context or timer
+// per transaction on the delivery path would show in them, and the
+// releases and commits are checked to have ridden an invoke rather than
+// the flusher. Run with -v for the table.
 func TestTxnAllocBudget(t *testing.T) {
 	if testenv.Race {
 		t.Skip("allocation counts are not meaningful under -race")
@@ -193,17 +193,17 @@ func TestTxnAllocBudget(t *testing.T) {
 		{"dist: bodies of a read and a prepare", 0, bodies},
 		{"dist: a release and a commit owed, taken, acked", 0, owedAndTaken},
 		{"txn: read + piggybacked release", 19, func() error { return f.read(ctx) }},
-		{"txn: write (1 participant)", 39, func() error { return f.write(ctx) }},
-		{"txn: transfer (2 participants)", 70, func() error { return f.transfer(ctx) }},
+		{"txn: write (1 participant)", 37, func() error { return f.write(ctx) }},
+		{"txn: transfer (2 participants)", 64, func() error { return f.transfer(ctx) }},
 	}
 	// A collection would empty the sync.Pools the path leans on and bill
 	// their refill to whichever row runs next.
 	defer debug.SetGCPercent(debug.SetGCPercent(-1))
-	flushed := releasesFlushed.Value()
+	flushed := releasesFlushed.Value() + phase2Flushed.Value()
 	defer func() {
 		// A few may, when the test is descheduled for a flush interval.
-		if n := releasesFlushed.Value() - flushed; n > 50 {
-			t.Errorf("%d releases went out in end messages of their own: the rows did not measure the piggybacked path", n)
+		if n := releasesFlushed.Value() + phase2Flushed.Value() - flushed; n > 50 {
+			t.Errorf("%d releases and commits went out in end messages of their own: the rows did not measure the piggybacked path", n)
 		}
 	}()
 	for _, row := range rows {

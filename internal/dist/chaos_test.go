@@ -298,7 +298,8 @@ func TestCommitOneCrashedParticipantCostsOneTimeout(t *testing.T) {
 // participants before commit: the prepare round and the abort round
 // each cost one call timeout regardless of how many nodes are dead (a
 // serial fan-out would pay one timeout per dead node in the abort
-// round alone).
+// round alone). The participants read, so that the prepare round asks
+// every one of them: a writer would have voted in its invoke reply.
 func TestAbortWithCrashedParticipantsIsFlat(t *testing.T) {
 	const callTimeout = 250 * time.Millisecond
 	opts := rpc.Options{RetryInterval: 5 * time.Millisecond, CallTimeout: callTimeout}
@@ -310,7 +311,7 @@ func TestAbortWithCrashedParticipantsIsFlat(t *testing.T) {
 		t.Fatal(err)
 	}
 	for _, nd := range nodes {
-		if err := txn.Invoke(ctx, nd.ID(), "bank", "add", addArg{Delta: 1}, nil); err != nil {
+		if err := txn.Invoke(ctx, nd.ID(), "bank", "get", struct{}{}, nil); err != nil {
 			t.Fatal(err)
 		}
 	}

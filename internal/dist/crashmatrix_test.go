@@ -133,8 +133,8 @@ func TestCommitCrashMatrix(t *testing.T) {
 		{"beforeJournal", store.CrashBeforeForce, true},
 		{"afterJournal", store.CrashAfterForce, true},
 		// The force dies mid group-commit window, before any record is
-		// durable: prepare (participant) or decision (coordinator) is
-		// lost, so the transaction aborts.
+		// durable: the vote in the participant's invoke reply, or the
+		// decision, is lost, so the transaction aborts.
 		{"midForce", midForce, false},
 	}
 	for _, backing := range []string{"memory", "file"} {
@@ -160,7 +160,7 @@ func TestCommitCrashMatrix(t *testing.T) {
 					}
 					if tt.point == midForce {
 						// The victim's next WAL force is the participant's
-						// prepare record or the coordinator's decision
+						// vote, in its invoke, or the coordinator's decision
 						// record.
 						arm()
 					} else {
@@ -171,15 +171,21 @@ func TestCommitCrashMatrix(t *testing.T) {
 					}
 
 					// The transfer has a coordinator-local leg and two
-					// remote legs, so every victim is a writer.
+					// remote legs, so every victim is a writer. invokeErr
+					// is the first error its invokes returned, and refused
+					// the words of a participant's reply whose vote failed.
+					var invokeErr error
+					var refused string
 					err := c.coord.Run(ctx, func(txn *dist.Txn) error {
-						if err := txn.Invoke(ctx, c.nodes[0].ID(), "bank", "add", addArg{Delta: -5}, nil); err != nil {
-							return err
+						refused = fmt.Sprintf("%v (txn %v: voted no)", dist.ErrAborted, txn.ID())
+						invokeErr = txn.Invoke(ctx, c.nodes[0].ID(), "bank", "add", addArg{Delta: -5}, nil)
+						if invokeErr == nil {
+							invokeErr = txn.Invoke(ctx, c.nodes[1].ID(), "bank", "add", addArg{Delta: 2}, nil)
 						}
-						if err := txn.Invoke(ctx, c.nodes[1].ID(), "bank", "add", addArg{Delta: 2}, nil); err != nil {
-							return err
+						if invokeErr == nil {
+							invokeErr = txn.Invoke(ctx, c.nodes[2].ID(), "bank", "add", addArg{Delta: 3}, nil)
 						}
-						return txn.Invoke(ctx, c.nodes[2].ID(), "bank", "add", addArg{Delta: 3}, nil)
+						return invokeErr
 					})
 					c.coord.TestHooks = dist.Hooks{}
 
@@ -191,10 +197,17 @@ func TestCommitCrashMatrix(t *testing.T) {
 						if victim == "participant" && err != nil {
 							t.Fatalf("Commit = %v, want nil (crashed participant is recovery's problem)", err)
 						}
-					} else {
-						if !errors.Is(err, dist.ErrAborted) {
-							t.Fatalf("Commit = %v, want ErrAborted (force died before the record was durable)", err)
+					} else if victim == "coordinator" {
+						// The invokes went through; the decision force died
+						// in Commit.
+						if invokeErr != nil || !errors.Is(err, dist.ErrAborted) {
+							t.Fatalf("invokes = %v, Commit = %v; want nil and ErrAborted (the decision force died)", invokeErr, err)
 						}
+					} else if err == nil || err != invokeErr || !strings.Contains(err.Error(), refused) {
+						// P1's vote force died in its invoke, which the
+						// participant refused; Run aborted with that error
+						// and never reached Commit.
+						t.Fatalf("Run = %v, invokes = %v; want P1's invoke refused with %q (its vote's force died)", err, invokeErr, refused)
 					}
 
 					if victim == "participant" && tt.point != midForce {
@@ -478,18 +491,20 @@ func TestCommitCrashMatrixLazyPhase2(t *testing.T) {
 //   - crashedMidPrepare: the coordinator crashes after both votes and
 //     before its decision; the prepared participants abort and forget;
 //   - orphanedInvoke: it crashes between its invokes and its Commit; the
-//     live, unprepared actions holding write locks abort;
+//     actions holding write locks, prepared by their votes in the invoke
+//     replies, abort and forget;
 //   - strandedRelease: it crashes after a single-site read committed and
 //     before the release reached the participant; the reader lets go;
-//   - unforgottenOnePhase: it crashes after a single-site write committed
-//     and before its release; the one-phase decision record is forgotten;
+//   - unforgottenOnePhase: it crashes after forcing a single-site write's
+//     decision and before delivering it; the participant, which voted in
+//     its invoke reply, installs once;
 //   - committedOwedInstall: it crashes after forcing its decision and
 //     before delivering it; the prepared participants install. Its restart
 //     re-drives the decision too, so this cell passed before there was an
 //     idle rule: it pins that the rule installs, once, rather than aborts;
-//   - abortOutlivesDeadline: the caller's context ends while one
-//     participant's prepare is slow; the other yes-voter hears the abort
-//     at once, before any termination tick;
+//   - abortOutlivesDeadline: the caller's context ends while the second
+//     participant's invoke is slow; the first, which voted yes in its
+//     reply, hears the abort at once, before any termination tick;
 //   - silentCoordinatorHoldsUpOnlyItsOwn: readers of two coordinators are
 //     left at one participant, and one coordinator stays down; the other's
 //     reader lets go in the same tick.
@@ -560,9 +575,10 @@ func TestPreparedParticipantAsksSilentCoordinator(t *testing.T) {
 				}
 			}
 			restartCoordinator(c)
-			left(t, "live actions", actions(c), 2)
+			left(t, "voted actions", actions(c), 2)
+			left(t, "prepared records", prepared(t, c), 2)
 			ask(clk)
-			if err := waitUntil(func() bool { return actions(c) == 0 }); err != nil {
+			if err := waitUntil(func() bool { return prepared(t, c) == 0 && actions(c) == 0 }); err != nil {
 				t.Fatal("invoked actions whose coordinator crashed outlived the termination interval")
 			}
 		}},
@@ -581,17 +597,16 @@ func TestPreparedParticipantAsksSilentCoordinator(t *testing.T) {
 			}
 		}},
 		"unforgottenOnePhase": {want: [3]int{100, 80, 110}, run: func(t *testing.T, c *cluster, ctx context.Context, clk *clock.Fake) {
-			err := c.coord.Run(ctx, func(txn *dist.Txn) error {
+			c.coord.TestHooks.AfterDecision = func() { c.nodes[0].Crash() }
+			_ = c.coord.Run(ctx, func(txn *dist.Txn) error { // the local apply fails with the crash; the decision is durable
 				return txn.Invoke(ctx, c.nodes[1].ID(), "bank", "add", addArg{Delta: -10}, nil)
 			})
-			if err != nil {
-				t.Fatal(err)
-			}
-			restartCoordinator(c)
-			left(t, "decision records", prepared(t, c), 1)
+			c.coord.TestHooks.AfterDecision = nil
+			left(t, "prepared records", prepared(t, c), 1)
+			c.nodes[0].Restart()
 			ask(clk)
-			if err := waitUntil(func() bool { return prepared(t, c) == 0 }); err != nil {
-				t.Fatal("a one-phase decision record whose release died with its coordinator outlived the termination interval")
+			if err := waitUntil(func() bool { return prepared(t, c) == 0 && actions(c) == 0 }); err != nil {
+				t.Fatal("the prepared record of a committed single-site write outlived the termination interval")
 			}
 		}},
 		"committedOwedInstall": {want: [3]int{100, 80, 120}, run: func(t *testing.T, c *cluster, ctx context.Context, clk *clock.Fake) {
@@ -610,33 +625,44 @@ func TestPreparedParticipantAsksSilentCoordinator(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			// P1 first, so that P2 votes in its invoke reply and P1 is
-			// prepared by the commit.
 			if err := txn.Invoke(ctx, c.nodes[1].ID(), "bank", "add", addArg{Delta: -10}, nil); err != nil {
 				t.Fatal(err)
 			}
-			if err := txn.Invoke(ctx, c.nodes[2].ID(), "bank", "add", addArg{Delta: 10}, nil); err != nil {
-				t.Fatal(err)
+			if n := len(pendingAt(t, c, 1)); n != 1 {
+				t.Fatalf("P1 holds %d prepared records after its invoke, want 1: the cell tests nothing", n)
 			}
-			// P1's messages now take half a termination interval on a clock
-			// that stands still: its prepare is in flight when the caller
-			// gives up, after P2 has voted yes. The first abort sent to P2 is
+			// P2's messages now take half a termination interval on a clock
+			// that stands still: its invoke is in flight when the caller
+			// gives up, after P1 has voted yes. The first abort sent to P1 is
 			// lost, so only a retransmission, within one call, frees it.
-			c.net.SetNodeDelay(c.nodes[1].ID(), terminateAfter/2, terminateAfter/2)
+			c.net.SetNodeDelay(c.nodes[2].ID(), terminateAfter/2, terminateAfter/2)
 			t.Cleanup(func() { clk.Advance(terminateAfter) }) // the network closes once delayed messages are out
 			short, cancel := context.WithCancel(ctx)
-			done := make(chan error, 1)
-			go func() { done <- txn.Commit(short) }()
-			if err := waitUntil(func() bool { return len(pendingAt(t, c, 2)) == 1 }); err != nil {
-				t.Fatal("P2 never prepared")
+			invoked := make(chan error, 1)
+			sent := c.net.Stats().Sent
+			go func() { invoked <- txn.Invoke(short, c.nodes[2].ID(), "bank", "add", addArg{Delta: 10}, nil) }()
+			if err := waitUntil(func() bool { return c.net.Stats().Sent > sent }); err != nil {
+				t.Fatal("P2's invoke never left")
 			}
-			c.net.Partition(c.nodes[0].ID(), c.nodes[2].ID())
+			c.net.Partition(c.nodes[0].ID(), c.nodes[1].ID())
+			lost := c.net.Stats().Lost
 			cancel()
-			if err := <-done; !errors.Is(err, dist.ErrAborted) {
-				t.Fatalf("Commit = %v, want ErrAborted", err)
+			select {
+			case err := <-invoked:
+				if err == nil {
+					t.Fatal("the slow invoke got through before the caller gave up: the cell tests nothing")
+				}
+			case <-time.After(5 * time.Second):
+				t.Fatal("the invoke outlived its caller's context")
 			}
-			c.net.Heal(c.nodes[0].ID(), c.nodes[2].ID())
-			freed := func() bool { return len(pendingAt(t, c, 2)) == 0 && c.nodes[2].Runtime().ActiveActions() == 0 }
+			if err := txn.Abort(short); err != nil {
+				t.Fatal(err)
+			}
+			if err := waitUntil(func() bool { return c.net.Stats().Lost > lost }); err != nil {
+				t.Fatal("the first abort sent to P1 never met the partition")
+			}
+			c.net.Heal(c.nodes[0].ID(), c.nodes[1].ID())
+			freed := func() bool { return len(pendingAt(t, c, 1)) == 0 && c.nodes[1].Runtime().ActiveActions() == 0 }
 			for i := 0; i < 20 && !freed(); i++ {
 				clk.Advance(5 * time.Millisecond) // retransmission intervals, far short of a termination tick
 				time.Sleep(10 * time.Millisecond)
@@ -644,8 +670,8 @@ func TestPreparedParticipantAsksSilentCoordinator(t *testing.T) {
 			if !freed() {
 				t.Fatal("the yes-voter still holds its locks: the abort died with the caller's context")
 			}
-			c.net.SetNodeDelay(c.nodes[1].ID(), 0, 0)
-			ask(clk) // P1's delayed prepare and abort arrive
+			c.net.SetNodeDelay(c.nodes[2].ID(), 0, 0)
+			ask(clk) // P2's delayed invoke and abort arrive
 			if err := waitUntil(func() bool { return prepared(t, c) == 0 && actions(c) == 0 }); err != nil {
 				t.Fatal("the slow participant never resolved")
 			}
@@ -733,12 +759,12 @@ func TestPreparedParticipantAsksSilentCoordinator(t *testing.T) {
 
 // TestDurableTransferForcesThreeTimes pins the force budget of a
 // two-participant transfer on the file backing: each participant forces
-// its prepare record and the coordinator the decision — three forces,
-// each one append and one fsync. Phase 2 forces nothing: the commit
-// reaches each participant with the next transfer's invoke there, its
-// install and forget ride that transfer's prepare, whose vote carries the
-// ack back, and the coordinator's forget of the decision rides the next
-// decision. The clock stands still, so no flush interval passes and
+// its prepared record as it votes in its invoke reply, and the coordinator
+// the decision — three forces, each one append and one fsync. Phase 2
+// forces nothing: the commit reaches each participant with the next
+// transfer's invoke there, its install and forget ride that invoke's vote,
+// whose reply carries the ack back, and the coordinator's forget of the
+// decision rides the next decision. The clock stands still, so no flush interval passes and
 // nothing travels on its own.
 func TestDurableTransferForcesThreeTimes(t *testing.T) {
 	c := backedClusterOn(t, true, clock.NewFake())
@@ -765,7 +791,7 @@ func TestDurableTransferForcesThreeTimes(t *testing.T) {
 	}
 	f1, r1 := forces()
 	if got := f1 - f0; got != 3*transfers {
-		t.Fatalf("%d transfers forced the logs %d times, want %d (2 prepares + 1 decision each)", transfers, got, 3*transfers)
+		t.Fatalf("%d transfers forced the logs %d times, want %d (2 votes + 1 decision each)", transfers, got, 3*transfers)
 	}
 	// Each transfer logs 8 records — its 2 prepares and decision, and its
 	// predecessor's 2 installs, 3 forgets — but the first, which has no
@@ -779,12 +805,12 @@ func TestDurableTransferForcesThreeTimes(t *testing.T) {
 	}
 }
 
-// TestDurableTransferSendsSixMessages pins the message budget of a
+// TestDurableTransferSendsFourMessages pins the message budget of a
 // two-participant transfer: an invoke and its reply at each participant,
-// the second participant voting in its reply, and one prepare round trip
-// to the first — six datagrams. The commits ride the next transfer's
-// invokes, and the clock stands still, so nothing travels on its own.
-func TestDurableTransferSendsSixMessages(t *testing.T) {
+// each voting in its reply — four datagrams, and no prepare. The commits
+// ride the next transfer's invokes, and the clock stands still, so nothing
+// travels on its own.
+func TestDurableTransferSendsFourMessages(t *testing.T) {
 	c := backedClusterOn(t, false, clock.NewFake())
 	ctx := context.Background()
 	const transfers = 20
@@ -803,11 +829,11 @@ func TestDurableTransferSendsSixMessages(t *testing.T) {
 			t.Fatalf("transfer %d: %v", i, err)
 		}
 	}
-	if got := c.net.Stats().Sent - sent; got != 6*transfers {
-		t.Fatalf("%d transfers sent %d messages, want %d (2 invokes, 1 prepare, each with its reply)", transfers, got, 6*transfers)
+	if got := c.net.Stats().Sent - sent; got != 4*transfers {
+		t.Fatalf("%d transfers sent %d messages, want %d (2 invokes, each with its reply)", transfers, got, 4*transfers)
 	}
-	if now := votes(); now[0]-voted[0] != transfers || now[1]-voted[1] != transfers {
-		t.Fatalf("%d transfers voted yes %v times in invoke replies and %v in prepares, want %d each", transfers, now[0]-voted[0], now[1]-voted[1], transfers)
+	if now := votes(); now[0]-voted[0] != 2*transfers || now[1]-voted[1] != 0 {
+		t.Fatalf("%d transfers voted yes %v times in invoke replies and %v in prepares, want %d and 0", transfers, now[0]-voted[0], now[1]-voted[1], 2*transfers)
 	}
 }
 
@@ -837,12 +863,25 @@ func pendingAt(t *testing.T, c *cluster, i int) []store.Intention {
 }
 
 // TestCommitCrashMatrixOnePhase is the matrix for transactions with a
-// single participant, which is handed the decision in one commit1 message
-// and forces one record: a participant restart between two invocations,
-// a crash before the commit1 arrives, a crash between the force and the
-// reply, a commit1 duplicated after the record was forgotten, and a
-// participant that stays silent past the caller's context — over both
-// stable backings.
+// single writer, a remote participant — once committed in one phase, now
+// on the one commit path: the participant votes in its invoke reply, and
+// Commit forces the decision naming it. The cells, over both stable
+// backings:
+//
+//   - restartBetweenInvokes: the participant restarts between two
+//     invocations with its vote loaded from the log; the second one is
+//     refused as aborted, not as prepared, and so is the commit;
+//   - crashBeforeCommit1: the coordinator crashes between the vote and the
+//     decision force (where the one-phase path sent its commit1); the
+//     record resolves to abort;
+//   - crashAfterForce: the coordinator crashes after the decision force and
+//     before delivering it; its restart owes the commit, and the
+//     participant installs it once;
+//   - duplicateAfterForget: a commit delivered, acknowledged and forgotten
+//     arrives again; it changes nothing;
+//   - silentParticipant: the participant's replies are lost after its vote;
+//     Commit returns committed all the same, and the participant installs
+//     once it is heard again.
 func TestCommitCrashMatrixOnePhase(t *testing.T) {
 	// begin starts a transaction that has added delta at P1.
 	begin := func(t *testing.T, c *cluster, ctx context.Context, delta int) *dist.Txn {
@@ -854,6 +893,9 @@ func TestCommitCrashMatrixOnePhase(t *testing.T) {
 		if err := txn.Invoke(ctx, c.nodes[1].ID(), "bank", "add", addArg{Delta: delta}, nil); err != nil {
 			t.Fatal(err)
 		}
+		if n := len(pendingAt(t, c, 1)); n != 1 {
+			t.Fatalf("P1 holds %d prepared records after its invoke, want 1: it did not vote in its reply", n)
+		}
 		return txn
 	}
 	wantBalances := func(t *testing.T, c *cluster, ctx context.Context, want [3]int) {
@@ -864,9 +906,9 @@ func TestCommitCrashMatrixOnePhase(t *testing.T) {
 		}
 	}
 	cells := map[string]func(t *testing.T, c *cluster, ctx context.Context){
-		// The participant loses the first invocation's effects in a crash;
+		// The participant loses the first invocation's action in a crash;
 		// a second invocation must not start a fresh action and commit
-		// the later effects alone.
+		// the later effects alone, nor find the vote frozen.
 		"restartBetweenInvokes": func(t *testing.T, c *cluster, ctx context.Context) {
 			txn := begin(t, c, ctx, -30)
 			c.nodes[1].Crash()
@@ -882,30 +924,26 @@ func TestCommitCrashMatrixOnePhase(t *testing.T) {
 		},
 		"crashBeforeCommit1": func(t *testing.T, c *cluster, ctx context.Context) {
 			txn := begin(t, c, ctx, 7)
-			c.nodes[1].Crash()
-			c.nodes[1].Restart()
+			c.coord.TestHooks.AfterPrepare = func() { c.nodes[0].Crash() }
 			if err := txn.Commit(ctx); !errors.Is(err, dist.ErrAborted) {
-				t.Fatalf("Commit = %v, want ErrAborted (no action, no record: presumed abort)", err)
+				t.Fatalf("Commit = %v, want ErrAborted (the decision force failed with the crash)", err)
 			}
+			c.coord.TestHooks = dist.Hooks{}
+			if n := len(pendingAt(t, c, 1)); n != 1 {
+				t.Fatalf("P1 holds %d prepared records after the coordinator crashed, want its vote's 1", n)
+			}
+			c.nodes[0].Restart()
 			wantBalances(t, c, ctx, [3]int{100, 100, 100})
 		},
-		// The record is forced and the reply lost; the participant then
-		// crashes. The coordinator's retransmission must be answered
-		// committed, from the log, and the write set installed once.
 		"crashAfterForce": func(t *testing.T, c *cluster, ctx context.Context) {
 			txn := begin(t, c, ctx, 7)
-			c.net.PartitionOneWay(c.nodes[1].ID(), c.nodes[0].ID())
-			done := make(chan error, 1)
-			go func() { done <- txn.Commit(ctx) }()
-			if err := waitUntil(func() bool { return len(pendingAt(t, c, 1)) == 1 }); err != nil {
-				t.Fatalf("the decision record: %v", err)
+			c.coord.TestHooks.AfterDecision = func() { c.nodes[0].Crash() }
+			_ = txn.Commit(ctx) // decided; the crash may fail the local apply
+			c.coord.TestHooks = dist.Hooks{}
+			if n := len(pendingAt(t, c, 1)); n != 1 {
+				t.Fatalf("P1 holds %d prepared records, want its vote's 1: the commit was delivered before the crash", n)
 			}
-			c.nodes[1].Crash()
-			c.net.Heal(c.nodes[1].ID(), c.nodes[0].ID())
-			c.nodes[1].Restart()
-			if err := <-done; err != nil {
-				t.Fatalf("Commit = %v, want nil (the restarted participant answers from its log)", err)
-			}
+			c.nodes[0].Restart()
 			wantBalances(t, c, ctx, [3]int{100, 107, 100})
 		},
 		"duplicateAfterForget": func(t *testing.T, c *cluster, ctx context.Context) {
@@ -913,19 +951,20 @@ func TestCommitCrashMatrixOnePhase(t *testing.T) {
 			if err := txn.Commit(ctx); err != nil {
 				t.Fatal(err)
 			}
-			if err := waitUntil(func() bool { return len(pendingAt(t, c, 1)) == 0 }); err != nil {
-				t.Fatalf("the release forgetting the decision record: %v", err)
+			if err := waitUntil(func() bool { return len(pendingAt(t, c, 0))+len(pendingAt(t, c, 1)) == 0 }); err != nil {
+				t.Fatalf("the commit's delivery and ack forgetting both records: %v", err)
 			}
-			body := binary.AppendUvarint([]byte{0xD1, 0x05}, uint64(txn.ID()))
-			reply, err := c.nodes[0].Peer().CallRaw(ctx, c.nodes[1].ID(), "dist.commit1", body)
+			// An end message carrying the commit again.
+			body := binary.AppendUvarint([]byte{0xD1, 0x08, 0, 0, 1}, uint64(txn.ID()))
+			reply, err := c.nodes[0].Peer().CallRaw(ctx, c.nodes[1].ID(), "dist.end", append(body, 0))
 			if err != nil {
 				t.Fatal(err)
 			}
-			if want := []byte{0xD1, 0x06, 0}; !bytes.Equal(reply, want) {
-				t.Fatalf("late duplicate commit1 answered % x, want % x (aborted: nobody is listening)", reply, want)
+			if !bytes.HasPrefix(reply, []byte{0xD1, 0x07}) {
+				t.Fatalf("late duplicate commit answered % x, want an ack", reply)
 			}
 			if n := len(pendingAt(t, c, 1)); n != 0 {
-				t.Fatalf("late duplicate commit1 left %d records", n)
+				t.Fatalf("late duplicate commit left %d records", n)
 			}
 			wantBalances(t, c, ctx, [3]int{100, 107, 100})
 		},
@@ -934,12 +973,10 @@ func TestCommitCrashMatrixOnePhase(t *testing.T) {
 			c.net.PartitionOneWay(c.nodes[1].ID(), c.nodes[0].ID())
 			short, cancel := context.WithTimeout(ctx, 100*time.Millisecond)
 			defer cancel()
-			err := txn.Commit(short)
-			if !errors.Is(err, dist.ErrInDoubt) || errors.Is(err, dist.ErrAborted) {
-				t.Fatalf("Commit = %v, want ErrInDoubt and no invented outcome", err)
+			if err := txn.Commit(short); err != nil {
+				t.Fatalf("Commit = %v, want nil: the participant voted before it fell silent", err)
 			}
 			c.net.Heal(c.nodes[1].ID(), c.nodes[0].ID())
-			// The commit1 did arrive: the participant decided commit.
 			wantBalances(t, c, ctx, [3]int{100, 107, 100})
 		},
 	}
@@ -952,12 +989,15 @@ func TestCommitCrashMatrixOnePhase(t *testing.T) {
 	}
 }
 
-// TestSingleParticipantWriteForcesOnce pins the force budget of a
+// TestSingleParticipantWriteForcesTwice pins the force budget of a
 // transaction with one participant on the file backing: the participant
-// forces one record, the decision with its write set, and the coordinator
-// forces nothing. The forget rides the next transaction's record.
-func TestSingleParticipantWriteForcesOnce(t *testing.T) {
-	c := backedCluster(t, true)
+// forces its vote in its invoke reply, and the coordinator the decision
+// naming it. Each write's invoke carries its predecessor's commit, whose
+// install and forget ride the vote's force, and the vote's reply the ack,
+// whose forget rides the decision's. The clock stands still, so nothing
+// travels on its own.
+func TestSingleParticipantWriteForcesTwice(t *testing.T) {
+	c := backedClusterOn(t, true, clock.NewFake())
 	ctx := context.Background()
 	forces := func() (flushes, records uint64) {
 		for _, nd := range c.nodes {
@@ -977,25 +1017,35 @@ func TestSingleParticipantWriteForcesOnce(t *testing.T) {
 		}
 	}
 	f1, r1 := forces()
-	if got := f1 - f0; got != writes {
-		t.Fatalf("%d single-participant writes forced the logs %d times, want %d (one decision record each)", writes, got, writes)
+	if got := f1 - f0; got != 2*writes {
+		t.Fatalf("%d single-participant writes forced the logs %d times, want %d (a vote and a decision each)", writes, got, 2*writes)
 	}
-	// Every forget but the last write's has been carried.
-	if got, want := r1-r0, uint64(2*writes-1); got != want {
+	// Each write logs 5 records — its vote and decision, and its
+	// predecessor's install and 2 forgets — but the first, which has no
+	// predecessor.
+	if got, want := r1-r0, uint64(5*writes-3); got != want {
 		t.Fatalf("%d writes logged %d records, want %d", writes, got, want)
 	}
-	if f, _ := c.nodes[0].Stable().WAL().Stats(); f != 0 {
-		t.Fatalf("the coordinator forced its log %d times, want 0", f)
+	if f, _ := c.nodes[0].Stable().WAL().Stats(); f != writes {
+		t.Fatalf("the coordinator forced its log %d times, want %d: one decision each", f, writes)
 	}
 }
 
-// TestCommitCrashMatrixInvokeVote is the matrix for the vote a further
-// participant casts in its invoke reply: a transfer of 10 invokes P1, then
-// P2, which, asked to vote, forces its prepared record before it answers.
-// The cells walk the windows this opens, over both stable backings; each
-// keeps the money and the all-or-nothing outcome, and leaves the locks
-// free for a further transfer over the same accounts:
+// TestCommitCrashMatrixInvokeVote is the matrix for the vote every writer
+// casts in its invoke reply: a transfer of 10 invokes P1, then P2, and
+// each forces its prepared record before it answers. The cells walk the
+// windows this opens, over both stable backings; each keeps the money and
+// the all-or-nothing outcome, and leaves the locks free for a further
+// transfer over the same accounts:
 //
+//   - firstCrashBeforeSecondInvoke: P1 crashes after its vote and before
+//     P2's invoke; Commit goes ahead without contacting it, and P1's
+//     restart installs the decision;
+//   - secondInvokeFailsAfterFirstVote: P2's invoke fails after P1 voted;
+//     the caller aborts, and the abort forgets P1's record;
+//   - restartBetweenInvokes: P2 restarts between two invocations with its
+//     vote loaded from the log; the continuation is refused as aborted,
+//     and so is the commit;
 //   - participantCrashBeforeReply: P2 crashes after the force, before its
 //     reply got through; the caller aborts, and P2's restart asks and
 //     forgets;
@@ -1055,6 +1105,64 @@ func TestCommitCrashMatrixInvokeVote(t *testing.T) {
 		want [3]int
 		run  func(t *testing.T, c *cluster, ctx context.Context, clk *clock.Fake)
 	}{
+		"firstCrashBeforeSecondInvoke": {want: [3]int{100, 80, 120}, run: func(t *testing.T, c *cluster, ctx context.Context, _ *clock.Fake) {
+			txn, err := c.coord.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := invoke(ctx, c, txn, 1, -10); err != nil {
+				t.Fatal(err)
+			}
+			c.nodes[1].Crash()
+			if err := invoke(ctx, c, txn, 2, 10); err != nil {
+				t.Fatal(err)
+			}
+			if err := txn.Commit(ctx); err != nil {
+				t.Fatalf("Commit = %v, want nil: P1 voted before it crashed", err)
+			}
+			c.nodes[1].Restart()
+			opened := func() bool {
+				_, err := readAt(ctx, c.coord, c.nodes[1].ID())
+				return err == nil
+			}
+			if err := waitUntil(opened); err != nil {
+				t.Fatal("P1 kept refusing its account after the transaction committed")
+			}
+		}},
+		"secondInvokeFailsAfterFirstVote": {want: [3]int{100, 90, 110}, run: func(t *testing.T, c *cluster, ctx context.Context, _ *clock.Fake) {
+			txn, err := c.coord.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := invoke(ctx, c, txn, 1, -10); err != nil {
+				t.Fatal(err)
+			}
+			c.net.Partition(c.nodes[0].ID(), c.nodes[2].ID())
+			if err := invoke(ctx, c, txn, 2, 10); err == nil {
+				t.Fatal("an invoke across a partition succeeded")
+			}
+			c.net.Heal(c.nodes[0].ID(), c.nodes[2].ID())
+			if n := len(pendingAt(t, c, 1)); n != 1 {
+				t.Fatalf("P1 holds %d prepared records before the abort, want its vote's 1", n)
+			}
+			if err := txn.Abort(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if n := len(pendingAt(t, c, 1)); n != 0 {
+				t.Fatalf("P1 keeps %d prepared records after the abort, want 0", n)
+			}
+		}},
+		"restartBetweenInvokes": {want: [3]int{100, 90, 110}, run: func(t *testing.T, c *cluster, ctx context.Context, _ *clock.Fake) {
+			txn := begin(t, c, ctx)
+			c.nodes[2].Crash()
+			c.nodes[2].Restart()
+			if err := invoke(ctx, c, txn, 2, 5); err == nil || !strings.Contains(err.Error(), dist.ErrAborted.Error()) {
+				t.Fatalf("continuation after a participant restart = %v, want it refused as aborted", err)
+			}
+			if err := txn.Commit(ctx); !errors.Is(err, dist.ErrAborted) {
+				t.Fatalf("Commit = %v, want ErrAborted", err)
+			}
+		}},
 		"participantCrashBeforeReply": {want: [3]int{100, 90, 110}, run: func(t *testing.T, c *cluster, ctx context.Context, _ *clock.Fake) {
 			c.net.PartitionOneWay(c.nodes[2].ID(), c.nodes[0].ID())
 			done := make(chan error, 1)

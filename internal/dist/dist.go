@@ -10,20 +10,20 @@
 //     under a node-local participant action holding local locks; prepare
 //     forces the action's write set to the node's intention log;
 //   - coordinator: Begin starts a distributed action; Invoke routes
-//     operations to resources (local or remote); Commit runs two-phase
-//     commit — prepare everywhere, force the decision with the writer
-//     list — and returns. A plain transaction asks every participant after
-//     its first to vote in its invoke reply, and a writer that did is not
-//     prepared again unless invoked again. The commit then reaches each
-//     writer with the coordinator's next message to it (release.go), and
-//     the decision record stays until every writer has acknowledged it. A
-//     transaction that touched exactly one remote node commits in one
-//     step instead (onephase.go).
+//     operations to resources (local or remote), and a remote writer votes
+//     in the reply to the first invoke at its node; Commit runs two-phase
+//     commit — prepare the participants whose vote does not stand (readers,
+//     and nodes invoked again), force the decision with the writer list —
+//     and returns. The commit then reaches each writer with the
+//     coordinator's next message to it (release.go), and the
+//     decision record stays until every writer has acknowledged it. A
+//     transaction that only read at exactly one remote node is committed
+//     where it stands.
 //
 // Each incarnation of the node has its own participant table, queues and
 // loops, on its own store handle and peer: what a crash leaves running of
-// it changes nothing. A restart loads the logged prepared and one-phase
-// records; an entry untouched for a termination interval asks its
+// it changes nothing. A restart loads the logged prepared records before
+// it serves; an entry untouched for a termination interval asks its
 // coordinator what was decided (presumed abort); a restarted coordinator
 // owes every unacknowledged commit again. A restarted node serves at once:
 // its store refuses objects a record in doubt writes (store.ErrUnresolved).
@@ -64,12 +64,6 @@ var (
 	// ErrNoResource is returned when the named resource is not
 	// registered at the target node.
 	ErrNoResource = errors.New("dist: no such resource")
-	// ErrInDoubt is returned by Commit when the transaction's one
-	// participant was handed the decision (one-phase commit) and did not
-	// say what it decided before the caller's context ended, or within two
-	// RPC call timeouts: the transaction has committed or aborted there,
-	// and this node cannot tell which.
-	ErrInDoubt = errors.New("dist: outcome in doubt")
 )
 
 // RPC method names.
@@ -77,7 +71,6 @@ const (
 	methodInvoke   = "dist.invoke"
 	methodPrepare  = "dist.prepare"
 	methodDecision = "dist.decision"
-	methodCommit1  = "dist.commit1"
 	methodEnd      = "dist.end"
 )
 
@@ -182,7 +175,10 @@ func (m *Manager) Node() *node.Node { return m.node }
 func (m *Manager) RegisterResource(name string, r Resource) { m.resources.Store(name, r) }
 
 // Register implements node.Service: it builds the node's new incarnation.
-// What the last one held died with it; recovery loads what the log kept.
+// What the last one held died with it. Every prepared record the log kept
+// is an entry in doubt before the node serves, so that no invoke arriving
+// ahead of recovery — a retransmission of the one that voted, say —
+// begins the transaction afresh beside its record.
 func (m *Manager) Register(n *node.Node, p *rpc.Peer) {
 	st := n.Stable()
 	inc := &incarnation{
@@ -198,6 +194,15 @@ func (m *Manager) Register(n *node.Node, p *rpc.Peer) {
 		acks:        ackQueue{st: st},
 	}
 	inc.installed.L = &inc.mu
+	// A log that cannot be read belongs to a store handle already closed:
+	// this incarnation has crashed, and the next one loads it.
+	if pending, err := st.Intentions().Pending(); err == nil {
+		for _, in := range pending {
+			if in.Coordinator != inc.self && in.Status == store.IntentionPrepared {
+				inc.txns[in.Action] = &entry{coord: in.Coordinator, state: prepared, touched: true}
+			}
+		}
+	}
 	m.cur.Store(inc)
 	life := n.Context()
 	//mcalint:ignore goleak the flusher ends with the node's lifetime context, which Crash and Stop cancel
@@ -208,7 +213,6 @@ func (m *Manager) Register(n *node.Node, p *rpc.Peer) {
 	p.Handle(methodInvoke, inc.handleInvoke)
 	p.Handle(methodPrepare, inc.handlePrepare)
 	p.Handle(methodDecision, inc.handleDecision)
-	p.Handle(methodCommit1, inc.handleCommit1)
 	p.Handle(methodEnd, inc.handleEnd)
 }
 
@@ -248,16 +252,13 @@ func (m *Manager) Recover(ctx context.Context, _ *node.Node) {
 
 // state is where a transaction stands here: live (invoked; clean or wrote,
 // as its action's HasWrites says), prepared (voted yes with its write set
-// forced, and frozen — reopenable when the vote rode an invoke reply),
-// decided (made the decision itself, handed a commit1; its forced record
-// answers any repeat) or buried (finished: a late invoke is refused, a late
-// commit1 answered from the log).
+// forced, and frozen — reopenable when the vote rode an invoke reply) or
+// buried (finished: a late invoke is refused).
 type state uint8
 
 const (
 	live state = iota
 	prepared
-	decided
 	buried
 )
 
@@ -276,25 +277,6 @@ type entry struct {
 	touched    bool
 	installing bool
 	reopenable bool
-}
-
-// entryLocked returns txn's entry. When only the log knows txn — a restart
-// left its prepared record or one-phase decision — it loads the entry from
-// that record. Caller holds inc.mu.
-func (inc *incarnation) entryLocked(txn ids.ActionID) (*entry, error) {
-	if e, ok := inc.txns[txn]; ok {
-		return e, nil
-	}
-	in, found, err := inc.st.Intentions().Lookup(txn)
-	if err != nil || !found || in.Coordinator == inc.self {
-		return nil, err
-	}
-	e := &entry{coord: in.Coordinator, state: prepared, touched: true}
-	if in.Status == store.IntentionCommitted {
-		e.state = decided
-	}
-	inc.txns[txn] = e
-	return e, nil
 }
 
 // buryLocked buries txn's entry — e, or a new one when nil — and returns
@@ -323,20 +305,15 @@ func (inc *incarnation) buryLocked(txn ids.ActionID, e *entry) *action.Action {
 // participantAction resolves the node-local action serving the
 // distributed transaction, creating it on the coordinator's first contact
 // and reopening it on a continuation after a vote in an invoke reply.
-// A continuation that finds no entry is refused and the transaction
-// buried: the action it continues died in a crash with the earlier
-// invocations' effects. A new action joins the trace of caller, the RPC
-// server span, when valid.
+// A continuation that finds no entry, or only the prepared record a
+// restart loaded, is refused as aborted: the action it continues died in a
+// crash with the earlier invocations' effects. A new action joins the
+// trace of caller, the RPC server span, when valid.
 func (inc *incarnation) participantAction(txn ids.ActionID, coord ids.NodeID, continuation bool, caller trace.Context, info *structureInfo) (*action.Action, error) {
 	inc.mu.Lock()
 	defer inc.mu.Unlock()
-	e, err := inc.txns[txn], error(nil)
-	if e == nil && continuation {
-		e, err = inc.entryLocked(txn) // a restart's record recovery has not loaded yet
-	}
+	e := inc.txns[txn]
 	switch {
-	case err != nil:
-		return nil, err
 	case e == nil && continuation:
 		inc.buryLocked(txn, nil)
 		return nil, fmt.Errorf("%w (txn %v: participant restarted since its earlier invocations)", ErrAborted, txn)
@@ -346,6 +323,12 @@ func (inc *incarnation) participantAction(txn ids.ActionID, coord ids.NodeID, co
 		return e.a, nil
 	case e.state == buried:
 		return nil, fmt.Errorf("%w (txn %v)", ErrAborted, txn)
+	case e.a == nil && continuation:
+		// The vote a restart loaded from the log stays for the abort, or
+		// the no vote that a prepare of it gets, to forget: after a restart
+		// this may be a late copy of a continuation the vote already
+		// answered, and the decision may have named this node.
+		return nil, fmt.Errorf("%w (txn %v: participant restarted since its earlier invocations)", ErrAborted, txn)
 	case e.reopenable && continuation && e.coord == coord:
 		// The coordinator goes on with a transaction that voted in its
 		// invoke reply: the vote and its record go, unforced, and the
@@ -357,8 +340,8 @@ func (inc *incarnation) participantAction(txn ids.ActionID, coord ids.NodeID, co
 		votesReopened.Inc()
 		return e.a, nil
 	default:
-		// Frozen: this node already voted yes, or decided, with a logged
-		// write set; a late invoke may not mutate beyond it.
+		// Frozen: this node already voted yes with a logged write set; a
+		// late invoke may not mutate beyond it.
 		return nil, fmt.Errorf("%w (txn %v)", ErrPrepared, txn)
 	}
 	container, err := inc.structureContainerLocked(info)
@@ -399,9 +382,9 @@ func (inc *incarnation) participantAction(txn ids.ActionID, coord ids.NodeID, co
 }
 
 // event is what ends a transaction here: an abort, or "aborted" from the
-// decision query; a single-site transaction's release (onephase.go); a
-// commit carried here (release.go), or "committed" from the query. An end
-// message carries one list of transactions per event.
+// decision query; a single-site reader's release; a commit carried here
+// (release.go), or "committed" from the query. An end message carries one
+// list of transactions per event.
 type event uint8
 
 const (
@@ -414,31 +397,27 @@ const (
 // txn in — buried when the event had nothing to end. A live action commits
 // on a reader's release and aborts on anything else: without a yes vote
 // it is in no commit. A prepared one installs its prepared write set on a
-// commit, unforced, and aborts on an abort; a one-phase decision is
-// forgotten on a release or an abort. A commit that fails to install
+// commit, unforced, and aborts on an abort. A commit that fails to install
 // leaves the entry prepared, for the commit sent again. An event that
 // finds an install under way waits until it is in the log: whatever the
 // event's caller then reports as done — an ack, a recovery pass — was
 // appended before the caller's next force.
 func (inc *incarnation) end(txn ids.ActionID, ev event) (state, error) {
 	inc.mu.Lock()
-	e, err := inc.entryLocked(txn)
-	for err == nil && e != nil && e.installing {
+	e := inc.txns[txn]
+	for e != nil && e.installing {
 		inc.installed.Wait()
-		e, err = inc.entryLocked(txn)
+		e = inc.txns[txn]
 	}
 	was := buried
 	switch {
-	case err != nil:
-		inc.mu.Unlock()
-		return buried, err
 	case e == nil:
 		// Known nowhere: nothing to end, but no late invoke may begin it.
 		inc.buryLocked(txn, nil)
 	default:
 		was = e.state
 	}
-	if was == buried || was == prepared && ev == evRelease || was == decided && ev == evCommit {
+	if was == buried || was == prepared && ev == evRelease {
 		inc.mu.Unlock()
 		return buried, nil
 	}
@@ -472,12 +451,7 @@ func (inc *incarnation) end(txn ids.ActionID, ev event) (state, error) {
 	}
 	a := inc.buryLocked(txn, e)
 	inc.mu.Unlock()
-	switch {
-	case was == decided && a != nil:
-		return was, nil // still being forced: handleCommit1 forgets it
-	case was == decided:
-		return was, inc.st.Intentions().Forget(txn)
-	case ev == evRelease && !a.HasWrites():
+	if ev == evRelease && !a.HasWrites() {
 		// A committed reader: its read locks go.
 		_ = a.Commit()
 		return was, nil
@@ -514,10 +488,13 @@ func (inc *incarnation) handleInvoke(ctx context.Context, from ids.NodeID, body 
 	if err != nil {
 		return nil, err
 	}
+	// A writer votes in the reply to the coordinator's first contact. A
+	// continuation's writer leaves its reopened vote to the commit's
+	// prepare: voting on every contact would force once per invoke.
 	flags := replyNothingWritten
 	if a.HasWrites() {
 		flags = 0
-		if req.Vote {
+		if !req.Continuation {
 			if err := inc.voteAtInvoke(req.Txn, a, from, caller); err != nil {
 				return nil, err
 			}
@@ -531,9 +508,9 @@ func (inc *incarnation) handleInvoke(ctx context.Context, from ids.NodeID, body 
 	return appendInvokeReply(make([]byte, 0, len(out)+8+len(acks.ids)+min(acks.n, 1)), flags, out, acks), nil
 }
 
-// voteAtInvoke prepares txn's writer a once its invoke has run, for an
-// invoke that asked for the vote: the entry freezes, as at a prepare, and
-// stays reopenable by coord's next invoke here. tc is the invoke's span.
+// voteAtInvoke prepares txn's writer a once its invoke has run: the entry
+// freezes, as at a prepare, and stays reopenable by coord's next invoke
+// here. tc is the invoke's span.
 func (inc *incarnation) voteAtInvoke(txn ids.ActionID, a *action.Action, coord ids.NodeID, tc trace.Context) error {
 	inc.mu.Lock()
 	e := inc.txns[txn]
@@ -552,12 +529,12 @@ func (inc *incarnation) voteAtInvoke(txn ids.ActionID, a *action.Action, coord i
 	return err
 }
 
-// vote is the prepare rule, for a prepare and for an invoke that asked for
-// the vote alike: it forces the write set of txn's writer a, whose entry e
-// the caller froze, as a prepared record naming coord, and says yes only
-// after the force. An abort that overtook the force (terminate) buried the
-// entry: the record goes too, and the vote is no. atInvoke leaves a yes
-// reopenable. tc is the span of the request that asked for the vote.
+// vote is the prepare rule, for a prepare and for an invoke alike: it
+// forces the write set of txn's writer a, whose entry e the caller froze,
+// as a prepared record naming coord, and says yes only after the force. An
+// abort that overtook the force (terminate) buried the entry: the record
+// goes too, and the vote is no. atInvoke leaves a yes reopenable. tc is
+// the span of the request that asked for the vote.
 func (inc *incarnation) vote(txn ids.ActionID, e *entry, a *action.Action, coord ids.NodeID, tc trace.Context, atInvoke bool) (yes bool, err error) {
 	writes, err := a.PendingWrites()
 	if err == nil {
@@ -817,16 +794,13 @@ func (t *Txn) Invoke(ctx context.Context, target ids.NodeID, resource, op string
 		return ErrDone
 	}
 	// Any earlier invoke at the target, even a failed one, makes this one
-	// a continuation rather than a first contact, and takes back a vote
-	// the target cast in an invoke reply. A transaction that already has a
-	// participant asks each further one for its vote in the reply: a writer
-	// voting then needs no prepare at commit.
+	// a continuation rather than a first contact, and takes back the vote
+	// the target cast in an invoke reply: the commit prepares it again.
 	i := slices.IndexFunc(t.contacts, func(c contact) bool { return c.node == target })
 	continuation := i >= 0
 	if continuation {
 		t.contacts[i].voted = false
 	}
-	vote := !continuation && slices.ContainsFunc(t.contacts, func(c contact) bool { return c.ok })
 	t.mu.Unlock()
 
 	argBytes, err := json.Marshal(arg)
@@ -859,7 +833,7 @@ func (t *Txn) Invoke(ctx context.Context, target ids.NodeID, resource, op string
 	var scratch [bodyScratch]byte
 	var relScratch, comScratch [owedScratch]byte
 	owed := t.inc.owed.take(owedList{node: target, rel: txnList{ids: relScratch[:0]}, com: txnList{ids: comScratch[:0]}})
-	body := appendInvokeReq(scratch[:0], &invokeReq{Txn: t.ID(), Continuation: continuation, Vote: vote,
+	body := appendInvokeReq(scratch[:0], &invokeReq{Txn: t.ID(), Continuation: continuation,
 		Resource: resource, Op: op, Arg: argBytes, Structure: t.structure, Release: owed.rel, Commit: owed.com})
 	reply, err := t.inc.peer.CallRaw(ctx, target, methodInvoke, body)
 	if err != nil {
@@ -895,18 +869,18 @@ func (t *Txn) Invoke(ctx context.Context, target ids.NodeID, resource, op string
 const bodyScratch = 128
 
 // Commit ends the action and returns when the outcome is decided and
-// durable. A transaction whose effects lie at several nodes runs
-// two-phase commit: on any prepare failure the action aborts everywhere
-// and ErrAborted is returned; on success Commit returns once the commit
-// decision is forced and this node's own part installed. The action is
-// then permanent, though not yet installed at its other writers: each
-// hears of the decision with this node's next message to it, or within
-// the flush interval, and holds its write locks until then — a writer
-// that crashed first learns it from recovery. One that touched a single
-// remote node and wrote nothing here commits in one step (onephase.go): a
-// writer hands that node the decision and may come back ErrInDoubt when
-// it stays silent past ctx or two RPC call timeouts; a reader is
-// committed on the spot, and its read locks at that node are released
+// durable. It runs two-phase commit: a remote writer voted in the reply to
+// its first invoke, so the prepare round asks only the participants whose
+// vote does not stand (readers, and nodes invoked more than once). On any
+// prepare failure the action aborts everywhere and ErrAborted is returned; on
+// success Commit returns once the commit decision is forced and this
+// node's own part installed. The action is then permanent, though not yet
+// installed at its writers: each hears of the decision with this node's
+// next message to it, or within the flush interval, and holds its write
+// locks until then — a writer that crashed first learns it from recovery.
+// A plain transaction that wrote nothing here and only read at a single
+// remote node is committed on the spot: past its lock point, it has
+// nothing to make durable, and its read locks at that node are released
 // within the flush interval.
 func (t *Txn) Commit(ctx context.Context) error {
 	t.mu.Lock()
@@ -922,7 +896,7 @@ func (t *Txn) Commit(ctx context.Context) error {
 			unvoted = append(unvoted, c.node)
 		}
 	}
-	sole, singleSite := t.singleSiteLocked()
+	reader, singleSiteReader := t.singleSiteReaderLocked()
 	t.mu.Unlock()
 
 	peer := t.inc.peer
@@ -936,17 +910,20 @@ func (t *Txn) Commit(ctx context.Context) error {
 	clk := t.inc.clk
 	start := clk.Now()
 
-	if singleSite {
-		err := t.commitOnePhase(ctx, sole)
-		if err == nil {
-			t.noteCommitted(clk.Since(start))
+	if singleSiteReader {
+		// The release lets the participant action go.
+		t.inc.owed.owe(reader, t.ID())
+		onePhaseReads.Inc()
+		if err := t.local.Commit(); err != nil {
+			return fmt.Errorf("dist: local apply after decision: %w", err)
 		}
-		return err
+		t.noteCommitted(clk.Since(start))
+		return nil
 	}
 
-	// Phase 1: prepare every remote participant that has not voted in an
-	// invoke reply, fanning out concurrently. The first NO vote or error
-	// cancels the round so in-flight prepares stop retransmitting; the
+	// Phase 1: prepare every remote participant whose vote from an invoke
+	// reply does not stand, fanning out concurrently. The first NO vote or
+	// error cancels the round so in-flight prepares stop retransmitting; the
 	// outcome is already decided. Read-only voters commit at prepare and
 	// drop out of the rest of the protocol.
 	coordID := t.inc.self
@@ -1046,6 +1023,32 @@ func (t *Txn) Commit(ctx context.Context) error {
 	return nil
 }
 
+// singleSiteReaderLocked reports whether the transaction is a plain one
+// that wrote nothing here and invoked exactly one remote node, which wrote
+// nothing either, and that node. Under strict two-phase locking it has
+// passed its lock point: every lock it will ever hold is held there, and
+// the one failure that could lose one — that node restarting between two
+// invocations — is refused at the invocation itself (participantAction).
+// Readers of several nodes are prepared by the round: it is what finds out
+// that some node lost its locks before the last invocation elsewhere
+// returned. So are a structure's constituents: a reader's release may
+// still be in flight when the structure's end arrives, and a container
+// cannot end with a live child. Caller holds t.mu.
+func (t *Txn) singleSiteReaderLocked() (ids.NodeID, bool) {
+	if t.structure != nil || t.local.HasWrites() {
+		return 0, false
+	}
+	var sole contact
+	n := 0
+	for _, c := range t.contacts {
+		if c.ok {
+			sole = c
+			n++
+		}
+	}
+	return sole.node, n == 1 && !sole.wrote
+}
+
 // noteCommitted counts one committed transaction and how long its Commit
 // took.
 func (t *Txn) noteCommitted(took time.Duration) {
@@ -1139,18 +1142,10 @@ func (inc *incarnation) recoverPass(ctx context.Context) (inDoubt, owed int, err
 			// due at once.
 			inc.owed.await(in.Action, in.Participants, time.Time{})
 			owed++
-		case in.Coordinator != inc.self && in.Status != store.IntentionAborted:
-			// Participant role: the record joins the table. A prepared one
-			// is in doubt and asks its coordinator now; a one-phase
-			// decision answers a coordinator still asking until it is
-			// released, or its silent coordinator asked (terminate).
-			inc.mu.Lock()
-			_, err := inc.entryLocked(in.Action)
-			inc.mu.Unlock()
-			if in.Status == store.IntentionPrepared && err == nil {
-				_, err = inc.resolve(ctx, in.Action, in.Coordinator)
-			}
-			if err != nil {
+		case in.Coordinator != inc.self && in.Status == store.IntentionPrepared:
+			// Participant role: the record's entry, in doubt since
+			// Register loaded it, asks its coordinator now.
+			if _, err := inc.resolve(ctx, in.Action, in.Coordinator); err != nil {
 				inDoubt++ // no answer: stay in doubt, ask again next pass
 			}
 		default:
@@ -1190,15 +1185,14 @@ const terminateAfter = time.Second
 // terminate is the idle rule, a participant's answer to a silent
 // coordinator: every terminateAfter it asks the coordinator of each
 // transaction no message has touched since the tick before — an action
-// invoked and never prepared, a reader never released, a prepared writer,
-// a one-phase decision never let go — what was decided, and ends it by the
-// answer. A coordinator still deciding answers nothing, and is asked again
-// at the next tick. Each coordinator is asked on its own goroutine, so one
-// that does not answer holds up only its own transactions, and for one
-// call per tick: after a query it left unanswered, the rest of its
-// transactions wait for the next tick. It runs for one incarnation of the
-// node, on tick, made on its clock as the node starts, and ends with ctx,
-// the node's lifetime.
+// invoked and never prepared, a reader never released, a prepared writer —
+// what was decided, and ends it by the answer. A coordinator still
+// deciding answers nothing, and is asked again at the next tick. Each
+// coordinator is asked on its own goroutine, so one that does not answer
+// holds up only its own transactions, and for one call per tick: after a
+// query it left unanswered, the rest of its transactions wait for the next
+// tick. It runs for one incarnation of the node, on tick, made on its
+// clock as the node starts, and ends with ctx, the node's lifetime.
 func (inc *incarnation) terminate(ctx context.Context, tick clock.Ticker) {
 	defer tick.Stop()
 	for {

@@ -190,10 +190,10 @@ func waitUntil(cond func() bool) error {
 
 func TestAsymmetricPartitionDuringCompletion(t *testing.T) {
 	// Replies from the participant are lost (participant -> coord
-	// dropped) while requests still arrive: the participant prepares
-	// and even applies the commit, but the coordinator cannot see the
-	// votes. With presumed abort the coordinator must abort — so the
-	// prepare phase's silence keeps atomicity.
+	// dropped) while requests still arrive: a continuation reopens the
+	// participant's vote, and it votes again in the prepare round, but
+	// the coordinator sees neither reply. With presumed abort the
+	// coordinator must abort — so the silence keeps atomicity.
 	c := newCluster(t, netsim.Config{})
 	ctx := context.Background()
 
@@ -204,13 +204,18 @@ func TestAsymmetricPartitionDuringCompletion(t *testing.T) {
 	if err := txn.Invoke(ctx, c.nodes[1].ID(), "bank", "add", addArg{Delta: -5}, nil); err != nil {
 		t.Fatal(err)
 	}
-	// A second participant keeps the transaction on two-phase commit (a
-	// single one would decide by itself: TestOnePhaseSilentParticipant).
 	if err := txn.Invoke(ctx, c.nodes[2].ID(), "bank", "add", addArg{Delta: 5}, nil); err != nil {
 		t.Fatal(err)
 	}
-	// Cut the reply path only.
+	// Cut the reply path only. The continuation takes back P1's vote, and
+	// its reply never arrives.
 	c.net.PartitionOneWay(c.nodes[1].ID(), c.coord.Node().ID())
+	short, cancel := context.WithTimeout(ctx, 100*time.Millisecond)
+	err = txn.Invoke(short, c.nodes[1].ID(), "bank", "add", addArg{Delta: -1}, nil)
+	cancel()
+	if err == nil {
+		t.Fatal("the continuation's reply got through the partition")
+	}
 	err = txn.Commit(ctx)
 	if !errors.Is(err, dist.ErrAborted) {
 		t.Fatalf("Commit = %v, want ErrAborted (vote unseen)", err)

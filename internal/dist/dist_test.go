@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -267,23 +268,19 @@ func TestParticipantCrashBeforePrepareAborts(t *testing.T) {
 	c := newCluster(t, netsim.Config{})
 	ctx := context.Background()
 
-	txn, err := c.coord.Begin()
-	if err != nil {
-		t.Fatal(err)
+	// P2 votes in its invoke reply; P1 crashes as it forces its vote, so
+	// its invoke fails and the transfer aborts.
+	err := c.coord.Run(ctx, func(txn *dist.Txn) error {
+		if err := txn.Invoke(ctx, c.nodes[2].ID(), "bank", "add", addArg{Delta: 30}, nil); err != nil {
+			return err
+		}
+		c.nodes[1].Stable().CrashDuringNextForce()
+		return txn.Invoke(ctx, c.nodes[1].ID(), "bank", "add", addArg{Delta: -30}, nil)
+	})
+	if err == nil || !strings.Contains(err.Error(), dist.ErrAborted.Error()) {
+		t.Fatalf("transfer = %v, want it aborted", err)
 	}
-	if err := txn.Invoke(ctx, c.nodes[1].ID(), "bank", "add", addArg{Delta: -30}, nil); err != nil {
-		t.Fatal(err)
-	}
-	if err := txn.Invoke(ctx, c.nodes[2].ID(), "bank", "add", addArg{Delta: 30}, nil); err != nil {
-		t.Fatal(err)
-	}
-	// P1 crashes before the coordinator commits. (P2 voted in its invoke
-	// reply: it is prepared already.)
 	c.nodes[1].Crash()
-	err = txn.Commit(ctx)
-	if !errors.Is(err, dist.ErrAborted) {
-		t.Fatalf("Commit = %v, want ErrAborted", err)
-	}
 	if got := c.balanceAt(t, 2); got != 100 {
 		t.Fatalf("P2 balance = %d, want 100 (aborted)", got)
 	}

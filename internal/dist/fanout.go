@@ -1,12 +1,12 @@
 // Coordinator fan-out rounds: every remote round of the commit
-// protocol (prepare, commit1, and the end messages of an abort, a
-// structure's end and the flusher) is one broadcast to a set of
-// participants. The round's RPCs are issued concurrently, by the caller
-// and a bounded set of workers, so a round costs one round-trip — or,
-// with crashed participants, one call timeout — instead of the sum over
-// participants. Phase 1 additionally short-circuits: the first NO vote
-// or error cancels the shared round context, stopping in-flight
-// prepares from retransmitting.
+// protocol (prepare, and the end messages of an abort, a structure's end
+// and the flusher) is one broadcast to a set of participants. The round's
+// RPCs are issued concurrently, by the caller and a bounded set of
+// workers, so a round costs one round-trip — or, with crashed
+// participants, one call timeout — instead of the sum over participants.
+// Phase 1 additionally short-circuits: the first NO vote or error cancels
+// the shared round context, stopping in-flight prepares from
+// retransmitting.
 package dist
 
 import (
@@ -35,9 +35,6 @@ const (
 	// RoundStructure is a distributed structure's end or cancel, one end
 	// message per node with the commits still owed there on board.
 	RoundStructure RoundKind = "structure"
-	// RoundCommit1 is a one-phase commit: the single participant of a
-	// transaction is handed the decision and answers with it.
-	RoundCommit1 RoundKind = "commit1"
 	// RoundRelease is the flusher's end message: releases and commits
 	// owed to a node that found no later invoke to carry them.
 	RoundRelease RoundKind = "release"

@@ -12,6 +12,7 @@ import (
 	"mca/internal/ids"
 	"mca/internal/netsim"
 	"mca/internal/node"
+	"mca/internal/rpc"
 	"mca/internal/store"
 )
 
@@ -168,4 +169,93 @@ func TestStaleTxnCannotDecide(t *testing.T) {
 func readable(ctx context.Context, c *cluster, i int) bool {
 	got, err := readAt(ctx, c.coord, c.nodes[i].ID())
 	return err == nil && got == 100
+}
+
+// recoveryGate is a service hosted ahead of a node's manager: armed, its
+// recovery hook holds the node's restart after the RPC peer has started
+// and before the manager's recovery has run.
+type recoveryGate struct {
+	armed atomic.Bool
+	open  chan struct{}
+}
+
+func (g *recoveryGate) Register(*node.Node, *rpc.Peer) {}
+
+func (g *recoveryGate) Recover(context.Context, *node.Node) {
+	if g.armed.Load() {
+		<-g.open
+	}
+}
+
+// TestRetransmittedFirstInvokeFindsTheRestartsVote: a participant votes in
+// its first invoke's reply, the reply is lost, and the participant
+// crashes. Its restart serves before recovery has run, and the caller's
+// retransmission of that invoke arrives then. It must find the vote the
+// log kept — not start a fresh action beside the record — so that the
+// abort that follows forgets the record and the account opens again.
+func TestRetransmittedFirstInvokeFindsTheRestartsVote(t *testing.T) {
+	nw := netsim.New(netsim.Config{})
+	t.Cleanup(nw.Close)
+	opts := node.WithRPCOptions(rpc.Options{RetryInterval: 5 * time.Millisecond, CallTimeout: 2 * time.Second})
+	coordNode, err := node.New(nw, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(coordNode.Stop)
+	coord := dist.NewManager(coordNode)
+	p, err := node.New(nw, opts)
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(p.Stop)
+	gate := &recoveryGate{open: make(chan struct{})}
+	p.Host(gate)
+	mgr := dist.NewManager(p)
+	b := newBank(100)
+	p.Host(b)
+	mgr.RegisterResource("bank", b)
+	ctx := context.Background()
+	pending := func() int {
+		in, err := p.Stable().Intentions().Pending()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return len(in)
+	}
+
+	txn, err := coord.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	nw.PartitionOneWay(p.ID(), coordNode.ID())
+	invoked := make(chan error, 1)
+	go func() { invoked <- txn.Invoke(ctx, p.ID(), "bank", "add", addArg{Delta: 5}, nil) }()
+	if err := waitUntil(func() bool { return pending() == 1 }); err != nil {
+		t.Fatal("the participant never voted in its invoke's reply")
+	}
+	gate.armed.Store(true)
+	p.Crash()
+	restarted := make(chan error, 1)
+	go func() { restarted <- p.Restart() }()
+	nw.Heal(p.ID(), coordNode.ID())
+	// The retransmitted invoke reaches the restarted node before its
+	// recovery: it cannot run, as the vote it would cast again is logged.
+	if err := <-invoked; err == nil {
+		t.Fatal("the retransmitted invoke ran again beside the vote the log kept")
+	}
+	if err := txn.Abort(ctx); err != nil {
+		t.Fatal(err)
+	}
+	close(gate.open)
+	if err := <-restarted; err != nil {
+		t.Fatal(err)
+	}
+	write := func() bool {
+		return coord.Run(ctx, func(txn *dist.Txn) error {
+			return txn.Invoke(ctx, p.ID(), "bank", "add", addArg{Delta: 1}, nil)
+		}) == nil
+	}
+	if err := waitUntil(func() bool { return pending() == 0 && write() }); err != nil {
+		t.Fatalf("the aborted vote's record stayed (%d records) and kept the account refused", pending())
+	}
 }

@@ -10,7 +10,7 @@ import "mca/internal/metrics"
 var (
 	roundKinds = []RoundKind{
 		RoundPrepare, RoundAbort, RoundStructure,
-		RoundCommit1, RoundRelease,
+		RoundRelease,
 	}
 
 	roundsOK    map[RoundKind]*metrics.Counter
@@ -27,15 +27,12 @@ var (
 	commitNs      *metrics.Histogram
 	readonlyVotes *metrics.Counter
 
-	// Single-site transactions: one-step commits by kind, releases by
-	// the way they travelled, releases still owed, and one-phase commits
-	// that ended in doubt.
+	// Single-site readers: commits on the spot, releases by the way they
+	// travelled, and releases still owed.
 	onePhaseReads       *metrics.Counter
-	onePhaseWrites      *metrics.Counter
 	releasesPiggybacked *metrics.Counter
 	releasesFlushed     *metrics.Counter
 	releasesPending     *metrics.Gauge
-	inDoubt             *metrics.Counter
 
 	// Phase 2 of two-phase commit: commits delivered by the way they
 	// travelled, decision records still waiting for an ack, participants
@@ -47,8 +44,8 @@ var (
 	orphansReaped                    map[state]*metrics.Counter
 
 	// Writers' yes votes, by where they were cast — true for an invoke
-	// reply, false for a prepare — and invoke votes a continuation took
-	// back, each a wasted force.
+	// reply, false for a prepare (of a writer whose last invoke failed) —
+	// and invoke votes a continuation took back, each a wasted force.
 	votesYes      map[bool]*metrics.Counter
 	votesReopened *metrics.Counter
 )
@@ -81,16 +78,13 @@ func init() {
 		"Txn.Commit duration at the coordinator, ns.").EnableExemplars()
 	readonlyVotes = r.Counter("mca_dist_readonly_votes_total",
 		"Prepare votes answered yes read-only: no log force, excluded from phase 2.")
-	onePhase := r.CounterVec("mca_dist_onephase_commits_total",
-		"Single-site transactions committed in one step, by kind.", "kind")
-	onePhaseReads, onePhaseWrites = onePhase.With("readonly"), onePhase.With("write")
+	onePhaseReads = r.CounterVec("mca_dist_onephase_commits_total",
+		"Single-site readers committed in one step, without a message, by kind.", "kind").With("readonly")
 	releases := r.CounterVec("mca_dist_releases_total",
-		"Finished single-site transactions their participant was told of, by the path the word took.", "path")
+		"Finished single-site readers their participant was told of, by the path the word took.", "path")
 	releasesPiggybacked, releasesFlushed = releases.With("piggyback"), releases.With("flush")
 	releasesPending = r.Gauge("mca_dist_release_pending",
-		"Finished single-site transactions whose participant has not been told yet.")
-	inDoubt = r.Counter("mca_dist_indoubt_total",
-		"One-phase commits whose participant never said what it decided.")
+		"Finished single-site readers whose participant has not been told yet.")
 	phase2 := r.CounterVec("mca_dist_phase2_total",
 		"Commit decisions delivered to prepared participants, by the path they took: riding an invoke, or in the flusher's end message.", "path")
 	phase2Piggybacked, phase2Flushed = phase2.With("piggyback"), phase2.With("flush")
@@ -100,7 +94,7 @@ func init() {
 		"Decision queries of participant transactions untouched for longer than the termination timeout.")
 	reaped := r.CounterVec("mca_dist_orphans_reaped_total",
 		"Participant transactions a silent coordinator left behind, ended by its answer to the decision query, by the state they were in.", "state")
-	orphansReaped = map[state]*metrics.Counter{live: reaped.With("live"), prepared: reaped.With("prepared"), decided: reaped.With("onephase")}
+	orphansReaped = map[state]*metrics.Counter{live: reaped.With("live"), prepared: reaped.With("prepared")}
 	votes := r.CounterVec("mca_dist_votes_total",
 		"Writers' yes votes, each behind a forced prepared record, by the message that carried them: an invoke reply or a prepare's vote.", "at")
 	votesYes = map[bool]*metrics.Counter{true: votes.With("invoke"), false: votes.With("prepare")}

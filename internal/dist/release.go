@@ -1,20 +1,20 @@
 // Lazy delivery of what a coordinator owes its participants.
 //
 // A transaction can leave work at a participant after its coordinator's
-// Commit has returned: a single-site one (onephase.go) a reader's read
-// locks or a writer's decision record to release, a multi-site one each
-// writer's commit, decided and forced here. Telling a participant is
-// delivery, not worth a message of its own — a busy coordinator talks to
-// the same node again within microseconds. So each is an entry, a release
-// or a commit, in the list owed to that node; the coordinator's next
-// invoke there carries the list, and the participant works it off before
-// the carried operation. A flusher covers the quiet case: what has waited
-// releaseFlushAfter, or fills a message, goes out in an end message, as
-// does a distributed structure's end, with every commit owed there.
+// Commit has returned: a single-site reader its read locks to release, a
+// writing one each writer's commit, decided and forced here. Telling a
+// participant is delivery, not worth a message of its own — a busy
+// coordinator talks to the same node again within microseconds. So each
+// is an entry, a release or a commit, in the list owed to that node; the
+// coordinator's next invoke there carries the list, and the participant
+// works it off before the carried operation. A flusher covers the quiet
+// case: what has waited releaseFlushAfter, or fills a message, goes out in
+// an end message, as does a distributed structure's end, with every commit
+// owed there.
 //
 // A participant pays no force for a carried commit: it appends the
 // install and the forget unforced, to become durable with its next
-// forced record, usually its next prepare. Only then does it owe the
+// forced record, usually its next vote. Only then does it owe the
 // coordinator an ack, which rides its next invoke reply or vote there.
 // An end message is answered once what it carried is forced, and the
 // reply brings the acks. The coordinator keeps each writer's commit until

@@ -3,6 +3,7 @@ package dist_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"testing"
 	"time"
 
@@ -326,10 +327,9 @@ func twoNodeConstituent(ctx context.Context, c *cluster, s *dist.RemoteSerializi
 
 // TestConstituentCostsWhatATransferCosts pins a structure constituent to
 // a plain transfer's budget, on both backings: a two-node writing
-// constituent sends six datagrams — an invoke and its reply at each
-// participant, the second voting in its reply, and one prepare round trip
-// to the first — and forces three records: the two votes and the
-// decision. Its commits ride the next constituent's invokes, and the clock
+// constituent sends four datagrams — an invoke and its reply at each
+// participant, each voting in its reply — and forces three records: the
+// two votes and the decision. Its commits ride the next constituent's invokes, and the clock
 // stands still, so nothing travels on its own. The structure's End is one
 // end message per node, the last constituent's commit on board, each
 // answered: four datagrams.
@@ -356,8 +356,8 @@ func TestConstituentCostsWhatATransferCosts(t *testing.T) {
 					t.Fatalf("constituent %d: %v", i, err)
 				}
 			}
-			if got := c.net.Stats().Sent - sent; got != 6*constituents {
-				t.Fatalf("%d constituents sent %d datagrams, want %d (2 invokes, 1 prepare, each with its reply)", constituents, got, 6*constituents)
+			if got := c.net.Stats().Sent - sent; got != 4*constituents {
+				t.Fatalf("%d constituents sent %d datagrams, want %d (2 invokes, each with its reply)", constituents, got, 4*constituents)
 			}
 			if got := forces() - forced; got != 3*constituents {
 				t.Fatalf("%d constituents forced the logs %d times, want %d (2 votes + 1 decision each)", constituents, got, 3*constituents)
@@ -372,6 +372,70 @@ func TestConstituentCostsWhatATransferCosts(t *testing.T) {
 			for i, want := range map[int]int{1: 100 - constituents, 2: 100 + constituents} {
 				if got, ok := c.stableBalanceAt(t, i); !ok || got != want {
 					t.Fatalf("P%d stable = %d, %v after End; want %d", i, got, ok, want)
+				}
+			}
+		})
+	}
+}
+
+// TestRepeatedWritesCostOneReopenedVote pins the budget of a constituent
+// that writes k times at each of two nodes, interleaved as
+// examples/remotemeeting's rounds invoke its diaries. Only a first contact
+// votes in its reply: a continuation reopens the vote, unforced, and
+// leaves the node to the commit's prepare round. So a node invoked k > 1
+// times costs one wasted force, not k: 2k invokes and their replies per
+// node plus a prepare and its reply each, and five forces — the two
+// first-contact votes, the two prepares and the decision. Once is the
+// plain transfer's four datagrams and three forces.
+func TestRepeatedWritesCostOneReopenedVote(t *testing.T) {
+	for _, k := range []int{1, 2, 10} {
+		t.Run(fmt.Sprintf("k=%d", k), func(t *testing.T) {
+			c := backedClusterOn(t, true, clock.NewFake())
+			ctx := context.Background()
+			forces := func() (n uint64) {
+				for _, nd := range c.nodes {
+					f, _ := nd.Stable().WAL().Stats()
+					n += f
+				}
+				return n
+			}
+			s, err := c.coord.BeginRemoteSerializing()
+			if err != nil {
+				t.Fatal(err)
+			}
+			const constituents = 5
+			sent, forced := c.net.Stats().Sent, forces()
+			for i := range constituents {
+				err := s.RunConstituent(ctx, func(txn *dist.Txn) error {
+					for range k {
+						for _, p := range []int{1, 2} {
+							if err := txn.Invoke(ctx, c.nodes[p].ID(), "bank", "add", addArg{Delta: 1}, nil); err != nil {
+								return err
+							}
+						}
+					}
+					return nil
+				})
+				if err != nil {
+					t.Fatalf("constituent %d: %v", i, err)
+				}
+			}
+			wantSent, wantForced := 4*k, 3
+			if k > 1 {
+				wantSent, wantForced = 4*k+4, 5
+			}
+			if got := c.net.Stats().Sent - sent; got != wantSent*constituents {
+				t.Fatalf("%d constituents of %d writes per node sent %d datagrams, want %d", constituents, k, got, wantSent*constituents)
+			}
+			if got := forces() - forced; got != uint64(wantForced*constituents) {
+				t.Fatalf("%d constituents of %d writes per node forced the logs %d times, want %d", constituents, k, got, wantForced*constituents)
+			}
+			if err := s.End(ctx); err != nil {
+				t.Fatalf("End: %v", err)
+			}
+			for _, i := range []int{1, 2} {
+				if got, ok := c.stableBalanceAt(t, i); !ok || got != 100+k*constituents {
+					t.Fatalf("P%d stable = %d, %v after End; want %d", i, got, ok, 100+k*constituents)
 				}
 			}
 		})

@@ -95,9 +95,10 @@ func TestTracedCommitMergesToOneTreeWithoutOrphans(t *testing.T) {
 		t.Fatalf("spans carry %d distinct trace ids, want 1", len(traceIDs))
 	}
 
-	// The traced root must causally contain the prepare round, the RPC
-	// spans, and participant actions at both remote nodes — and no commit
-	// round: phase 2 travels after Commit returned, outside the trace.
+	// The traced root must causally contain the RPC spans and participant
+	// actions at both remote nodes — and no round: both participants voted
+	// in their invoke replies, and phase 2 travels after Commit returned,
+	// outside the trace.
 	var root *trace.TreeNode
 	for _, r := range tree.Roots {
 		if r.Span.TraceID != 0 {
@@ -114,14 +115,14 @@ func TestTracedCommitMergesToOneTreeWithoutOrphans(t *testing.T) {
 		kinds[n.Span.Kind]++
 		nodesSeen[n.Span.Node.String()] = true
 	})
-	if kinds["round.prepare"] != 1 || kinds["round.commit"] != 0 {
-		t.Fatalf("round spans under root: prepare=%d commit=%d, want 1/0 (kinds: %v)",
-			kinds["round.prepare"], kinds["round.commit"], kinds)
+	for kind, n := range kinds {
+		if strings.HasPrefix(kind, "round.") {
+			t.Fatalf("%d %s spans under root, want no round (kinds: %v)", n, kind, kinds)
+		}
 	}
-	// 2 invokes + 1 prepare = 3 client/server pairs: the second
-	// participant voted in its invoke reply.
-	if kinds["rpc.client"] != 3 || kinds["rpc.server"] != 3 {
-		t.Fatalf("rpc spans under root: client=%d server=%d, want 3/3", kinds["rpc.client"], kinds["rpc.server"])
+	// 2 invokes = 2 client/server pairs.
+	if kinds["rpc.client"] != 2 || kinds["rpc.server"] != 2 {
+		t.Fatalf("rpc spans under root: client=%d server=%d, want 2/2", kinds["rpc.client"], kinds["rpc.server"])
 	}
 	for i := 0; i < 3; i++ {
 		if id := tc.nodes[i].ID().String(); !nodesSeen[id] {
@@ -130,27 +131,10 @@ func TestTracedCommitMergesToOneTreeWithoutOrphans(t *testing.T) {
 	}
 
 	// The critical path of a committed 2PC runs from the transaction
-	// root through one of its rounds.
+	// root through one of its invocations.
 	path := trace.CriticalPath(root)
 	if len(path) < 2 {
 		t.Fatalf("critical path too short: %d spans", len(path))
-	}
-
-	// Nor does the trace hold a second round: its round time is the
-	// prepare round's alone.
-	var prepare, rounds time.Duration
-	for _, s := range tc.recs[0].Spans() {
-		if kind, _, _, ok := roundOf(s); ok && kind == dist.RoundPrepare {
-			prepare = s.End.Sub(s.Begin)
-		}
-	}
-	root.Walk(func(n *trace.TreeNode, _ int) {
-		if strings.HasPrefix(n.Span.Kind, "round.") {
-			rounds += n.Span.End.Sub(n.Span.Begin)
-		}
-	})
-	if rounds <= 0 || rounds != prepare {
-		t.Fatalf("round time in the trace %v, want the prepare round's %v alone", rounds, prepare)
 	}
 }
 
@@ -337,10 +321,10 @@ func TestTracedAbortRecordsAbortRound(t *testing.T) {
 }
 
 // TestEveryRoundIsOneSpan: every fan-out round a traced node runs — a
-// transfer's prepare, an abort, a one-phase write's commit1, the
-// flusher's end messages — is exactly one round.<kind> span in the
-// node's recorder: as many as the flight recorder logged rounds for the
-// node, a traced one under the span the flight recorder names.
+// two-site read's prepare, an abort, the flusher's end messages — is
+// exactly one round.<kind> span in the node's recorder: as many as the
+// flight recorder logged rounds for the node, a traced one under the span
+// the flight recorder names.
 func TestEveryRoundIsOneSpan(t *testing.T) {
 	tc := newTracedCluster(t, netsim.Config{})
 	ctx := context.Background()
@@ -362,9 +346,15 @@ func TestEveryRoundIsOneSpan(t *testing.T) {
 		t.Fatal(err)
 	}
 	if err := tc.coord.Run(ctx, func(txn *dist.Txn) error {
-		return txn.Invoke(ctx, p1, "bank", "add", addArg{Delta: 1}, nil)
+		var out balanceResp
+		for _, p := range []ids.NodeID{p1, p2} {
+			if err := txn.Invoke(ctx, p, "bank", "get", struct{}{}, &out); err != nil {
+				return err
+			}
+		}
+		return nil
 	}); err != nil {
-		t.Fatalf("one-phase write: %v", err)
+		t.Fatalf("two-site read: %v", err)
 	}
 	if err := tc.coord.Run(ctx, func(txn *dist.Txn) error {
 		var out balanceResp
@@ -402,8 +392,7 @@ func TestEveryRoundIsOneSpan(t *testing.T) {
 				mismatch = fmt.Sprintf("node %d: %d rounds logged, %d round spans", i, n, spans)
 			}
 		}
-		done := kinds[dist.RoundPrepare] > 0 && kinds[dist.RoundAbort] > 0 &&
-			kinds[dist.RoundCommit1] > 0 && kinds[dist.RoundRelease] > 0
+		done := kinds[dist.RoundPrepare] > 0 && kinds[dist.RoundAbort] > 0 && kinds[dist.RoundRelease] > 0
 		if mismatch == "" && done {
 			return
 		}

@@ -7,13 +7,13 @@
 // body. What the application passes through the protocol (the argument
 // and the result of an invocation) rides as opaque bytes.
 //
-//	invoke        D1 01  flags (bit0 first contact, bit1 vote with the reply)  txn  resource
+//	invoke        D1 01  flags (bit0 first contact)  txn  resource
 //	                     op  arg  n  n×(structure container write flags)  r  r×txn  [c  c×txn]
 //	invoke reply  D1 02  flags (bit0 nothing written so far, bit1 voted)  result  [a  a×txn]
 //	prepare       D1 03  txn  coordinator
 //	vote          D1 04  flags (bit0 yes, bit1 read-only)  [a  a×txn]
-//	txn           D1 05  txn                    (decision query, commit1)
-//	decision      D1 06  flags (bit0 committed) (decision reply, commit1 outcome)
+//	txn           D1 05  txn                    (decision query)
+//	decision      D1 06  flags (bit0 committed) (decision reply)
 //	ack           D1 07  [a  a×txn]             (end reply)
 //	end           D1 08  structure<<1 | commit  r  r×txn  c  c×txn  x  x×txn
 //
@@ -22,8 +22,8 @@
 // outside any structure. Entry flags: bit0 companion, bit1 read-own.
 //
 // What a coordinator owes a node (release.go) are entries of a one-bit
-// kind — the release of a finished single-site transaction, the commit of
-// a prepared one — which an invoke carries as two lists: the r releases,
+// kind — the release of a finished single-site reader, the commit of a
+// prepared writer — which an invoke carries as two lists: the r releases,
 // then the c commits. An end carries one list per event that ends a
 // transaction there (incarnation.end): the r releases, the c commits, the x
 // aborts; a structure's end or cancel names the structure (0: none).
@@ -82,14 +82,12 @@ type invokeReq struct {
 	Txn ids.ActionID
 	// Continuation is false on the coordinator's first contact with the
 	// node for this transaction — the only invoke that may start a
-	// participant action. A later one that finds none is refused: the
-	// action it continues died, with its earlier effects, in a crash.
+	// participant action, and the one a writer votes in the reply to. A
+	// later one that finds none is refused: the action it continues died,
+	// with its earlier effects, in a crash.
 	Continuation bool
-	// Vote asks a writer to prepare once the operation has run and vote
-	// yes in its reply, sparing the commit a prepare round trip.
-	Vote     bool
-	Resource string
-	Op       string
+	Resource     string
+	Op           string
 	// Arg is the application's argument, opaque here.
 	Arg []byte
 	// Structure, when non-nil, mirrors the coordinator-side colour
@@ -103,7 +101,6 @@ type invokeReq struct {
 
 const (
 	invokeFirstContact  byte = 1 << 0
-	invokeVote          byte = 1 << 1
 	replyNothingWritten byte = 1 << 0
 	replyVoted          byte = 1 << 1
 
@@ -118,9 +115,6 @@ func appendInvokeReq(buf []byte, q *invokeReq) []byte {
 	var flags byte
 	if !q.Continuation {
 		flags = invokeFirstContact
-	}
-	if q.Vote {
-		flags |= invokeVote
 	}
 	buf = append(buf, bodyMagic, byte(bodyInvoke), flags)
 	buf = wire.AppendUvarint(buf, uint64(q.Txn))
@@ -156,10 +150,10 @@ func decodeInvokeReq(body []byte) (invokeReq, error) {
 		return invokeReq{}, err
 	}
 	flags := r.Byte()
-	if flags&^(invokeFirstContact|invokeVote) != 0 {
+	if flags&^invokeFirstContact != 0 {
 		r.Fail()
 	}
-	q := invokeReq{Continuation: flags&invokeFirstContact == 0, Vote: flags&invokeVote != 0, Txn: ids.ActionID(r.Uvarint())}
+	q := invokeReq{Continuation: flags&invokeFirstContact == 0, Txn: ids.ActionID(r.Uvarint())}
 	q.Resource = wire.Intern(r.Bytes())
 	q.Op = wire.Intern(r.Bytes())
 	q.Arg = r.Bytes()
@@ -365,7 +359,7 @@ func decodeVote(body []byte) (voteResp, error) {
 	return voteResp{OK: flags&voteYes != 0, ReadOnly: flags&voteReadOnly != 0, Acks: acks}, finish(&r)
 }
 
-// --- commit1 and decision ---
+// --- decision ---
 
 func appendTxnReq(buf []byte, txn ids.ActionID) []byte {
 	return wire.AppendUvarint(append(buf, bodyMagic, byte(bodyTxn)), uint64(txn))

@@ -27,9 +27,6 @@ func bodyCases() map[string][]byte {
 		// and no release.
 		"invoke_commits": appendInvokeReq(nil, &invokeReq{Txn: 304, Continuation: true, Resource: "registers", Op: "add",
 			Arg: []byte(`{"k":8}`), Commit: txnList{}.add(296).add(297)}),
-		// A further first contact asking the writer to vote in its reply.
-		"invoke_vote": appendInvokeReq(nil, &invokeReq{Txn: 305, Vote: true, Resource: "registers", Op: "add",
-			Arg: []byte(`{"k":9}`)}),
 		"invoke_reply":           appendInvokeReply(nil, 0, []byte(`42`), txnList{}),
 		"invoke_reply_unwritten": appendInvokeReply(nil, replyNothingWritten, []byte(`42`), txnList{}),
 		"invoke_reply_acks":      appendInvokeReply(nil, 0, []byte(`{}`), txnList{}.add(296)),
@@ -141,10 +138,6 @@ func TestBodyRoundTrip(t *testing.T) {
 	if q.Release.n != 0 || !reflect.DeepEqual(committed, []ids.ActionID{296, 297}) {
 		t.Fatalf("decoded %d releases and commits %v, want none and [a296 a297]", q.Release.n, committed)
 	}
-	q, err = decodeInvokeReq(bodyCases()["invoke_vote"])
-	if err != nil || q.Continuation || !q.Vote {
-		t.Fatalf("invoke asking for a vote decoded to continuation=%v vote=%v, %v; want a first contact asking", q.Continuation, q.Vote, err)
-	}
 	_, flags, acks, err := decodeInvokeReply(bodyCases()["invoke_reply_voted"])
 	if err != nil || flags != replyVoted || acks.n != 1 {
 		t.Fatalf("voted invoke reply decoded to flags %b with %d acks, %v; want voted with one ack", flags, acks.n, err)
@@ -160,13 +153,23 @@ func TestBodyRoundTrip(t *testing.T) {
 }
 
 // TestVotedReplyWrote: only a writer votes, so an invoke reply saying
-// both "voted" and "nothing written" is rejected.
+// both "voted" and "nothing written" is rejected; and every writer votes,
+// so an invoke has no bit asking for it, and one with the bit set that
+// once did is rejected.
 func TestVotedReplyWrote(t *testing.T) {
 	body := appendInvokeReply(nil, replyNothingWritten|replyVoted, []byte(`42`), txnList{})
 	if _, _, _, err := decodeInvokeReply(body); err == nil {
 		t.Fatalf("invoke reply % x voting for nothing written accepted", body)
 	}
+	if _, err := decodeInvokeReq(retiredVoteBit); err == nil {
+		t.Fatalf("invoke % x with the retired vote bit accepted", retiredVoteBit)
+	}
 }
+
+// retiredVoteBit is a first contact with flag bit 1 set, which asked a
+// writer to vote in its reply before every writer did.
+var retiredVoteBit = append([]byte{0xD1, 0x01, 0x03, 0xB1, 0x02, 9, 'r', 'e', 'g', 'i', 's', 't', 'e', 'r', 's', 3, 'a', 'd', 'd', 7},
+	append([]byte(`{"k":9}`), 0, 0)...)
 
 // TestOptionalListsAreCanonical: a body's optional last list is absent
 // when empty — a present one with a zero count is rejected — so each body
@@ -210,8 +213,6 @@ func TestBodyGoldenBytes(t *testing.T) {
 		"invoke_structured": {0xD1, 0x01, 0x01, 0xAD, 0x02, 4, 'b', 'a', 'n', 'k', 3, 'g', 'e', 't', 0, 1, 7, 2, 3, 0x01, 0},
 		"invoke_continuation": append([]byte{0xD1, 0x01, 0x00, 0xAF, 0x02, 9, 'r', 'e', 'g', 'i', 's', 't', 'e', 'r', 's', 3, 'g', 'e', 't', 7},
 			append([]byte(`{"k":7}`), 0, 2, 0xAA, 0x02, 5)...),
-		"invoke_vote": append([]byte{0xD1, 0x01, 0x03, 0xB1, 0x02, 9, 'r', 'e', 'g', 'i', 's', 't', 'e', 'r', 's', 3, 'a', 'd', 'd', 7},
-			append([]byte(`{"k":9}`), 0, 0)...),
 		"invoke_reply":           {0xD1, 0x02, 0, 2, '4', '2'},
 		"invoke_reply_unwritten": {0xD1, 0x02, 1, 2, '4', '2'},
 		"invoke_reply_voted":     {0xD1, 0x02, 2, 2, '{', '}', 1, 0xA8, 0x02},
@@ -293,7 +294,8 @@ func checkStable(t *testing.T, body []byte) {
 
 // FuzzDistBodyDecode throws arbitrary bytes at the body decoders. The
 // seed corpus is every body kind (committed under testdata/fuzz, with a
-// truncated and an oversized-count input beside them).
+// truncated and an oversized-count input beside them), and an invoke with
+// the retired vote bit.
 func FuzzDistBodyDecode(f *testing.F) {
 	for _, body := range bodyCases() {
 		f.Add(body)
@@ -302,5 +304,6 @@ func FuzzDistBodyDecode(f *testing.F) {
 	f.Add([]byte{bodyMagic})
 	f.Add([]byte{bodyMagic, byte(bodyInvoke), 1, 1, 0, 0, 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F}) // absurd structure count
 	f.Add([]byte{bodyMagic, byte(bodyEnd), 0, 0xFF, 0xFF, 0xFF, 0xFF, 0x0F, 1, 2})          // absurd release count
+	f.Add(retiredVoteBit)
 	f.Fuzz(func(t *testing.T, body []byte) { checkStable(t, body) })
 }

@@ -63,10 +63,6 @@ const (
 	// KindWALFlush is one write-ahead-log group-commit flush. A is the
 	// number of records forced, B the flush duration in nanoseconds.
 	KindWALFlush
-	// KindInDoubt is a one-phase commit whose participant never said
-	// what it decided: the coordinator returned in doubt. A is the
-	// transaction's action identifier, B the participant node.
-	KindInDoubt
 	// KindCommitResent is a commit decision sent to a participant again
 	// because its ack had not come. A is the transaction's action
 	// identifier, B the participant node.
@@ -102,8 +98,6 @@ func (k Kind) String() string {
 		return "crash"
 	case KindWALFlush:
 		return "wal.flush"
-	case KindInDoubt:
-		return "indoubt"
 	case KindCommitResent:
 		return "commit.resent"
 	case KindReaped:
