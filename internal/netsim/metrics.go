@@ -11,7 +11,6 @@ var (
 	msgLost      *metrics.Counter
 	msgDuplied   *metrics.Counter
 	msgCorrupted *metrics.Counter
-	msgOverflow  *metrics.Counter
 )
 
 func init() {
@@ -22,5 +21,4 @@ func init() {
 	msgLost = events.With("lost")
 	msgDuplied = events.With("duplicated")
 	msgCorrupted = events.With("corrupted")
-	msgOverflow = events.With("overflow")
 }

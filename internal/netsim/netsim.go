@@ -7,10 +7,14 @@
 // The simulation is deliberately adversarial but controllable: loss and
 // duplication rates, delay bounds and pairwise partitions are configured
 // per network, and a seeded random source keeps runs reproducible.
+//
+// Delivery is pushed: each message's delivery goroutine (or delay timer)
+// calls the function the destination endpoint was given with SetDeliver.
+// An endpoint has no inbox, so nothing queues at a slow receiver; the
+// RPC layer's dispatch never blocks.
 package netsim
 
 import (
-	"context"
 	"errors"
 	"sync"
 	"time"
@@ -46,7 +50,6 @@ type Message struct {
 	From    ids.NodeID
 	To      ids.NodeID
 	Payload []byte
-	crashes uint64 // the recipient's crashes when it was sent
 }
 
 // Config tunes the simulated faults.
@@ -65,10 +68,6 @@ type Config struct {
 	MaxDelay time.Duration
 	// Seed makes runs reproducible; 0 selects a fixed default.
 	Seed int64
-	// QueueLen is each endpoint's inbox capacity. Messages arriving at
-	// a full inbox are dropped (receive-buffer overflow, a real LAN
-	// failure mode). Default 256.
-	QueueLen int
 	// Clock schedules delayed deliveries. Default clock.Real(); a
 	// clock.Fake puts message delays under test control.
 	Clock clock.Clock
@@ -100,14 +99,10 @@ type Stats struct {
 	Lost      int
 	Duplied   int
 	Corrupted int
-	Overflow  int
 }
 
 // New builds a network with the given fault configuration.
 func New(cfg Config) *Network {
-	if cfg.QueueLen <= 0 {
-		cfg.QueueLen = 256
-	}
 	seed := cfg.Seed
 	if seed == 0 {
 		seed = 42
@@ -162,7 +157,7 @@ type Endpoint struct {
 	net *Network
 
 	mu      sync.Mutex
-	inbox   chan Message
+	deliver func(Message) // SetDeliver's; nil drops what arrives
 	crashed bool
 	closed  bool
 	crashes uint64
@@ -175,17 +170,23 @@ func (n *Network) NewEndpoint() (*Endpoint, error) {
 	if n.closed {
 		return nil, ErrClosed
 	}
-	e := &Endpoint{
-		id:    ids.NewNodeID(),
-		net:   n,
-		inbox: make(chan Message, n.cfg.QueueLen),
-	}
+	e := &Endpoint{id: ids.NewNodeID(), net: n}
 	n.endpoints[e.id] = e
 	return e, nil
 }
 
 // ID returns the endpoint's node identifier.
 func (e *Endpoint) ID() ids.NodeID { return e.id }
+
+// SetDeliver installs the function every message delivered to the
+// endpoint is handed to; nil drops them (they count as lost). It runs on
+// the message's own delivery goroutine with no lock held, and should not
+// block: Network.Close waits for every delivery.
+func (e *Endpoint) SetDeliver(fn func(Message)) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.deliver = fn
+}
 
 // Send transmits payload to the named node, subject to the configured
 // loss, duplication, delay and partitions. A nil error means the message
@@ -216,7 +217,7 @@ func (n *Network) send(m Message) error {
 		return ErrUnknownNode
 	}
 	dst.mu.Lock()
-	m.crashes = dst.crashes
+	crashes := dst.crashes // a crash before delivery loses the message
 	dst.mu.Unlock()
 	n.stats.Sent++
 	msgSent.Inc()
@@ -262,76 +263,40 @@ func (n *Network) send(m Message) error {
 		delay += n.nodeDelayLocked(m.From) + n.nodeDelayLocked(m.To)
 		n.wg.Add(1)
 		if delay <= 0 {
-			go n.deliver(dst, m)
+			go n.deliver(dst, m, crashes)
 		} else {
 			msg := m
-			n.cfg.Clock.AfterFunc(delay, func() { n.deliver(dst, msg) })
+			n.cfg.Clock.AfterFunc(delay, func() { n.deliver(dst, msg, crashes) })
 		}
 	}
 	n.mu.Unlock()
 	return nil
 }
 
-// deliver hands m to dst unless dst has crashed since it was sent.
-func (n *Network) deliver(dst *Endpoint, m Message) {
+// deliver hands m to dst's deliver function unless dst has crashed
+// since it was sent, or has none.
+func (n *Network) deliver(dst *Endpoint, m Message, crashes uint64) {
 	defer n.wg.Done()
 	dst.mu.Lock()
-	if dst.crashed || dst.closed || dst.crashes != m.crashes {
-		dst.mu.Unlock()
-		n.bumpLost()
-		return
-	}
-	select {
-	case dst.inbox <- m:
-		dst.mu.Unlock()
-		n.mu.Lock()
+	fn := dst.deliver
+	lost := dst.crashed || dst.closed || dst.crashes != crashes || fn == nil
+	dst.mu.Unlock()
+	n.mu.Lock()
+	if lost {
+		n.stats.Lost++
+		msgLost.Inc()
+	} else {
 		n.stats.Delivered++
 		msgDelivered.Inc()
-		n.mu.Unlock()
-	default:
-		dst.mu.Unlock()
-		n.mu.Lock()
-		n.stats.Overflow++
-		msgOverflow.Inc()
-		n.mu.Unlock()
 	}
-}
-
-func (n *Network) bumpLost() {
-	n.mu.Lock()
-	n.stats.Lost++
-	msgLost.Inc()
 	n.mu.Unlock()
-}
-
-// Recv blocks until a message arrives, the context ends, or the endpoint
-// is crashed/closed.
-func (e *Endpoint) Recv(ctx context.Context) (Message, error) {
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return Message{}, ErrClosed
-	}
-	if e.crashed {
-		e.mu.Unlock()
-		return Message{}, ErrCrashed
-	}
-	inbox := e.inbox
-	e.mu.Unlock()
-
-	select {
-	case m, ok := <-inbox:
-		if !ok {
-			return Message{}, ErrClosed
-		}
-		return m, nil
-	case <-ctx.Done():
-		return Message{}, ctx.Err()
+	if !lost {
+		fn(m)
 	}
 }
 
-// Crash makes the endpoint fail-silent: pending and future messages are
-// dropped, Send and Recv fail, until Restart.
+// Crash makes the endpoint fail-silent: messages in flight to it and
+// future ones are dropped, and Send fails, until Restart.
 func (e *Endpoint) Crash() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -340,29 +305,14 @@ func (e *Endpoint) Crash() {
 	}
 	e.crashed = true
 	e.crashes++
-	// Drain the inbox: messages queued at a crashed node are lost
-	// with its volatile memory.
-	for {
-		select {
-		case <-e.inbox:
-		default:
-			return
-		}
-	}
 }
 
-// Restart brings a crashed endpoint back with an empty inbox.
+// Restart brings a crashed endpoint back; what was in flight to it
+// before the crash stays lost.
 func (e *Endpoint) Restart() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	e.crashed = false
-}
-
-// Crashed reports whether the endpoint is crashed.
-func (e *Endpoint) Crashed() bool {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.crashed
 }
 
 // Close detaches the endpoint permanently.

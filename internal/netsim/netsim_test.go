@@ -1,24 +1,34 @@
 package netsim
 
 import (
-	"context"
 	"errors"
 	"testing"
 	"time"
 )
 
-func recvOne(t *testing.T, e *Endpoint, timeout time.Duration) (Message, bool) {
+// inbox attaches a channel-backed deliver function to e, where an RPC
+// peer attaches its dispatch, and returns the channel. Like the
+// dispatch it never blocks: a message that finds the channel full is
+// dropped.
+func inbox(e *Endpoint, size int) <-chan Message {
+	ch := make(chan Message, size)
+	e.SetDeliver(func(m Message) {
+		select {
+		case ch <- m:
+		default:
+		}
+	})
+	return ch
+}
+
+func recvOne(t *testing.T, in <-chan Message, timeout time.Duration) (Message, bool) {
 	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	m, err := e.Recv(ctx)
-	if errors.Is(err, context.DeadlineExceeded) {
+	select {
+	case m := <-in:
+		return m, true
+	case <-time.After(timeout):
 		return Message{}, false
 	}
-	if err != nil {
-		t.Fatalf("Recv: %v", err)
-	}
-	return m, true
 }
 
 func TestReliableDelivery(t *testing.T) {
@@ -32,11 +42,12 @@ func TestReliableDelivery(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	inB := inbox(b, 16)
 
 	if err := a.Send(b.ID(), []byte("hello")); err != nil {
 		t.Fatal(err)
 	}
-	m, ok := recvOne(t, b, time.Second)
+	m, ok := recvOne(t, inB, time.Second)
 	if !ok {
 		t.Fatal("message not delivered")
 	}
@@ -50,13 +61,14 @@ func TestPayloadCopied(t *testing.T) {
 	defer n.Close()
 	a, _ := n.NewEndpoint()
 	b, _ := n.NewEndpoint()
+	inB := inbox(b, 16)
 
 	buf := []byte("abc")
 	if err := a.Send(b.ID(), buf); err != nil {
 		t.Fatal(err)
 	}
 	buf[0] = 'z'
-	m, ok := recvOne(t, b, time.Second)
+	m, ok := recvOne(t, inB, time.Second)
 	if !ok {
 		t.Fatal("not delivered")
 	}
@@ -79,13 +91,14 @@ func TestTotalLoss(t *testing.T) {
 	defer n.Close()
 	a, _ := n.NewEndpoint()
 	b, _ := n.NewEndpoint()
+	inB := inbox(b, 16)
 
 	for i := 0; i < 10; i++ {
 		if err := a.Send(b.ID(), []byte("x")); err != nil {
 			t.Fatal(err)
 		}
 	}
-	if _, ok := recvOne(t, b, 50*time.Millisecond); ok {
+	if _, ok := recvOne(t, inB, 50*time.Millisecond); ok {
 		t.Fatal("message delivered despite 100% loss")
 	}
 	st := n.Stats()
@@ -99,14 +112,15 @@ func TestDuplication(t *testing.T) {
 	defer n.Close()
 	a, _ := n.NewEndpoint()
 	b, _ := n.NewEndpoint()
+	inB := inbox(b, 16)
 
 	if err := a.Send(b.ID(), []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := recvOne(t, b, time.Second); !ok {
+	if _, ok := recvOne(t, inB, time.Second); !ok {
 		t.Fatal("first copy missing")
 	}
-	if _, ok := recvOne(t, b, time.Second); !ok {
+	if _, ok := recvOne(t, inB, time.Second); !ok {
 		t.Fatal("duplicate copy missing")
 	}
 }
@@ -116,12 +130,13 @@ func TestDelayBounds(t *testing.T) {
 	defer n.Close()
 	a, _ := n.NewEndpoint()
 	b, _ := n.NewEndpoint()
+	inB := inbox(b, 16)
 
 	start := time.Now()
 	if err := a.Send(b.ID(), []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := recvOne(t, b, time.Second); !ok {
+	if _, ok := recvOne(t, inB, time.Second); !ok {
 		t.Fatal("not delivered")
 	}
 	if elapsed := time.Since(start); elapsed < 15*time.Millisecond {
@@ -134,6 +149,7 @@ func TestNodeDelay(t *testing.T) {
 	defer n.Close()
 	a, _ := n.NewEndpoint()
 	b, _ := n.NewEndpoint()
+	inA, inB := inbox(a, 16), inbox(b, 16)
 
 	// Both directions across the slow node's links pay the delay.
 	n.SetNodeDelay(b.ID(), 30*time.Millisecond, 30*time.Millisecond)
@@ -141,7 +157,7 @@ func TestNodeDelay(t *testing.T) {
 	if err := a.Send(b.ID(), []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := recvOne(t, b, time.Second); !ok {
+	if _, ok := recvOne(t, inB, time.Second); !ok {
 		t.Fatal("not delivered to slow node")
 	}
 	if elapsed := time.Since(start); elapsed < 25*time.Millisecond {
@@ -151,7 +167,7 @@ func TestNodeDelay(t *testing.T) {
 	if err := b.Send(a.ID(), []byte("y")); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := recvOne(t, a, time.Second); !ok {
+	if _, ok := recvOne(t, inA, time.Second); !ok {
 		t.Fatal("not delivered from slow node")
 	}
 	if elapsed := time.Since(start); elapsed < 25*time.Millisecond {
@@ -163,7 +179,7 @@ func TestNodeDelay(t *testing.T) {
 	if err := a.Send(b.ID(), []byte("z")); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := recvOne(t, b, time.Second); !ok {
+	if _, ok := recvOne(t, inB, time.Second); !ok {
 		t.Fatal("not delivered after clearing the delay")
 	}
 }
@@ -173,19 +189,20 @@ func TestPartitionAndHeal(t *testing.T) {
 	defer n.Close()
 	a, _ := n.NewEndpoint()
 	b, _ := n.NewEndpoint()
+	inA, inB := inbox(a, 16), inbox(b, 16)
 
 	n.Partition(a.ID(), b.ID())
 	if err := a.Send(b.ID(), []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := recvOne(t, b, 50*time.Millisecond); ok {
+	if _, ok := recvOne(t, inB, 50*time.Millisecond); ok {
 		t.Fatal("delivered across partition")
 	}
 	// Symmetric.
 	if err := b.Send(a.ID(), []byte("y")); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := recvOne(t, a, 50*time.Millisecond); ok {
+	if _, ok := recvOne(t, inA, 50*time.Millisecond); ok {
 		t.Fatal("delivered across partition (reverse)")
 	}
 
@@ -193,69 +210,94 @@ func TestPartitionAndHeal(t *testing.T) {
 	if err := a.Send(b.ID(), []byte("z")); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := recvOne(t, b, time.Second); !ok {
+	if _, ok := recvOne(t, inB, time.Second); !ok {
 		t.Fatal("not delivered after heal")
 	}
 }
 
 func TestCrashedEndpointFailSilent(t *testing.T) {
-	n := New(Config{})
+	n := New(Config{MinDelay: 20 * time.Millisecond, MaxDelay: 20 * time.Millisecond})
 	defer n.Close()
 	a, _ := n.NewEndpoint()
 	b, _ := n.NewEndpoint()
+	inB := inbox(b, 16)
 
-	// Queue a message, then crash before receiving: it is lost.
+	// Send a message, then crash before it arrives: it is lost.
 	if err := a.Send(b.ID(), []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(10 * time.Millisecond)
 	b.Crash()
 
 	if err := b.Send(a.ID(), []byte("y")); !errors.Is(err, ErrCrashed) {
 		t.Fatalf("Send from crashed = %v, want ErrCrashed", err)
 	}
-	ctx := context.Background()
-	if _, err := b.Recv(ctx); !errors.Is(err, ErrCrashed) {
-		t.Fatalf("Recv on crashed = %v, want ErrCrashed", err)
-	}
 	// Message sent while crashed is dropped.
 	if err := a.Send(b.ID(), []byte("during")); err != nil {
 		t.Fatal(err)
 	}
-	time.Sleep(10 * time.Millisecond)
+	time.Sleep(40 * time.Millisecond)
 
 	b.Restart()
-	if _, ok := recvOne(t, b, 50*time.Millisecond); ok {
-		t.Fatal("crashed node must lose queued and in-crash messages")
+	if m, ok := recvOne(t, inB, 50*time.Millisecond); ok {
+		t.Fatalf("crashed node must lose in-flight and in-crash messages, got %q", m.Payload)
 	}
 	// New messages flow again.
 	if err := a.Send(b.ID(), []byte("after")); err != nil {
 		t.Fatal(err)
 	}
-	m, ok := recvOne(t, b, time.Second)
+	m, ok := recvOne(t, inB, time.Second)
 	if !ok || string(m.Payload) != "after" {
 		t.Fatalf("after restart: %q, %v", m.Payload, ok)
 	}
 }
 
+// TestQueueOverflowDrops: the network queues nothing at a receiver. A
+// receiver that keeps only 2 messages still has all 10 handed to it,
+// every Send returns, and the 8 it cannot keep are its own drops.
 func TestQueueOverflowDrops(t *testing.T) {
-	n := New(Config{QueueLen: 2})
+	n := New(Config{})
 	defer n.Close()
 	a, _ := n.NewEndpoint()
 	b, _ := n.NewEndpoint()
+	inB := inbox(b, 2)
 
 	for i := 0; i < 10; i++ {
 		if err := a.Send(b.ID(), []byte{byte(i)}); err != nil {
 			t.Fatal(err)
 		}
 	}
-	time.Sleep(20 * time.Millisecond)
-	st := n.Stats()
-	if st.Overflow == 0 {
-		t.Fatalf("expected overflow drops, stats = %+v", st)
+	deadline := time.Now().Add(time.Second)
+	for n.Stats().Delivered < 10 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
 	}
-	if st.Delivered > 2 {
-		t.Fatalf("delivered %d into a queue of 2", st.Delivered)
+	if st := n.Stats(); st.Delivered != 10 || st.Lost != 0 {
+		t.Fatalf("stats = %+v, want all 10 handed to the receiver", st)
+	}
+	if len(inB) != 2 {
+		t.Fatalf("receiver kept %d messages, want 2", len(inB))
+	}
+}
+
+func TestUndeliverableWithoutReceiver(t *testing.T) {
+	n := New(Config{})
+	defer n.Close()
+	a, _ := n.NewEndpoint()
+	b, _ := n.NewEndpoint()
+	inB := inbox(b, 16)
+	b.SetDeliver(nil)
+
+	if err := a.Send(b.ID(), []byte("x")); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(time.Second)
+	for n.Stats().Lost == 0 && time.Now().Before(deadline) {
+		time.Sleep(time.Millisecond)
+	}
+	if st := n.Stats(); st.Lost != 1 || st.Delivered != 0 {
+		t.Fatalf("stats = %+v, want the message lost with no receiver attached", st)
+	}
+	if len(inB) != 0 {
+		t.Fatal("a detached receiver got a message")
 	}
 }
 
@@ -264,19 +306,20 @@ func TestSetFaultsAtRuntime(t *testing.T) {
 	defer n.Close()
 	a, _ := n.NewEndpoint()
 	b, _ := n.NewEndpoint()
+	inB := inbox(b, 16)
 
 	n.SetFaults(1.0, 0)
 	if err := a.Send(b.ID(), []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := recvOne(t, b, 50*time.Millisecond); ok {
+	if _, ok := recvOne(t, inB, 50*time.Millisecond); ok {
 		t.Fatal("delivered despite full loss")
 	}
 	n.SetFaults(0, 0)
 	if err := a.Send(b.ID(), []byte("y")); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := recvOne(t, b, time.Second); !ok {
+	if _, ok := recvOne(t, inB, time.Second); !ok {
 		t.Fatal("not delivered after clearing faults")
 	}
 }
@@ -300,6 +343,7 @@ func TestSeededRunsAreReproducible(t *testing.T) {
 		defer n.Close()
 		a, _ := n.NewEndpoint()
 		b, _ := n.NewEndpoint()
+		inbox(b, 100) // attached: only the loss draws lose messages
 		for i := 0; i < 100; i++ {
 			_ = a.Send(b.ID(), []byte{byte(i)})
 		}
@@ -321,20 +365,21 @@ func TestPartitionOneWay(t *testing.T) {
 	defer n.Close()
 	a, _ := n.NewEndpoint()
 	b, _ := n.NewEndpoint()
+	inA, inB := inbox(a, 16), inbox(b, 16)
 
 	n.PartitionOneWay(a.ID(), b.ID())
 	// a -> b dropped.
 	if err := a.Send(b.ID(), []byte("x")); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := recvOne(t, b, 50*time.Millisecond); ok {
+	if _, ok := recvOne(t, inB, 50*time.Millisecond); ok {
 		t.Fatal("delivered across one-way partition")
 	}
 	// b -> a still flows.
 	if err := b.Send(a.ID(), []byte("y")); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := recvOne(t, a, time.Second); !ok {
+	if _, ok := recvOne(t, inA, time.Second); !ok {
 		t.Fatal("reverse direction must still deliver")
 	}
 
@@ -342,7 +387,7 @@ func TestPartitionOneWay(t *testing.T) {
 	if err := a.Send(b.ID(), []byte("z")); err != nil {
 		t.Fatal(err)
 	}
-	if _, ok := recvOne(t, b, time.Second); !ok {
+	if _, ok := recvOne(t, inB, time.Second); !ok {
 		t.Fatal("not delivered after heal")
 	}
 }

@@ -38,13 +38,15 @@ type Service interface {
 }
 
 // Endpoint is the transport attachment a node runs on: the datagram
-// surface the RPC peer uses, plus the failure-model hooks (Crash makes
-// the endpoint fail-silent, Restart brings it back empty). Both the
+// surface the RPC peer uses, the push delivery its dispatch attaches to
+// (SetDeliver, see rpc.Transport), plus the failure-model hooks (Crash
+// makes the endpoint fail-silent, Restart brings it back). Both the
 // simulated LAN (netsim, via New) and real TCP (tcpnet, via NewOn)
 // satisfy it, so the same node — and everything hosted on it, 2PC
 // included — runs over either.
 type Endpoint interface {
 	rpc.Transport
+	SetDeliver(func(rpc.Datagram))
 	Crash()
 	Restart()
 	Close()
@@ -136,39 +138,13 @@ func (o rpcOptsOption) apply(opts *nodeOptions) { opts.rpcOpts = rpc.Options(o) 
 // WithRPCOptions tunes the node's RPC behaviour.
 func WithRPCOptions(o rpc.Options) Option { return rpcOptsOption(o) }
 
-// simEndpoint adapts a netsim endpoint to the node's Endpoint surface
-// (rpc.Datagram on Recv, plus the failure hooks netsim already has).
-type simEndpoint struct {
-	ep *netsim.Endpoint
-}
-
-var _ Endpoint = simEndpoint{}
-
-func (s simEndpoint) ID() ids.NodeID { return s.ep.ID() }
-
-func (s simEndpoint) Send(to ids.NodeID, payload []byte) error {
-	return s.ep.Send(to, payload)
-}
-
-func (s simEndpoint) Recv(ctx context.Context) (rpc.Datagram, error) {
-	m, err := s.ep.Recv(ctx)
-	if err != nil {
-		return rpc.Datagram{}, err
-	}
-	return rpc.Datagram{From: m.From, To: m.To, Payload: m.Payload}, nil
-}
-
-func (s simEndpoint) Crash()   { s.ep.Crash() }
-func (s simEndpoint) Restart() { s.ep.Restart() }
-func (s simEndpoint) Close()   { s.ep.Close() }
-
 // New attaches a fresh node to the simulated network and starts it.
 func New(net *netsim.Network, opts ...Option) (*Node, error) {
 	ep, err := net.NewEndpoint()
 	if err != nil {
 		return nil, err
 	}
-	return NewOn(simEndpoint{ep: ep}, opts...)
+	return NewOn(ep, opts...)
 }
 
 // NewOn starts a node over an already-attached transport endpoint —

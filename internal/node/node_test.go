@@ -8,6 +8,7 @@ import (
 	"path/filepath"
 	"runtime/debug"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -288,5 +289,68 @@ func TestStopIsNotACrash(t *testing.T) {
 	}
 	if pending, err := reopened.Stable().Intentions().Pending(); err != nil || len(pending) != 0 {
 		t.Fatalf("in doubt after Stop and reopen: %v, %v", pending, err)
+	}
+}
+
+// counter is a service whose handler counts the executions it starts.
+type counter struct{ started atomic.Int64 }
+
+func (c *counter) Register(_ *node.Node, peer *rpc.Peer) {
+	peer.Handle("count", func(context.Context, ids.NodeID, []byte) ([]byte, error) {
+		c.started.Add(1)
+		return nil, nil
+	})
+}
+
+func (c *counter) Recover(context.Context, *node.Node) {}
+
+// TestCrashRacesInboundDatagrams crashes a node while callers keep
+// retransmitting to it and netsim's delivery goroutines are calling its
+// peer's dispatch. No send on a closed channel may follow (the race
+// detector and the runtime would report one), and once a grace period
+// has let handlers dispatched before the crash show, no handler of the
+// crashed incarnation starts while datagrams keep arriving. Restart
+// serves again.
+func TestCrashRacesInboundDatagrams(t *testing.T) {
+	nw := netsim.New(netsim.Config{MaxDelay: time.Millisecond})
+	t.Cleanup(nw.Close)
+	a := newTestNode(t, nw)
+	b := newTestNode(t, nw)
+	c := &counter{}
+	b.Host(c)
+
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	for range 8 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for ctx.Err() == nil {
+				// Calls time out while b is down: only b's side is checked.
+				_, _ = a.Peer().CallRaw(ctx, b.ID(), "count", nil)
+			}
+		}()
+	}
+	defer func() {
+		cancel()
+		wg.Wait()
+	}()
+
+	for cycle := range 3 {
+		before := c.started.Load()
+		time.Sleep(30 * time.Millisecond)
+		if c.started.Load() == before {
+			t.Fatalf("cycle %d: no handler ran while the node was up", cycle)
+		}
+		b.Crash()
+		time.Sleep(30 * time.Millisecond) // grace for handlers dispatched before the crash
+		settled := c.started.Load()
+		time.Sleep(50 * time.Millisecond)
+		if now := c.started.Load(); now != settled {
+			t.Fatalf("cycle %d: %d handlers started after Crash returned", cycle, now-settled)
+		}
+		if err := b.Restart(); err != nil {
+			t.Fatal(err)
+		}
 	}
 }

@@ -49,17 +49,21 @@ func (e *RemoteError) Error() string {
 // non-nil error is delivered to the caller as a *RemoteError.
 type Handler func(ctx context.Context, from ids.NodeID, body []byte) ([]byte, error)
 
-// Datagram is one unreliable message as seen by the RPC layer.
-type Datagram struct {
-	From    ids.NodeID
-	To      ids.NodeID
-	Payload []byte
-}
+// Datagram is one unreliable message as seen by the RPC layer. It is
+// netsim's Message, so a simulated endpoint is a Transport as it stands.
+type Datagram = netsim.Message
 
 // Transport is the unreliable datagram surface a Peer runs on: the
 // simulated LAN (internal/netsim) or real TCP (internal/tcpnet).
 // Implementations may lose, duplicate, delay or reorder datagrams; the
 // Peer's retransmission and duplicate suppression compensate.
+//
+// Delivery is pushed: a transport with SetDeliver(func(Datagram)), as
+// both of those have, calls the function on its own goroutine for every
+// datagram that arrives. Start sets it to the peer's dispatch, which
+// never blocks, and Stop to nil. A transport with only
+// Recv(context.Context) (Datagram, error) is pumped by one goroutine
+// into the same dispatch instead.
 type Transport interface {
 	// ID returns this endpoint's node identifier.
 	ID() ids.NodeID
@@ -67,33 +71,17 @@ type Transport interface {
 	// not retain payload after it returns: the RPC layer encodes into
 	// pooled buffers and reuses them, so a transport that queues
 	// internally copies first (netsim copies under its network mutex,
-	// tcpnet stages into its coalescing writer's own frames).
+	// tcpnet stages into a frame of its own).
 	Send(to ids.NodeID, payload []byte) error
-	// Recv blocks for the next datagram, the context's end, or the
-	// transport's permanent failure.
-	Recv(ctx context.Context) (Datagram, error)
 }
 
-// simTransport adapts a netsim endpoint to Transport.
-type simTransport struct {
-	ep *netsim.Endpoint
-}
-
-var _ Transport = simTransport{}
-
-func (t simTransport) ID() ids.NodeID { return t.ep.ID() }
-
-func (t simTransport) Send(to ids.NodeID, payload []byte) error {
-	return t.ep.Send(to, payload)
-}
-
-func (t simTransport) Recv(ctx context.Context) (Datagram, error) {
-	m, err := t.ep.Recv(ctx)
-	if err != nil {
-		return Datagram{}, err
+// The two kinds of Transport delivery: pushed, or pulled by the pump.
+type (
+	pusher interface{ SetDeliver(func(Datagram)) }
+	puller interface {
+		Recv(ctx context.Context) (Datagram, error)
 	}
-	return Datagram{From: m.From, To: m.To, Payload: m.Payload}, nil
-}
+)
 
 type kind int
 
@@ -173,7 +161,7 @@ type Peer struct {
 	mu       sync.Mutex
 	handlers map[string]Handler
 	// pending maps each call in flight to the slot its caller waits on.
-	// The receive loop delivers replies while holding mu and a caller
+	// The dispatch delivers replies while holding mu and a caller
 	// leaves the map under mu before it recycles its slot, so a slot is
 	// never written to on behalf of a call that has let go of it.
 	pending map[uint64]*callSlot
@@ -189,9 +177,12 @@ type Peer struct {
 	seenLen  int
 	inflight map[uint64]struct{}
 	running  bool
-	stop     chan struct{}
-	done     chan struct{}
-	serveq   chan serveJob
+	// ctx lives from Start to Stop: handlers run under it, and calls and
+	// the Recv pump (pumped is closed when it exits) watch it.
+	ctx    context.Context
+	cancel context.CancelFunc
+	serveq chan serveJob
+	pumped chan struct{}
 
 	// slots recycles callSlots, so a call allocates neither a reply
 	// channel nor a timer in steady state.
@@ -237,7 +228,7 @@ func (p *Peer) SetTracer(rec *trace.Recorder) { p.tracer.Store(rec) }
 
 // NewPeer builds a peer over a simulated-network endpoint.
 func NewPeer(ep *netsim.Endpoint, opts Options) *Peer {
-	return NewPeerOn(simTransport{ep: ep}, opts)
+	return NewPeerOn(ep, opts)
 }
 
 // NewPeerOn builds a peer over any Transport.
@@ -268,7 +259,8 @@ func (p *Peer) Handle(method string, h Handler) {
 	p.handlers[method] = h
 }
 
-// Start launches the receive loop and the handler worker pool.
+// Start attaches the peer's dispatch to its transport and starts the
+// handler worker pool.
 func (p *Peer) Start() {
 	p.mu.Lock()
 	defer p.mu.Unlock()
@@ -276,21 +268,38 @@ func (p *Peer) Start() {
 		return
 	}
 	p.running = true
-	p.stop = make(chan struct{})
-	p.done = make(chan struct{})
+	p.ctx, p.cancel = context.WithCancel(context.Background())
 	// serveq is deliberately unbuffered: a request is handed to a
 	// pooled worker only if one is idle and ready to take it right now.
 	// Queuing behind busy workers could deadlock — all workers blocked
 	// in handlers whose progress depends on a queued request (a 2PC
 	// participant waiting on a lock whose holder's commit sits in the
 	// queue) — so anything the pool cannot take immediately spawns.
+	// The dispatch sends on it only under mu while running, and Stop
+	// closes it under mu: no send can meet a closed channel.
 	p.serveq = make(chan serveJob)
-	go p.loop(p.stop, p.done, p.serveq)
+	for range serveWorkers {
+		go p.serveWorker(p.ctx, p.serveq)
+	}
+	switch t := p.ep.(type) {
+	case pusher:
+		t.SetDeliver(p.dispatch)
+	case puller: // one goroutine feeds the dispatch until Recv fails
+		p.pumped = make(chan struct{})
+		go func(ctx context.Context, done chan struct{}) {
+			defer close(done)
+			for msg, err := t.Recv(ctx); err == nil; msg, err = t.Recv(ctx) {
+				p.dispatch(msg)
+			}
+		}(p.ctx, p.pumped)
+	}
 }
 
-// Stop terminates the receive loop and fails pending calls, which watch
-// the stop channel themselves. The reply cache is cleared: it models
-// volatile state lost in a crash.
+// Stop detaches the dispatch and fails pending calls, which watch the
+// peer's context themselves. No handler starts once Stop returns: the
+// context is cancelled under mu, and serve checks it under mu before it
+// runs one. The reply cache is cleared: it models volatile state lost in
+// a crash.
 func (p *Peer) Stop() {
 	p.mu.Lock()
 	if !p.running {
@@ -298,18 +307,20 @@ func (p *Peer) Stop() {
 		return
 	}
 	p.running = false
-	stop, done := p.stop, p.done
-	p.mu.Unlock()
-
-	close(stop)
-	<-done
-
-	p.mu.Lock()
-	defer p.mu.Unlock()
+	p.cancel()
+	close(p.serveq)
+	if t, ok := p.ep.(pusher); ok {
+		t.SetDeliver(nil)
+	}
+	pumped := p.pumped
 	p.seen = make(map[uint64]envelope)
 	p.seenRing = nil
 	p.seenHead, p.seenLen = 0, 0
 	p.inflight = make(map[uint64]struct{})
+	p.mu.Unlock()
+	if pumped != nil {
+		<-pumped
+	}
 }
 
 // serveJob is one decoded request awaiting handler dispatch.
@@ -324,67 +335,51 @@ type serveJob struct {
 }
 
 // serveWorker is one resident pool goroutine: it serves handed-off
-// requests until the receive loop closes the queue. ctx is the receive
-// loop's context, so a pooled handler observes Stop exactly like a
-// spawned one.
+// requests until Stop closes the queue. ctx is the one spawned handlers
+// run under, so a pooled handler observes Stop exactly like them.
 func (p *Peer) serveWorker(ctx context.Context, q <-chan serveJob) {
 	for job := range q {
 		p.serve(ctx, job)
 	}
 }
 
-func (p *Peer) loop(stop, done chan struct{}, serveq chan serveJob) {
-	defer close(done)
-	ctx, cancel := context.WithCancel(context.Background())
-	defer cancel()
-	// Closing serveq releases the resident workers; a worker mid-handler
-	// finishes its job first, exactly like a spawned goroutine would.
-	defer close(serveq)
-	for range serveWorkers {
-		go p.serveWorker(ctx, serveq)
+// dispatch routes one inbound datagram, on the transport's goroutine: a
+// reply to its call's slot, a request to an idle pooled worker or, when
+// none is idle, to a goroutine of its own. It never blocks.
+func (p *Peer) dispatch(msg Datagram) {
+	bytesRecv.Add(uint64(len(msg.Payload)))
+	body, ok := verifyFrame(msg.Payload)
+	if !ok {
+		return // corrupt datagram (checksum mismatch): drop
 	}
-	go func() {
-		<-stop
-		cancel()
-	}()
-	for {
-		msg, err := p.ep.Recv(ctx)
-		if err != nil {
-			return
-		}
-		bytesRecv.Add(uint64(len(msg.Payload)))
-		body, ok := verifyFrame(msg.Payload)
-		if !ok {
-			continue // corrupt datagram (checksum mismatch): drop
-		}
-		var env envelope
-		if !decodeEnvelope(body, &env) {
-			continue // undecodable datagram: drop
-		}
-		switch env.Kind {
-		case kindRequest:
-			job := serveJob{from: msg.From, req: env}
-			if env.Trace != 0 && p.tracer.Load() != nil {
-				job.arrived = p.opts.Clock.Now()
-			}
+	var env envelope
+	if !decodeEnvelope(body, &env) {
+		return // undecodable datagram: drop
+	}
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	switch {
+	case !p.running:
+	case env.Kind == kindReply:
+		if slot, ok := p.pending[env.CallID]; ok {
 			select {
-			case serveq <- job:
-				servesPooled.Inc()
-			default:
-				// Every worker is busy (or blocked): spawn, preserving
-				// the old goroutine-per-request liveness.
-				servesSpawned.Inc()
-				go p.serve(ctx, job)
+			case slot.reply <- env:
+			default: // duplicate reply: drop
 			}
-		case kindReply:
-			p.mu.Lock()
-			if slot, ok := p.pending[env.CallID]; ok {
-				select {
-				case slot.reply <- env:
-				default: // duplicate reply: drop
-				}
-			}
-			p.mu.Unlock()
+		}
+	default: // a request: decodeEnvelope knows no third kind
+		job := serveJob{from: msg.From, req: env}
+		if env.Trace != 0 && p.tracer.Load() != nil {
+			job.arrived = p.opts.Clock.Now()
+		}
+		select {
+		case p.serveq <- job:
+			servesPooled.Inc()
+		default:
+			// Every worker is busy (or blocked): spawn, preserving the
+			// goroutine-per-request liveness.
+			servesSpawned.Inc()
+			go p.serve(p.ctx, job)
 		}
 	}
 }
@@ -412,6 +407,10 @@ func (p *Peer) serve(ctx context.Context, job serveJob) {
 	// calls; drop retransmissions of calls still executing (the
 	// original execution will reply when it finishes).
 	p.mu.Lock()
+	if ctx.Err() != nil {
+		p.mu.Unlock()
+		return // stopped since the dispatch: start nothing
+	}
 	if cached, ok := p.seen[req.CallID]; ok {
 		p.mu.Unlock()
 		duplicates.Inc()
@@ -487,10 +486,11 @@ func (p *Peer) serve(ctx context.Context, job serveJob) {
 		})
 	}
 
+	p.mu.Lock()
 	if ctx.Err() != nil {
+		p.mu.Unlock()
 		return // stopped meanwhile: a crashed peer answers nothing
 	}
-	p.mu.Lock()
 	delete(p.inflight, req.CallID)
 	if _, dup := p.seen[req.CallID]; !dup {
 		p.cacheReply(req.CallID, resp)
@@ -603,7 +603,7 @@ func (p *Peer) call(ctx context.Context, to ids.NodeID, method string, sent trac
 		callsStopped.Inc()
 		return nil, ErrStopped
 	}
-	stop := p.stop
+	stop := p.ctx.Done()
 	p.pending[callID] = slot
 	p.mu.Unlock()
 	defer p.release(callID, slot)
@@ -628,7 +628,7 @@ func (p *Peer) call(ctx context.Context, to ids.NodeID, method string, sent trac
 	slot.arm(clk, min(p.opts.RetryInterval, p.opts.CallTimeout))
 
 	bytesSent.Add(uint64(len(data)))
-	if err := p.ep.Send(to, data); err != nil && !transientSendErr(err) {
+	if err := p.ep.Send(to, data); err != nil && !IsTransientSend(err) {
 		callsSendErr.Inc()
 		return nil, fmt.Errorf("rpc: send: %w", err)
 	}
@@ -652,7 +652,7 @@ func (p *Peer) call(ctx context.Context, to ids.NodeID, method string, sent trac
 			retransmits.Inc()
 			flightrec.Record(flightrec.Event{Kind: flightrec.KindRPCRetransmit, Node: uint64(p.ep.ID()), Trace: sent.TraceID, Span: sent.SpanID, A: callID})
 			bytesSent.Add(uint64(len(data)))
-			if err := p.ep.Send(to, data); err != nil && !transientSendErr(err) {
+			if err := p.ep.Send(to, data); err != nil && !IsTransientSend(err) {
 				callsSendErr.Inc()
 				return nil, fmt.Errorf("rpc: send: %w", err)
 			}
@@ -720,13 +720,4 @@ func IsTransientSend(err error) bool {
 	}
 	var te TransientError
 	return errors.As(err, &te) && te.Transient()
-}
-
-// transientSendErr reports whether a send failure may heal (unknown node
-// yet to register, crashed destination): the retransmission loop keeps
-// trying. The explicit netsim checks are kept as a safety net for
-// transports that wrap the simulator's errors without the marker.
-func transientSendErr(err error) bool {
-	return IsTransientSend(err) ||
-		errors.Is(err, netsim.ErrUnknownNode) || errors.Is(err, netsim.ErrCrashed)
 }

@@ -36,10 +36,5 @@ func TestIsTransientSend(t *testing.T) {
 		if got := IsTransientSend(tc.err); got != tc.want {
 			t.Errorf("IsTransientSend(%s) = %v, want %v", tc.name, got, tc.want)
 		}
-		if tc.err != nil {
-			if got := transientSendErr(tc.err); got != tc.want {
-				t.Errorf("transientSendErr(%s) = %v, want %v", tc.name, got, tc.want)
-			}
-		}
 	}
 }

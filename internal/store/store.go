@@ -402,6 +402,15 @@ func (s *Stable) WAL() *WAL {
 // waiting in the batch unforced. A crash before then disarms it.
 func (s *Stable) CrashDuringNextForce() { s.d.wal.crashNextForce.Store(s.gen + 1) }
 
+// DisarmCrashes disarms every crash injection that has not fired yet:
+// CrashDuringNextBatch's point and CrashDuringNextForce's kill. A fault
+// schedule calls it at the end of a step, so an injection no operation
+// of that step reached cannot fire in a later one.
+func (s *Stable) DisarmCrashes() {
+	s.CrashDuringNextBatch(0)
+	s.d.wal.crashNextForce.Store(0)
+}
+
 func cloneBatch(b Batch) Batch {
 	out := Batch{Writes: make(map[ids.ObjectID]State, len(b.Writes))}
 	for id, st := range b.Writes {

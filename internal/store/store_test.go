@@ -360,3 +360,25 @@ func TestApplyBatchWithDeletes(t *testing.T) {
 		t.Fatalf("drop survived the replayed delete: %v", err)
 	}
 }
+
+// TestDisarmCrashes: an injection disarmed before any operation reached
+// it never fires — neither a batch crash point nor a kill inside the
+// next force — so a fault schedule can drop what a step armed and did
+// not use.
+func TestDisarmCrashes(t *testing.T) {
+	s := NewStable()
+	s.CrashDuringNextBatch(CrashBeforeForce)
+	s.CrashDuringNextForce()
+	s.DisarmCrashes()
+	id := ids.NewObjectID()
+	if err := put(s, id, State("v")); err != nil {
+		t.Fatalf("write after disarming: %v", err)
+	}
+	in := Intention{Action: ids.NewActionID(), Status: IntentionPrepared}
+	if err := s.Intentions().Record(in); err != nil {
+		t.Fatalf("forced record after disarming: %v", err)
+	}
+	if s.Crashed() {
+		t.Fatal("a disarmed injection crashed the store")
+	}
+}

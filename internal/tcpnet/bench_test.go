@@ -2,6 +2,8 @@ package tcpnet_test
 
 import (
 	"context"
+	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -43,7 +45,7 @@ func benchPair(b *testing.B) (*rpc.Peer, ids.NodeID) {
 }
 
 // BenchmarkRPCCall measures one echo call over loopback TCP (binary
-// codec, coalescing writer). CI runs it with -benchmem as the allocation
+// codec, coalescing send path). CI runs it with -benchmem as the allocation
 // smoke for the call path.
 func BenchmarkRPCCall(b *testing.B) {
 	caller, to := benchPair(b)
@@ -58,4 +60,43 @@ func BenchmarkRPCCall(b *testing.B) {
 			}
 		}
 	})
+}
+
+// BenchmarkConcurrentCallers runs the shape TestConcurrentCallersShareWrites
+// pins: 32 callers making echo calls over one loopback connection. It
+// reports calls/s beside frames per writev, so batching that costs
+// throughput shows, not only how full each write is.
+func BenchmarkConcurrentCallers(b *testing.B) {
+	caller, to := benchPair(b)
+	ctx := context.Background()
+	body := []byte("prepare txn 42")
+	if _, err := caller.CallRaw(ctx, to, "echo", body); err != nil { // dial both ways
+		b.Fatal(err)
+	}
+	frames0 := counterValue(b, "mca_tcpnet_write_batch_frames_total")
+	writes0 := counterValue(b, "mca_tcpnet_write_batches_total")
+	const callers = 32
+	var next atomic.Int64
+	var wg sync.WaitGroup
+	b.ResetTimer()
+	for range callers {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for next.Add(1) <= int64(b.N) {
+				if _, err := caller.CallRaw(ctx, to, "echo", body); err != nil {
+					b.Error(err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	b.StopTimer()
+	frames := counterValue(b, "mca_tcpnet_write_batch_frames_total") - frames0
+	writes := counterValue(b, "mca_tcpnet_write_batches_total") - writes0
+	b.ReportMetric(float64(b.N)/b.Elapsed().Seconds(), "calls/s")
+	if writes > 0 {
+		b.ReportMetric(float64(frames)/float64(writes), "frames/writev")
+	}
 }

@@ -13,25 +13,9 @@ import (
 	"mca/internal/tcpnet"
 )
 
-// recvN drains n datagrams from e, failing the test on timeout.
-func recvN(t *testing.T, e *tcpnet.Endpoint, n int, timeout time.Duration) []string {
-	t.Helper()
-	ctx, cancel := context.WithTimeout(context.Background(), timeout)
-	defer cancel()
-	var got []string
-	for len(got) < n {
-		d, err := e.Recv(ctx)
-		if err != nil {
-			t.Fatalf("Recv after %d/%d datagrams: %v", len(got), n, err)
-		}
-		got = append(got, string(d.Payload))
-	}
-	return got
-}
-
 // counterValue reads an unlabelled counter from the registry /metrics
 // is rendered from.
-func counterValue(t *testing.T, name string) uint64 {
+func counterValue(t testing.TB, name string) uint64 {
 	t.Helper()
 	fam, ok := metrics.Default().Find(name)
 	if !ok || len(fam.Samples) != 1 {
@@ -40,11 +24,12 @@ func counterValue(t *testing.T, name string) uint64 {
 	return uint64(fam.Samples[0].Value)
 }
 
-// TestConcurrentCallersShareWrites pins what the writer goroutine is
-// for: 32 callers making echo calls over one loopback connection must
-// share writev calls, at least 4 frames per write on average (requests
-// and replies alike). Measured at 8-31 frames per write at -cpu=1,2,4;
-// a transport in which each Send writes its own frame measures 1.0-1.3.
+// TestConcurrentCallersShareWrites pins what the writer's yield is for:
+// 32 callers making echo calls over one loopback connection must share
+// writev calls, at least 4 frames per write on average (requests and
+// replies alike). Measured at 9-31 frames per write at -cpu=1,2; a
+// sender that writes its own frame without yielding measures 1.0-1.3
+// (EXPERIMENTS.md E41).
 func TestConcurrentCallersShareWrites(t *testing.T) {
 	nw := tcpnet.NewNetwork()
 	a := newEndpoint(t, nw)
@@ -102,9 +87,12 @@ func TestConcurrentCallersShareWrites(t *testing.T) {
 }
 
 // TestSendQueueDropsOnOverflow wedges a destination that accepts the
-// connection but never reads: once the kernel buffers and the writer
-// queue (256 frames) fill, Send must keep returning immediately and
-// drop datagrams (UDP-style) instead of blocking the caller.
+// connection but never reads. A Send that writes blocks once the kernel
+// buffers fill, but only until the write deadline (100 ms): the write
+// then fails, the connection drops, and the next Send re-dials. So 1024
+// sends of 64 KiB must finish within 10 s in total, and every datagram
+// is accounted for: written, or counted as dropped (a failed write, or
+// 256 frames already waiting behind one).
 func TestSendQueueDropsOnOverflow(t *testing.T) {
 	nw := tcpnet.NewNetwork()
 	a := newEndpoint(t, nw)
@@ -127,14 +115,20 @@ func TestSendQueueDropsOnOverflow(t *testing.T) {
 	blackhole := ids.NodeID(424242)
 	nw.Register(blackhole, ln.Addr().String())
 
-	before := counterValue(t, "mca_tcpnet_send_queue_drops_total")
+	counters := func() (written, dropped uint64) {
+		return counterValue(t, "mca_tcpnet_write_batch_frames_total"),
+			counterValue(t, "mca_tcpnet_write_drops_total") + counterValue(t, "mca_tcpnet_send_queue_drops_total")
+	}
+	written0, dropped0 := counters()
+	const sends = 1024
 	payload := make([]byte, 64<<10)
+	start := time.Now()
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		// 64 MiB: the 16 MiB a full queue holds plus far more than any
-		// kernel buffers on a loopback connection.
-		for i := 0; i < 1024; i++ {
+		// 64 MiB: far more than any kernel buffers on a loopback
+		// connection hold.
+		for i := 0; i < sends; i++ {
 			if err := a.Send(blackhole, payload); err != nil {
 				t.Errorf("Send: %v", err)
 				return
@@ -144,10 +138,18 @@ func TestSendQueueDropsOnOverflow(t *testing.T) {
 	select {
 	case <-done:
 	case <-time.After(10 * time.Second):
-		t.Fatal("Send blocked: queue overflow must drop, not stall the caller")
+		t.Fatal("Send blocked: a stalled destination must cost a write deadline, not stall the caller")
 	}
-	if counterValue(t, "mca_tcpnet_send_queue_drops_total") == before {
-		t.Fatal("no queue drops recorded despite a wedged destination")
+	written, dropped := counters()
+	written, dropped = written-written0, dropped-dropped0
+	t.Logf("%d sends in %v: %d written, %d dropped", sends, time.Since(start).Round(time.Millisecond), written, dropped)
+	if dropped == 0 {
+		t.Fatal("no drops recorded despite a wedged destination")
+	}
+	// The counters are process-wide: a write still finishing for an
+	// earlier test may add to them, never take away.
+	if written+dropped < sends {
+		t.Fatalf("%d written + %d dropped, want all %d datagrams accounted for", written, dropped, sends)
 	}
 }
 
@@ -158,12 +160,13 @@ func TestCrashRestartOverTCP(t *testing.T) {
 	nw := tcpnet.NewNetwork()
 	a := newEndpoint(t, nw)
 	b := newEndpoint(t, nw)
+	in := inbox(b)
 
 	if err := a.Send(b.ID(), []byte("pre")); err != nil {
 		t.Fatal(err)
 	}
-	if got := recvN(t, b, 1, 5*time.Second); got[0] != "pre" {
-		t.Fatalf("got %q", got[0])
+	if got := recvN(t, in, 1, 5*time.Second); string(got[0].Payload) != "pre" {
+		t.Fatalf("got %q", got[0].Payload)
 	}
 
 	b.Crash()
@@ -173,41 +176,32 @@ func TestCrashRestartOverTCP(t *testing.T) {
 	if err := b.Send(a.ID(), []byte("x")); err != tcpnet.ErrCrashed {
 		t.Fatalf("Send on crashed endpoint = %v, want ErrCrashed", err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 100*time.Millisecond)
-	if _, err := b.Recv(ctx); err != tcpnet.ErrCrashed {
-		cancel()
-		t.Fatalf("Recv on crashed endpoint = %v, want ErrCrashed", err)
-	}
-	cancel()
 	// Datagrams to a crashed node are lost silently, like netsim.
 	if err := a.Send(b.ID(), []byte("lost")); err != nil {
 		t.Fatalf("Send to crashed node = %v, want nil (silent loss)", err)
+	}
+	select {
+	case d := <-in:
+		t.Fatalf("crashed endpoint delivered %q", d.Payload)
+	case <-time.After(100 * time.Millisecond):
 	}
 
 	b.Restart()
 	// The first sends after the crash may be lost while a's cached
 	// connection discovers it is broken; datagram semantics say retry.
-	ctx2, cancel2 := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel2()
-	gotCh := make(chan string, 1)
-	go func() {
-		d, err := b.Recv(ctx2)
-		if err == nil {
-			gotCh <- string(d.Payload)
-		}
-	}()
+	deadline := time.After(5 * time.Second)
 	for {
 		if err := a.Send(b.ID(), []byte("post")); err != nil {
 			t.Fatalf("Send after restart: %v", err)
 		}
 		select {
-		case got := <-gotCh:
-			if got != "post" {
-				t.Fatalf("got %q after restart", got)
+		case d := <-in:
+			if string(d.Payload) != "post" {
+				t.Fatalf("got %q after restart", d.Payload)
 			}
 			return
 		case <-time.After(50 * time.Millisecond):
-		case <-ctx2.Done():
+		case <-deadline:
 			t.Fatal("no datagram delivered after restart")
 		}
 	}

@@ -12,11 +12,11 @@ var (
 	tcpBytesWritten *metrics.Counter
 	tcpBytesRead    *metrics.Counter
 	writeDrops      *metrics.Counter
-	inboxDrops      *metrics.Counter
+	undelivered     *metrics.Counter
 
 	// Coalescing-writer telemetry: batches/frames give the syscall
 	// amortisation ratio (frames ÷ batches = datagrams per writev);
-	// queue drops count overflow of a destination's writer queue.
+	// queue drops count frames refused while 256 wait behind a write.
 	writeBatches     *metrics.Counter
 	writeBatchFrames *metrics.Counter
 	sendQueueDrops   *metrics.Counter
@@ -34,13 +34,13 @@ func init() {
 	tcpBytesRead = r.Counter("mca_tcpnet_bytes_read_total",
 		"Frame payload bytes read from connections.")
 	writeDrops = r.Counter("mca_tcpnet_write_drops_total",
-		"Datagrams dropped because the cached connection's write failed.")
-	inboxDrops = r.Counter("mca_tcpnet_inbox_drops_total",
-		"Received datagrams dropped on inbox overflow.")
+		"Datagrams dropped because the connection's write failed or timed out.")
+	undelivered = r.Counter("mca_tcpnet_inbox_drops_total",
+		"Received datagrams dropped because no peer was attached (SetDeliver).")
 	writeBatches = r.Counter("mca_tcpnet_write_batches_total",
 		"Coalesced flushes (one writev syscall each).")
 	writeBatchFrames = r.Counter("mca_tcpnet_write_batch_frames_total",
 		"Datagrams carried by coalesced flushes.")
 	sendQueueDrops = r.Counter("mca_tcpnet_send_queue_drops_total",
-		"Datagrams dropped on writer-queue overflow.")
+		"Datagrams dropped because 256 frames already waited behind a write.")
 }

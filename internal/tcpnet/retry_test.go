@@ -76,17 +76,13 @@ func TestLargeFrameRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	t.Cleanup(b.Close)
+	in := inbox(b)
 
 	payload := bytes.Repeat([]byte("large-frame-"), 30000) // ~350 KiB, > 5 chunks
 	if err := a.Send(b.ID(), payload); err != nil {
 		t.Fatal(err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	d, err := b.Recv(ctx)
-	if err != nil {
-		t.Fatal(err)
-	}
+	d := recvN(t, in, 1, 5*time.Second)[0]
 	if d.From != a.ID() {
 		t.Fatalf("frame from %v, want %v", d.From, a.ID())
 	}

@@ -9,18 +9,22 @@
 // discovery service. Endpoints reuse one outbound connection per
 // destination and accept any number of inbound connections.
 //
-// The send path coalesces: each outbound connection is owned by a
-// writer goroutine fed through a bounded queue, and every flush writes
-// all queued frames in one writev (net.Buffers) — concurrent 2PC
-// fan-outs to the same peer share syscalls the way the WAL's group
-// commit shares fsyncs. The queue drops on overflow, keeping datagram
-// semantics: the RPC layer's retransmission owns reliability, exactly
-// as it does against a full UDP socket buffer.
+// Delivery is pushed: each inbound connection's read loop hands every
+// frame to the SetDeliver function (the RPC peer's dispatch).
+//
+// The send path coalesces with no goroutine of its own. A Send that
+// finds no write in flight becomes the writer: it yields so that
+// runnable senders can stage their frames, then writes them all in one
+// writev, as the WAL's group commit shares fsyncs, by the same rule:
+// whoever finds the device idle uses it. A Send that finds a write in
+// flight stages its frame and returns. A full stage (256 frames) drops
+// the datagram, and a write a stalled peer holds past its deadline
+// drops the connection: the RPC layer's retransmission owns
+// reliability, as against a full UDP buffer.
 package tcpnet
 
 import (
 	"bufio"
-	"context"
 	"encoding/binary"
 	"errors"
 	"fmt"
@@ -30,6 +34,7 @@ import (
 	"sync"
 	"time"
 
+	"mca/internal/clock"
 	"mca/internal/ids"
 	"mca/internal/rpc"
 )
@@ -84,14 +89,17 @@ const frameHeaderLen = 12
 // CallTimeout so a failed dial still leaves room for retries.
 const dialTimeout = 500 * time.Millisecond
 
-// Defaults for the coalescing writer.
-const (
-	defaultBatchBytes = 256 << 10
-	defaultQueueLen   = 256
-)
+// maxPending bounds the frames staged behind a write in flight; a Send
+// beyond it drops its datagram.
+const maxPending = 256
+
+// writeTimeout bounds one writev, so a peer that stops reading holds a
+// sender for no longer. The deadline is re-armed only once less than
+// half of it is left: a write may wait between half of it and all of it.
+const writeTimeout = 100 * time.Millisecond
 
 // maxYieldRounds bounds how many times the writer yields the processor
-// to gather a larger batch before flushing. Each round costs one
+// to gather a larger batch before writing. Each round costs one
 // scheduler pass (sub-microsecond when the machine is idle), so the
 // bound caps the latency a quiet sender can add while still letting a
 // busy pipeline coalesce whole bursts into single writev calls.
@@ -123,23 +131,22 @@ func (n *Network) lookup(id ids.NodeID) (string, bool) {
 	return addr, ok
 }
 
-// sender owns one outbound connection; ch feeds the connection's writer
-// goroutine.
+// sender owns one outbound connection. Frames staged while a write is
+// in flight wait in pending; the writer takes them all for its next
+// writev.
 type sender struct {
+	to   ids.NodeID
 	conn net.Conn
-	ch   chan *[]byte
-	stop chan struct{}
-	once sync.Once
-}
 
-// close tears the sender down (idempotently): the writer goroutine, if
-// any, observes stop and exits; an in-flight writev fails on the closed
-// connection.
-func (s *sender) close() {
-	s.once.Do(func() {
-		close(s.stop)
-		s.conn.Close()
-	})
+	mu      sync.Mutex
+	pending []*[]byte // staged frames, in Send order
+	writing bool      // a writer owns the connection and writes pending
+	busy    bool      // the last write carried other Sends' frames too
+
+	// Owned by the writer.
+	spare    []*[]byte   // the other pending array, swapped per batch
+	bufs     net.Buffers // the writev vector
+	deadline time.Time   // the connection's armed write deadline
 }
 
 // Endpoint is one TCP transport endpoint.
@@ -151,11 +158,11 @@ type Endpoint struct {
 	mu      sync.Mutex
 	senders map[ids.NodeID]*sender // outbound, one per destination
 	inbound map[net.Conn]struct{}  // accepted connections
+	deliver func(rpc.Datagram)     // SetDeliver's; nil drops what arrives
 	closed  bool
 	crashed bool
 
-	inbox chan rpc.Datagram
-	wg    sync.WaitGroup
+	wg sync.WaitGroup
 }
 
 var _ rpc.Transport = (*Endpoint)(nil)
@@ -173,7 +180,6 @@ func (n *Network) Listen(addr string) (*Endpoint, error) {
 		ln:      ln,
 		senders: make(map[ids.NodeID]*sender),
 		inbound: make(map[net.Conn]struct{}),
-		inbox:   make(chan rpc.Datagram, 256),
 	}
 	n.Register(e.id, ln.Addr().String())
 	e.wg.Add(1)
@@ -186,6 +192,15 @@ func (e *Endpoint) ID() ids.NodeID { return e.id }
 
 // Addr returns the endpoint's listen address.
 func (e *Endpoint) Addr() string { return e.ln.Addr().String() }
+
+// SetDeliver installs the function each received datagram is handed to
+// on its connection's read loop; nil drops them. It must not block:
+// while it runs, its connection reads nothing.
+func (e *Endpoint) SetDeliver(fn func(rpc.Datagram)) {
+	e.mu.Lock()
+	defer e.mu.Unlock()
+	e.deliver = fn
+}
 
 func (e *Endpoint) acceptLoop() {
 	defer e.wg.Done()
@@ -225,7 +240,7 @@ func (e *Endpoint) readLoop(conn net.Conn) {
 		tcpBytesRead.Add(uint64(len(d.Payload)))
 		d.To = e.id
 		e.mu.Lock()
-		closed, crashed := e.closed, e.crashed
+		closed, crashed, deliver := e.closed, e.crashed, e.deliver
 		e.mu.Unlock()
 		if closed {
 			return
@@ -233,18 +248,16 @@ func (e *Endpoint) readLoop(conn net.Conn) {
 		if crashed {
 			continue // fail-silent: frames to a crashed node are lost
 		}
-		select {
-		case e.inbox <- d:
-		default:
-			// Inbox overflow: drop, like a UDP receive buffer. The
-			// RPC layer retransmits.
-			inboxDrops.Inc()
+		if deliver == nil {
+			undelivered.Inc() // no peer attached: lost, the RPC layer retransmits
+			continue
 		}
+		deliver(d)
 	}
 }
 
 // tcpFramePool recycles staged outbound frames (header + payload in one
-// contiguous buffer) between Send and the writer goroutines.
+// contiguous buffer).
 var tcpFramePool = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return &b }}
 
 const tcpFramePoolMax = 64 << 10
@@ -259,8 +272,8 @@ func putTCPFrame(bp *[]byte) {
 }
 
 // stageFrame copies payload into a pooled wire frame owned by the
-// writer queue: Send's contract lets the RPC layer reuse payload the
-// moment Send returns, so queued frames must hold their own bytes.
+// sender: Send's contract lets the RPC layer reuse payload the moment
+// Send returns, so staged frames must hold their own bytes.
 func stageFrame(from ids.NodeID, payload []byte) *[]byte {
 	bp := getTCPFrame()
 	b := (*bp)[:0]
@@ -272,11 +285,10 @@ func stageFrame(from ids.NodeID, payload []byte) *[]byte {
 }
 
 // Send implements rpc.Transport: best-effort datagram delivery over a
-// cached connection. The frame is staged onto the destination's writer
-// queue and flushed — together with whatever else is queued — in one
-// writev; a full queue drops the datagram. Connection failures likewise drop the datagram (and the
-// cached connection) rather than erroring: the RPC layer's
-// retransmission owns reliability.
+// cached connection. The frame is staged; with no write in flight Send
+// writes it, with whatever is staged meanwhile, in one writev. A full
+// stage and a failed write or dial drop the datagram rather than
+// erroring: the RPC layer's retransmission owns reliability.
 func (e *Endpoint) Send(to ids.NodeID, payload []byte) error {
 	if len(payload) > maxFrame {
 		return ErrTooLarge
@@ -305,13 +317,25 @@ func (e *Endpoint) Send(to ids.NodeID, payload []byte) error {
 	}
 
 	frame := stageFrame(e.id, payload)
-	select {
-	case s.ch <- frame:
-	default:
-		// Queue overflow: drop the datagram, keeping Send non-blocking
-		// (datagram semantics; the writer is stuck or outrun).
+	s.mu.Lock()
+	if len(s.pending) >= maxPending {
+		// The write in flight is stuck or outrun: drop, keeping Send
+		// non-blocking (datagram semantics).
+		s.mu.Unlock()
 		putTCPFrame(frame)
 		sendQueueDrops.Inc()
+		return nil
+	}
+	s.pending = append(s.pending, frame)
+	if s.writing {
+		s.mu.Unlock()
+		return nil
+	}
+	s.writing = true
+	busy := s.busy
+	s.mu.Unlock()
+	if !busy || !e.handOff(s) {
+		e.write(s, true)
 	}
 	return nil
 }
@@ -336,132 +360,143 @@ func (e *Endpoint) dial(to ids.NodeID) (*sender, error) {
 	}
 	dialsOK.Inc()
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	if e.closed || e.crashed {
-		err := ErrClosed
-		if e.crashed {
-			err = ErrCrashed
-		}
-		e.mu.Unlock()
 		fresh.Close()
-		return nil, err
+		if e.crashed {
+			return nil, ErrCrashed
+		}
+		return nil, ErrClosed
 	}
 	if existing, raced := e.senders[to]; raced {
-		e.mu.Unlock()
 		fresh.Close()
 		return existing, nil
 	}
-	s := &sender{conn: fresh, ch: make(chan *[]byte, defaultQueueLen), stop: make(chan struct{})}
-	e.wg.Add(1)
-	go e.writeLoop(to, s)
+	s := &sender{to: to, conn: fresh}
 	e.senders[to] = s
-	e.mu.Unlock()
 	return s, nil
 }
 
 // dropSender discards a (broken) sender: future Sends re-dial.
-func (e *Endpoint) dropSender(to ids.NodeID, s *sender) {
+func (e *Endpoint) dropSender(s *sender) {
 	e.mu.Lock()
-	if e.senders[to] == s {
-		delete(e.senders, to)
+	if e.senders[s.to] == s {
+		delete(e.senders, s.to)
 	}
 	e.mu.Unlock()
-	s.close()
+	s.conn.Close()
 }
 
-// writeLoop owns one outbound connection: it blocks for the first
-// queued frame, opportunistically drains whatever else concurrent
-// senders queued (bounded by defaultBatchBytes), and flushes the whole
-// batch in a single writev. Frames return to the pool after the flush.
-func (e *Endpoint) writeLoop(to ids.NodeID, s *sender) {
-	defer e.wg.Done()
-	refs := make([]*[]byte, 0, 64)
-	bufs := make(net.Buffers, 0, 64)
+// write is a writer's turn on s, entered with s.writing set: it gathers
+// a batch by the yield rule, writes all that is staged in one writev,
+// and repeats while frames were staged meanwhile. A Send that became the
+// writer (caller) writes only the batch with its own frame, and a
+// goroutine started for the purpose writes the rest, so no caller
+// carries the others' load. On a busy connection (its last write carried
+// other Sends' frames) Send leaves its own batch to such a goroutine
+// too: an inline writer's yields end too early there (E41).
+func (e *Endpoint) write(s *sender, caller bool) {
 	for {
-		select {
-		case <-s.stop:
-			return
-		case first := <-s.ch:
-			refs = append(refs[:0], first)
-			size := len(*first)
-			yields := 0
-		collect:
-			for size < defaultBatchBytes {
-				select {
-				case f := <-s.ch:
-					refs = append(refs, f)
-					size += len(*f)
-				default:
-					// Queue drained. Yield to let already-runnable
-					// goroutines — handlers, reply loops, other callers —
-					// stage the frames they are about to send, then
-					// re-check. A yield that stages nothing means the
-					// pipeline is quiescent, so flushing now adds no
-					// latency; a yield that does lets one writev carry the
-					// whole burst.
-					if yields >= maxYieldRounds {
-						break collect
-					}
-					yields++
-					runtime.Gosched()
-					select {
-					case f := <-s.ch:
-						refs = append(refs, f)
-						size += len(*f)
-					case <-s.stop:
-						for _, f := range refs {
-							putTCPFrame(f)
-						}
-						return
-					default:
-						break collect // quiescent: flush now
-					}
-				}
-			}
-			bufs = bufs[:0]
-			for _, f := range refs {
-				bufs = append(bufs, *f)
-			}
-			// WriteTo consumes the slice it is given, so hand it a
-			// separate header; one call is one writev for the whole
-			// batch (internal/poll holds the fd write lock across it).
-			consumable := bufs
-			_, err := consumable.WriteTo(s.conn)
-			for _, f := range refs {
+		s.gather()
+		s.mu.Lock()
+		batch := s.pending
+		s.pending, s.spare = s.spare[:0], nil
+		s.mu.Unlock()
+
+		n, err := s.writeBatch(batch)
+		for _, f := range batch {
+			putTCPFrame(f)
+		}
+		clear(batch)
+
+		s.mu.Lock()
+		s.spare = batch[:0]
+		staged := s.pending
+		s.busy = len(batch) > 1 || len(staged) > 0
+		if err != nil {
+			// The sender is dropped: a Send still holding it fails
+			// the same way on the closed connection; later ones re-dial.
+			s.writing, s.pending = false, nil
+		} else {
+			s.writing = len(staged) > 0
+		}
+		s.mu.Unlock()
+		if err != nil {
+			writeDrops.Add(uint64(len(batch) + len(staged)))
+			for _, f := range staged {
 				putTCPFrame(f)
 			}
-			if err != nil {
-				writeDrops.Inc()
-				e.dropSender(to, s)
-				return
-			}
-			writeBatches.Inc()
-			writeBatchFrames.Add(uint64(len(refs)))
-			tcpBytesWritten.Add(uint64(size))
+			e.dropSender(s)
+			return
+		}
+		writeBatches.Inc()
+		writeBatchFrames.Add(uint64(len(batch)))
+		tcpBytesWritten.Add(uint64(n))
+		if len(staged) == 0 {
+			return
+		}
+		if caller && e.handOff(s) {
+			return
 		}
 	}
 }
 
-// Recv implements rpc.Transport.
-func (e *Endpoint) Recv(ctx context.Context) (rpc.Datagram, error) {
+// handOff starts a goroutine that takes over as s's writer; once the
+// endpoint is closed it refuses, and the caller's write fails instead.
+func (e *Endpoint) handOff(s *sender) bool {
 	e.mu.Lock()
+	defer e.mu.Unlock()
 	if e.closed {
-		e.mu.Unlock()
-		return rpc.Datagram{}, ErrClosed
+		return false
 	}
-	if e.crashed {
-		e.mu.Unlock()
-		return rpc.Datagram{}, ErrCrashed
-	}
-	e.mu.Unlock()
-	select {
-	case d, ok := <-e.inbox:
-		if !ok {
-			return rpc.Datagram{}, ErrClosed
+	e.wg.Add(1)
+	go func() {
+		defer e.wg.Done()
+		e.write(s, false)
+	}()
+	return true
+}
+
+// gather yields the processor up to maxYieldRounds times so that
+// runnable goroutines — handlers, dispatches, other callers — can stage
+// the frames they are about to send. It stops at a round that staged
+// nothing (the pipeline is quiescent, so writing now adds no latency)
+// or once the stage is full.
+func (s *sender) gather() {
+	s.mu.Lock()
+	n := len(s.pending)
+	s.mu.Unlock()
+	for range maxYieldRounds {
+		runtime.Gosched()
+		s.mu.Lock()
+		staged := len(s.pending)
+		s.mu.Unlock()
+		if staged == n || staged >= maxPending {
+			return
 		}
-		return d, nil
-	case <-ctx.Done():
-		return rpc.Datagram{}, ctx.Err()
+		n = staged
 	}
+}
+
+// writeBatch writes batch in one writev (internal/poll holds the fd's
+// write lock across it) under the write deadline.
+func (s *sender) writeBatch(batch []*[]byte) (int64, error) {
+	if now := clock.Real().Now(); s.deadline.Sub(now) < writeTimeout/2 {
+		s.deadline = now.Add(writeTimeout)
+		if err := s.conn.SetWriteDeadline(s.deadline); err != nil {
+			return 0, err
+		}
+	}
+	for _, f := range batch {
+		s.bufs = append(s.bufs, *f)
+	}
+	// WriteTo consumes the slice it is given, so hand it a separate
+	// header.
+	consumable := s.bufs
+	n, err := consumable.WriteTo(s.conn)
+	clear(s.bufs)
+	s.bufs = s.bufs[:0]
+	return n, err
 }
 
 // teardownConns closes every outbound sender and inbound connection.
@@ -478,7 +513,7 @@ func (e *Endpoint) teardownConns() {
 	}
 	e.mu.Unlock()
 	for _, s := range senders {
-		s.close()
+		s.conn.Close()
 	}
 	for _, c := range conns {
 		c.Close()
@@ -486,8 +521,8 @@ func (e *Endpoint) teardownConns() {
 }
 
 // Crash makes the endpoint fail-silent, mirroring netsim: every
-// connection drops, queued and future datagrams are lost, Send and Recv
-// fail (transiently) until Restart. The listener stays bound so the
+// connection drops, staged and future datagrams are lost, and Send
+// fails (transiently) until Restart. The listener stays bound so the
 // node's address survives the crash.
 func (e *Endpoint) Crash() {
 	e.mu.Lock()
@@ -498,20 +533,11 @@ func (e *Endpoint) Crash() {
 	e.crashed = true
 	e.mu.Unlock()
 	e.teardownConns()
-	// Drain the inbox: datagrams queued at a crashed node are lost with
-	// its volatile memory.
-	for {
-		select {
-		case <-e.inbox:
-		default:
-			return
-		}
-	}
 }
 
-// Restart brings a crashed endpoint back with an empty inbox.
-// Connections re-establish on demand (outbound Sends re-dial; remote
-// peers re-dial us at the address the listener kept).
+// Restart brings a crashed endpoint back. Connections re-establish on
+// demand (outbound Sends re-dial; remote peers re-dial us at the
+// address the listener kept).
 func (e *Endpoint) Restart() {
 	e.mu.Lock()
 	defer e.mu.Unlock()

@@ -24,20 +24,47 @@ func newEndpoint(t *testing.T, nw *tcpnet.Network) *tcpnet.Endpoint {
 	return e
 }
 
+// inbox attaches a channel-backed deliver function to e, where an RPC
+// peer would attach its dispatch, and returns the channel. Like the
+// dispatch it never blocks the read loop: a datagram that finds the
+// channel full is dropped.
+func inbox(e *tcpnet.Endpoint) <-chan rpc.Datagram {
+	ch := make(chan rpc.Datagram, 1024)
+	e.SetDeliver(func(d rpc.Datagram) {
+		select {
+		case ch <- d:
+		default:
+		}
+	})
+	return ch
+}
+
+// recvN takes n datagrams from ch, failing the test on timeout.
+func recvN(t *testing.T, ch <-chan rpc.Datagram, n int, timeout time.Duration) []rpc.Datagram {
+	t.Helper()
+	deadline := time.After(timeout)
+	var got []rpc.Datagram
+	for len(got) < n {
+		select {
+		case d := <-ch:
+			got = append(got, d)
+		case <-deadline:
+			t.Fatalf("received %d of %d datagrams in %v", len(got), n, timeout)
+		}
+	}
+	return got
+}
+
 func TestDatagramRoundTrip(t *testing.T) {
 	nw := tcpnet.NewNetwork()
 	a := newEndpoint(t, nw)
 	b := newEndpoint(t, nw)
+	in := inbox(b)
 
 	if err := a.Send(b.ID(), []byte("over tcp")); err != nil {
 		t.Fatalf("Send: %v", err)
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 2*time.Second)
-	defer cancel()
-	d, err := b.Recv(ctx)
-	if err != nil {
-		t.Fatalf("Recv: %v", err)
-	}
+	d := recvN(t, in, 1, 2*time.Second)[0]
 	if string(d.Payload) != "over tcp" || d.From != a.ID() || d.To != b.ID() {
 		t.Fatalf("datagram = %+v", d)
 	}
@@ -70,9 +97,6 @@ func TestClosedEndpointRejectsOps(t *testing.T) {
 	if err := a.Send(a.ID(), []byte("x")); !errors.Is(err, tcpnet.ErrClosed) {
 		t.Fatalf("Send = %v, want ErrClosed", err)
 	}
-	if _, err := a.Recv(context.Background()); !errors.Is(err, tcpnet.ErrClosed) {
-		t.Fatalf("Recv = %v, want ErrClosed", err)
-	}
 }
 
 func TestOversizedPayloadRejected(t *testing.T) {
@@ -89,6 +113,7 @@ func TestManyMessagesInOrderOverOneConnection(t *testing.T) {
 	nw := tcpnet.NewNetwork()
 	a := newEndpoint(t, nw)
 	b := newEndpoint(t, nw)
+	in := inbox(b)
 
 	const n = 100
 	for i := 0; i < n; i++ {
@@ -96,13 +121,7 @@ func TestManyMessagesInOrderOverOneConnection(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
-	defer cancel()
-	for i := 0; i < n; i++ {
-		d, err := b.Recv(ctx)
-		if err != nil {
-			t.Fatalf("Recv %d: %v", i, err)
-		}
+	for i, d := range recvN(t, in, n, 5*time.Second) {
 		if d.Payload[0] != byte(i) {
 			t.Fatalf("message %d out of order: got %d", i, d.Payload[0])
 		}
