@@ -9,6 +9,7 @@ import (
 	"strings"
 	"time"
 
+	"mca/internal/clock"
 	"mca/internal/loadgen"
 	"mca/internal/trace"
 	"mca/internal/workload"
@@ -146,7 +147,7 @@ func expAttrib(rep *report) error {
 		return c, nil
 	}
 	measure := func(c *loadgen.Cluster) (float64, error) {
-		res := workload.RunFor(overheadWorkers, overheadCell, func(w, _ int) error {
+		res := workload.RunFor(clock.Real(), overheadWorkers, overheadCell, func(w, _ int) error {
 			return c.Write(ctx, uint64(w)) // worker-disjoint keys
 		})
 		if res.Errors > 0 {

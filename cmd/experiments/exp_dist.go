@@ -98,7 +98,7 @@ func expTwoPhaseCommit(rep *report) error {
 			nw.Close()
 			return err
 		}
-		res := workload.Run(1, 30, func(_, _ int) error { return coord.Run(ctx, addAt(ctx, 1, parts...)) })
+		res := workload.Run(clock.Real(), 1, 30, func(_, _ int) error { return coord.Run(ctx, addAt(ctx, 1, parts...)) })
 		rep.rowf("  participants=%d  commit p50=%v p99=%v errs=%d",
 			participants,
 			res.Latency.Percentile(50).Round(time.Microsecond),
@@ -122,7 +122,7 @@ func expTwoPhaseCommit(rep *report) error {
 			return err
 		}
 		before := roundCounts()
-		res := workload.Run(1, 20, func(_, _ int) error { return coord.Run(ctx, addAt(ctx, 1, parts...)) })
+		res := workload.Run(clock.Real(), 1, 20, func(_, _ int) error { return coord.Run(ctx, addAt(ctx, 1, parts...)) })
 		committed := res.Ops - res.Errors
 		consistent := peek(resources[0]) == committed && peek(resources[1]) == committed
 		rep.rowf("  loss=%2.0f%%  commit p50=%8v  committed=%d/%d  rounds: %s", loss*100,

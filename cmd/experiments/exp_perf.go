@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"mca/internal/action"
+	"mca/internal/clock"
 	"mca/internal/colour"
 	"mca/internal/core"
 	"mca/internal/diary"
@@ -416,7 +417,7 @@ func expSerializability(rep *report) error {
 		objs[i] = object.New(1000)
 	}
 
-	res := workload.Run(8, 50, func(w, i int) error {
+	res := workload.Run(clock.Real(), 8, 50, func(w, i int) error {
 		from := objs[(w+i)%accounts]
 		to := objs[(w+i+1+i%3)%accounts]
 		if from == to {
@@ -475,7 +476,7 @@ func expContention(rep *report) error {
 		}
 		var deadlocks int64
 		var mu sync.Mutex
-		res := workload.Run(workers, opsPerWorker, func(w, i int) error {
+		res := workload.Run(clock.Real(), workers, opsPerWorker, func(w, i int) error {
 			rng := (w*opsPerWorker + i) * 2654435761 // cheap hash
 			from := objs[rng%accounts]
 			to := objs[(rng/accounts)%accounts]

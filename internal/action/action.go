@@ -70,9 +70,9 @@ var (
 	// children first (independent, colour-disjoint children are
 	// exempt).
 	ErrActiveChildren = errors.New("action: active non-independent children")
-	// ErrAborted is returned by lock and write operations when the
-	// action was aborted (possibly by a cascading parent abort) while
-	// the operation was in flight.
+	// ErrAborted is returned by a step (a lock, read or write) whose
+	// action ended (possibly by a cascading parent abort) while the step
+	// was in flight.
 	ErrAborted = errors.New("action: aborted")
 	// ErrColourNotHeld is returned when a lock or write names a colour
 	// the action does not possess (paper §5.2: "a coloured action may
@@ -481,13 +481,16 @@ type Action struct {
 	companion colour.Colour
 	// kind and depth are fixed at Begin for telemetry: the structural
 	// relation to the parent and the nesting depth (top level = 1). They
-	// share a word with status, which keeps an Action at 224 bytes, its
-	// size class (TestActionSize).
+	// share a word with status and settled, which keeps an Action at 224
+	// bytes, its size class (TestActionSize).
 	kind   structureKind
 	status Status
-	depth  int32
+	// settled is set, under mu, by the end that released or passed on
+	// the action's locks (see step).
+	settled bool
+	depth   int32
 
-	// mu guards status and every field below.
+	// mu guards status, settled and every field below.
 	mu sync.Mutex
 	// done is closed when the action stops being active, unblocking its
 	// lock waits. It is made by the first wait that parks (see
@@ -663,8 +666,39 @@ func (a *Action) defaultFor(mode lock.Mode) colour.Colour {
 // colour, blocking until granted, the action aborts, or the lock manager
 // reports a deadlock/timeout. When the action has a write companion
 // colour, write locks are accompanied by an exclusive-read lock in that
-// colour (§5.3 scheme).
+// colour (§5.3 scheme). It is a step with nothing to apply (see Step).
 func (a *Action) Lock(obj ids.ObjectID, mode lock.Mode, c colour.Colour) error {
+	return a.step(obj, mode, c, true, nil, nil)
+}
+
+// TryLock is Lock without blocking; it returns lock.ErrConflict when a
+// lock is unavailable.
+func (a *Action) TryLock(obj ids.ObjectID, mode lock.Mode, c colour.Colour) error {
+	return a.step(obj, mode, c, false, nil, nil)
+}
+
+// Step runs op as one operation of the action on res, a single step
+// against the action's end. It takes res's lock in mode and colour c (the
+// action's default for the mode when None), then runs op under the
+// action's mutex, which Commit and Abort take to end the action: a step in
+// flight finishes before its action ends, and a step that finds its action
+// ended applies nothing, gives back any lock granted to it meanwhile, and
+// fails with ErrAborted.
+//
+// first tells op that the action holds no before-image of res yet. A write
+// then returns res's before-image, taken with its change under res's own
+// mutex, and the step records it even when op fails, as op may have
+// changed res part way; the first image per object wins. A read returns
+// none. op must not call back into the action.
+func (a *Action) Step(res Recoverable, mode lock.Mode, c colour.Colour, op func(first bool) (Image, error)) error {
+	return a.step(res.ObjectID(), mode, c, true, res, op)
+}
+
+// afterGrant, set by tests, runs in every step between its lock grant and
+// its apply.
+var afterGrant func(*Action)
+
+func (a *Action) step(obj ids.ObjectID, mode lock.Mode, c colour.Colour, wait bool, res Recoverable, op func(bool) (Image, error)) error {
 	if c == colour.None {
 		c = a.defaultFor(mode)
 	}
@@ -674,13 +708,31 @@ func (a *Action) Lock(obj ids.ObjectID, mode lock.Mode, c colour.Colour) error {
 	if a.Status() != Active {
 		return ErrNotActive
 	}
-	if err := a.acquire(obj, mode, c); err != nil {
+	err := a.acquire(obj, mode, c, wait)
+	if err == nil && mode == lock.Write && a.companion.Valid() && a.companion != c {
+		err = a.acquire(obj, lock.ExclusiveRead, a.companion, wait)
+	}
+	if err == nil && afterGrant != nil {
+		afterGrant(a)
+	}
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if a.status != Active {
+		// The end took or passed on every lock granted before it settled;
+		// one granted since is the step's to give back.
+		if a.settled {
+			a.rt.locks.ReleaseAll(a.id)
+		}
+		return ErrAborted
+	}
+	if err != nil || op == nil {
 		return err
 	}
-	if mode == lock.Write && a.companion.Valid() && a.companion != c {
-		return a.acquire(obj, lock.ExclusiveRead, a.companion)
+	im, err := op(!a.hasUndoLocked(obj))
+	if im != nil {
+		a.undo = append(a.undo, undoRecord{res: res, colour: c, before: im})
 	}
-	return nil
+	return err
 }
 
 // waitContext is the context an action's lock waits run under: it ends,
@@ -730,59 +782,19 @@ func (a *Action) completeLocked(st Status) {
 	}
 }
 
-func (a *Action) acquire(obj ids.ObjectID, mode lock.Mode, c colour.Colour) error {
+func (a *Action) acquire(obj ids.ObjectID, mode lock.Mode, c colour.Colour, wait bool) error {
 	if a.rt.closed.Load() {
 		return fmt.Errorf("action %v: runtime closed: %w", a.id, ErrNotActive)
 	}
-	err := a.rt.locks.Acquire(waitContext{a}, lock.Request{
-		Object: obj,
-		Owner:  a.id,
-		Colour: c,
-		Mode:   mode,
-	})
+	req := lock.Request{Object: obj, Owner: a.id, Colour: c, Mode: mode}
+	if !wait {
+		return a.rt.locks.TryAcquire(req)
+	}
+	err := a.rt.locks.Acquire(waitContext{a}, req)
 	if errors.Is(err, context.Canceled) {
 		return ErrAborted
 	}
 	return err
-}
-
-// TryLock is Lock without blocking; it returns lock.ErrConflict when the
-// lock is unavailable.
-func (a *Action) TryLock(obj ids.ObjectID, mode lock.Mode, c colour.Colour) error {
-	if c == colour.None {
-		c = a.defaultFor(mode)
-	}
-	if !a.colours.Contains(c) {
-		return fmt.Errorf("action %v locking with colour %v (own %v): %w", a.id, c, a.colours, ErrColourNotHeld)
-	}
-	if a.Status() != Active {
-		return ErrNotActive
-	}
-	return a.rt.locks.TryAcquire(lock.Request{
-		Object: obj,
-		Owner:  a.id,
-		Colour: c,
-		Mode:   mode,
-	})
-}
-
-// RecordWrite registers a before-image for the object prior to this
-// action's first write to it, under the given colour. The object layer
-// calls it after acquiring the write lock and before mutating state.
-func (a *Action) RecordWrite(res Recoverable, c colour.Colour, before Image) error {
-	if c == colour.None {
-		c = a.defWrite
-	}
-	if !a.colours.Contains(c) {
-		return fmt.Errorf("action %v writing with colour %v (own %v): %w", a.id, c, a.colours, ErrColourNotHeld)
-	}
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	if a.status != Active {
-		return ErrNotActive
-	}
-	a.addUndoLocked(undoRecord{res: res, colour: c, before: before})
-	return nil
 }
 
 // hasUndoLocked reports whether the log holds a before-image for the
@@ -794,23 +806,6 @@ func (a *Action) hasUndoLocked(id ids.ObjectID) bool {
 		}
 	}
 	return false
-}
-
-// addUndoLocked appends rec unless the log already holds a before-image
-// for its object: the first one per object wins. Caller holds a.mu.
-func (a *Action) addUndoLocked(rec undoRecord) {
-	if a.hasUndoLocked(rec.res.ObjectID()) {
-		return
-	}
-	a.undo = append(a.undo, rec)
-}
-
-// HasWriteRecord reports whether the action already recorded a
-// before-image for the object (so the object layer can skip re-capture).
-func (a *Action) HasWriteRecord(id ids.ObjectID) bool {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.hasUndoLocked(id)
 }
 
 // HasWrites reports whether the action has written any object at all
@@ -961,6 +956,7 @@ func (a *Action) commit(sink Persister, prepared *store.Batch) error {
 	}
 
 	// Transfer / release locks per colour.
+	a.mu.Lock()
 	a.rt.locks.CommitTransfer(a.id, func(c colour.Colour) (ids.ActionID, bool) {
 		if h, ok := a.heir(c); ok {
 			assertHeirHoldsColour(a, h, c)
@@ -968,6 +964,8 @@ func (a *Action) commit(sink Persister, prepared *store.Batch) error {
 		}
 		return 0, false
 	})
+	a.settled = true
+	a.mu.Unlock()
 
 	a.finish()
 	return nil
@@ -980,7 +978,9 @@ func (h *Action) adoptRecord(rec undoRecord) {
 	recordTransfers.Inc()
 	h.mu.Lock()
 	defer h.mu.Unlock()
-	h.addUndoLocked(rec)
+	if !h.hasUndoLocked(rec.res.ObjectID()) {
+		h.undo = append(h.undo, rec)
+	}
 }
 
 // Abort terminates the action undoing its effects: active descendants
@@ -1019,7 +1019,10 @@ func (a *Action) Abort() error {
 		}
 	}
 
+	a.mu.Lock()
 	a.rt.locks.ReleaseAll(a.id)
+	a.settled = true
+	a.mu.Unlock()
 	a.finish()
 	return firstErr
 }

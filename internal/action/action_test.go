@@ -47,9 +47,6 @@ func (im regImage) Restore() error {
 	return nil
 }
 
-// image captures the register's current value as a before-image.
-func (r *reg) image() action.Image { return regImage{r: r, val: r.get()} }
-
 func (r *reg) get() string {
 	r.mu.Lock()
 	defer r.mu.Unlock()
@@ -71,16 +68,21 @@ func (r *reg) write(t *testing.T, act *action.Action, c colour.Colour, v string)
 }
 
 func (r *reg) writeErr(act *action.Action, c colour.Colour, v string) error {
-	if err := act.Lock(r.id, lock.Write, c); err != nil {
-		return err
-	}
-	if !act.HasWriteRecord(r.id) {
-		if err := act.RecordWrite(r, c, r.image()); err != nil {
-			return err
+	return r.update(act, c, func(string) string { return v })
+}
+
+// update sets the register to fn of its value in one write step of act.
+func (r *reg) update(act *action.Action, c colour.Colour, fn func(string) string) error {
+	return act.Step(r, lock.Write, c, func(first bool) (action.Image, error) {
+		r.mu.Lock()
+		defer r.mu.Unlock()
+		var im action.Image
+		if first {
+			im = regImage{r: r, val: r.val}
 		}
-	}
-	r.set(v)
-	return nil
+		r.val = fn(r.val)
+		return im, nil
+	})
 }
 
 func mustBegin(t *testing.T, rt *action.Runtime, opts ...action.BeginOption) *action.Action {
@@ -440,8 +442,8 @@ func TestColourNotHeldErrors(t *testing.T) {
 	if err := a.TryLock(r.id, lock.Read, foreign); !errors.Is(err, action.ErrColourNotHeld) {
 		t.Fatalf("TryLock = %v, want ErrColourNotHeld", err)
 	}
-	if err := a.RecordWrite(r, foreign, r.image()); !errors.Is(err, action.ErrColourNotHeld) {
-		t.Fatalf("RecordWrite = %v, want ErrColourNotHeld", err)
+	if err := r.writeErr(a, foreign, "y"); !errors.Is(err, action.ErrColourNotHeld) {
+		t.Fatalf("write step = %v, want ErrColourNotHeld", err)
 	}
 	_ = a.Abort()
 }
@@ -589,17 +591,7 @@ func TestConcurrentSiblingsConflictSerialized(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			errs <- rt.Run(func(a *action.Action) error {
-				if err := a.Lock(r.id, lock.Write, colour.None); err != nil {
-					return err
-				}
-				if !a.HasWriteRecord(r.id) {
-					if err := a.RecordWrite(r, a.DefaultColour(), r.image()); err != nil {
-						return err
-					}
-				}
-				cur := r.get()
-				r.set(cur + "+")
-				return nil
+				return r.update(a, colour.None, func(v string) string { return v + "+" })
 			})
 		}()
 	}

@@ -6,6 +6,7 @@ import (
 	"testing"
 	"time"
 
+	"mca/internal/clock"
 	"mca/internal/dist"
 	"mca/internal/netsim"
 	"mca/internal/node"
@@ -65,7 +66,7 @@ func TestCommitThroughputSmoke(t *testing.T) {
 	coord, parts, banks := throughputCluster(t, workers, 300*time.Microsecond)
 	ctx := context.Background()
 
-	res := workload.Run(workers, txns, func(w, _ int) error {
+	res := workload.Run(clock.Real(), workers, txns, func(w, _ int) error {
 		resource := fmt.Sprintf("bank%d", w)
 		return coord.Run(ctx, func(txn *dist.Txn) error {
 			if err := txn.Invoke(ctx, parts[0].ID(), resource, "add", addArg{Delta: -1}, nil); err != nil {
@@ -99,7 +100,7 @@ func TestConcurrentCommitsShareForces(t *testing.T) {
 	coord, parts, _ := throughputCluster(t, workers, time.Millisecond)
 	ctx := context.Background()
 
-	res := workload.Run(workers, txns, func(w, _ int) error {
+	res := workload.Run(clock.Real(), workers, txns, func(w, _ int) error {
 		resource := fmt.Sprintf("bank%d", w)
 		return coord.Run(ctx, func(txn *dist.Txn) error {
 			if err := txn.Invoke(ctx, parts[0].ID(), resource, "add", addArg{Delta: -1}, nil); err != nil {

@@ -53,20 +53,19 @@ func (im cellImage) Restore() error {
 }
 
 func (c *countedCell) Invoke(a *action.Action, _ string, _ []byte) ([]byte, error) {
-	if err := a.Lock(c.id, lock.Write, colour.None); err != nil {
+	err := a.Step(c, lock.Write, colour.None, func(first bool) (action.Image, error) {
+		c.mu.Lock()
+		defer c.mu.Unlock()
+		var im action.Image
+		if first {
+			im = cellImage{c: c, val: c.val}
+		}
+		c.val++
+		return im, nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	c.mu.Lock()
-	before := c.val
-	c.mu.Unlock()
-	if !a.HasWriteRecord(c.id) {
-		if err := a.RecordWrite(c, colour.None, cellImage{c: c, val: before}); err != nil {
-			return nil, err
-		}
-	}
-	c.mu.Lock()
-	c.val++
-	c.mu.Unlock()
 	return []byte("{}"), nil
 }
 

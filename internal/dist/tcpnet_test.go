@@ -2,13 +2,20 @@ package dist_test
 
 import (
 	"context"
+	"errors"
 	"fmt"
+	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
+	"mca/internal/clock"
 	"mca/internal/dist"
+	"mca/internal/ids"
 	"mca/internal/node"
+	"mca/internal/object"
 	"mca/internal/rpc"
+	"mca/internal/store"
 	"mca/internal/tcpnet"
 	"mca/internal/workload"
 )
@@ -65,7 +72,7 @@ func TestCommitOverTCP(t *testing.T) {
 	coord, parts, banks := tcpCluster(t, workers)
 	ctx := context.Background()
 
-	res := workload.Run(workers, txns, func(w, _ int) error {
+	res := workload.Run(clock.Real(), workers, txns, func(w, _ int) error {
 		resource := fmt.Sprintf("bank%d", w)
 		return coord.Run(ctx, func(txn *dist.Txn) error {
 			if err := txn.Invoke(ctx, parts[0].ID(), resource, "add", addArg{Delta: -1}, nil); err != nil {
@@ -132,5 +139,143 @@ func TestCommitOverTCPSurvivesParticipantCrash(t *testing.T) {
 	a, b := banks[0][0].balance(), banks[0][1].balance()
 	if a+b != 200 {
 		t.Fatalf("balances %d+%d do not conserve 200", a, b)
+	}
+}
+
+// lossyEndpoint is a TCP endpoint that, while told to, loses what its
+// node sends to peer (mute) and the calls it receives from peer (deaf),
+// though not peer's replies to its own calls.
+type lossyEndpoint struct {
+	*tcpnet.Endpoint
+	peer       ids.NodeID
+	mute, deaf atomic.Bool
+}
+
+func (e *lossyEndpoint) Send(to ids.NodeID, payload []byte) error {
+	if to == e.peer && e.mute.Load() {
+		return nil
+	}
+	return e.Endpoint.Send(to, payload)
+}
+
+func (e *lossyEndpoint) SetDeliver(fn func(rpc.Datagram)) {
+	if fn == nil {
+		e.Endpoint.SetDeliver(nil)
+		return
+	}
+	e.Endpoint.SetDeliver(func(d rpc.Datagram) {
+		// An RPC frame is a CRC32, the envelope's magic and version bytes,
+		// then its kind: 1 for a call, 2 for a reply.
+		call := len(d.Payload) > 6 && d.Payload[6] == 1
+		if d.From != e.peer || !call || !e.deaf.Load() {
+			fn(d)
+		}
+	})
+}
+
+// TestRetransmittedCallReachesRestartedParticipant is the crash-matrix
+// cell of a call still retransmitting over TCP when its participant
+// restarts. A transfer's second participant P runs its first invoke and
+// votes in the reply, the reply is lost, and P crashes. The coordinator's
+// RPC layer goes on retransmitting the call, and the retransmission
+// reaches P's next incarnation, which knows nothing of the call and takes
+// it for a first contact. That is safe while the old incarnation's
+// prepared record, loaded at the restart, fences the account: readers are
+// refused, the invoke is not run a second time, and the transfer's abort
+// lifts the fence with no money made or lost.
+func TestRetransmittedCallReachesRestartedParticipant(t *testing.T) {
+	for _, backing := range []string{"memory", "file"} {
+		t.Run(backing, func(t *testing.T) {
+			nw := tcpnet.NewNetwork()
+			newNode := func(wrap func(*tcpnet.Endpoint) node.Endpoint) *node.Node {
+				ep, err := nw.Listen("127.0.0.1:0")
+				if err != nil {
+					t.Fatal(err)
+				}
+				opts := []node.Option{node.WithRPCOptions(rpc.Options{RetryInterval: 5 * time.Millisecond, CallTimeout: 5 * time.Second})}
+				if backing == "file" {
+					opts = append(opts, node.WithStableDir(t.TempDir()))
+				}
+				nd, err := node.NewOn(wrap(ep), opts...)
+				if err != nil {
+					t.Fatal(err)
+				}
+				t.Cleanup(nd.Stop)
+				return nd
+			}
+			plain := func(ep *tcpnet.Endpoint) node.Endpoint { return ep }
+			cn := newNode(plain)
+			coord := dist.NewManager(cn)
+			var lossy *lossyEndpoint
+			nodes := [2]*node.Node{newNode(plain), newNode(func(ep *tcpnet.Endpoint) node.Endpoint {
+				lossy = &lossyEndpoint{Endpoint: ep, peer: cn.ID()}
+				return lossy
+			})}
+			var (
+				mgrs  [2]*dist.Manager
+				banks [2]*bank
+			)
+			for i, nd := range nodes {
+				mgrs[i], banks[i] = dist.NewManager(nd), newBank(100)
+				nd.Host(banks[i])
+				mgrs[i].RegisterResource("bank", banks[i])
+			}
+			q, p := nodes[0], nodes[1]
+			pending := func(nd *node.Node) int {
+				in, err := nd.Stable().Intentions().Pending()
+				if err != nil {
+					t.Fatal(err)
+				}
+				return len(in)
+			}
+			ctx := context.Background()
+
+			txn, err := coord.Begin()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := txn.Invoke(ctx, q.ID(), "bank", "add", addArg{Delta: 10}, nil); err != nil {
+				t.Fatal(err)
+			}
+			lossy.mute.Store(true)
+			invoked := make(chan error, 1)
+			go func() { invoked <- txn.Invoke(ctx, p.ID(), "bank", "add", addArg{Delta: -10}, nil) }()
+			if err := waitUntil(func() bool { return pending(p) == 1 }); err != nil {
+				t.Fatal("P never voted in its invoke's reply")
+			}
+			lossy.deaf.Store(true) // the retransmissions wait for the fence to be checked
+			p.Crash()
+			lossy.mute.Store(false)
+			if err := p.Restart(); err != nil {
+				t.Fatal(err)
+			}
+			if _, err := readAt(ctx, mgrs[0], p.ID()); err == nil || !strings.Contains(err.Error(), store.ErrUnresolved.Error()) {
+				t.Fatalf("a read of P's account in doubt = %v, want %v", err, store.ErrUnresolved)
+			}
+			lossy.deaf.Store(false)
+			if err := <-invoked; err == nil || !strings.Contains(err.Error(), dist.ErrPrepared.Error()) {
+				t.Fatalf("the retransmitted invoke = %v, want %v: P's next incarnation must not run it again", err, dist.ErrPrepared)
+			}
+			if err := txn.Abort(ctx); err != nil {
+				t.Fatal(err)
+			}
+			if err := waitUntil(func() bool {
+				_, err := readAt(ctx, mgrs[0], p.ID())
+				return err == nil && pending(p) == 0 && pending(q) == 0
+			}); err != nil {
+				t.Fatalf("the abort left P's account fenced (%d records at P, %d at Q)", pending(p), pending(q))
+			}
+			for i, nd := range nodes {
+				stable := 100
+				if m, err := object.Load[int](banks[i].acctID, nd.Stable()); err == nil {
+					stable = m.Peek()
+				} else if !errors.Is(err, store.ErrNotFound) {
+					t.Fatal(err)
+				}
+				if got := banks[i].balance(); got != 100 || stable != 100 {
+					t.Fatalf("account %d reads %d in memory and %d in the store after the abort, want 100", i, got, stable)
+				}
+			}
+		})
 	}
 }

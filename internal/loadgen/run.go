@@ -243,7 +243,7 @@ func (c *Cluster) CompareClosedOpen(ctx context.Context, rc RunConfig, workers i
 	for w := range rands {
 		rands[w] = clock.NewRand(rc.Seed + uint64(w)*0x9E37)
 	}
-	closed := workload.RunFor(workers, rc.Window, func(w, _ int) error {
+	closed := workload.RunFor(clock.Real(), workers, rc.Window, func(w, _ int) error {
 		r := rands[w]
 		cls := 0
 		if len(classes) > 1 {

@@ -107,7 +107,7 @@ func imageCaseOf[T any](name string, fresh func() T, mutate func(*T)) imageCase 
 				if err := parent.Run(func(child *action.Action) error { mutateIn(t, child, m); return nil }); err != nil {
 					t.Fatal(err)
 				}
-				if !parent.HasWriteRecord(m.ObjectID()) {
+				if !parent.HasWrites() {
 					t.Fatal("the parent holds no image after the child's commit")
 				}
 				mutateIn(t, parent, m)

@@ -147,16 +147,15 @@ func New[T any](initial T, opts ...Option) *Managed[T] {
 // when None).
 func NewIn[T any](a *action.Action, c colour.Colour, initial T, opts ...Option) (*Managed[T], error) {
 	m := build[T](opts)
-	if err := a.Lock(m.id, lock.Write, c); err != nil {
+	err := a.Step(m, lock.Write, c, func(bool) (action.Image, error) {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		m.value, m.exists = initial, true
+		return &image[T]{m: m}, nil
+	})
+	if err != nil {
 		return nil, err
 	}
-	if err := a.RecordWrite(m, c, &image[T]{m: m}); err != nil {
-		return nil, err
-	}
-	m.mu.Lock()
-	m.value = initial
-	m.exists = true
-	m.mu.Unlock()
 	return m, nil
 }
 
@@ -264,84 +263,72 @@ func (m *Managed[T]) Read(a *action.Action, fn func(T) error) error {
 	return m.ReadIn(a, colour.None, fn)
 }
 
-// ReadIn is Read with an explicit colour.
+// ReadIn is Read with an explicit colour. fn runs on a copy of the value,
+// after the read's step.
 func (m *Managed[T]) ReadIn(a *action.Action, c colour.Colour, fn func(T) error) error {
-	if err := a.Lock(m.id, lock.Read, c); err != nil {
+	var v T
+	err := a.Step(m, lock.Read, c, func(bool) (action.Image, error) {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		if !m.exists {
+			return nil, fmt.Errorf("read %v: %w", m.id, ErrNotExists)
+		}
+		v = m.value
+		return nil, nil
+	})
+	if err != nil {
 		return err
 	}
-	m.mu.Lock()
-	if !m.exists {
-		m.mu.Unlock()
-		return fmt.Errorf("read %v: %w", m.id, ErrNotExists)
-	}
-	v := m.value
-	m.mu.Unlock()
 	return fn(v)
 }
 
 // Write runs fn over a pointer to the value under a write lock in the
-// action's default colour, recording a before-image first.
+// action's default colour, recording a before-image first. fn runs inside
+// the write's step (see action.Step) and must not call back into a.
 func (m *Managed[T]) Write(a *action.Action, fn func(*T) error) error {
 	return m.WriteIn(a, colour.None, fn)
 }
 
 // WriteIn is Write with an explicit colour.
 func (m *Managed[T]) WriteIn(a *action.Action, c colour.Colour, fn func(*T) error) error {
-	if err := a.Lock(m.id, lock.Write, c); err != nil {
-		return err
-	}
-	if err := m.recordBefore(a, c, "write"); err != nil {
-		return err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	return fn(&m.value)
+	return m.change(a, c, "write", func() error { return fn(&m.value) })
 }
 
 // DeleteIn removes the object as part of a's effects (undone on abort).
 func (m *Managed[T]) DeleteIn(a *action.Action, c colour.Colour) error {
-	if err := a.Lock(m.id, lock.Write, c); err != nil {
-		return err
-	}
-	if err := m.recordBefore(a, c, "delete"); err != nil {
-		return err
-	}
-	m.mu.Lock()
-	defer m.mu.Unlock()
-	var zero T
-	m.value = zero
-	m.exists = false
-	return nil
+	return m.change(a, c, "delete", func() error {
+		var zero T
+		m.value, m.exists = zero, false
+		return nil
+	})
 }
 
-// recordBefore opens a's write to an existing object — op names it in
-// the error when the object does not exist, and then nothing is recorded
-// — by handing a the before-image, unless a holds one already.
-func (m *Managed[T]) recordBefore(a *action.Action, c colour.Colour, op string) error {
-	recorded := a.HasWriteRecord(m.id)
-	m.mu.Lock()
-	if !m.exists {
-		m.mu.Unlock()
-		return fmt.Errorf("%s %v: %w", op, m.id, ErrNotExists)
-	}
-	if recorded {
-		m.mu.Unlock()
-		return nil
-	}
-	im := &image[T]{m: m, exists: true}
-	var err error
-	if m.form.flat {
-		im.value = m.value
-		valueSnapshots.Inc()
-	} else {
-		im.encoded, err = json.Marshal(&m.value)
-		encodedSnapshots.Inc()
-	}
-	m.mu.Unlock()
-	if err != nil {
-		return fmt.Errorf("snapshot %v: %w", m.id, err)
-	}
-	return a.RecordWrite(m, c, im)
+// change runs apply over the existing object as one write step of a,
+// handing a the before-image at its first write. op names the write in
+// the error when the object does not exist, and then nothing is recorded.
+func (m *Managed[T]) change(a *action.Action, c colour.Colour, op string, apply func() error) error {
+	return a.Step(m, lock.Write, c, func(first bool) (action.Image, error) {
+		m.mu.Lock()
+		defer m.mu.Unlock()
+		if !m.exists {
+			return nil, fmt.Errorf("%s %v: %w", op, m.id, ErrNotExists)
+		}
+		if !first {
+			return nil, apply()
+		}
+		im := &image[T]{m: m, exists: true}
+		if m.form.flat {
+			im.value = m.value
+			valueSnapshots.Inc()
+		} else {
+			var err error
+			if im.encoded, err = json.Marshal(&m.value); err != nil {
+				return nil, fmt.Errorf("snapshot %v: %w", m.id, err)
+			}
+			encodedSnapshots.Inc()
+		}
+		return im, apply()
+	})
 }
 
 // Retain acquires an exclusive-read lock in colour c: the mechanism the

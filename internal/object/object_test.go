@@ -249,8 +249,8 @@ func TestFailedWriteRecordsNothing(t *testing.T) {
 		if err := m.DeleteIn(a, colour.None); !errors.Is(err, object.ErrNotExists) {
 			t.Fatalf("%s: DeleteIn = %v, want ErrNotExists", name, err)
 		}
-		if a.HasWrites() || a.HasWriteRecord(m.ObjectID()) {
-			t.Fatalf("%s: a failed write left a recovery record (HasWrites=%v)", name, a.HasWrites())
+		if a.HasWrites() {
+			t.Fatalf("%s: a failed write left a recovery record", name)
 		}
 		if err := a.Commit(); err != nil {
 			t.Fatalf("%s: commit: %v", name, err)

@@ -81,8 +81,8 @@ type OpenConfig struct {
 	// capacity probes far past saturation return quickly instead of
 	// grinding through the whole backlog.
 	ShedOnOverload bool
-	// Clock overrides the package clock for this run (a clock.Fake
-	// makes the run fully virtual). Default SetClock's value.
+	// Clock times the run (a clock.Fake makes it fully virtual).
+	// Default clock.Real().
 	Clock clock.Clock
 }
 
@@ -189,7 +189,7 @@ func (r OpenResult) String() string {
 func RunOpen(cfg OpenConfig) OpenResult {
 	c := cfg.Clock
 	if c == nil {
-		c = currentClock()
+		c = clock.Real()
 	}
 	if cfg.Window <= 0 {
 		panic("workload: RunOpen needs a positive window")

@@ -3,7 +3,6 @@ package workload
 import (
 	"runtime"
 	"sort"
-	"sync"
 	"testing"
 	"time"
 
@@ -121,13 +120,10 @@ func TestBuildScheduleUniformSpacing(t *testing.T) {
 
 func TestRunForFakeClockExactWindow(t *testing.T) {
 	f := clock.NewFake()
-	SetClock(f)
-	defer SetClock(clock.Real())
-
 	const workers = 2
 	var res Result
 	driveFake(t, f, workers, time.Millisecond, func() {
-		res = RunFor(workers, 50*time.Millisecond, func(w, i int) error {
+		res = RunFor(f, workers, 50*time.Millisecond, func(w, i int) error {
 			f.Sleep(time.Millisecond)
 			return nil
 		})
@@ -266,25 +262,6 @@ func TestRunOpenPerClassAndErrors(t *testing.T) {
 	if s := res.String(); s == "" {
 		t.Fatal("empty summary")
 	}
-}
-
-func TestSetClockConcurrent(t *testing.T) {
-	defer SetClock(clock.Real())
-	var wg sync.WaitGroup
-	for g := 0; g < 8; g++ {
-		wg.Add(1)
-		go func(g int) {
-			defer wg.Done()
-			for i := 0; i < 200; i++ {
-				if g%2 == 0 {
-					SetClock(clock.NewFake())
-				} else if currentClock() == nil {
-					panic("nil clock")
-				}
-			}
-		}(g)
-	}
-	wg.Wait()
 }
 
 func TestLatenciesHistogramModeBeyondCap(t *testing.T) {

@@ -19,33 +19,11 @@ import (
 	"fmt"
 	"sort"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"mca/internal/clock"
 	"mca/internal/metrics"
 )
-
-// clockBox wraps the package clock so atomic.Value always stores one
-// concrete type (storing different Clock implementations directly
-// would panic on the type switch).
-type clockBox struct{ c clock.Clock }
-
-// clk times runs and per-op latencies. Package-level because the
-// runners are package functions; SetClock swaps it for a virtual clock
-// before a simulated run starts.
-var clk atomic.Value
-
-func init() { clk.Store(clockBox{clock.Real()}) }
-
-// SetClock substitutes the time source used by Run, RunFor and
-// RunOpen. Default clock.Real(). Safe for concurrent use; runners
-// capture the clock once at start, so a swap mid-run affects the next
-// run, not in-flight workers.
-func SetClock(c clock.Clock) { clk.Store(clockBox{c}) }
-
-// currentClock returns the clock runners capture at start.
-func currentClock() clock.Clock { return clk.Load().(clockBox).c }
 
 // exactCap is how many samples Latencies retains verbatim. Runs at or
 // under the cap report exact percentiles; larger runs fall back to the
@@ -163,10 +141,10 @@ func (r Result) String() string {
 }
 
 // Run executes op opsPerWorker times in each of workers goroutines and
-// collects latency and error counts. op receives (worker, iteration).
-// Closed loop: latencies measure service time, not queueing delay.
-func Run(workers, opsPerWorker int, op func(worker, i int) error) Result {
-	c := currentClock()
+// collects latency and error counts, timed by c. op receives (worker,
+// iteration). Closed loop: latencies measure service time, not queueing
+// delay.
+func Run(c clock.Clock, workers, opsPerWorker int, op func(worker, i int) error) Result {
 	res := Result{Latency: &Latencies{}, ErrKinds: make(map[string]int)}
 	var (
 		wg sync.WaitGroup
@@ -197,13 +175,12 @@ func Run(workers, opsPerWorker int, op func(worker, i int) error) Result {
 }
 
 // RunFor executes op repeatedly in each of workers goroutines until the
-// duration elapses. Closed loop, like Run. Under a clock.Fake the run
+// duration elapses on c. Closed loop, like Run. Under a clock.Fake the run
 // terminates exactly at the window edge: a worker starts another op
 // only while Now() is strictly before start+d, so with ops that
 // consume virtual time the last one completes at the deadline and
 // Elapsed equals d exactly.
-func RunFor(workers int, d time.Duration, op func(worker, i int) error) Result {
-	c := currentClock()
+func RunFor(c clock.Clock, workers int, d time.Duration, op func(worker, i int) error) Result {
 	res := Result{Latency: &Latencies{}, ErrKinds: make(map[string]int)}
 	var (
 		wg sync.WaitGroup

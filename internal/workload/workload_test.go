@@ -5,12 +5,14 @@ import (
 	"sync/atomic"
 	"testing"
 	"time"
+
+	"mca/internal/clock"
 )
 
 func TestRunCountsOpsAndErrors(t *testing.T) {
 	var calls atomic.Int64
 	boom := errors.New("boom")
-	res := Run(4, 10, func(w, i int) error {
+	res := Run(clock.Real(), 4, 10, func(w, i int) error {
 		calls.Add(1)
 		if i%2 == 1 {
 			return boom
@@ -39,7 +41,7 @@ func TestRunCountsOpsAndErrors(t *testing.T) {
 
 func TestRunForStopsAtDeadline(t *testing.T) {
 	start := time.Now()
-	res := RunFor(2, 50*time.Millisecond, func(w, i int) error {
+	res := RunFor(clock.Real(), 2, 50*time.Millisecond, func(w, i int) error {
 		time.Sleep(time.Millisecond)
 		return nil
 	})
@@ -90,7 +92,7 @@ func TestGaugeHighWaterMark(t *testing.T) {
 }
 
 func TestResultString(t *testing.T) {
-	res := Run(1, 1, func(int, int) error { return nil })
+	res := Run(clock.Real(), 1, 1, func(int, int) error { return nil })
 	if s := res.String(); s == "" {
 		t.Fatal("empty summary")
 	}

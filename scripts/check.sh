@@ -4,6 +4,11 @@
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
+# Everything a step writes goes here, so a full run leaves the tree as it
+# found it (the tracked BENCH_*.json files included).
+tmp="$(mktemp -d)"
+trap 'rm -rf "$tmp"' EXIT
+
 echo "== build =="
 go build ./...
 
@@ -31,9 +36,15 @@ go test -race -tags invariants ./... -count=1
 echo "== allocation budgets (runtime invariants, no race) =="
 go test -tags invariants -run 'TestTxnAllocBudget|TestWriteCommitAllocBudget|TestSmallSetsDoNotAllocate|TestEnvelopeCodecAllocs|TestCallRawAllocs' ./internal/... -count=1
 
-echo "== stable log + 2PC: crash matrices (restarts in doubt among them), seeded crash schedules, appender-run forces and write-set ownership, force and message budgets (repeated writes at one node included), votes in first invoke replies, fake-clock releases and lazy phase 2, one capture per prepared write set, the idle rule against silent coordinators and late messages, mid-log damage, span attribution across per-node files, distributed structures (constituent budgets, commits lost in flight, crashes before End), clean stop; the striped action registry; object before-images and state codec; concurrent callers sharing TCP writes; the push dispatch (tcpnet read loops and netsim deliveries calling rpc) racing Stop and Crash; the span recorder against its reference model (race, -cpu sweep) =="
+echo "== stable log + 2PC: crash matrices (restarts in doubt among them), seeded crash schedules, appender-run forces and write-set ownership, force and message budgets (repeated writes at one node included), votes in first invoke replies, fake-clock releases and lazy phase 2, one capture per prepared write set, the idle rule against silent coordinators and late messages, a retransmitted call reaching a restarted participant over TCP, mid-log damage, span attribution across per-node files, distributed structures (constituent budgets, commits lost in flight, crashes before End), clean stop; the striped action registry; every operation one step against its action's end (aborts, commits and late lock grants in the step's window); object before-images and state codec; concurrent callers sharing TCP writes; the push dispatch (tcpnet read loops and netsim deliveries calling rpc) racing Stop and Crash; the span recorder against its reference model (race, -cpu sweep) =="
 go test -race -cpu=1,4 ./internal/store/... ./internal/node/... ./internal/action/... ./internal/object/... ./internal/tcpnet/... ./internal/rpc/... ./internal/netsim/... ./internal/trace/... -count=1
-go test -race -cpu=1,4 -run 'TestCommitCrashMatrix|TestSeededCrashSchedules|TestRestartedNodeRefusesOnlyInDoubtObjects|TestRecoveryRetriesThroughStoreBlip|TestDurableTransferForcesThreeTimes|TestDurableTransferSendsFourMessages|TestSingleParticipantWriteForcesTwice|TestRepeatedWritesCostOneReopenedVote|TestParticipantCrashBeforePrepareAborts|TestAsymmetricPartitionDuringCompletion|TestRelease|TestSingleSiteRead|TestMultiSiteReadOnly|TestOnePhase|TestFailedWrite|TestQuietCluster|TestSentCommits|TestPiggybackedPhase2|TestPreparedParticipant|TestIdleRuleRacesLateMessages|TestCommitOneCrashedParticipant|TestPlainTransferCaptures|TestTracedCommitMergesToOneTreeWithoutOrphans|TestAttributionAcrossNodeFiles|TestRemoteSerializing|TestRemoteChain|TestConstituent|TestHeldHandlerChangesNothingAfterRestart|TestRetransmittedFirstInvokeFindsTheRestartsVote|TestStaleTxnCannotDecide' ./internal/dist/ -count=1
+go test -race -cpu=1,4 -run 'TestCommitCrashMatrix|TestSeededCrashSchedules|TestRestartedNodeRefusesOnlyInDoubtObjects|TestRecoveryRetriesThroughStoreBlip|TestDurableTransferForcesThreeTimes|TestDurableTransferSendsFourMessages|TestSingleParticipantWriteForcesTwice|TestRepeatedWritesCostOneReopenedVote|TestParticipantCrashBeforePrepareAborts|TestAsymmetricPartitionDuringCompletion|TestRelease|TestSingleSiteRead|TestMultiSiteReadOnly|TestOnePhase|TestFailedWrite|TestQuietCluster|TestSentCommits|TestPiggybackedPhase2|TestPreparedParticipant|TestIdleRuleRacesLateMessages|TestCommitOneCrashedParticipant|TestPlainTransferCaptures|TestTracedCommitMergesToOneTreeWithoutOrphans|TestAttributionAcrossNodeFiles|TestRemoteSerializing|TestRemoteChain|TestConstituent|TestHeldHandlerChangesNothingAfterRestart|TestRetransmittedFirstInvokeFindsTheRestartsVote|TestStaleTxnCannotDecide|TestRetransmittedCallReachesRestartedParticipant' ./internal/dist/ -count=1
+
+# The idle rule's abort against a late continuation failed about 4 % of
+# runs while an operation and its action's end were not ordered: 100 runs
+# miss such a race about once in a hundred.
+echo "== idle rule against late messages (race, 100 runs) =="
+go test -race -run 'TestIdleRuleRacesLateMessages' -count=100 ./internal/dist/
 
 echo "== commit throughput (smoke, race) =="
 go test -race -short -run 'TestCommitThroughputSmoke' ./internal/dist/ -count=1
@@ -54,13 +65,11 @@ echo "== rpc call path (bench smoke) =="
 go test -run xxx -bench 'BenchmarkRPCCall|BenchmarkConcurrentCallers' -benchtime 10x -benchmem ./internal/tcpnet/
 
 echo "== loadgen (capacity smoke + report schema) =="
-loadgen_json="$(mktemp)"
-go run ./cmd/loadgen -smoke -json "$loadgen_json"
-go run ./cmd/loadgen -validate "$loadgen_json"
-rm -f "$loadgen_json"
+go run ./cmd/loadgen -smoke -json "$tmp/loadgen.json"
+go run ./cmd/loadgen -validate "$tmp/loadgen.json"
 
 echo "== experiments =="
-go run ./cmd/experiments -capacityjson BENCH_capacity.json -attribjson BENCH_attrib.json
+go run ./cmd/experiments -capacityjson "$tmp/BENCH_capacity.json" -attribjson "$tmp/BENCH_attrib.json"
 
 echo "== examples =="
 for ex in quickstart distributedmake meetingscheduler bulletinboard timelines remotemeeting; do
@@ -69,8 +78,8 @@ for ex in quickstart distributedmake meetingscheduler bulletinboard timelines re
 done
 
 echo "== tracecat (quickstart span export) =="
-tracedir="$(mktemp -d)"
-trap 'rm -rf "$tracedir"' EXIT
+tracedir="$tmp/trace"
+mkdir "$tracedir"
 MCA_TRACE_DIR="$tracedir" go run ./examples/quickstart > /dev/null
 go run ./cmd/tracecat -check "$tracedir"/node*.jsonl
 go run ./cmd/tracecat -chrome "$tracedir/chrome.json" -dot "$tracedir/trace.dot" "$tracedir"/node*.jsonl > /dev/null
