@@ -64,6 +64,9 @@ var (
 	// ErrNoResource is returned when the named resource is not
 	// registered at the target node.
 	ErrNoResource = errors.New("dist: no such resource")
+	// ErrOverlappingInvoke is returned by an Invoke made while another
+	// Invoke on the same transaction runs; it runs nothing.
+	ErrOverlappingInvoke = errors.New("dist: invoke overlaps another on the same transaction")
 )
 
 // RPC method names.
@@ -218,11 +221,13 @@ func (m *Manager) Register(n *node.Node, p *rpc.Peer) {
 
 // Recover implements node.Service: it asks the coordinator of every
 // prepared record the log kept what was decided, and owes its
-// participants the commit of every decision record it kept. Nothing waits
-// for it: the store refuses only the objects records in doubt write. While
-// records stay in doubt, a background loop asks again until none is left,
-// or ctx, the incarnation's lifetime, ends, or a pass fails: its store
-// handle has closed.
+// participants the commit of every decision record it kept. Its first
+// pass runs before it returns, so node.Restart waits for it: one RPC call
+// timeout for each record whose coordinator does not answer. The node
+// serves meanwhile, and the store refuses only the objects records in
+// doubt write. While records stay in doubt, a background loop asks again
+// until none is left, or ctx, the incarnation's lifetime, ends, or a pass
+// fails: its store handle has closed.
 func (m *Manager) Recover(ctx context.Context, _ *node.Node) {
 	inc := m.cur.Load()
 	inDoubt, _, err := inc.recoverPass(ctx)
@@ -700,6 +705,7 @@ type Txn struct {
 	// nodes, so this is a slice to scan, not a map.
 	contacts []contact
 	done     bool
+	invoking bool // an Invoke runs: another one is refused
 
 	// structure, when non-nil, makes this transaction a constituent
 	// of a distributed structure: remote participant actions mirror
@@ -787,12 +793,23 @@ func (t *Txn) split() (succeeded, failed []ids.NodeID) {
 // unmarshalled into result when non-nil; the protocol carries both as
 // opaque bytes. Local targets execute directly under the
 // coordinator action.
+//
+// A transaction's invokes run one at a time, as the single thread of
+// control of an action: an Invoke made while another on the same Txn
+// runs fails at once with ErrOverlappingInvoke and runs nothing, and
+// Commit and Abort belong after the last Invoke returned.
 func (t *Txn) Invoke(ctx context.Context, target ids.NodeID, resource, op string, arg, result any) error {
 	t.mu.Lock()
 	if t.done {
 		t.mu.Unlock()
 		return ErrDone
 	}
+	if t.invoking {
+		t.mu.Unlock()
+		return ErrOverlappingInvoke
+	}
+	t.invoking = true
+	defer t.invoked()
 	// Any earlier invoke at the target, even a failed one, makes this one
 	// a continuation rather than a first contact, and takes back the vote
 	// the target cast in an invoke reply: the commit prepares it again.
@@ -860,6 +877,13 @@ func (t *Txn) Invoke(ctx context.Context, target ids.NodeID, resource, op string
 		return json.Unmarshal(out, result)
 	}
 	return nil
+}
+
+// invoked ends an Invoke: the next one may run.
+func (t *Txn) invoked() {
+	t.mu.Lock()
+	t.invoking = false
+	t.mu.Unlock()
 }
 
 // bodyScratch sizes the stack buffers request bodies are encoded in. The

@@ -312,10 +312,14 @@ func (n *Node) Crash() {
 
 // Restart repairs the node as its next incarnation: a new store handle
 // (a file-backed store replays its log), an empty runtime and RPC peer,
-// and services re-registering and running their recovery hooks. When the
-// store does not recover, Restart returns the error and the node stays
-// crashed — endpoint down, no service registered — for a later Restart to
-// try again. Restarting a node that is up does nothing.
+// and services re-registering and running their recovery hooks. Restart
+// returns once every service's Recover has: dist's first recovery pass
+// asks the coordinator of each record in doubt, so a coordinator that
+// does not answer holds Restart for one RPC call timeout per such record,
+// while the node already serves. When the store does not recover, Restart
+// returns the error and the node stays crashed — endpoint down, no
+// service registered — for a later Restart to try again. Restarting a
+// node that is up does nothing.
 func (n *Node) Restart() error {
 	n.restarting.Lock()
 	defer n.restarting.Unlock()

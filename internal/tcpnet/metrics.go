@@ -20,6 +20,10 @@ var (
 	writeBatches     *metrics.Counter
 	writeBatchFrames *metrics.Counter
 	sendQueueDrops   *metrics.Counter
+
+	// reads counts read calls on connections, each one syscall on unix:
+	// with writeBatches it gives the transport's syscalls.
+	reads *metrics.Counter
 )
 
 func init() {
@@ -43,4 +47,6 @@ func init() {
 		"Datagrams carried by coalesced flushes.")
 	sendQueueDrops = r.Counter("mca_tcpnet_send_queue_drops_total",
 		"Datagrams dropped because 256 frames already waited behind a write.")
+	reads = r.Counter("mca_tcpnet_reads_total",
+		"Read syscalls on connections (read calls where the OS has no unix poller).")
 }

@@ -6,11 +6,13 @@
 //
 // A Network is the address book mapping node identifiers to listen
 // addresses; in a real deployment it would be static configuration or a
-// discovery service. Endpoints reuse one outbound connection per
-// destination and accept any number of inbound connections.
-//
-// Delivery is pushed: each inbound connection's read loop hands every
-// frame to the SetDeliver function (the RPC peer's dispatch).
+// discovery service. Two endpoints share one connection, read at both
+// ends: the first to send dials, and the other takes the accepted
+// connection as its route back, so a reply goes out on the connection its
+// request came in on. Two that dial each other at once may keep two
+// connections; both are read. Delivery is pushed: a connection's read
+// loop hands every frame to the SetDeliver function (the RPC peer's
+// dispatch).
 //
 // The send path coalesces with no goroutine of its own. A Send that
 // finds no write in flight becomes the writer: it yields so that
@@ -24,11 +26,10 @@
 package tcpnet
 
 import (
-	"bufio"
+	"bytes"
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"io"
 	"net"
 	"runtime"
 	"sync"
@@ -67,16 +68,11 @@ func (e *transientError) Transient() bool { return true }
 // against corrupt length prefixes.
 const maxFrame = 16 << 20
 
-// readChunk is the unit in which large frame payloads are read: the
-// reader allocates at most this much ahead of the bytes actually
-// received, so a corrupt length prefix cannot force a 16 MiB
-// allocation per connection.
+// readChunk is a connection's read buffer, so one read drains a whole
+// coalesced batch, and the unit in which a frame larger than it is
+// assembled: at most this much ahead of the bytes received, so a corrupt
+// length prefix cannot force a 16 MiB allocation per connection.
 const readChunk = 64 << 10
-
-// readBufSize is each inbound connection's bufio read buffer: one
-// kernel read drains a whole coalesced batch, so the receive side
-// saves syscalls symmetrically with the writev send side.
-const readBufSize = 64 << 10
 
 // frameHeaderLen is the per-datagram wire overhead: 4-byte big-endian
 // payload length plus 8-byte big-endian sender id.
@@ -124,19 +120,13 @@ func (n *Network) Register(id ids.NodeID, addr string) {
 	n.addrs[id] = addr
 }
 
-func (n *Network) lookup(id ids.NodeID) (string, bool) {
-	n.mu.Lock()
-	defer n.mu.Unlock()
-	addr, ok := n.addrs[id]
-	return addr, ok
-}
-
-// sender owns one outbound connection. Frames staged while a write is
-// in flight wait in pending; the writer takes them all for its next
-// writev.
-type sender struct {
-	to   ids.NodeID
-	conn net.Conn
+// conn is one connection to another endpoint, dialed or accepted; its
+// read loop runs for its whole life. Frames staged while a write is in
+// flight wait in pending; the writer takes them all for its next writev.
+type conn struct {
+	nc     net.Conn
+	to     ids.NodeID // the node it is the route to, once routed is set
+	routed bool       // by the dial or the adoption, under the endpoint's mu
 
 	mu      sync.Mutex
 	pending []*[]byte // staged frames, in Send order
@@ -156,9 +146,9 @@ type Endpoint struct {
 	ln  net.Listener
 
 	mu      sync.Mutex
-	senders map[ids.NodeID]*sender // outbound, one per destination
-	inbound map[net.Conn]struct{}  // accepted connections
-	deliver func(rpc.Datagram)     // SetDeliver's; nil drops what arrives
+	conns   map[*conn]struct{}   // every open connection, dialed or accepted
+	routes  map[ids.NodeID]*conn // the connection Send writes to each node on
+	deliver func(rpc.Datagram)   // SetDeliver's; nil drops what arrives
 	closed  bool
 	crashed bool
 
@@ -175,11 +165,11 @@ func (n *Network) Listen(addr string) (*Endpoint, error) {
 		return nil, fmt.Errorf("tcpnet listen: %w", err)
 	}
 	e := &Endpoint{
-		id:      ids.NewNodeID(),
-		net:     n,
-		ln:      ln,
-		senders: make(map[ids.NodeID]*sender),
-		inbound: make(map[net.Conn]struct{}),
+		id:     ids.NewNodeID(),
+		net:    n,
+		ln:     ln,
+		conns:  make(map[*conn]struct{}),
+		routes: make(map[ids.NodeID]*conn),
 	}
 	n.Register(e.id, ln.Addr().String())
 	e.wg.Add(1)
@@ -194,8 +184,9 @@ func (e *Endpoint) ID() ids.NodeID { return e.id }
 func (e *Endpoint) Addr() string { return e.ln.Addr().String() }
 
 // SetDeliver installs the function each received datagram is handed to
-// on its connection's read loop; nil drops them. It must not block:
-// while it runs, its connection reads nothing.
+// on its connection's read loop; nil drops them. It must neither block
+// nor Send: its connection reads nothing while it runs, and a failed
+// write's Close waits for the read loop to leave it.
 func (e *Endpoint) SetDeliver(fn func(rpc.Datagram)) {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -205,53 +196,54 @@ func (e *Endpoint) SetDeliver(fn func(rpc.Datagram)) {
 func (e *Endpoint) acceptLoop() {
 	defer e.wg.Done()
 	for {
-		conn, err := e.ln.Accept()
+		nc, err := e.ln.Accept()
 		if err != nil {
 			return // listener closed
 		}
 		e.mu.Lock()
 		if e.closed {
 			e.mu.Unlock()
-			conn.Close()
+			nc.Close()
 			return
 		}
-		e.inbound[conn] = struct{}{}
+		e.openLocked(&conn{nc: nc})
 		e.mu.Unlock()
-		e.wg.Add(1)
-		go e.readLoop(conn)
 	}
 }
 
-func (e *Endpoint) readLoop(conn net.Conn) {
-	defer e.wg.Done()
-	defer func() {
-		conn.Close()
-		e.mu.Lock()
-		delete(e.inbound, conn)
-		e.mu.Unlock()
+// openLocked enters c in the connection table and starts its read loop,
+// which drops c once it fails or closes. Caller holds e.mu, with the
+// endpoint not closed.
+func (e *Endpoint) openLocked(c *conn) {
+	e.conns[c] = struct{}{}
+	e.wg.Add(1)
+	go func() {
+		defer e.wg.Done()
+		defer e.drop(c)
+		// Why it failed changes nothing: the RPC layer retransmits.
+		_ = readConn(c.nc, &parser{buf: make([]byte, readChunk)}, func(d rpc.Datagram) { e.receive(c, d) })
 	}()
-	br := bufio.NewReaderSize(conn, readBufSize)
-	var header [frameHeaderLen]byte
-	for {
-		d, err := readFrame(br, header[:])
-		if err != nil {
-			return
-		}
-		tcpBytesRead.Add(uint64(len(d.Payload)))
-		d.To = e.id
-		e.mu.Lock()
-		closed, crashed, deliver := e.closed, e.crashed, e.deliver
-		e.mu.Unlock()
-		if closed {
-			return
-		}
-		if crashed {
-			continue // fail-silent: frames to a crashed node are lost
-		}
-		if deliver == nil {
-			undelivered.Inc() // no peer attached: lost, the RPC layer retransmits
-			continue
-		}
+}
+
+// receive hands a datagram read from c to the deliver function. A
+// connection that routes nowhere becomes the route to the sender the
+// frame header names (trusted, as rpc trusts it), unless there is one.
+// A crashed endpoint drops the datagram and adopts nothing.
+func (e *Endpoint) receive(c *conn, d rpc.Datagram) {
+	tcpBytesRead.Add(uint64(len(d.Payload)))
+	d.To = e.id
+	e.mu.Lock()
+	up, deliver := !e.closed && !e.crashed, e.deliver
+	if _, ok := e.routes[d.From]; up && !c.routed && !ok {
+		e.routes[d.From] = c
+		c.to, c.routed = d.From, true
+	}
+	e.mu.Unlock()
+	switch {
+	case !up: // fail-silent: frames to a crashed node are lost
+	case deliver == nil:
+		undelivered.Inc() // no peer attached: lost, the RPC layer retransmits
+	default:
 		deliver(d)
 	}
 }
@@ -261,8 +253,6 @@ func (e *Endpoint) readLoop(conn net.Conn) {
 var tcpFramePool = sync.Pool{New: func() any { b := make([]byte, 0, 1024); return &b }}
 
 const tcpFramePoolMax = 64 << 10
-
-func getTCPFrame() *[]byte { return tcpFramePool.Get().(*[]byte) }
 
 func putTCPFrame(bp *[]byte) {
 	if cap(*bp) > tcpFramePoolMax {
@@ -275,7 +265,7 @@ func putTCPFrame(bp *[]byte) {
 // sender: Send's contract lets the RPC layer reuse payload the moment
 // Send returns, so staged frames must hold their own bytes.
 func stageFrame(from ids.NodeID, payload []byte) *[]byte {
-	bp := getTCPFrame()
+	bp := tcpFramePool.Get().(*[]byte)
 	b := (*bp)[:0]
 	b = binary.BigEndian.AppendUint32(b, uint32(len(payload)))
 	b = binary.BigEndian.AppendUint64(b, uint64(from))
@@ -284,9 +274,10 @@ func stageFrame(from ids.NodeID, payload []byte) *[]byte {
 	return bp
 }
 
-// Send implements rpc.Transport: best-effort datagram delivery over a
-// cached connection. The frame is staged; with no write in flight Send
-// writes it, with whatever is staged meanwhile, in one writev. A full
+// Send implements rpc.Transport: best-effort datagram delivery over the
+// route to the destination, dialed if there is none. The frame is staged;
+// with no write in flight Send writes it, with whatever is staged
+// meanwhile, in one writev. A full
 // stage and a failed write or dial drop the datagram rather than
 // erroring: the RPC layer's retransmission owns reliability.
 func (e *Endpoint) Send(to ids.NodeID, payload []byte) error {
@@ -302,49 +293,51 @@ func (e *Endpoint) Send(to ids.NodeID, payload []byte) error {
 		e.mu.Unlock()
 		return ErrCrashed
 	}
-	s, ok := e.senders[to]
+	c, ok := e.routes[to]
 	e.mu.Unlock()
 
 	if !ok {
 		var err error
-		s, err = e.dial(to)
+		c, err = e.dial(to)
 		if err != nil {
 			return err
 		}
-		if s == nil {
+		if c == nil {
 			return nil // destination down: datagram lost, retransmission will retry
 		}
 	}
 
 	frame := stageFrame(e.id, payload)
-	s.mu.Lock()
-	if len(s.pending) >= maxPending {
+	c.mu.Lock()
+	if len(c.pending) >= maxPending {
 		// The write in flight is stuck or outrun: drop, keeping Send
 		// non-blocking (datagram semantics).
-		s.mu.Unlock()
+		c.mu.Unlock()
 		putTCPFrame(frame)
 		sendQueueDrops.Inc()
 		return nil
 	}
-	s.pending = append(s.pending, frame)
-	if s.writing {
-		s.mu.Unlock()
+	c.pending = append(c.pending, frame)
+	if c.writing {
+		c.mu.Unlock()
 		return nil
 	}
-	s.writing = true
-	busy := s.busy
-	s.mu.Unlock()
-	if !busy || !e.handOff(s) {
-		e.write(s, true)
+	c.writing = true
+	busy := c.busy
+	c.mu.Unlock()
+	if !busy || !e.handOff(c) {
+		e.write(c, true)
 	}
 	return nil
 }
 
-// dial establishes (or, racing another Send, adopts) the sender for a
-// destination. A nil, nil return means the destination was unreachable:
+// dial establishes the route to a destination, or takes one made
+// meanwhile. A nil, nil return means the destination was unreachable:
 // the datagram is lost and retransmission will retry.
-func (e *Endpoint) dial(to ids.NodeID) (*sender, error) {
-	addr, known := e.net.lookup(to)
+func (e *Endpoint) dial(to ids.NodeID) (*conn, error) {
+	e.net.mu.Lock()
+	addr, known := e.net.addrs[to]
+	e.net.mu.Unlock()
 	if !known {
 		return nil, ErrUnknownNode
 	}
@@ -368,26 +361,28 @@ func (e *Endpoint) dial(to ids.NodeID) (*sender, error) {
 		}
 		return nil, ErrClosed
 	}
-	if existing, raced := e.senders[to]; raced {
+	if existing, raced := e.routes[to]; raced {
 		fresh.Close()
 		return existing, nil
 	}
-	s := &sender{to: to, conn: fresh}
-	e.senders[to] = s
-	return s, nil
+	c := &conn{nc: fresh, to: to, routed: true}
+	e.routes[to] = c
+	e.openLocked(c)
+	return c, nil
 }
 
-// dropSender discards a (broken) sender: future Sends re-dial.
-func (e *Endpoint) dropSender(s *sender) {
+// drop closes c and takes it out of the connection table.
+func (e *Endpoint) drop(c *conn) {
 	e.mu.Lock()
-	if e.senders[s.to] == s {
-		delete(e.senders, s.to)
+	delete(e.conns, c)
+	if c.routed && e.routes[c.to] == c {
+		delete(e.routes, c.to)
 	}
 	e.mu.Unlock()
-	s.conn.Close()
+	c.nc.Close()
 }
 
-// write is a writer's turn on s, entered with s.writing set: it gathers
+// write is a writer's turn on c, entered with c.writing set: it gathers
 // a batch by the yield rule, writes all that is staged in one writev,
 // and repeats while frames were staged meanwhile. A Send that became the
 // writer (caller) writes only the batch with its own frame, and a
@@ -395,38 +390,38 @@ func (e *Endpoint) dropSender(s *sender) {
 // carries the others' load. On a busy connection (its last write carried
 // other Sends' frames) Send leaves its own batch to such a goroutine
 // too: an inline writer's yields end too early there (E41).
-func (e *Endpoint) write(s *sender, caller bool) {
+func (e *Endpoint) write(c *conn, caller bool) {
 	for {
-		s.gather()
-		s.mu.Lock()
-		batch := s.pending
-		s.pending, s.spare = s.spare[:0], nil
-		s.mu.Unlock()
+		c.gather()
+		c.mu.Lock()
+		batch := c.pending
+		c.pending, c.spare = c.spare[:0], nil
+		c.mu.Unlock()
 
-		n, err := s.writeBatch(batch)
+		n, err := c.writeBatch(batch)
 		for _, f := range batch {
 			putTCPFrame(f)
 		}
 		clear(batch)
 
-		s.mu.Lock()
-		s.spare = batch[:0]
-		staged := s.pending
-		s.busy = len(batch) > 1 || len(staged) > 0
+		c.mu.Lock()
+		c.spare = batch[:0]
+		staged := c.pending
+		c.busy = len(batch) > 1 || len(staged) > 0
 		if err != nil {
-			// The sender is dropped: a Send still holding it fails
+			// The connection is dropped: a Send still holding it fails
 			// the same way on the closed connection; later ones re-dial.
-			s.writing, s.pending = false, nil
+			c.writing, c.pending = false, nil
 		} else {
-			s.writing = len(staged) > 0
+			c.writing = len(staged) > 0
 		}
-		s.mu.Unlock()
+		c.mu.Unlock()
 		if err != nil {
 			writeDrops.Add(uint64(len(batch) + len(staged)))
 			for _, f := range staged {
 				putTCPFrame(f)
 			}
-			e.dropSender(s)
+			e.drop(c)
 			return
 		}
 		writeBatches.Inc()
@@ -435,15 +430,15 @@ func (e *Endpoint) write(s *sender, caller bool) {
 		if len(staged) == 0 {
 			return
 		}
-		if caller && e.handOff(s) {
+		if caller && e.handOff(c) {
 			return
 		}
 	}
 }
 
-// handOff starts a goroutine that takes over as s's writer; once the
+// handOff starts a goroutine that takes over as c's writer; once the
 // endpoint is closed it refuses, and the caller's write fails instead.
-func (e *Endpoint) handOff(s *sender) bool {
+func (e *Endpoint) handOff(c *conn) bool {
 	e.mu.Lock()
 	defer e.mu.Unlock()
 	if e.closed {
@@ -452,7 +447,7 @@ func (e *Endpoint) handOff(s *sender) bool {
 	e.wg.Add(1)
 	go func() {
 		defer e.wg.Done()
-		e.write(s, false)
+		e.write(c, false)
 	}()
 	return true
 }
@@ -462,15 +457,15 @@ func (e *Endpoint) handOff(s *sender) bool {
 // the frames they are about to send. It stops at a round that staged
 // nothing (the pipeline is quiescent, so writing now adds no latency)
 // or once the stage is full.
-func (s *sender) gather() {
-	s.mu.Lock()
-	n := len(s.pending)
-	s.mu.Unlock()
+func (c *conn) gather() {
+	c.mu.Lock()
+	n := len(c.pending)
+	c.mu.Unlock()
 	for range maxYieldRounds {
 		runtime.Gosched()
-		s.mu.Lock()
-		staged := len(s.pending)
-		s.mu.Unlock()
+		c.mu.Lock()
+		staged := len(c.pending)
+		c.mu.Unlock()
 		if staged == n || staged >= maxPending {
 			return
 		}
@@ -480,43 +475,34 @@ func (s *sender) gather() {
 
 // writeBatch writes batch in one writev (internal/poll holds the fd's
 // write lock across it) under the write deadline.
-func (s *sender) writeBatch(batch []*[]byte) (int64, error) {
-	if now := clock.Real().Now(); s.deadline.Sub(now) < writeTimeout/2 {
-		s.deadline = now.Add(writeTimeout)
-		if err := s.conn.SetWriteDeadline(s.deadline); err != nil {
+func (c *conn) writeBatch(batch []*[]byte) (int64, error) {
+	if now := clock.Real().Now(); c.deadline.Sub(now) < writeTimeout/2 {
+		c.deadline = now.Add(writeTimeout)
+		if err := c.nc.SetWriteDeadline(c.deadline); err != nil {
 			return 0, err
 		}
 	}
 	for _, f := range batch {
-		s.bufs = append(s.bufs, *f)
+		c.bufs = append(c.bufs, *f)
 	}
 	// WriteTo consumes the slice it is given, so hand it a separate
 	// header.
-	consumable := s.bufs
-	n, err := consumable.WriteTo(s.conn)
-	clear(s.bufs)
-	s.bufs = s.bufs[:0]
+	consumable := c.bufs
+	n, err := consumable.WriteTo(c.nc)
+	clear(c.bufs)
+	c.bufs = c.bufs[:0]
 	return n, err
 }
 
-// teardownConns closes every outbound sender and inbound connection.
+// teardownConns closes every connection, whichever end dialed it.
 func (e *Endpoint) teardownConns() {
 	e.mu.Lock()
-	senders := make([]*sender, 0, len(e.senders))
-	for _, s := range e.senders {
-		senders = append(senders, s)
-	}
-	e.senders = make(map[ids.NodeID]*sender)
-	conns := make([]net.Conn, 0, len(e.inbound))
-	for c := range e.inbound {
-		conns = append(conns, c)
-	}
+	conns := e.conns
+	e.conns = make(map[*conn]struct{})
+	clear(e.routes)
 	e.mu.Unlock()
-	for _, s := range senders {
-		s.conn.Close()
-	}
-	for _, c := range conns {
-		c.Close()
+	for c := range conns {
+		c.nc.Close()
 	}
 }
 
@@ -536,8 +522,8 @@ func (e *Endpoint) Crash() {
 }
 
 // Restart brings a crashed endpoint back. Connections re-establish on
-// demand (outbound Sends re-dial; remote peers re-dial us at the
-// address the listener kept).
+// demand: Sends re-dial, and a connection another endpoint dials (at the
+// address the listener kept) becomes a route with its next frame.
 func (e *Endpoint) Restart() {
 	e.mu.Lock()
 	defer e.mu.Unlock()
@@ -566,48 +552,66 @@ func (e *Endpoint) Close() {
 	e.wg.Wait()
 }
 
-// readFrame reads one frame from r into a fresh payload buffer, reusing
-// the caller's 12-byte header scratch.
-func readFrame(r io.Reader, header []byte) (rpc.Datagram, error) {
-	if _, err := io.ReadFull(r, header[:frameHeaderLen]); err != nil {
-		return rpc.Datagram{}, err
-	}
-	size := binary.BigEndian.Uint32(header[0:4])
-	if size > maxFrame {
-		return rpc.Datagram{}, ErrTooLarge
-	}
-	from := ids.NodeID(binary.BigEndian.Uint64(header[4:12]))
-	payload, err := readPayload(r, int64(size))
-	if err != nil {
-		return rpc.Datagram{}, err
-	}
-	return rpc.Datagram{From: from, Payload: payload}, nil
+// parser splits a connection's byte stream into frames: the bytes not yet
+// parsed sit at the front of buf, and a frame too large for buf is
+// assembled in chunks, each allocated once the one before is full.
+type parser struct {
+	buf    []byte // readChunk bytes; buf[:n] are not parsed yet
+	n      int
+	from   ids.NodeID // the frame in chunks: its sender,
+	size   int        // payload length,
+	got    int        // payload bytes received,
+	chunks [][]byte   // and those bytes; only the last chunk has room
 }
 
-// readPayload reads size payload bytes incrementally: memory is grown
-// chunk by chunk as bytes actually arrive, so a corrupt (but in-range)
-// length prefix on a connection that then stalls or closes costs at
-// most one readChunk of allocation, not the full frame.
-func readPayload(conn io.Reader, size int64) ([]byte, error) {
-	if size <= readChunk {
-		payload := make([]byte, size)
-		if _, err := io.ReadFull(conn, payload); err != nil {
-			return nil, err
-		}
-		return payload, nil
+// space is where the next read puts its bytes; it is never empty.
+func (p *parser) space() []byte {
+	if k := len(p.chunks) - 1; k >= 0 {
+		return p.chunks[k][len(p.chunks[k]):cap(p.chunks[k])]
 	}
-	limited := io.LimitReader(conn, size)
-	payload := make([]byte, 0, readChunk)
-	chunk := make([]byte, readChunk)
-	for int64(len(payload)) < size {
-		n, err := limited.Read(chunk)
-		payload = append(payload, chunk[:n]...)
-		if err != nil {
-			if err == io.EOF {
-				err = io.ErrUnexpectedEOF
+	return p.buf[p.n:]
+}
+
+// parse takes the n bytes a read put into space and hands deliver every
+// frame they complete, each with a payload of its own. It fails on a
+// length prefix above maxFrame.
+func (p *parser) parse(n int, deliver func(rpc.Datagram)) error {
+	if k := len(p.chunks) - 1; k >= 0 {
+		p.chunks[k] = p.chunks[k][:len(p.chunks[k])+n]
+		if p.got += n; p.got < p.size {
+			if len(p.chunks[k]) == cap(p.chunks[k]) {
+				p.chunks = append(p.chunks, make([]byte, 0, min(readChunk, p.size-p.got)))
 			}
-			return nil, err
+			return nil
 		}
+		payload := p.chunks[0]
+		if k > 0 {
+			payload = bytes.Join(p.chunks, nil)
+		}
+		p.chunks = nil
+		deliver(rpc.Datagram{From: p.from, Payload: payload})
+		return nil
 	}
-	return payload, nil
+	p.n += n
+	b := p.buf[:p.n]
+	for len(b) >= frameHeaderLen {
+		size := binary.BigEndian.Uint32(b)
+		if size > maxFrame {
+			return ErrTooLarge
+		}
+		from, end := ids.NodeID(binary.BigEndian.Uint64(b[4:])), frameHeaderLen+int(size)
+		if end <= len(b) {
+			deliver(rpc.Datagram{From: from, Payload: bytes.Clone(b[frameHeaderLen:end])})
+			b = b[end:]
+			continue
+		}
+		if end > len(p.buf) { // larger than buf: assemble it in chunks
+			p.from, p.size, p.got = from, int(size), len(b)-frameHeaderLen
+			p.chunks = [][]byte{append(make([]byte, 0, min(p.size, p.got+readChunk)), b[frameHeaderLen:]...)}
+			b = nil
+		}
+		break
+	}
+	p.n = copy(p.buf, b)
+	return nil
 }
