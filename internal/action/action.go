@@ -337,10 +337,6 @@ func (r *Runtime) unregister(id ids.ActionID) {
 	st.mu.Unlock()
 }
 
-// Active reports whether the action with this identifier has begun here
-// and not yet completed.
-func (r *Runtime) Active(id ids.ActionID) bool { return r.lookup(id) != nil }
-
 // ActiveActions returns the number of actions currently registered, for
 // leak checks in tests.
 func (r *Runtime) ActiveActions() int {

@@ -192,9 +192,9 @@ func TestTxnAllocBudget(t *testing.T) {
 		}},
 		{"dist: bodies of a read and a prepare", 0, bodies},
 		{"dist: a release and a commit owed, taken, acked", 0, owedAndTaken},
-		{"txn: read + piggybacked release", 19, func() error { return f.read(ctx) }},
-		{"txn: write (1 participant)", 37, func() error { return f.write(ctx) }},
-		{"txn: transfer (2 participants)", 64, func() error { return f.transfer(ctx) }},
+		{"txn: read + piggybacked release", 15, func() error { return f.read(ctx) }},
+		{"txn: write (1 participant)", 26, func() error { return f.write(ctx) }},
+		{"txn: transfer (2 participants)", 49, func() error { return f.transfer(ctx) }},
 	}
 	// A collection would empty the sync.Pools the path leans on and bill
 	// their refill to whichever row runs next.

@@ -9,7 +9,8 @@
 //   - participant: hosts named resources; remote invocations execute
 //     under a node-local participant action holding local locks; prepare
 //     forces the action's write set to the node's intention log;
-//   - coordinator: Begin starts a distributed action; Invoke routes
+//   - coordinator: Begin starts a distributed action, which owns a local
+//     action only once it touches this node's objects; Invoke routes
 //     operations to resources (local or remote), and a remote writer votes
 //     in the reply to the first invoke at its node; Commit runs two-phase
 //     commit — prepare the participants whose vote does not stand (readers,
@@ -155,6 +156,48 @@ type incarnation struct {
 	// participant, its coordinators (release.go).
 	owed *owedQueue
 	acks ackQueue
+
+	// deciding is the decision table: every transaction this incarnation
+	// coordinates, from Begin until its Commit or Abort returns.
+	deciding txnSet
+}
+
+// txnSet is a set of transaction identifiers, striped by identifier as the
+// action registry is: the begins and ends of different transactions take
+// different mutexes. A stripe's map is made by the first transaction that
+// falls on it.
+type txnSet [txnSetStripes]struct {
+	mu  sync.Mutex
+	set map[ids.ActionID]struct{}
+}
+
+// txnSetStripes is the stripe width of a txnSet. Identifiers are
+// sequential, so their low bits spread transactions evenly.
+const txnSetStripes = 64
+
+func (s *txnSet) add(id ids.ActionID) {
+	st := &s[id%txnSetStripes]
+	st.mu.Lock()
+	if st.set == nil {
+		st.set = make(map[ids.ActionID]struct{})
+	}
+	st.set[id] = struct{}{}
+	st.mu.Unlock()
+}
+
+func (s *txnSet) remove(id ids.ActionID) {
+	st := &s[id%txnSetStripes]
+	st.mu.Lock()
+	delete(st.set, id)
+	st.mu.Unlock()
+}
+
+func (s *txnSet) has(id ids.ActionID) bool {
+	st := &s[id%txnSetStripes]
+	st.mu.Lock()
+	_, ok := st.set[id]
+	st.mu.Unlock()
+	return ok
 }
 
 // maxBuried bounds the finished transactions the table remembers against
@@ -655,6 +698,9 @@ func (inc *incarnation) handleDecision(_ context.Context, from ids.NodeID, body 
 	if err != nil {
 		return nil, fmt.Errorf("decode decision: %w", err)
 	}
+	// The table is read before the log: a transaction that has left it has
+	// forced its decision, if it took one, so no record then means none.
+	deciding := inc.deciding.has(txn)
 	in, ok, err := inc.st.Intentions().Lookup(txn)
 	switch {
 	case err != nil:
@@ -667,7 +713,7 @@ func (inc *incarnation) handleDecision(_ context.Context, from ids.NodeID, body 
 			return committedBody, nil
 		}
 		return abortedBody, nil
-	case inc.rt.Active(txn):
+	case deciding:
 		// Still deciding: a participant asking mid-prepare (restarted, or
 		// tired of waiting) must not be told abort and then sent commit.
 		return nil, fmt.Errorf("decision %v: not taken yet", txn)
@@ -686,14 +732,21 @@ func (inc *incarnation) handleDecision(_ context.Context, from ids.NodeID, body 
 // node's incarnation that began it: once that incarnation ends, the
 // transaction can send nothing and log nothing.
 type Txn struct {
-	inc   *incarnation
-	local *action.Action
-	// tc is the transaction's root span in the distributed trace (zero
-	// when the hosting node is untraced): every commit-protocol round
-	// and remote invocation runs under a child of it.
-	tc trace.Context
+	inc *incarnation
+	id  ids.ActionID
+	// tc is the transaction's root span in the distributed trace, which
+	// began at began (zero when the hosting node is untraced, and for a
+	// structure's constituents): every commit-protocol round and remote
+	// invocation runs under a child of it.
+	tc    trace.Context
+	began time.Time
 
 	mu sync.Mutex
+	// local is the coordinator-local action, which locks and writes the
+	// objects hosted here: a plain transaction begins it with its first
+	// local invocation or Action call, and a structure's constituent is
+	// built with it. It commits and aborts with the transaction.
+	local *action.Action
 	// contacts lists every contacted node, in first-contact order, with
 	// whether at least one invocation at it succeeded and whether the
 	// action there may have written. Successful contacts are participants
@@ -702,10 +755,12 @@ type Txn struct {
 	// receive an abort, so no orphaned participant action survives. An
 	// entry is also what makes the next invoke at its node a continuation
 	// rather than a first contact. A transaction touches a handful of
-	// nodes, so this is a slice to scan, not a map.
-	contacts []contact
-	done     bool
-	invoking bool // an Invoke runs: another one is refused
+	// nodes, so this is a slice to scan, not a map, held in contactBuf
+	// until it outgrows it.
+	contacts   []contact
+	contactBuf [4]contact
+	done       bool
+	invoking   bool // an Invoke runs: another one is refused
 
 	// structure, when non-nil, makes this transaction a constituent
 	// of a distributed structure: remote participant actions mirror
@@ -729,34 +784,78 @@ type contact struct {
 	voted bool
 }
 
-// Begin starts a distributed atomic action coordinated by this node.
+// Begin starts a distributed atomic action coordinated by this node. It
+// owns no action here until it touches this node's objects.
 func (m *Manager) Begin() (*Txn, error) {
-	inc := m.cur.Load()
-	local, err := inc.rt.Begin()
+	return m.cur.Load().begin(ids.NewActionID(), nil, nil, nil), nil
+}
+
+// begin enters transaction id in the decision table and, on a traced node,
+// starts a plain transaction's root span. local is a constituent's
+// coordinator-local action, structure and onEnlist its structure's.
+func (inc *incarnation) begin(id ids.ActionID, local *action.Action, structure *structureInfo, onEnlist func(ids.NodeID)) *Txn {
+	t := &Txn{inc: inc, id: id, local: local, structure: structure, onEnlist: onEnlist}
+	t.contacts = t.contactBuf[:0]
+	if inc.tracer != nil && structure == nil {
+		t.tc, t.began = trace.NewRoot(), inc.clk.Now()
+	}
+	inc.deciding.add(id)
+	return t
+}
+
+// ended takes the transaction out of the decision table as its Commit or
+// Abort returns and, on a traced node, records its root span.
+func (t *Txn) ended(committed bool) {
+	t.inc.deciding.remove(t.id)
+	if !t.tc.Valid() {
+		return
+	}
+	s := trace.Span{ID: t.id, TraceID: t.tc.TraceID, SpanID: t.tc.SpanID,
+		Outcome: trace.OutcomeAborted, Begin: t.began, End: t.inc.clk.Now()}
+	if committed {
+		s.Outcome = trace.OutcomeCommitted
+	}
+	t.inc.tracer.AddSpan(s)
+}
+
+// ID returns the distributed action's identifier, unique across the
+// simulation.
+func (t *Txn) ID() ids.ActionID { return t.id }
+
+// Action returns the coordinator-local action, for operating on objects
+// hosted at the coordinator itself, and begins it on first use. Once the
+// transaction has ended without one, it is nil.
+func (t *Txn) Action() *action.Action {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	a, _ := t.localLocked()
+	return a
+}
+
+// localLocked returns the coordinator-local action, begun if there is
+// none yet and the transaction has not ended; on a traced node it is a
+// child of the root span. Caller holds t.mu.
+func (t *Txn) localLocked() (*action.Action, error) {
+	if t.local != nil || t.done {
+		return t.local, nil
+	}
+	a, err := t.inc.rt.Begin()
 	if err != nil {
 		return nil, err
 	}
-	t := &Txn{inc: inc, local: local}
-	if m.tracer != nil {
-		t.tc = m.tracer.StartTrace(local.ID())
+	if t.tc.Valid() {
+		t.inc.tracer.JoinTrace(a.ID(), t.tc)
 	}
-	return t, nil
+	t.local = a
+	return a, nil
 }
-
-// ID returns the distributed action's identifier (its coordinator-local
-// action identifier, unique across the simulation).
-func (t *Txn) ID() ids.ActionID { return t.local.ID() }
-
-// Action returns the coordinator-local action, for operating on objects
-// hosted at the coordinator itself.
-func (t *Txn) Action() *action.Action { return t.local }
 
 // Participants returns the remote nodes with at least one successful
 // invocation so far.
 func (t *Txn) Participants() []ids.NodeID {
 	t.mu.Lock()
 	defer t.mu.Unlock()
-	out, _ := t.split()
+	out, _ := t.split(nil, nil)
 	return out
 }
 
@@ -775,9 +874,9 @@ func (t *Txn) enlist(n ids.NodeID, ok, wrote, voted bool) {
 	t.contacts = append(t.contacts, contact{node: n, ok: ok, wrote: wrote, voted: voted})
 }
 
-// split returns the successful participants and the failed-contact
-// nodes. Caller holds t.mu.
-func (t *Txn) split() (succeeded, failed []ids.NodeID) {
+// split appends the successful participants to succeeded and the
+// failed-contact nodes to failed. Caller holds t.mu.
+func (t *Txn) split(succeeded, failed []ids.NodeID) ([]ids.NodeID, []ids.NodeID) {
 	for _, c := range t.contacts {
 		if c.ok {
 			succeeded = append(succeeded, c.node)
@@ -792,7 +891,7 @@ func (t *Txn) split() (succeeded, failed []ids.NodeID) {
 // this action. arg is JSON-marshalled and the resource's reply is
 // unmarshalled into result when non-nil; the protocol carries both as
 // opaque bytes. Local targets execute directly under the
-// coordinator action.
+// coordinator-local action, begun by the first of them.
 //
 // A transaction's invokes run one at a time, as the single thread of
 // control of an action: an Invoke made while another on the same Txn
@@ -818,6 +917,14 @@ func (t *Txn) Invoke(ctx context.Context, target ids.NodeID, resource, op string
 	if continuation {
 		t.contacts[i].voted = false
 	}
+	var local *action.Action
+	if target == t.inc.self {
+		var err error
+		if local, err = t.localLocked(); err != nil {
+			t.mu.Unlock()
+			return err
+		}
+	}
 	t.mu.Unlock()
 
 	argBytes, err := json.Marshal(arg)
@@ -825,12 +932,12 @@ func (t *Txn) Invoke(ctx context.Context, target ids.NodeID, resource, op string
 		return fmt.Errorf("dist: marshal arg: %w", err)
 	}
 
-	if target == t.inc.self {
+	if local != nil {
 		res, ok := t.inc.resources.Load(resource)
 		if !ok {
 			return fmt.Errorf("%w: %s", ErrNoResource, resource)
 		}
-		out, err := res.(Resource).Invoke(t.local, op, argBytes)
+		out, err := res.(Resource).Invoke(local, op, argBytes)
 		if err != nil {
 			return err
 		}
@@ -906,15 +1013,19 @@ const bodyScratch = 128
 // remote node is committed on the spot: past its lock point, it has
 // nothing to make durable, and its read locks at that node are released
 // within the flush interval.
-func (t *Txn) Commit(ctx context.Context) error {
+func (t *Txn) Commit(ctx context.Context) (err error) {
 	t.mu.Lock()
 	if t.done {
 		t.mu.Unlock()
 		return ErrDone
 	}
 	t.done = true
-	participants, failedContacts := t.split()
-	var unvoted []ids.NodeID // the participants the prepare round asks
+	defer func() { t.ended(err == nil) }()
+	local := t.local
+	// The node lists live on the stack; each is copied where it escapes.
+	var partBuf, failBuf, unvotedBuf [len(t.contactBuf)]ids.NodeID
+	participants, failedContacts := t.split(partBuf[:0], failBuf[:0])
+	unvoted := unvotedBuf[:0] // the participants the prepare round asks
 	for _, c := range t.contacts {
 		if c.ok && !c.voted {
 			unvoted = append(unvoted, c.node)
@@ -922,8 +1033,6 @@ func (t *Txn) Commit(ctx context.Context) error {
 	}
 	reader, singleSiteReader := t.singleSiteReaderLocked()
 	t.mu.Unlock()
-
-	peer := t.inc.peer
 
 	// Failed contacts never joined the action's outcome: make sure any
 	// ghost execution there is aborted (best effort; one that misses it
@@ -938,7 +1047,7 @@ func (t *Txn) Commit(ctx context.Context) error {
 		// The release lets the participant action go.
 		t.inc.owed.owe(reader, t.ID())
 		onePhaseReads.Inc()
-		if err := t.local.Commit(); err != nil {
+		if err := commitLocal(local); err != nil {
 			return fmt.Errorf("dist: local apply after decision: %w", err)
 		}
 		t.noteCommitted(clk.Since(start))
@@ -946,16 +1055,89 @@ func (t *Txn) Commit(ctx context.Context) error {
 	}
 
 	// Phase 1: prepare every remote participant whose vote from an invoke
-	// reply does not stand, fanning out concurrently. The first NO vote or
-	// error cancels the round so in-flight prepares stop retransmitting; the
-	// outcome is already decided. Read-only voters commit at prepare and
-	// drop out of the rest of the protocol.
-	coordID := t.inc.self
-	var (
-		voteMu   sync.Mutex
-		readOnly []ids.NodeID
-	)
-	prepared := t.inc.fanout(ctx, RoundPrepare, t.ID(), t.tc, unvoted, true,
+	// reply does not stand. Read-only voters commit at prepare and drop out
+	// of the rest of the protocol: writers are the participants still
+	// holding effects.
+	writers := participants
+	if len(unvoted) > 0 {
+		readOnly, err := t.prepare(ctx, unvoted)
+		if len(readOnly) > 0 {
+			writers = slices.DeleteFunc(writers, func(n ids.NodeID) bool { return slices.Contains(readOnly, n) })
+		}
+		if err != nil {
+			t.abortAt(ctx, writers, true)
+			_ = abortLocal(local)
+			txnAborts.Inc()
+			return err
+		}
+	}
+
+	if h := t.inc.TestHooks.AfterPrepare; h != nil {
+		h()
+	}
+
+	// Decision point: force the commit record with the writer list.
+	// From here the action is committed. The record also carries the
+	// coordinator's own write set, which the store installs with it: a
+	// crash that beats the local commit below loses nothing. The force
+	// goes through the store handle of the incarnation that began the
+	// transaction: once that incarnation has crashed — and a participant
+	// asking the next one is told "aborted" (handleDecision) — it fails.
+	if len(writers) > 0 {
+		var localWrites store.Batch
+		if local != nil {
+			localWrites, err = local.PendingWrites()
+		}
+		if err == nil {
+			err = t.inc.force(t.tc, store.Intention{
+				Action:       t.ID(),
+				Status:       store.IntentionCommitted,
+				Writes:       localWrites,
+				Coordinator:  t.inc.self,
+				Participants: heapCopy(writers), // the log keeps it
+			})
+		}
+		if err != nil {
+			t.abortAt(ctx, writers, true)
+			_ = abortLocal(local)
+			txnAborts.Inc()
+			return fmt.Errorf("%w: force decision: %v", ErrAborted, err)
+		}
+	}
+
+	if h := t.inc.TestHooks.AfterDecision; h != nil {
+		h()
+	}
+
+	// Apply locally (coordinator's own write set).
+	if err := commitLocal(local); err != nil {
+		// The decision is already durable; local application failed
+		// (e.g. local store crashed). The distributed action is
+		// committed: the decision record carries this node's write set,
+		// which the store installed with it.
+		return fmt.Errorf("dist: local apply after decision: %w", err)
+	}
+
+	// Phase 2 is delivery. Each writer is owed the commit, which rides
+	// this node's next message to it; the decision record stays until
+	// every writer has acknowledged it (release.go). A structure's end
+	// carries its constituents' commits that are still owed.
+	if len(writers) > 0 {
+		t.inc.owed.await(t.ID(), writers, clk.Now())
+	}
+	t.noteCommitted(clk.Since(start))
+	return nil
+}
+
+// prepare is the commit's prepare round over the participants in unvoted,
+// fanning out concurrently. The first NO vote or error cancels the round so
+// in-flight prepares stop retransmitting: the outcome is already decided,
+// and the error says why. It returns the participants that voted
+// read-only.
+func (t *Txn) prepare(ctx context.Context, unvoted []ids.NodeID) (readOnly []ids.NodeID, err error) {
+	var voteMu sync.Mutex
+	peer, coordID := t.inc.peer, t.inc.self
+	prepared := t.inc.fanout(ctx, RoundPrepare, t.ID(), t.tc, heapCopy(unvoted), true,
 		func(ctx context.Context, p ids.NodeID) error {
 			var scratch [bodyScratch]byte
 			reply, err := peer.CallRaw(ctx, p, methodPrepare, appendPrepareReq(scratch[:0], prepareReq{Txn: t.ID(), Coordinator: coordID}))
@@ -977,74 +1159,32 @@ func (t *Txn) Commit(ctx context.Context) error {
 			}
 			return nil
 		})
-	// Writers are the participants still holding effects; read-only
-	// voters are already done and must not see another round.
-	writers := participants
-	if len(readOnly) > 0 {
-		writers = slices.DeleteFunc(slices.Clone(participants), func(n ids.NodeID) bool { return slices.Contains(readOnly, n) })
-	}
 	if p, err, failed := firstFailure(prepared); failed {
-		t.abortAt(ctx, writers, true)
-		_ = t.local.Abort()
-		txnAborts.Inc()
 		if errors.Is(err, errVotedNo) {
-			return fmt.Errorf("%w: participant %v voted no", ErrAborted, p)
+			return readOnly, fmt.Errorf("%w: participant %v voted no", ErrAborted, p)
 		}
-		return fmt.Errorf("%w: prepare %v: %v", ErrAborted, p, err)
+		return readOnly, fmt.Errorf("%w: prepare %v: %v", ErrAborted, p, err)
 	}
+	return readOnly, nil
+}
 
-	if h := t.inc.TestHooks.AfterPrepare; h != nil {
-		h()
-	}
+// heapCopy copies a node list the caller keeps on its stack, for a callee
+// that keeps it or hands it to another goroutine.
+func heapCopy(nodes []ids.NodeID) []ids.NodeID { return append([]ids.NodeID(nil), nodes...) }
 
-	// Decision point: force the commit record with the writer list.
-	// From here the action is committed. The record also carries the
-	// coordinator's own write set, which the store installs with it: a
-	// crash that beats the local commit below loses nothing. The force
-	// goes through the store handle of the incarnation that began the
-	// transaction: once that incarnation has crashed — and a participant
-	// asking the next one is told "aborted" (handleDecision) — it fails.
-	if len(writers) > 0 {
-		localWrites, err := t.local.PendingWrites()
-		if err == nil {
-			err = t.inc.force(t.tc, store.Intention{
-				Action:       t.ID(),
-				Status:       store.IntentionCommitted,
-				Writes:       localWrites,
-				Coordinator:  coordID,
-				Participants: writers,
-			})
-		}
-		if err != nil {
-			t.abortAt(ctx, writers, true)
-			_ = t.local.Abort()
-			txnAborts.Inc()
-			return fmt.Errorf("%w: force decision: %v", ErrAborted, err)
-		}
+// commitLocal and abortLocal end the coordinator-local action, if any.
+func commitLocal(a *action.Action) error {
+	if a == nil {
+		return nil
 	}
+	return a.Commit()
+}
 
-	if h := t.inc.TestHooks.AfterDecision; h != nil {
-		h()
+func abortLocal(a *action.Action) error {
+	if a == nil {
+		return nil
 	}
-
-	// Apply locally (coordinator's own write set).
-	if err := t.local.Commit(); err != nil {
-		// The decision is already durable; local application failed
-		// (e.g. local store crashed). The distributed action is
-		// committed: the decision record carries this node's write set,
-		// which the store installed with it.
-		return fmt.Errorf("dist: local apply after decision: %w", err)
-	}
-
-	// Phase 2 is delivery. Each writer is owed the commit, which rides
-	// this node's next message to it; the decision record stays until
-	// every writer has acknowledged it (release.go). A structure's end
-	// carries its constituents' commits that are still owed.
-	if len(writers) > 0 {
-		t.inc.owed.await(t.ID(), writers, clk.Now())
-	}
-	t.noteCommitted(clk.Since(start))
-	return nil
+	return a.Abort()
 }
 
 // singleSiteReaderLocked reports whether the transaction is a plain one
@@ -1059,7 +1199,7 @@ func (t *Txn) Commit(ctx context.Context) error {
 // still be in flight when the structure's end arrives, and a container
 // cannot end with a live child. Caller holds t.mu.
 func (t *Txn) singleSiteReaderLocked() (ids.NodeID, bool) {
-	if t.structure != nil || t.local.HasWrites() {
+	if t.structure != nil || t.local != nil && t.local.HasWrites() {
 		return 0, false
 	}
 	var sole contact
@@ -1090,12 +1230,14 @@ func (t *Txn) Abort(ctx context.Context) error {
 		return nil
 	}
 	t.done = true
-	participants, failedContacts := t.split()
+	defer t.ended(false)
+	local := t.local
+	participants, failedContacts := t.split(nil, nil)
 	t.mu.Unlock()
 
 	t.abortAt(ctx, failedContacts, false)
 	t.abortAt(ctx, participants, true)
-	_ = t.local.Abort()
+	_ = abortLocal(local)
 	txnAborts.Inc()
 	return nil
 }
@@ -1115,12 +1257,13 @@ func (t *Txn) abortAt(ctx context.Context, nodes []ids.NodeID, wait bool) {
 	if len(nodes) == 0 {
 		return
 	}
+	targets := heapCopy(nodes)
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
 		ctx, cancel := context.WithTimeout(context.WithoutCancel(ctx), abortTimeout)
 		defer cancel()
-		t.inc.fanout(ctx, RoundAbort, t.ID(), t.tc, nodes, false, func(ctx context.Context, p ids.NodeID) error {
+		t.inc.fanout(ctx, RoundAbort, t.ID(), t.tc, targets, false, func(ctx context.Context, p ids.NodeID) error {
 			var scratch [owedScratch]byte
 			return t.inc.sendEnd(ctx, p, &endReq{Abort: txnList{ids: scratch[:0]}.add(t.ID())})
 		})

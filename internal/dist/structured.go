@@ -146,17 +146,12 @@ func (s *RemoteSerializing) BeginConstituent() (*Txn, error) {
 	if err != nil {
 		return nil, err
 	}
-	return &Txn{
-		inc:   s.inc,
-		local: localAct,
-		structure: &structureInfo{
-			Structure: s.id,
-			Container: s.blue,
-			Write:     red,
-			Companion: true,
-		},
-		onEnlist: s.noteTouched,
-	}, nil
+	return s.inc.begin(localAct.ID(), localAct, &structureInfo{
+		Structure: s.id,
+		Container: s.blue,
+		Write:     red,
+		Companion: true,
+	}, s.noteTouched), nil
 }
 
 // RunConstituent executes fn as one constituent, committing (two-phase)
@@ -383,19 +378,13 @@ func (c *RemoteChain) beginStage() (*Txn, error) {
 	c.joints = append(c.joints, joint)
 	c.stages++
 
-	txn := &Txn{
-		inc:   c.inc,
-		local: stageLocal,
-		structure: &structureInfo{
-			Structure: joint.info.Structure,
-			Container: pass,
-			Write:     own,
-			ReadOwn:   true,
-			Parent:    parentInfo,
-		},
-		onEnlist: c.noteTouched,
-	}
-	return txn, nil
+	return c.inc.begin(stageLocal.ID(), stageLocal, &structureInfo{
+		Structure: joint.info.Structure,
+		Container: pass,
+		Write:     own,
+		ReadOwn:   true,
+		Parent:    parentInfo,
+	}, c.noteTouched), nil
 }
 
 // afterStage ends the joint before the one a stage just committed in.

@@ -12,6 +12,7 @@ import (
 	"mca/internal/clock"
 	"mca/internal/dist"
 	"mca/internal/ids"
+	"mca/internal/metrics"
 	"mca/internal/node"
 	"mca/internal/object"
 	"mca/internal/rpc"
@@ -182,10 +183,13 @@ func (e *lossyEndpoint) SetDeliver(fn func(rpc.Datagram)) {
 // it for a first contact. That is safe while the old incarnation's
 // prepared record, loaded at the restart, fences the account: readers are
 // refused, the invoke is not run a second time, and the transfer's abort
-// lifts the fence with no money made or lost.
+// lifts the fence with no money made or lost. The coordinator's
+// retransmissions dial P while it is down and P's recovery dials back, yet
+// every node pair ends on one connection.
 func TestRetransmittedCallReachesRestartedParticipant(t *testing.T) {
 	for _, backing := range []string{"memory", "file"} {
 		t.Run(backing, func(t *testing.T) {
+			open0 := tcpConnections(t)
 			nw := tcpnet.NewNetwork()
 			newNode := func(wrap func(*tcpnet.Endpoint) node.Endpoint) *node.Node {
 				ep, err := nw.Listen("127.0.0.1:0")
@@ -276,6 +280,22 @@ func TestRetransmittedCallReachesRestartedParticipant(t *testing.T) {
 					t.Fatalf("account %d reads %d in memory and %d in the store after the abort, want 100", i, got, stable)
 				}
 			}
+			// Three pairs talked — the coordinator with Q and with P, and Q
+			// with P for its reads — each counted at both of its ends.
+			if err := waitUntil(func() bool { return tcpConnections(t)-open0 == 6 }); err != nil {
+				t.Fatalf("%d connections open for three node pairs, want 6: a pair is on two", tcpConnections(t)-open0)
+			}
 		})
 	}
+}
+
+// tcpConnections reads the open TCP connections of every endpoint in the
+// process, as mca_tcpnet_connections counts them.
+func tcpConnections(t *testing.T) int {
+	t.Helper()
+	fam, ok := metrics.Default().Find("mca_tcpnet_connections")
+	if !ok || len(fam.Samples) != 1 {
+		t.Fatal("mca_tcpnet_connections not registered as one gauge")
+	}
+	return int(fam.Samples[0].Value)
 }

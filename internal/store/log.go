@@ -94,7 +94,7 @@ var (
 type logRecord struct {
 	kind   logKind
 	action ids.ActionID // kindIntention, kindForget
-	in     *Intention   // kindIntention
+	in     Intention    // kindIntention
 	batch  Batch        // kindBatch
 	// noInstall leaves a forced batch out of the object cache, which
 	// took it already (ApplyBatchLazy).
@@ -136,7 +136,7 @@ func appendLogRecord(buf []byte, r *logRecord) ([]byte, error) {
 	buf = append(buf, 0, 0, 0, 0, 0, 0, 0, 0, byte(r.kind))
 	switch r.kind {
 	case kindIntention:
-		in := r.in
+		in := &r.in
 		buf = wire.AppendUvarint(buf, uint64(in.Action))
 		buf = append(buf, byte(in.Status))
 		buf = wire.AppendUvarint(buf, uint64(in.Coordinator))
@@ -199,7 +199,8 @@ func decodeLogRecord(buf []byte) (logRecord, int, error) {
 	r := wire.NewReader(buf[logHeaderLen+1 : end])
 	switch rec.kind {
 	case kindIntention:
-		in := &Intention{Action: ids.ActionID(r.Uvarint())}
+		in := &rec.in
+		in.Action = ids.ActionID(r.Uvarint())
 		in.Status = IntentionStatus(r.Byte())
 		in.Coordinator = ids.NodeID(r.Uvarint())
 		if np := r.Count(1); np > 0 {
@@ -212,7 +213,7 @@ func decodeLogRecord(buf []byte) (logRecord, int, error) {
 		if in.Status < IntentionPrepared || in.Status > IntentionAborted {
 			r.Fail()
 		}
-		rec.action, rec.in = in.Action, in
+		rec.action = in.Action
 	case kindForget:
 		rec.action = ids.ActionID(r.Uvarint())
 	case kindBatch:
@@ -236,7 +237,7 @@ type logImage struct {
 func (img *logImage) apply(r *logRecord) {
 	switch r.kind {
 	case kindIntention:
-		img.index[r.action] = *r.in
+		img.index[r.action] = r.in
 	case kindForget:
 		delete(img.index, r.action)
 	}
@@ -539,7 +540,7 @@ func writeCheckpoint(f *os.File, img *logImage) (int64, error) {
 	chunk := logRecord{kind: kindBatch, batch: Batch{Writes: make(map[ids.ObjectID]State)}}
 	for a := range img.index {
 		in := img.index[a]
-		rec := logRecord{kind: kindIntention, action: a, in: &in}
+		rec := logRecord{kind: kindIntention, action: a, in: in}
 		if err := emit(&rec); err != nil {
 			return 0, err
 		}

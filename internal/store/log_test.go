@@ -25,7 +25,7 @@ func sampleRecords() []logRecord {
 		Writes:       Batch{Writes: map[ids.ObjectID]State{9: State("nine")}, Deletes: []ids.ObjectID{10}},
 	}
 	return []logRecord{
-		{kind: kindIntention, action: in.Action, in: &in},
+		{kind: kindIntention, action: in.Action, in: in},
 		{kind: kindForget, action: 7},
 		{kind: kindBatch, batch: Batch{Writes: map[ids.ObjectID]State{1: State("one"), 2: {}}, Deletes: []ids.ObjectID{3, 300}}},
 	}
@@ -51,12 +51,12 @@ func normBatch(b Batch) (map[ids.ObjectID]string, []ids.ObjectID) {
 }
 
 func sameRecord(a, b logRecord) bool {
-	if a.kind != b.kind || a.action != b.action || (a.in == nil) != (b.in == nil) {
+	if a.kind != b.kind || a.action != b.action {
 		return false
 	}
 	ab, bb := a.batch, b.batch
-	if a.in != nil {
-		x, y := *a.in, *b.in
+	if a.kind == kindIntention {
+		x, y := a.in, b.in
 		ab, bb = x.Writes, y.Writes
 		x.Writes, y.Writes = Batch{}, Batch{}
 		if len(x.Participants) == 0 && len(y.Participants) == 0 {
@@ -100,7 +100,7 @@ func TestLogRecordGolden(t *testing.T) {
 	}
 	in := Intention{Action: 1, Status: IntentionPrepared, Coordinator: 2,
 		Writes: Batch{Writes: map[ids.ObjectID]State{5: State("v")}}}
-	got = hex.EncodeToString(mustFrame(t, logRecord{kind: kindIntention, action: 1, in: &in})[logHeaderLen:])
+	got = hex.EncodeToString(mustFrame(t, logRecord{kind: kindIntention, action: 1, in: in})[logHeaderLen:])
 	if want := "01" + "01" + "01" + "02" + "00" + "01" + "05" + "01" + "76" + "00"; got != want {
 		t.Fatalf("intention payload = %s, want %s", got, want)
 	}

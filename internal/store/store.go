@@ -475,5 +475,5 @@ type IntentionLog Stable
 // returning once the batch containing it is forced. The log keeps in as
 // given: the caller must not change its write set afterwards.
 func (l *IntentionLog) Record(in Intention) error {
-	return l.d.wal.append(l.gen, logRecord{kind: kindIntention, action: in.Action, in: &in})
+	return l.d.wal.append(l.gen, logRecord{kind: kindIntention, action: in.Action, in: in})
 }

@@ -37,7 +37,8 @@ var (
 )
 
 // walBatch is one group-commit unit: every record appended while the
-// batch was open becomes durable with a single force.
+// batch was open becomes durable with a single force. Once its last waiter
+// has read the outcome, the batch and its buffers serve the next one.
 type walBatch struct {
 	entries []logRecord
 	// frames is the entries' on-disk encoding, in order (file backing
@@ -55,9 +56,11 @@ type walBatch struct {
 	seq uint64
 
 	// flushed says err is the outcome; a waiting follower makes done.
+	// waiters counts the appenders that have yet to read the outcome.
 	flushed bool
 	err     error
 	done    chan struct{}
+	waiters int
 }
 
 // hasIntention reports whether the batch holds an intention record for
@@ -129,9 +132,8 @@ type WAL struct {
 	// takes a fresh number for both.
 	seq, forced uint64
 	flushing    bool
-	// spare and spareEntries are a drained batch's buffers, for the next.
-	spare        []byte
-	spareEntries []logRecord
+	// free is a batch whose outcome every waiter has read, for the next.
+	free *walBatch
 
 	// flushMu serialises forces (one log head), and with them
 	// compaction, recovery's replay and closing the file.
@@ -276,10 +278,28 @@ func (w *WAL) joinLocked(gen uint64, e *logRecord) (*walBatch, error) {
 	}
 	if w.cur == nil {
 		w.seq++
-		w.cur = &walBatch{gen: gen, seq: w.seq, frames: w.spare, entries: w.spareEntries}
-		w.spare, w.spareEntries = nil, nil
+		b := w.free
+		if b == nil {
+			b = &walBatch{}
+		}
+		w.free = nil
+		*b = walBatch{gen: gen, seq: w.seq, entries: b.entries, frames: b.frames[:0]}
+		w.cur = b
 	}
 	return w.cur, w.add(w.cur, e)
+}
+
+// releaseLocked keeps the flushed batch b for the next one to open once no
+// appender waits on it any more, unless a batch is kept already or b's
+// buffers have grown past maxSpareFrames or maxSpareEntries. Its outcome
+// stays readable until then. Called with mu held.
+func (w *WAL) releaseLocked(b *walBatch) {
+	if b.waiters > 0 || w.free != nil || cap(b.frames) > maxSpareFrames || cap(b.entries) > maxSpareEntries {
+		return
+	}
+	clear(b.entries)
+	b.entries = b.entries[:0]
+	w.free = b
 }
 
 // kickLocked makes sure a flusher is draining batches, for a caller that
@@ -296,21 +316,27 @@ func (w *WAL) kickLocked() {
 // the caller, draining every wanted batch, when no flush is running, else
 // by the flush that is. Called with mu held, which it releases.
 func (w *WAL) awaitLocked(b *walBatch) error {
+	b.waiters++
 	for !b.flushed && !w.flushing {
 		w.flushing = true
 		w.mu.Unlock()
 		w.flushLoop()
 		w.mu.Lock()
 	}
-	if !b.flushed && b.done == nil {
-		b.done = make(chan struct{})
+	if !b.flushed {
+		if b.done == nil {
+			b.done = make(chan struct{})
+		}
+		done := b.done
+		w.mu.Unlock()
+		<-done // closed once err is set
+		w.mu.Lock()
 	}
-	flushed := b.flushed
+	err := b.err
+	b.waiters--
+	w.releaseLocked(b)
 	w.mu.Unlock()
-	if !flushed {
-		<-b.done // closed once err is set
-	}
-	return b.err
+	return err
 }
 
 // append adds the record of incarnation gen to the open batch and waits
@@ -396,6 +422,7 @@ func (w *WAL) flushLoop() {
 			w.mu.Unlock()
 			return
 		}
+		seq := b.seq
 		// Hold the batch open for the window or, before an fsync on one
 		// processor, for the appenders already runnable to join: nothing
 		// else runs there between a leader's append and its force.
@@ -406,7 +433,7 @@ func (w *WAL) flushLoop() {
 			runtime.Gosched()
 		}
 		w.mu.Lock()
-		if w.cur != b {
+		if w.cur != b || b.seq != seq {
 			w.mu.Unlock() // a crash dropped it meanwhile
 			continue
 		}
@@ -419,7 +446,7 @@ func (w *WAL) flushLoop() {
 }
 
 // maxSpareFrames and maxSpareEntries bound the frame buffer and record
-// slice kept between batches, so one huge batch does not pin them.
+// slice of a batch kept for the next, so one huge batch does not pin them.
 const maxSpareFrames, maxSpareEntries = 64 << 10, 1024
 
 // flush forces the batch and, on success, installs its records: the
@@ -436,7 +463,7 @@ func (w *WAL) flush(b *walBatch) {
 		for i := range b.entries {
 			switch e := &b.entries[i]; e.kind {
 			case kindIntention:
-				w.index[e.action] = *e.in
+				w.index[e.action] = e.in
 			case kindForget:
 				delete(w.index, e.action)
 			}
@@ -448,9 +475,6 @@ func (w *WAL) flush(b *walBatch) {
 	}
 	if w.inflight == b {
 		w.inflight = nil
-	}
-	if w.spare == nil && cap(b.frames) <= maxSpareFrames {
-		w.spare = b.frames[:0]
 	}
 	w.mu.Unlock()
 	if err == nil {
@@ -480,13 +504,11 @@ func (w *WAL) flush(b *walBatch) {
 	}
 	w.mu.Lock()
 	b.flushed, b.err = true, err
-	if w.spareEntries == nil && cap(b.entries) <= maxSpareEntries {
-		clear(b.entries)
-		w.spareEntries = b.entries[:0]
-	}
+	done := b.done // made before flushed was set, if at all
+	w.releaseLocked(b)
 	w.mu.Unlock()
-	if b.done != nil { // made before flushed was set, if at all
-		close(b.done)
+	if done != nil {
+		close(done)
 	}
 }
 
@@ -532,6 +554,7 @@ func (w *WAL) dropOpen() {
 			//mcalint:ignore forceorder the batch completes failed: its appenders learn that nothing in it is durable
 			close(b.done)
 		}
+		w.releaseLocked(b)
 	}
 	w.seq++
 	w.forced = w.seq

@@ -276,3 +276,126 @@ func TestNoLostWakeup(t *testing.T) {
 		t.Fatalf("slowest call took %v, want far below the %v retransmission interval: a wake-up was lost", worst, retry)
 	}
 }
+
+// gaugeValue reads an unlabelled gauge.
+func gaugeValue(t *testing.T, name string) int64 {
+	t.Helper()
+	fam, ok := metrics.Default().Find(name)
+	if !ok || len(fam.Samples) != 1 {
+		t.Fatalf("metric %s not registered as one unlabelled gauge", name)
+	}
+	return int64(fam.Samples[0].Value)
+}
+
+// waitFor polls cond until it holds, failing the test after 5 s.
+func waitFor(t *testing.T, what string, cond func() bool) {
+	t.Helper()
+	for deadline := time.Now().Add(5 * time.Second); !cond(); time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("timed out waiting until %s", what)
+		}
+	}
+}
+
+// TestSimultaneousDialsEndOnOneConnection has two fresh endpoints send to
+// each other at once, so both may dial, over 20 rounds. Within a bounded
+// time each end holds one open connection, which the gauge counts at both
+// ends; every datagram arrives once, and a datagram each way afterwards
+// rides that connection without a dial.
+func TestSimultaneousDialsEndOnOneConnection(t *testing.T) {
+	const (
+		rounds = 20
+		n      = 50
+	)
+	dials0 := dialsOK(t)
+	for range rounds {
+		open0 := gaugeValue(t, "mca_tcpnet_connections")
+		nw := tcpnet.NewNetwork()
+		a, b := newEndpoint(t, nw), newEndpoint(t, nw)
+		inA, inB := inbox(a), inbox(b)
+		start := make(chan struct{})
+		var wg sync.WaitGroup
+		for _, ends := range [][2]*tcpnet.Endpoint{{a, b}, {b, a}} {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				<-start
+				for i := range n {
+					if err := ends[0].Send(ends[1].ID(), []byte{byte(i)}); err != nil {
+						t.Error(err)
+					}
+				}
+			}()
+		}
+		close(start)
+		wg.Wait()
+		for _, in := range []<-chan rpc.Datagram{inA, inB} {
+			var seen [n]bool
+			for _, d := range recvN(t, in, n, 5*time.Second) {
+				if seen[d.Payload[0]] {
+					t.Fatalf("datagram %d delivered twice", d.Payload[0])
+				}
+				seen[d.Payload[0]] = true
+			}
+		}
+		// A dial that lost to a route made meanwhile was closed unused, and
+		// the other end may accept it late: it stays open until read.
+		onePair := func() bool {
+			return a.OpenConns() == 1 && b.OpenConns() == 1 && gaugeValue(t, "mca_tcpnet_connections")-open0 == 2
+		}
+		waitFor(t, "the pair is on one connection, counted at both ends", onePair)
+		dials := dialsOK(t)
+		for _, ends := range [][2]*tcpnet.Endpoint{{a, b}, {b, a}} {
+			if err := ends[0].Send(ends[1].ID(), []byte{n}); err != nil {
+				t.Fatal(err)
+			}
+		}
+		recvN(t, inA, 1, 5*time.Second)
+		recvN(t, inB, 1, 5*time.Second)
+		waitFor(t, "the pair stays on one connection", onePair)
+		if d := dialsOK(t) - dials; d != 0 {
+			t.Fatalf("a datagram each way over one connection dialed %d more", d)
+		}
+		a.Close()
+		b.Close()
+	}
+	t.Logf("%d rounds dialed %d connections", rounds, dialsOK(t)-dials0)
+}
+
+// TestRestartedEndpointEndsOnOneConnection: B crashes while A's call to
+// it retransmits, so A dials B while B is down; B restarts and calls A
+// before A's next retransmission, dialing A too. Whichever of the two has
+// the lower id, both calls return and the pair ends on one connection.
+func TestRestartedEndpointEndsOnOneConnection(t *testing.T) {
+	for _, crashed := range []string{"lower", "higher"} {
+		t.Run(crashed, func(t *testing.T) {
+			nw := tcpnet.NewNetwork()
+			a, b := newEndpoint(t, nw), newEndpoint(t, nw) // a's id is the lower
+			if crashed == "lower" {
+				a, b = b, a
+			}
+			opts := rpc.Options{RetryInterval: 200 * time.Millisecond, CallTimeout: 10 * time.Second}
+			pa, pb := echoPeer(t, a, opts), echoPeer(t, b, opts)
+			ctx := context.Background()
+			if _, err := pa.CallRaw(ctx, b.ID(), "echo", []byte("warm")); err != nil {
+				t.Fatal(err)
+			}
+			dials0 := dialsOK(t)
+			b.Crash()
+			called := make(chan error, 1)
+			go func() {
+				_, err := pa.CallRaw(ctx, b.ID(), "echo", []byte("retransmitted"))
+				called <- err
+			}()
+			waitFor(t, "A dials B while B is down", func() bool { return dialsOK(t) > dials0 })
+			b.Restart()
+			if _, err := pb.CallRaw(ctx, a.ID(), "echo", []byte("first after restart")); err != nil {
+				t.Fatal(err)
+			}
+			if err := <-called; err != nil {
+				t.Fatal(err)
+			}
+			waitFor(t, "the pair is on one connection", func() bool { return a.OpenConns() == 1 && b.OpenConns() == 1 })
+		})
+	}
+}

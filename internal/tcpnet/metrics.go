@@ -24,6 +24,10 @@ var (
 	// reads counts read calls on connections, each one syscall on unix:
 	// with writeBatches it gives the transport's syscalls.
 	reads *metrics.Counter
+
+	// connections counts the open connections, dialed or accepted: a
+	// node pair on one connection counts one at each end.
+	connections *metrics.Gauge
 )
 
 func init() {
@@ -49,4 +53,6 @@ func init() {
 		"Datagrams dropped because 256 frames already waited behind a write.")
 	reads = r.Counter("mca_tcpnet_reads_total",
 		"Read syscalls on connections (read calls where the OS has no unix poller).")
+	connections = r.Gauge("mca_tcpnet_connections",
+		"Open connections, dialed or accepted, each read by a loop of its own.")
 }

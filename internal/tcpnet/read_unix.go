@@ -25,7 +25,15 @@ import (
 // filled its room (or was interrupted) reads again at once, in a new call
 // whose first read sees whatever came, so a Close, which waits for the
 // callback to return, waits for one read at most.
-func readConn(nc net.Conn, p *parser, deliver func(rpc.Datagram)) error {
+//
+// A FIN raises no notification of its own when it arrives with the last
+// bytes before a read, and that read returns the bytes without the EOF:
+// after a short read a connection that waits would miss it. On a
+// connection that routes nowhere (routed false) — one a dial race's loser
+// half-closes — the loop reads on after a short read, until the socket is
+// empty or closed. A routed connection learns of its peer's close from
+// its own next write.
+func readConn(nc net.Conn, p *parser, deliver func(rpc.Datagram), routed func() bool) error {
 	rc, err := nc.(*net.TCPConn).SyscallConn()
 	if err != nil {
 		return err
@@ -41,7 +49,7 @@ func readConn(nc net.Conn, p *parser, deliver func(rpc.Datagram)) error {
 				return false
 			case err == nil && n > 0:
 				failed = p.parse(n, deliver)
-				return failed != nil || n == len(space)
+				return failed != nil || n == len(space) || !routed()
 			case err != syscall.EINTR:
 				failed = cmp.Or(err, io.EOF)
 			}

@@ -9,10 +9,12 @@
 // discovery service. Two endpoints share one connection, read at both
 // ends: the first to send dials, and the other takes the accepted
 // connection as its route back, so a reply goes out on the connection its
-// request came in on. Two that dial each other at once may keep two
-// connections; both are read. Delivery is pushed: a connection's read
-// loop hands every frame to the SetDeliver function (the RPC peer's
-// dispatch).
+// request came in on. When both dial — at once, or one while the other was
+// down — the connection dialed by the lower node id wins: the other end
+// moves its route to it and half-closes its own once its writes are done,
+// so every frame on the loser is read before both ends drop it. Delivery is
+// pushed: a connection's read loop hands every frame to the SetDeliver
+// function (the RPC peer's dispatch).
 //
 // The send path coalesces with no goroutine of its own. A Send that
 // finds no write in flight becomes the writer: it yields so that
@@ -33,6 +35,7 @@ import (
 	"net"
 	"runtime"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"mca/internal/clock"
@@ -125,17 +128,22 @@ func (n *Network) Register(id ids.NodeID, addr string) {
 // flight wait in pending; the writer takes them all for its next writev.
 type conn struct {
 	nc     net.Conn
+	dialed bool       // this endpoint dialed it
 	to     ids.NodeID // the node it is the route to, once routed is set
-	routed bool       // by the dial or the adoption, under the endpoint's mu
+	// routed is set by the dial or the adoption, under the endpoint's mu;
+	// the read loop reads it too.
+	routed atomic.Bool
 
 	mu      sync.Mutex
 	pending []*[]byte // staged frames, in Send order
 	writing bool      // a writer owns the connection and writes pending
 	busy    bool      // the last write carried other Sends' frames too
+	retired bool      // a dial race's loser: no Send stages on it any more
 
 	// Owned by the writer.
 	spare    []*[]byte   // the other pending array, swapped per batch
 	bufs     net.Buffers // the writev vector
+	iov      net.Buffers // the header of bufs that a writev consumes
 	deadline time.Time   // the connection's armed write deadline
 }
 
@@ -216,29 +224,43 @@ func (e *Endpoint) acceptLoop() {
 // endpoint not closed.
 func (e *Endpoint) openLocked(c *conn) {
 	e.conns[c] = struct{}{}
+	connections.Inc()
 	e.wg.Add(1)
 	go func() {
 		defer e.wg.Done()
 		defer e.drop(c)
 		// Why it failed changes nothing: the RPC layer retransmits.
-		_ = readConn(c.nc, &parser{buf: make([]byte, readChunk)}, func(d rpc.Datagram) { e.receive(c, d) })
+		_ = readConn(c.nc, &parser{buf: make([]byte, readChunk)}, func(d rpc.Datagram) { e.receive(c, d) }, c.routed.Load)
 	}()
 }
 
 // receive hands a datagram read from c to the deliver function. A
 // connection that routes nowhere becomes the route to the sender the
-// frame header names (trusted, as rpc trusts it), unless there is one.
-// A crashed endpoint drops the datagram and adopts nothing.
+// frame header names (trusted, as rpc trusts it), unless there is one —
+// or the one there is this endpoint dialed, and the sender's id is the
+// lower: then both ends dialed, the sender's dial wins, and this end's
+// retires. A crashed endpoint drops the datagram and adopts nothing.
 func (e *Endpoint) receive(c *conn, d rpc.Datagram) {
 	tcpBytesRead.Add(uint64(len(d.Payload)))
 	d.To = e.id
+	var loser *conn
 	e.mu.Lock()
 	up, deliver := !e.closed && !e.crashed, e.deliver
-	if _, ok := e.routes[d.From]; up && !c.routed && !ok {
-		e.routes[d.From] = c
-		c.to, c.routed = d.From, true
+	if up && !c.routed.Load() {
+		r, ok := e.routes[d.From]
+		if ok && r.dialed && d.From < e.id {
+			loser, ok = r, false
+		}
+		if !ok {
+			e.routes[d.From] = c
+			c.to = d.From
+			c.routed.Store(true)
+		}
 	}
 	e.mu.Unlock()
+	if loser != nil {
+		loser.retire()
+	}
 	switch {
 	case !up: // fail-silent: frames to a crashed node are lost
 	case deliver == nil:
@@ -284,31 +306,21 @@ func (e *Endpoint) Send(to ids.NodeID, payload []byte) error {
 	if len(payload) > maxFrame {
 		return ErrTooLarge
 	}
-	e.mu.Lock()
-	if e.closed {
-		e.mu.Unlock()
-		return ErrClosed
+	c, err := e.route(to)
+	if c == nil {
+		return err
 	}
-	if e.crashed {
-		e.mu.Unlock()
-		return ErrCrashed
-	}
-	c, ok := e.routes[to]
-	e.mu.Unlock()
-
-	if !ok {
-		var err error
-		c, err = e.dial(to)
-		if err != nil {
-			return err
-		}
-		if c == nil {
-			return nil // destination down: datagram lost, retransmission will retry
-		}
-	}
-
 	frame := stageFrame(e.id, payload)
 	c.mu.Lock()
+	for c.retired {
+		// A dial race's loser: the route has moved on.
+		c.mu.Unlock()
+		if c, err = e.route(to); c == nil {
+			putTCPFrame(frame)
+			return err
+		}
+		c.mu.Lock()
+	}
 	if len(c.pending) >= maxPending {
 		// The write in flight is stuck or outrun: drop, keeping Send
 		// non-blocking (datagram semantics).
@@ -329,6 +341,27 @@ func (e *Endpoint) Send(to ids.NodeID, payload []byte) error {
 		e.write(c, true)
 	}
 	return nil
+}
+
+// route returns the connection Send writes to on, dialed if there is
+// none. A nil connection with a nil error means the destination was
+// unreachable: the datagram is lost, and retransmission will retry.
+func (e *Endpoint) route(to ids.NodeID) (*conn, error) {
+	e.mu.Lock()
+	if e.closed {
+		e.mu.Unlock()
+		return nil, ErrClosed
+	}
+	if e.crashed {
+		e.mu.Unlock()
+		return nil, ErrCrashed
+	}
+	c, ok := e.routes[to]
+	e.mu.Unlock()
+	if ok {
+		return c, nil
+	}
+	return e.dial(to)
 }
 
 // dial establishes the route to a destination, or takes one made
@@ -365,7 +398,8 @@ func (e *Endpoint) dial(to ids.NodeID) (*conn, error) {
 		fresh.Close()
 		return existing, nil
 	}
-	c := &conn{nc: fresh, to: to, routed: true}
+	c := &conn{nc: fresh, dialed: true, to: to}
+	c.routed.Store(true)
 	e.routes[to] = c
 	e.openLocked(c)
 	return c, nil
@@ -374,8 +408,11 @@ func (e *Endpoint) dial(to ids.NodeID) (*conn, error) {
 // drop closes c and takes it out of the connection table.
 func (e *Endpoint) drop(c *conn) {
 	e.mu.Lock()
-	delete(e.conns, c)
-	if c.routed && e.routes[c.to] == c {
+	if _, ok := e.conns[c]; ok {
+		delete(e.conns, c)
+		connections.Dec()
+	}
+	if c.routed.Load() && e.routes[c.to] == c {
 		delete(e.routes, c.to)
 	}
 	e.mu.Unlock()
@@ -415,6 +452,7 @@ func (e *Endpoint) write(c *conn, caller bool) {
 		} else {
 			c.writing = len(staged) > 0
 		}
+		retired := c.retired
 		c.mu.Unlock()
 		if err != nil {
 			writeDrops.Add(uint64(len(batch) + len(staged)))
@@ -428,11 +466,36 @@ func (e *Endpoint) write(c *conn, caller bool) {
 		writeBatchFrames.Add(uint64(len(batch)))
 		tcpBytesWritten.Add(uint64(n))
 		if len(staged) == 0 {
+			if retired {
+				c.closeWrite()
+			}
 			return
 		}
 		if caller && e.handOff(c) {
 			return
 		}
+	}
+}
+
+// retire takes c, a dial race's loser, out of service: a Send that picked
+// it before the route moved reads the route again, and once its writer is
+// idle it is half-closed. The other end reads every frame written on it,
+// then EOF, and drops it, and this end drops it at the other's close.
+func (c *conn) retire() {
+	c.mu.Lock()
+	c.retired = true
+	idle := !c.writing
+	c.mu.Unlock()
+	if idle {
+		c.closeWrite()
+	}
+}
+
+// closeWrite half-closes c: its writes are over, its reads go on.
+func (c *conn) closeWrite() {
+	if tc, ok := c.nc.(*net.TCPConn); ok {
+		//mcalint:ignore errdrop a failed half-close leaves the connection to the other end's close or a failed read
+		_ = tc.CloseWrite()
 	}
 }
 
@@ -486,9 +549,10 @@ func (c *conn) writeBatch(batch []*[]byte) (int64, error) {
 		c.bufs = append(c.bufs, *f)
 	}
 	// WriteTo consumes the slice it is given, so hand it a separate
-	// header.
-	consumable := c.bufs
-	n, err := consumable.WriteTo(c.nc)
+	// header, which the connection owns: one on the stack would escape.
+	c.iov = c.bufs
+	n, err := c.iov.WriteTo(c.nc)
+	c.iov = nil
 	clear(c.bufs)
 	c.bufs = c.bufs[:0]
 	return n, err
@@ -500,6 +564,7 @@ func (e *Endpoint) teardownConns() {
 	conns := e.conns
 	e.conns = make(map[*conn]struct{})
 	clear(e.routes)
+	connections.Add(-int64(len(conns)))
 	e.mu.Unlock()
 	for c := range conns {
 		c.nc.Close()

@@ -37,8 +37,8 @@ func (h *samplerHarness) txn(t *testing.T, d time.Duration, abort bool) uint64 {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// Begin fires before StartTrace, like dist.Manager.Begin does: the
-	// root's span is open, untraced, when it is bound.
+	// Begin fires before StartTrace: the root's span is open, untraced,
+	// when it is bound.
 	tc := h.rec.StartTrace(a.ID())
 	h.clk.Advance(d)
 	if abort {

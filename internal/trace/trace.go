@@ -95,8 +95,8 @@ func (r *Recorder) SetSampler(s *Sampler) {
 }
 
 // StartTrace makes the action the root of a fresh distributed trace
-// and returns its span context. Used by the coordinator when a
-// distributed transaction begins.
+// and returns its span context. (A dist transaction owns no action at its
+// coordinator: it records its root span itself, with AddSpan.)
 func (r *Recorder) StartTrace(id ids.ActionID) Context {
 	return r.bind(id, func() traceBinding { return traceBinding{tc: NewRoot()} })
 }
