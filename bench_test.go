@@ -265,8 +265,9 @@ func BenchmarkFig1NestedActions(b *testing.B) {
 // BenchmarkFig4SerializingVsFig5Glued compares the two handover
 // organisations: the serializing action holds all of O; the glued pair
 // passes only P, so its critical section is smaller. The benchmark
-// reports the structure cost itself (no background load; E3 in
-// cmd/experiments measures the concurrency effect).
+// reports the structure cost itself (no background load;
+// TestFig4HandoverProtection in internal/structures shows the
+// concurrency effect: glued frees O−P for outsiders, serializing does not).
 func BenchmarkFig4SerializingVsFig5Glued(b *testing.B) {
 	const oSize, pSize = 32, 4
 	makeObjs := func() []*object.Managed[int] {

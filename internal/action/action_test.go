@@ -545,35 +545,62 @@ func TestPermanenceFailureAborts(t *testing.T) {
 }
 
 func TestConcurrentNestedActionsFig1(t *testing.T) {
-	// Fig 1: B and C concurrent within A, touching disjoint objects.
-	rt := action.NewRuntime()
-	rB := newReg("b0", nil)
-	rC := newReg("c0", nil)
+	// Fig 1's outcome matrix: B and C run concurrently within A, touching
+	// disjoint objects. A child's abort undoes only its own write; A's
+	// abort undoes both children's committed writes.
+	boom := errors.New("boom")
+	for _, tc := range []struct {
+		name           string
+		bFails, cFails bool
+		aAborts        bool
+		wantB, wantC   string
+	}{
+		{"all commit", false, false, false, "b1", "c1"},
+		{"B aborts", true, false, false, "b0", "c1"},
+		{"C aborts", false, true, false, "b1", "c0"},
+		{"A aborts after both commit", false, false, true, "b0", "c0"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := action.NewRuntime()
+			rB := newReg("b0", nil)
+			rC := newReg("c0", nil)
 
-	a := mustBegin(t, rt)
-	var wg sync.WaitGroup
-	errs := make(chan error, 2)
-	run := func(r *reg, v string) {
-		defer wg.Done()
-		errs <- a.Run(func(child *action.Action) error {
-			return r.writeErr(child, colour.None, v)
+			a := mustBegin(t, rt)
+			var wg sync.WaitGroup
+			errs := make(chan error, 2)
+			run := func(r *reg, v string, fail bool) {
+				defer wg.Done()
+				errs <- a.Run(func(child *action.Action) error {
+					if err := r.writeErr(child, colour.None, v); err != nil {
+						return err
+					}
+					if fail {
+						return boom
+					}
+					return nil
+				})
+			}
+			wg.Add(2)
+			go run(rB, "b1", tc.bFails)
+			go run(rC, "c1", tc.cFails)
+			wg.Wait()
+			close(errs)
+			for err := range errs {
+				if err != nil && !errors.Is(err, boom) {
+					t.Fatalf("concurrent child: %v", err)
+				}
+			}
+			end := a.Commit
+			if tc.aAborts {
+				end = a.Abort
+			}
+			if err := end(); err != nil {
+				t.Fatal(err)
+			}
+			if rB.get() != tc.wantB || rC.get() != tc.wantC {
+				t.Fatalf("values = %q, %q; want %q, %q", rB.get(), rC.get(), tc.wantB, tc.wantC)
+			}
 		})
-	}
-	wg.Add(2)
-	go run(rB, "b1")
-	go run(rC, "c1")
-	wg.Wait()
-	close(errs)
-	for err := range errs {
-		if err != nil {
-			t.Fatalf("concurrent child: %v", err)
-		}
-	}
-	if err := a.Commit(); err != nil {
-		t.Fatal(err)
-	}
-	if rB.get() != "b1" || rC.get() != "c1" {
-		t.Fatalf("values = %q, %q", rB.get(), rC.get())
 	}
 }
 

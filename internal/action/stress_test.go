@@ -2,15 +2,20 @@ package action_test
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
 	"unsafe"
 
 	"mca/internal/action"
+	"mca/internal/clock"
 	"mca/internal/colour"
 	"mca/internal/lock"
+	"mca/internal/object"
+	"mca/internal/workload"
 )
 
 // TestActionTreeStorm hammers one runtime with concurrent goroutines
@@ -211,5 +216,55 @@ func TestRegistryHammer(t *testing.T) {
 func TestActionSize(t *testing.T) {
 	if n := unsafe.Sizeof(action.Action{}); n > 224 {
 		t.Fatalf("sizeof(Action) = %d bytes, over its 224-byte size class", n)
+	}
+}
+
+// TestTransfersConserveMoney runs concurrent transfers between random
+// pairs of a small hot set of accounts at 1, 2, 4 and 8 workers: under
+// two-phase locking the total holds whatever the interleaving. A transfer
+// may end in a clean abort (ErrDeadlock, ErrAborted); any other error
+// fails the test.
+func TestTransfersConserveMoney(t *testing.T) {
+	const accounts, opsPerWorker = 8, 150
+	for _, workers := range []int{1, 2, 4, 8} {
+		t.Run(fmt.Sprintf("workers=%d", workers), func(t *testing.T) {
+			rt := action.NewRuntime()
+			objs := make([]*object.Managed[int], accounts)
+			for i := range objs {
+				objs[i] = object.New(1000)
+			}
+			var aborts atomic.Int64
+			res := workload.Run(clock.Real(), workers, opsPerWorker, func(w, i int) error {
+				h := (w*opsPerWorker + i) * 2654435761
+				from, to := objs[h%accounts], objs[(h/accounts)%accounts]
+				if from == to {
+					return nil
+				}
+				err := rt.Run(func(a *action.Action) error {
+					if err := from.Write(a, func(v *int) error { *v -= 2; return nil }); err != nil {
+						return err
+					}
+					return to.Write(a, func(v *int) error { *v += 2; return nil })
+				})
+				if errors.Is(err, lock.ErrDeadlock) || errors.Is(err, action.ErrAborted) {
+					aborts.Add(1)
+					return nil
+				}
+				return err
+			})
+			if res.Errors != 0 {
+				t.Fatalf("%d of %d transfers failed other than by a clean abort: %v", res.Errors, res.Ops, res.ErrKinds)
+			}
+			total := 0
+			for _, m := range objs {
+				total += m.Peek()
+			}
+			if total != accounts*1000 {
+				t.Fatalf("total = %d after %d transfers (%d aborted), want %d", total, res.Ops, aborts.Load(), accounts*1000)
+			}
+			if n := rt.Locks().LockCount(); n != 0 {
+				t.Fatalf("%d locks left after the transfers", n)
+			}
+		})
 	}
 }

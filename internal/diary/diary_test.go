@@ -89,10 +89,18 @@ func TestArrangeNoCommonSlot(t *testing.T) {
 
 func TestArrangeNarrowingRounds(t *testing.T) {
 	// Fig 9: I1 selects candidates, I2..In narrow. The candidate
-	// counts must be non-increasing and match the narrowing.
+	// counts must be non-increasing and match the narrowing, and so
+	// must the locks the negotiation holds as each round begins.
 	rt := action.NewRuntime()
 	diaries := group(rt, 4, 16)
 	s := diary.NewScheduler(rt, diaries...)
+	var held []int
+	counted := func(narrow diary.NarrowFunc) diary.NarrowFunc {
+		return func(cs []int) []int {
+			held = append(held, rt.Locks().LockCount())
+			return narrow(cs)
+		}
+	}
 
 	keepEven := func(cs []int) []int {
 		var out []int
@@ -110,7 +118,7 @@ func TestArrangeNarrowingRounds(t *testing.T) {
 		return cs[len(cs)-1:]
 	}
 
-	chosen, err := s.Arrange([]int{1, 2, 3, 4, 5, 6, 7, 8}, "offsite", keepEven, keepLast)
+	chosen, err := s.Arrange([]int{1, 2, 3, 4, 5, 6, 7, 8}, "offsite", counted(keepEven), counted(keepLast))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,6 +131,9 @@ func TestArrangeNarrowingRounds(t *testing.T) {
 	}
 	if rounds[0] != 8 || rounds[1] != 4 || rounds[2] != 1 {
 		t.Fatalf("candidate narrowing = %v, want [8 4 1]", rounds)
+	}
+	if len(held) != 2 || held[1] >= held[0] {
+		t.Fatalf("locks held as rounds 2 and 3 begin = %v, want fewer in round 3", held)
 	}
 }
 

@@ -879,6 +879,8 @@ func pendingAt(t *testing.T, c *cluster, i int) []store.Intention {
 //     participant installs it once;
 //   - duplicateAfterForget: a commit delivered, acknowledged and forgotten
 //     arrives again; it changes nothing;
+//   - crashAfterVote: the participant crashes after its vote; Commit forces
+//     the decision and returns, and the restarted participant installs it;
 //   - silentParticipant: the participant's replies are lost after its vote;
 //     Commit returns committed all the same, and the participant installs
 //     once it is heard again.
@@ -965,6 +967,18 @@ func TestCommitCrashMatrixOnePhase(t *testing.T) {
 			}
 			if n := len(pendingAt(t, c, 1)); n != 0 {
 				t.Fatalf("late duplicate commit left %d records", n)
+			}
+			wantBalances(t, c, ctx, [3]int{100, 107, 100})
+		},
+		"crashAfterVote": func(t *testing.T, c *cluster, ctx context.Context) {
+			txn := begin(t, c, ctx, 7)
+			c.nodes[1].Crash()
+			if err := txn.Commit(ctx); err != nil {
+				t.Fatalf("Commit = %v, want nil: the participant voted before it crashed", err)
+			}
+			c.nodes[1].Restart()
+			if err := waitUntil(func() bool { return c.balanceAt(t, 1) == 107 }); err != nil {
+				t.Fatalf("P1 = %d after its restart, want the decided 107: %v", c.balanceAt(t, 1), err)
 			}
 			wantBalances(t, c, ctx, [3]int{100, 107, 100})
 		},

@@ -4,6 +4,7 @@ import (
 	"context"
 	"encoding/json"
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"sync/atomic"
@@ -415,19 +416,25 @@ func TestCoordinatorCrashAfterDecisionRedrivesCompletion(t *testing.T) {
 }
 
 func TestCommitUnderMessageLoss(t *testing.T) {
-	c := newCluster(t, netsim.Config{LossRate: 0.3, Seed: 9})
-	ctx := context.Background()
+	// Retransmission keeps every commit correct as message loss rises:
+	// each transfer commits and is applied at both participants.
+	for _, loss := range []float64{0, 0.1, 0.3} {
+		t.Run(fmt.Sprintf("loss=%.0f%%", loss*100), func(t *testing.T) {
+			c := newCluster(t, netsim.Config{LossRate: loss, Seed: 9})
+			ctx := context.Background()
 
-	for i := 0; i < 5; i++ {
-		if err := transfer(ctx, c, 1, 2, 4); err != nil {
-			t.Fatalf("transfer %d under loss: %v", i, err)
-		}
-	}
-	if got := c.balanceAt(t, 1); got != 80 {
-		t.Fatalf("P1 = %d, want 80", got)
-	}
-	if got := c.balanceAt(t, 2); got != 120 {
-		t.Fatalf("P2 = %d, want 120", got)
+			for i := 0; i < 5; i++ {
+				if err := transfer(ctx, c, 1, 2, 4); err != nil {
+					t.Fatalf("transfer %d under loss: %v", i, err)
+				}
+			}
+			if got := c.balanceAt(t, 1); got != 80 {
+				t.Fatalf("P1 = %d, want 80", got)
+			}
+			if got := c.balanceAt(t, 2); got != 120 {
+				t.Fatalf("P2 = %d, want 120", got)
+			}
+		})
 	}
 }
 

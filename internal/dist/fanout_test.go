@@ -194,3 +194,37 @@ func TestAbortRoundObserved(t *testing.T) {
 		t.Fatalf("abort round made %d calls, want 3", got)
 	}
 }
+
+// TestCommitAtOneToFourParticipants runs transactions that write at each
+// of 1 to 4 participants: every one commits, and every participant
+// applies every one.
+func TestCommitAtOneToFourParticipants(t *testing.T) {
+	opts := rpc.Options{RetryInterval: 5 * time.Millisecond, CallTimeout: 500 * time.Millisecond}
+	ctx := context.Background()
+	const txns = 10
+	for n := 1; n <= 4; n++ {
+		t.Run(fmt.Sprintf("participants=%d", n), func(t *testing.T) {
+			coord, nodes := fanoutCluster(t, n, opts)
+			for i := range txns {
+				if err := coord.Run(ctx, func(txn *dist.Txn) error {
+					for _, nd := range nodes {
+						if err := txn.Invoke(ctx, nd.ID(), "bank", "add", addArg{Delta: 1}, nil); err != nil {
+							return err
+						}
+					}
+					return nil
+				}); err != nil {
+					t.Fatalf("transaction %d: %v", i, err)
+				}
+			}
+			for _, nd := range nodes {
+				var out balanceResp
+				if err := coord.Run(ctx, func(txn *dist.Txn) error {
+					return txn.Invoke(ctx, nd.ID(), "bank", "get", struct{}{}, &out)
+				}); err != nil || out.Balance != 100+txns {
+					t.Fatalf("balance at %v = %d, %v; want %d", nd.ID(), out.Balance, err, 100+txns)
+				}
+			}
+		})
+	}
+}

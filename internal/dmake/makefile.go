@@ -113,9 +113,6 @@ func (mf *Makefile) checkAcyclic() error {
 // Rule returns the rule for a target, or nil for source files.
 func (mf *Makefile) Rule(target string) *Rule { return mf.rules[target] }
 
-// DefaultTarget returns the first rule's target, like make.
-func (mf *Makefile) DefaultTarget() string { return mf.order[0] }
-
 // Targets returns every target with a rule, sorted.
 func (mf *Makefile) Targets() []string {
 	out := make([]string, 0, len(mf.rules))
@@ -126,29 +123,8 @@ func (mf *Makefile) Targets() []string {
 	return out
 }
 
-// Sources returns every prerequisite that has no rule (leaf files),
-// sorted.
-func (mf *Makefile) Sources() []string {
-	seen := make(map[string]struct{})
-	var out []string
-	for _, r := range mf.rules {
-		for _, p := range r.Prereqs {
-			if mf.rules[p] != nil {
-				continue
-			}
-			if _, dup := seen[p]; dup {
-				continue
-			}
-			seen[p] = struct{}{}
-			out = append(out, p)
-		}
-	}
-	sort.Strings(out)
-	return out
-}
-
-// PaperMakefile is the makefile of paper §4 (iv), used by tests,
-// examples and the experiment harness.
+// PaperMakefile is the makefile of paper §4 (iv), used by tests and
+// examples.
 const PaperMakefile = `Test: Test0.o Test1.o
 	cc -o Test Test0.o Test1.o
 Test0.o: Test0.h Test1.h Test0.c

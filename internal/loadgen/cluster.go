@@ -2,8 +2,8 @@
 // TCP sockets (tcpnet) — with the open-loop workload generator, and
 // searches for capacity-at-SLO: the highest offered transaction rate
 // whose coordinated-omission-free latency quantile still meets a
-// target. cmd/loadgen is the CLI; cmd/experiments E25 publishes the
-// trajectory as BENCH_capacity.json.
+// target. cmd/loadgen is the CLI; `cmd/experiments -run E25
+// -capacityjson` writes the trajectory to BENCH_capacity.json.
 package loadgen
 
 import (

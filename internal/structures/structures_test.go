@@ -8,6 +8,7 @@ import (
 
 	"mca/internal/action"
 	"mca/internal/colour"
+	"mca/internal/ids"
 	"mca/internal/lock"
 	"mca/internal/object"
 	"mca/internal/store"
@@ -192,6 +193,80 @@ func TestFig3SerializingOutcomeIII_BSurvivesCAbort(t *testing.T) {
 	}
 }
 
+func TestFig11SerializingViaColours(t *testing.T) {
+	// §5.3: the serializing structure is fig 11's colour scheme. A is
+	// blue; each constituent has its own red, writes in red with a blue
+	// exclusive-read companion and reads in blue. B copies r into w and C
+	// doubles w; abandoning the container keeps both, as the structure's
+	// Cancel does.
+	constituents := func(ow, or *object.Managed[int]) []func(*action.Action) error {
+		return []func(*action.Action) error{
+			func(b *action.Action) error {
+				var seen int
+				if err := or.Read(b, func(v int) error { seen = v; return nil }); err != nil {
+					return err
+				}
+				return ow.Write(b, func(v *int) error { *v = seen; return nil })
+			},
+			func(c *action.Action) error {
+				return ow.Write(c, func(v *int) error { *v *= 2; return nil })
+			},
+		}
+	}
+	runColours := func() (w, r int) {
+		rt := action.NewRuntime()
+		blue := colour.Fresh()
+		ow, or := newCounter(0, nil), newCounter(7, nil)
+		a, err := rt.Begin(action.WithColours(blue))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, op := range constituents(ow, or) {
+			red := colour.Fresh()
+			c, err := a.Begin(
+				action.WithColours(red, blue),
+				action.WithWriteColour(red),
+				action.WithReadColour(blue),
+				action.WithWriteCompanion(blue))
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := op(c); err != nil {
+				t.Fatal(err)
+			}
+			if err := c.Commit(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := a.Abort(); err != nil {
+			t.Fatal(err)
+		}
+		return ow.Peek(), or.Peek()
+	}
+	runStructure := func() (w, r int) {
+		rt := action.NewRuntime()
+		ow, or := newCounter(0, nil), newCounter(7, nil)
+		s, err := structures.BeginSerializing(rt)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for _, op := range constituents(ow, or) {
+			if err := s.RunConstituent(op); err != nil {
+				t.Fatal(err)
+			}
+		}
+		if err := s.Cancel(); err != nil {
+			t.Fatal(err)
+		}
+		return ow.Peek(), or.Peek()
+	}
+	cw, cr := runColours()
+	sw, sr := runStructure()
+	if cw != 14 || cr != 7 || sw != cw || sr != cr {
+		t.Fatalf("colours: w=%d r=%d; structure: w=%d r=%d; want w=14 r=7 from both", cw, cr, sw, sr)
+	}
+}
+
 func TestSerializingLockTransferBetweenConstituents(t *testing.T) {
 	// The defining property: locks released by B are retained by the
 	// container and acquirable by C, while strangers stay locked out
@@ -348,6 +423,165 @@ func TestFig5GluedPassesExactlyTheSubset(t *testing.T) {
 	}
 	if got := o1.Peek(); got != 11 {
 		t.Fatalf("o1 = %d, want 11", got)
+	}
+}
+
+func TestFig4HandoverProtection(t *testing.T) {
+	// Figs 4 and 5: A writes every object of O, then B works on a subset
+	// P. Between A and B an outsider tries to write one object of P and
+	// one of O−P. Two unrelated top-level actions protect nothing (fig
+	// 4a); the serializing action protects P but keeps O−P locked until B
+	// ends (fig 4b); glued actions protect P and free O−P at A's commit
+	// (fig 5), so the outsider works beside them.
+	type handover func(rt *action.Runtime, a func(*action.Action) error, p ids.ObjectID, between func(), b func(*action.Action) error) error
+	unprotected := func(rt *action.Runtime, a func(*action.Action) error, _ ids.ObjectID, between func(), b func(*action.Action) error) error {
+		if err := rt.Run(a); err != nil {
+			return err
+		}
+		between()
+		return rt.Run(b)
+	}
+	serializing := func(rt *action.Runtime, a func(*action.Action) error, _ ids.ObjectID, between func(), b func(*action.Action) error) error {
+		s, err := structures.BeginSerializing(rt)
+		if err != nil {
+			return err
+		}
+		if err := s.RunConstituent(a); err != nil {
+			return err
+		}
+		between()
+		if err := s.RunConstituent(b); err != nil {
+			return err
+		}
+		return s.End()
+	}
+	glued := func(rt *action.Runtime, a func(*action.Action) error, p ids.ObjectID, between func(), b func(*action.Action) error) error {
+		chain := structures.NewChain(rt)
+		if err := chain.RunStage(func(stage *structures.Stage) error {
+			if err := a(stage.Action); err != nil {
+				return err
+			}
+			return stage.PassOn(p)
+		}); err != nil {
+			return err
+		}
+		between()
+		if err := chain.RunStage(func(stage *structures.Stage) error { return b(stage.Action) }); err != nil {
+			return err
+		}
+		return chain.End()
+	}
+	for _, tc := range []struct {
+		name          string
+		run           handover
+		pFree, oPFree bool
+	}{
+		{"unprotected", unprotected, true, true},
+		{"serializing", serializing, false, false},
+		{"glued", glued, false, true},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			rt := action.NewRuntime()
+			inP, notP := newCounter(0, nil), newCounter(0, nil)
+			between := func() {
+				outsider, err := rt.Begin()
+				if err != nil {
+					t.Fatal(err)
+				}
+				defer outsider.Abort()
+				for _, probe := range []struct {
+					set  string
+					m    *object.Managed[int]
+					free bool
+				}{{"P", inP, tc.pFree}, {"O−P", notP, tc.oPFree}} {
+					err := outsider.TryLock(probe.m.ObjectID(), lock.Write, colour.None)
+					if probe.free && err != nil {
+						t.Errorf("outsider's write lock on %s between A and B = %v, want it granted", probe.set, err)
+					}
+					if !probe.free && !errors.Is(err, lock.ErrConflict) {
+						t.Errorf("outsider's write lock on %s between A and B = %v, want ErrConflict", probe.set, err)
+					}
+				}
+			}
+			a := func(act *action.Action) error {
+				if err := incr(inP, 1)(act); err != nil {
+					return err
+				}
+				return incr(notP, 1)(act)
+			}
+			if err := tc.run(rt, a, inP.ObjectID(), between, incr(inP, 1)); err != nil {
+				t.Fatal(err)
+			}
+			if got := inP.Peek(); got != 2 {
+				t.Fatalf("P's object = %d after A and B, want 2", got)
+			}
+		})
+	}
+}
+
+func TestFig12GluedViaColours(t *testing.T) {
+	// §5.4: glued actions as colours. G (red) contains A (its own blue
+	// for reads and writes); A writes inP and notP and takes a red
+	// exclusive-read lock on inP. At A's commit the blue locks go, the
+	// red one passes to G: notP is free, inP is not, and B (nested in G)
+	// write-locks inP over G's exclusive read.
+	rt := action.NewRuntime()
+	red := colour.Fresh()
+	inP, notP := newCounter(0, nil), newCounter(0, nil)
+
+	g, err := rt.Begin(action.WithColours(red))
+	if err != nil {
+		t.Fatal(err)
+	}
+	blueA := colour.Fresh()
+	a, err := g.Begin(
+		action.WithColours(red, blueA),
+		action.WithWriteColour(blueA),
+		action.WithReadColour(blueA))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, m := range []*object.Managed[int]{inP, notP} {
+		if err := m.Write(a, func(v *int) error { *v = 1; return nil }); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if err := a.Lock(inP.ObjectID(), lock.ExclusiveRead, red); err != nil {
+		t.Fatal(err)
+	}
+	if err := a.Commit(); err != nil {
+		t.Fatal(err)
+	}
+
+	stranger, err := rt.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := stranger.TryLock(notP.ObjectID(), lock.Read, colour.None); err != nil {
+		t.Fatalf("object outside P must be free at A's commit: %v", err)
+	}
+	if err := stranger.TryLock(inP.ObjectID(), lock.Read, colour.None); !errors.Is(err, lock.ErrConflict) {
+		t.Fatalf("stranger's read of an object in P = %v, want ErrConflict (G holds it for B)", err)
+	}
+	if err := stranger.Abort(); err != nil {
+		t.Fatal(err)
+	}
+
+	b, err := g.Begin(action.WithColours(colour.Fresh()))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := inP.Write(b, func(v *int) error { *v += 10; return nil }); err != nil {
+		t.Fatalf("B's write over G's exclusive read: %v", err)
+	}
+	if err := b.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if err := g.Commit(); err != nil {
+		t.Fatal(err)
+	}
+	if got := inP.Peek(); got != 11 {
+		t.Fatalf("inP = %d, want 11", got)
 	}
 }
 
@@ -761,6 +995,18 @@ func TestFig15NLevelIndependent(t *testing.T) {
 	}
 	if got := oD.Peek(); got != 0 {
 		t.Fatalf("oD = %d: B's abort must undo D", got)
+	}
+	// E's lock went to A, the closest ancestor holding its colour, and
+	// not to B: B's abort leaves oE locked against strangers.
+	stranger, err := rt.Begin()
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := stranger.TryLock(oE.ObjectID(), lock.Write, colour.None); !errors.Is(err, lock.ErrConflict) {
+		t.Fatalf("stranger's write lock on oE after B's abort = %v, want ErrConflict (A holds it)", err)
+	}
+	if err := stranger.Abort(); err != nil {
+		t.Fatal(err)
 	}
 
 	// A aborts: E's effects undone; C's and F's survive.

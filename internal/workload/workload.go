@@ -1,6 +1,7 @@
 // Package workload provides the load generators and metric collectors
-// used by the experiment harness (cmd/experiments), cmd/loadgen and the
-// benchmarks. Two generator families live here:
+// used by internal/loadgen and cmd/loadgen, E25 and E26 in
+// cmd/experiments, the repository benchmark (bench/) and tests. Two
+// generator families live here:
 //
 //   - Closed loop (Run, RunFor): a fixed set of workers issue the next
 //     op as soon as the previous one returns. Latency samples measure
@@ -16,7 +17,6 @@
 package workload
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 	"time"
@@ -130,14 +130,6 @@ func (r Result) Throughput() float64 {
 		return 0
 	}
 	return float64(r.Ops-r.Errors) / r.Elapsed.Seconds()
-}
-
-// String renders a one-line summary for experiment tables.
-func (r Result) String() string {
-	return fmt.Sprintf("ops=%d errs=%d elapsed=%v thru=%.0f/s p50=%v p99=%v",
-		r.Ops, r.Errors, r.Elapsed.Round(time.Millisecond), r.Throughput(),
-		r.Latency.Percentile(50).Round(time.Microsecond),
-		r.Latency.Percentile(99).Round(time.Microsecond))
 }
 
 // Run executes op opsPerWorker times in each of workers goroutines and

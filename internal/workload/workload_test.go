@@ -90,10 +90,3 @@ func TestGaugeHighWaterMark(t *testing.T) {
 		t.Fatalf("Max = %d, want 3", got)
 	}
 }
-
-func TestResultString(t *testing.T) {
-	res := Run(clock.Real(), 1, 1, func(int, int) error { return nil })
-	if s := res.String(); s == "" {
-		t.Fatal("empty summary")
-	}
-}

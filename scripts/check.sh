@@ -1,6 +1,7 @@
 #!/usr/bin/env bash
-# check.sh — the full local gate: build, vet, tests (with race), the
-# experiment suite, and a short benchmark smoke run.
+# check.sh — the full local gate: build, vet, tests (with race; the
+# paper's figure checks are among them), the E25/E26 measurements, and a
+# short benchmark smoke run.
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
@@ -75,7 +76,7 @@ echo "== loadgen (capacity smoke + report schema) =="
 go run ./cmd/loadgen -smoke -json "$tmp/loadgen.json"
 go run ./cmd/loadgen -validate "$tmp/loadgen.json"
 
-echo "== experiments =="
+echo "== measurements: capacity at SLO (E25), tail-latency attribution (E26) =="
 go run ./cmd/experiments -capacityjson "$tmp/BENCH_capacity.json" -attribjson "$tmp/BENCH_attrib.json"
 
 echo "== examples =="
