@@ -84,12 +84,43 @@ var (
 )
 
 // Persister is the durable sink for the write set of an outermost-colour
-// commit. *store.Stable implements it.
+// commit. *store.Stable implements it. ApplyBatch keeps nothing of the
+// batch's map once it returns: Commit clears the map and reuses it for a
+// later write set. It may keep the batch's states, which nobody writes
+// again.
 type Persister interface {
 	ApplyBatch(store.Batch) error
 }
 
 var _ Persister = (*store.Stable)(nil)
+
+// writeSets recycles the maps of the permanence batches commit builds,
+// which no Persister keeps. A map that held more than maxPooledWriteSet
+// states is left to the collector, so one huge write set does not pin
+// its buckets.
+var writeSets = sync.Pool{New: func() any { return make(map[ids.ObjectID]store.State) }}
+
+const maxPooledWriteSet = 1024
+
+// flush is one permanence batch of a commit and the store it goes to.
+type flush struct {
+	persister Persister
+	batch     store.Batch
+}
+
+func newFlush(p Persister) flush {
+	return flush{persister: p, batch: store.Batch{Writes: writeSets.Get().(map[ids.ObjectID]store.State)}}
+}
+
+// recycle returns the flushes' maps to writeSets.
+func recycle(flushes []flush) {
+	for _, f := range flushes {
+		if len(f.batch.Writes) <= maxPooledWriteSet {
+			clear(f.batch.Writes)
+			writeSets.Put(f.batch.Writes)
+		}
+	}
+}
 
 // Recoverable is a managed object as seen by the runtime: it can
 // serialize its state for permanence and names the stable store
@@ -856,14 +887,15 @@ func (a *Action) Commit() error { return a.commit(nil, nil) }
 // stores: it receives the whole outermost write set as one batch — empty
 // when the action wrote no persistent object, and applied all the same —
 // and must have made it durable and installed it where the objects
-// reload from when it returns nil. The distributed layer's one-phase
-// commit uses it to make the write set and the commit decision one log
-// record under one force.
+// reload from when it returns nil. Like every Persister, sink keeps
+// nothing of the batch's map.
 func (a *Action) CommitWith(sink Persister) error { return a.commit(sink, nil) }
 
 // CommitPrepared is CommitWith for an action unchanged since PendingWrites
-// captured prepared: a top-level one hands sink that very batch; one with
-// a parent, whose records may pass to an heir, captures as CommitWith.
+// captured prepared: a top-level one hands sink that very batch, whose map
+// commit neither clears nor reuses (an intention log may keep it); one
+// with a parent, whose records may pass to an heir, captures as
+// CommitWith. The distributed layer's phase 2 uses it.
 func (a *Action) CommitPrepared(sink Persister, prepared store.Batch) error {
 	if a.parent != nil {
 		return a.commit(sink, nil)
@@ -887,10 +919,6 @@ func (a *Action) commit(sink Persister, prepared *store.Batch) error {
 	// Partition the write set of colours that have no heir by stable
 	// store. An action writes to a store or two, so the partition is a
 	// slice to scan.
-	type flush struct {
-		persister Persister
-		batch     store.Batch
-	}
 	var flushBuf [2]flush
 	flushes := flushBuf[:0]
 	undo := a.undo
@@ -900,7 +928,7 @@ func (a *Action) commit(sink Persister, prepared *store.Batch) error {
 		flushes = append(flushes, flush{persister: sink, batch: *prepared})
 		undo = nil
 	case sink != nil:
-		flushes = append(flushes, flush{persister: sink, batch: store.Batch{Writes: make(map[ids.ObjectID]store.State)}})
+		flushes = append(flushes, newFlush(sink))
 	}
 	for _, rec := range undo {
 		if _, ok := a.heir(rec.colour); ok {
@@ -914,6 +942,7 @@ func (a *Action) commit(sink Persister, prepared *store.Batch) error {
 		}
 		st, err := rec.res.CaptureState()
 		if err != nil {
+			recycle(flushes)
 			a.mu.Unlock()
 			a.Abort()
 			return fmt.Errorf("capture %v for permanence: %w (%w)", rec.res.ObjectID(), err, ErrPermanence)
@@ -924,7 +953,7 @@ func (a *Action) commit(sink Persister, prepared *store.Batch) error {
 		i := slices.IndexFunc(flushes, func(f flush) bool { return f.persister == p })
 		if i < 0 {
 			i = len(flushes)
-			flushes = append(flushes, flush{persister: p, batch: store.Batch{Writes: make(map[ids.ObjectID]store.State)}})
+			flushes = append(flushes, newFlush(p))
 		}
 		flushes[i].batch.Writes[rec.res.ObjectID()] = st
 	}
@@ -932,12 +961,19 @@ func (a *Action) commit(sink Persister, prepared *store.Batch) error {
 	// Flush permanence batches before publishing the commit. Each
 	// batch is atomic within its store; cross-store atomicity is the
 	// job of the distributed commit protocol (internal/dist).
+	var err error
 	for _, f := range flushes {
-		if err := f.persister.ApplyBatch(f.batch); err != nil {
-			a.mu.Unlock()
-			a.Abort()
-			return fmt.Errorf("flush write set: %w (%w)", err, ErrPermanence)
+		if err = f.persister.ApplyBatch(f.batch); err != nil {
+			break
 		}
+	}
+	if prepared == nil { // the intention log may hold the prepared batch's map
+		recycle(flushes)
+	}
+	if err != nil {
+		a.mu.Unlock()
+		a.Abort()
+		return fmt.Errorf("flush write set: %w (%w)", err, ErrPermanence)
 	}
 
 	a.completeLocked(Committed)

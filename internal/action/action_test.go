@@ -3,6 +3,7 @@ package action_test
 import (
 	"errors"
 	"fmt"
+	"maps"
 	"sync"
 	"testing"
 	"time"
@@ -773,8 +774,13 @@ func TestCommitWithHandsTheWholeWriteSetToTheSink(t *testing.T) {
 	st1, st2 := store.NewStable(), store.NewStable()
 	r1, r2 := newReg("a0", st1), newReg("b0", st2)
 
+	// Like every Persister, the sink keeps nothing of the batch's map: it
+	// copies what it keeps.
 	var got []store.Batch
-	sink := &sinkFunc{apply: func(b store.Batch) error { got = append(got, b); return nil }}
+	sink := &sinkFunc{apply: func(b store.Batch) error {
+		got = append(got, store.Batch{Writes: maps.Clone(b.Writes), Deletes: b.Deletes})
+		return nil
+	}}
 	a := mustBegin(t, rt)
 	r1.write(t, a, colour.None, "a1")
 	r2.write(t, a, colour.None, "b1")
@@ -811,5 +817,61 @@ func TestCommitWithHandsTheWholeWriteSetToTheSink(t *testing.T) {
 	}
 	if failing.Status() != action.Aborted || r1.get() != "a1" {
 		t.Fatalf("status %v value %q after a failed sink, want aborted and restored to a1", failing.Status(), r1.get())
+	}
+}
+
+// TestConcurrentCommitsReuseWriteSets: a commit hands its write set's map
+// back for the next commit as soon as the store returns, and the store
+// keeps the states it is given. Goroutines committing disjoint objects to
+// one file-backed store at once, their batches sharing forces, each read
+// back every value they committed, and a restart's replay holds the last.
+func TestConcurrentCommitsReuseWriteSets(t *testing.T) {
+	const workers, commits = 4, 40
+	st, err := store.NewStableAt(t.TempDir())
+	if err != nil {
+		t.Fatal(err)
+	}
+	rt := action.NewRuntime()
+	value := func(w, j, i int) string { return fmt.Sprintf("worker %d, object %d, commit %d", w, j, i) }
+	regs := make([][2]*reg, workers)
+	var wg sync.WaitGroup
+	for w := range regs {
+		regs[w] = [2]*reg{newReg("", st), newReg("", st)}
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for i := range commits {
+				err := rt.Run(func(a *action.Action) error {
+					for j, r := range regs[w] {
+						if err := r.writeErr(a, colour.None, value(w, j, i)); err != nil {
+							return err
+						}
+					}
+					return nil
+				})
+				if err != nil {
+					t.Errorf("worker %d, commit %d: %v", w, i, err)
+					return
+				}
+				for j, r := range regs[w] {
+					if got, err := st.Read(r.id); err != nil || string(got) != value(w, j, i) {
+						t.Errorf("worker %d read %q, %v after commit %d; want %q", w, got, err, i, value(w, j, i))
+						return
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	next, err := st.Restart()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for w := range regs {
+		for j, r := range regs[w] {
+			if got, ok := storedVal(t, next, r.id); !ok || got != value(w, j, commits-1) {
+				t.Fatalf("replay holds %q, %v for worker %d's object %d; want %q", got, ok, w, j, value(w, j, commits-1))
+			}
+		}
 	}
 }

@@ -186,9 +186,9 @@ func TestWriteCommitAllocBudget(t *testing.T) {
 	}
 }
 
-// writeCommitCeiling is one above today's 8: the action 1, the image 1,
+// writeCommitCeiling is one above today's 5: the action 1, the image 1,
 // the undo log 1, the state 1 (the binary layout, laid out on the stack
 // and copied once; JSON took 2, the output and its copy behind the
-// discriminator), the batch's map 2, the store's copy of the state 1, the
-// lock table's release 1.
-const writeCommitCeiling = 9
+// discriminator), the lock table's release 1. The batch's map is reused
+// from commit to commit, and the store keeps the state it is given.
+const writeCommitCeiling = 6

@@ -23,8 +23,8 @@ import (
 )
 
 // State is an opaque serialized object state. Read returns a copy, so
-// callers may change it; a Batch or Intention handed to the store is kept
-// as it is.
+// callers may change it. A state handed to the store, in a Batch or an
+// Intention, is kept as it is, uncopied: nobody writes it again.
 type State []byte
 
 // ErrNotFound is returned when no state is recorded for an object.
@@ -42,9 +42,11 @@ var ErrUnresolved = errors.New("store: object written by an unresolved transacti
 var readsRefused = metrics.Default().Counter("mca_store_reads_refused_total",
 	"Stable-store reads refused with ErrUnresolved: the object is written by a prepared record replayed at a restart and not yet resolved.")
 
-// Batch is a write set applied atomically to a stable store. A batch
-// handed to ApplyBatch, or in an intention to Record, belongs to the store
-// from then on: it is immutable, and the caller must not reuse it.
+// Batch is a write set applied atomically to a stable store.
+// ApplyBatch and ApplyBatchLazy keep nothing of the batch but its states
+// once they return, so the caller may clear its map and reuse it; nobody
+// may write a state handed in again. Record keeps an intention's write
+// set whole, map included: the caller must not change it afterwards.
 type Batch struct {
 	Writes  map[ids.ObjectID]State
 	Deletes []ids.ObjectID
@@ -103,6 +105,9 @@ type disk struct {
 	mu     sync.Mutex
 	closed bool // by Close: no incarnation follows
 	data   map[ids.ObjectID]State
+	// sums checks, under the invariants build tag, that nobody writes an
+	// installed state; without it, it is empty and does nothing.
+	sums stateSums
 	// pendingCrash injects a crash at the chosen point of the next batch.
 	pendingCrash CrashPoint
 	// fenced maps every object a prepared record replayed at the last open
@@ -147,6 +152,7 @@ func OpenFileStore(dir string) (*Stable, bool, error) {
 		return nil, false, err
 	}
 	d := &disk{data: img.data, fenced: fencesOf(img.index)}
+	d.sums.replayed(d.data)
 	d.wal = newWAL(d, lf, img.index)
 	return d.handle(), truncated, nil
 }
@@ -174,18 +180,21 @@ func (s *Stable) Read(id ids.ObjectID) (State, error) {
 	if !ok {
 		return nil, ErrNotFound
 	}
+	d.sums.check(id, st)
 	return cloneState(st), nil
 }
 
 // ApplyBatch installs the batch atomically: either every write and delete
 // takes effect or none does. It returns once the batch is durable, or
-// with ErrCrashed when the handle is, or became, closed.
+// with ErrCrashed when the handle is, or became, closed. It keeps
+// nothing of the batch but its states (Batch).
 func (s *Stable) ApplyBatch(b Batch) error { return s.applyBatch(b, false) }
 
 // ApplyBatchLazy is ApplyBatch without the wait: on the file backing the
 // batch is installed at once and its record joins the log's open batch,
 // durable with the next record forced (Durable says when) and lost to a
-// crash before then. An armed crash point fires as in ApplyBatch.
+// crash before then. An armed crash point fires as in ApplyBatch. It
+// keeps nothing of the batch but its states (Batch).
 func (s *Stable) ApplyBatchLazy(b Batch) error { return s.applyBatch(b, true) }
 
 func (s *Stable) applyBatch(b Batch, lazy bool) error {
@@ -233,7 +242,7 @@ func (s *Stable) applyBatch(b Batch, lazy bool) error {
 
 // install enters what the forced records install (logRecord.installs)
 // into the cache, in log order. Appenders are still blocked in their
-// append, so their states are copied here, once.
+// append, and their maps are read here for the last time.
 func (d *disk) install(records []logRecord) {
 	d.mu.Lock()
 	defer d.mu.Unlock()
@@ -244,20 +253,25 @@ func (d *disk) install(records []logRecord) {
 	}
 }
 
-// snapshot returns the cache's current contents. States are immutable
-// once installed, so the copy is shallow.
+// snapshot returns the cache's current contents. Nobody writes a state
+// once it is installed, so the copy is shallow.
 func (d *disk) snapshot() map[ids.ObjectID]State {
 	d.mu.Lock()
 	defer d.mu.Unlock()
+	d.sums.checkAll(d.data)
 	return maps.Clone(d.data)
 }
 
+// applyLocked installs the batch's states as they are: the caller never
+// writes them again (Batch).
 func (d *disk) applyLocked(b Batch) {
 	for id, st := range b.Writes {
-		d.data[id] = cloneState(st)
+		d.data[id] = st
+		d.sums.installed(id, st)
 	}
 	for _, id := range b.Deletes {
 		delete(d.data, id)
+		d.sums.deleted(id)
 	}
 }
 
@@ -356,6 +370,7 @@ func (s *Stable) Restart() (*Stable, error) {
 	w.mu.Lock()
 	if img != nil {
 		d.data, w.index = img.data, img.index
+		d.sums.replayed(d.data)
 	}
 	d.fenced = fencesOf(w.index)
 	w.mu.Unlock()

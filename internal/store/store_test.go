@@ -69,6 +69,74 @@ func TestStatesAreCopiedAtBoundaries(t *testing.T) {
 	}
 }
 
+// TestStoreKeepsNothingOfABatchsMap pins the ownership rule of Batch on
+// both backings, through both write calls: once the call returns, the
+// caller clears the batch's map and deletes and fills them with other
+// states, and Read (at once and after a force), a Restart's replay and a
+// compaction still give back what was applied.
+func TestStoreKeepsNothingOfABatchsMap(t *testing.T) {
+	for _, backing := range []string{"memory", "file"} {
+		for _, lazy := range []bool{false, true} {
+			call := map[bool]string{false: "ApplyBatch", true: "ApplyBatchLazy"}[lazy]
+			t.Run(backing+"/"+call, func(t *testing.T) {
+				s := NewStable()
+				if backing == "file" {
+					var err error
+					if s, err = NewStableAt(t.TempDir()); err != nil {
+						t.Fatal(err)
+					}
+				}
+				a, b, gone := ids.NewObjectID(), ids.NewObjectID(), ids.NewObjectID()
+				if err := put(s, gone, State("old")); err != nil {
+					t.Fatal(err)
+				}
+				apply := s.ApplyBatch
+				if lazy {
+					apply = s.ApplyBatchLazy
+				}
+				batch := Batch{Writes: map[ids.ObjectID]State{a: State("a1"), b: State("b1")}, Deletes: []ids.ObjectID{gone}}
+				if err := apply(batch); err != nil {
+					t.Fatal(err)
+				}
+				clear(batch.Writes)
+				batch.Writes[a], batch.Writes[gone] = State("a2"), State("back")
+				batch.Deletes[0] = b
+
+				check := func(when string) {
+					t.Helper()
+					for id, want := range map[ids.ObjectID]string{a: "a1", b: "b1"} {
+						if got, err := s.Read(id); err != nil || string(got) != want {
+							t.Fatalf("%s: Read(%v) = %q, %v; want %q", when, id, got, err, want)
+						}
+					}
+					if got, err := s.Read(gone); !errors.Is(err, ErrNotFound) {
+						t.Fatalf("%s: Read of the deleted object = %q, %v; want ErrNotFound", when, got, err)
+					}
+				}
+				check("after the call")
+				if err := s.Sync(); err != nil {
+					t.Fatal(err)
+				}
+				check("after a force")
+				s = restart(t, s)
+				check("after a restart")
+				if backing == "file" {
+					s.d.wal.file.compactAt = 0
+					if err := put(s, ids.NewObjectID(), State("forces a compaction")); err != nil {
+						t.Fatal(err)
+					}
+					if s.d.wal.file.compactAt == 0 {
+						t.Fatal("no compaction ran")
+					}
+					check("after a compaction")
+					s = restart(t, s)
+					check("after a compaction and a restart")
+				}
+			})
+		}
+	}
+}
+
 func TestApplyBatchAtomicHappyPath(t *testing.T) {
 	s := NewStable()
 	a, b, c := ids.NewObjectID(), ids.NewObjectID(), ids.NewObjectID()

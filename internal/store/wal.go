@@ -265,6 +265,9 @@ func (w *WAL) add(b *walBatch, e *logRecord) error {
 			return err
 		}
 		b.frames = frames
+		if e.noInstall {
+			e.batch = Batch{} // encoded, and installed already: nothing reads it again
+		}
 	}
 	b.entries = append(b.entries, *e)
 	return nil

@@ -37,7 +37,7 @@ go test -race -tags invariants ./... -count=1
 echo "== allocation budgets (runtime invariants, no race) =="
 go test -tags invariants -run 'TestTxnAllocBudget|TestWriteCommitAllocBudget|TestSmallSetsDoNotAllocate|TestEnvelopeCodecAllocs|TestCallRawAllocs' ./internal/... -count=1
 
-echo "== stable log + 2PC: crash matrices (restarts in doubt among them), seeded crash schedules, appender-run forces and write-set ownership, force and message budgets (repeated writes at one node included), votes in first invoke replies, fake-clock releases and lazy phase 2, one capture per prepared write set, the idle rule against silent coordinators and late messages, a retransmitted call reaching a restarted participant over TCP with one connection per node pair, a remote-only transaction owning no action at its coordinator and the decision table answering for it, a local action ending with its transaction, overlapping invokes refused, a restart bounded by one call timeout against a silent coordinator, mid-log damage, span attribution across per-node files, distributed structures (constituent budgets, commits lost in flight, crashes before End), clean stop; the striped action registry; every operation one step against its action's end (aborts, commits and late lock grants in the step's window); object before-images and state codec; concurrent callers sharing TCP writes; one TCP connection per node pair read at both ends (a call and its reply dial once, a crashed endpoint adopts no connection, simultaneous dials lose nothing and end on one connection, a restarted endpoint's pair ends on one connection, one read per datagram, no lost wake-up); the push dispatch (tcpnet read loops and netsim deliveries calling rpc) racing Stop and Crash; the span recorder against its reference model (race, -cpu sweep) =="
+echo "== stable log + 2PC: crash matrices (restarts in doubt among them), seeded crash schedules, appender-run forces and write-set ownership, a store that keeps nothing of a batch's map, a write set reused across concurrent commits, force and message budgets (repeated writes at one node included), votes in first invoke replies, fake-clock releases and lazy phase 2, one capture per prepared write set, the idle rule against silent coordinators and late messages, a retransmitted call reaching a restarted participant over TCP with one connection per node pair, a remote-only transaction owning no action at its coordinator and the decision table answering for it, a local action ending with its transaction, overlapping invokes refused, a restart bounded by one call timeout against a silent coordinator, mid-log damage, span attribution across per-node files, distributed structures (constituent budgets, commits lost in flight, crashes before End), clean stop; the striped action registry; every operation one step against its action's end (aborts, commits and late lock grants in the step's window); object before-images and state codec; concurrent callers sharing TCP writes; one TCP connection per node pair read at both ends (a call and its reply dial once, a crashed endpoint adopts no connection, simultaneous dials lose nothing and end on one connection, a restarted endpoint's pair ends on one connection, one read per datagram, no lost wake-up); the push dispatch (tcpnet read loops and netsim deliveries calling rpc) racing Stop and Crash; the span recorder against its reference model (race, -cpu sweep) =="
 go test -race -cpu=1,4 ./internal/store/... ./internal/node/... ./internal/action/... ./internal/object/... ./internal/tcpnet/... ./internal/rpc/... ./internal/netsim/... ./internal/trace/... -count=1
 go test -race -cpu=1,4 -run 'TestCommitCrashMatrix|TestSeededCrashSchedules|TestRestartedNodeRefusesOnlyInDoubtObjects|TestRecoveryRetriesThroughStoreBlip|TestDurableTransferForcesThreeTimes|TestDurableTransferSendsFourMessages|TestSingleParticipantWriteForcesTwice|TestRepeatedWritesCostOneReopenedVote|TestParticipantCrashBeforePrepareAborts|TestAsymmetricPartitionDuringCompletion|TestRelease|TestSingleSiteRead|TestMultiSiteReadOnly|TestOnePhase|TestFailedWrite|TestQuietCluster|TestSentCommits|TestPiggybackedPhase2|TestPreparedParticipant|TestIdleRuleRacesLateMessages|TestCommitOneCrashedParticipant|TestPlainTransferCaptures|TestTracedCommitMergesToOneTreeWithoutOrphans|TestAttributionAcrossNodeFiles|TestRemoteSerializing|TestRemoteChain|TestConstituent|TestHeldHandlerChangesNothingAfterRestart|TestRetransmittedFirstInvokeFindsTheRestartsVote|TestStaleTxnCannotDecide|TestRetransmittedCallReachesRestartedParticipant|TestOverlappingInvokeIsRefused|TestRestartWaitsOneCallTimeoutForASilentCoordinator|TestRemoteOnlyTxnOwnsNoActionAtItsCoordinator|TestLocalActionEndsWithItsTxn' ./internal/dist/ -count=1
 
