@@ -24,6 +24,7 @@ import (
 	"io"
 	"os"
 	"path/filepath"
+	"slices"
 	"strings"
 	"sync/atomic"
 
@@ -101,20 +102,17 @@ type logRecord struct {
 	noInstall bool
 }
 
-// installs returns the object batch the record puts into the object
-// states, on the live path once forced and on replay at its place in the
-// log: an object batch itself, and the write set of a committed
-// intention. A commit decision and the write set it decides on are thus
+// installs returns the record's write set and whether it goes into the
+// object states, on the live path once forced and on replay at its place
+// in the log: an object batch's does, and so does a committed
+// intention's. A commit decision and the write set it decides on are thus
 // one record under one force — what a one-phase commit logs — and replay
 // needs no redo pass to finish a decided write set.
 func (r *logRecord) installs() (Batch, bool) {
-	switch {
-	case r.kind == kindBatch && !r.noInstall:
-		return r.batch, true
-	case r.kind == kindIntention && r.in.Status == IntentionCommitted && !r.in.Writes.Empty():
-		return r.in.Writes, true
+	if r.kind == kindIntention {
+		return r.in.Writes, r.in.Status == IntentionCommitted
 	}
-	return Batch{}, false
+	return r.batch, r.kind == kindBatch && !r.noInstall
 }
 
 func appendBatchBody(buf []byte, b Batch) []byte {
@@ -159,23 +157,80 @@ func appendLogRecord(buf []byte, r *logRecord) ([]byte, error) {
 	return buf, nil
 }
 
-// readBatch decodes what appendBatchBody wrote. States alias the
-// reader's buffer.
+// checkFrame is the one check of a frame's length and checksum: it
+// returns the payload and length of the frame at buf's front, or errLogTorn.
+func checkFrame(buf []byte) ([]byte, int, error) {
+	if len(buf) < logHeaderLen {
+		return nil, 0, errLogTorn
+	}
+	n := int(binary.LittleEndian.Uint32(buf))
+	if n == 0 || n > maxLogRecord || n > len(buf)-logHeaderLen {
+		return nil, 0, errLogTorn
+	}
+	end := logHeaderLen + n
+	if frameChecksum(buf[:end]) != binary.LittleEndian.Uint32(buf[4:]) {
+		return nil, 0, errLogTorn
+	}
+	return buf[logHeaderLen:end], end, nil
+}
+
+// readRecord decodes a payload into rec, reusing its participant slice,
+// and hands a write set to walk (walkBatch) at its place. The reader goes
+// by value: a pointer handed to a func value would escape to the heap.
+func readRecord(payload []byte, rec *logRecord, walk func(wire.Reader) wire.Reader) error {
+	*rec = logRecord{kind: logKind(payload[0]), in: Intention{Participants: rec.in.Participants[:0]}}
+	r := wire.NewReader(payload[1:])
+	switch rec.kind {
+	case kindIntention:
+		in := &rec.in
+		in.Action = ids.ActionID(r.Uvarint())
+		in.Status = IntentionStatus(r.Byte())
+		in.Coordinator = ids.NodeID(r.Uvarint())
+		np := r.Count(1)
+		in.Participants = slices.Grow(in.Participants, np)
+		for range np {
+			in.Participants = append(in.Participants, ids.NodeID(r.Uvarint()))
+		}
+		if in.Status < IntentionPrepared || in.Status > IntentionAborted {
+			r.Fail()
+		}
+		rec.action = in.Action
+		r = walk(r)
+	case kindForget:
+		rec.action = ids.ActionID(r.Uvarint())
+	case kindBatch:
+		r = walk(r)
+	default:
+		return fmt.Errorf("%w: unknown kind %d", errLogCorrupt, rec.kind)
+	}
+	if !r.Done() {
+		return fmt.Errorf("%w: malformed kind-%d body", errLogCorrupt, rec.kind)
+	}
+	return nil
+}
+
+// walkBatch is the one walk of a write set as appendBatchBody wrote it:
+// in order, write sees each (id, state), the state aliasing r's buffer,
+// and del each delete.
+func walkBatch(r wire.Reader, write func(ids.ObjectID, State), del func(ids.ObjectID)) wire.Reader {
+	for n := r.Count(2); n > 0; n-- {
+		write(ids.ObjectID(r.Uvarint()), State(r.Bytes()))
+	}
+	for n := r.Count(1); n > 0; n-- {
+		del(ids.ObjectID(r.Uvarint()))
+	}
+	return r
+}
+
+// readBatch collects a write set. States alias the reader's buffer.
 func readBatch(r *wire.Reader) Batch {
 	var b Batch
-	if n := r.Count(2); n > 0 {
-		b.Writes = make(map[ids.ObjectID]State, n)
-		for i := 0; i < n; i++ {
-			id := ids.ObjectID(r.Uvarint())
-			b.Writes[id] = State(r.Bytes())
+	*r = walkBatch(*r, func(id ids.ObjectID, st State) {
+		if b.Writes == nil {
+			b.Writes = make(map[ids.ObjectID]State)
 		}
-	}
-	if n := r.Count(1); n > 0 {
-		b.Deletes = make([]ids.ObjectID, n)
-		for i := range b.Deletes {
-			b.Deletes[i] = ids.ObjectID(r.Uvarint())
-		}
-	}
+		b.Writes[id] = st
+	}, func(id ids.ObjectID) { b.Deletes = append(b.Deletes, id) })
 	return b
 }
 
@@ -184,47 +239,22 @@ func readBatch(r *wire.Reader) Batch {
 // errLogTorn for anything short of a whole checksummed frame and
 // errLogCorrupt for a checksummed frame that is not a valid record.
 func decodeLogRecord(buf []byte) (logRecord, int, error) {
-	if len(buf) < logHeaderLen {
-		return logRecord{}, 0, errLogTorn
+	payload, n, err := checkFrame(buf)
+	if err != nil {
+		return logRecord{}, 0, err
 	}
-	n := int(binary.LittleEndian.Uint32(buf))
-	if n == 0 || n > maxLogRecord || n > len(buf)-logHeaderLen {
-		return logRecord{}, 0, errLogTorn
-	}
-	end := logHeaderLen + n
-	if frameChecksum(buf[:end]) != binary.LittleEndian.Uint32(buf[4:]) {
-		return logRecord{}, 0, errLogTorn
-	}
-	rec := logRecord{kind: logKind(buf[logHeaderLen])}
-	r := wire.NewReader(buf[logHeaderLen+1 : end])
-	switch rec.kind {
-	case kindIntention:
-		in := &rec.in
-		in.Action = ids.ActionID(r.Uvarint())
-		in.Status = IntentionStatus(r.Byte())
-		in.Coordinator = ids.NodeID(r.Uvarint())
-		if np := r.Count(1); np > 0 {
-			in.Participants = make([]ids.NodeID, np)
-			for i := range in.Participants {
-				in.Participants[i] = ids.NodeID(r.Uvarint())
-			}
+	var rec logRecord
+	if err := readRecord(payload, &rec, func(r wire.Reader) wire.Reader {
+		if rec.kind == kindIntention {
+			rec.in.Writes = readBatch(&r)
+		} else {
+			rec.batch = readBatch(&r)
 		}
-		in.Writes = readBatch(&r)
-		if in.Status < IntentionPrepared || in.Status > IntentionAborted {
-			r.Fail()
-		}
-		rec.action = in.Action
-	case kindForget:
-		rec.action = ids.ActionID(r.Uvarint())
-	case kindBatch:
-		rec.batch = readBatch(&r)
-	default:
-		return logRecord{}, 0, fmt.Errorf("%w: unknown kind %d", errLogCorrupt, rec.kind)
+		return r
+	}); err != nil {
+		return logRecord{}, 0, err
 	}
-	if !r.Done() {
-		return logRecord{}, 0, fmt.Errorf("%w: malformed kind-%d body", errLogCorrupt, rec.kind)
-	}
-	return rec, end, nil
+	return rec, n, nil
 }
 
 // logImage is what a log replays to: the object states and the live
@@ -234,31 +264,16 @@ type logImage struct {
 	index map[ids.ActionID]Intention
 }
 
-func (img *logImage) apply(r *logRecord) {
-	switch r.kind {
-	case kindIntention:
-		img.index[r.action] = r.in
-	case kindForget:
-		delete(img.index, r.action)
-	}
-	if b, ok := r.installs(); ok {
-		for id, st := range b.Writes {
-			img.data[id] = st
-		}
-		for _, id := range b.Deletes {
-			delete(img.data, id)
-		}
-	}
-}
-
 // replayLog replays the bytes of a log file, version byte included, and
-// returns the image with the length of the valid prefix. Replay ends at a
-// torn tail: nothing from the first bad frame on was acknowledged as
-// durable. A bad frame that a whole, checksummed one follows is taken for
-// damage in the middle of the log, and so is a checksummed frame that does
-// not decode: both are errors naming the offset. A crash that persisted a
-// later frame of an unforced append but not an earlier one is refused
-// too; the log records no forced-batch boundary to tell it apart.
+// returns the image with the length of the valid prefix. One pass installs
+// write sets in log order and only checks the others; the intentions left
+// at the end are decoded whole. Replay ends at a torn tail: nothing from
+// the first bad frame on was acknowledged as durable. A bad frame that a
+// whole, checksummed one follows is taken for damage in the middle of the
+// log, and so is a checksummed frame that does not decode: both are errors
+// naming the offset. A crash that persisted a later frame of an unforced
+// append but not an earlier one is refused too; the log records no
+// forced-batch boundary to tell it apart.
 func replayLog(file []byte) (*logImage, int, error) {
 	img := &logImage{data: make(map[ids.ObjectID]State), index: make(map[ids.ActionID]Intention)}
 	if len(file) == 0 {
@@ -267,31 +282,48 @@ func replayLog(file []byte) (*logImage, int, error) {
 	if file[0] != logVersion {
 		return nil, 0, fmt.Errorf("store: %s has format byte %#x, want version %d (a JSON-lines log of the per-object-file layout is not readable by this version)", walFilename, file[0], logVersion)
 	}
+	latest := make(map[ids.ActionID]int)
+	var rec logRecord
+	install := func(id ids.ObjectID, st State) { img.data[id] = st }
+	drop := func(id ids.ObjectID) { delete(img.data, id) }
+	walk := func(r wire.Reader) wire.Reader {
+		if _, ok := rec.installs(); ok {
+			return walkBatch(r, install, drop)
+		}
+		return walkBatch(r, func(ids.ObjectID, State) {}, func(ids.ObjectID) {}) // checked, not kept
+	}
 	off, records := 1, uint64(0)
 	for off < len(file) {
-		rec, n, err := decodeLogRecord(file[off:])
-		if errors.Is(err, errLogTorn) {
+		payload, n, err := checkFrame(file[off:])
+		if err != nil {
 			if next := nextFrame(file, off+1); next > 0 {
 				return nil, 0, fmt.Errorf("replay %s: damaged frame at offset %d, followed by a whole frame at offset %d: %w", walFilename, off, next, errLogCorrupt)
 			}
 			break
 		}
-		if err != nil {
+		if err := readRecord(payload, &rec, walk); err != nil {
 			return nil, 0, fmt.Errorf("replay %s at offset %d: %w", walFilename, off, err)
 		}
-		img.apply(&rec)
+		switch rec.kind {
+		case kindIntention:
+			latest[rec.action] = off
+		case kindForget:
+			delete(latest, rec.action)
+		}
 		off += n
 		records++
 	}
 	logReplayRecords.Add(records)
-	// Records alias the file buffer; copy what stayed live so the image
+	// States alias the file buffer; copy what stayed live so the image
 	// does not pin it.
-	for id, st := range img.data {
-		img.data[id] = cloneState(st)
-	}
-	for a, in := range img.index {
-		in.Writes = cloneBatch(in.Writes)
-		img.index[a] = in
+	cloneStates(img.data)
+	for a, at := range latest {
+		live, _, err := decodeLogRecord(file[at:])
+		if err != nil {
+			return nil, 0, fmt.Errorf("replay %s at offset %d: %w", walFilename, at, err)
+		}
+		cloneStates(live.in.Writes.Writes)
+		img.index[a] = live.in
 	}
 	return img, off, nil
 }
@@ -300,7 +332,7 @@ func replayLog(file []byte) (*logImage, int, error) {
 // file at or after from, 0 when there is none.
 func nextFrame(file []byte, from int) int {
 	for off := from; off+logHeaderLen <= len(file); off++ {
-		if _, _, err := decodeLogRecord(file[off:]); !errors.Is(err, errLogTorn) {
+		if _, _, err := checkFrame(file[off:]); err == nil {
 			return off
 		}
 	}

@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"errors"
 	"fmt"
+	"math/rand"
 	"os"
 	"path/filepath"
 	"reflect"
@@ -13,6 +14,7 @@ import (
 	"testing"
 
 	"mca/internal/ids"
+	"mca/internal/testenv"
 )
 
 // sampleRecords is one record of each kind, with every field in use.
@@ -122,13 +124,6 @@ func TestLogRecordBitFlips(t *testing.T) {
 }
 
 func TestLogRecordDecodeRejects(t *testing.T) {
-	// reframe wraps a payload in a valid header, so the body decoder —
-	// not the checksum — is what must reject it.
-	reframe := func(payload ...byte) []byte {
-		frame := append(make([]byte, logHeaderLen), payload...)
-		binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
-		return reseal(frame)
-	}
 	whole := mustFrame(t, sampleRecords()[2])
 	cases := []struct {
 		name string
@@ -152,6 +147,14 @@ func TestLogRecordDecodeRejects(t *testing.T) {
 			t.Errorf("%s: err = %v, want %v", tt.name, err, tt.want)
 		}
 	}
+}
+
+// reframe wraps a payload in a valid header, so the body decoder — not
+// the checksum — is what must reject it.
+func reframe(payload ...byte) []byte {
+	frame := append(make([]byte, logHeaderLen), payload...)
+	binary.LittleEndian.PutUint32(frame, uint32(len(payload)))
+	return reseal(frame)
 }
 
 // reseal recomputes the frame's checksum after a deliberate edit.
@@ -450,5 +453,338 @@ func TestCommittedIntentionInstallsItsWriteSet(t *testing.T) {
 				t.Fatal("the live committed intention did not survive the checkpoint")
 			}
 		})
+	}
+}
+
+// referenceReplay is the replay as a fold of decodeLogRecord over the
+// frames: every record decoded whole and applied in log order, the index
+// holding each action's latest record until a forget. replayLog must
+// agree with it on every log, damaged ones included.
+func referenceReplay(file []byte) (*logImage, int, error) {
+	img := &logImage{data: make(map[ids.ObjectID]State), index: make(map[ids.ActionID]Intention)}
+	if len(file) == 0 {
+		return img, 0, nil
+	}
+	if file[0] != logVersion {
+		return nil, 0, fmt.Errorf("store: %s has format byte %#x, want version %d (a JSON-lines log of the per-object-file layout is not readable by this version)", walFilename, file[0], logVersion)
+	}
+	off := 1
+	for off < len(file) {
+		rec, n, err := decodeLogRecord(file[off:])
+		if errors.Is(err, errLogTorn) {
+			for next := off + 1; next+logHeaderLen <= len(file); next++ {
+				if _, _, err := decodeLogRecord(file[next:]); !errors.Is(err, errLogTorn) {
+					return nil, 0, fmt.Errorf("replay %s: damaged frame at offset %d, followed by a whole frame at offset %d: %w", walFilename, off, next, errLogCorrupt)
+				}
+			}
+			break
+		}
+		if err != nil {
+			return nil, 0, fmt.Errorf("replay %s at offset %d: %w", walFilename, off, err)
+		}
+		switch rec.kind {
+		case kindIntention:
+			img.index[rec.action] = rec.in
+		case kindForget:
+			delete(img.index, rec.action)
+		}
+		if b, ok := rec.installs(); ok {
+			for id, st := range b.Writes {
+				img.data[id] = st
+			}
+			for _, id := range b.Deletes {
+				delete(img.data, id)
+			}
+		}
+		off += n
+	}
+	return img, off, nil
+}
+
+// fileOf returns a log holding the records, version byte first, with the
+// offset at which each frame starts.
+func fileOf(t testing.TB, recs ...logRecord) ([]byte, []int) {
+	t.Helper()
+	file := []byte{logVersion}
+	starts := make([]int, 0, len(recs))
+	for _, r := range recs {
+		starts = append(starts, len(file))
+		file = append(file, mustFrame(t, r)...)
+	}
+	return file, starts
+}
+
+// opsLog builds a log from ops, two bytes a record over four actions and
+// five objects: the first byte picks the kind (an intention's status,
+// coordinator and participants with it), the second the action, the
+// objects written and whether one is deleted. Intentions of one action
+// supersede one another, forgets drop them, and committed ones install
+// their write sets.
+func opsLog(t testing.TB, ops []byte) ([]byte, []int) {
+	var recs []logRecord
+	for i := 0; i+1 < len(ops); i += 2 {
+		k, x := ops[i], ops[i+1]
+		a := ids.ActionID(x%4 + 1)
+		var w Batch
+		if x%7 != 0 {
+			w.Writes = map[ids.ObjectID]State{ids.ObjectID(x%5 + 1): {k, x}, ids.ObjectID(k%5 + 1): {}}
+		}
+		if x&0x80 != 0 {
+			w.Deletes = []ids.ObjectID{ids.ObjectID(x>>3%5 + 1)}
+		}
+		switch k % 6 {
+		case 0, 1:
+			recs = append(recs, logRecord{kind: kindBatch, batch: w})
+		case 2, 3, 4:
+			in := Intention{Action: a, Status: IntentionStatus(k%6 - 1), Coordinator: ids.NodeID(k >> 4), Writes: w}
+			for p := range k >> 6 {
+				in.Participants = append(in.Participants, ids.NodeID(p+7))
+			}
+			recs = append(recs, logRecord{kind: kindIntention, action: a, in: in})
+		case 5:
+			recs = append(recs, logRecord{kind: kindForget, action: a})
+		}
+	}
+	return fileOf(t, recs...)
+}
+
+// damageLog damages a log the ways a crash or a disk can, chosen by mode
+// and placed by at: 0 leaves it whole; 1 cuts it (a torn tail); 2 flips
+// a bit; 3 flips a payload bit and reseals its frame, so the checksum
+// holds over a body that may not decode; 4 zeroes a whole frame (an
+// unforced append persisted out of order); 5 appends garbage.
+func damageLog(file []byte, starts []int, mode uint8, at uint32) []byte {
+	if len(starts) == 0 {
+		return append(file, byte(at), byte(at>>8))
+	}
+	pos := 1 + int(at%uint32(len(file)-1))
+	frame := len(starts) - 1
+	for frame > 0 && starts[frame] > pos {
+		frame--
+	}
+	end := len(file)
+	if frame+1 < len(starts) {
+		end = starts[frame+1]
+	}
+	switch mode % 6 {
+	case 1:
+		file = file[:pos]
+	case 2:
+		file[pos] ^= 1 << (at >> 29)
+	case 3:
+		if pos < starts[frame]+logHeaderLen {
+			pos = starts[frame] + logHeaderLen
+		}
+		file[pos] ^= 1 << (at >> 29)
+		reseal(file[starts[frame]:end])
+	case 4:
+		clear(file[starts[frame]:end])
+	case 5:
+		file = append(file, byte(at), byte(at>>8), byte(at>>16), 0, 0, 0, 0, 0, byte(at>>24))
+	}
+	return file
+}
+
+// sameReplay reports how replayLog's answer for file differs from the
+// reference's, or "" when it does not. A replay that succeeds counts
+// every frame of the valid prefix in mca_store_replay_records_total.
+func sameReplay(file []byte) (string, error) {
+	want, wantValid, wantErr := referenceReplay(file)
+	before := logReplayRecords.Value()
+	got, valid, err := replayLog(file)
+	counted := logReplayRecords.Value() - before
+	switch {
+	case (err == nil) != (wantErr == nil) || err != nil && err.Error() != wantErr.Error():
+		return fmt.Sprintf("error %v, reference %v", err, wantErr), wantErr
+	case !errors.Is(err, errLogCorrupt) && errors.Is(wantErr, errLogCorrupt):
+		return fmt.Sprintf("error %v is not errLogCorrupt", err), wantErr
+	case err != nil:
+		return "", err
+	case valid != wantValid:
+		return fmt.Sprintf("valid length %d, reference %d", valid, wantValid), nil
+	case len(got.data) != len(want.data) || len(got.index) != len(want.index):
+		return fmt.Sprintf("%d states and %d intentions, reference %d and %d", len(got.data), len(got.index), len(want.data), len(want.index)), nil
+	}
+	for id, st := range want.data {
+		if g, ok := got.data[id]; !ok || string(g) != string(st) {
+			return fmt.Sprintf("object %d = %q (present %v), reference %q", id, g, ok, st), nil
+		}
+	}
+	for a, in := range want.index {
+		g := got.index[a]
+		if !sameRecord(logRecord{kind: kindIntention, action: a, in: g}, logRecord{kind: kindIntention, action: a, in: in}) {
+			return fmt.Sprintf("intention %d = %+v, reference %+v", a, g, in), nil
+		}
+	}
+	frames := uint64(0)
+	for off := 1; off < valid; frames++ {
+		_, n, err := decodeLogRecord(file[off:])
+		if err != nil {
+			return fmt.Sprintf("the valid prefix does not decode at offset %d: %v", off, err), nil
+		}
+		off += n
+	}
+	if counted != frames {
+		return fmt.Sprintf("replay counted %d records, the valid prefix holds %d", counted, frames), nil
+	}
+	return "", nil
+}
+
+// TestReplayMatchesReference compares the streaming replay with the
+// reference fold on seeded random logs, whole and damaged each way
+// damageLog knows: the same image, valid length and error, offset
+// included. Every outcome must occur: whole logs, cut tails and refusals.
+func TestReplayMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	var whole, cut, refused int
+	for i := range 3000 {
+		ops := make([]byte, 2*rng.Intn(40))
+		rng.Read(ops)
+		file, starts := opsLog(t, ops)
+		file = damageLog(file, starts, uint8(i), rng.Uint32())
+		diff, err := sameReplay(file)
+		if diff != "" {
+			t.Fatalf("case %d (ops % x, damage %d): %s", i, ops, i%6, diff)
+		}
+		_, valid, _ := referenceReplay(file)
+		switch {
+		case err != nil:
+			refused++
+		case valid < len(file):
+			cut++
+		default:
+			whole++
+		}
+	}
+	t.Logf("%d whole, %d cut at a torn tail, %d refused", whole, cut, refused)
+	if whole == 0 || cut == 0 || refused == 0 {
+		t.Fatalf("%d whole, %d cut, %d refused: a class of outcome never occurred", whole, cut, refused)
+	}
+}
+
+// FuzzReplayMatchesReference: on any log opsLog builds and damageLog
+// damages, the streaming replay and the reference fold give the same
+// image, valid length and error.
+func FuzzReplayMatchesReference(f *testing.F) {
+	rng := rand.New(rand.NewSource(2))
+	for mode := range uint8(6) {
+		ops := make([]byte, 24)
+		rng.Read(ops)
+		f.Add(ops, mode, rng.Uint32())
+	}
+	f.Fuzz(func(t *testing.T, ops []byte, mode uint8, at uint32) {
+		if len(ops) > 512 {
+			return
+		}
+		file, starts := opsLog(t, ops)
+		if diff, _ := sameReplay(damageLog(file, starts, mode, at)); diff != "" {
+			t.Fatal(diff)
+		}
+	})
+}
+
+// TestReplayRefusesMalformedWriteSet: an intention frame whose checksum
+// holds but whose write set does not decode is refused, whatever its
+// status, although a forget later drops its action: replay checks a write
+// set it does not keep.
+func TestReplayRefusesMalformedWriteSet(t *testing.T) {
+	for _, st := range []IntentionStatus{IntentionPrepared, IntentionCommitted, IntentionAborted} {
+		// One write, of object 9, whose state claims four bytes and has one.
+		file := append([]byte{logVersion}, reframe(byte(kindIntention), 5, byte(st), 2, 0, 1, 9, 4, 'v')...)
+		forget, _ := fileOf(t, logRecord{kind: kindForget, action: 5})
+		file = append(file, forget[1:]...)
+		if _, _, err := replayLog(file); !errors.Is(err, errLogCorrupt) || !strings.Contains(err.Error(), "offset 1:") {
+			t.Errorf("%v intention with a malformed write set, then its forget: replay = %v, want errLogCorrupt at offset 1", st, err)
+		}
+	}
+}
+
+// TestReplaySupersededPreparedIsCommitted: a prepared record that a
+// committed record of the same action follows replays as the committed
+// one — status, participants and write set installed — and fences
+// nothing in the store opened on it.
+func TestReplaySupersededPreparedIsCommitted(t *testing.T) {
+	const a, x = ids.ActionID(5), ids.ObjectID(1)
+	writes := Batch{Writes: map[ids.ObjectID]State{x: State("new")}}
+	file, _ := fileOf(t,
+		logRecord{kind: kindBatch, batch: Batch{Writes: map[ids.ObjectID]State{x: State("old")}}},
+		logRecord{kind: kindIntention, action: a, in: Intention{Action: a, Status: IntentionPrepared, Coordinator: 2, Writes: writes}},
+		logRecord{kind: kindIntention, action: a, in: Intention{Action: a, Status: IntentionCommitted, Coordinator: 2, Participants: []ids.NodeID{4, 5}, Writes: writes}},
+	)
+	img, _, err := replayLog(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if in := img.index[a]; in.Status != IntentionCommitted || !reflect.DeepEqual(in.Participants, []ids.NodeID{4, 5}) {
+		t.Fatalf("replayed intention = %+v, want the committed record with participants [4 5]", in)
+	}
+	dir := t.TempDir()
+	if err := os.WriteFile(filepath.Join(dir, walFilename), file, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	s, err := NewStableAt(dir)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got, err := s.Read(x); err != nil || string(got) != "new" {
+		t.Fatalf("Read = %q, %v; want the committed write, unfenced", got, err)
+	}
+}
+
+// TestReplayInstallsForgottenCommittedIntention: a committed intention
+// installs its write set at its place in the log even when a forget
+// drops it later: a batch after it has the last word on what both write,
+// and what only it writes keeps its value.
+func TestReplayInstallsForgottenCommittedIntention(t *testing.T) {
+	const a, x, y = ids.ActionID(5), ids.ObjectID(1), ids.ObjectID(2)
+	file, _ := fileOf(t,
+		logRecord{kind: kindBatch, batch: Batch{Writes: map[ids.ObjectID]State{x: State("v0"), y: State("v0")}}},
+		logRecord{kind: kindIntention, action: a, in: Intention{Action: a, Status: IntentionCommitted, Coordinator: 2,
+			Writes: Batch{Writes: map[ids.ObjectID]State{x: State("v1"), y: State("v1")}}}},
+		logRecord{kind: kindBatch, batch: Batch{Writes: map[ids.ObjectID]State{y: State("v2")}}},
+		logRecord{kind: kindForget, action: a},
+	)
+	img, _, err := replayLog(file)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(img.data[x]) != "v1" || string(img.data[y]) != "v2" || len(img.index) != 0 {
+		t.Fatalf("replay = objects %q and %q, %d intentions; want v1 and v2, none", img.data[x], img.data[y], len(img.index))
+	}
+}
+
+// TestReplayAllocationsDoNotGrowWithTheLog: replay allocates for what it
+// keeps — the image, the live states and the intentions left — not for
+// every record it reads. A log of 2 000 prepared-then-forgotten
+// intentions and their batch records over 8 objects costs no more than
+// one of 20.
+func TestReplayAllocationsDoNotGrowWithTheLog(t *testing.T) {
+	if testenv.Race {
+		t.Skip("the race detector allocates")
+	}
+	logOf := func(n int) []byte {
+		var recs []logRecord
+		for i := range n {
+			a := ids.ActionID(i + 1)
+			w := Batch{Writes: map[ids.ObjectID]State{ids.ObjectID(i%8 + 1): State(fmt.Sprint(i))}}
+			recs = append(recs,
+				logRecord{kind: kindIntention, action: a, in: Intention{Action: a, Status: IntentionPrepared, Coordinator: 2, Writes: w}},
+				logRecord{kind: kindForget, action: a},
+				logRecord{kind: kindBatch, batch: w})
+		}
+		file, _ := fileOf(t, recs...)
+		return file
+	}
+	allocs := func(file []byte) float64 {
+		return testing.AllocsPerRun(10, func() {
+			if _, _, err := replayLog(file); err != nil {
+				t.Fatal(err)
+			}
+		})
+	}
+	small, large := allocs(logOf(20)), allocs(logOf(2000))
+	t.Logf("replay of 20 intentions: %.0f allocations; of 2 000: %.0f", small, large)
+	if large > small+4 {
+		t.Fatalf("replay of 2 000 intentions allocates %.0f, of 20 %.0f: want at most 4 more", large, small)
 	}
 }

@@ -426,13 +426,11 @@ func (s *Stable) DisarmCrashes() {
 	s.d.wal.crashNextForce.Store(0)
 }
 
-func cloneBatch(b Batch) Batch {
-	out := Batch{Writes: make(map[ids.ObjectID]State, len(b.Writes))}
-	for id, st := range b.Writes {
-		out.Writes[id] = cloneState(st)
+// cloneStates copies every state of m in place.
+func cloneStates(m map[ids.ObjectID]State) {
+	for id, st := range m {
+		m[id] = cloneState(st)
 	}
-	out.Deletes = append(out.Deletes, b.Deletes...)
-	return out
 }
 
 // IntentionStatus is the durable state of a distributed action at a

@@ -470,7 +470,7 @@ func (w *WAL) flush(b *walBatch) {
 			case kindForget:
 				delete(w.index, e.action)
 			}
-			if _, ok := b.entries[i].installs(); ok {
+			if ws, ok := b.entries[i].installs(); ok && !ws.Empty() {
 				objects = true
 			}
 		}

@@ -399,3 +399,108 @@ func TestRestartedEndpointEndsOnOneConnection(t *testing.T) {
 		})
 	}
 }
+
+// TestRoutedPeerCloseIsSeenByTheNextSends bounds the hazard of a routed
+// connection whose peer closed: the read loop may miss a FIN that came
+// with the last frame, and the endpoint then learns of the close only
+// from its own writes. A raw peer X routes to B, sends its last frame and
+// closes. B's next Send, or at most the one after it, drops the
+// connection within a second, and a later Send dials X again and is
+// delivered there.
+func TestRoutedPeerCloseIsSeenByTheNextSends(t *testing.T) {
+	nw := tcpnet.NewNetwork()
+	b := newEndpoint(t, nw)
+	in := inbox(b)
+
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(func() { ln.Close() })
+	accepted := make(chan net.Conn, 4)
+	go func() {
+		for {
+			c, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			accepted <- c
+		}
+	}()
+	const x = ids.NodeID(616161)
+	nw.Register(x, ln.Addr().String())
+
+	c, err := net.Dial("tcp", b.Addr())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, err := c.Write(rawFrame(x, "first")); err != nil {
+		t.Fatal(err)
+	}
+	recvN(t, in, 1, 5*time.Second)
+	if err := b.Send(x, []byte("routed")); err != nil {
+		t.Fatal(err)
+	}
+	got := make([]byte, len(rawFrame(b.ID(), "routed")))
+	c.SetReadDeadline(time.Now().Add(5 * time.Second))
+	if _, err := io.ReadFull(c, got); err != nil || string(got) != string(rawFrame(b.ID(), "routed")) {
+		t.Fatalf("B's Send to X did not ride X's connection: read %q, %v", got, err)
+	}
+	if _, err := c.Write(rawFrame(x, "last")); err != nil {
+		t.Fatal(err)
+	}
+	c.Close()
+	recvN(t, in, 1, 5*time.Second)
+
+	// B may have read the FIN and dropped the connection already; then
+	// the first Send dials X. Either way, a connection X accepted means
+	// B's route to X over the closed one is gone.
+	dropped := func() bool { return b.OpenConns() == 0 || len(accepted) > 0 }
+	start := time.Now()
+	if err := b.Send(x, []byte("after close 1")); err != nil {
+		t.Fatal(err)
+	}
+	sends := 1
+	for !dropped() {
+		if time.Since(start) > time.Second {
+			t.Fatalf("%d Sends after X closed left the connection open for %v", sends, time.Since(start))
+		}
+		if sends == 1 && time.Since(start) > 100*time.Millisecond {
+			if err := b.Send(x, []byte("after close 2")); err != nil {
+				t.Fatal(err)
+			}
+			sends++
+		}
+		time.Sleep(time.Millisecond)
+	}
+	t.Logf("dropped after %d Sends, %v", sends, time.Since(start))
+
+	if err := b.Send(x, []byte("redialed")); err != nil {
+		t.Fatal(err)
+	}
+	var d net.Conn
+	select {
+	case d = <-accepted:
+		t.Cleanup(func() { d.Close() })
+	case <-time.After(5 * time.Second):
+		t.Fatal("B did not dial X again")
+	}
+	// The Sends that found no route dialed too: their frames come first.
+	d.SetReadDeadline(time.Now().Add(5 * time.Second))
+	for want := string(rawFrame(b.ID(), "redialed")); ; {
+		head := make([]byte, 12)
+		if _, err := io.ReadFull(d, head); err != nil {
+			t.Fatalf("X found no %q on B's new connection: %v", "redialed", err)
+		}
+		frame := append(head, make([]byte, binary.BigEndian.Uint32(head))...)
+		if _, err := io.ReadFull(d, frame[12:]); err != nil {
+			t.Fatal(err)
+		}
+		if string(frame) == want {
+			break
+		}
+	}
+	if n := b.OpenConns(); n != 1 || len(accepted) != 0 {
+		t.Fatalf("B holds %d connections and X accepted %d more; want B's one dial", n, len(accepted))
+	}
+}
